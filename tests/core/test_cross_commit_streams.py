@@ -1,0 +1,126 @@
+"""Cross-commit safety net: clean-run streams are pinned to a fixture.
+
+Every other identity test in the suite compares two runs of the *same*
+commit, so a refactor that changes every run the same way sails
+through them.  ``tests/fixtures/engine_streams.json`` holds the
+``to_dict()`` snapshot streams of the three in-memory engines for fixed
+seeds, recorded once; this test replays them on serial / threads /
+processes and demands equality, so an engine change that moves a single
+byte of a clean run fails here.
+
+Regenerate (only when a stream is *meant* to change, and say so in the
+commit): ``PYTHONPATH=src python tests/core/test_cross_commit_streams.py``.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.core import EarlConfig, EarlSession
+from repro.core.grouped import GroupedEarlSession, Measure
+from repro.streaming import SessionManager
+
+FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" / "engine_streams.json"
+BACKENDS = ["serial", "threads", "processes"]
+
+_rng = np.random.default_rng(5)
+DATA = _rng.lognormal(0.0, 1.0, 60_000)
+PAIRS = np.column_stack([DATA, 0.6 * DATA + _rng.normal(0.0, 1.0, 60_000)])
+# Three sampled strata plus one five-row group (answered exactly).
+KEYS = np.concatenate([_rng.choice(["a", "b", "c"], size=40_000,
+                                   p=[0.6, 0.3, 0.1]),
+                       np.array(["tiny"] * 5)])
+VALS = _rng.lognormal(3.0, 1.0, len(KEYS))
+VALS2 = _rng.normal(50.0, 10.0, len(KEYS))
+
+
+def _session(statistic, data, **cfg):
+    def build(executor):
+        config = EarlConfig(executor=executor, max_workers=2, **cfg)
+        return [snap.to_dict()
+                for snap in EarlSession(data, statistic,
+                                        config=config).stream()]
+    return build
+
+
+def _manager(cancel=None):
+    def build(executor):
+        manager = SessionManager(DATA, config=EarlConfig(
+            sigma=0.03, seed=11, executor=executor, max_workers=2))
+        manager.submit("mean")
+        manager.submit("median", sigma=0.02)
+        manager.submit("p90", sigma=0.06)
+        if cancel is not None:
+            manager.submit("std", name=cancel).cancel()
+        return [[query.name, snap.to_dict()]
+                for query, snap in manager.stream()]
+    return build
+
+
+def _grouped(measures, **kwargs):
+    # n_override keeps SSABE (it still picks B) but starts every group
+    # small, so the strata expand for several rounds instead of
+    # resolving through the §3.1 fallback at set-up.
+    def build(executor):
+        session = GroupedEarlSession(
+            KEYS, measures,
+            config=EarlConfig(sigma=0.04, seed=13, n_override=150,
+                              executor=executor, max_workers=2), **kwargs)
+        return [snap.to_dict() for snap in session.stream()]
+    return build
+
+
+ONE = [Measure("mean(v)", "mean", VALS)]
+TWO = ONE + [Measure("p90(w)", "p90", VALS2, sigma=0.02)]
+
+CASES = {
+    "session-mean": _session("mean", DATA, sigma=0.02, seed=7),
+    "session-median": _session("median", DATA, sigma=0.02, seed=8),
+    "session-correlation": _session("correlation", PAIRS, sigma=0.015,
+                                    seed=9),
+    "session-fallback": _session("mean", DATA[:3_000], sigma=0.001, seed=7),
+    "manager-three": _manager(),
+    "manager-cancelled-sibling": _manager(cancel="withdrawn"),
+    "grouped-one-measure": _grouped(ONE),
+    "grouped-two-measures": _grouped(TWO),
+    "grouped-neyman": _grouped(ONE, allocation="neyman",
+                               round_budget=900),
+}
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    return json.loads(FIXTURE.read_text())
+
+
+@pytest.mark.parametrize("executor", BACKENDS)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stream_matches_recorded_fixture(recorded, case, executor):
+    assert CASES[case](executor) == recorded[case]
+
+
+def test_fixture_exercises_every_path(recorded):
+    """The recording is only a net if the paths it names really ran."""
+    assert set(recorded) == set(CASES)
+    fallback = recorded["session-fallback"]
+    assert len(fallback) == 1 and fallback[0]["sample_fraction"] == 1.0
+    for case in ("session-mean", "session-median", "session-correlation"):
+        assert len(recorded[case]) >= 2 and recorded[case][-1]["achieved"]
+    names = {name for name, _ in recorded["manager-cancelled-sibling"]}
+    assert names == {"mean", "median", "p90"}
+    for case in ("grouped-one-measure", "grouped-two-measures",
+                 "grouped-neyman"):
+        final = recorded[case][-1]
+        assert final["final"] and len(recorded[case]) >= 3
+        assert all(entry["used_fallback"]
+                   for entry in final["groups"]["tiny"].values())
+
+
+if __name__ == "__main__":
+    FIXTURE.parent.mkdir(exist_ok=True)
+    FIXTURE.write_text(json.dumps(
+        {case: build("serial") for case, build in sorted(CASES.items())},
+        indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(CASES)} streams -> {FIXTURE}")
