@@ -19,10 +19,11 @@
 #                      engine checkpoints, restart byte-identity (incl.
 #                      the SIGKILL subprocess drill) and the
 #                      kill-and-restart chaos sweep
-#   make bench-service - service concurrency smoke (shared-pilot session
-#                      fan-out) -> benchmarks/results/BENCH_service.json,
-#                      then the full 1,000-session load harness
+#   make bench-service - the 1,000-session service load harness
 #                      (tests/service/test_load.py, slow tier)
+#   make bench-e2e   - the end-to-end latency benchmark of BENCHMARK.json:
+#                      every workload untraced + traced ->
+#                      benchmarks/results/BENCH_e2e_report.json
 #   make docs-check  - every .md referenced from code/docs actually exists
 #   make examples    - run every example script end to end
 #   make clean       - purge bytecode caches, tool state and stray
@@ -33,7 +34,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-all test-chaos test-durability bench bench-smoke \
-	bench-json bench-service docs-check examples clean
+	bench-json bench-service bench-e2e docs-check examples clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -107,9 +108,11 @@ bench-json:
 		benchmarks/BENCH_telemetry.json --stages telemetry
 
 bench-service:
-	$(PYTHON) benchmarks/bench_service.py \
-		--out benchmarks/results/BENCH_service.json
 	$(PYTHON) -m pytest -q -m slow tests/service/test_load.py
+
+bench-e2e:
+	python3 benchmarks/e2e/run.py --seed 1 \
+		--out benchmarks/results/BENCH_e2e_report.json
 
 docs-check:
 	$(PYTHON) tools/check_docs.py

@@ -31,7 +31,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -41,14 +40,23 @@ import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.core.accuracy import AccuracyEstimate, AccuracyEstimationStage
-from repro.core.checkpoint import checkpoint_doc, loss_event, replay_stream
 from repro.core.config import (
     SAMPLER_POSTMAP,
     SAMPLER_PREMAP,
     EarlConfig,
 )
 from repro.core.correction import CorrectionLike, get_correction
-from repro.core.estimators import Statistic, StatisticLike, get_statistic
+from repro.core.engine import (
+    LossRecovery,
+    RoundLog,
+    UniformEngine,
+    _exact_snapshot,
+    as_items,
+    check_row_compatibility,
+    make_estimation_stage,
+    pilot_size_for,
+)
+from repro.core.estimators import StatisticLike, get_statistic
 from repro.core.jackknife_stage import JackknifeEstimationStage
 from repro.core.result import EarlResult, IterationRecord, ProgressSnapshot
 from repro.core.ssabe import SSABEResult, estimate_parameters
@@ -71,62 +79,12 @@ from repro.util.validation import check_positive_int
 _earl_run_ids = itertools.count()
 
 
-def make_estimation_stage(statistic: "Statistic", B: int, cfg: EarlConfig,
-                          *, seed=None, executor: Optional[Executor] = None):
-    """Build the configured error-estimation stage (bootstrap default,
-    jackknife as the §8 future-work alternative).  ``executor``
-    parallelizes the bootstrap stage's resample evaluation; results are
-    identical with or without it."""
-    if cfg.estimation == "jackknife":
-        return JackknifeEstimationStage(statistic,
-                                        confidence=cfg.confidence)
-    return AccuracyEstimationStage(
-        statistic, B, metric=cfg.error_metric,
-        maintenance=cfg.maintenance, sketch_c=cfg.sketch_c, seed=seed,
-        executor=executor)
-
-
-def check_row_compatibility(statistic: Statistic, data: np.ndarray) -> None:
-    """Reject 2-D data for scalar-item statistics up front.
-
-    Only statistics declaring ``row_items`` (e.g. ``"correlation"``)
-    can ingest vector rows; letting a scalar state meet a row would
-    fail deep inside delta maintenance with an opaque ``TypeError``.
-    """
-    if data.ndim == 2 and not getattr(statistic, "row_items", False):
-        raise ValueError(
-            f"statistic {statistic.name!r} consumes scalar items; 2-D "
-            "row data requires a row-wise statistic such as "
-            "'correlation'")
-
-
-def pilot_size_for(cfg: EarlConfig, N: int) -> int:
-    """§3.2 pilot sizing, shared by every driver: at least
-    ``min_pilot_size``, the pilot fraction of ``N``, and enough items
-    for the nested subsample halvings — capped at ``N``."""
-    return min(N, max(cfg.min_pilot_size,
-                      math.ceil(cfg.pilot_fraction * N),
-                      2 ** cfg.subsample_levels))
-
-
-def exact_fallback_result(statistic: Statistic, data, *, sigma: float,
-                          ssabe: Optional[SSABEResult]) -> EarlResult:
-    """§3.1 fallback: ``B x n >= N``, so the exact computation over all
-    ``N`` in-memory items wins — shared by the in-memory drivers."""
-    value = statistic(np.asarray(data))
-    N = len(data)
-    return EarlResult(
-        estimate=value, uncorrected_estimate=value, error=0.0,
-        achieved=True, sigma=sigma, statistic=statistic.name, n=N, B=1,
-        population_size=N, sample_fraction=1.0, used_fallback=True,
-        simulated_seconds=0.0, iterations=[], ssabe=ssabe, accuracy=None)
-
 # ---------------------------------------------------------------------------
 # In-memory driver
 # ---------------------------------------------------------------------------
 
 
-class EarlSession:
+class EarlSession(LossRecovery):
     """Early-approximation loop over an in-memory dataset.
 
     Example
@@ -138,57 +96,43 @@ class EarlSession:
     ...                      config=EarlConfig(sigma=0.05, seed=1)).run()
     >>> result.achieved
     True
+
+    A solo session is a one-query
+    :class:`~repro.core.engine.UniformEngine` (the engine behind
+    :class:`~repro.streaming.SessionManager`), built afresh by every
+    :meth:`stream` call — so the session is re-streamable, and a
+    manager holding a single query is byte-identical to it.
     """
+
+    _label = "earl_session"
 
     def __init__(self, data: Sequence[float],
                  statistic: StatisticLike = "mean", *,
                  config: Optional[EarlConfig] = None,
                  correction: CorrectionLike = "auto") -> None:
-        self._data = np.asarray(data, dtype=float)
-        # 1-D: plain numeric items.  2-D: each ROW is one item (e.g.
-        # (x, y) pairs for the "correlation" statistic); resampling and
-        # delta maintenance treat rows atomically.
-        if self._data.ndim not in (1, 2) or len(self._data) == 0:
-            raise ValueError("data must be a non-empty 1-D sequence "
-                             "or a 2-D array of row items")
+        self._data = as_items(data)
         self._stat = get_statistic(statistic)
         check_row_compatibility(self._stat, self._data)
         self._config = config or EarlConfig()
         self._correction = get_correction(correction, self._stat.name)
-        #: §3.4 loss events queued by :meth:`report_loss`, applied by an
-        #: active stream at its next iteration boundary.
-        self._pending_loss: List[Tuple[float, Any]] = []
-        # Checkpoint provenance: snapshots yielded so far and the loss
-        # events already applied, each pinned to its round boundary.
-        self._stream_emitted = 0
-        self._applied_losses: List[Dict[str, Any]] = []
-        self.degraded = False
-        self.lost_fraction = 0.0
+        # §3.4 loss reports and checkpoint provenance outlive any one
+        # stream() call, so the session owns the log its engines write.
+        self._log = RoundLog()
+        self._engine: Optional[UniformEngine] = None
 
     @property
     def config(self) -> EarlConfig:
         return self._config
 
-    def report_loss(self, fraction: float, *, seed: Any = None) -> None:
-        """Report that a uniform random ``fraction`` of the population
-        was lost to failures (§3.4: lost splits / dead nodes).
+    @property
+    def degraded(self) -> bool:
+        """Whether the latest run lost sample rows to a failure."""
+        return self._engine is not None and self._engine.degraded
 
-        An active :meth:`stream` applies the loss at its next iteration
-        boundary: lost rows are dropped from both the unseen pool and
-        the already-consumed sample, the bootstrap stage is re-estimated
-        from the survivors (widening the confidence interval), and the
-        expansion loop keeps running over the surviving data.  Results
-        and snapshots carry ``degraded=True`` and the cumulative
-        ``lost_fraction``.  ``seed`` pins which rows die (default: a
-        deterministic child stream of the session's generator).
-        """
-        if not 0.0 < fraction < 1.0:
-            raise ValueError("loss fraction must be in (0, 1)")
-        self._pending_loss.append((float(fraction), seed))
-        if _METRICS.enabled:
-            _METRICS.counter("repro_loss_reports_total",
-                             labels={"engine": "earl_session"},
-                             help="§3.4 sample-loss reports").inc()
+    @property
+    def lost_fraction(self) -> float:
+        """Fraction of the latest run's materialised sample lost."""
+        return self._engine.lost_fraction if self._engine else 0.0
 
     def run(self) -> EarlResult:
         """Execute the full loop: SSABE pilot, sampling, bootstrap error
@@ -215,200 +159,16 @@ class EarlSession:
         executor is torn down and no further iteration is computed, so
         only the completed iterations were ever charged.
         """
-        for snap in self._stream_core():
-            self._stream_emitted += 1
-            yield snap
-
-    def checkpoint(self) -> Dict[str, Any]:
-        """Round-boundary checkpoint: how many snapshots this session
-        has yielded and which losses were applied at which boundary.
-
-        Valid between snapshots (i.e. while the consumer holds the
-        generator at a yield).  Together with the construction arguments
-        (data, statistic, config incl. seed) it is everything
-        :meth:`restore` needs; no bootstrap state is serialized —
-        recovery is deterministic replay.
-        """
-        return checkpoint_doc(self._stream_emitted, self._applied_losses)
-
-    def restore(self, checkpoint: Mapping[str, Any]
-                ) -> Iterator[ProgressSnapshot]:
-        """Resume from a :meth:`checkpoint` taken on an identically-
-        constructed session: yields exactly the snapshots an
-        uninterrupted run would still produce, byte-identical.  Must be
-        called on a fresh session (never streamed); raises
-        :class:`~repro.core.checkpoint.CheckpointReplayError` when the
-        replay cannot reach the checkpointed round."""
-        if self._stream_emitted:
-            raise RuntimeError(
-                "restore() needs a fresh session; this one already "
-                f"yielded {self._stream_emitted} snapshots")
-        return replay_stream(self, checkpoint)
-
-    def _stream_core(self) -> Iterator[ProgressSnapshot]:
-        cfg = self._config
-        rng = ensure_rng(cfg.seed)
-        data = self._data
-        N = len(data)
-        order = rng.permutation(N)  # prefixes = uniform samples w/o repl.
-
-        # ---------------------------------------------------- SSABE pilot
-        pilot = data[order[:pilot_size_for(cfg, N)]]
-        ssabe: Optional[SSABEResult] = None
-        if cfg.B_override is not None and cfg.n_override is not None:
-            B, n = cfg.B_override, cfg.n_override
-            fallback = B * n >= N
-        else:
-            ssabe = estimate_parameters(
-                pilot, N, self._stat, sigma=cfg.sigma, tau=cfg.tau,
-                levels=cfg.subsample_levels, B_min=cfg.B_min,
-                stability_window=cfg.stability_window,
-                maintenance=cfg.maintenance, seed=rng)
-            B = cfg.B_override or ssabe.B
-            n = cfg.n_override or ssabe.n
-            fallback = B * n >= N
-
-        if fallback:
-            result = exact_fallback_result(self._stat, self._data,
-                                           sigma=cfg.sigma, ssabe=ssabe)
-            yield _exact_snapshot(result)
-            return
-
-        # ------------------------------------------------- expansion loop
-        executor = resolve_executor(cfg)
-        original_N = N
-        loss_rng: Optional[np.random.Generator] = None
-        self.degraded = False
-        self.lost_fraction = 0.0
+        self._engine = engine = UniformEngine(
+            self._data, config=self._config, label=self._label,
+            log=self._log)
+        engine.submit(self._stat, correction=self._correction)
         try:
-            aes = make_estimation_stage(self._stat, B, cfg, seed=rng,
-                                        executor=executor)
-            iterations: List[IterationRecord] = []
-            consumed = 0
-            target = min(max(n, 2), N)
-            estimate: Optional[AccuracyEstimate] = None
-            for iteration in range(1, cfg.max_iterations + 1):
-                if self._pending_loss:
-                    # §3.4 recovery: drop the lost rows, re-estimate the
-                    # bootstrap from the surviving sample, continue.
-                    if loss_rng is None:
-                        loss_rng = spawn_child(rng, 1)[0]
-                    order, consumed, aes, estimate = self._apply_losses(
-                        order, consumed, B, executor, loss_rng)
-                    N = len(order)
-                    self.lost_fraction = 1.0 - N / original_N
-                    self.degraded = True
-                    target = min(max(target, consumed), N)
-                if target > consumed:
-                    delta = data[order[consumed:target]]
-                    with _TRACER.span("earl_session.round",
-                                      attrs={"iteration": iteration,
-                                             "rows": target - consumed}):
-                        consumed = target
-                        estimate = aes.offer(delta)
-                    if _METRICS.enabled:
-                        _METRICS.counter(
-                            "repro_engine_rounds_total",
-                            labels={"engine": "earl_session"},
-                            help="engine expansion rounds").inc()
-                        _METRICS.counter(
-                            "repro_engine_rows_total",
-                            labels={"engine": "earl_session"},
-                            help="sample rows consumed by rounds"
-                            ).inc(len(delta))
-                assert estimate is not None
-                expand = (not estimate.meets(cfg.sigma)
-                          and consumed < N
-                          and iteration < cfg.max_iterations)
-                iterations.append(IterationRecord(
-                    iteration=iteration, sample_size=consumed,
-                    accuracy=estimate, simulated_seconds=0.0,
-                    expanded=expand))
-                if not expand:
-                    break
-                yield self._snapshot(iteration, estimate, consumed, N)
-                target = min(N, math.ceil(consumed * cfg.expansion_factor))
+            for _, snapshot in engine.stream():
+                yield snapshot
         finally:
-            executor.close()
+            engine.finish()
 
-        assert estimate is not None
-        p = consumed / N
-        corrected = self._correction(estimate.estimate, p)
-        result = EarlResult(
-            estimate=corrected,
-            uncorrected_estimate=estimate.estimate,
-            error=estimate.error,
-            achieved=estimate.meets(cfg.sigma),
-            sigma=cfg.sigma,
-            statistic=self._stat.name,
-            n=consumed,
-            B=B,
-            population_size=N,
-            sample_fraction=p,
-            used_fallback=False,
-            simulated_seconds=0.0,
-            iterations=iterations,
-            ssabe=ssabe,
-            accuracy=estimate,
-            degraded=self.degraded,
-            lost_fraction=self.lost_fraction,
-        )
-        yield _final_snapshot(result, len(iterations), 0.0)
-
-    def _apply_losses(self, order: np.ndarray, consumed: int, B: int,
-                      executor: Executor,
-                      loss_rng: np.random.Generator):
-        """Apply queued :meth:`report_loss` events: mask the lost rows
-        out of the permutation (population and consumed prefix alike)
-        and rebuild the estimation stage from the surviving sample.
-
-        At least one row always survives — a total loss has no data left
-        to estimate on, so the engine degrades to the smallest
-        population it can still bound."""
-        data = self._data
-        cfg = self._config
-        keep = np.ones(len(order), dtype=bool)
-        for fraction, seed in self._pending_loss:
-            self._applied_losses.append(
-                loss_event(self._stream_emitted, fraction, seed))
-            event_rng = ensure_rng(seed) if seed is not None else loss_rng
-            keep &= event_rng.random(len(order)) >= fraction
-        self._pending_loss.clear()
-        if not keep.any():
-            keep[0] = True
-        new_consumed = int(np.count_nonzero(keep[:consumed]))
-        order = order[keep]
-        aes = make_estimation_stage(self._stat, B, cfg, seed=loss_rng,
-                                    executor=executor)
-        estimate = None
-        if new_consumed:
-            estimate = aes.offer(data[order[:new_consumed]])
-        return order, new_consumed, aes, estimate
-
-    def _snapshot(self, iteration: int, accuracy: AccuracyEstimate,
-                  consumed: int, N: int) -> ProgressSnapshot:
-        """Intermediate snapshot after one estimation stage."""
-        p = consumed / N
-        return ProgressSnapshot(
-            iteration=iteration,
-            estimate=self._correction(accuracy.estimate, p),
-            uncorrected_estimate=accuracy.estimate,
-            error=accuracy.error,
-            cv=accuracy.cv,
-            ci_low=accuracy.ci_low,
-            ci_high=accuracy.ci_high,
-            sample_size=consumed,
-            population_size=N,
-            sample_fraction=p,
-            achieved=accuracy.meets(self._config.sigma),
-            final=False,
-            statistic=self._stat.name,
-            cost_delta_seconds=0.0,
-            cost_total_seconds=0.0,
-            accuracy=accuracy,
-            result=None,
-            degraded=self.degraded,
-            lost_fraction=self.lost_fraction)
 
 def _final_snapshot(result: EarlResult, iteration: int,
                     delta_seconds: float) -> ProgressSnapshot:
@@ -436,21 +196,6 @@ def _final_snapshot(result: EarlResult, iteration: int,
         result=result,
         degraded=result.degraded,
         lost_fraction=result.lost_fraction)
-
-
-def _exact_snapshot(result: EarlResult) -> ProgressSnapshot:
-    """The single final snapshot of a §3.1 exact-fallback stream."""
-    return ProgressSnapshot(
-        iteration=0, estimate=result.estimate,
-        uncorrected_estimate=result.uncorrected_estimate,
-        error=0.0, cv=0.0,
-        ci_low=result.estimate, ci_high=result.estimate,
-        sample_size=result.n, population_size=result.population_size,
-        sample_fraction=result.sample_fraction,
-        achieved=True, final=True, statistic=result.statistic,
-        cost_delta_seconds=result.simulated_seconds,
-        cost_total_seconds=result.simulated_seconds,
-        accuracy=None, result=result)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,1111 @@
+"""The one round core behind the in-memory engines.
+
+The paper has one accuracy loop (§3): pilot → SSABE → expand the sample
+by Δs → bootstrap check → stop at σ, with the §3.1 exact fallback and
+the §3.4 loss recovery.  This module writes it once, from two pieces:
+
+* a :class:`Pipeline` — one statistic driven towards its bound σ: its
+  correction, ``(B, n)``, SSABE trail, delta-maintained estimation
+  stage, iteration records and, once it stops, its result;
+* a :class:`SampleUnit` — one permutation of one population and the
+  schedule walking it (``target / consumed / bound / iteration``), its
+  loss accounting, and the pipelines that read its rows.
+
+:class:`RoundEngine` steps any number of units through the protocol
+``prepare / pending / live_demands / run_round(grant) / finalize /
+finish`` (``stream()`` is a thin generator over it).  The three entry
+points are the same engine in different shapes:
+
+* :class:`UniformEngine` — one unit, k pipelines: the shared-sample
+  engine behind :class:`~repro.streaming.SessionManager`, and — with a
+  single query — the whole of :class:`~repro.core.EarlSession`;
+* :class:`~repro.core.grouped.GroupedEarlSession` — G units (one per
+  group, fed by a :class:`~repro.sampling.StratifiedSampler`) with one
+  pipeline per measure.
+
+What differs between a solo and a shared run is derived from the number
+of *submitted* pipelines, never configured.  One pipeline continues its
+unit's own generator (permutation, SSABE, stage — the solo order) and
+its stage receives the executor for parallel resample evaluation;
+k ≥ 2 pipelines get ``2k`` pre-spawned streams (so withdrawing one
+before the run leaves its siblings' randomness untouched) and the round
+fans out *across* pipelines instead.  An engine that can never fan out
+keeps its sample driver-local (:class:`LocalColumn`) rather than
+broadcasting it.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import replace
+from typing import (
+    Any,
+    Dict,
+    Hashable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+import numpy as np
+
+from repro.core.accuracy import AccuracyEstimate, AccuracyEstimationStage
+from repro.core.checkpoint import checkpoint_doc, loss_event, replay_stream
+from repro.core.config import EarlConfig
+from repro.core.correction import CorrectionLike, get_correction
+from repro.core.estimators import Statistic, StatisticLike, get_statistic
+from repro.core.jackknife_stage import JackknifeEstimationStage
+from repro.core.result import EarlResult, IterationRecord, ProgressSnapshot
+from repro.core.ssabe import SSABEResult, estimate_parameters
+from repro.exec.executor import Executor, resolve_executor
+from repro.obs.metrics import REGISTRY as _METRICS
+from repro.obs.trace import TRACER as _TRACER
+from repro.util.rng import ensure_rng, spawn_child
+
+
+def make_estimation_stage(statistic: "Statistic", B: int, cfg: EarlConfig,
+                          *, seed=None, executor: Optional[Executor] = None):
+    """Build the configured error-estimation stage (bootstrap default,
+    jackknife as the §8 future-work alternative).  ``executor``
+    parallelizes the bootstrap stage's resample evaluation; results are
+    identical with or without it."""
+    if cfg.estimation == "jackknife":
+        return JackknifeEstimationStage(statistic,
+                                        confidence=cfg.confidence)
+    return AccuracyEstimationStage(
+        statistic, B, metric=cfg.error_metric,
+        maintenance=cfg.maintenance, sketch_c=cfg.sketch_c, seed=seed,
+        executor=executor)
+
+
+def as_items(data: Sequence[float]) -> np.ndarray:
+    """``data`` as a float array of items.  1-D: plain numeric items.
+    2-D: each ROW is one item (e.g. (x, y) pairs for the
+    ``"correlation"`` statistic); resampling and delta maintenance
+    treat rows atomically."""
+    items = np.asarray(data, dtype=float)
+    if items.ndim not in (1, 2) or len(items) == 0:
+        raise ValueError("data must be a non-empty 1-D sequence "
+                         "or a 2-D array of row items")
+    return items
+
+
+def check_row_compatibility(statistic: Statistic, data: np.ndarray) -> None:
+    """Reject 2-D data for scalar-item statistics up front.
+
+    Only statistics declaring ``row_items`` (e.g. ``"correlation"``)
+    can ingest vector rows; letting a scalar state meet a row would
+    fail deep inside delta maintenance with an opaque ``TypeError``.
+    """
+    if data.ndim == 2 and not getattr(statistic, "row_items", False):
+        raise ValueError(
+            f"statistic {statistic.name!r} consumes scalar items; 2-D "
+            "row data requires a row-wise statistic such as "
+            "'correlation'")
+
+
+def pilot_size_for(cfg: EarlConfig, N: int) -> int:
+    """§3.2 pilot sizing, shared by every driver: at least
+    ``min_pilot_size``, the pilot fraction of ``N``, and enough items
+    for the nested subsample halvings — capped at ``N``."""
+    return min(N, max(cfg.min_pilot_size,
+                      math.ceil(cfg.pilot_fraction * N),
+                      2 ** cfg.subsample_levels))
+
+
+def exact_fallback_result(statistic: Statistic, data, *, sigma: float,
+                          ssabe: Optional[SSABEResult]) -> EarlResult:
+    """§3.1 fallback: ``B x n >= N``, so the exact computation over all
+    ``N`` in-memory items wins — shared by the in-memory drivers."""
+    value = statistic(np.asarray(data))
+    N = len(data)
+    return EarlResult(
+        estimate=value, uncorrected_estimate=value, error=0.0,
+        achieved=True, sigma=sigma, statistic=statistic.name, n=N, B=1,
+        population_size=N, sample_fraction=1.0, used_fallback=True,
+        simulated_seconds=0.0, iterations=[], ssabe=ssabe, accuracy=None)
+
+
+def _exact_snapshot(result: EarlResult) -> ProgressSnapshot:
+    """The single final snapshot of a §3.1 exact-fallback stream."""
+    return ProgressSnapshot(
+        iteration=0, estimate=result.estimate,
+        uncorrected_estimate=result.uncorrected_estimate,
+        error=0.0, cv=0.0,
+        ci_low=result.estimate, ci_high=result.estimate,
+        sample_size=result.n, population_size=result.population_size,
+        sample_fraction=result.sample_fraction,
+        achieved=True, final=True, statistic=result.statistic,
+        cost_delta_seconds=result.simulated_seconds,
+        cost_total_seconds=result.simulated_seconds,
+        accuracy=None, result=result)
+
+
+# ---------------------------------------------------------------------------
+# pipeline and sample unit
+# ---------------------------------------------------------------------------
+
+
+class Pipeline:
+    """One estimation pipeline: a statistic driven towards its error
+    bound σ over a sample unit's rows.
+
+    To a :class:`~repro.streaming.SessionManager` client this is the
+    ``QueryHandle`` returned by ``submit``: it carries the query's
+    parameters, the snapshots observed so far, and — once the query
+    terminated — its :class:`~repro.core.EarlResult`.  :meth:`cancel`
+    withdraws it from subsequent expansion rounds (its resample set is
+    simply no longer updated; the other pipelines keep running on the
+    shared sample).
+    """
+
+    def __init__(self, name: str, statistic: Statistic, *, sigma: float,
+                 error_metric: str, correction,
+                 B_override: Optional[int] = None,
+                 n_override: Optional[int] = None,
+                 index: int = 0, column: int = 0) -> None:
+        self.name = name
+        self.statistic = statistic
+        self.sigma = sigma
+        self.error_metric = error_metric
+        self.correction = correction
+        self.B_override = B_override
+        self.n_override = n_override
+        self.index = index      # position among the unit's pipelines
+        self.column = column    # which engine column its rows come from
+        self.B: Optional[int] = None
+        self.n: Optional[int] = None
+        self.ssabe: Optional[SSABEResult] = None
+        self.stage: Optional[AccuracyEstimationStage] = None
+        self.iterations: List[IterationRecord] = []
+        self.snapshots: List[ProgressSnapshot] = []
+        self.estimate: Optional[AccuracyEstimate] = None
+        self.result: Optional[EarlResult] = None
+        self.used_fallback = False
+        #: Withdrawn without a result: cancelled by its client, or its
+        #: stratum died (§3.4) before it ever produced an estimate.
+        self.cancelled = False
+        #: Holder of the materialised sample column (``.value``) and
+        #: the offset of this unit's segment in it.
+        self.source: Any = None
+        self.base = 0
+
+    @property
+    def done(self) -> bool:
+        """Whether the pipeline terminated (result ready) or was
+        withdrawn."""
+        return self.result is not None or self.cancelled
+
+    def cancel(self) -> None:
+        """Withdraw the pipeline from subsequent expansion rounds."""
+        self.cancelled = True
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = ("done" if self.result is not None
+                 else "cancelled" if self.cancelled else "running")
+        return (f"Pipeline({self.name!r}, {self.statistic.name}, "
+                f"sigma={self.sigma}, {state})")
+
+
+class LocalColumn:
+    """A sample column held by the driver instead of a broadcast.
+
+    Exposes the same ``.value`` the fan-out units read.  Used when the
+    engine can never fan out (a lone pipeline), and for the compacted
+    survivors of a unit after a §3.4 sample loss (on process pools
+    those ship by value per round — the pre-broadcast cost, paid only
+    after a fault).
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: np.ndarray) -> None:
+        self.value = value
+
+
+class SampleUnit:
+    """One permutation of one population, the expansion schedule
+    walking it, its §3.4 loss accounting, and the pipelines reading
+    its rows."""
+
+    def __init__(self, key: Hashable, size: int,
+                 pipelines: List[Pipeline], *,
+                 rows: Optional[np.ndarray] = None) -> None:
+        self.key = key
+        self.size = size
+        self.pipelines = pipelines
+        self.rows = rows    # the unit's rows of the engine columns
+        #                     (appearance order); None = every row
+        self.rng: Optional[np.random.Generator] = None
+        self.order: Optional[np.ndarray] = None   # until materialised
+        self.consumed = 0
+        self.target = 0
+        self.iteration = 0
+        self.bound = 0      # materialised rows (the most it can reach)
+        self.lost = 0       # sample rows lost to failures so far
+        self.degraded = False
+
+    @property
+    def lost_fraction(self) -> float:
+        """Fraction of the unit's materialised sample lost so far."""
+        total = self.lost + self.bound
+        return self.lost / total if total else 0.0
+
+    @property
+    def active_pipelines(self) -> List[Pipeline]:
+        return [p for p in self.pipelines if not p.done]
+
+    @property
+    def active(self) -> bool:
+        return any(not p.done for p in self.pipelines)
+
+    @property
+    def rows_processed(self) -> int:
+        """Distinct rows touched: a unit where any pipeline answered
+        exactly was scanned whole (its sampled rows are a subset of that
+        scan); otherwise only the consumed prefix."""
+        if any(p.used_fallback for p in self.pipelines):
+            return self.size
+        return self.consumed
+
+
+# ---------------------------------------------------------------------------
+# executor fan-out units (module level so process pools pickle them by
+# reference)
+# ---------------------------------------------------------------------------
+
+
+def _offer_shared(args: Tuple[AccuracyEstimationStage, Any, int, int]
+                  ) -> AccuracyEstimate:
+    """Fan-out unit for shared-memory backends: mutate the stage in
+    place; the delta is a ``[lo, hi)`` slice of the engine's one
+    broadcast column."""
+    stage, shared, lo, hi = args
+    return stage.offer(shared.value[lo:hi])
+
+
+def _offer_owned(args: Tuple[AccuracyEstimationStage, Any, int, int]
+                 ) -> Tuple[AccuracyEstimationStage, AccuracyEstimate]:
+    """Fan-out unit for process backends: the worker's mutated stage is
+    shipped back and rebound by the caller.  The sample itself never
+    rides the per-round task — workers hold it from the engine's one
+    broadcast and slice the delta locally."""
+    stage, shared, lo, hi = args
+    estimate = stage.offer(shared.value[lo:hi])
+    return stage, estimate
+
+
+# ---------------------------------------------------------------------------
+# §3.4 loss queue + checkpoint provenance
+# ---------------------------------------------------------------------------
+
+
+class RoundLog:
+    """What a run needs to be replayed: stream items emitted so far,
+    loss reports queued for the next round boundary, and the losses
+    already applied (each pinned to the boundary it landed on)."""
+
+    __slots__ = ("emitted", "pending", "applied")
+
+    def __init__(self) -> None:
+        self.emitted = 0
+        self.pending: List[Tuple[float, Optional[set], Any]] = []
+        self.applied: List[Dict[str, Any]] = []
+
+
+class LossRecovery:
+    """``report_loss`` / ``checkpoint`` / ``restore`` for every
+    in-memory entry point, over the owner's :class:`RoundLog`."""
+
+    _label = "engine"
+    #: Whether the design has strata that can be lost independently
+    #: (``keys=`` filters, ``fraction == 1.0`` kills them outright).
+    _strata = False
+    _log: RoundLog
+
+    def report_loss(self, fraction: float, *,
+                    keys: Optional[Sequence[Hashable]] = None,
+                    seed: Any = None) -> None:
+        """Report that roughly ``fraction`` of the sampled rows were
+        lost to a failure (§3.4 degrade-don't-die: lost splits, a dead
+        node holding part of the sample).
+
+        Applied at the next round boundary: each materialised sample
+        row independently survives with probability ``1 - fraction``,
+        every live pipeline's bootstrap stage is rebuilt from the
+        survivors (bounds widen accordingly), and the expansion loop
+        keeps running over what remains; the population the estimates
+        speak for is unchanged.  Pipelines that already terminated keep
+        their results — those stood on data that was alive when
+        computed.  Results and snapshots carry ``degraded=True`` and the
+        cumulative ``lost_fraction``.
+
+        Grouped sessions may restrict the loss to specific strata with
+        ``keys`` (default: every group — a whole-node loss), and accept
+        ``fraction == 1.0``, which kills the strata outright: a dead
+        stratum finalizes with its best-so-far estimate, or is
+        withdrawn from the results if it never produced one.  Safe to
+        call from any thread while another drives :meth:`stream`;
+        ``seed`` pins which rows die (default: a deterministic child
+        stream of the run's generator).
+        """
+        if not (0.0 < fraction < 1.0 or (self._strata and fraction == 1.0)):
+            closing = "]" if self._strata else ")"
+            raise ValueError(
+                f"loss fraction must be in (0, 1{closing}, got {fraction}")
+        if keys is not None and not self._strata:
+            raise ValueError("keys= needs a grouped session: a uniform "
+                             "sample has no strata to restrict a loss to")
+        self._log.pending.append(
+            (float(fraction), None if keys is None else set(keys), seed))
+        if _METRICS.enabled:
+            _METRICS.counter("repro_loss_reports_total",
+                             labels={"engine": self._label},
+                             help="§3.4 sample-loss reports").inc()
+
+    def checkpoint(self) -> Dict[str, Any]:
+        """Round-boundary checkpoint: how many stream items this run
+        has produced and which losses were applied at which boundary
+        (with their strata filters).
+
+        Valid between rounds (i.e. while the consumer holds the
+        generator at a yield).  Together with the construction arguments
+        (data / keys and columns, statistics or submissions in order,
+        config incl. seed) it is everything :meth:`restore` needs; no
+        bootstrap state is serialized — recovery is deterministic
+        replay.
+        """
+        return checkpoint_doc(self._log.emitted, self._log.applied)
+
+    def restore(self, checkpoint: Mapping[str, Any]) -> Iterator[Any]:
+        """Resume from a :meth:`checkpoint` taken on an identically-
+        constructed engine: yields exactly the stream items an
+        uninterrupted run would still produce, byte-identical.  Must be
+        called on a fresh engine (never streamed); raises
+        :class:`~repro.core.checkpoint.CheckpointReplayError` when the
+        replay cannot reach the checkpointed round."""
+        if self._log.emitted:
+            raise RuntimeError(
+                f"restore() needs a fresh {type(self).__name__}; this one "
+                f"already produced {self._log.emitted} stream items")
+        return replay_stream(self, checkpoint)
+
+
+# ---------------------------------------------------------------------------
+# the round core
+# ---------------------------------------------------------------------------
+
+#: One touched pipeline of a round: the unit it reads and the pipeline.
+Touched = Tuple[SampleUnit, Pipeline]
+
+
+class RoundEngine(LossRecovery):
+    """Steps sample units through the accuracy loop, a round at a time.
+
+    Subclasses decide the design (which units, which pipelines), each
+    round's per-unit row quotas, and how touched pipelines are rendered
+    into stream events; everything else — pilot / SSABE / §3.1 fallback,
+    the expansion schedule and broadcast bound, the executor fan-out,
+    expand-or-stop, result assembly, §3.4 loss application and
+    checkpoint provenance — lives here.
+
+    An engine streams **once**.  The stepping protocol, which
+    ``stream()`` and the cross-query scheduler both drive:
+    ``prepare()`` → while ``pending``: ``run_round(grant)`` →
+    (``finalize()`` to force-stop) → ``finish()``; ``live_demands()``
+    describes the next round's ask to an external budget allocator.
+    Every call returns the ``(handle, snapshot)`` events it produced.
+    """
+
+    def __init__(self, columns: List[np.ndarray], config: EarlConfig,
+                 label: str, log: Optional[RoundLog] = None) -> None:
+        self._columns = columns
+        self._config = config
+        #: Owner-supplied name: the ``engine`` metric label and the
+        #: span prefix of this engine's telemetry.
+        self._label = label
+        self._log = log if log is not None else RoundLog()
+        self._units: List[SampleUnit] = []
+        self._executor: Optional[Executor] = None
+        self._started = False
+        self._cancelled = False
+        self._lone = False
+        self._rng: Optional[np.random.Generator] = None
+        self._loss_rng: Optional[np.random.Generator] = None
+        #: Most expansions one unit may take; budgeted stepping of a
+        #: shared sample raises it (rows can trickle in).
+        self._iteration_cap = config.max_iterations
+
+    # ------------------------------------------------------------ inventory
+    @property
+    def config(self) -> EarlConfig:
+        return self._config
+
+    @property
+    def cancelled(self) -> bool:
+        """Whether :meth:`cancel` was requested."""
+        return self._cancelled
+
+    def cancel(self) -> None:
+        """Cancel the whole run: the round loop ends at the next round
+        boundary without a final snapshot.
+
+        Safe to call from any thread while another thread drives
+        :meth:`stream` (plain flags checked between rounds).  Only the
+        driving thread may ``close()`` the generator itself, so this is
+        the cross-thread teardown path — the service layer's
+        cancel/expire uses it, then the driving thread's own loop exit
+        closes the executor.
+        """
+        self._cancelled = True
+
+    @property
+    def degraded(self) -> bool:
+        """Whether any unit lost sample rows to a reported failure."""
+        return any(unit.degraded for unit in self._units)
+
+    @property
+    def lost_fraction(self) -> float:
+        """Fraction of the materialised sample lost to failures."""
+        lost = sum(unit.lost for unit in self._units)
+        total = lost + sum(unit.bound for unit in self._units)
+        return lost / total if total else 0.0
+
+    @property
+    def rows_processed(self) -> int:
+        """Distinct rows touched so far across every unit."""
+        return sum(unit.rows_processed for unit in self._units)
+
+    @property
+    def _live(self) -> bool:
+        return any(unit.active for unit in self._units)
+
+    @property
+    def pending(self) -> bool:
+        """Whether another :meth:`run_round` could make progress."""
+        return self._started and not self._cancelled and self._live
+
+    # --------------------------------------------------- stepping protocol
+    def prepare(self) -> List[Tuple[Any, Any]]:
+        """Pilot phase: permutations, pilots, SSABE, §3.1 exact
+        fallbacks, and the engine's one broadcast.  Returns the events
+        of whatever resolved exactly."""
+        raise NotImplementedError
+
+    def run_round(self, grant: Any = None) -> List[Tuple[Any, Any]]:
+        """Advance by one expansion round.  ``grant=None`` follows the
+        engine's own schedule; otherwise it is the external budget
+        allocator's row grant for this round."""
+        raise NotImplementedError
+
+    def finalize(self) -> List[Tuple[Any, Any]]:
+        """Force-terminate every still-active pipeline with its latest
+        estimate (best-effort, for a budget-starved run)."""
+        raise NotImplementedError
+
+    def live_demands(self) -> List[Dict[str, Any]]:
+        """Demand records for an external budget allocator."""
+        raise NotImplementedError
+
+    def finish(self) -> None:
+        """Tear the executor down (idempotent; :meth:`stream` calls it
+        on exit, the scheduler calls it when the engine drains)."""
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.close()
+
+    def stream(self) -> Iterator[Tuple[Any, Any]]:
+        """Run to completion, yielding ``(handle, snapshot)`` events as
+        each round's accuracy estimates arrive.
+
+        A thin generator over the stepping protocol: driving the
+        unbudgeted steps directly — as the cross-query scheduler does —
+        produces byte-identical events in the same order.  Closing the
+        generator cancels the run (executor teardown; no further round
+        is computed).
+        """
+        events = self.prepare()
+        try:
+            yield from events
+            while self.pending:
+                yield from self.run_round()
+            if self._live and not self._cancelled:
+                yield from self.finalize()    # round-count safety net
+        finally:
+            self.finish()
+
+    # ------------------------------------------------------ shared machinery
+    def _begin(self) -> bool:
+        """Start the engine's one run; ``False`` when it was cancelled
+        before it began."""
+        if self._started:
+            raise RuntimeError(
+                f"a {type(self).__name__} streams only once")
+        self._started = True
+        if self._cancelled:
+            return False
+        self._rng = ensure_rng(self._config.seed)
+        return True
+
+    def _emit(self, events: List[Tuple[Any, Any]]) -> List[Tuple[Any, Any]]:
+        self._log.emitted += len(events)
+        return events
+
+    def _take(self, unit: SampleUnit, column: int,
+              picks: Optional[np.ndarray] = None) -> np.ndarray:
+        """The unit's rows of one engine column: all of them in
+        appearance order, or those at the permuted positions ``picks``."""
+        data = self._columns[column]
+        if picks is None:
+            return data if unit.rows is None else data[unit.rows]
+        return data[picks if unit.rows is None else unit.rows[picks]]
+
+    def _stage(self, pipeline: Pipeline, seed: Any):
+        return make_estimation_stage(
+            pipeline.statistic, pipeline.B,
+            replace(self._config, error_metric=pipeline.error_metric),
+            seed=seed, executor=self._executor if self._lone else None)
+
+    def _prepare(self, units: List[SampleUnit]) -> List[Touched]:
+        """Pilot every unit (each with ``rng`` and ``order`` drawn by
+        the caller), then materialise and broadcast the sample.
+        Returns the pipelines resolved exactly at the pilot."""
+        self._units = units
+        submitted = sum(len(unit.pipelines) for unit in units)
+        self._lone = submitted == 1
+        span = _TRACER.span(f"{self._label}.prepare",
+                            attrs={"pipelines": submitted})
+        try:
+            self._executor = resolve_executor(self._config)
+            for unit in units:
+                self._pilot(unit)
+            self._materialise()
+        except BaseException:
+            self.finish()
+            raise
+        finally:
+            span.finish()
+        return [(unit, pipeline) for unit in units
+                for pipeline in unit.pipelines if pipeline.used_fallback]
+
+    def _pilot(self, unit: SampleUnit) -> None:
+        """SSABE, §3.1 fallback or estimation stage for every submitted
+        pipeline of one unit, and the unit's first target."""
+        cfg = self._config
+        rng, order = unit.rng, unit.order
+        assert rng is not None and order is not None
+        k = len(unit.pipelines)
+        # One pipeline continues the unit's own generator; k >= 2 get
+        # two pre-spawned streams each (SSABE, stage), counted over the
+        # *submitted* pipelines so a withdrawn one leaves the others'
+        # randomness untouched.
+        streams = [rng, rng] if k == 1 else spawn_child(rng, 2 * k)
+        picks = order[:pilot_size_for(cfg, unit.size)]
+        for i, pipeline in enumerate(unit.pipelines):
+            if pipeline.cancelled:
+                # Withdrawn before streaming: no pilot, nothing towards
+                # the broadcast bound or any round's target.
+                continue
+            B, n = pipeline.B_override, pipeline.n_override
+            if B is None or n is None:
+                pipeline.ssabe = estimate_parameters(
+                    self._take(unit, pipeline.column, picks), unit.size,
+                    pipeline.statistic, sigma=pipeline.sigma, tau=cfg.tau,
+                    levels=cfg.subsample_levels, B_min=cfg.B_min,
+                    stability_window=cfg.stability_window,
+                    maintenance=cfg.maintenance, seed=streams[2 * i])
+                B = B or pipeline.ssabe.B
+                n = n or pipeline.ssabe.n
+            pipeline.B, pipeline.n = B, n
+            if B * n >= unit.size:
+                pipeline.used_fallback = True
+                pipeline.result = exact_fallback_result(
+                    pipeline.statistic, self._take(unit, pipeline.column),
+                    sigma=pipeline.sigma, ssabe=pipeline.ssabe)
+            else:
+                pipeline.stage = self._stage(pipeline, streams[2 * i + 1])
+        if unit.active:
+            unit.target = min(
+                max(max(p.n for p in unit.active_pipelines), 2), unit.size)
+
+    def _reach(self, unit: SampleUnit) -> int:
+        """The most rows the unit's own schedule can ever consume: its
+        first target grown by ``expansion_factor`` for
+        ``max_iterations - 1`` rounds.  Bounding the materialised sample
+        by it means an early-stopping run over a huge population
+        neither copies nor ships rows no round could read."""
+        cfg = self._config
+        bound = unit.target
+        for _ in range(cfg.max_iterations - 1):
+            if bound >= unit.size:
+                break
+            bound = min(unit.size, math.ceil(bound * cfg.expansion_factor))
+        return bound
+
+    def _materialise(self) -> None:
+        """Permuted sample prefix of every active unit, shipped ONCE
+        per column for the whole run: every later delta is a
+        ``[lo, hi)`` slice of it — zero-copy on shared-memory backends,
+        sent a single time (at worker spawn) on process pools."""
+        units = [unit for unit in self._units if unit.active]
+        for unit in units:
+            unit.bound = self._reach(unit)
+        assert self._executor is not None
+        for column in range(len(self._columns)):
+            segments: List[np.ndarray] = []
+            readers: List[Pipeline] = []
+            offset = 0
+            for unit in units:
+                mine = [p for p in unit.active_pipelines
+                        if p.column == column]
+                if not mine:
+                    continue
+                assert unit.order is not None
+                segments.append(
+                    self._take(unit, column, unit.order[:unit.bound]))
+                for pipeline in mine:
+                    pipeline.base = offset
+                readers.extend(mine)
+                offset += unit.bound
+            if not segments:
+                continue
+            sample = (segments[0] if len(segments) == 1
+                      else np.concatenate(segments))
+            source = (LocalColumn(sample) if self._lone
+                      else self._executor.broadcast(sample))
+            for pipeline in readers:
+                pipeline.source = source
+        for unit in self._units:
+            unit.order = None
+
+    def _apply_losses(self) -> List[Touched]:
+        """Apply the queued loss reports (§3.4): mask the lost rows out
+        of every hit unit's materialised sample, rebuild the survivors'
+        estimation stages, finalize dead units.
+
+        Each hit active unit keeps every materialised row independently
+        with probability ``1 - fraction``; its columns become compacted
+        driver-local survivors, its stages are rebuilt (seeded from a
+        lazily-spawned loss stream, so clean runs draw nothing extra)
+        and the surviving consumed prefix is re-offered so the next
+        round extends a consistent resample state.  The population the
+        estimates speak for stays ``size``.  A unit losing every row
+        finalizes best-so-far.  Returns the pipelines whose estimate or
+        result changed.
+        """
+        events, self._log.pending = self._log.pending, []
+        if not events:
+            return []
+        for fraction, keys, seed in events:
+            self._log.applied.append(
+                loss_event(self._log.emitted, fraction, seed, keys=keys))
+        if self._loss_rng is None:
+            assert self._rng is not None
+            self._loss_rng = spawn_child(self._rng, 1)[0]
+        touched: List[Touched] = []
+        for unit in self._units:
+            if not unit.active or unit.bound <= 0:
+                continue
+            keep = np.ones(unit.bound, dtype=bool)
+            hit = False
+            for fraction, keys, seed in events:
+                if keys is not None and unit.key not in keys:
+                    continue
+                hit = True
+                if fraction >= 1.0:
+                    keep[:] = False
+                    continue
+                event_rng = (ensure_rng(seed) if seed is not None
+                             else self._loss_rng)
+                keep &= event_rng.random(unit.bound) >= fraction
+            if not hit or keep.all():
+                continue    # the failure missed this unit entirely
+            unit.degraded = True
+            survivors = int(np.count_nonzero(keep))
+            unit.lost += unit.bound - survivors
+            if survivors == 0:
+                # Dead unit: finalize before touching consumed, so
+                # best-so-far results stand on the pre-loss sample.
+                unit.bound = 0
+                touched.extend(self._finalize_unit(unit))
+                continue
+            consumed = int(np.count_nonzero(keep[:unit.consumed]))
+            streams = spawn_child(self._loss_rng, len(unit.pipelines))
+            compacted: Dict[Tuple[int, int], LocalColumn] = {}
+            for pipeline in unit.active_pipelines:
+                where = (id(pipeline.source), pipeline.base)
+                local = compacted.get(where)
+                if local is None:
+                    segment = pipeline.source.value[
+                        pipeline.base:pipeline.base + unit.bound]
+                    local = compacted[where] = LocalColumn(segment[keep])
+                pipeline.source, pipeline.base = local, 0
+                pipeline.stage = self._stage(pipeline,
+                                             streams[pipeline.index])
+                if consumed:
+                    pipeline.estimate = pipeline.stage.offer(
+                        local.value[:consumed])
+                    touched.append((unit, pipeline))
+            unit.consumed = consumed
+            unit.bound = survivors
+        return touched
+
+    def _drew(self, unit: SampleUnit, rows: int) -> None:
+        """Hook: ``unit`` is about to consume ``rows`` more rows."""
+
+    def _advance(self, quotas: Mapping[Hashable, int]
+                 ) -> Tuple[List[Touched], int]:
+        """One expansion round: draw ``quotas[unit.key]`` more rows for
+        every active unit (capped at what it can still reach), offer
+        the deltas to its live pipelines through the executor, then
+        expand-or-stop each.
+
+        A unit whose reachable rows are all consumed cannot improve and
+        finalizes best-so-far instead of spinning (degrade, don't die).
+        Returns the touched pipelines and the number of stage offers
+        made (0: no unit drew anything this round).
+        """
+        cfg = self._config
+        touched: List[Touched] = []
+        work: List[Tuple[SampleUnit, Pipeline, int, int]] = []
+        drawn = 0
+        for unit in self._units:
+            if not unit.active:
+                continue
+            room = unit.bound - unit.consumed
+            if room <= 0:
+                touched.extend(self._finalize_unit(unit))
+                continue
+            quota = min(int(quotas.get(unit.key, 0)), room)
+            if quota <= 0:
+                continue
+            self._drew(unit, quota)
+            lo, unit.consumed = unit.consumed, unit.consumed + quota
+            unit.iteration += 1
+            drawn += quota
+            for pipeline in unit.active_pipelines:
+                work.append((unit, pipeline, pipeline.base + lo,
+                             pipeline.base + unit.consumed))
+        if not work:
+            return touched, 0
+        with _TRACER.span(f"{self._label}.round",
+                          attrs={"rows": drawn, "offers": len(work)}):
+            estimates = self._offer_round(work)
+        if _METRICS.enabled:
+            _METRICS.counter("repro_engine_rounds_total",
+                             labels={"engine": self._label},
+                             help="engine expansion rounds").inc()
+            _METRICS.counter("repro_engine_rows_total",
+                             labels={"engine": self._label},
+                             help="sample rows consumed by rounds"
+                             ).inc(drawn)
+        for (unit, pipeline, _, _), estimate in zip(work, estimates):
+            pipeline.estimate = estimate
+            expand = (not estimate.meets(pipeline.sigma)
+                      and unit.consumed < unit.bound
+                      and unit.iteration < self._iteration_cap)
+            pipeline.iterations.append(IterationRecord(
+                iteration=unit.iteration, sample_size=unit.consumed,
+                accuracy=estimate, simulated_seconds=0.0,
+                expanded=expand))
+            if not expand:
+                pipeline.result = self._sampled_result(unit, pipeline)
+            touched.append((unit, pipeline))
+        for unit in self._units:
+            if unit.active and unit.consumed >= unit.target:
+                unit.target = min(
+                    unit.size,
+                    math.ceil(unit.consumed * cfg.expansion_factor))
+        return touched, len(work)
+
+    def _offer_round(self, work: List[Tuple[SampleUnit, Pipeline, int, int]]
+                     ) -> List[AccuracyEstimate]:
+        """Feed every live pipeline its delta.
+
+        Fans out over the configured backend when it can pay off; the
+        per-pipeline RNG streams and ordered gather keep results
+        byte-identical across serial / threads / processes.  Tasks carry
+        only the column holder plus slice bounds — the sample itself
+        was shipped once for the whole run.
+        """
+        executor = self._executor
+        assert executor is not None
+        if executor.is_parallel and len(work) > 1:
+            args = [(p.stage, p.source, lo, hi) for _, p, lo, hi in work]
+            if executor.shares_memory:
+                return executor.map(_offer_shared, args)
+            estimates: List[AccuracyEstimate] = []
+            for (_, pipeline, _, _), (stage, estimate) in zip(
+                    work, executor.map(_offer_owned, args)):
+                pipeline.stage = stage  # rebind the worker's mutated copy
+                estimates.append(estimate)
+            return estimates
+        return [p.stage.offer(p.source.value[lo:hi])
+                for _, p, lo, hi in work]
+
+    def _sampled_result(self, unit: SampleUnit,
+                        pipeline: Pipeline) -> EarlResult:
+        """The result of a pipeline that stopped on a sampled estimate."""
+        estimate = pipeline.estimate
+        assert estimate is not None
+        p = unit.consumed / unit.size
+        return EarlResult(
+            estimate=pipeline.correction(estimate.estimate, p),
+            uncorrected_estimate=estimate.estimate,
+            error=estimate.error,
+            achieved=estimate.meets(pipeline.sigma),
+            sigma=pipeline.sigma,
+            statistic=pipeline.statistic.name,
+            n=unit.consumed,
+            B=pipeline.B or 0,
+            population_size=unit.size,
+            sample_fraction=p,
+            used_fallback=False,
+            simulated_seconds=0.0,
+            iterations=list(pipeline.iterations),
+            ssabe=pipeline.ssabe,
+            accuracy=estimate,
+            degraded=unit.degraded,
+            lost_fraction=unit.lost_fraction)
+
+    def _finalize_unit(self, unit: SampleUnit) -> List[Touched]:
+        """Best-so-far results for a unit that can no longer improve.
+
+        A pipeline that never produced an estimate is answered exactly
+        — the only honest terminal choice left — unless the unit's rows
+        were lost, in which case scanning them would read dead data and
+        it is withdrawn instead (inventing a result with no estimate
+        would not be honest)."""
+        touched: List[Touched] = []
+        for pipeline in unit.active_pipelines:
+            if pipeline.estimate is not None:
+                pipeline.result = self._sampled_result(unit, pipeline)
+            elif unit.degraded:
+                pipeline.cancelled = True
+                continue
+            else:
+                pipeline.used_fallback = True
+                pipeline.result = exact_fallback_result(
+                    pipeline.statistic, self._take(unit, pipeline.column),
+                    sigma=pipeline.sigma, ssabe=pipeline.ssabe)
+            touched.append((unit, pipeline))
+        return touched
+
+    def _finalize_all(self) -> List[Touched]:
+        return [pair for unit in self._units if unit.active
+                for pair in self._finalize_unit(unit)]
+
+
+# ---------------------------------------------------------------------------
+# one unit, k pipelines: the uniform shared-sample engine
+# ---------------------------------------------------------------------------
+
+
+class UniformEngine(RoundEngine):
+    """k statistic queries over ONE pilot and ONE growing uniform sample
+    of an in-memory dataset (a random permutation prefix).
+
+    Each expansion round draws a single delta and feeds it to every
+    active query's own delta-maintained resample set (§4.1); queries
+    terminate independently, and the sample only keeps growing while
+    some query still needs more data.  Events are
+    ``(query, ProgressSnapshot)`` pairs.
+    :class:`~repro.streaming.SessionManager` is this engine under its
+    public name; :class:`~repro.core.EarlSession` runs one with a
+    single query.
+    """
+
+    def __init__(self, data: Sequence[float], *,
+                 config: Optional[EarlConfig] = None,
+                 label: str, log: Optional[RoundLog] = None) -> None:
+        items = as_items(data)
+        super().__init__([items], config or EarlConfig(), label, log)
+        self._queries: List[Pipeline] = []
+        self._unit = SampleUnit(None, len(items), self._queries)
+        self._units = [self._unit]
+
+    @property
+    def queries(self) -> List[Pipeline]:
+        """The submitted query handles, in submission order."""
+        return list(self._queries)
+
+    @property
+    def consumed(self) -> int:
+        """Rows of the shared sample consumed so far."""
+        return self._unit.consumed
+
+    def cancel(self) -> None:
+        """Cancel the whole session: every query is withdrawn and the
+        round loop ends at the next round boundary (see
+        :meth:`RoundEngine.cancel`); individual queries are cancelled
+        one at a time via their handle's ``cancel()``."""
+        super().cancel()
+        for query in self._queries:
+            query.cancel()
+
+    def submit(self, statistic: StatisticLike, *,
+               sigma: Optional[float] = None,
+               error_metric: Optional[str] = None,
+               correction: CorrectionLike = "auto",
+               B_override: Optional[int] = None,
+               n_override: Optional[int] = None,
+               name: Optional[str] = None) -> Pipeline:
+        """Register a query; returns its handle.
+
+        Per-query overrides default to the shared config: ``sigma``
+        (the error bound this query must meet), ``error_metric``, and
+        the SSABE ``B_override``/``n_override`` escape hatch.  ``name``
+        keys the :meth:`run` result dict (default: the statistic's
+        name, suffixed on collision).
+        """
+        if self._started:
+            raise RuntimeError("cannot submit after streaming started")
+        cfg = self._config
+        stat = get_statistic(statistic)
+        check_row_compatibility(stat, self._columns[0])
+        taken = {q.name for q in self._queries}
+        if name is None:
+            name = stat.name
+            suffix = 2
+            while name in taken:
+                name = f"{stat.name}#{suffix}"
+                suffix += 1
+        elif name in taken:
+            raise ValueError(f"duplicate query name {name!r}")
+        handle = Pipeline(
+            name, stat,
+            sigma=cfg.sigma if sigma is None else sigma,
+            error_metric=(cfg.error_metric if error_metric is None
+                          else error_metric),
+            correction=get_correction(correction, stat.name),
+            B_override=cfg.B_override if B_override is None else B_override,
+            n_override=cfg.n_override if n_override is None else n_override,
+            index=len(self._queries))
+        self._queries.append(handle)
+        return handle
+
+    # --------------------------------------------------- stepping protocol
+    def prepare(self) -> List[Tuple[Pipeline, ProgressSnapshot]]:
+        """Pilot phase of the run: permutation, shared pilot, per-query
+        SSABE, §3.1 exact fallbacks, and the session's one broadcast.
+
+        Returns the ``(query, snapshot)`` events of queries resolved
+        exactly during the pilot.  After this, :meth:`run_round`
+        advances the remaining queries one expansion round at a time
+        (the cross-query scheduler's entry point); :meth:`stream` is
+        the equivalent single-consumer generator.
+        """
+        if not self._queries:
+            raise RuntimeError("no queries submitted")
+        if not self._begin():
+            return []
+        unit = self._unit
+        unit.rng = self._rng
+        unit.order = self._rng.permutation(unit.size)  # the ONE sample
+        return self._events(self._prepare([unit]))
+
+    def live_demands(self) -> List[Dict[str, Any]]:
+        """Per-active-query demand records for an external budget
+        allocator.
+
+        ``scale`` re-estimates the query's ``S`` from the live
+        bootstrap error (``error ∝ S/√n`` ⇒ ``S ≈ error·√n``); before
+        the first round it is unknown (``nan``) and the pilot-sized
+        first draw is mandatory anyway.  All queries share one sample,
+        so every record carries the same engine-level ``scheduled`` —
+        the rows the next unbudgeted round would add — and
+        ``remaining`` ask (``shared=True``).
+        """
+        if not self.pending:
+            return []
+        unit = self._unit
+        remaining = max(0, unit.bound - unit.consumed)
+        scheduled = min(max(unit.target - unit.consumed, 0), remaining)
+        records: List[Dict[str, Any]] = []
+        for query in unit.active_pipelines:
+            known = query.estimate is not None and unit.consumed > 0
+            error = (float(query.estimate.error)
+                     if query.estimate is not None else float("nan"))
+            records.append({
+                "key": query.name, "error": error, "sigma": query.sigma,
+                "consumed": unit.consumed, "size": unit.size,
+                "scheduled": scheduled, "remaining": remaining,
+                "scale": (error * math.sqrt(unit.consumed) if known
+                          else float("nan")),
+                "shared": True,
+            })
+        return records
+
+    def run_round(self, budget: Optional[int] = None
+                  ) -> List[Tuple[Pipeline, ProgressSnapshot]]:
+        """Advance the shared sample by one expansion round; returns
+        the round's ``(query, snapshot)`` events.
+
+        Unbudgeted rounds follow the session's own expansion schedule
+        (the :meth:`stream` path, byte-identical).  ``budget`` caps the
+        round's *new* rows — the scheduler's global-allocation hook —
+        except on the first round, whose SSABE-sized draw is mandatory.
+        Budgeted stepping can trickle rows, so it raises the allowed
+        round count the way grouped budgeted allocation does; a round
+        starved to zero new rows is a no-op (no iteration consumed).
+        """
+        if not self._started:
+            raise RuntimeError("prepare() has not run")
+        unit = self._unit
+        if budget is not None:
+            self._iteration_cap = max(self._iteration_cap,
+                                      self._config.max_iterations * 8)
+        # Only terminal outcomes of a loss are events here; a re-offered
+        # estimate shows in the round's own snapshot.
+        touched = [pair for pair in self._apply_losses() if pair[1].done]
+        quota = unit.target - unit.consumed
+        if budget is not None and unit.consumed > 0:
+            quota = min(quota, max(int(budget), 0))
+        return self._events(touched + self._advance({unit.key: quota})[0])
+
+    def finalize(self) -> List[Tuple[Pipeline, ProgressSnapshot]]:
+        """Force-terminate every still-active query with its latest
+        estimate (best-effort, for a budget-starved scheduled run —
+        mirrors the grouped engine's stalled finalize)."""
+        return self._events(self._finalize_all())
+
+    def run(self) -> Dict[str, Optional[EarlResult]]:
+        """Drain :meth:`stream`; returns ``{name: result}`` (``None``
+        for queries cancelled before terminating)."""
+        for _ in self.stream():
+            pass
+        return {query.name: query.result for query in self._queries}
+
+    # --------------------------------------------------------------- helpers
+    def _events(self, touched: List[Touched]
+                ) -> List[Tuple[Pipeline, ProgressSnapshot]]:
+        events = []
+        for unit, query in touched:
+            snapshot = (_exact_snapshot(query.result) if query.used_fallback
+                        else self._snapshot(unit, query))
+            query.snapshots.append(snapshot)
+            events.append((query, snapshot))
+        return self._emit(events)
+
+    def _snapshot(self, unit: SampleUnit,
+                  query: Pipeline) -> ProgressSnapshot:
+        accuracy = query.estimate
+        assert accuracy is not None
+        p = unit.consumed / unit.size
+        return ProgressSnapshot(
+            iteration=len(query.iterations),
+            estimate=query.correction(accuracy.estimate, p),
+            uncorrected_estimate=accuracy.estimate,
+            error=accuracy.error, cv=accuracy.cv,
+            ci_low=accuracy.ci_low, ci_high=accuracy.ci_high,
+            sample_size=unit.consumed, population_size=unit.size,
+            sample_fraction=p,
+            achieved=accuracy.meets(query.sigma),
+            final=query.result is not None,
+            statistic=query.statistic.name,
+            cost_delta_seconds=0.0, cost_total_seconds=0.0,
+            accuracy=accuracy, result=query.result,
+            degraded=unit.degraded, lost_fraction=unit.lost_fraction)

@@ -20,6 +20,12 @@ stratified design instead (:class:`~repro.sampling.StratifiedSampler`):
   stratified-ordered column shipped per measure per session), so
   serial / thread / process backends yield byte-identical snapshots.
 
+The loop itself is the shared round core (:mod:`repro.core.engine`):
+a group is a :class:`~repro.core.engine.SampleUnit`, a ``(group,
+measure)`` pair is a :class:`~repro.core.engine.Pipeline`; this module
+adds the stratified design, the per-round quota policy and the
+cumulative grouped snapshots.
+
 Determinism contract: each group draws an integer seed from the session
 RNG (exposed as :attr:`GroupedEarlSession.group_seeds`), and a
 **single-measure** session runs each group exactly as
@@ -43,14 +49,13 @@ finished groups automatically donate their budget to the laggards.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
     Hashable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -58,24 +63,21 @@ from typing import (
 
 import numpy as np
 
-from repro.core.accuracy import AccuracyEstimate, AccuracyEstimationStage
-from repro.core.checkpoint import checkpoint_doc, loss_event, replay_stream
+from repro.core.accuracy import AccuracyEstimate
 from repro.core.config import EarlConfig
 from repro.core.correction import CorrectionLike, get_correction
-from repro.core.earl import (
+from repro.core.engine import (
+    Pipeline,
+    RoundEngine,
+    SampleUnit,
+    Touched,
     check_row_compatibility,
-    exact_fallback_result,
-    make_estimation_stage,
     pilot_size_for,
 )
 from repro.core.estimators import StatisticLike, get_statistic
-from repro.core.result import EarlResult, IterationRecord
-from repro.core.ssabe import SSABEResult, estimate_parameters
-from repro.exec.executor import BroadcastHandle, Executor, resolve_executor
-from repro.obs.metrics import REGISTRY as _METRICS
-from repro.obs.trace import TRACER as _TRACER
+from repro.core.result import EarlResult
 from repro.sampling.stratified import ALLOCATIONS, StratifiedSampler
-from repro.util.rng import ensure_rng, spawn_child
+from repro.util.rng import ensure_rng
 
 #: Default allocation mode: every group follows its own expansion
 #: schedule (the mode with the solo-session equivalence guarantee).
@@ -291,137 +293,11 @@ class GroupedSnapshot:
 
 
 # ---------------------------------------------------------------------------
-# executor fan-out units (module level so process pools pickle them
-# by reference; mirrors repro.streaming.session, which sits above this
-# layer and therefore cannot be imported from here)
-# ---------------------------------------------------------------------------
-
-
-def _offer_shared(args: Tuple[AccuracyEstimationStage, BroadcastHandle,
-                              int, int]) -> AccuracyEstimate:
-    """Shared-memory fan-out unit: mutate the stage in place; the delta
-    is a ``[lo, hi)`` slice of the measure's broadcast column."""
-    stage, shared, lo, hi = args
-    return stage.offer(shared.value[lo:hi])
-
-
-def _offer_owned(args: Tuple[AccuracyEstimationStage, BroadcastHandle,
-                             int, int]
-                 ) -> Tuple[AccuracyEstimationStage, AccuracyEstimate]:
-    """Process-pool fan-out unit: ship the mutated stage back for the
-    driver to rebind; the column itself rode the session's one
-    broadcast, never the per-round task."""
-    stage, shared, lo, hi = args
-    estimate = stage.offer(shared.value[lo:hi])
-    return stage, estimate
-
-
-class _LocalColumn:
-    """Stand-in for a :class:`BroadcastHandle` over a degraded group's
-    surviving rows.
-
-    After a §3.4 sample loss the group's working column is a compacted
-    per-group local array, not a slice of the session broadcast; this
-    wrapper exposes the same ``.value`` the fan-out units read, so the
-    degraded path reuses them unchanged (on process pools it ships by
-    value per round — the pre-broadcast cost, paid only after a fault).
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: np.ndarray) -> None:
-        self.value = value
-
-
-# ---------------------------------------------------------------------------
-# internal per-group / per-measure state
-# ---------------------------------------------------------------------------
-
-
-class _MeasureState:
-    """One (group, measure) estimation pipeline."""
-
-    __slots__ = ("measure", "index", "statistic", "sigma", "correction",
-                 "stage", "B", "n", "ssabe", "iterations", "estimate",
-                 "result", "used_fallback", "seg_start", "permuted",
-                 "dead")
-
-    def __init__(self, measure: Measure, index: int, statistic,
-                 sigma: float, correction) -> None:
-        self.measure = measure
-        self.index = index          # position in the session's measure list
-        self.statistic = statistic
-        self.sigma = sigma
-        self.correction = correction
-        self.stage: Optional[AccuracyEstimationStage] = None
-        self.B: Optional[int] = None
-        self.n: Optional[int] = None
-        self.ssabe: Optional[SSABEResult] = None
-        self.iterations: List[IterationRecord] = []
-        self.estimate: Optional[AccuracyEstimate] = None
-        self.result: Optional[EarlResult] = None
-        self.used_fallback = False
-        self.seg_start = 0    # offset of the group's segment in the
-        #                       measure's broadcast column
-        #: The group's permuted column, held from set-up until the
-        #: broadcast concatenation consumes it (then dropped).
-        self.permuted: Optional[np.ndarray] = None
-        #: §3.4: the stratum died (every sample row lost) before this
-        #: measure ever produced an estimate — withdrawn, no result.
-        self.dead = False
-
-    @property
-    def done(self) -> bool:
-        return self.result is not None or self.dead
-
-
-class _GroupState:
-    """One group's sampling schedule plus its measure pipelines."""
-
-    __slots__ = ("key", "size", "seed", "rows", "measures", "consumed",
-                 "target", "iteration", "pilot_std", "bound", "lost",
-                 "degraded", "local")
-
-    def __init__(self, key: Hashable, size: int, seed: int,
-                 rows: np.ndarray) -> None:
-        self.key = key
-        self.size = size
-        self.seed = seed
-        self.rows = rows            # table-row indices, appearance order
-        self.measures: List[_MeasureState] = []
-        self.consumed = 0
-        self.target = 0
-        self.iteration = 0
-        self.pilot_std = 0.0
-        self.bound = 0      # broadcast-segment length (rows reachable)
-        # §3.4 degraded-mode state: sample rows lost to failures, and
-        # the per-measure compacted survivor columns replacing the
-        # broadcast segments once a loss hits this group.
-        self.lost = 0
-        self.degraded = False
-        self.local: Optional[List[Optional[_LocalColumn]]] = None
-
-    @property
-    def lost_fraction(self) -> float:
-        """Fraction of the group's materialized sample lost so far."""
-        total = self.lost + self.bound
-        return self.lost / total if total else 0.0
-
-    @property
-    def active_measures(self) -> List[_MeasureState]:
-        return [m for m in self.measures if not m.done]
-
-    @property
-    def active(self) -> bool:
-        return bool(self.active_measures)
-
-
-# ---------------------------------------------------------------------------
 # the session
 # ---------------------------------------------------------------------------
 
 
-class GroupedEarlSession:
+class GroupedEarlSession(RoundEngine):
     """Approximate grouped aggregation with per-group error bounds.
 
     Example
@@ -441,8 +317,14 @@ class GroupedEarlSession:
 
     A session streams **once** (iterate :meth:`stream`, or call
     :meth:`run`, which drains it); closing the stream cancels the
-    still-active groups and tears the executor down.
+    still-active groups and tears the executor down.  It is a
+    :class:`~repro.core.engine.RoundEngine` with one sample unit per
+    group and one pipeline per measure, so the cross-query scheduler
+    can drive it through the stepping protocol directly; its events are
+    ``(session, GroupedSnapshot)`` pairs.
     """
+
+    _strata = True
 
     def __init__(self, keys: Sequence[Hashable],
                  measures: Sequence[Measure], *,
@@ -466,13 +348,12 @@ class GroupedEarlSession:
                 f"pick one of {list(ALLOCATIONS)}")
         self._keys = keys if isinstance(keys, np.ndarray) \
             else np.asarray(keys, dtype=object)
-        self._config = config or EarlConfig()
         self._allocation = allocation
         self._round_budget = round_budget
         N = len(self._keys)
         seen = set()
         self._measures: List[Measure] = []
-        self._columns: List[np.ndarray] = []
+        columns: List[np.ndarray] = []
         for measure in measures:
             if measure.name in seen:
                 raise ValueError(f"duplicate measure name {measure.name!r}")
@@ -484,80 +365,15 @@ class GroupedEarlSession:
                     f"{N} keys (got shape {column.shape})")
             check_row_compatibility(get_statistic(measure.statistic), column)
             self._measures.append(measure)
-            self._columns.append(column)
-        self._started = False
-        self._cancelled = False
+            columns.append(column)
+        super().__init__(columns, config or EarlConfig(), "grouped")
         self._group_seeds: Dict[Hashable, int] = {}
-        # Cross-query scheduler hooks: a one-round per-group quota
-        # override, and the group states exposed for live demands.
-        self._quota_override: Optional[Dict[Hashable, int]] = None
+        self._sampler: Optional[StratifiedSampler] = None
+        self._pilot_std: Dict[Hashable, float] = {}
+        #: Cumulative latest entry per (group, aggregate) pair.
+        self._board: Dict[Hashable, Dict[str, GroupEstimate]] = {}
+        self._round = 0
         self._externally_budgeted = False
-        self._groups: List[_GroupState] = []
-        # §3.4 degraded-mode state: pending loss reports (applied at
-        # the next round boundary) and a lazily-spawned loss stream.
-        self._pending_loss: List[Tuple[float, Optional[set],
-                                       Optional[Any]]] = []
-        # Checkpoint provenance: snapshots yielded so far and the loss
-        # events already applied, each pinned to its round boundary.
-        self._stream_emitted = 0
-        self._applied_losses: List[Dict[str, Any]] = []
-        self._rng: Optional[np.random.Generator] = None
-        self._loss_rng: Optional[np.random.Generator] = None
-
-    @property
-    def config(self) -> EarlConfig:
-        return self._config
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` was requested."""
-        return self._cancelled
-
-    def cancel(self) -> None:
-        """Request cancellation of the run at the next round boundary.
-
-        Safe to call from any thread while another thread drives
-        :meth:`stream` (a plain flag, checked between rounds): the
-        stream ends without a final snapshot and its teardown closes
-        the executor.  Generators must only be ``close()``d from the
-        thread iterating them, so this flag is the cross-thread
-        cancellation path — the service layer's cancel/expire uses it,
-        then the driving thread itself closes the generator.
-        """
-        self._cancelled = True
-
-    @property
-    def degraded(self) -> bool:
-        """Whether any group lost sample rows to a reported failure."""
-        return any(g.degraded for g in self._groups)
-
-    def report_loss(self, fraction: float, *,
-                    keys: Optional[Sequence[Hashable]] = None,
-                    seed: Optional[Any] = None) -> None:
-        """Report that roughly ``fraction`` of the sampled rows were
-        lost to a failure (§3.4 degrade-don't-die).
-
-        Applied at the next round boundary: each affected group's
-        in-memory sample rows independently survive with probability
-        ``1 - fraction``, its bootstrap stages are rebuilt from the
-        survivors (bounds widen accordingly), and the stratified quota
-        planning continues around what remains.  ``keys`` restricts the
-        loss to specific strata (default: every group — a whole-node
-        loss); ``fraction == 1.0`` kills the listed strata outright —
-        a dead stratum finalizes with its best-so-far estimate, or is
-        withdrawn from the results if it never produced one.  Finished
-        groups keep their results.  Safe to call from any thread while
-        another drives :meth:`stream`; ``seed`` pins the loss pattern.
-        """
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(
-                f"loss fraction must be in (0, 1], got {fraction}")
-        key_set = None if keys is None else set(keys)
-        self._pending_loss.append((float(fraction), key_set, seed))
-        if _METRICS.enabled:
-            _METRICS.counter("repro_loss_reports_total",
-                             labels={"engine": "grouped"},
-                             help="§3.4 sample-loss reports").inc()
 
     @property
     def group_seeds(self) -> Dict[Hashable, int]:
@@ -567,34 +383,94 @@ class GroupedEarlSession:
         seed=group_seeds[key]))``."""
         return dict(self._group_seeds)
 
-    # ------------------------------------------------- scheduler hooks
-    def set_round_budget(self, total: int) -> None:
-        """Re-target the per-round budget between rounds (budgeted
-        allocations only) — the coarse global-allocation hook."""
-        if self._allocation == ALLOCATION_SCHEDULE:
-            raise RuntimeError(
-                "round budget needs a quota allocation policy; "
-                f"pick one of {list(ALLOCATIONS)}")
-        if total < 1:
-            raise ValueError("round_budget must be positive")
-        self._round_budget = total
+    def run(self) -> GroupedResult:
+        """Drain :meth:`stream`; returns the final :class:`GroupedResult`."""
+        final: Optional[GroupedSnapshot] = None
+        for final in self.stream():
+            pass
+        assert final is not None and final.result is not None
+        return final.result
 
-    def set_round_quotas(self, quotas: Dict[Hashable, int]) -> None:
-        """One-round per-group quota override, consumed by the next
-        round — the cross-query scheduler's injection point.
+    def stream(self) -> Iterator[GroupedSnapshot]:
+        """Progressive engine: one :class:`GroupedSnapshot` per round.
 
-        The next round samples ``quotas[key]`` rows from each listed
-        group (capped at the group's broadcast segment; groups not
-        listed draw nothing) instead of the session's own allocation.
-        Injected quotas can trickle rows, so the round-count safety
-        bound rises the way budgeted allocation's does; per-group
-        iteration counts still cap at ``max_iterations``, so a
-        scheduler that slices a group too thin forfeits rounds the
-        schedule would have used.
+        Rounds advance every still-active group by one expansion; the
+        last snapshot has ``final=True`` and carries the
+        :class:`GroupedResult`.  Closing the generator cancels the run
+        (executor teardown; no further round is computed).
         """
-        self._quota_override = {key: int(quota)
-                                for key, quota in quotas.items()}
-        self._externally_budgeted = True
+        for _, snapshot in super().stream():
+            yield snapshot
+
+    # --------------------------------------------------- stepping protocol
+    def prepare(self) -> List[Tuple["GroupedEarlSession", GroupedSnapshot]]:
+        """Seed, permute and pilot every group; resolve exact
+        fallbacks; broadcast each measure's stratified-ordered column.
+
+        Each group draws an integer seed from the session generator and
+        then runs exactly as a solo session over its rows would: the
+        group generator draws the permutation first, then (for a single
+        measure) SSABE and the stage continue the same stream.  Returns
+        the one final event when every pair resolved exactly.
+        """
+        if not self._begin():
+            return []
+        cfg = self._config
+        self._sampler = sampler = StratifiedSampler(
+            self._keys,
+            allocation=(self._allocation
+                        if self._allocation != ALLOCATION_SCHEDULE
+                        else "proportional"))
+        statistics = [get_statistic(m.statistic) for m in self._measures]
+        group_keys = sampler.keys
+        seeds = self._rng.integers(0, 2**63 - 1, size=len(group_keys),
+                                   dtype=np.int64)
+        units: List[SampleUnit] = []
+        for key, seed in zip(group_keys, seeds):
+            self._group_seeds[key] = int(seed)
+            size = sampler.population(key)
+            pilot_n = pilot_size_for(cfg, size)
+            B_override, n_override = cfg.B_override, cfg.n_override
+            if (B_override is None or n_override is None) \
+                    and pilot_n < 2 ** cfg.subsample_levels:
+                # The group is too small for SSABE's nested pilot
+                # halvings (a solo session would refuse such an input
+                # outright); a group this tiny is cheaper to answer
+                # exactly, so force the §3.1 fallback.
+                B_override, n_override = 1, size
+            unit = SampleUnit(key, size, [
+                Pipeline(measure.name, stat,
+                         sigma=(cfg.sigma if measure.sigma is None
+                                else measure.sigma),
+                         error_metric=cfg.error_metric,
+                         correction=get_correction(measure.correction,
+                                                   stat.name),
+                         B_override=B_override, n_override=n_override,
+                         index=i, column=i)
+                for i, (measure, stat) in enumerate(zip(self._measures,
+                                                        statistics))],
+                rows=sampler.rows(key))
+            unit.rng = ensure_rng(int(seed))
+            sampler.attach_rng(key, unit.rng)
+            unit.order = sampler.order(key)
+            pilot = self._take(unit, 0, unit.order[:pilot_n])
+            self._pilot_std[key] = float(np.std(
+                pilot.reshape(pilot_n, -1)[:, 0], ddof=1)) \
+                if pilot_n > 1 else 0.0
+            if self._allocation == "neyman":
+                sampler.set_scale(key, self._pilot_std[key])
+            units.append(unit)
+        exact = self._prepare(units)
+        self._board = {unit.key: {} for unit in units}
+        for unit, pipeline in exact:
+            self._board[unit.key][pipeline.name] = self._entry(unit, pipeline)
+        return self._render([])
+
+    @property
+    def pending(self) -> bool:
+        """Whether another :meth:`run_round` could make progress (and
+        the round-count safety bound still allows one)."""
+        return super().pending and self._round < self._max_rounds()
 
     def live_demands(self) -> List[Dict[str, Any]]:
         """Per-active-group demand records for an external budget
@@ -610,638 +486,171 @@ class GroupedEarlSession:
         reach (broadcast segment minus consumed).
         """
         records: List[Dict[str, Any]] = []
-        for group in self._groups:
-            measures = group.active_measures
-            if not measures:
-                continue
+        for unit in self._units:
             binding = None
             ratio = -math.inf
-            for mstate in measures:
-                estimate = mstate.estimate
+            for pipeline in unit.active_pipelines:
+                estimate = pipeline.estimate
                 error = (float(estimate.error) if estimate is not None
                          else math.inf)
-                if error / max(mstate.sigma, 1e-12) > ratio:
-                    ratio = error / max(mstate.sigma, 1e-12)
-                    binding = (mstate, error)
-            mstate, error = binding
-            if math.isfinite(error) and group.consumed > 0:
-                scale = error * math.sqrt(group.consumed)
+                if error / max(pipeline.sigma, 1e-12) > ratio:
+                    ratio = error / max(pipeline.sigma, 1e-12)
+                    binding = (pipeline, error)
+            if binding is None:
+                continue
+            pipeline, error = binding
+            if math.isfinite(error) and unit.consumed > 0:
+                scale = error * math.sqrt(unit.consumed)
             else:
-                scale = float(group.pilot_std)
-            bound = group.bound or group.size
+                scale = self._pilot_std[unit.key]
             records.append({
-                "key": group.key, "error": error, "sigma": mstate.sigma,
-                "consumed": group.consumed, "size": group.size,
-                "scheduled": max(group.target - group.consumed, 0),
-                "remaining": max(bound - group.consumed, 0),
+                "key": unit.key, "error": error, "sigma": pipeline.sigma,
+                "consumed": unit.consumed, "size": unit.size,
+                "scheduled": max(unit.target - unit.consumed, 0),
+                "remaining": max(unit.bound - unit.consumed, 0),
                 "scale": scale, "shared": False,
             })
         return records
 
-    def run(self) -> GroupedResult:
-        """Drain :meth:`stream`; returns the final :class:`GroupedResult`."""
-        final: Optional[GroupedSnapshot] = None
-        for final in self.stream():
-            pass
-        assert final is not None and final.result is not None
-        return final.result
+    def run_round(self, grants: Optional[Dict[Hashable, int]] = None
+                  ) -> List[Tuple["GroupedEarlSession", GroupedSnapshot]]:
+        """Advance every still-active group by one expansion round;
+        returns the round's event (none when nothing changed).
 
-    # ------------------------------------------------------------- streaming
-    def stream(self) -> Iterator[GroupedSnapshot]:
-        """Progressive engine: one :class:`GroupedSnapshot` per round.
-
-        Rounds advance every still-active group by one expansion; the
-        last snapshot has ``final=True`` and carries the
-        :class:`GroupedResult`.  Closing the generator cancels the run
-        (executor teardown; no further round is computed).
+        ``grants`` is the cross-query scheduler's injection point: the
+        round samples ``grants[key]`` rows from each listed group
+        (capped at the group's broadcast segment; groups not listed
+        draw nothing) instead of the session's own allocation.  Granted
+        rounds can trickle rows, so the round-count safety bound rises
+        the way budgeted allocation's does; per-group iteration counts
+        still cap at ``max_iterations``, so a scheduler that slices a
+        group too thin forfeits rounds the schedule would have used.  A
+        round the scheduler starved entirely is a non-terminal no-op.
         """
-        for snap in self._stream_core():
-            self._stream_emitted += 1
-            yield snap
+        self._round += 1
+        touched = self._apply_losses()
+        if grants is not None:
+            self._externally_budgeted = True
+            quotas = grants
+        else:
+            quotas = self._round_quotas(
+                [unit for unit in self._units if unit.active])
+        stepped, offers = self._advance(quotas)
+        touched += stepped
+        if not offers and grants is None:
+            # The session's own allocation gave nothing (budget smaller
+            # than the active group count after caps): finalize what is
+            # left as best-effort rather than spin.
+            touched += self._finalize_all()
+        return self._render(touched)
 
-    def checkpoint(self) -> Dict[str, Any]:
-        """Round-boundary checkpoint: snapshots yielded so far plus the
-        losses applied (with their strata filters), pinned to round
-        boundaries.  Valid between snapshots; with the construction
-        arguments (keys, columns, measures, config incl. seed) it is
-        everything :meth:`restore` needs — recovery is deterministic
-        replay, no per-group bootstrap state is serialized."""
-        return checkpoint_doc(self._stream_emitted, self._applied_losses)
-
-    def restore(self, checkpoint: Mapping[str, Any]
-                ) -> Iterator[GroupedSnapshot]:
-        """Resume from a :meth:`checkpoint` taken on an identically-
-        constructed session: yields exactly the remaining snapshots,
-        byte-identical to an uninterrupted run.  Must be called on a
-        fresh session; raises
-        :class:`~repro.core.checkpoint.CheckpointReplayError` when the
-        replay cannot reach the checkpointed round."""
-        if self._started or self._stream_emitted:
-            raise RuntimeError("restore() needs a fresh session; this "
-                               "one already streamed")
-        return replay_stream(self, checkpoint)
-
-    def _stream_core(self) -> Iterator[GroupedSnapshot]:
-        if self._started:
-            raise RuntimeError("a GroupedEarlSession streams only once")
-        self._started = True
-        if self._cancelled:
-            return
-        cfg = self._config
-        rng = ensure_rng(cfg.seed)
-        self._rng = rng  # held for lazily-derived loss randomness
-        sampler = StratifiedSampler(
-            self._keys,
-            allocation=(self._allocation
-                        if self._allocation != ALLOCATION_SCHEDULE
-                        else "proportional"))
-        groups = self._setup_groups(sampler, rng)
-        self._groups = groups
-
-        executor = resolve_executor(cfg)
-        shared: List[Optional[BroadcastHandle]] = []
-        try:
-            board = self._initial_board(groups)
-            if not any(g.active for g in groups):
-                yield self._snapshot(0, board, (), groups, final=True)
-                return
-
-            shared = self._broadcast_columns(executor, groups)
-            round_no = 0
-            # _max_rounds() is re-read every round: an external quota
-            # injection mid-stream raises the bound to the budgeted
-            # allowance, and range() would have frozen the original.
-            while round_no < self._max_rounds():
-                round_no += 1
-                if self._cancelled:
-                    return
-                updated: List[Tuple[Hashable, str]] = []
-                if self._pending_loss:
-                    updated.extend(self._apply_losses(groups, shared, board))
-                active = [g for g in groups if g.active]
-                if not active:
-                    if updated:
-                        # A reported loss just finalized the last
-                        # group(s); the stream still owes its final
-                        # snapshot.
-                        yield self._snapshot(round_no, board,
-                                             tuple(updated), groups,
-                                             final=True)
-                        return
-                    return  # every group finalized on the previous round
-                override, self._quota_override = self._quota_override, None
-                if override is not None:
-                    quotas = {}
-                    for group in active:
-                        quota = int(override.get(group.key, 0))
-                        cap = (group.bound or group.size) - group.consumed
-                        if quota > 0 and cap > 0:
-                            quotas[group.key] = min(quota, cap)
-                else:
-                    quotas = self._round_quotas(sampler, active)
-                work: List[Tuple[_MeasureState, BroadcastHandle,
-                                 int, int]] = []
-                offered: List[Tuple[_GroupState, _MeasureState]] = []
-                for group in active:
-                    quota = quotas.get(group.key, 0)
-                    if group.degraded:
-                        cap = (group.bound or group.size) - group.consumed
-                        quota = min(quota, cap)
-                        if quota <= 0 and cap <= 0:
-                            # Every surviving row is consumed: no round
-                            # can improve this group, so finalize with
-                            # best-so-far bounds (degrade, don't die).
-                            updated.extend(
-                                self._finalize_degraded(group, board))
-                            continue
-                    if quota <= 0:
-                        continue
-                    sampler.take(group.key, quota)
-                    lo, hi = group.consumed, group.consumed + quota
-                    group.consumed = hi
-                    group.iteration += 1
-                    for mstate in group.active_measures:
-                        if group.local is not None:
-                            handle: Any = group.local[mstate.index]
-                            base = 0
-                        else:
-                            handle = shared[mstate.index]
-                            base = mstate.seg_start
-                        work.append((mstate, handle, base + lo, base + hi))
-                        offered.append((group, mstate))
-                if not work:
-                    if override is not None:
-                        # An externally-injected round starved this
-                        # session — the scheduler's choice, not a
-                        # terminal condition.  Hand control back with an
-                        # empty snapshot; fresh quotas may arrive before
-                        # the next round.
-                        yield self._snapshot(round_no, board,
-                                             tuple(updated), groups,
-                                             final=False)
-                        continue
-                    # A budgeted round allocated nothing (budget smaller
-                    # than the active group count after caps): finalize
-                    # what is left as best-effort rather than spin.
-                    self._finalize_stalled(groups, board)
-                    yield self._snapshot(round_no, board, tuple(updated),
-                                         groups, final=True)
-                    return
-                with _TRACER.span("grouped.round",
-                                  attrs={"round": round_no,
-                                         "groups": len(active),
-                                         "offers": len(work)}):
-                    estimates = self._offer_round(executor, work)
-                if _METRICS.enabled:
-                    _METRICS.counter("repro_engine_rounds_total",
-                                     labels={"engine": "grouped"},
-                                     help="engine expansion rounds").inc()
-                    _METRICS.counter("repro_engine_rows_total",
-                                     labels={"engine": "grouped"},
-                                     help="sample rows consumed by rounds"
-                                     ).inc(sum(hi - lo for _, _, lo, hi
-                                               in work))
-
-                for (group, mstate), estimate in zip(offered, estimates):
-                    mstate.estimate = estimate
-                    # A degraded group can only reach its surviving rows.
-                    reachable = ((group.bound or group.size)
-                                 if group.degraded else group.size)
-                    expand = (not estimate.meets(mstate.sigma)
-                              and group.consumed < reachable
-                              and group.iteration < cfg.max_iterations)
-                    mstate.iterations.append(IterationRecord(
-                        iteration=group.iteration,
-                        sample_size=group.consumed,
-                        accuracy=estimate, simulated_seconds=0.0,
-                        expanded=expand))
-                    if not expand:
-                        mstate.result = self._measure_result(group, mstate)
-                    entry = self._entry(group, mstate)
-                    board[group.key][mstate.measure.name] = entry
-                    updated.append((group.key, mstate.measure.name))
-                for group in active:
-                    if group.active and group.consumed >= group.target:
-                        group.target = min(
-                            group.size,
-                            math.ceil(group.consumed
-                                      * cfg.expansion_factor))
-                still_active = [g for g in groups if g.active]
-                yield self._snapshot(round_no, board, tuple(updated),
-                                     groups, final=not still_active)
-                if not still_active:
-                    return
-            # max-round safety net (only reachable with budgeted
-            # allocation trickling quotas): best-effort finalize.
-            self._finalize_stalled(groups, board)
-            yield self._snapshot(self._max_rounds() + 1, board, (),
-                                 groups, final=True)
-        finally:
-            executor.close()
-
-    # ---------------------------------------------------------------- set-up
-    def _setup_groups(self, sampler: StratifiedSampler,
-                      rng: np.random.Generator) -> List[_GroupState]:
-        """Seed, permute and pilot every group; resolve exact fallbacks.
-
-        Mirrors ``EarlSession.stream()`` per group and per measure: the
-        group RNG draws the permutation first, then (for a single
-        measure) SSABE and the stage continue the same stream.
-        """
-        cfg = self._config
-        keys = sampler.keys
-        seeds = rng.integers(0, 2**63 - 1, size=len(keys), dtype=np.int64)
-        groups: List[_GroupState] = []
-        for key, seed in zip(keys, seeds):
-            group = _GroupState(key, sampler.population(key), int(seed),
-                                sampler.rows(key))
-            self._group_seeds[key] = group.seed
-            group_rng = ensure_rng(group.seed)
-            sampler.attach_rng(key, group_rng)
-            order = sampler.order(key)
-            single = len(self._measures) == 1
-            streams = ([] if single
-                       else spawn_child(group_rng, 2 * len(self._measures)))
-            pilot_n = pilot_size_for(cfg, group.size)
-            for i, measure in enumerate(self._measures):
-                ssabe_rng = group_rng if single else streams[2 * i]
-                stage_rng = group_rng if single else streams[2 * i + 1]
-                mstate = _MeasureState(
-                    measure, i, get_statistic(measure.statistic),
-                    cfg.sigma if measure.sigma is None else measure.sigma,
-                    get_correction(measure.correction,
-                                   get_statistic(measure.statistic).name))
-                group_values = self._columns[i][group.rows]
-                pilot = group_values[order[:pilot_n]]
-                if i == 0:
-                    group.pilot_std = float(np.std(
-                        np.asarray(pilot, dtype=float).reshape(pilot_n, -1)
-                        [:, 0], ddof=1)) if pilot_n > 1 else 0.0
-                if cfg.B_override is not None and cfg.n_override is not None:
-                    B, n = cfg.B_override, cfg.n_override
-                elif pilot_n < 2 ** cfg.subsample_levels:
-                    # The group is too small for SSABE's nested pilot
-                    # halvings (a solo session would refuse such an
-                    # input outright); a group this tiny is cheaper to
-                    # answer exactly, so force the fallback below.
-                    B, n = 1, group.size
-                else:
-                    mstate.ssabe = estimate_parameters(
-                        pilot, group.size, mstate.statistic,
-                        sigma=mstate.sigma, tau=cfg.tau,
-                        levels=cfg.subsample_levels, B_min=cfg.B_min,
-                        stability_window=cfg.stability_window,
-                        maintenance=cfg.maintenance, seed=ssabe_rng)
-                    B = cfg.B_override or mstate.ssabe.B
-                    n = cfg.n_override or mstate.ssabe.n
-                mstate.B, mstate.n = B, n
-                if B * n >= group.size:
-                    mstate.used_fallback = True
-                    mstate.result = exact_fallback_result(
-                        mstate.statistic, group_values,
-                        sigma=mstate.sigma, ssabe=mstate.ssabe)
-                else:
-                    mstate.permuted = group_values[order]
-                    mstate.stage = make_estimation_stage(
-                        mstate.statistic, B, cfg, seed=stage_rng,
-                        executor=None)
-                group.measures.append(mstate)
-            if group.active:
-                group.target = min(
-                    max(max(m.n for m in group.active_measures), 2),
-                    group.size)
-            groups.append(group)
-        if self._allocation == "neyman":
-            for group in groups:
-                sampler.set_scale(group.key, group.pilot_std)
-        return groups
-
-    def _broadcast_columns(self, executor: Executor,
-                           groups: List[_GroupState]
-                           ) -> List[Optional[BroadcastHandle]]:
-        """Ship each measure's stratified-ordered column once.
-
-        Per group the segment holds the group's permuted rows up to the
-        most its expansion policy can ever consume (the SessionManager
-        bound, applied per group), so early-stopping sessions never copy
-        or ship rows no round could read.  Budgeted allocations can
-        out-run a group's own schedule, so they keep the whole group.
-        Every later delta is a ``[lo, hi)`` slice of a segment —
-        zero-copy on shared-memory backends, shipped once at pool
-        construction on process pools.
-        """
-        cfg = self._config
-        bounds: Dict[Hashable, int] = {}
-        for group in groups:
-            if not group.active:
-                continue
-            if self._allocation != ALLOCATION_SCHEDULE:
-                bounds[group.key] = group.size
-                continue
-            bound = group.target
-            for _ in range(cfg.max_iterations - 1):
-                if bound >= group.size:
-                    break
-                bound = min(group.size,
-                            math.ceil(bound * cfg.expansion_factor))
-            bounds[group.key] = bound
-        for group in groups:
-            group.bound = bounds.get(group.key, 0)
-        handles: List[Optional[BroadcastHandle]] = []
-        for i in range(len(self._measures)):
-            segments: List[np.ndarray] = []
-            offset = 0
-            for group in groups:
-                mstate = group.measures[i]
-                permuted, mstate.permuted = mstate.permuted, None
-                if mstate.done or group.key not in bounds:
-                    continue
-                assert permuted is not None
-                segment = permuted[:bounds[group.key]]
-                mstate.seg_start = offset
-                offset += len(segment)
-                segments.append(segment)
-            handles.append(executor.broadcast(np.concatenate(segments))
-                           if segments else None)
-        return handles
-
-    # ------------------------------------------------------------- §3.4 loss
-    def _apply_losses(self, groups: List[_GroupState],
-                      shared: List[Optional[BroadcastHandle]],
-                      board: Dict[Hashable, Dict[str, GroupEstimate]]
-                      ) -> List[Tuple[Hashable, str]]:
-        """Apply the pending loss reports: drop lost rows per group,
-        rebuild the survivors' bootstrap stages, finalize dead strata.
-
-        Each affected active group keeps every materialized sample row
-        independently with probability ``1 - fraction``; its working
-        columns become compacted per-group locals, its stages are
-        rebuilt (seeded from a lazily-spawned loss stream, so clean
-        runs draw nothing extra) and the surviving consumed prefix is
-        re-offered so the next round extends a consistent resample
-        state.  A stratum losing every row finalizes best-so-far.
-        Returns the ``(key, measure)`` pairs whose board entry changed.
-        """
-        events, self._pending_loss = self._pending_loss, []
-        for fraction, key_set, seed in events:
-            self._applied_losses.append(
-                loss_event(self._stream_emitted, fraction, seed,
-                           keys=key_set))
-        if self._loss_rng is None:
-            assert self._rng is not None
-            self._loss_rng = spawn_child(self._rng, 1)[0]
-        cfg = self._config
-        updated: List[Tuple[Hashable, str]] = []
-        for group in groups:
-            if not group.active or group.bound <= 0:
-                continue
-            seg_len = group.bound
-            keep = np.ones(seg_len, dtype=bool)
-            hit = False
-            for fraction, key_set, seed in events:
-                if key_set is not None and group.key not in key_set:
-                    continue
-                hit = True
-                if fraction >= 1.0:
-                    keep[:] = False
-                    continue
-                event_rng = (ensure_rng(seed) if seed is not None
-                             else self._loss_rng)
-                keep &= event_rng.random(seg_len) >= fraction
-            if not hit or keep.all():
-                continue  # the failure missed this group entirely
-            group.degraded = True
-            survivors_n = int(np.count_nonzero(keep))
-            group.lost += seg_len - survivors_n
-            if survivors_n == 0:
-                # Dead stratum: finalize before touching consumed, so
-                # best-so-far results stand on the pre-loss sample.
-                group.bound = 0
-                updated.extend(self._finalize_degraded(group, board))
-                continue
-            new_consumed = int(np.count_nonzero(keep[:group.consumed]))
-            if group.local is None:
-                group.local = [None] * len(group.measures)
-            streams = spawn_child(self._loss_rng, len(group.measures))
-            for mstate in group.active_measures:
-                local = group.local[mstate.index]
-                if local is not None:
-                    column = local.value
-                else:
-                    handle = shared[mstate.index]
-                    assert handle is not None
-                    column = handle.value[
-                        mstate.seg_start:mstate.seg_start + seg_len]
-                surviving = column[keep]
-                group.local[mstate.index] = _LocalColumn(surviving)
-                mstate.stage = make_estimation_stage(
-                    mstate.statistic, mstate.B, cfg,
-                    seed=streams[mstate.index], executor=None)
-                if new_consumed:
-                    mstate.estimate = mstate.stage.offer(
-                        surviving[:new_consumed])
-            group.consumed = new_consumed
-            group.bound = survivors_n
-            if new_consumed:
-                for mstate in group.active_measures:
-                    board[group.key][mstate.measure.name] = \
-                        self._entry(group, mstate)
-                    updated.append((group.key, mstate.measure.name))
-        return updated
-
-    def _finalize_degraded(self, group: _GroupState,
-                           board: Dict[Hashable, Dict[str, GroupEstimate]]
-                           ) -> List[Tuple[Hashable, str]]:
-        """Best-so-far finalize for a degraded group that can no longer
-        improve; measures that never produced an estimate are withdrawn
-        (inventing a result with no estimate would not be honest)."""
-        updated: List[Tuple[Hashable, str]] = []
-        for mstate in group.active_measures:
-            if mstate.estimate is not None:
-                mstate.result = self._measure_result(group, mstate)
-                board[group.key][mstate.measure.name] = \
-                    self._entry(group, mstate)
-                updated.append((group.key, mstate.measure.name))
-            else:
-                mstate.dead = True
-        return updated
+    def finalize(self) -> List[Tuple["GroupedEarlSession", GroupedSnapshot]]:
+        """Best-effort results for every pair a budgeted run starved
+        (the max-round safety net, only reachable when quotas
+        trickle); the event carries the final :class:`GroupedResult`."""
+        self._round += 1
+        return self._render(self._finalize_all())
 
     # ---------------------------------------------------------------- rounds
+    def _reach(self, unit: SampleUnit) -> int:
+        # Budgeted allocations can out-run a group's own schedule, so
+        # they keep the whole group.
+        if self._allocation != ALLOCATION_SCHEDULE:
+            return unit.size
+        return super()._reach(unit)
+
+    def _drew(self, unit: SampleUnit, rows: int) -> None:
+        assert self._sampler is not None
+        self._sampler.take(unit.key, rows)
+
     def _max_rounds(self) -> int:
         """Round-count safety bound: schedule mode terminates within
         ``max_iterations`` rounds; budgeted modes — including external
-        quota injection — may trickle quotas, so allow proportionally
-        more before best-effort finalize."""
+        grants — may trickle quotas, so allow proportionally more
+        before best-effort finalize."""
         if self._allocation == ALLOCATION_SCHEDULE \
                 and not self._externally_budgeted:
             return self._config.max_iterations
         return self._config.max_iterations * 8
 
-    def _round_quotas(self, sampler: StratifiedSampler,
-                      active: List[_GroupState]) -> Dict[Hashable, int]:
-        scheduled = {g.key: g.target - g.consumed for g in active}
+    def _round_quotas(self, active: List[SampleUnit]) -> Dict[Hashable, int]:
+        scheduled = {u.key: u.target - u.consumed for u in active}
         if self._allocation == ALLOCATION_SCHEDULE:
             return scheduled
         total = self._round_budget or sum(scheduled.values())
         if total <= 0:
             return {}
-        return sampler.allocate(total, active=[g.key for g in active])
-
-    def _offer_round(self, executor: Executor,
-                     work: List[Tuple[_MeasureState, BroadcastHandle,
-                                      int, int]]) -> List[AccuracyEstimate]:
-        """Feed every active pair's delta through the backend; ordered
-        gather keeps results byte-identical across backends."""
-        if executor.is_parallel and len(work) > 1:
-            args = [(m.stage, shared, lo, hi) for m, shared, lo, hi in work]
-            if executor.shares_memory:
-                return executor.map(_offer_shared, args)
-            pairs = executor.map(_offer_owned, args)
-            estimates: List[AccuracyEstimate] = []
-            for (mstate, *_), (stage, estimate) in zip(work, pairs):
-                mstate.stage = stage  # rebind the worker's mutated copy
-                estimates.append(estimate)
-            return estimates
-        return [m.stage.offer(shared.value[lo:hi])
-                for m, shared, lo, hi in work]
-
-    # ------------------------------------------------------------ finalizing
-    def _measure_result(self, group: _GroupState,
-                        mstate: _MeasureState) -> EarlResult:
-        estimate = mstate.estimate
-        assert estimate is not None
-        p = group.consumed / group.size
-        return EarlResult(
-            estimate=mstate.correction(estimate.estimate, p),
-            uncorrected_estimate=estimate.estimate,
-            error=estimate.error,
-            achieved=estimate.meets(mstate.sigma),
-            sigma=mstate.sigma,
-            statistic=mstate.statistic.name,
-            n=group.consumed,
-            B=mstate.B or 0,
-            population_size=group.size,
-            sample_fraction=p,
-            used_fallback=False,
-            simulated_seconds=0.0,
-            iterations=list(mstate.iterations),
-            ssabe=mstate.ssabe,
-            accuracy=estimate,
-            degraded=group.degraded,
-            lost_fraction=group.lost_fraction)
-
-    def _finalize_stalled(self, groups: List[_GroupState],
-                          board: Dict[Hashable, Dict[str, GroupEstimate]]
-                          ) -> None:
-        """Best-effort results for measures a budgeted run starved."""
-        for group in groups:
-            for mstate in group.active_measures:
-                if mstate.estimate is not None:
-                    mstate.result = self._measure_result(group, mstate)
-                elif group.degraded:
-                    # The stratum's rows were lost before any estimate:
-                    # scanning them exactly would read dead data, so the
-                    # measure is withdrawn instead.
-                    mstate.dead = True
-                    continue
-                else:
-                    # Never offered a single delta (the budget starved
-                    # this group for every round): answering exactly is
-                    # the only honest terminal choice left.  The scan
-                    # is charged to rows_processed through the
-                    # used_fallback flag.
-                    mstate.used_fallback = True
-                    mstate.result = exact_fallback_result(
-                        mstate.statistic,
-                        self._columns[mstate.index][group.rows],
-                        sigma=mstate.sigma, ssabe=mstate.ssabe)
-                board[group.key][mstate.measure.name] = \
-                    self._entry(group, mstate)
+        assert self._sampler is not None
+        return self._sampler.allocate(total, active=[u.key for u in active])
 
     # ------------------------------------------------------------- snapshots
-    def _entry(self, group: _GroupState,
-               mstate: _MeasureState) -> GroupEstimate:
-        if mstate.used_fallback:
-            res = mstate.result
+    def _entry(self, unit: SampleUnit, pipeline: Pipeline) -> GroupEstimate:
+        if pipeline.used_fallback:
+            res = pipeline.result
             assert res is not None
             return GroupEstimate(
-                key=group.key, aggregate=mstate.measure.name,
-                statistic=mstate.statistic.name,
+                key=unit.key, aggregate=pipeline.name,
+                statistic=pipeline.statistic.name,
                 estimate=res.estimate,
                 uncorrected_estimate=res.uncorrected_estimate,
                 error=0.0, cv=0.0,
                 ci_low=res.estimate, ci_high=res.estimate,
-                sample_size=group.size, group_size=group.size,
+                sample_size=unit.size, group_size=unit.size,
                 sample_fraction=1.0, achieved=True, done=True,
                 used_fallback=True, accuracy=None, result=res,
-                degraded=group.degraded,
-                lost_fraction=group.lost_fraction)
-        estimate = mstate.estimate
+                degraded=unit.degraded,
+                lost_fraction=unit.lost_fraction)
+        estimate = pipeline.estimate
         assert estimate is not None
-        p = group.consumed / group.size
+        p = unit.consumed / unit.size
         return GroupEstimate(
-            key=group.key, aggregate=mstate.measure.name,
-            statistic=mstate.statistic.name,
-            estimate=mstate.correction(estimate.estimate, p),
+            key=unit.key, aggregate=pipeline.name,
+            statistic=pipeline.statistic.name,
+            estimate=pipeline.correction(estimate.estimate, p),
             uncorrected_estimate=estimate.estimate,
             error=estimate.error, cv=estimate.cv,
             ci_low=estimate.ci_low, ci_high=estimate.ci_high,
-            sample_size=group.consumed, group_size=group.size,
+            sample_size=unit.consumed, group_size=unit.size,
             sample_fraction=p,
-            achieved=estimate.meets(mstate.sigma),
-            done=mstate.done, used_fallback=False,
-            accuracy=estimate, result=mstate.result,
-            degraded=group.degraded,
-            lost_fraction=group.lost_fraction)
+            achieved=estimate.meets(pipeline.sigma),
+            done=pipeline.done, used_fallback=False,
+            accuracy=estimate, result=pipeline.result,
+            degraded=unit.degraded,
+            lost_fraction=unit.lost_fraction)
 
-    def _initial_board(self, groups: List[_GroupState]
-                       ) -> Dict[Hashable, Dict[str, GroupEstimate]]:
-        """Seed the cumulative per-pair board with the exact-fallback
-        entries resolved during set-up."""
-        board: Dict[Hashable, Dict[str, GroupEstimate]] = {}
-        for group in groups:
-            board[group.key] = {}
-            for mstate in group.measures:
-                if mstate.used_fallback:
-                    board[group.key][mstate.measure.name] = \
-                        self._entry(group, mstate)
-        return board
-
-    def _snapshot(self, round_no: int,
-                  board: Dict[Hashable, Dict[str, GroupEstimate]],
-                  updated: Tuple[Tuple[Hashable, str], ...],
-                  groups: List[_GroupState], *,
-                  final: bool) -> GroupedSnapshot:
-        # Distinct rows touched per group: a group where any measure
-        # answered exactly was scanned whole (its sampled rows are a
-        # subset of that scan); otherwise only the consumed prefix.
-        rows = sum(g.size
-                   if any(m.used_fallback for m in g.measures)
-                   else g.consumed
-                   for g in groups)
-        degraded = any(g.degraded for g in groups)
-        lost = sum(g.lost for g in groups)
-        materialized = lost + sum(g.bound for g in groups)
-        lost_fraction = lost / materialized if materialized else 0.0
+    def _render(self, touched: List[Touched]
+                ) -> List[Tuple["GroupedEarlSession", GroupedSnapshot]]:
+        """Refresh the board entries of the touched pairs and wrap the
+        round into its one event; the snapshot is final once no group
+        is active.  A round that changed nothing and ended nothing (the
+        scheduler starved it) produces no event."""
+        for unit, pipeline in touched:
+            self._board[unit.key][pipeline.name] = self._entry(unit, pipeline)
+        final = not self._live
+        if not touched and not final:
+            return []
+        rows = self.rows_processed
         result = None
         if final:
             result = GroupedResult(
-                groups={g.key: {m.measure.name: m.result
-                                for m in g.measures if m.result is not None}
-                        for g in groups},
-                rounds=round_no,
+                groups={u.key: {p.name: p.result for p in u.pipelines
+                                if p.result is not None}
+                        for u in self._units},
+                rounds=self._round,
                 rows_processed=rows,
                 population_size=len(self._keys),
-                degraded=degraded,
-                lost_fraction=lost_fraction)
-        return GroupedSnapshot(
-            round=round_no,
-            groups={key: dict(by_agg) for key, by_agg in board.items()},
-            updated=updated,
+                degraded=self.degraded,
+                lost_fraction=self.lost_fraction)
+        return self._emit([(self, GroupedSnapshot(
+            round=self._round,
+            groups={key: dict(by_agg)
+                    for key, by_agg in self._board.items()},
+            updated=tuple((unit.key, pipeline.name)
+                          for unit, pipeline in touched),
             rows_processed=rows,
             population_size=len(self._keys),
-            active_groups=sum(1 for g in groups if g.active),
+            active_groups=sum(1 for u in self._units if u.active),
             final=final,
             result=result,
-            degraded=degraded,
-            lost_fraction=lost_fraction)
+            degraded=self.degraded,
+            lost_fraction=self.lost_fraction))])

@@ -8,12 +8,13 @@ things no single engine can do alone:
 
 * **Shared scans.**  Admitted statistic queries are grouped by scan key
   — ``(table, config)``, the uniform permuted-sample design — and every
-  group runs as **one** engine: one permutation, one pilot, one
-  broadcast of the shared sample (extending the PR-3 broadcast-once and
-  PR-4 split-cache reuse across *queries*, not just across rounds).  A
-  group of one runs as a plain :class:`~repro.core.EarlSession`, so a
-  scheduled single query is byte-identical to the solo session a client
-  would have run directly.  Grouped queries keep their own stratified
+  group runs as **one** :class:`~repro.streaming.SessionManager`: one
+  permutation, one pilot, one broadcast of the shared sample (extending
+  the PR-3 broadcast-once and PR-4 split-cache reuse across *queries*,
+  not just across rounds).  A manager of one query *is* the solo
+  :class:`~repro.core.EarlSession` (same engine, same RNG discipline),
+  so a scheduled single query is byte-identical to the solo session a
+  client would have run directly.  Grouped queries keep their own stratified
   engines (their design is per-group, not uniform) but share the
   columnar scan through the split cache like any other reader.
 * **Global sample-budget allocation.**  Each expansion round the
@@ -22,9 +23,9 @@ things no single engine can do alone:
   consumed, rows reachable — and splits one global row budget across
   them by expected error reduction (:mod:`repro.scheduler.budget`):
   live ``N_h·S_h`` weights, needed-rows caps, one-row liveness floors.
-  Grants are injected as a per-round row cap
-  (:meth:`SessionManager.run_round`) or per-group quotas
-  (:meth:`GroupedEarlSession.set_round_quotas`), so finished or
+  Grants ride the engines' one stepping protocol — ``run_round(grant)``
+  takes a per-round row cap (:meth:`SessionManager.run_round`) or
+  per-group quotas (:meth:`GroupedEarlSession.run_round`) — so finished or
   near-finished arms donate their rows to the laggards *across
   queries*, subsuming PR 5's per-session stratum reallocation.
 
@@ -45,7 +46,7 @@ import time
 from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
 
 from repro.core.config import EarlConfig
-from repro.core.earl import EarlSession
+from repro.core.engine import RoundEngine
 from repro.core.estimators import StatisticLike, get_statistic
 from repro.core.grouped import GroupedEarlSession
 from repro.obs.convergence import ConvergenceTrace
@@ -101,199 +102,6 @@ class ScheduledQuery:
 
 
 # ---------------------------------------------------------------------------
-# engine adapters: one stepping interface over the three engine shapes
-# ---------------------------------------------------------------------------
-
-
-class _SoloEngine:
-    """A scan group of one uniform query: run the plain solo
-    :class:`EarlSession`, stepped one snapshot per global round.
-
-    Deliberately *not* budgetable: the solo session's schedule is the
-    byte-identity reference the equivalence tests pin, and with nothing
-    to share there is nothing for a budget to improve.
-    """
-
-    budgetable = False
-
-    def __init__(self, query: ScheduledQuery, data: Any,
-                 config: EarlConfig) -> None:
-        self._query = query
-        p = query.params
-        self._session = EarlSession(
-            data, p["statistic"],
-            config=dataclasses.replace(
-                config, sigma=p["sigma"],
-                error_metric=p["error_metric"],
-                B_override=p["B_override"], n_override=p["n_override"]),
-            correction=p["correction"])
-        self._gen: Optional[Iterator[Any]] = None
-        self._done = False
-
-    def prepare(self) -> List[Tuple[ScheduledQuery, Any]]:
-        self._gen = self._session.stream()
-        return []
-
-    @property
-    def pending(self) -> bool:
-        return not self._done and not self._query.cancelled
-
-    def live_demands(self) -> List[Dict[str, Any]]:
-        return []
-
-    def run_round(self, grant=None) -> List[Tuple[ScheduledQuery, Any]]:
-        if not self.pending:
-            return []
-        snap = next(self._gen, None)
-        if snap is None:
-            self._done = True
-            return []
-        self._query.snapshots.append(snap)
-        if snap.final:
-            self._done = True
-            self._query.result = snap.result
-        return [(self._query, snap)]
-
-    def finalize(self) -> List[Tuple[ScheduledQuery, Any]]:
-        events: List[Tuple[ScheduledQuery, Any]] = []
-        while self.pending:
-            events.extend(self.run_round())
-        return events
-
-    def finish(self) -> None:
-        gen, self._gen = self._gen, None
-        if gen is not None:
-            gen.close()
-
-    @property
-    def rows_processed(self) -> int:
-        snaps = self._query.snapshots
-        return int(snaps[-1].sample_size) if snaps else 0
-
-
-class _ManagerEngine:
-    """A scan group of several uniform queries: one
-    :class:`SessionManager` — one pilot, one permutation, one broadcast
-    — driven through its external stepping API so the scheduler can cap
-    each round's shared draw."""
-
-    budgetable = True
-
-    def __init__(self, data: Any, config: EarlConfig,
-                 members: List[ScheduledQuery]) -> None:
-        self._manager = SessionManager(data, config=config)
-        self._members: Dict[str, ScheduledQuery] = {}
-        for query in members:
-            p = query.params
-            handle = self._manager.submit(
-                p["statistic"], sigma=p["sigma"],
-                error_metric=p["error_metric"],
-                correction=p["correction"],
-                B_override=p["B_override"], n_override=p["n_override"],
-                name=query.name)
-            query.attach_cancel(handle.cancel)
-            self._members[query.name] = query
-
-    def _wrap(self, events) -> List[Tuple[ScheduledQuery, Any]]:
-        out: List[Tuple[ScheduledQuery, Any]] = []
-        for handle, snap in events:
-            query = self._members[handle.name]
-            query.snapshots.append(snap)
-            if snap.final:
-                query.result = snap.result
-            out.append((query, snap))
-        return out
-
-    def prepare(self) -> List[Tuple[ScheduledQuery, Any]]:
-        return self._wrap(self._manager.prepare())
-
-    @property
-    def pending(self) -> bool:
-        return self._manager.pending
-
-    def live_demands(self) -> List[Dict[str, Any]]:
-        return self._manager.live_demands()
-
-    def run_round(self, grant: Optional[int] = None
-                  ) -> List[Tuple[ScheduledQuery, Any]]:
-        return self._wrap(self._manager.run_round(grant))
-
-    def finalize(self) -> List[Tuple[ScheduledQuery, Any]]:
-        return self._wrap(self._manager.finalize())
-
-    def finish(self) -> None:
-        self._manager.finish()
-
-    @property
-    def rows_processed(self) -> int:
-        return self._manager.consumed
-
-
-class _GroupedEngine:
-    """One grouped query's stratified engine, stepped a round at a
-    time; grants arrive as per-group quota injections."""
-
-    budgetable = True
-
-    def __init__(self, query: ScheduledQuery,
-                 session: GroupedEarlSession) -> None:
-        self._query = query
-        self._session = session
-        query.attach_cancel(session.cancel)
-        self._gen: Optional[Iterator[Any]] = None
-        self._done = False
-
-    def prepare(self) -> List[Tuple[ScheduledQuery, Any]]:
-        self._gen = self._session.stream()
-        return []
-
-    @property
-    def pending(self) -> bool:
-        return not self._done and not self._query.cancelled
-
-    def live_demands(self) -> List[Dict[str, Any]]:
-        if not self.pending:
-            return []
-        return self._session.live_demands()
-
-    def run_round(self, grants: Optional[Dict[Hashable, int]] = None
-                  ) -> List[Tuple[ScheduledQuery, Any]]:
-        if not self.pending:
-            return []
-        if grants is not None:
-            self._session.set_round_quotas(grants)
-        snap = next(self._gen, None)
-        if snap is None:
-            self._done = True
-            return []
-        self._query.snapshots.append(snap)
-        if snap.final:
-            self._done = True
-            self._query.result = snap.result
-        if not snap.final and not snap.updated:
-            return []   # externally-starved round: nothing to report
-        return [(self._query, snap)]
-
-    def finalize(self) -> List[Tuple[ScheduledQuery, Any]]:
-        # Drain on the session's own schedule; with injection stopped,
-        # its internal allocation and round caps take back over.
-        events: List[Tuple[ScheduledQuery, Any]] = []
-        while self.pending:
-            events.extend(self.run_round())
-        return events
-
-    def finish(self) -> None:
-        gen, self._gen = self._gen, None
-        if gen is not None:
-            gen.close()
-
-    @property
-    def rows_processed(self) -> int:
-        snaps = self._query.snapshots
-        return int(snaps[-1].rows_processed) if snaps else 0
-
-
-# ---------------------------------------------------------------------------
 # the scheduler
 # ---------------------------------------------------------------------------
 
@@ -341,7 +149,10 @@ class QueryScheduler:
         self._stat_groups: Dict[Hashable, List[ScheduledQuery]] = {}
         self._scan_data: Dict[Hashable, Tuple[Any, EarlConfig]] = {}
         self._grouped: List[Tuple[ScheduledQuery, GroupedEarlSession]] = []
-        self._engines: List[Any] = []
+        self._engines: List[RoundEngine] = []
+        #: Which admitted query an engine's event handle stands for
+        #: (a manager's per-query handle, or a grouped session itself).
+        self._owners: Dict[int, ScheduledQuery] = {}
         self._started = False
         self._cancelled = False
         #: Populated at :meth:`stream` start when telemetry is enabled:
@@ -451,14 +262,9 @@ class QueryScheduler:
                 for engine in engines:
                     if self._cancelled:
                         return
-                    events = engine.prepare()
-                    self._observe(0, events)
-                    yield from events
-            max_iters = [self._scan_data[key][1].max_iterations
-                         for key in self._scan_data]
-            max_iters += [session.config.max_iterations
-                          for _, session in self._grouped]
-            round_cap = 8 * max(max_iters, default=1)
+                    yield from self._deliver(0, engine.prepare())
+            round_cap = 8 * max((engine.config.max_iterations
+                                 for engine in engines), default=1)
             rounds = 0
             while not self._cancelled:
                 live = [e for e in engines if e.pending]
@@ -471,9 +277,7 @@ class QueryScheduler:
                     # best-effort finalize, mirroring the engines' own
                     # stalled-round behaviour.
                     for engine in live:
-                        events = engine.finalize()
-                        self._observe(rounds, events)
-                        yield from events
+                        yield from self._deliver(rounds, engine.finalize())
                     return
                 with _TRACER.span("scheduler.round",
                                   attrs={"round": rounds,
@@ -486,9 +290,8 @@ class QueryScheduler:
                             continue
                         grant = (grants.get(id(engine))
                                  if grants is not None else None)
-                        events = engine.run_round(grant)
-                        self._observe(rounds, events)
-                        yield from events
+                        yield from self._deliver(rounds,
+                                                 engine.run_round(grant))
                 if _METRICS.enabled:
                     _METRICS.counter("repro_scheduler_rounds_total",
                                      help="global scheduling rounds").inc()
@@ -509,14 +312,22 @@ class QueryScheduler:
         return sum(engine.rows_processed for engine in self._engines)
 
     # ------------------------------------------------------------- internals
-    def _observe(self, round_no: int,
-                 events: List[Tuple[ScheduledQuery, Any]]) -> None:
-        """Record one round's snapshots on the convergence trace."""
-        if self.telemetry is None or not events:
-            return
+    def _deliver(self, round_no: int, events: List[Tuple[Any, Any]]
+                 ) -> List[Tuple[ScheduledQuery, Any]]:
+        """Book one stepping call's ``(handle, snapshot)`` events on
+        the admitted queries they belong to (and on the convergence
+        trace); returns them as ``(query, snapshot)`` pairs."""
+        out: List[Tuple[ScheduledQuery, Any]] = []
         wall = (time.perf_counter() - self._t0
-                if self._t0 is not None else None)
-        for query, snap in events:
+                if events and self._t0 is not None else None)
+        for handle, snap in events:
+            query = self._owners[id(handle)]
+            query.snapshots.append(snap)
+            if snap.final:
+                query.result = snap.result
+            out.append((query, snap))
+            if self.telemetry is None:
+                continue
             rows = int(getattr(snap, "sample_size", 0)
                        or getattr(snap, "rows_processed", 0))
             error = getattr(snap, "error", None)
@@ -531,13 +342,14 @@ class QueryScheduler:
                 self.telemetry.record_event(
                     "degraded", key=query.name, round=round_no,
                     lost_fraction=getattr(snap, "lost_fraction", 0.0))
+        return out
 
-    def _build_engines(self) -> List[Any]:
+    def _build_engines(self) -> List[RoundEngine]:
         """Materialize engines in canonical order — scan key, then
         query name — so a fixed submission *set* produces the same
         engines (and the same per-query RNG streams) no matter the
         submission interleaving."""
-        engines: List[Any] = []
+        engines: List[RoundEngine] = []
         for key in sorted(self._stat_groups,
                           key=lambda k: (str(k[0]), str(k[1]))):
             members = [q for q in self._stat_groups[key] if not q.cancelled]
@@ -545,27 +357,41 @@ class QueryScheduler:
             if not members:
                 continue
             data, cfg = self._scan_data[key]
-            if len(members) == 1:
-                engines.append(_SoloEngine(members[0], data, cfg))
-            else:
-                engines.append(_ManagerEngine(data, cfg, members))
+            manager = SessionManager(data, config=cfg)
+            for query in members:
+                p = query.params
+                handle = manager.submit(
+                    p["statistic"], sigma=p["sigma"],
+                    error_metric=p["error_metric"],
+                    correction=p["correction"],
+                    B_override=p["B_override"], n_override=p["n_override"],
+                    name=query.name)
+                self._owners[id(handle)] = query
+                query.attach_cancel(handle.cancel)
+            engines.append(manager)
         for query, session in sorted(self._grouped,
                                      key=lambda pair: pair[0].name):
             if query.cancelled:
                 continue
-            engines.append(_GroupedEngine(query, session))
+            self._owners[id(session)] = query
+            query.attach_cancel(session.cancel)
+            engines.append(session)
         return engines
 
-    def _allocate(self, live: List[Any]) -> Optional[Dict[int, Any]]:
+    def _allocate(self, live: List[RoundEngine]) -> Optional[Dict[int, Any]]:
         """One round's global budget split, or ``None`` to let every
         engine follow its own schedule.
 
         Budgeting engages only when queries actually compete — at least
         two budgetable engines, or an explicit ``round_budget`` — so a
         lone scheduled engine stays byte-identical to its unscheduled
-        run.
+        run.  A manager of one query is never budgetable: its schedule
+        is the solo session's, and with nothing sharing its sample
+        there is nothing for a budget to improve.
         """
-        budgetable = [e for e in live if e.budgetable]
+        budgetable = [e for e in live
+                      if isinstance(e, GroupedEarlSession)
+                      or len(e.queries) > 1]
         if self._round_budget is None and len(budgetable) < 2:
             return None
         arms: List[Tuple[Any, Dict[str, Any]]] = []

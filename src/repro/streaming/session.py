@@ -24,107 +24,26 @@ independent work units, so they fan out through the PR-1 executor seam
 every query owns a pre-spawned RNG stream and results are gathered in
 submission order, so serial, thread and process backends produce
 byte-identical results for a fixed seed.
+
+The engine itself is :class:`repro.core.engine.UniformEngine` — one
+sample unit, k pipelines, stepped by the round core every in-memory
+entry point shares (a solo :class:`~repro.core.EarlSession` is the same
+engine holding one query).  This module gives it its public
+multi-query name and the HDFS ingest constructor.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import replace
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-import numpy as np
-
-from repro.core.accuracy import AccuracyEstimate, AccuracyEstimationStage
-from repro.core.checkpoint import checkpoint_doc, loss_event, replay_stream
 from repro.core.config import EarlConfig
-from repro.core.correction import CorrectionLike, get_correction
-from repro.core.earl import (
-    _exact_snapshot,
-    check_row_compatibility,
-    exact_fallback_result,
-    make_estimation_stage,
-    pilot_size_for,
-)
-from repro.core.estimators import StatisticLike, get_statistic
-from repro.core.result import EarlResult, IterationRecord, ProgressSnapshot
-from repro.core.ssabe import SSABEResult, estimate_parameters
-from repro.exec.executor import BroadcastHandle, Executor, resolve_executor
-from repro.obs.metrics import REGISTRY as _METRICS
-from repro.obs.trace import TRACER as _TRACER
-from repro.util.rng import ensure_rng, spawn_child
+from repro.core.engine import Pipeline as QueryHandle
+from repro.core.engine import UniformEngine
+
+__all__ = ["QueryHandle", "SessionManager"]
 
 
-class QueryHandle:
-    """One query of a :class:`SessionManager` run.
-
-    Carries the query's parameters, the snapshots observed so far, and
-    — once the query terminated — its :class:`~repro.core.EarlResult`.
-    :meth:`cancel` withdraws the query from subsequent expansion rounds
-    (its resample set is simply no longer updated; the other queries
-    keep running on the shared sample).
-    """
-
-    def __init__(self, name: str, statistic, *, sigma: float,
-                 error_metric: str, correction,
-                 B_override: Optional[int],
-                 n_override: Optional[int]) -> None:
-        self.name = name
-        self.statistic = statistic
-        self.sigma = sigma
-        self.error_metric = error_metric
-        self.correction = correction
-        self.B_override = B_override
-        self.n_override = n_override
-        self.B: Optional[int] = None
-        self.n: Optional[int] = None
-        self.ssabe: Optional[SSABEResult] = None
-        self.stage: Optional[AccuracyEstimationStage] = None
-        self.iterations: List[IterationRecord] = []
-        self.snapshots: List[ProgressSnapshot] = []
-        self.result: Optional[EarlResult] = None
-        self.cancelled = False
-
-    @property
-    def done(self) -> bool:
-        """Whether the query terminated (result ready) or was cancelled."""
-        return self.result is not None or self.cancelled
-
-    def cancel(self) -> None:
-        """Withdraw the query from subsequent expansion rounds."""
-        self.cancelled = True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = ("done" if self.result is not None
-                 else "cancelled" if self.cancelled else "running")
-        return (f"QueryHandle({self.name!r}, "
-                f"{self.statistic.name}, sigma={self.sigma}, {state})")
-
-
-def _offer_shared(args: Tuple[AccuracyEstimationStage, BroadcastHandle,
-                              int, int]) -> AccuracyEstimate:
-    """Fan-out unit for shared-memory backends: mutate in place.
-
-    The delta is a ``[lo, hi)`` slice of the session's broadcast
-    permuted-sample prefix — the one per-session copy every round
-    reads."""
-    stage, shared, lo, hi = args
-    return stage.offer(shared.value[lo:hi])
-
-
-def _offer_owned(args: Tuple[AccuracyEstimationStage, BroadcastHandle,
-                             int, int]
-                 ) -> Tuple[AccuracyEstimationStage, AccuracyEstimate]:
-    """Fan-out unit for process backends: the worker's mutated stage is
-    shipped back and rebound by the caller (module-level so process
-    pools pickle it by reference).  The sample itself never rides the
-    per-round task — workers hold it from the session's one broadcast
-    and slice the delta locally."""
-    stage, shared, lo, hi = args
-    estimate = stage.offer(shared.value[lo:hi])
-    return stage, estimate
-
-
-class SessionManager:
+class SessionManager(UniformEngine):
     """Run multiple concurrent EARL queries over one shared sample.
 
     Example
@@ -153,37 +72,7 @@ class SessionManager:
 
     def __init__(self, data: Sequence[float], *,
                  config: Optional[EarlConfig] = None) -> None:
-        self._data = np.asarray(data, dtype=float)
-        if self._data.ndim not in (1, 2) or len(self._data) == 0:
-            raise ValueError("data must be a non-empty 1-D sequence "
-                             "or a 2-D array of row items")
-        self._config = config or EarlConfig()
-        self._queries: List[QueryHandle] = []
-        self._started = False
-        self._cancelled = False
-        # External-stepping state (populated by prepare()); stream()
-        # is a thin generator over prepare()/run_round()/finish(), and
-        # the cross-query scheduler drives the same API directly.
-        self._executor: Optional[Executor] = None
-        self._shared: Optional[BroadcastHandle] = None
-        self._active: List[QueryHandle] = []
-        self._N = len(self._data)
-        self._consumed = 0
-        self._bound = 0
-        self._round = 0
-        self._rounds_allowed = 0
-        # §3.4 degraded-mode state: pending loss reports, applied at the
-        # next round boundary, and the resulting accounting.
-        self._pending_loss: List[Tuple[float, Optional[Any]]] = []
-        # Checkpoint provenance: events produced so far (prepare and
-        # every round) and the losses applied, pinned to boundaries.
-        self._events_emitted = 0
-        self._applied_losses: List[Dict[str, Any]] = []
-        self._rng: Optional[np.random.Generator] = None
-        self._loss_rng: Optional[np.random.Generator] = None
-        self._original_bound = 0
-        self.degraded = False
-        self.lost_fraction = 0.0
+        super().__init__(data, config=config, label="session_manager")
 
     @classmethod
     def from_hdfs(cls, fs, path: str, *,
@@ -212,542 +101,3 @@ class SessionManager:
                                    split_logical_bytes=split_logical_bytes,
                                    parser=parser, cached=cached)
         return cls(data, config=config)
-
-    @property
-    def config(self) -> EarlConfig:
-        return self._config
-
-    @property
-    def queries(self) -> List[QueryHandle]:
-        """The submitted query handles, in submission order."""
-        return list(self._queries)
-
-    @property
-    def consumed(self) -> int:
-        """Rows of the shared sample consumed so far."""
-        return self._consumed
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` was requested."""
-        return self._cancelled
-
-    def cancel(self) -> None:
-        """Cancel the whole session: every query is withdrawn and the
-        round loop ends at the next round boundary.
-
-        Safe to call from any thread while another thread drives
-        :meth:`stream` (plain flags checked between rounds).  Only the
-        driving thread may ``close()`` the generator itself, so this is
-        the cross-thread teardown path; individual queries are still
-        cancelled one at a time via :meth:`QueryHandle.cancel`.
-        """
-        self._cancelled = True
-        for query in self._queries:
-            query.cancel()
-
-    def report_loss(self, fraction: float, *, seed: Optional[Any] = None
-                    ) -> None:
-        """Report that roughly ``fraction`` of the shared sample's rows
-        were lost to a failure (a node died holding part of the sample).
-
-        Applied at the next round boundary (§3.4 degrade-don't-die):
-        each in-memory sample row independently survives with
-        probability ``1 - fraction``, every live query's resample set is
-        rebuilt from the survivors (bounds widen accordingly), and the
-        expansion loop keeps running over what remains.  Queries that
-        already terminated keep their results — those stood on data that
-        was alive when computed.  Safe to call from any thread while
-        another drives :meth:`stream`.  ``seed`` pins the loss pattern;
-        by default it derives deterministically from the session seed.
-        """
-        if not 0.0 < fraction < 1.0:
-            raise ValueError(
-                f"loss fraction must be in (0, 1), got {fraction}")
-        self._pending_loss.append((float(fraction), seed))
-        if _METRICS.enabled:
-            _METRICS.counter("repro_loss_reports_total",
-                             labels={"engine": "session_manager"},
-                             help="§3.4 sample-loss reports").inc()
-
-    def submit(self, statistic: StatisticLike, *,
-               sigma: Optional[float] = None,
-               error_metric: Optional[str] = None,
-               correction: CorrectionLike = "auto",
-               B_override: Optional[int] = None,
-               n_override: Optional[int] = None,
-               name: Optional[str] = None) -> QueryHandle:
-        """Register a query; returns its :class:`QueryHandle`.
-
-        Per-query overrides default to the shared config: ``sigma``
-        (the error bound this query must meet), ``error_metric``, and
-        the SSABE ``B_override``/``n_override`` escape hatch.  ``name``
-        keys the :meth:`run` result dict (default: the statistic's
-        name, suffixed on collision).
-        """
-        if self._started:
-            raise RuntimeError("cannot submit after streaming started")
-        stat = get_statistic(statistic)
-        check_row_compatibility(stat, self._data)
-        if name is None:
-            name = stat.name
-            taken = {q.name for q in self._queries}
-            suffix = 2
-            while name in taken:
-                name = f"{stat.name}#{suffix}"
-                suffix += 1
-        elif any(q.name == name for q in self._queries):
-            raise ValueError(f"duplicate query name {name!r}")
-        handle = QueryHandle(
-            name, stat,
-            sigma=self._config.sigma if sigma is None else sigma,
-            error_metric=(self._config.error_metric if error_metric is None
-                          else error_metric),
-            correction=get_correction(correction, stat.name),
-            B_override=(self._config.B_override if B_override is None
-                        else B_override),
-            n_override=(self._config.n_override if n_override is None
-                        else n_override))
-        self._queries.append(handle)
-        return handle
-
-    # ------------------------------------------------------------- streaming
-    def stream(self) -> Iterator[Tuple[QueryHandle, ProgressSnapshot]]:
-        """Run all queries concurrently, yielding ``(query, snapshot)``
-        pairs as each round's accuracy estimates arrive.
-
-        One shared pilot seeds every query's SSABE; one shared
-        permutation prefix is the sample all queries read.  A query's
-        final snapshot carries its :class:`~repro.core.EarlResult`.
-        Cancel individual queries via
-        :meth:`QueryHandle.cancel`, or the whole session by closing
-        this generator.
-
-        This is a thin generator over the external stepping API
-        (:meth:`prepare` / :meth:`run_round` / :meth:`finish`): driving
-        the unbudgeted steps directly — as the cross-query scheduler
-        does — produces byte-identical snapshots in the same order.
-        """
-        events = self.prepare()
-        try:
-            yield from events  # §3.1 exact fallbacks, resolved at pilot
-            while self.pending:
-                for event in self.run_round():
-                    yield event
-        finally:
-            self.finish()
-
-    # --------------------------------------------------- external stepping
-    def prepare(self) -> List[Tuple[QueryHandle, ProgressSnapshot]]:
-        """Pilot phase of the run: permutation, shared pilot, per-query
-        SSABE, §3.1 exact fallbacks, and the session's one broadcast.
-
-        Returns the ``(query, snapshot)`` events of queries resolved
-        exactly during the pilot.  After this, :meth:`run_round`
-        advances the remaining queries one expansion round at a time
-        (the cross-query scheduler's entry point); :meth:`stream` is
-        the equivalent single-consumer generator.
-        """
-        if not self._queries:
-            raise RuntimeError("no queries submitted")
-        if self._started:
-            raise RuntimeError("a SessionManager streams only once")
-        self._started = True
-        if self._cancelled:
-            return []
-        cfg = self._config
-        data = self._data
-        N = self._N
-        rng = ensure_rng(cfg.seed)
-        self._rng = rng  # held for lazily-derived loss randomness
-        order = rng.permutation(N)  # the ONE shared sample
-        self._executor = executor = resolve_executor(cfg)
-        events: List[Tuple[QueryHandle, ProgressSnapshot]] = []
-        _span = _TRACER.span("session_manager.prepare",
-                             attrs={"queries": len(self._queries)})
-        try:
-            # ------------------------------------------ shared pilot
-            pilot = data[order[:pilot_size_for(cfg, N)]]
-            # Two pre-spawned streams per query (SSABE, stage), so a
-            # query's randomness is independent of submission of others
-            # consuming theirs.
-            children = spawn_child(rng, 2 * len(self._queries))
-            active: List[QueryHandle] = []
-            for i, query in enumerate(self._queries):
-                if query.cancelled:
-                    # A query withdrawn before streaming gets no pilot,
-                    # contributes nothing to the broadcast bound or any
-                    # round's target — and, because its RNG streams were
-                    # pre-spawned above, its withdrawal leaves every
-                    # other query's randomness untouched.
-                    continue
-                ssabe_rng, stage_rng = children[2 * i], children[2 * i + 1]
-                if (query.B_override is not None
-                        and query.n_override is not None):
-                    B, n = query.B_override, query.n_override
-                else:
-                    query.ssabe = estimate_parameters(
-                        pilot, N, query.statistic, sigma=query.sigma,
-                        tau=cfg.tau, levels=cfg.subsample_levels,
-                        B_min=cfg.B_min,
-                        stability_window=cfg.stability_window,
-                        maintenance=cfg.maintenance, seed=ssabe_rng)
-                    B = query.B_override or query.ssabe.B
-                    n = query.n_override or query.ssabe.n
-                query.B, query.n = B, n
-                if B * n >= N:
-                    result = exact_fallback_result(
-                        query.statistic, self._data, sigma=query.sigma,
-                        ssabe=query.ssabe)
-                    query.result = result
-                    snapshot = _exact_snapshot(result)
-                    query.snapshots.append(snapshot)
-                    events.append((query, snapshot))
-                    continue
-                # Per-query delta-maintained resample set.  The stage
-                # gets no executor of its own: the manager already fans
-                # the *queries* out, and nesting pools gains nothing.
-                query.stage = make_estimation_stage(
-                    query.statistic, B,
-                    replace(cfg, error_metric=query.error_metric),
-                    seed=stage_rng, executor=None)
-                active.append(query)
-
-            # Broadcast the shared sample ONCE for the whole session —
-            # every round's delta is a [lo, hi) slice of this handle,
-            # so shared-memory backends never copy it and a process
-            # pool receives it a single time (at worker spawn) instead
-            # of once per query per round.  Bounded by the most the
-            # expansion policy can consume (first target grown by
-            # expansion_factor for max_iterations - 1 rounds), so an
-            # early-stopping session over a huge dataset neither copies
-            # nor ships data it could never read.
-            if active:
-                bound = min(max(max(q.n for q in active), 2), N)
-                for _ in range(cfg.max_iterations - 1):
-                    if bound >= N:
-                        break
-                    bound = min(N, math.ceil(bound * cfg.expansion_factor))
-                self._shared = executor.broadcast(data[order[:bound]])
-                self._bound = bound
-                self._original_bound = bound
-            self._active = active
-            self._consumed = 0
-            self._round = 0
-            self._rounds_allowed = cfg.max_iterations
-        except BaseException:
-            self.finish()
-            raise
-        finally:
-            _span.finish()
-        self._events_emitted += len(events)
-        return events
-
-    @property
-    def pending(self) -> bool:
-        """Whether another :meth:`run_round` could make progress."""
-        return (self._started
-                and any(not q.cancelled for q in self._active)
-                and self._round < self._rounds_allowed)
-
-    def _next_target(self) -> int:
-        active = [q for q in self._active if not q.cancelled]
-        if not active:
-            return self._consumed
-        if self._consumed == 0:
-            return min(max(max(q.n for q in active), 2), self._N)
-        return min(self._N,
-                   math.ceil(self._consumed * self._config.expansion_factor))
-
-    def round_demand(self) -> int:
-        """Rows the next unbudgeted round would add to the shared
-        sample (0 when nothing is pending or the broadcast bound is
-        reached) — what the scheduler treats as this engine's ask."""
-        if not self.pending:
-            return 0
-        return max(0, min(self._next_target(), self._bound) - self._consumed)
-
-    def live_demands(self) -> List[Dict[str, Any]]:
-        """Per-active-query demand records for an external budget
-        allocator.
-
-        ``scale`` re-estimates the query's ``S`` from the live
-        bootstrap error (``error ∝ S/√n`` ⇒ ``S ≈ error·√n``); before
-        the first round it is unknown (``nan``) and the pilot-sized
-        first draw is mandatory anyway.  All queries of a manager share
-        one sample, so every record carries the same engine-level
-        ``scheduled``/``remaining`` ask (``shared=True``).
-        """
-        demand = self.round_demand()
-        remaining = max(0, self._bound - self._consumed)
-        records: List[Dict[str, Any]] = []
-        for query in self._active:
-            if query.cancelled:
-                continue
-            accuracy = (query.iterations[-1].accuracy
-                        if query.iterations else None)
-            error = (float(accuracy.error) if accuracy is not None
-                     else float("nan"))
-            scale = (error * math.sqrt(self._consumed)
-                     if accuracy is not None and self._consumed > 0
-                     else float("nan"))
-            records.append({
-                "key": query.name, "error": error, "sigma": query.sigma,
-                "consumed": self._consumed, "size": self._N,
-                "scheduled": demand, "remaining": remaining,
-                "scale": scale, "shared": True,
-            })
-        return records
-
-    def run_round(self, budget: Optional[int] = None
-                  ) -> List[Tuple[QueryHandle, ProgressSnapshot]]:
-        """Advance the shared sample by one expansion round; returns
-        the round's ``(query, snapshot)`` events.
-
-        Unbudgeted rounds follow the session's own expansion schedule
-        (the :meth:`stream` path, byte-identical).  ``budget`` caps the
-        round's *new* rows — the scheduler's global-allocation hook —
-        except on the first round, whose SSABE-sized draw is mandatory.
-        Budgeted stepping can trickle rows, so it raises the allowed
-        round count the way grouped budgeted allocation does; a round
-        starved to zero new rows is a no-op (no iteration consumed).
-        """
-        if not self._started:
-            raise RuntimeError("prepare() has not run")
-        cfg = self._config
-        if budget is not None:
-            self._rounds_allowed = max(self._rounds_allowed,
-                                       cfg.max_iterations * 8)
-        self._active = active = [q for q in self._active if not q.cancelled]
-        if not active or self._round >= self._rounds_allowed:
-            return []
-        if self._pending_loss:
-            self._apply_losses(active)
-        target = self._next_target()
-        if budget is not None and self._consumed > 0:
-            target = min(target, self._consumed + max(int(budget), 0))
-        target = min(target, self._bound)
-        if target <= self._consumed:
-            if self.degraded and self._consumed >= self._bound:
-                # The loss left no unconsumed survivors: no round can
-                # make progress, so finalize with best-so-far bounds
-                # instead of spinning (degrade, don't die).
-                return self.finalize()
-            return []
-        self._round += 1
-        lo, self._consumed = self._consumed, target
-        with _TRACER.span("session_manager.round",
-                          attrs={"round": self._round,
-                                 "rows": target - lo}):
-            estimates = self._offer_round(self._executor, active,
-                                          self._shared, lo, target)
-        if _METRICS.enabled:
-            _METRICS.counter("repro_engine_rounds_total",
-                             labels={"engine": "session_manager"},
-                             help="engine expansion rounds").inc()
-            _METRICS.counter("repro_engine_rows_total",
-                             labels={"engine": "session_manager"},
-                             help="sample rows consumed by rounds"
-                             ).inc(target - lo)
-        consumed, N = self._consumed, self._N
-        events: List[Tuple[QueryHandle, ProgressSnapshot]] = []
-        still_active: List[QueryHandle] = []
-        for query, estimate in zip(active, estimates):
-            # A degraded session can only reach its surviving rows; a
-            # clean one stops at the population (the broadcast bound is
-            # never binding there — it equals the schedule's max reach).
-            reachable = min(N, self._bound) if self.degraded else N
-            expand = (not estimate.meets(query.sigma)
-                      and consumed < reachable
-                      and self._round < self._rounds_allowed)
-            query.iterations.append(IterationRecord(
-                iteration=self._round, sample_size=consumed,
-                accuracy=estimate, simulated_seconds=0.0,
-                expanded=expand))
-            if expand:
-                snapshot = self._snapshot(query, estimate, consumed, N)
-                still_active.append(query)
-            else:
-                query.result = self._query_result(
-                    query, estimate, consumed, N)
-                snapshot = self._snapshot(query, estimate, consumed, N,
-                                          final=True, result=query.result)
-            query.snapshots.append(snapshot)
-            events.append((query, snapshot))
-        self._active = still_active
-        self._events_emitted += len(events)
-        return events
-
-    def finalize(self) -> List[Tuple[QueryHandle, ProgressSnapshot]]:
-        """Force-terminate every still-active query with its latest
-        estimate (best-effort, for a budget-starved scheduled run —
-        mirrors the grouped engine's stalled finalize).  Queries that
-        never saw a round are withdrawn instead: inventing a result
-        with no estimate would not be honest."""
-        events: List[Tuple[QueryHandle, ProgressSnapshot]] = []
-        for query in self._active:
-            if query.cancelled:
-                continue
-            if not query.iterations:
-                query.cancel()
-                continue
-            estimate = query.iterations[-1].accuracy
-            query.result = self._query_result(query, estimate,
-                                              self._consumed, self._N)
-            snapshot = self._snapshot(query, estimate, self._consumed,
-                                      self._N, final=True,
-                                      result=query.result)
-            query.snapshots.append(snapshot)
-            events.append((query, snapshot))
-        self._active = []
-        self._events_emitted += len(events)
-        return events
-
-    def finish(self) -> None:
-        """Tear the executor down (idempotent; :meth:`stream` calls it
-        on exit, the scheduler calls it when the engine drains)."""
-        executor, self._executor = self._executor, None
-        self._shared = None
-        if executor is not None:
-            executor.close()
-
-    def run(self) -> Dict[str, Optional[EarlResult]]:
-        """Drain :meth:`stream`; returns ``{name: result}`` (``None``
-        for queries cancelled before terminating)."""
-        for _ in self.stream():
-            pass
-        return {query.name: query.result for query in self._queries}
-
-    # ------------------------------------------------------------ checkpoint
-    def checkpoint(self) -> Dict[str, Any]:
-        """Round-boundary checkpoint: the count of ``(query, snapshot)``
-        events produced so far (pilot resolutions plus every round) and
-        the losses applied, pinned to their boundaries.  Valid between
-        rounds; with the construction arguments (data, config incl.
-        seed, submissions in order) it is everything :meth:`restore`
-        needs — recovery is deterministic replay, no bootstrap state is
-        serialized."""
-        return checkpoint_doc(self._events_emitted, self._applied_losses)
-
-    def restore(self, checkpoint: Mapping[str, Any]
-                ) -> Iterator[Tuple[QueryHandle, ProgressSnapshot]]:
-        """Resume from a :meth:`checkpoint` taken on an identically-
-        constructed manager (same data, config and submissions in the
-        same order): yields exactly the remaining ``(query, snapshot)``
-        events, byte-identical to an uninterrupted run.  Must be called
-        on a fresh manager; raises
-        :class:`~repro.core.checkpoint.CheckpointReplayError` when the
-        replay cannot reach the checkpointed round."""
-        if self._started:
-            raise RuntimeError("restore() needs a fresh manager; this "
-                               "one already streamed")
-        return replay_stream(self, checkpoint)
-
-    # --------------------------------------------------------------- helpers
-    def _apply_losses(self, active: List[QueryHandle]) -> None:
-        """Drop the reported losses from the shared sample and rebuild
-        the live queries' resample sets from the survivors (§3.4).
-
-        Each pending event keeps every in-memory sample row
-        independently with probability ``1 - fraction``; the surviving
-        rows are re-broadcast, every active query gets a fresh
-        delta-maintained stage (seeded from a lazily-spawned loss
-        stream, so clean runs draw nothing extra), and the surviving
-        consumed prefix is re-offered so the next round extends a
-        consistent resample state.  At least one row always survives.
-        """
-        events, self._pending_loss = self._pending_loss, []
-        for fraction, seed in events:
-            self._applied_losses.append(
-                loss_event(self._events_emitted, fraction, seed))
-        if self._shared is None or self._bound == 0:
-            return
-        if self._loss_rng is None:
-            assert self._rng is not None
-            self._loss_rng = spawn_child(self._rng, 1)[0]
-        keep = np.ones(self._bound, dtype=bool)
-        for fraction, seed in events:
-            event_rng = (ensure_rng(seed) if seed is not None
-                         else self._loss_rng)
-            keep &= event_rng.random(self._bound) >= fraction
-        if keep.all():
-            return  # the failure missed every sample row: not degraded
-        if not keep.any():
-            keep[0] = True  # never lose the whole sample
-        assert self._executor is not None
-        survivors = self._shared.value[keep]
-        old, self._shared = self._shared, self._executor.broadcast(survivors)
-        self._executor.release(old)
-        self._consumed = int(np.count_nonzero(keep[:self._consumed]))
-        self._bound = len(survivors)
-        self.degraded = True
-        self.lost_fraction = 1.0 - self._bound / self._original_bound
-        cfg = self._config
-        streams = spawn_child(self._loss_rng, len(active))
-        for query, stage_rng in zip(active, streams):
-            query.stage = make_estimation_stage(
-                query.statistic, query.B,
-                replace(cfg, error_metric=query.error_metric),
-                seed=stage_rng, executor=None)
-            if self._consumed:
-                query.stage.offer(self._shared.value[:self._consumed])
-
-    def _offer_round(self, executor: Executor, active: List[QueryHandle],
-                     shared: BroadcastHandle, lo: int,
-                     hi: int) -> List[AccuracyEstimate]:
-        """Feed one shared delta (``shared.value[lo:hi]``) to every
-        active query's stage.
-
-        Fans out over the configured backend when it can pay off; the
-        per-query RNG streams and ordered gather keep results
-        byte-identical across serial / threads / processes.  Tasks carry
-        only the broadcast handle plus slice bounds — the sample itself
-        was shipped once for the whole session.
-        """
-        if executor.is_parallel and len(active) > 1:
-            work = [(q.stage, shared, lo, hi) for q in active]
-            if executor.shares_memory:
-                return executor.map(_offer_shared, work)
-            pairs = executor.map(_offer_owned, work)
-            estimates = []
-            for query, (stage, estimate) in zip(active, pairs):
-                query.stage = stage  # rebind the worker's mutated copy
-                estimates.append(estimate)
-            return estimates
-        delta = shared.value[lo:hi]
-        return [q.stage.offer(delta) for q in active]
-
-    def _snapshot(self, query: QueryHandle, accuracy: AccuracyEstimate,
-                  consumed: int, N: int, *, final: bool = False,
-                  result: Optional[EarlResult] = None) -> ProgressSnapshot:
-        p = consumed / N
-        return ProgressSnapshot(
-            iteration=len(query.iterations),
-            estimate=query.correction(accuracy.estimate, p),
-            uncorrected_estimate=accuracy.estimate,
-            error=accuracy.error, cv=accuracy.cv,
-            ci_low=accuracy.ci_low, ci_high=accuracy.ci_high,
-            sample_size=consumed, population_size=N, sample_fraction=p,
-            achieved=accuracy.meets(query.sigma), final=final,
-            statistic=query.statistic.name,
-            cost_delta_seconds=0.0, cost_total_seconds=0.0,
-            accuracy=accuracy, result=result,
-            degraded=self.degraded, lost_fraction=self.lost_fraction)
-
-    def _query_result(self, query: QueryHandle,
-                      accuracy: AccuracyEstimate, consumed: int,
-                      N: int) -> EarlResult:
-        p = consumed / N
-        return EarlResult(
-            estimate=query.correction(accuracy.estimate, p),
-            uncorrected_estimate=accuracy.estimate,
-            error=accuracy.error,
-            achieved=accuracy.meets(query.sigma),
-            sigma=query.sigma,
-            statistic=query.statistic.name,
-            n=consumed, B=query.B or 0,
-            population_size=N, sample_fraction=p,
-            used_fallback=False, simulated_seconds=0.0,
-            iterations=list(query.iterations),
-            ssabe=query.ssabe, accuracy=accuracy,
-            degraded=self.degraded, lost_fraction=self.lost_fraction)

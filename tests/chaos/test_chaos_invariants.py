@@ -101,7 +101,7 @@ class TestLossInvariants:
                     <= result.accuracy.ci_high)
         if report.fired and report.degraded:
             assert 0.0 < result.lost_fraction < 1.0
-            assert result.population_size < len(data)
+            assert result.population_size == len(data)
 
     def test_chaotic_run_is_reproducible(self, data):
         sched = ChaosSchedule((ChaosEvent(

@@ -6,7 +6,9 @@ identically-constructed engine, re-fires recorded losses at their
 boundaries, and discards already-emitted snapshots.  These tests pin
 the contract the durable service's recovery path is built on: for
 every engine, *interrupt + restore* produces the same snapshot
-dictionaries as one uninterrupted run, loss events included.
+dictionaries as one uninterrupted run, loss events included.  The
+three entry points share one implementation, so one contract class is
+instantiated per entry point.
 """
 
 import numpy as np
@@ -24,10 +26,6 @@ from repro.streaming import SessionManager
 
 DATA = np.random.default_rng(0).lognormal(0, 1, 200_000)
 KEYS = np.array([i % 3 for i in range(200_000)])
-
-
-def snaps_of(stream):
-    return [s.to_dict() for s in stream]
 
 
 class TestCheckpointDoc:
@@ -52,163 +50,107 @@ class TestCheckpointDoc:
             list(replay_stream(Stub(), {"rounds_completed": -1}))
 
 
-class TestEarlSessionCheckpoint:
-    CFG = EarlConfig(sigma=0.02, seed=7)
+class _CheckpointContract:
+    """The one checkpoint/restore contract, run against every in-memory
+    entry point (all three share ``repro.core.engine.LossRecovery``).
+    A subclass says how to ``build()`` its engine and which
+    ``report_loss`` arguments to inject; streams are compared as
+    ``to_dict()`` items, tagged with the query name where the stream
+    yields ``(handle, snapshot)`` pairs."""
 
-    def _reference(self):
-        session = EarlSession(DATA, "mean", config=self.CFG)
-        snaps = []
-        for i, snap in enumerate(session.stream()):
-            snaps.append(snap.to_dict())
-            if i == 0:
-                session.report_loss(0.3, seed=99)
-        return snaps
+    LOSS = {"fraction": 0.25, "seed": 11}
+    LOSS_AT = 1          # stream index after which the loss is reported
+    INTERRUPT_AFTER = 3  # ... and after which the live run is killed
 
-    def test_resume_is_byte_identical_with_losses(self):
-        reference = self._reference()
-        assert len(reference) >= 3   # the loss path must be exercised
+    def build(self):
+        raise NotImplementedError
 
-        live = EarlSession(DATA, "mean", config=self.CFG)
-        pre = []
-        stream = live.stream()
-        for i, snap in enumerate(stream):
-            pre.append(snap.to_dict())
-            if i == 0:
-                live.report_loss(0.3, seed=99)
-            if i == 1:
+    @staticmethod
+    def _plain(item):
+        if isinstance(item, tuple):
+            return (item[0].name, item[1].to_dict())
+        return item.to_dict()
+
+    def _drive(self, engine, *, interrupt=False):
+        out = []
+        stream = engine.stream()
+        for i, item in enumerate(stream):
+            out.append(self._plain(item))
+            if i == self.LOSS_AT:
+                engine.report_loss(**self.LOSS)
+            if interrupt and i == self.INTERRUPT_AFTER:
                 break
         stream.close()
-
-        ckpt = live.checkpoint()
-        assert ckpt["rounds_completed"] == 2
-        assert ckpt["loss_events"] == [
-            {"at": 1, "fraction": 0.3, "seed": 99}]
-
-        resumed = EarlSession(DATA, "mean", config=self.CFG)
-        post = snaps_of(resumed.restore(ckpt))
-        assert pre + post == reference
-
-    def test_checkpoint_of_fresh_session_is_empty(self):
-        session = EarlSession(DATA, "mean", config=self.CFG)
-        assert session.checkpoint() == {"rounds_completed": 0,
-                                        "loss_events": []}
-
-    def test_restore_refuses_streamed_session(self):
-        session = EarlSession(DATA, "mean", config=self.CFG)
-        next(session.stream())
-        with pytest.raises(RuntimeError):
-            session.restore({"rounds_completed": 0, "loss_events": []})
-
-    def test_replay_divergence_raises(self):
-        live = EarlSession(DATA, "mean", config=self.CFG)
-        for _ in live.stream():
-            pass
-        ckpt = live.checkpoint()
-        # A much smaller dataset converges in fewer rounds: the fresh
-        # engine's stream dries up before the checkpointed round.
-        shrunk = EarlSession(DATA[:500], "mean",
-                             config=EarlConfig(sigma=0.5, seed=7))
-        with pytest.raises(CheckpointReplayError):
-            list(shrunk.restore({"rounds_completed":
-                                 ckpt["rounds_completed"] + 50,
-                                 "loss_events": []}))
-
-
-class TestSessionManagerCheckpoint:
-    # A tiny sigma alone triggers the exact-computation fallback (one
-    # snapshot, nothing to interrupt); the override knobs force a
-    # genuinely multi-round interleaved stream instead.
-    CFG = EarlConfig(sigma=0.01, seed=3, B_override=15, n_override=100,
-                     expansion_factor=1.6, max_iterations=12)
-
-    def _build(self):
-        mgr = SessionManager(DATA, config=self.CFG)
-        mgr.submit("mean")
-        mgr.submit("p90")
-        return mgr
-
-    def _events(self, mgr, *, interrupt_after=None, loss_at=1):
-        out = []
-        stream = mgr.stream()
-        for i, (handle, snap) in enumerate(stream):
-            out.append((handle.name, snap.to_dict()))
-            if i == loss_at:
-                mgr.report_loss(0.25, seed=11)
-            if interrupt_after is not None and i == interrupt_after:
-                break
-        if interrupt_after is not None:
-            stream.close()
         return out
 
     def test_resume_is_byte_identical_with_losses(self):
-        reference = self._events(self._build())
-        assert len(reference) >= 5
+        reference = self._drive(self.build())
+        # the loss path and a real resume must both be exercised
+        assert len(reference) > self.INTERRUPT_AFTER + 1
 
-        live = self._build()
-        pre = self._events(live, interrupt_after=3)
+        live = self.build()
+        pre = self._drive(live, interrupt=True)
         ckpt = live.checkpoint()
         assert ckpt["rounds_completed"] == len(pre)
+        (event,) = ckpt["loss_events"]
+        assert event["fraction"] == self.LOSS["fraction"]
+        assert event["seed"] == self.LOSS["seed"]
+        assert event.get("keys") == self.LOSS.get("keys")
+        assert self.LOSS_AT < event["at"] <= len(pre)
 
-        resumed = self._build()
-        post = [(h.name, s.to_dict())
-                for h, s in resumed.restore(ckpt)]
-        assert pre + post == reference
-
-    def test_restore_refuses_started_manager(self):
-        mgr = self._build()
-        next(mgr.stream())
-        with pytest.raises(RuntimeError):
-            mgr.restore({"rounds_completed": 0, "loss_events": []})
-
-
-class TestGroupedSessionCheckpoint:
-    CFG = EarlConfig(sigma=0.02, seed=3)
-
-    def _build(self):
-        return GroupedEarlSession(
-            KEYS, [Measure("m", "mean", DATA)], config=self.CFG)
-
-    def test_resume_is_byte_identical_with_stratified_loss(self):
-        reference = []
-        ref = self._build()
-        for i, snap in enumerate(ref.stream()):
-            reference.append(snap.to_dict())
-            if i == 0:
-                ref.report_loss(0.25, keys=[0, 2], seed=11)
-        assert len(reference) >= 3
-
-        live = self._build()
-        pre = []
-        stream = live.stream()
-        for i, snap in enumerate(stream):
-            pre.append(snap.to_dict())
-            if i == 0:
-                live.report_loss(0.25, keys=[0, 2], seed=11)
-            if i == 1:
-                break
-        stream.close()
-
-        ckpt = live.checkpoint()
-        assert ckpt["loss_events"][0]["keys"] == [0, 2]
-
-        resumed = self._build()
-        post = snaps_of(resumed.restore(ckpt))
+        post = [self._plain(item) for item in self.build().restore(ckpt)]
         assert pre + post == reference
 
     def test_checkpoint_is_json_safe(self):
         import json
 
-        def build():
-            return GroupedEarlSession(
-                KEYS, [Measure("m", "mean", DATA)],
-                config=EarlConfig(sigma=0.01, seed=3))
-
-        live = build()
-        stream = live.stream()
-        next(stream)
-        live.report_loss(0.5, keys=[1], seed=5)
-        next(stream)
-        stream.close()
+        live = self.build()
+        self._drive(live, interrupt=True)
         doc = json.loads(json.dumps(live.checkpoint()))
-        resumed = build()
-        assert snaps_of(resumed.restore(doc))   # replays from JSON
+        assert list(self.build().restore(doc))   # replays from JSON
+
+    def test_checkpoint_of_fresh_session_is_empty(self):
+        assert self.build().checkpoint() == {"rounds_completed": 0,
+                                             "loss_events": []}
+
+    def test_restore_refuses_streamed_session(self):
+        engine = self.build()
+        next(engine.stream())
+        with pytest.raises(RuntimeError):
+            engine.restore({"rounds_completed": 0, "loss_events": []})
+
+    def test_replay_divergence_raises(self):
+        live = self.build()
+        done = len(self._drive(live))
+        # The fresh engine's stream dries up long before this round.
+        with pytest.raises(CheckpointReplayError):
+            list(self.build().restore({"rounds_completed": done + 50,
+                                       "loss_events": []}))
+
+
+# A tiny sigma alone triggers the exact-computation fallback (one
+# snapshot, nothing to interrupt); the override knobs force genuinely
+# multi-round streams instead.
+MULTI_ROUND = EarlConfig(sigma=0.01, seed=3, B_override=15, n_override=100,
+                         expansion_factor=1.6, max_iterations=12)
+
+
+class TestEarlSessionCheckpoint(_CheckpointContract):
+    def build(self):
+        return EarlSession(DATA, "mean", config=MULTI_ROUND)
+
+
+class TestSessionManagerCheckpoint(_CheckpointContract):
+    def build(self):
+        mgr = SessionManager(DATA, config=MULTI_ROUND)
+        mgr.submit("mean")
+        mgr.submit("p90")
+        return mgr
+
+
+class TestGroupedSessionCheckpoint(_CheckpointContract):
+    LOSS = {"fraction": 0.25, "keys": [0, 2], "seed": 11}
+
+    def build(self):
+        return GroupedEarlSession(KEYS, [Measure("m", "mean", DATA)],
+                                  config=MULTI_ROUND)

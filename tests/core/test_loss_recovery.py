@@ -12,6 +12,7 @@ import pytest
 
 from repro.core import EarlConfig, EarlSession
 from repro.core.grouped import GroupedEarlSession, Measure
+from repro.scheduler import QueryScheduler
 from repro.streaming import SessionManager
 
 
@@ -39,13 +40,73 @@ def _stream_with_loss(data, loss_at, fraction, *, sigma=0.02, seed=1):
     return session, snaps
 
 
+def _solo(data, cfg):
+    session = EarlSession(data, "sum", config=cfg)
+    return session.stream(), session.report_loss
+
+
+def _manager(extra):
+    def build(data, cfg):
+        manager = SessionManager(data, config=cfg)
+        manager.submit("sum")
+        for statistic in extra:
+            manager.submit(statistic)
+        return ((snap for query, snap in manager.stream()
+                 if query.name == "sum"), manager.report_loss)
+    return build
+
+
+def _scheduled_single(data, cfg):
+    # The scheduler hands out no engine; the loss goes to the one
+    # manager it built for the lone query.
+    sched = QueryScheduler()
+    sched.submit_statistic(data, "sum", config=cfg, table="t")
+
+    def report_loss(fraction):
+        (engine,) = sched._engines
+        engine.report_loss(fraction)
+    return (snap for _, snap in sched.stream()), report_loss
+
+
+class TestOneLossModel:
+    """Every uniform entry point degrades the same way: a loss masks
+    the materialised sample, the population stays ``N``, so extensive
+    statistics still estimate the *full-population* value (regression:
+    the solo session used to shrink ``N`` to the survivors and report
+    ~0.6x the true sum as achieved)."""
+
+    @pytest.mark.parametrize("entry", [
+        pytest.param(_solo, id="earl_session"),
+        pytest.param(_manager(()), id="one_query_manager"),
+        pytest.param(_manager(("mean",)), id="two_query_manager"),
+        pytest.param(_scheduled_single, id="scheduled_single"),
+    ])
+    def test_degraded_sum_estimates_the_full_population(self, data, entry):
+        # B/n pinned so the query is still expanding when the loss hits
+        stream, report_loss = entry(data, EarlConfig(
+            sigma=0.01, seed=3, B_override=30, n_override=2_000))
+        final = None
+        for i, final in enumerate(stream):
+            if i == 0:
+                report_loss(0.4)
+        result = final.result
+        assert result.degraded and 0.3 < result.lost_fraction < 0.5
+        assert result.population_size == len(data)
+        truth = float(np.sum(data))
+        assert result.achieved
+        # within the reported bound of the true sum (3 sigma: cv is a
+        # one-sigma relative error)
+        assert abs(result.estimate - truth) <= 3 * result.error * truth
+
+
 class TestEarlSession:
     def test_loss_marks_result_degraded(self, data):
         _, snaps = _stream_with_loss(data, 0, 0.4)
         result = snaps[-1].result
         assert result.degraded
         assert 0.3 < result.lost_fraction < 0.5
-        assert result.population_size < len(data)
+        # the loss masks the sample; the population it speaks for stays
+        assert result.population_size == len(data)
         assert np.isfinite(result.estimate)
         assert result.accuracy.ci_low <= result.accuracy.ci_high
 
@@ -75,7 +136,8 @@ class TestEarlSession:
         assert result.n == reference.n
         assert not result.degraded and result.lost_fraction == 0.0
         # the faulted run diverged, proving the comparison is not vacuous
-        assert faulted[-1].result.population_size != result.population_size
+        assert faulted[-1].result.degraded
+        assert faulted[-1].result.lost_fraction > 0.0
 
     def test_explicit_seed_pins_loss_pattern(self, data):
         session = EarlSession(data, "mean",

@@ -12,7 +12,7 @@ from repro import EarlConfig, EarlJob, EarlSession
 from repro.cluster import Cluster
 from repro.exec import live_pool_executors
 from repro.query import Query, agg
-from repro.streaming import StreamConsumer, stream
+from repro.streaming import SessionManager, StreamConsumer, stream
 from repro.workloads import load_stand_in
 
 #: Never-met bound + small starting sample => many iterations to cancel.
@@ -152,6 +152,25 @@ class TestPoolRelease:
         assert not first.final
         assert len(live_pool_executors()) >= 1   # pool is live mid-stream
         gen.close()   # GeneratorExit runs the stream's teardown
+        assert live_pool_executors() == []
+
+    @pytest.mark.parametrize("entry", ["earl_session", "session_manager",
+                                       "grouped"])
+    def test_early_break_closes_pool_for_every_entry_point(
+            self, population, entry):
+        cfg = EarlConfig(executor="processes", max_workers=2, **LOOP_CFG)
+        if entry == "earl_session":
+            gen = EarlSession(population, "mean", config=cfg).stream()
+        elif entry == "session_manager":
+            manager = SessionManager(population, config=cfg)
+            manager.submit("mean")
+            manager.submit("median")
+            gen = manager.stream()
+        else:
+            gen = grouped_query("processes").plan().stream()
+        for _ in gen:
+            break             # walk away after the first event
+        gen.close()
         assert live_pool_executors() == []
 
     def test_abandoned_stream_is_released_by_gc(self):

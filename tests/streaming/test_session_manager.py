@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import EarlConfig
+from repro.core import EarlConfig, EarlSession
 from repro.streaming import SessionManager
 
 BACKENDS = ["serial", "threads", "processes"]
@@ -79,6 +79,27 @@ class TestConcurrentQueries:
         assert results["mean"].estimate == pytest.approx(
             float(np.mean(population[:2000])))
         assert query.snapshots[0].final
+
+
+class TestOneQueryIsTheSoloSession:
+    """A manager holding one query and an ``EarlSession`` are the same
+    engine with the same RNG discipline (one pipeline continues the
+    unit's generator; only k >= 2 pre-spawn streams), so they agree
+    snapshot for snapshot — nested accuracy, SSABE trail and result
+    included — on every backend."""
+
+    @pytest.mark.parametrize("executor", BACKENDS)
+    @pytest.mark.parametrize("statistic, sigma", [("mean", 0.02),
+                                                  ("p90", 0.03)])
+    def test_snapshot_for_snapshot(self, population, statistic, sigma,
+                                   executor):
+        cfg = EarlConfig(sigma=sigma, seed=19, executor=executor,
+                         max_workers=2)
+        solo = list(EarlSession(population, statistic, config=cfg).stream())
+        manager = SessionManager(population, config=cfg)
+        query = manager.submit(statistic)
+        assert [snap for _, snap in manager.stream()] == solo
+        assert len(solo) >= 2 and query.result == solo[-1].result
 
 
 class TestLifecycle:
