@@ -145,7 +145,13 @@ class EarlSession(LossRecovery):
         final: Optional[ProgressSnapshot] = None
         for final in self.stream():
             pass
-        assert final is not None and final.result is not None
+        if final is None:
+            # §3.4: a reported loss took every sampled row before the
+            # first estimate; there is nothing honest to return.
+            raise RuntimeError(
+                "every sampled row was lost before the first estimate; "
+                "the query was withdrawn without a result")
+        assert final.result is not None
         return final.result
 
     def stream(self) -> Iterator[ProgressSnapshot]:

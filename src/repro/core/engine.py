@@ -532,8 +532,6 @@ class RoundEngine(LossRecovery):
             yield from events
             while self.pending:
                 yield from self.run_round()
-            if self._live and not self._cancelled:
-                yield from self.finalize()    # round-count safety net
         finally:
             self.finish()
 

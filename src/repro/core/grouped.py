@@ -466,12 +466,6 @@ class GroupedEarlSession(RoundEngine):
             self._board[unit.key][pipeline.name] = self._entry(unit, pipeline)
         return self._render([])
 
-    @property
-    def pending(self) -> bool:
-        """Whether another :meth:`run_round` could make progress (and
-        the round-count safety bound still allows one)."""
-        return super().pending and self._round < self._max_rounds()
-
     def live_demands(self) -> List[Dict[str, Any]]:
         """Per-active-group demand records for an external budget
         allocator (empty before streaming starts).
@@ -520,18 +514,30 @@ class GroupedEarlSession(RoundEngine):
         ``grants`` is the cross-query scheduler's injection point: the
         round samples ``grants[key]`` rows from each listed group
         (capped at the group's broadcast segment; groups not listed
-        draw nothing) instead of the session's own allocation.  Granted
+        draw nothing) instead of the session's own allocation — except
+        a group's first draw, which always follows its schedule.  Granted
         rounds can trickle rows, so the round-count safety bound rises
         the way budgeted allocation's does; per-group iteration counts
         still cap at ``max_iterations``, so a scheduler that slices a
         group too thin forfeits rounds the schedule would have used.  A
         round the scheduler starved entirely is a non-terminal no-op.
+        Once the round-count safety bound is used up the call finalizes
+        best-effort instead, so whoever steps the session gets its
+        final event.
         """
+        if grants is not None:
+            self._externally_budgeted = True
+        if self._round >= self._max_rounds():
+            return self.finalize()
         self._round += 1
         touched = self._apply_losses()
         if grants is not None:
-            self._externally_budgeted = True
-            quotas = grants
+            # A group's first, SSABE-sized draw is mandatory, as the
+            # uniform engine's is: a grant sliced thinner would
+            # bootstrap a handful of rows and "meet" any bound.
+            quotas = dict(grants)
+            quotas.update((unit.key, unit.target) for unit in self._units
+                          if unit.active and unit.consumed == 0)
         else:
             quotas = self._round_quotas(
                 [unit for unit in self._units if unit.active])

@@ -53,11 +53,16 @@ class TestCheckpointDoc:
 class _CheckpointContract:
     """The one checkpoint/restore contract, run against every in-memory
     entry point (all three share ``repro.core.engine.LossRecovery``).
-    A subclass says how to ``build()`` its engine and which
-    ``report_loss`` arguments to inject; streams are compared as
+    A subclass says how to ``build()`` its engine from ``CONFIG`` and
+    which ``report_loss`` arguments to inject; streams are compared as
     ``to_dict()`` items, tagged with the query name where the stream
     yields ``(handle, snapshot)`` pairs."""
 
+    # A tiny sigma alone triggers the exact-computation fallback (one
+    # snapshot, nothing to interrupt); the override knobs force
+    # genuinely multi-round streams instead.
+    CONFIG = EarlConfig(sigma=0.01, seed=3, B_override=15, n_override=100,
+                        expansion_factor=1.6, max_iterations=12)
     LOSS = {"fraction": 0.25, "seed": 11}
     LOSS_AT = 1          # stream index after which the loss is reported
     INTERRUPT_AFTER = 3  # ... and after which the live run is killed
@@ -91,12 +96,11 @@ class _CheckpointContract:
         live = self.build()
         pre = self._drive(live, interrupt=True)
         ckpt = live.checkpoint()
-        assert ckpt["rounds_completed"] == len(pre)
-        (event,) = ckpt["loss_events"]
-        assert event["fraction"] == self.LOSS["fraction"]
-        assert event["seed"] == self.LOSS["seed"]
-        assert event.get("keys") == self.LOSS.get("keys")
-        assert self.LOSS_AT < event["at"] <= len(pre)
+        assert ckpt["rounds_completed"] == self.INTERRUPT_AFTER + 1
+        # the loss lands on the boundary right after the item it
+        # followed (every case reports it on a round's last item)
+        assert ckpt["loss_events"] == [
+            {"at": self.LOSS_AT + 1, **self.LOSS}]
 
         post = [self._plain(item) for item in self.build().restore(ckpt)]
         assert pre + post == reference
@@ -128,21 +132,14 @@ class _CheckpointContract:
                                        "loss_events": []}))
 
 
-# A tiny sigma alone triggers the exact-computation fallback (one
-# snapshot, nothing to interrupt); the override knobs force genuinely
-# multi-round streams instead.
-MULTI_ROUND = EarlConfig(sigma=0.01, seed=3, B_override=15, n_override=100,
-                         expansion_factor=1.6, max_iterations=12)
-
-
 class TestEarlSessionCheckpoint(_CheckpointContract):
     def build(self):
-        return EarlSession(DATA, "mean", config=MULTI_ROUND)
+        return EarlSession(DATA, "mean", config=self.CONFIG)
 
 
 class TestSessionManagerCheckpoint(_CheckpointContract):
     def build(self):
-        mgr = SessionManager(DATA, config=MULTI_ROUND)
+        mgr = SessionManager(DATA, config=self.CONFIG)
         mgr.submit("mean")
         mgr.submit("p90")
         return mgr
@@ -153,4 +150,19 @@ class TestGroupedSessionCheckpoint(_CheckpointContract):
 
     def build(self):
         return GroupedEarlSession(KEYS, [Measure("m", "mean", DATA)],
-                                  config=MULTI_ROUND)
+                                  config=self.CONFIG)
+
+
+# SSABE picks B and n here (no overrides), so the replay also has to
+# reproduce the pilot/SSABE draws that precede the first round.
+class TestEarlSessionSsabeCheckpoint(TestEarlSessionCheckpoint):
+    CONFIG = EarlConfig(sigma=0.015, seed=7)
+    LOSS = {"fraction": 0.3, "seed": 99}
+    LOSS_AT = 0
+    INTERRUPT_AFTER = 1
+
+
+class TestGroupedSessionSsabeCheckpoint(TestGroupedSessionCheckpoint):
+    CONFIG = EarlConfig(sigma=0.02, seed=3)
+    LOSS_AT = 0
+    INTERRUPT_AFTER = 1

@@ -156,6 +156,21 @@ class TestEarlSession:
                 other.report_loss(0.4, seed=123)
         assert snaps[-1].result.estimate == snaps2[-1].result.estimate
 
+    def test_total_loss_before_first_estimate_raises(self, data):
+        # A two-row materialised sample and a loss that takes both
+        # rows: the query is withdrawn, and run() says so instead of
+        # tripping an assert.
+        cfg = EarlConfig(sigma=0.01, seed=3, B_override=10, n_override=2,
+                         max_iterations=1)
+        session = EarlSession(data, "mean", config=cfg)
+        session.report_loss(0.9, seed=0)
+        assert list(session.stream()) == []
+        assert session.degraded and session.lost_fraction == 1.0
+        again = EarlSession(data, "mean", config=cfg)
+        again.report_loss(0.9, seed=0)
+        with pytest.raises(RuntimeError, match="lost before the first"):
+            again.run()
+
     def test_invalid_fraction_rejected(self, data):
         session = EarlSession(data, "mean", config=EarlConfig(seed=1))
         for bad in (0.0, 1.0, -0.1, 1.5):

@@ -209,6 +209,28 @@ class TestBudgetedRuns:
         results = sched.run()
         assert results["mean"].achieved and results["std"].achieved
 
+    def test_starved_grouped_query_still_gets_its_final_event(self):
+        # A round budget below the group count: the one-row floor
+        # cannot cover every arm, so the session uses up its
+        # round-count bound with groups still live.  It must finalize
+        # best-effort rather than drop out of the window silently.
+        rng = np.random.default_rng(2)
+        key = np.repeat(np.arange(16), 3000)
+        table = {"key": key, "value": rng.lognormal(1.0, 1.0, key.size)}
+        cfg = EarlConfig(sigma=0.001, seed=5, B_override=10, n_override=50,
+                         max_iterations=3)
+        sched = QueryScheduler(round_budget=1)
+        query = sched.submit_grouped(grouped_query(table, cfg).plan(),
+                                     name="g")
+        result = sched.run()["g"]
+        assert query.snapshots[-1].final
+        assert result is not None and not result.achieved
+        assert len(result.groups) == 16
+        assert result.rounds == 8 * cfg.max_iterations + 1
+        # every group took its SSABE-sized first draw despite the budget
+        assert all(res.n >= 50 for by_agg in result.groups.values()
+                   for res in by_agg.values())
+
     def test_round_budget_must_be_positive(self):
         with pytest.raises(ValueError):
             QueryScheduler(round_budget=0)
