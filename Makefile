@@ -6,13 +6,13 @@
 #                      stability tests
 #   make bench       - every figure benchmark (writes benchmarks/results/)
 #   make bench-smoke - quick benchmark subset (~30 s)
-#   make bench-json  - kernel + ingest + query + scheduler + faults +
-#                      durability + telemetry benchmarks (smoke sizes) ->
-#                      benchmarks/results/BENCH_{kernel,ingest,query,
-#                      scheduler,faults,durability,telemetry}.json, each
-#                      gated against its committed baseline
-#                      benchmarks/BENCH_*.json
-#                      (fails on a >20% speedup regression)
+#   make bench-json  - every benchmark of benchmarks/bench_gates.json
+#                      (kernel, ingest, query, scheduler, faults,
+#                      durability, telemetry) at smoke size ->
+#                      benchmarks/results/BENCH_<name>.json, each gated
+#                      against its committed baseline
+#                      benchmarks/BENCH_<name>.json (a >20% speedup
+#                      regression fails the target, after all have run)
 #   make test-chaos  - the randomized chaos-harness sweeps (marker
 #                      `chaos`, deselected from tier-1; see tests/chaos/)
 #   make test-durability - the crash-recovery suite: store contract,
@@ -70,42 +70,13 @@ bench-smoke:
 # Smoke sizes only; the machine-independent gates (speedup ratio vs the
 # committed baselines) live in tools/check_bench_regression.py — the
 # absolute >=10x / >=5x assertions are exercised by `make bench` / full
-# CLI runs.  The kernel gate keeps its historical expand-only contract.
+# CLI runs.  benchmarks/bench_gates.json lists the gated benchmarks
+# (name, script, gated stages; the kernel gate keeps its historical
+# expand-only contract); every one is run and gated even after a
+# failure, and the target fails at the end if any did.
 bench-json:
-	$(PYTHON) benchmarks/bench_kernel.py --smoke --no-assert \
-		--out benchmarks/results/BENCH_kernel.json
 	$(PYTHON) tools/check_bench_regression.py \
-		benchmarks/results/BENCH_kernel.json benchmarks/BENCH_kernel.json \
-		--stages expand
-	$(PYTHON) benchmarks/bench_ingest.py --smoke --no-assert \
-		--out benchmarks/results/BENCH_ingest.json
-	$(PYTHON) tools/check_bench_regression.py \
-		benchmarks/results/BENCH_ingest.json benchmarks/BENCH_ingest.json
-	$(PYTHON) benchmarks/bench_query.py --smoke --no-assert \
-		--out benchmarks/results/BENCH_query.json
-	$(PYTHON) tools/check_bench_regression.py \
-		benchmarks/results/BENCH_query.json benchmarks/BENCH_query.json \
-		--stages rows
-	$(PYTHON) benchmarks/bench_scheduler.py --smoke --no-assert \
-		--out benchmarks/results/BENCH_scheduler.json
-	$(PYTHON) tools/check_bench_regression.py \
-		benchmarks/results/BENCH_scheduler.json \
-		benchmarks/BENCH_scheduler.json --stages rows
-	$(PYTHON) benchmarks/bench_faults.py --smoke --no-assert \
-		--out benchmarks/results/BENCH_faults.json
-	$(PYTHON) tools/check_bench_regression.py \
-		benchmarks/results/BENCH_faults.json benchmarks/BENCH_faults.json \
-		--stages recovery
-	$(PYTHON) benchmarks/bench_durability.py --smoke --no-assert \
-		--out benchmarks/results/BENCH_durability.json
-	$(PYTHON) tools/check_bench_regression.py \
-		benchmarks/results/BENCH_durability.json \
-		benchmarks/BENCH_durability.json --stages durability
-	$(PYTHON) benchmarks/bench_telemetry.py --smoke --no-assert \
-		--out benchmarks/results/BENCH_telemetry.json
-	$(PYTHON) tools/check_bench_regression.py \
-		benchmarks/results/BENCH_telemetry.json \
-		benchmarks/BENCH_telemetry.json --stages telemetry
+		--manifest benchmarks/bench_gates.json
 
 bench-service:
 	$(PYTHON) -m pytest -q -m slow tests/service/test_load.py

@@ -187,8 +187,8 @@ class AccuracyEstimationStage:
 
     def _current_estimate(self) -> AccuracyEstimate:
         estimates = self._resamples.estimates(executor=self._executor)
-        sample = np.asarray(self._resamples.sample, dtype=float)
-        point = self._stat(sample)
+        point = self._stat(
+            np.asarray(self._resamples.sample_array(), dtype=float))
         return summarize_distribution(estimates, point,
                                       self._resamples.sample_size,
                                       metric=self._metric)

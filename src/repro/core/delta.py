@@ -120,6 +120,16 @@ class _ItemBuffer:
     def __len__(self) -> int:
         return self._len
 
+    def __getstate__(self):
+        """Pickle the live prefix only: the spare capacity is at least
+        as large again and uninitialised, and a process fan-out ships
+        every segment to a worker and back each round."""
+        return (None if self._buf is None else self._buf[:self._len],)
+
+    def __setstate__(self, state) -> None:
+        (self._buf,) = state
+        self._len = 0 if self._buf is None else len(self._buf)
+
     def _reserve(self, extra: int, template: np.ndarray) -> None:
         if self._buf is None:
             cap = max(16, 2 * extra)
@@ -150,6 +160,16 @@ class _ItemBuffer:
         self._len -= 1
         item = self._buf[self._len]
         return item.copy() if isinstance(item, np.ndarray) else item
+
+    def swap_pop(self, idx: int) -> Any:
+        """Remove and return item ``idx`` (``0 <= idx < len``), moving
+        the last item into its slot — the maintainers' O(1) delete."""
+        item = self._buf[idx]
+        if isinstance(item, np.ndarray):
+            item = item.copy()
+        self._len -= 1
+        self._buf[idx] = self._buf[self._len]
+        return item
 
     def _index(self, idx: int) -> int:
         if idx < 0:
@@ -254,18 +274,33 @@ class Resample:
         return item
 
     def remove_random_many(self, rng: np.random.Generator,
-                           count: int) -> List[Any]:
-        """Delete ``count`` uniformly random items with one state call.
+                           count: int) -> np.ndarray:
+        """Delete ``count`` uniformly random items with one index draw
+        and one state call.
 
-        The index draws are the same scalar ``rng.integers(0, size)``
-        sequence as ``count`` :meth:`remove_random` calls (the shrinking
-        bound makes them inherently sequential), so the random stream —
-        and the deleted items — are byte-identical; only the state
-        update is batched through ``remove_many``.
+        ``rng.integers(0, bounds)`` over the descending bounds
+        ``size, size-1, …`` consumes the generator exactly like the
+        ``count`` scalar ``rng.integers(0, size)`` calls of
+        :meth:`remove_random` with their shrinking bound, so the random
+        stream — and the deleted items — are byte-identical; the
+        swap-pops then replay on plain ints.
         """
-        removed = [self._pop_random(rng) for _ in range(count)]
-        if removed:
-            self.state.remove_many(np.asarray(removed))
+        total = self.size
+        if count > total:
+            raise ValueError("cannot remove from an empty resample")
+        flats = rng.integers(0, np.arange(total, total - count, -1)).tolist()
+        sizes = [len(segment) for segment in self.segments]
+        removed = []
+        for flat in flats:
+            seg_idx = 0
+            while flat >= sizes[seg_idx]:
+                flat -= sizes[seg_idx]
+                seg_idx += 1
+            removed.append(self.segments[seg_idx].swap_pop(flat))
+            sizes[seg_idx] -= 1
+        removed = np.asarray(removed)
+        if count:
+            self.state.remove_many(removed)
         return removed
 
     def estimate(self) -> float:
@@ -314,31 +349,24 @@ class _BaseMaintainer:
     def end_iteration(self) -> None:
         """Called once per iteration after all resamples were updated."""
 
-    # Batched draw hooks --------------------------------------------------
-    # Defaults drive the scalar draw hooks but fold the state update into
-    # one ``add_many`` call; maintainers override where whole-array draws
-    # are possible without changing the random stream.
+    # Batched forms of the two draw hooks: the same draws in the same
+    # stream order, landed with one state call (the vectorized kernel).
     def _add_from_old_batch(self, resample: Resample, count: int) -> None:
-        if count == 0:
-            return
-        items = []
-        targets = []
-        for _ in range(count):
-            item, segment = self._draw_from_old_with_segment(resample)
-            items.append(item)
-            targets.append(segment)
-        arr = np.asarray(items)
-        target_arr = np.asarray(targets)
-        for seg in np.unique(target_arr):
-            resample.segments[int(seg)].extend_array(arr[target_arr == seg])
-        resample.state.add_many(arr)
+        raise NotImplementedError
 
     def _add_from_delta_batch(self, resample: Resample, segment: int,
                               count: int) -> None:
-        if count == 0:
-            return
-        items = np.asarray([self._draw_from_delta() for _ in range(count)])
-        resample.add_many(items, segment)
+        raise NotImplementedError
+
+    @staticmethod
+    def _land_old_items(resample: Resample, items: np.ndarray,
+                        seg_ids: np.ndarray) -> None:
+        """Append old-sample draws to the segments they came from
+        (clamped to the resample's own segment count), one state call."""
+        np.minimum(seg_ids, len(resample.segments) - 1, out=seg_ids)
+        for seg in np.unique(seg_ids):
+            resample.segments[int(seg)].extend_array(items[seg_ids == seg])
+        resample.state.add_many(items)
 
     # Common update -------------------------------------------------------
     def update(self, resample: Resample, n_old: int, n_new: int,
@@ -393,13 +421,12 @@ class NaiveMaintainer(_BaseMaintainer):
                  vectorized: bool = True) -> None:
         super().__init__(statistic, rng=rng, ledger=ledger,
                          io_scale=io_scale, vectorized=vectorized)
-        self._old_segments: List[List[Any]] = []
+        self._old_segments: List[np.ndarray] = []
         self._old_flat: Optional[np.ndarray] = None
         self._old_starts: Optional[np.ndarray] = None
 
-    def on_delta(self, delta: Sequence[Any]) -> None:
-        self._current_delta = list(delta)
-        self._delta_arr = np.asarray(self._current_delta)
+    def on_delta(self, delta: np.ndarray) -> None:
+        self._current_delta = delta
 
     def end_iteration(self) -> None:
         self._old_segments.append(self._current_delta)
@@ -409,8 +436,7 @@ class NaiveMaintainer(_BaseMaintainer):
         """Flattened stored sample + segment start offsets (cached —
         the stored segments are fixed while resamples are updated)."""
         if self._old_flat is None:
-            self._old_flat = np.concatenate(
-                [np.asarray(seg) for seg in self._old_segments])
+            self._old_flat = np.concatenate(self._old_segments)
             sizes = [len(seg) for seg in self._old_segments]
             self._old_starts = np.concatenate(
                 [[0], np.cumsum(sizes[:-1])]).astype(np.int64)
@@ -450,12 +476,9 @@ class NaiveMaintainer(_BaseMaintainer):
         flat, starts = self._old_layout()
         self._charge_disk(count)
         idx = self._rng.integers(0, len(flat), size=count)
-        items = flat[idx]
-        seg_ids = np.searchsorted(starts, idx, side="right") - 1
-        np.minimum(seg_ids, len(resample.segments) - 1, out=seg_ids)
-        for seg in np.unique(seg_ids):
-            resample.segments[int(seg)].extend_array(items[seg_ids == seg])
-        resample.state.add_many(items)
+        self._land_old_items(
+            resample, flat[idx],
+            np.searchsorted(starts, idx, side="right") - 1)
 
     def _add_from_delta_batch(self, resample: Resample, segment: int,
                               count: int) -> None:
@@ -463,7 +486,7 @@ class NaiveMaintainer(_BaseMaintainer):
             return
         self._charge_disk(count)
         idx = self._rng.integers(0, len(self._current_delta), size=count)
-        resample.add_many(self._delta_arr[idx], segment)
+        resample.add_many(self._current_delta[idx], segment)
 
 
 class SketchMaintainer(_BaseMaintainer):
@@ -485,16 +508,17 @@ class SketchMaintainer(_BaseMaintainer):
                          io_scale=io_scale, vectorized=vectorized)
         check_positive("c", c)
         self._c = c
-        self._delta_store: List[List[Any]] = []
+        self._delta_store: List[np.ndarray] = []
         self._delta_sketches: List[Sketch] = []
         self._old_probs_cache: Optional[np.ndarray] = None
+        self._old_cdf_cache: Optional[np.ndarray] = None
 
-    def on_delta(self, delta: Sequence[Any]) -> None:
-        stored = list(delta)
-        self._delta_store.append(stored)
+    def on_delta(self, delta: np.ndarray) -> None:
+        self._delta_store.append(delta)
         self._delta_sketches.append(
-            Sketch(stored, self._c, rng=self._rng, ledger=self._ledger,
+            Sketch(delta, self._c, rng=self._rng, ledger=self._ledger,
                    io_scale=self.io_scale))
+        self._old_probs_cache = self._old_cdf_cache = None
 
     def end_iteration(self) -> None:
         for sketch in self._delta_sketches:
@@ -518,14 +542,21 @@ class SketchMaintainer(_BaseMaintainer):
     def _old_probs(self) -> np.ndarray:
         """Old-segment selection weights (cached: the stores are fixed
         while one iteration's resamples are updated)."""
-        n_old_stores = len(self._delta_store) - 1
-        if self._old_probs_cache is None \
-                or len(self._old_probs_cache) != n_old_stores:
+        if self._old_probs_cache is None:
             sizes = np.array([len(store)
                               for store in self._delta_store[:-1]],
                              dtype=float)
             self._old_probs_cache = sizes / sizes.sum()
         return self._old_probs_cache
+
+    def _old_cdf(self) -> np.ndarray:
+        """Cumulative :meth:`_old_probs`, normalised exactly the way
+        ``Generator.choice`` does it (cached alongside)."""
+        if self._old_cdf_cache is None:
+            cdf = self._old_probs().cumsum()
+            cdf /= cdf[-1]
+            self._old_cdf_cache = cdf
+        return self._old_cdf_cache
 
     def _draw_from_old_with_segment(self, resample: Resample):
         """Uniform item of the old sample via the per-delta sketches.
@@ -542,12 +573,26 @@ class SketchMaintainer(_BaseMaintainer):
     def _draw_from_delta(self) -> Any:
         return self._sketch_draw(self._delta_sketches[-1])
 
-    # Vectorized delta top-up: the whole run of draws is served as one
-    # sketch slice sequence (:meth:`Sketch.draw_many` is byte-identical
-    # to the scalar loop, reloads included).  Old-sample additions keep
-    # the scalar path — their per-item segment choice interleaves with
-    # sketch reloads on the shared stream, so batching them would
-    # reorder draws; they are O(√n) items, far off the hot path.
+    # Vectorized paths.  The delta top-up is served as one sketch slice
+    # sequence (:meth:`Sketch.draw_many` is byte-identical to the scalar
+    # loop, reloads included).  Old-sample additions stay one draw at a
+    # time — the segment choice interleaves with sketch reloads on the
+    # shared stream — but pick the segment the way ``rng.choice(k, p=)``
+    # does internally (one uniform, searched in the normalised cdf)
+    # without its per-call argument validation: same stream, same
+    # segment, and O(√n) items per resample land in one state call.
+    def _add_from_old_batch(self, resample: Resample, count: int) -> None:
+        if count == 0:
+            return
+        cdf = self._old_cdf()
+        seg_ids, items = [], []
+        for _ in range(count):
+            seg = cdf.searchsorted(self._rng.random(), side="right")
+            seg_ids.append(seg)
+            items.append(self._sketch_draw(self._delta_sketches[seg]))
+        self._land_old_items(resample, np.asarray(items),
+                             np.asarray(seg_ids))
+
     def _add_from_delta_batch(self, resample: Resample, segment: int,
                               count: int) -> None:
         if count == 0:
@@ -574,6 +619,11 @@ class ResampleSet:
     :class:`MaintenanceCounters` for any seed — and differ only in
     floating-point reassociation of the estimator-state arithmetic
     (``benchmarks/bench_kernel.py`` measures the gap in throughput).
+
+    The sample and every stored Δs are the arrays handed to
+    :meth:`initialize` / :meth:`expand` (``np.asarray`` of them — no
+    copy of an ndarray or of a slice of one), so the caller must not
+    write to those arrays afterwards.
     """
 
     def __init__(self, statistic: StatisticLike, B: int, *,
@@ -595,7 +645,8 @@ class ResampleSet:
         self._ledger = ledger
         self._io_scale = io_scale
         self._vectorized = vectorized
-        self._sample: List[Any] = []
+        self._chunks: List[np.ndarray] = []   # the sample, one array per Δs
+        self._n = 0
         self._resamples: List[Resample] = []
         self.counters = MaintenanceCounters()
         if maintenance == MAINTENANCE_NAIVE:
@@ -634,27 +685,32 @@ class ResampleSet:
 
     @property
     def sample_size(self) -> int:
-        return len(self._sample)
+        return self._n
+
+    def sample_array(self) -> np.ndarray:
+        """The sample so far as one array (items along axis 0).  The
+        per-delta chunks are merged on first read and the merged array
+        is kept, so a round costs one O(n) copy, not n boxed floats."""
+        if len(self._chunks) > 1:
+            self._chunks = [np.concatenate(self._chunks)]
+        return self._chunks[0] if self._chunks else np.empty(0)
 
     @property
     def sample(self) -> List[Any]:
-        return list(self._sample)
+        return list(self.sample_array())
 
-    def _fresh_resample(self, items: List[Any],
-                        items_arr: Optional[np.ndarray],
-                        n: int) -> Resample:
+    def _fresh_resample(self, items: np.ndarray) -> Resample:
         """One fresh bootstrap resample: ``n`` draws with replacement
-        from ``items``, consuming this set's stream.  The single
-        construction path shared by :meth:`initialize` and the
-        no-maintainer rebuild, so the two can never drift apart.
-        ``items_arr`` is the vectorized kernel's array view of
-        ``items`` (``None`` on the scalar path)."""
+        from the ``n`` ``items``, consuming this set's stream.  The
+        single construction path shared by :meth:`initialize` and the
+        no-maintainer rebuild, so the two can never drift apart."""
         resample = Resample(self._stat.make_state(),
                             vectorized=self._vectorized)
         resample.new_segment()
+        n = len(items)
         idx = self._rng.integers(0, n, size=n)
         if self._vectorized:
-            resample.add_many(items_arr[idx], 0)
+            resample.add_many(items[idx], 0)
         else:
             for i in idx:
                 resample.add(items[int(i)], 0)
@@ -665,18 +721,17 @@ class ResampleSet:
         """First iteration: the initial sample is the first delta (§4.1:
         "we can treat the initial sample as a delta sample added to an
         empty set")."""
-        if self._sample:
+        if self._n:
             raise RuntimeError("ResampleSet already initialized")
         if len(sample) == 0:
             raise ValueError("initial sample cannot be empty")
-        items = list(sample)
-        self._sample.extend(items)
+        items = np.asarray(sample)
+        self._chunks.append(items)
+        self._n = len(items)
         if self._maintainer is not None:
             self._maintainer.on_delta(items)
-        n = len(items)
-        items_arr = np.asarray(sample) if self._vectorized else None
         for _ in range(self.B):
-            self._resamples.append(self._fresh_resample(items, items_arr, n))
+            self._resamples.append(self._fresh_resample(items))
         if self._maintainer is not None:
             self._maintainer.end_iteration()
             self.counters.merge(self._maintainer.counters)
@@ -685,23 +740,21 @@ class ResampleSet:
 
     def expand(self, delta: Sequence[Any]) -> None:
         """Grow the sample by ``delta`` and update every resample."""
-        if not self._sample:
+        if not self._n:
             raise RuntimeError("initialize() must be called first")
-        delta_items = list(delta)
-        if len(delta_items) == 0:
+        if len(delta) == 0:
             return
-        n_old = len(self._sample)
-        n_new = n_old + len(delta_items)
-        self._sample.extend(delta_items)
+        delta_items = np.asarray(delta)
+        n_old = self._n
+        n_new = self._n = n_old + len(delta_items)
+        self._chunks.append(delta_items)
 
         if self._maintainer is None:
             # Baseline: throw everything away and bootstrap s' afresh.
             self._resamples = []
-            items = self._sample
-            items_arr = np.asarray(items) if self._vectorized else None
+            items = self.sample_array()
             for _ in range(self.B):
-                self._resamples.append(
-                    self._fresh_resample(items, items_arr, n_new))
+                self._resamples.append(self._fresh_resample(items))
                 self.counters.full_rebuilds += 1
             if self._ledger is not None:
                 # Re-reading the whole stored sample for every rebuild.

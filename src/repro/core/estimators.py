@@ -71,26 +71,42 @@ class EstimatorState:
 
 
 class _SortedFloats:
-    """Minimal sorted multiset of floats (bisect-based).
+    """Minimal sorted multiset of floats.
 
-    Insert/remove are O(n) due to list shifting, which is fine for EARL's
-    sample sizes (thousands); the pay-off is O(1) order statistics, which
-    quantile states need on every ``result()`` call.
+    O(1) order statistics, which quantile states need on every
+    ``result()`` call.  *Representation rule:* ``_data`` is an ndarray
+    while the batch ops (``insert_many``/``remove_many`` — the delta-
+    maintenance kernel) are in use and a Python list while the scalar
+    ops (``insert``/``remove`` — ``bisect`` on a list beats any
+    per-item ndarray op) are; it is converted only when the kind of op
+    switches, never per call.
     """
 
     __slots__ = ("_data",)
 
     def __init__(self, values: Iterable[float] = ()) -> None:
-        self._data: List[float] = sorted(float(v) for v in values)
+        self._data: Union[List[float], np.ndarray] = sorted(
+            float(v) for v in values)
+
+    def _list(self) -> List[float]:
+        if type(self._data) is not list:
+            self._data = self._data.tolist()
+        return self._data
+
+    def _array(self) -> np.ndarray:
+        if type(self._data) is list:
+            self._data = np.asarray(self._data, dtype=float)
+        return self._data
 
     def insert(self, value: float) -> None:
-        bisect.insort(self._data, value)
+        bisect.insort(self._list(), value)
 
     def remove(self, value: float) -> None:
-        idx = bisect.bisect_left(self._data, value)
-        if idx >= len(self._data) or self._data[idx] != value:
+        data = self._list()
+        idx = bisect.bisect_left(data, value)
+        if idx >= len(data) or data[idx] != value:
             raise KeyError(f"value {value!r} not present")
-        self._data.pop(idx)
+        data.pop(idx)
 
     def insert_many(self, values: Iterable[float]) -> None:
         """Bulk insert: one O((n+m) log(n+m)) sort instead of ``m``
@@ -98,9 +114,9 @@ class _SortedFloats:
         incoming = np.asarray(values, dtype=float).ravel()
         if incoming.size == 0:
             return
-        merged = np.concatenate([np.asarray(self._data), incoming])
+        merged = np.concatenate([self._array(), incoming])
         merged.sort()
-        self._data = merged.tolist()
+        self._data = merged
 
     def remove_many(self, values: Iterable[float]) -> None:
         """Bulk removal of a multiset of values (KeyError if any value
@@ -109,7 +125,7 @@ class _SortedFloats:
         m = incoming.size
         if m == 0:
             return
-        arr = np.asarray(self._data)
+        arr = self._array()
         if arr.size == 0:
             raise KeyError(f"value {incoming[0]!r} not present")
         base = np.searchsorted(arr, incoming, side="left")
@@ -125,17 +141,17 @@ class _SortedFloats:
         if bad.any():
             missing = incoming[int(np.flatnonzero(bad)[0])]
             raise KeyError(f"value {missing!r} not present")
-        self._data = np.delete(arr, idx).tolist()
+        self._data = np.delete(arr, idx)
 
     def kth(self, index: int) -> float:
-        return self._data[index]
+        return float(self._data[index])
 
     def __len__(self) -> int:
         return len(self._data)
 
     def copy(self) -> "_SortedFloats":
         clone = _SortedFloats.__new__(_SortedFloats)
-        clone._data = list(self._data)
+        clone._data = self._data.copy()
         return clone
 
     def as_array(self) -> np.ndarray:

@@ -52,8 +52,11 @@ class Sketch:
         #: can be served as one slice (see :meth:`draw_many`).
         self._items: np.ndarray = np.empty(0)
         self._next = 0
+        # Derived from the backing store, re-derived only when its
+        # length changes: the ndarray view and the target size c·√n.
         self._backing_arr: Optional[np.ndarray] = None
         self._backing_len = -1
+        self._size = 0
         self._resample_from_backing(charge=False)
 
     def set_ledger(self, ledger: Optional[CostLedger]) -> None:
@@ -64,10 +67,8 @@ class Sketch:
     @property
     def sketch_size(self) -> int:
         """Target in-memory size: ``c·√n`` (at least 1 for non-empty data)."""
-        n = len(self._backing)
-        if n == 0:
-            return 0
-        return max(1, min(n, int(math.ceil(self._c * math.sqrt(n)))))
+        self._sync_backing()
+        return self._size
 
     @property
     def remaining(self) -> int:
@@ -77,21 +78,29 @@ class Sketch:
     def exhausted(self) -> bool:
         return self.remaining == 0
 
+    def _sync_backing(self) -> None:
+        """Refresh what is derived from the backing store if it grew."""
+        n = len(self._backing)
+        if n != self._backing_len:
+            self._backing_len = n
+            self._backing_arr = np.asarray(self._backing)
+            self._size = 0 if n == 0 else max(
+                1, min(n, int(math.ceil(self._c * math.sqrt(n)))))
+
     def _backing_array(self) -> np.ndarray:
         """The backing store as an ndarray (cached; rebuilt on growth)."""
-        if self._backing_arr is None or self._backing_len != len(self._backing):
-            self._backing_arr = np.asarray(self._backing)
-            self._backing_len = len(self._backing)
+        self._sync_backing()
         return self._backing_arr
 
     def _resample_from_backing(self, *, charge: bool) -> None:
         """Draw a fresh sketch from the disk copy (without replacement)."""
-        size = self.sketch_size
+        self._sync_backing()
+        size = self._size
         if size == 0:
             self._items, self._next = np.empty(0), 0
             return
-        idx = self._rng.choice(len(self._backing), size=size, replace=False)
-        self._items = self._backing_array()[idx]
+        idx = self._rng.choice(self._backing_len, size=size, replace=False)
+        self._items = self._backing_arr[idx]
         self._next = 0
         if charge:
             self.disk_reloads += 1
@@ -133,14 +142,14 @@ class Sketch:
         reloads = 0
         left = count
         while left > 0:
-            if self.exhausted:
+            if self._next == len(self._items):
                 self._resample_from_backing(charge=True)
                 reloads += 1
-            take = min(left, self.remaining)
-            chunks.append(self._items[self._next:self._next + take])
-            self._next += take
-            self.draws += take
-            left -= take
+            start = self._next
+            self._next = min(start + left, len(self._items))
+            chunks.append(self._items[start:self._next])
+            left -= self._next - start
+        self.draws += count
         return (chunks[0] if len(chunks) == 1
                 else np.concatenate(chunks)), reloads
 

@@ -155,17 +155,21 @@ class StratifiedSampler:
             raise ValueError("keys must be non-empty")
         self.allocation = allocation
         self._rng = ensure_rng(seed)
-        self._keys: List[Hashable] = []
-        rows: Dict[Hashable, List[int]] = {}
-        for row, key in enumerate(keys):
-            bucket = rows.get(key)
-            if bucket is None:
-                rows[key] = bucket = []
-                self._keys.append(key)
-            bucket.append(row)
-        self._rows: Dict[Hashable, np.ndarray] = {
-            key: np.asarray(positions, dtype=np.int64)
-            for key, positions in rows.items()}
+        # Factorize at C speed: dict insertion order is first-appearance
+        # order, and a stable sort of the stratum codes lists every
+        # stratum's rows in table order.
+        if not isinstance(keys, (list, tuple)):
+            keys = list(keys)  # both passes must see the same objects
+        self._keys: List[Hashable] = list(dict.fromkeys(keys))
+        code_of = {key: code for code, key in enumerate(self._keys)}
+        codes = np.fromiter(
+            map(code_of.__getitem__, keys), count=len(keys),
+            dtype=np.uint16 if len(code_of) <= 0xFFFF else np.int64)
+        by_stratum = np.argsort(codes, kind="stable").astype(
+            np.int64, copy=False)
+        ends = np.cumsum(np.bincount(codes, minlength=len(code_of)))
+        self._rows: Dict[Hashable, np.ndarray] = dict(
+            zip(self._keys, np.split(by_stratum, ends[:-1])))
         self._orders: Dict[Hashable, np.ndarray] = {}
         self._consumed: Dict[Hashable, int] = {key: 0 for key in self._keys}
         self._scales: Dict[Hashable, float] = {}

@@ -314,3 +314,196 @@ class TestWorkAccounting:
         rs.set_ledger(fresh_ledger)
         rs.expand(population[200:400])
         assert fresh_ledger.seconds("disk_seek") > 0
+
+
+def _segment_contents(rs):
+    return [[np.asarray(seg, dtype=float) for seg in r.segments]
+            for r in rs._resamples]
+
+
+def _run_both_kernels(statistic, mode, data, bounds, *, B=10, seed=77):
+    """The same seeded schedule on the scalar reference and on the
+    vectorized kernel; also returns, per expansion, how many resamples
+    shed items and how many gained old-sample items (measured on the
+    scalar reference, so the test knows which paths really ran)."""
+    sets = {v: ResampleSet(statistic, B, maintenance=mode, seed=seed,
+                           vectorized=v) for v in (False, True)}
+    deleted = added_old = 0
+    lo = 0
+    for hi in bounds:
+        for rs in sets.values():
+            if rs.sample_size == 0:
+                rs.initialize(data[lo:hi])
+            else:
+                rs.expand(data[lo:hi])
+        if lo:
+            for r in sets[False]._resamples:
+                old_share = sum(len(seg) for seg in r.segments[:-1])
+                deleted += old_share < lo
+                added_old += old_share > lo
+        lo = hi
+    return sets[False], sets[True], deleted, added_old
+
+
+def _assert_kernels_identical(scalar, vector):
+    assert scalar.counters == vector.counters
+    assert scalar._rng.bit_generator.state == vector._rng.bit_generator.state
+    for segs_scalar, segs_vector in zip(_segment_contents(scalar),
+                                        _segment_contents(vector)):
+        assert len(segs_scalar) == len(segs_vector)
+        for seg_scalar, seg_vector in zip(segs_scalar, segs_vector):
+            np.testing.assert_array_equal(seg_scalar, seg_vector)
+    np.testing.assert_array_equal(
+        np.asarray(scalar.sample_array(), dtype=float),
+        np.asarray(vector.sample_array(), dtype=float))
+    np.testing.assert_allclose(scalar.estimates(), vector.estimates(),
+                               rtol=1e-9)
+
+
+class TestBatchedDeletionsAndOldSampleAdditions:
+    """The two runs batched in PR 13 — random deletions (one
+    descending-bounds ``integers`` call) and the optimized maintainer's
+    old-sample additions (cdf search instead of ``choice(p=)``) — stay
+    scalar ≡ vectorized: contents, counters, generator end state."""
+
+    #: Five deltas, so the last expansions choose among >= 3 stored ones.
+    BOUNDS = [300, 700, 1500, 2600, 4200]
+
+    @pytest.mark.parametrize("mode", [MAINTENANCE_NAIVE,
+                                      MAINTENANCE_OPTIMIZED])
+    @pytest.mark.parametrize("statistic", ["mean", "median", "p90", "std"])
+    def test_deletions_and_multi_delta_additions(self, population, mode,
+                                                 statistic):
+        scalar, vector, deleted, added_old = _run_both_kernels(
+            statistic, mode, population, self.BOUNDS)
+        # Both reconcile branches ran, many times each.
+        assert deleted >= 10 and added_old >= 10
+        _assert_kernels_identical(scalar, vector)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_many_seeds_optimized(self, population, seed):
+        scalar, vector, deleted, added_old = _run_both_kernels(
+            "mean", MAINTENANCE_OPTIMIZED, population, self.BOUNDS,
+            B=6, seed=seed)
+        assert deleted and added_old
+        _assert_kernels_identical(scalar, vector)
+
+    @pytest.mark.parametrize("mode", [MAINTENANCE_NAIVE,
+                                      MAINTENANCE_OPTIMIZED])
+    def test_row_items_contents_identical(self, mode):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=4200)
+        pairs = np.column_stack([x, 0.6 * x + rng.normal(size=4200)])
+        scalar, vector, deleted, added_old = _run_both_kernels(
+            "correlation", mode, pairs, self.BOUNDS)
+        assert deleted >= 10 and added_old >= 10
+        assert vector.sample_array().shape == (4200, 2)
+        _assert_kernels_identical(scalar, vector)
+
+    def test_tiny_sketches_force_reloads_between_old_draws(self, population):
+        """c = 0.05 leaves 1–3 items per sketch, so nearly every
+        old-sample draw reloads — the interleaving of segment choice
+        and ``choice(replace=False)`` on the shared stream."""
+        sets = {}
+        for vectorized in (False, True):
+            rs = ResampleSet("mean", 8, sketch_c=0.05, seed=91,
+                             vectorized=vectorized)
+            lo = 0
+            for hi in self.BOUNDS:
+                (rs.expand if lo else rs.initialize)(population[lo:hi])
+                lo = hi
+            sets[vectorized] = rs
+        assert sets[False].counters.disk_accesses > 1000
+        _assert_kernels_identical(sets[False], sets[True])
+
+    def test_remove_more_than_held_rejected(self):
+        r = Resample(get_statistic("mean").make_state(), vectorized=True)
+        r.new_segment()
+        r.add_many(np.arange(5.0), 0)
+        with pytest.raises(ValueError):
+            r.remove_random_many(np.random.default_rng(0), 6)
+        assert r.size == 5
+
+    def test_list_input_equals_array_input(self, population):
+        """A list delta (the cluster job hands lists) is the same
+        sample as the equal array."""
+        as_array = ResampleSet("median", 8, seed=3)
+        as_list = ResampleSet("median", 8, seed=3)
+        as_array.initialize(population[:300])
+        as_list.initialize(population[:300].tolist())
+        as_array.expand(population[300:900])
+        as_list.expand(population[300:900].tolist())
+        np.testing.assert_array_equal(as_array.estimates(),
+                                      as_list.estimates())
+        np.testing.assert_array_equal(as_array.sample_array(),
+                                      as_list.sample_array())
+        assert as_list.sample == list(population[:900])
+
+
+class TestStagePickling:
+    """The process fan-out ships every stage to a worker and back each
+    round (``_offer_owned``): the pickle must carry the items held, not
+    the buffers' spare capacity."""
+
+    @staticmethod
+    def _stage(population, bounds):
+        from repro.core.accuracy import AccuracyEstimationStage
+        stage = AccuracyEstimationStage("mean", 20, seed=23)
+        lo = 0
+        for hi in bounds:
+            stage.offer(population[lo:hi])
+            lo = hi
+        return stage
+
+    @pytest.mark.parametrize("bounds", [[400], [50, 100, 200, 400]])
+    def test_round_trip_equal_compact_and_still_growing(self, population,
+                                                        bounds):
+        import pickle
+
+        stage = self._stage(population, bounds)
+        blob = pickle.dumps(stage)
+        clone = pickle.loads(blob)
+
+        original, copy = stage.resample_set, clone.resample_set
+        for segs, segs_copy in zip(_segment_contents(original),
+                                   _segment_contents(copy)):
+            assert len(segs) == len(segs_copy)
+            for seg, seg_copy in zip(segs, segs_copy):
+                np.testing.assert_array_equal(seg, seg_copy)
+        np.testing.assert_array_equal(original.estimates(), copy.estimates())
+
+        maintainer = original._maintainer
+        items_held = (sum(original.resample_sizes()) + original.sample_size
+                      + sum(len(s._items) for s in maintainer._delta_sketches))
+        assert items_held >= 20 * 400
+        assert len(blob) <= 1.25 * 8 * items_held + 8192
+
+        # The clone's buffers are exactly full: growing them must work
+        # and must track the original draw for draw.
+        for lo, hi in [(400, 1000), (1000, 2200)]:
+            assert stage.offer(population[lo:hi]) == \
+                clone.offer(population[lo:hi])
+        assert set(copy.resample_sizes()) == {2200}
+        for segs, segs_copy in zip(_segment_contents(original),
+                                   _segment_contents(copy)):
+            for seg, seg_copy in zip(segs, segs_copy):
+                np.testing.assert_array_equal(seg, seg_copy)
+
+    def test_empty_and_row_buffers_round_trip(self):
+        import pickle
+
+        from repro.core.delta import _ItemBuffer
+
+        empty = pickle.loads(pickle.dumps(_ItemBuffer()))
+        assert len(empty) == 0
+        empty.extend_array(np.arange(6.0).reshape(3, 2))  # shape still free
+        assert empty.as_array().shape == (3, 2)
+
+        rows = _ItemBuffer()
+        rows.extend_array(np.arange(10.0).reshape(5, 2))
+        rows.pop()
+        clone = pickle.loads(pickle.dumps(rows))
+        np.testing.assert_array_equal(clone.as_array(), rows.as_array())
+        clone.extend_array(np.ones((40, 2)))
+        assert len(clone) == 44 and clone.as_array()[:4].tolist() == \
+            rows.as_array().tolist()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sampling import (
     ALLOCATION_NEYMAN,
@@ -166,3 +168,73 @@ class TestAllocationPolicies:
             sampler.set_scale("big", float("nan"))
         with pytest.raises(ValueError):
             sampler.set_scale("big", -1.0)
+
+
+# ---------------------------------------------------------------- factorize
+
+def _reference_strata(keys):
+    """The original per-row loop of ``StratifiedSampler.__init__``,
+    kept as the reference the C-speed factorization must equal."""
+    order, rows = [], {}
+    for row, key in enumerate(keys):
+        bucket = rows.get(key)
+        if bucket is None:
+            rows[key] = bucket = []
+            order.append(key)
+        bucket.append(row)
+    return order, {key: np.asarray(positions, dtype=np.int64)
+                   for key, positions in rows.items()}
+
+
+def _assert_strata_equal_reference(keys):
+    sampler = StratifiedSampler(keys, seed=0)
+    order, rows = _reference_strata(keys)
+    assert sampler.keys == order
+    assert [type(k) for k in sampler.keys] == [type(k) for k in order]
+    for key in order:
+        got = sampler.rows(key)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, rows[key])
+    assert sampler.populations == {k: len(rows[k]) for k in order}
+
+
+class TestFactorizeEqualsPerRowLoop:
+    _key = st.one_of(
+        st.text(max_size=3),
+        st.integers(-3, 3),
+        st.booleans(),                      # True == 1, False == 0
+        st.sampled_from([1.0, 2.5, None, (1, "a"), ("a",), frozenset()]),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(keys=st.lists(_key, min_size=1, max_size=60))
+    def test_mixed_hashable_keys(self, keys):
+        _assert_strata_equal_reference(keys)
+
+    @settings(max_examples=50, deadline=None)
+    @given(keys=st.lists(st.text(min_size=1, max_size=2), min_size=1,
+                         max_size=200))
+    def test_str_keys(self, keys):
+        _assert_strata_equal_reference(keys)
+        _assert_strata_equal_reference(tuple(keys))
+        _assert_strata_equal_reference(np.asarray(keys))          # np.str_
+        _assert_strata_equal_reference(np.asarray(keys, dtype=object))
+
+    @settings(max_examples=50, deadline=None)
+    @given(keys=st.lists(st.integers(0, 40), min_size=1, max_size=200))
+    def test_int_keys(self, keys):
+        _assert_strata_equal_reference(keys)
+        _assert_strata_equal_reference(np.asarray(keys))          # np.int64
+
+    def test_single_stratum_and_all_single_row_strata(self):
+        _assert_strata_equal_reference(["only"] * 7)
+        _assert_strata_equal_reference(list(range(50)))
+        _assert_strata_equal_reference(["x"])
+
+    def test_more_strata_than_uint16_codes(self):
+        keys = list(range(70_000)) + [5, 69_999, 5]
+        _assert_strata_equal_reference(keys)
+
+    def test_unhashable_key_rejected(self):
+        with pytest.raises(TypeError):
+            StratifiedSampler([["list", "key"], ["x"]])

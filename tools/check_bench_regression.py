@@ -4,9 +4,17 @@ Usage::
 
     python tools/check_bench_regression.py FRESH.json BASELINE.json \
         [--tolerance 0.2] [--min-n 100000] [--stages expand,...]
+    python tools/check_bench_regression.py --manifest benchmarks/bench_gates.json
 
 Compares a fresh benchmark report against its committed baseline
 (``benchmarks/BENCH_kernel.json``, ``benchmarks/BENCH_ingest.json``).
+With ``--manifest`` (what ``make bench-json`` runs) it does that for
+every gated benchmark: the manifest is a JSON list of ``{"name",
+"script", "stages"}``; each script is run at its smoke size
+(``--smoke --no-assert``) into ``benchmarks/results/BENCH_<name>.json``
+and gated against ``benchmarks/BENCH_<name>.json``.  A failing gate
+does not stop the ones after it; the exit status is non-zero if any
+benchmark failed to run or regressed.
 Raw items/sec is machine-dependent — CI runners are not the laptop that
 produced the baseline — so the gated quantity is the fast/reference
 *speedup* ratio, which largely divides the machine out.
@@ -31,9 +39,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def load_rows(path: Path) -> Dict[Tuple[int, str], dict]:
@@ -47,28 +58,17 @@ def stages_of(row: dict) -> List[str]:
                   if isinstance(v, dict) and "speedup" in v)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("fresh", type=Path, help="just-measured report")
-    parser.add_argument("baseline", type=Path, help="committed baseline")
-    parser.add_argument("--tolerance", type=float, default=0.2,
-                        help="allowed fractional speedup drop (default 0.2)")
-    parser.add_argument("--min-n", type=int, default=100_000,
-                        help="gate only sizes >= this n (smaller sizes "
-                             "are informational; default 100000)")
-    parser.add_argument("--stages", type=str, default=None,
-                        help="comma-separated stage names to gate "
-                             "(default: every stage present in both "
-                             "reports)")
-    args = parser.parse_args(argv)
-
-    fresh = load_rows(args.fresh)
-    baseline = load_rows(args.baseline)
-    only = set(args.stages.split(",")) if args.stages else None
+def check(fresh_path: Path, baseline_path: Path, tolerance: float,
+          min_n: int, only_stages: Optional[str]) -> int:
+    """Gate one fresh report against its baseline (0 ok, 1 regressed,
+    2 nothing comparable)."""
+    fresh = load_rows(fresh_path)
+    baseline = load_rows(baseline_path)
+    only = set(only_stages.split(",")) if only_stages else None
     shared = sorted(set(fresh) & set(baseline))
-    gated_keys = [key for key in shared if key[0] >= args.min_n]
+    gated_keys = [key for key in shared if key[0] >= min_n]
     if not gated_keys:
-        print(f"error: no shared (n, mode) pairs with n >= {args.min_n}",
+        print(f"error: no shared (n, mode) pairs with n >= {min_n}",
               file=sys.stderr)
         return 2
 
@@ -82,7 +82,7 @@ def main(argv=None) -> int:
         for stage in stages:
             got = fresh[key][stage]["speedup"]
             want = baseline[key][stage]["speedup"]
-            floor = (1.0 - args.tolerance) * want
+            floor = (1.0 - tolerance) * want
             if key not in gated_keys:
                 status = "info (below --min-n, not gated)"
             elif got >= floor:
@@ -100,12 +100,65 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     if failures:
-        print(f"\nFAIL: speedup regressed >{args.tolerance:.0%} vs "
+        print(f"\nFAIL: speedup regressed >{tolerance:.0%} vs "
               f"baseline for {failures}", file=sys.stderr)
         return 1
-    print(f"\nOK: no speedup regression beyond {args.tolerance:.0%} "
+    print(f"\nOK: no speedup regression beyond {tolerance:.0%} "
           f"on {checked} gated measurement(s)")
     return 0
+
+
+def run_manifest(manifest: Path, tolerance: float, min_n: int,
+                 root: Path = ROOT) -> int:
+    """Run and gate every benchmark of ``manifest`` (paths relative to
+    ``root``); report them all."""
+    verdicts = {}
+    for entry in json.loads(manifest.read_text()):
+        name = entry["name"]
+        fresh = root / "benchmarks" / "results" / f"BENCH_{name}.json"
+        baseline = root / "benchmarks" / f"BENCH_{name}.json"
+        print(f"== {name}: {entry['script']}", flush=True)
+        ran = subprocess.run(
+            [sys.executable, str(root / entry["script"]), "--smoke",
+             "--no-assert", "--out", str(fresh)], cwd=root)
+        if ran.returncode != 0:
+            verdicts[name] = f"benchmark exited {ran.returncode}"
+            continue
+        status = check(fresh, baseline, tolerance, min_n, entry["stages"])
+        verdicts[name] = "ok" if status == 0 else "gate failed"
+    print()
+    for name, verdict in verdicts.items():
+        print(f"{name:<12} {verdict}")
+    return 0 if all(v == "ok" for v in verdicts.values()) else 1
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("fresh", type=Path, nargs="?",
+                        help="just-measured report")
+    parser.add_argument("baseline", type=Path, nargs="?",
+                        help="committed baseline")
+    parser.add_argument("--manifest", type=Path, default=None,
+                        help="run and gate every benchmark listed in "
+                             "this JSON file instead of one report pair")
+    parser.add_argument("--tolerance", type=float, default=0.2,
+                        help="allowed fractional speedup drop (default 0.2)")
+    parser.add_argument("--min-n", type=int, default=100_000,
+                        help="gate only sizes >= this n (smaller sizes "
+                             "are informational; default 100000)")
+    parser.add_argument("--stages", type=str, default=None,
+                        help="comma-separated stage names to gate "
+                             "(default: every stage present in both "
+                             "reports)")
+    args = parser.parse_args(argv)
+    if args.manifest is not None:
+        if args.fresh is not None or args.stages is not None:
+            parser.error("--manifest takes no report pair and no --stages")
+        return run_manifest(args.manifest, args.tolerance, args.min_n)
+    if args.fresh is None or args.baseline is None:
+        parser.error("give FRESH.json BASELINE.json, or --manifest")
+    return check(args.fresh, args.baseline, args.tolerance, args.min_n,
+                 args.stages)
 
 
 if __name__ == "__main__":
