@@ -24,6 +24,10 @@
 #   make bench-e2e   - the end-to-end latency benchmark of BENCHMARK.json:
 #                      every workload untraced + traced ->
 #                      benchmarks/results/BENCH_e2e_report.json
+#   make bench-pairs PARENT=<rev> WORKLOAD=<name> [N=10] - alternating
+#                      parent/change pairs of one BENCHMARK.json workload
+#                      (tools/bench_pairs.py): medians, quartiles, pairs
+#                      won and a verdict per end-to-end metric
 #   make docs-check  - every .md referenced from code/docs actually exists
 #   make examples    - run every example script end to end
 #   make clean       - purge bytecode caches, tool state and stray
@@ -34,7 +38,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-all test-chaos test-durability bench bench-smoke \
-	bench-json bench-service bench-e2e docs-check examples clean
+	bench-json bench-service bench-e2e bench-pairs docs-check examples clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -84,6 +88,11 @@ bench-service:
 bench-e2e:
 	python3 benchmarks/e2e/run.py --seed 1 \
 		--out benchmarks/results/BENCH_e2e_report.json
+
+N ?= 10
+bench-pairs:
+	$(PYTHON) tools/bench_pairs.py --parent $(PARENT) \
+		--workload $(WORKLOAD) --pairs $(N)
 
 docs-check:
 	$(PYTHON) tools/check_docs.py

@@ -58,11 +58,14 @@ class EarlConfig:
     error_metric:
         Name of the AES error measure (default cv, §3).
     maintenance:
-        Resample maintenance mode: ``"optimized"`` (§4.1 sketches),
-        ``"naive"`` (direct HDFS access), or ``"none"`` (full rebuild —
-        the stock-bootstrap baseline).
+        Resample maintenance mode: ``"optimized"`` (Gaussian ``k``;
+        §4.1 sketches where the sample sits on simulated storage, plain
+        indexing where it is memory-resident), ``"naive"`` (direct HDFS
+        access), or ``"none"`` (full rebuild — the stock-bootstrap
+        baseline).
     sketch_c:
-        Sketch size constant ``c`` (sketch keeps c·√n items, §4.1).
+        Sketch size constant ``c`` (sketch keeps c·√n items, §4.1);
+        unused where no sketch is built (the in-memory engines).
     estimation:
         Error-estimation strategy: ``"bootstrap"`` (the paper's default)
         or ``"jackknife"`` (the §8 future-work alternative — cheaper for

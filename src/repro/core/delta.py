@@ -16,7 +16,9 @@ The result is distributed exactly like a fresh resample of ``s'`` (the
 multinomial thinning argument), but costs only O(|Δs|) work per
 resample.  The **naive** maintainer hits the disk-resident ``s``/``b``
 for every random access; the **optimized** maintainer goes through the
-§4.1 two-layer sketches and touches disk only on sketch exhaustion.
+§4.1 two-layer sketches and touches disk only on sketch exhaustion —
+or, when the sample is memory-resident (no cost ledger bound), indexes
+it directly: there is no disk round trip for a sketch to save.
 
 Vectorized kernel
 -----------------
@@ -308,7 +310,13 @@ class Resample:
 
 
 class _BaseMaintainer:
-    """Shared logic for naive and sketch-based maintainers.
+    """The §4.1 update over a sample this process can index directly.
+
+    The maintainers differ along two axes — the law ``k`` is drawn from
+    (:meth:`_draw_k`) and how a random stored item is reached.  This
+    base is *direct access*: one fixed-bound ``rng.integers`` per item
+    into the stored Δs arrays, with a :meth:`_charge_access` hook for
+    what an access costs (nothing, when the sample is memory-resident).
 
     ``vectorized`` selects between the batched kernel (default) and the
     item-at-a-time scalar reference.  Both consume the random stream in
@@ -328,35 +336,72 @@ class _BaseMaintainer:
         self.io_scale = io_scale
         self._vectorized = vectorized
         self.counters = MaintenanceCounters()
+        #: Every Δs so far, oldest first; during an iteration the last
+        #: one is the delta being added and the rest the old sample.
+        self._deltas: List[np.ndarray] = []
+        self._old: Optional[tuple] = None   # see _old_layout
 
-    # Hooks the two algorithms specialize --------------------------------
     def _draw_k(self, n_old: int, n_new: int) -> int:
         """Draw ``|b'_s|`` — the old-sample share of the updated resample."""
         raise NotImplementedError
 
-    def _draw_from_old_with_segment(self, resample: Resample):
-        """Uniform item of the stored old sample, with its segment index."""
-        raise NotImplementedError
+    def _charge_access(self, count: int) -> None:
+        """Account for ``count`` random accesses to the stored sample."""
 
-    def _draw_from_delta(self) -> Any:
-        """Uniform item of the current delta sample."""
-        raise NotImplementedError
-
-    def on_delta(self, delta: Sequence[Any]) -> None:
+    def on_delta(self, delta: np.ndarray) -> None:
         """Called once per iteration before resamples are updated."""
-        raise NotImplementedError
+        self._deltas.append(delta)
 
     def end_iteration(self) -> None:
         """Called once per iteration after all resamples were updated."""
+        self._old = None  # old-sample layout changed; rebuild lazily
 
-    # Batched forms of the two draw hooks: the same draws in the same
-    # stream order, landed with one state call (the vectorized kernel).
+    def _old_layout(self):
+        """Flattened old sample + segment start offsets (cached — the
+        stored segments are fixed while resamples are updated)."""
+        if self._old is None:
+            old = self._deltas[:-1]
+            self._old = (old[0] if len(old) == 1 else np.concatenate(old),
+                         np.cumsum([0] + [len(seg) for seg in old[:-1]],
+                                   dtype=np.int64))
+        return self._old
+
+    # One draw at a time (the scalar reference) ...
+    def _draw_from_old_with_segment(self, resample: Resample):
+        """Uniform item of the stored old sample, with its segment index."""
+        flat, starts = self._old_layout()
+        self._charge_access(1)
+        idx = int(self._rng.integers(0, len(flat)))
+        seg_idx = int(np.searchsorted(starts, idx, side="right")) - 1
+        return flat[idx], min(seg_idx, len(resample.segments) - 1)
+
+    def _draw_from_delta(self) -> Any:
+        """Uniform item of the current delta sample."""
+        delta = self._deltas[-1]
+        self._charge_access(1)
+        return delta[int(self._rng.integers(0, len(delta)))]
+
+    # ... and batched: one fixed-bound ``integers`` array call replaces
+    # the same number of scalar calls — the random stream is unchanged —
+    # and the items land with one state call (the vectorized kernel).
     def _add_from_old_batch(self, resample: Resample, count: int) -> None:
-        raise NotImplementedError
+        if count == 0:
+            return
+        flat, starts = self._old_layout()
+        self._charge_access(count)
+        idx = self._rng.integers(0, len(flat), size=count)
+        self._land_old_items(
+            resample, flat[idx],
+            np.searchsorted(starts, idx, side="right") - 1)
 
     def _add_from_delta_batch(self, resample: Resample, segment: int,
                               count: int) -> None:
-        raise NotImplementedError
+        if count == 0:
+            return
+        delta = self._deltas[-1]
+        self._charge_access(count)
+        idx = self._rng.integers(0, len(delta), size=count)
+        resample.add_many(delta[idx], segment)
 
     @staticmethod
     def _land_old_items(resample: Resample, items: np.ndarray,
@@ -415,86 +460,37 @@ class NaiveMaintainer(_BaseMaintainer):
     model charges one seek plus one item read per access.
     """
 
-    def __init__(self, statistic: Statistic, *, rng: np.random.Generator,
-                 ledger: Optional[CostLedger],
-                 io_scale: float = 1.0,
-                 vectorized: bool = True) -> None:
-        super().__init__(statistic, rng=rng, ledger=ledger,
-                         io_scale=io_scale, vectorized=vectorized)
-        self._old_segments: List[np.ndarray] = []
-        self._old_flat: Optional[np.ndarray] = None
-        self._old_starts: Optional[np.ndarray] = None
-
-    def on_delta(self, delta: np.ndarray) -> None:
-        self._current_delta = delta
-
-    def end_iteration(self) -> None:
-        self._old_segments.append(self._current_delta)
-        self._old_flat = None  # old-sample layout changed; rebuild lazily
-
-    def _old_layout(self):
-        """Flattened stored sample + segment start offsets (cached —
-        the stored segments are fixed while resamples are updated)."""
-        if self._old_flat is None:
-            self._old_flat = np.concatenate(self._old_segments)
-            sizes = [len(seg) for seg in self._old_segments]
-            self._old_starts = np.concatenate(
-                [[0], np.cumsum(sizes[:-1])]).astype(np.int64)
-        return self._old_flat, self._old_starts
-
     def _draw_k(self, n_old: int, n_new: int) -> int:
         return int(self._rng.binomial(n_new, n_old / n_new))
 
-    def _charge_disk(self, count: int = 1) -> None:
+    def _charge_access(self, count: int) -> None:
         self.counters.disk_accesses += count
         if self._ledger is not None:
             self._ledger.charge_seeks(count)
             self._ledger.charge_disk_read(count * ITEM_BYTES * self.io_scale)
 
-    def _draw_from_old_with_segment(self, resample: Resample):
-        """Uniform item of the stored old sample (disk-resident)."""
-        self._charge_disk()
-        sizes = [len(seg) for seg in self._old_segments]
-        total = sum(sizes)
-        flat = int(self._rng.integers(0, total))
-        for seg_idx, seg in enumerate(self._old_segments):
-            if flat < len(seg):
-                return seg[flat], min(seg_idx, len(resample.segments) - 1)
-            flat -= len(seg)
-        raise AssertionError("unreachable")
 
-    def _draw_from_delta(self) -> Any:
-        self._charge_disk()
-        idx = int(self._rng.integers(0, len(self._current_delta)))
-        return self._current_delta[idx]
+class _GaussianK:
+    """The optimized algorithm's law for ``k``: ``N(n, n(1-n/n'))``
+    (Eq. 3) — by the 3-sigma rule nearly all updates stay within ``±3√n``
+    of the mean, so the per-iteration work is tightly concentrated."""
 
-    # Vectorized paths: one fixed-bound ``integers`` array call replaces
-    # the same number of scalar calls — the random stream is unchanged.
-    def _add_from_old_batch(self, resample: Resample, count: int) -> None:
-        if count == 0:
-            return
-        flat, starts = self._old_layout()
-        self._charge_disk(count)
-        idx = self._rng.integers(0, len(flat), size=count)
-        self._land_old_items(
-            resample, flat[idx],
-            np.searchsorted(starts, idx, side="right") - 1)
-
-    def _add_from_delta_batch(self, resample: Resample, segment: int,
-                              count: int) -> None:
-        if count == 0:
-            return
-        self._charge_disk(count)
-        idx = self._rng.integers(0, len(self._current_delta), size=count)
-        resample.add_many(self._current_delta[idx], segment)
+    def _draw_k(self, n_old: int, n_new: int) -> int:
+        var = n_old * (1.0 - n_old / n_new)
+        k = self._rng.normal(n_old, math.sqrt(max(var, 1e-12)))
+        return int(round(k))
 
 
-class SketchMaintainer(_BaseMaintainer):
-    """The paper's optimized algorithm: Gaussian ``k``, sketched access.
+class ResidentMaintainer(_GaussianK, _BaseMaintainer):
+    """The optimized algorithm over a memory-resident sample: Gaussian
+    ``k``, plain indexing.  §4.1's sketches save disk round trips; with
+    no disk there is nothing to save, so none is built and nothing is
+    charged."""
 
-    * ``k`` is drawn from ``N(n, n(1-n/n'))`` (Eq. 3) — by the 3-sigma
-      rule nearly all updates stay within ``±3√n`` of the mean, so the
-      per-iteration work is tightly concentrated;
+
+class SketchMaintainer(_GaussianK, _BaseMaintainer):
+    """The optimized algorithm over (simulated) storage: sketched access.
+
     * random items come from in-memory sketches (one per delta sample,
       ``c·√n`` items each); disk is touched only on sketch exhaustion;
     * at iteration end, sketches are refreshed by reservoir substitution.
@@ -502,19 +498,17 @@ class SketchMaintainer(_BaseMaintainer):
 
     def __init__(self, statistic: Statistic, *, rng: np.random.Generator,
                  ledger: Optional[CostLedger], c: float = 4.0,
-                 io_scale: float = 1.0,
-                 vectorized: bool = True) -> None:
+                 io_scale: float = 1.0, vectorized: bool = True) -> None:
         super().__init__(statistic, rng=rng, ledger=ledger,
                          io_scale=io_scale, vectorized=vectorized)
         check_positive("c", c)
         self._c = c
-        self._delta_store: List[np.ndarray] = []
         self._delta_sketches: List[Sketch] = []
         self._old_probs_cache: Optional[np.ndarray] = None
         self._old_cdf_cache: Optional[np.ndarray] = None
 
     def on_delta(self, delta: np.ndarray) -> None:
-        self._delta_store.append(delta)
+        super().on_delta(delta)
         self._delta_sketches.append(
             Sketch(delta, self._c, rng=self._rng, ledger=self._ledger,
                    io_scale=self.io_scale))
@@ -523,12 +517,6 @@ class SketchMaintainer(_BaseMaintainer):
     def end_iteration(self) -> None:
         for sketch in self._delta_sketches:
             sketch.refresh()
-
-    def _draw_k(self, n_old: int, n_new: int) -> int:
-        mean = n_old
-        var = n_old * (1.0 - n_old / n_new)
-        k = self._rng.normal(mean, math.sqrt(max(var, 1e-12)))
-        return int(round(k))
 
     def _sketch_draw(self, sketch: Sketch) -> Any:
         before = sketch.disk_reloads
@@ -543,8 +531,7 @@ class SketchMaintainer(_BaseMaintainer):
         """Old-segment selection weights (cached: the stores are fixed
         while one iteration's resamples are updated)."""
         if self._old_probs_cache is None:
-            sizes = np.array([len(store)
-                              for store in self._delta_store[:-1]],
+            sizes = np.array([len(store) for store in self._deltas[:-1]],
                              dtype=float)
             self._old_probs_cache = sizes / sizes.sum()
         return self._old_probs_cache
@@ -613,6 +600,15 @@ class ResampleSet:
     algorithm, or ``"none"`` to rebuild every resample from scratch each
     iteration (the stock-bootstrap baseline of Fig. 6/10).
 
+    **Residency.**  A sketch saves disk round trips, and a
+    :class:`~repro.cluster.costmodel.CostLedger` is the only thing one
+    is ever charged to.  So ``"optimized"`` goes through sketches
+    exactly when a ledger is bound at :meth:`initialize` (the cluster's
+    reducers bind one before their first offer); with none the sample
+    is memory-resident and indexed directly — same ``k`` law, no sketch,
+    nothing charged.  Decided once: a later :meth:`set_ledger`
+    redirects charges, it never changes the access path.
+
     ``vectorized`` (default) runs the NumPy batch kernel; ``False``
     selects the item-at-a-time scalar reference.  Both consume the
     random stream identically — same drawn items, same
@@ -638,9 +634,11 @@ class ResampleSet:
                                MAINTENANCE_NONE):
             raise ValueError(f"unknown maintenance mode {maintenance!r}")
         check_positive("io_scale", io_scale)
+        check_positive("c", sketch_c)
         self._stat = get_statistic(statistic)
         self.B = B
         self._mode = maintenance
+        self._sketch_c = sketch_c
         self._rng = ensure_rng(seed)
         self._ledger = ledger
         self._io_scale = io_scale
@@ -649,28 +647,31 @@ class ResampleSet:
         self._n = 0
         self._resamples: List[Resample] = []
         self.counters = MaintenanceCounters()
-        if maintenance == MAINTENANCE_NAIVE:
-            self._maintainer: Optional[_BaseMaintainer] = NaiveMaintainer(
-                self._stat, rng=self._rng, ledger=ledger, io_scale=io_scale,
-                vectorized=vectorized)
-        elif maintenance == MAINTENANCE_OPTIMIZED:
-            self._maintainer = SketchMaintainer(
-                self._stat, rng=self._rng, ledger=ledger, c=sketch_c,
-                io_scale=io_scale, vectorized=vectorized)
-        else:
-            self._maintainer = None
+        self._maintainer: Optional[_BaseMaintainer] = None  # initialize()
+
+    def _make_maintainer(self) -> Optional[_BaseMaintainer]:
+        if self._mode == MAINTENANCE_NONE:
+            return None
+        common = dict(rng=self._rng, ledger=self._ledger,
+                      io_scale=self._io_scale, vectorized=self._vectorized)
+        if self._mode == MAINTENANCE_NAIVE:
+            return NaiveMaintainer(self._stat, **common)
+        if self._ledger is None:
+            return ResidentMaintainer(self._stat, **common)
+        return SketchMaintainer(self._stat, c=self._sketch_c, **common)
 
     # ------------------------------------------------------------ lifecycle
+    def _sketches(self) -> Sequence[Sketch]:
+        return getattr(self._maintainer, "_delta_sketches", ())
+
     def set_ledger(self, ledger: Optional[CostLedger]) -> None:
         """Re-bind the cost ledger (a reduce task charges maintenance I/O
         to its own ledger, which changes between iterations)."""
         self._ledger = ledger
         if self._maintainer is not None:
             self._maintainer._ledger = ledger
-            sketches = getattr(self._maintainer, "_delta_sketches", None)
-            if sketches:
-                for sketch in sketches:
-                    sketch.set_ledger(ledger)
+        for sketch in self._sketches():
+            sketch.set_ledger(ledger)
 
     def set_io_scale(self, io_scale: float) -> None:
         """Re-bind the logical scale of stored items (stand-in files)."""
@@ -678,10 +679,8 @@ class ResampleSet:
         self._io_scale = io_scale
         if self._maintainer is not None:
             self._maintainer.io_scale = io_scale
-            sketches = getattr(self._maintainer, "_delta_sketches", None)
-            if sketches:
-                for sketch in sketches:
-                    sketch.io_scale = io_scale
+        for sketch in self._sketches():
+            sketch.io_scale = io_scale
 
     @property
     def sample_size(self) -> int:
@@ -728,6 +727,7 @@ class ResampleSet:
         items = np.asarray(sample)
         self._chunks.append(items)
         self._n = len(items)
+        self._maintainer = self._make_maintainer()
         if self._maintainer is not None:
             self._maintainer.on_delta(items)
         for _ in range(self.B):

@@ -287,15 +287,18 @@ def _offer_shared(args: Tuple[AccuracyEstimationStage, Any, int, int]
     return stage.offer(shared.value[lo:hi])
 
 
-def _offer_owned(args: Tuple[AccuracyEstimationStage, Any, int, int]
-                 ) -> Tuple[AccuracyEstimationStage, AccuracyEstimate]:
+def _offer_owned(args: Tuple[AccuracyEstimationStage, Any, int, int, float]
+                 ) -> Tuple[Optional[AccuracyEstimationStage],
+                            AccuracyEstimate]:
     """Fan-out unit for process backends: the worker's mutated stage is
-    shipped back and rebound by the caller.  The sample itself never
+    shipped back and rebound by the caller — unless the estimate meets
+    the pipeline's σ: a finished pipeline is never offered to again, so
+    its last (and largest) stage stays behind.  The sample itself never
     rides the per-round task — workers hold it from the engine's one
     broadcast and slice the delta locally."""
-    stage, shared, lo, hi = args
+    stage, shared, lo, hi, sigma = args
     estimate = stage.offer(shared.value[lo:hi])
-    return stage, estimate
+    return (None if estimate.meets(sigma) else stage), estimate
 
 
 # ---------------------------------------------------------------------------
@@ -811,6 +814,7 @@ class RoundEngine(LossRecovery):
                 expanded=expand))
             if not expand:
                 pipeline.result = self._sampled_result(unit, pipeline)
+                pipeline.stage = None   # finished: nothing left to offer
             touched.append((unit, pipeline))
         for unit in self._units:
             if unit.active and unit.consumed >= unit.target:
@@ -832,15 +836,18 @@ class RoundEngine(LossRecovery):
         executor = self._executor
         assert executor is not None
         if executor.is_parallel and len(work) > 1:
-            args = [(p.stage, p.source, lo, hi) for _, p, lo, hi in work]
             if executor.shares_memory:
-                return executor.map(_offer_shared, args)
-            estimates: List[AccuracyEstimate] = []
-            for (_, pipeline, _, _), (stage, estimate) in zip(
-                    work, executor.map(_offer_owned, args)):
-                pipeline.stage = stage  # rebind the worker's mutated copy
-                estimates.append(estimate)
-            return estimates
+                return executor.map(
+                    _offer_shared,
+                    [(p.stage, p.source, lo, hi) for _, p, lo, hi in work])
+            owned = executor.map(
+                _offer_owned,
+                [(p.stage, p.source, lo, hi, p.sigma)
+                 for _, p, lo, hi in work])
+            for (_, pipeline, _, _), (stage, _) in zip(work, owned):
+                # Rebind the worker's mutated copy (None: it met σ).
+                pipeline.stage = stage
+            return [estimate for _, estimate in owned]
         return [p.stage.offer(p.source.value[lo:hi])
                 for _, p, lo, hi in work]
 
@@ -889,6 +896,7 @@ class RoundEngine(LossRecovery):
                 pipeline.result = exact_fallback_result(
                     pipeline.statistic, self._take(unit, pipeline.column),
                     sigma=pipeline.sigma, ssabe=pipeline.ssabe)
+            pipeline.stage = None
             touched.append((unit, pipeline))
         return touched
 

@@ -76,7 +76,11 @@ from repro.core.engine import (
 )
 from repro.core.estimators import StatisticLike, get_statistic
 from repro.core.result import EarlResult
-from repro.sampling.stratified import ALLOCATIONS, StratifiedSampler
+from repro.sampling.stratified import (
+    ALLOCATIONS,
+    Factorization,
+    StratifiedSampler,
+)
 from repro.util.rng import ensure_rng
 
 #: Default allocation mode: every group follows its own expansion
@@ -346,7 +350,7 @@ class GroupedEarlSession(RoundEngine):
             raise ValueError(
                 "round_budget needs a quota allocation policy; "
                 f"pick one of {list(ALLOCATIONS)}")
-        self._keys = keys if isinstance(keys, np.ndarray) \
+        self._keys = keys if isinstance(keys, (np.ndarray, Factorization)) \
             else np.asarray(keys, dtype=object)
         self._allocation = allocation
         self._round_budget = round_budget

@@ -20,23 +20,64 @@ SQL-ish surface meets the stack:
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+from typing import Any, Dict, Mapping, Optional
 
 import numpy as np
 
 from repro.core.config import EarlConfig
 from repro.core.grouped import GroupedEarlSession, Measure
 from repro.query.model import WHERE_OPS, Query
+from repro.sampling.stratified import Factorization
 
 #: Stratum key used for ungrouped (whole-table) queries.
 ALL_ROWS_KEY = "all"
 
 
-def materialize_columns(query: Query) -> Dict[str, np.ndarray]:
+class MemoTable(dict):
+    """A column mapping that is bound to many queries (the service's
+    registered tables) and therefore remembers what every grouped query
+    over it would otherwise re-derive from a ``group_by`` column: its
+    :class:`~repro.sampling.stratified.Factorization` — computed on
+    first use, kept until the table is replaced.  The columns must not
+    be written to once handed over.
+    """
+
+    def __init__(self, columns: Mapping[str, Any]) -> None:
+        super().__init__(columns)
+        self._strata: Dict[str, Factorization] = {}
+
+    def factorization(self, column: str) -> Factorization:
+        strata = self._strata.get(column)
+        if strata is None:
+            keys = np.asarray(self[column], dtype=object)
+            if keys.ndim != 1:
+                raise ValueError(f"column {column!r} must be 1-D")
+            strata = self._strata[column] = Factorization.of(keys)
+        return strata
+
+
+def _memoized_strata(query: Query) -> Optional[Factorization]:
+    """The source's remembered factorization of the ``group_by`` column
+    — when it keeps one and neither ``where`` nor an aggregate can need
+    the raw keys."""
+    source, where = query.source, query.where
+    if (not isinstance(source, MemoTable) or query.group_by not in source
+            or callable(where)
+            or (where is not None and where[0] == query.group_by)
+            or any(query.group_by in aggregate.columns
+                   for aggregate in query.select)):
+        return None
+    return source.factorization(query.group_by)
+
+
+def materialize_columns(query: Query,
+                        strata: Optional[Factorization] = None
+                        ) -> Dict[str, np.ndarray]:
     """Pull every referenced column out of the bound source as an array.
 
     The ``group_by`` column keeps its values verbatim (object dtype —
-    keys may be strings, ints, …); aggregate and ``where`` columns stay
+    keys may be strings, ints, …) — or is not pulled at all when its
+    ``strata`` are already known; aggregate and ``where`` columns stay
     in their natural numpy dtype for vectorized filtering.
     """
     source = query.source
@@ -55,18 +96,20 @@ def materialize_columns(query: Query) -> Dict[str, np.ndarray]:
             raise KeyError(
                 f"column {name!r} is not in the bound source "
                 f"(has: {sorted(source)})")
-        column = (np.asarray(source[name], dtype=object)
-                  if name == query.group_by
-                  else np.asarray(source[name]))
-        if column.ndim != 1:
-            raise ValueError(f"column {name!r} must be 1-D")
+        if name == query.group_by and strata is not None:
+            rows = len(strata)      # factorized already (1-D): not pulled
+        else:
+            column = columns[name] = (
+                np.asarray(source[name], dtype=object)
+                if name == query.group_by else np.asarray(source[name]))
+            if column.ndim != 1:
+                raise ValueError(f"column {name!r} must be 1-D")
+            rows = len(column)
         if length is None:
-            length = len(column)
-        elif len(column) != length:
+            length = rows
+        elif rows != length:
             raise ValueError(
-                f"column {name!r} has {len(column)} rows; expected "
-                f"{length}")
-        columns[name] = column
+                f"column {name!r} has {rows} rows; expected {length}")
     if length == 0:
         raise ValueError("the bound source has no rows")
     return columns
@@ -92,14 +135,19 @@ def where_mask(query: Query,
 
 def plan_query(query: Query) -> GroupedEarlSession:
     """Plan a bound query: columns → filter → measures → grouped session."""
-    columns = materialize_columns(query)
+    strata = _memoized_strata(query)
+    columns = materialize_columns(query, strata)
     mask = where_mask(query, columns)
     if not mask.any():
         raise ValueError("where filtered out every row")
     if not mask.all():
         columns = {name: col[mask] for name, col in columns.items()}
+        if strata is not None:
+            strata = strata.filtered(mask)
 
-    if query.group_by is not None:
+    if strata is not None:
+        keys: Any = strata
+    elif query.group_by is not None:
         keys = columns[query.group_by]
     else:
         keys = np.full(len(next(iter(columns.values()))), ALL_ROWS_KEY,

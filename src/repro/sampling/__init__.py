@@ -22,6 +22,7 @@ from repro.sampling.stratified import (
     ALLOCATION_PROPORTIONAL,
     ALLOCATION_UNIFORM,
     ALLOCATIONS,
+    Factorization,
     StratifiedSampler,
     allocate_with_caps,
 )
@@ -36,6 +37,7 @@ __all__ = [
     "block_sampling_bias",
     "TwoFileSampler",
     "StratifiedSampler",
+    "Factorization",
     "ALLOCATIONS",
     "ALLOCATION_UNIFORM",
     "ALLOCATION_PROPORTIONAL",

@@ -119,6 +119,56 @@ def allocate_with_caps(weights: Sequence[float], total: int,
     return [int(c) for c in counts]
 
 
+class Factorization:
+    """A key column split into strata: the distinct ``keys`` in order
+    of first appearance, one stratum code per table row, and every
+    stratum's table rows (ascending).
+
+    This is what :class:`StratifiedSampler` derives from its ``keys``
+    before it can sample; it depends on the column alone, so whoever
+    holds a table for many queries (the service's registered tables)
+    computes it once and hands it over in place of the raw keys.
+    """
+
+    __slots__ = ("keys", "codes", "rows")
+
+    def __init__(self, keys: List[Hashable], codes: np.ndarray) -> None:
+        self.keys = keys
+        self.codes = codes
+        # A stable sort of the stratum codes lists every stratum's
+        # rows in table order.
+        by_stratum = np.argsort(codes, kind="stable").astype(
+            np.int64, copy=False)
+        ends = np.cumsum(np.bincount(codes, minlength=len(keys)))
+        self.rows: List[np.ndarray] = np.split(by_stratum, ends[:-1])
+
+    @classmethod
+    def of(cls, keys: Sequence[Hashable]) -> "Factorization":
+        """Factorize at C speed: dict insertion order is
+        first-appearance order."""
+        if not isinstance(keys, (list, tuple)):
+            keys = list(keys)  # both passes must see the same objects
+        distinct = list(dict.fromkeys(keys))
+        code_of = {key: code for code, key in enumerate(distinct)}
+        return cls(distinct, np.fromiter(
+            map(code_of.__getitem__, keys), count=len(keys),
+            dtype=np.uint16 if len(code_of) <= 0xFFFF else np.int64))
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def filtered(self, mask: np.ndarray) -> "Factorization":
+        """The factorization of the rows where ``mask`` holds — equal
+        to ``Factorization.of(column[mask])``, from the codes alone."""
+        codes = self.codes[mask]
+        present, first = np.unique(codes, return_index=True)
+        kept = present[np.argsort(first, kind="stable")]
+        recode = np.zeros(len(self.keys), dtype=codes.dtype)
+        recode[kept] = np.arange(len(kept), dtype=codes.dtype)
+        return Factorization([self.keys[code] for code in kept],
+                             recode[codes])
+
+
 class StratifiedSampler:
     """Per-stratum uniform sampling with policy-driven quota allocation.
 
@@ -126,7 +176,8 @@ class StratifiedSampler:
     ----------
     keys:
         One group key per table row; strata are formed in order of first
-        appearance (a stable order every consumer shares).
+        appearance (a stable order every consumer shares).  A ready
+        :class:`Factorization` of that column is taken as is.
     allocation:
         Quota policy for :meth:`allocate` — one of :data:`ALLOCATIONS`.
     seed:
@@ -155,21 +206,11 @@ class StratifiedSampler:
             raise ValueError("keys must be non-empty")
         self.allocation = allocation
         self._rng = ensure_rng(seed)
-        # Factorize at C speed: dict insertion order is first-appearance
-        # order, and a stable sort of the stratum codes lists every
-        # stratum's rows in table order.
-        if not isinstance(keys, (list, tuple)):
-            keys = list(keys)  # both passes must see the same objects
-        self._keys: List[Hashable] = list(dict.fromkeys(keys))
-        code_of = {key: code for code, key in enumerate(self._keys)}
-        codes = np.fromiter(
-            map(code_of.__getitem__, keys), count=len(keys),
-            dtype=np.uint16 if len(code_of) <= 0xFFFF else np.int64)
-        by_stratum = np.argsort(codes, kind="stable").astype(
-            np.int64, copy=False)
-        ends = np.cumsum(np.bincount(codes, minlength=len(code_of)))
+        strata = (keys if isinstance(keys, Factorization)
+                  else Factorization.of(keys))
+        self._keys: List[Hashable] = list(strata.keys)
         self._rows: Dict[Hashable, np.ndarray] = dict(
-            zip(self._keys, np.split(by_stratum, ends[:-1])))
+            zip(strata.keys, strata.rows))
         self._orders: Dict[Hashable, np.ndarray] = {}
         self._consumed: Dict[Hashable, int] = {key: 0 for key in self._keys}
         self._scales: Dict[Hashable, float] = {}

@@ -53,7 +53,8 @@ import itertools
 import threading
 import time
 from dataclasses import replace
-from typing import Any, Awaitable, Dict, List, Mapping, Optional
+from typing import (Any, Awaitable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -64,6 +65,7 @@ from repro.obs.convergence import ConvergenceTrace
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.obs.trace import NULL_SPAN, TRACER as _TRACER
 from repro.query.model import Query
+from repro.query.planner import MemoTable
 from repro.scheduler import QueryScheduler
 from repro.service.events import EventLog
 from repro.service.protocol import (
@@ -93,6 +95,37 @@ from repro.service.protocol import (
 )
 from repro.service.store import InMemorySessionStore, SessionRecord, SessionStore
 from repro.util.rng import ensure_rng
+
+
+def _digest_array(digest: Any, values: Any) -> None:
+    arr = np.asarray(values)
+    if arr.dtype.hasobject:
+        digest.update(repr(arr.tolist()).encode())
+    else:
+        digest.update(str(arr.dtype).encode())
+        digest.update(repr(arr.shape).encode())
+        digest.update(arr.tobytes())
+
+
+class _Registered:
+    """One registration: the data as the engines take it and, hashed on
+    first use, its content digest.  Registering the name again replaces
+    the holder, and with it everything derived from the old data."""
+
+    def __init__(self, data: Any,
+                 parts: Sequence[Tuple[bytes, Any]]) -> None:
+        self.data = data
+        self._parts = parts     # (label, array) in digest order
+        self._digest: Optional[str] = None
+
+    def digest(self) -> str:
+        if self._digest is None:
+            digest = hashlib.sha256()
+            for label, values in self._parts:
+                digest.update(label)
+                _digest_array(digest, values)
+            self._digest = digest.hexdigest()
+        return self._digest
 
 
 class ApproxQueryService:
@@ -156,8 +189,9 @@ class ApproxQueryService:
         self._engine_retries = max(0, int(engine_retries))
         self._retry_backoff = max(0.0, float(retry_backoff))
         self._clock = clock
-        self._datasets: Dict[str, np.ndarray] = {}
-        self._tables: Dict[str, Mapping[str, Any]] = {}
+        #: name → the registered array / :class:`MemoTable` (``.data``)
+        self._datasets: Dict[str, _Registered] = {}
+        self._tables: Dict[str, _Registered] = {}
         self._clusters: Dict[str, Any] = {}
         self._ids = itertools.count(1)
         self._window_ids = itertools.count(1)
@@ -183,17 +217,30 @@ class ApproxQueryService:
         return self._store
 
     def register_dataset(self, name: str, values: Any) -> None:
-        """Register a 1-D/2-D numeric array statistic specs can target."""
+        """Register a 1-D/2-D numeric array statistic specs can target.
+
+        The array is held by reference and what is derived from it (its
+        content fingerprint) is computed once, on first use: writing to
+        a registered array in place was never supported, and is not
+        seen until the name is registered again.
+        """
         data = np.asarray(values, dtype=float)
         if data.ndim not in (1, 2) or len(data) == 0:
             raise ValueError("dataset must be a non-empty 1-D or 2-D array")
-        self._datasets[name] = data
+        self._datasets[name] = _Registered(data, [(b"", data)])
 
     def register_table(self, name: str, columns: Mapping[str, Any]) -> None:
-        """Register a columnar table (column name → array) for query specs."""
+        """Register a columnar table (column name → array) for query specs.
+
+        Like a dataset's, the table's fingerprint — and each
+        ``group_by`` column's factorization — are derived once, on
+        first use, and kept until the name is registered again."""
         if not columns:
             raise ValueError("table must have at least one column")
-        self._tables[name] = dict(columns)
+        table = MemoTable(columns)
+        self._tables[name] = _Registered(
+            table, [(column.encode(), table[column])
+                    for column in sorted(table)])
 
     def register_cluster(self, name: str, cluster: Any) -> None:
         """Register a simulated cluster job specs can target."""
@@ -579,43 +626,29 @@ class ApproxQueryService:
         silently produce different bytes while claiming byte-identity.
         For job specs the digest covers the HDFS file *and* the set of
         live nodes, because §3.4 replans depend on both."""
-        digest = hashlib.sha256()
         try:
             if isinstance(spec, StatisticSpec):
-                self._digest_array(digest, self._datasets[spec.dataset])
-            elif isinstance(spec, QuerySpec):
-                for name in sorted(self._tables[spec.table]):
-                    digest.update(name.encode())
-                    self._digest_array(digest,
-                                       self._tables[spec.table][name])
+                return self._datasets[spec.dataset].digest()
+            if isinstance(spec, QuerySpec):
+                return self._tables[spec.table].digest()
+            digest = hashlib.sha256()
+            cluster = self._clusters[spec.cluster]
+            try:
+                lines = cluster.hdfs.read_lines(spec.path)
+            except Exception:
+                lines = None
+            if lines is None:
+                digest.update(b"<missing>")
             else:
-                cluster = self._clusters[spec.cluster]
-                try:
-                    lines = cluster.hdfs.read_lines(spec.path)
-                except Exception:
-                    lines = None
-                if lines is None:
-                    digest.update(b"<missing>")
-                else:
-                    for line in lines:
-                        digest.update(str(line).encode())
-                        digest.update(b"\n")
-                alive = sorted(node.node_id for node in cluster.nodes
-                               if node.alive)
-                digest.update(repr(alive).encode())
+                for line in lines:
+                    digest.update(str(line).encode())
+                    digest.update(b"\n")
+            alive = sorted(node.node_id for node in cluster.nodes
+                           if node.alive)
+            digest.update(repr(alive).encode())
         except Exception:
             return None
         return digest.hexdigest()
-
-    @staticmethod
-    def _digest_array(digest: Any, values: Any) -> None:
-        arr = np.asarray(values)
-        if arr.dtype.hasobject:
-            digest.update(repr(arr.tolist()).encode())
-        else:
-            digest.update(str(arr.dtype).encode())
-            digest.update(repr(arr.shape).encode())
-            digest.update(arr.tobytes())
 
     async def _submit_query(self, spec: QuerySpec,
                             now: float) -> SessionRecord:
@@ -627,7 +660,8 @@ class ApproxQueryService:
         try:
             query = Query(list(spec.select), group_by=spec.group_by,
                           where=spec.where).on(
-                self._tables[spec.table], config=self._session_config(rec))
+                self._tables[spec.table].data,
+                config=self._session_config(rec))
             session = query.plan()   # eager validation (columns, where)
         except (ValueError, TypeError, KeyError) as exc:
             self._store.remove(rec.session_id)
@@ -735,7 +769,7 @@ class ApproxQueryService:
                     batch_seeds[spec.dataset] = rec.seed
                 try:
                     handle = sched.submit_statistic(
-                        self._datasets[spec.dataset], spec.statistic,
+                        self._datasets[spec.dataset].data, spec.statistic,
                         config=cfg, table=spec.dataset,
                         sigma=spec.sigma, error_metric=spec.error_metric,
                         B_override=spec.B, n_override=spec.n,
@@ -1193,7 +1227,7 @@ class ApproxQueryService:
                         f"table {spec.table!r} is not registered")
                 query = Query(list(spec.select), group_by=spec.group_by,
                               where=spec.where).on(
-                    self._tables[spec.table],
+                    self._tables[spec.table].data,
                     config=self._session_config(rec))
                 rec.engine = query.plan()
                 rec.engine_cancel = rec.engine.cancel
@@ -1310,7 +1344,7 @@ class ApproxQueryService:
                     engine = Query(list(spec.select),
                                    group_by=spec.group_by,
                                    where=spec.where).on(
-                        self._tables[spec.table],
+                        self._tables[spec.table].data,
                         config=self._spec_config(spec, seed)).plan()
                     handle = sched.submit_grouped(engine, name=sid)
                 else:
@@ -1318,7 +1352,7 @@ class ApproxQueryService:
                     cfg = replace(self._config,
                                   seed=int(seeds[spec.dataset]))
                     handle = sched.submit_statistic(
-                        self._datasets[spec.dataset], spec.statistic,
+                        self._datasets[spec.dataset].data, spec.statistic,
                         config=cfg, table=spec.dataset,
                         sigma=spec.sigma, error_metric=spec.error_metric,
                         B_override=spec.B, n_override=spec.n, name=sid)

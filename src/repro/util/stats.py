@@ -17,6 +17,16 @@ from typing import Iterable
 import numpy as np
 
 
+def _sum_sq_dev(values: "np.ndarray", mean: float) -> float:
+    """``Σ (v - mean)²`` by NumPy's own pairwise reduction — not
+    ``np.dot``: BLAS splits a long dot over its threads, so the last
+    bit (and, on a busy host, the latency) would depend on how many
+    it has; the bytes of a ``mean``/``std`` stream must not."""
+    centred = values - mean
+    centred *= centred
+    return float(np.add.reduce(centred))
+
+
 class RunningStats:
     """Mean/variance accumulator supporting add, remove, and merge.
 
@@ -83,8 +93,7 @@ class RunningStats:
         batch = RunningStats()
         batch._count = int(m)
         batch._mean = float(values.mean())
-        centred = values - batch._mean
-        batch._m2 = float(np.dot(centred, centred))
+        batch._m2 = _sum_sq_dev(values, batch._mean)
         self.merge(batch)
 
     def remove_values(self, values: "np.ndarray") -> None:
@@ -102,8 +111,7 @@ class RunningStats:
             self._count, self._mean, self._m2 = 0, 0.0, 0.0
             return
         mean_b = float(values.mean())
-        centred = values - mean_b
-        m2_b = float(np.dot(centred, centred))
+        m2_b = _sum_sq_dev(values, mean_b)
         count_r = self._count - m
         mean_r = (self._count * self._mean - m * mean_b) / count_r
         delta = mean_b - mean_r

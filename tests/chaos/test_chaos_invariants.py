@@ -108,8 +108,11 @@ class TestLossInvariants:
             at=1, kind=KIND_LOSS, fraction=0.4, seed=99),))
 
         def chaotic():
+            # n pinned under what sigma needs: the loss after the second
+            # snapshot always meets a query that is still expanding
             return ChaosDriver(sched).run_session(EarlSession(
-                data, "mean", config=EarlConfig(sigma=0.02, seed=1)))
+                data, "mean", config=EarlConfig(sigma=0.02, seed=1,
+                                                n_override=1_000)))
 
         a, b = chaotic(), chaotic()
         assert a.final.to_dict() == b.final.to_dict()

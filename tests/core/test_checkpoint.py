@@ -153,10 +153,12 @@ class TestGroupedSessionCheckpoint(_CheckpointContract):
                                   config=self.CONFIG)
 
 
-# SSABE picks B and n here (no overrides), so the replay also has to
-# reproduce the pilot/SSABE draws that precede the first round.
+# SSABE runs here (B is its pick), so the replay also has to reproduce
+# the pilot/SSABE draws that precede the first round.  The solo case
+# pins the first sample size only: whatever n the pilot would choose,
+# the stream must have rounds left to lose rows in and to interrupt.
 class TestEarlSessionSsabeCheckpoint(TestEarlSessionCheckpoint):
-    CONFIG = EarlConfig(sigma=0.015, seed=7)
+    CONFIG = EarlConfig(sigma=0.015, seed=7, n_override=500)
     LOSS = {"fraction": 0.3, "seed": 99}
     LOSS_AT = 0
     INTERRUPT_AFTER = 1

@@ -12,6 +12,8 @@ from repro.core.delta import (
     MAINTENANCE_OPTIMIZED,
     Resample,
     ResampleSet,
+    ResidentMaintainer,
+    SketchMaintainer,
 )
 from repro.core.estimators import get_statistic
 
@@ -172,6 +174,52 @@ class TestStatisticalValidity:
         _, p_value = sp_stats.ks_2samp(maintained, fresh)
         assert p_value > 1e-3
 
+    @pytest.mark.parametrize("statistic", ["mean", "median", "p90", "std",
+                                           "correlation"])
+    def test_ks_resident_naive_and_fresh_agree(self, population, statistic):
+        """The contract for a kernel that draws differently (DESIGN.md
+        §5): the memory-resident optimized path (direct index draws, no
+        sketch), the naive path and a fresh bootstrap of the enlarged
+        sample give the same estimate *distribution* — over three
+        expansions in which resamples both shed items and regain
+        old-sample ones.  Seeded; a two-sample KS p-value under 1e-3 is
+        a divergence, not noise."""
+        B, bounds = 200, [400, 800, 1600, 2400]
+        if statistic == "correlation":
+            rng = np.random.default_rng(7)
+            x = rng.normal(size=bounds[-1])
+            data = np.column_stack(
+                [x, 0.6 * x + rng.normal(size=bounds[-1])])
+        else:
+            data = population[:bounds[-1]]
+        estimates = {}
+        for mode, seed in [(MAINTENANCE_OPTIMIZED, 204),
+                           (MAINTENANCE_NAIVE, 205)]:
+            rs = ResampleSet(statistic, B, maintenance=mode, seed=seed)
+            deleted = added_old = lo = 0
+            for hi in bounds:
+                (rs.expand if lo else rs.initialize)(data[lo:hi])
+                if lo:
+                    shares = [sum(len(seg) for seg in r.segments[:-1])
+                              for r in rs._resamples]
+                    deleted += sum(share < lo for share in shares)
+                    added_old += sum(share > lo for share in shares)
+                lo = hi
+            assert deleted >= B and added_old >= B
+            estimates[mode] = np.asarray(rs.estimates())
+            if mode == MAINTENANCE_OPTIMIZED:
+                assert type(rs._maintainer) is ResidentMaintainer
+        stat = get_statistic(statistic)
+        rng = np.random.default_rng(206)
+        n = len(data)
+        estimates["fresh"] = np.array(
+            [stat(data[rng.integers(0, n, size=n)]) for _ in range(B)])
+        for a, b in [(MAINTENANCE_OPTIMIZED, "fresh"),
+                     (MAINTENANCE_NAIVE, "fresh"),
+                     (MAINTENANCE_OPTIMIZED, MAINTENANCE_NAIVE)]:
+            _, p_value = sp_stats.ks_2samp(estimates[a], estimates[b])
+            assert p_value > 1e-3, f"{statistic}: {a} vs {b} p={p_value}"
+
     def test_old_sample_share_is_binomial_like(self, population):
         """After one expansion n→2n, each resample should keep ≈ n/2 of
         its items from the old sample on average (Eq. 2)."""
@@ -251,10 +299,18 @@ class TestVectorizedKernelEquivalence:
             MAINTENANCE_NAIVE: (1_928_176, 964_088, 0, 0),
             MAINTENANCE_OPTIMIZED: (1_928_284, 2_683, 961_459, 0),
         }
+        # Simulated seconds the same runs charged at the parent of the
+        # residency change (the benchmark binds a ledger, and so must
+        # this: ledger-less, the optimized set indexes the sample
+        # directly and builds no sketch).
+        seconds = {MAINTENANCE_NONE: 500.40000000000003,
+                   MAINTENANCE_NAIVE: 9718.007039999999,
+                   MAINTENANCE_OPTIMIZED: 103.7570400000022}
         data = numeric_dataset(64_000, "lognormal", seed=1050)
         for mode, want in expected.items():
+            ledger = CostLedger()
             rs = ResampleSet("mean", 30, maintenance=mode, seed=1051,
-                             io_scale=1000.0)
+                             io_scale=1000.0, ledger=ledger)
             rs.initialize(data[:32000])
             for lo, hi in [(32000, 40000), (40000, 48000),
                            (48000, 56000), (56000, 64000)]:
@@ -262,6 +318,86 @@ class TestVectorizedKernelEquivalence:
             got = (rs.counters.state_ops, rs.counters.disk_accesses,
                    rs.counters.sketch_draws, rs.counters.full_rebuilds)
             assert got == want, f"{mode}: {got} != pinned {want}"
+            assert ledger.total_seconds == pytest.approx(seconds[mode],
+                                                         rel=1e-12)
+
+
+class TestResidency:
+    """Sketches exist to save disk round trips, so a set with no cost
+    ledger bound at ``initialize()`` — a memory-resident sample —
+    builds none and indexes the sample directly; a ledger-bound set is
+    §4.1 as written (pinned by the Fig. 10 counters above)."""
+
+    @staticmethod
+    def _grown(population, **kwargs):
+        rs = ResampleSet("mean", 20, seed=5, **kwargs)
+        rs.initialize(population[:500])
+        rs.expand(population[500:1500])
+        rs.expand(population[1500:4000])
+        return rs
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_resident_set_has_no_sketch_and_no_disk(self, population,
+                                                    vectorized):
+        rs = self._grown(population, vectorized=vectorized)
+        assert type(rs._maintainer) is ResidentMaintainer
+        assert not hasattr(rs._maintainer, "_delta_sketches")
+        assert rs.counters.disk_accesses == 0
+        assert rs.counters.sketch_draws == 0
+        assert rs.counters.state_ops > 20 * 4000
+        assert set(rs.resample_sizes()) == {4000}
+
+    def test_ledger_bound_set_goes_through_sketches(self, population):
+        ledger = CostLedger()
+        rs = self._grown(population, ledger=ledger)
+        assert type(rs._maintainer) is SketchMaintainer
+        assert len(rs._maintainer._delta_sketches) == 3
+        assert rs.counters.sketch_draws > 0
+        assert rs.counters.disk_accesses > 0
+        assert ledger.seconds("disk_seek") > 0
+
+    def test_decided_at_initialize_not_by_a_later_set_ledger(self,
+                                                             population):
+        # Resident stays resident: a ledger bound later is charged
+        # nothing, because nothing is ever reloaded.
+        late = CostLedger()
+        rs = ResampleSet("mean", 20, seed=5)
+        rs.initialize(population[:500])
+        rs.set_ledger(late)
+        rs.expand(population[500:1500])
+        assert type(rs._maintainer) is ResidentMaintainer
+        assert late.total_seconds == 0.0
+        # Bound before the first offer (how a reducer does it): sketched,
+        # and un-binding later keeps the sketches.
+        rs = ResampleSet("mean", 20, seed=5)
+        rs.set_ledger(CostLedger())
+        rs.initialize(population[:500])
+        rs.set_ledger(None)
+        rs.expand(population[500:1500])
+        assert type(rs._maintainer) is SketchMaintainer
+        assert rs.counters.sketch_draws > 0
+
+    def test_naive_counts_accesses_with_or_without_a_ledger(self,
+                                                            population):
+        free = self._grown(population, maintenance=MAINTENANCE_NAIVE)
+        charged = self._grown(population, maintenance=MAINTENANCE_NAIVE,
+                              ledger=CostLedger())
+        assert free.counters == charged.counters
+        assert free.counters.disk_accesses > 0
+        np.testing.assert_array_equal(free.estimates(), charged.estimates())
+
+    def test_resident_stage_pickles_smaller_than_the_sketched_one(
+            self, population):
+        import pickle
+
+        sizes = {}
+        for name, ledger in [("resident", None), ("sketched", CostLedger())]:
+            rs = ResampleSet("mean", 20, seed=5, ledger=ledger)
+            rs.initialize(population[:400])
+            rs.expand(population[400:1600])
+            rs.set_ledger(None)     # compare the sets, not the ledgers
+            sizes[name] = len(pickle.dumps(rs))
+        assert sizes["resident"] < sizes["sketched"]
 
 
 class TestWorkAccounting:
@@ -321,13 +457,23 @@ def _segment_contents(rs):
             for r in rs._resamples]
 
 
-def _run_both_kernels(statistic, mode, data, bounds, *, B=10, seed=77):
+#: Where the stored sample lives: in memory (no ledger — the optimized
+#: algorithm indexes it directly) or on simulated storage (a bound
+#: ledger — it goes through sketches).
+STORAGE = ["resident", "ledger"]
+
+
+def _run_both_kernels(statistic, mode, data, bounds, *, B=10, seed=77,
+                      storage="resident", **kwargs):
     """The same seeded schedule on the scalar reference and on the
     vectorized kernel; also returns, per expansion, how many resamples
     shed items and how many gained old-sample items (measured on the
     scalar reference, so the test knows which paths really ran)."""
     sets = {v: ResampleSet(statistic, B, maintenance=mode, seed=seed,
-                           vectorized=v) for v in (False, True)}
+                           vectorized=v,
+                           ledger=(CostLedger() if storage == "ledger"
+                                   else None), **kwargs)
+            for v in (False, True)}
     deleted = added_old = 0
     lo = 0
     for hi in bounds:
@@ -347,6 +493,12 @@ def _run_both_kernels(statistic, mode, data, bounds, *, B=10, seed=77):
 
 def _assert_kernels_identical(scalar, vector):
     assert scalar.counters == vector.counters
+    assert type(scalar._maintainer) is type(vector._maintainer)
+    if scalar._ledger is not None:
+        # Same charges; the naive scalar loop adds them one access at
+        # a time, so only the float summation order differs.
+        assert scalar._ledger.total_seconds == pytest.approx(
+            vector._ledger.total_seconds, rel=1e-9)
     assert scalar._rng.bit_generator.state == vector._rng.bit_generator.state
     for segs_scalar, segs_vector in zip(_segment_contents(scalar),
                                         _segment_contents(vector)):
@@ -369,33 +521,36 @@ class TestBatchedDeletionsAndOldSampleAdditions:
     #: Five deltas, so the last expansions choose among >= 3 stored ones.
     BOUNDS = [300, 700, 1500, 2600, 4200]
 
+    @pytest.mark.parametrize("storage", STORAGE)
     @pytest.mark.parametrize("mode", [MAINTENANCE_NAIVE,
                                       MAINTENANCE_OPTIMIZED])
     @pytest.mark.parametrize("statistic", ["mean", "median", "p90", "std"])
     def test_deletions_and_multi_delta_additions(self, population, mode,
-                                                 statistic):
+                                                 statistic, storage):
         scalar, vector, deleted, added_old = _run_both_kernels(
-            statistic, mode, population, self.BOUNDS)
+            statistic, mode, population, self.BOUNDS, storage=storage)
         # Both reconcile branches ran, many times each.
         assert deleted >= 10 and added_old >= 10
         _assert_kernels_identical(scalar, vector)
 
+    @pytest.mark.parametrize("storage", STORAGE)
     @pytest.mark.parametrize("seed", range(8))
-    def test_many_seeds_optimized(self, population, seed):
+    def test_many_seeds_optimized(self, population, seed, storage):
         scalar, vector, deleted, added_old = _run_both_kernels(
             "mean", MAINTENANCE_OPTIMIZED, population, self.BOUNDS,
-            B=6, seed=seed)
+            B=6, seed=seed, storage=storage)
         assert deleted and added_old
         _assert_kernels_identical(scalar, vector)
 
+    @pytest.mark.parametrize("storage", STORAGE)
     @pytest.mark.parametrize("mode", [MAINTENANCE_NAIVE,
                                       MAINTENANCE_OPTIMIZED])
-    def test_row_items_contents_identical(self, mode):
+    def test_row_items_contents_identical(self, mode, storage):
         rng = np.random.default_rng(5)
         x = rng.normal(size=4200)
         pairs = np.column_stack([x, 0.6 * x + rng.normal(size=4200)])
         scalar, vector, deleted, added_old = _run_both_kernels(
-            "correlation", mode, pairs, self.BOUNDS)
+            "correlation", mode, pairs, self.BOUNDS, storage=storage)
         assert deleted >= 10 and added_old >= 10
         assert vector.sample_array().shape == (4200, 2)
         _assert_kernels_identical(scalar, vector)
@@ -404,17 +559,11 @@ class TestBatchedDeletionsAndOldSampleAdditions:
         """c = 0.05 leaves 1–3 items per sketch, so nearly every
         old-sample draw reloads — the interleaving of segment choice
         and ``choice(replace=False)`` on the shared stream."""
-        sets = {}
-        for vectorized in (False, True):
-            rs = ResampleSet("mean", 8, sketch_c=0.05, seed=91,
-                             vectorized=vectorized)
-            lo = 0
-            for hi in self.BOUNDS:
-                (rs.expand if lo else rs.initialize)(population[lo:hi])
-                lo = hi
-            sets[vectorized] = rs
-        assert sets[False].counters.disk_accesses > 1000
-        _assert_kernels_identical(sets[False], sets[True])
+        scalar, vector, _, _ = _run_both_kernels(
+            "mean", MAINTENANCE_OPTIMIZED, population, self.BOUNDS,
+            B=8, seed=91, storage="ledger", sketch_c=0.05)
+        assert scalar.counters.disk_accesses > 1000
+        _assert_kernels_identical(scalar, vector)
 
     def test_remove_more_than_held_rejected(self):
         r = Resample(get_statistic("mean").make_state(), vectorized=True)
@@ -446,21 +595,24 @@ class TestStagePickling:
     the buffers' spare capacity."""
 
     @staticmethod
-    def _stage(population, bounds):
+    def _stage(population, bounds, storage):
         from repro.core.accuracy import AccuracyEstimationStage
-        stage = AccuracyEstimationStage("mean", 20, seed=23)
+        stage = AccuracyEstimationStage(
+            "mean", 20, seed=23,
+            ledger=CostLedger() if storage == "ledger" else None)
         lo = 0
         for hi in bounds:
             stage.offer(population[lo:hi])
             lo = hi
         return stage
 
+    @pytest.mark.parametrize("storage", STORAGE)
     @pytest.mark.parametrize("bounds", [[400], [50, 100, 200, 400]])
     def test_round_trip_equal_compact_and_still_growing(self, population,
-                                                        bounds):
+                                                        bounds, storage):
         import pickle
 
-        stage = self._stage(population, bounds)
+        stage = self._stage(population, bounds, storage)
         blob = pickle.dumps(stage)
         clone = pickle.loads(blob)
 
@@ -472,9 +624,9 @@ class TestStagePickling:
                 np.testing.assert_array_equal(seg, seg_copy)
         np.testing.assert_array_equal(original.estimates(), copy.estimates())
 
-        maintainer = original._maintainer
         items_held = (sum(original.resample_sizes()) + original.sample_size
-                      + sum(len(s._items) for s in maintainer._delta_sketches))
+                      + sum(len(s._items) for s in original._sketches()))
+        assert bool(original._sketches()) == (storage == "ledger")
         assert items_held >= 20 * 400
         assert len(blob) <= 1.25 * 8 * items_held + 8192
 

@@ -29,9 +29,14 @@ def grouped_table():
     return keys, vals
 
 
-def _stream_with_loss(data, loss_at, fraction, *, sigma=0.02, seed=1):
-    session = EarlSession(data, "mean", config=EarlConfig(sigma=sigma,
-                                                          seed=seed))
+#: The solo runs start at n = 1,000 (error ≈ 0.04 on this lognormal)
+#: so that σ = 0.02 takes several rounds whatever (B, n) SSABE's pilot
+#: would have picked — a loss after round 1 always meets a live query.
+SOLO = dict(sigma=0.02, seed=1, n_override=1_000)
+
+
+def _stream_with_loss(data, loss_at, fraction):
+    session = EarlSession(data, "mean", config=EarlConfig(**SOLO))
     snaps = []
     for i, snap in enumerate(session.stream()):
         snaps.append(snap)
@@ -130,7 +135,7 @@ class TestEarlSession:
         _, clean = _stream_with_loss(data, None, 0.0)
         _, faulted = _stream_with_loss(data, 0, 0.4)
         reference = EarlSession(data, "mean",
-                                config=EarlConfig(sigma=0.02, seed=1)).run()
+                                config=EarlConfig(**SOLO)).run()
         result = clean[-1].result
         assert result.estimate == reference.estimate
         assert result.n == reference.n
@@ -140,15 +145,13 @@ class TestEarlSession:
         assert faulted[-1].result.lost_fraction > 0.0
 
     def test_explicit_seed_pins_loss_pattern(self, data):
-        session = EarlSession(data, "mean",
-                              config=EarlConfig(sigma=0.02, seed=1))
+        session = EarlSession(data, "mean", config=EarlConfig(**SOLO))
         snaps = []
         for i, snap in enumerate(session.stream()):
             snaps.append(snap)
             if i == 0:
                 session.report_loss(0.4, seed=123)
-        other = EarlSession(data, "mean",
-                            config=EarlConfig(sigma=0.02, seed=1))
+        other = EarlSession(data, "mean", config=EarlConfig(**SOLO))
         snaps2 = []
         for i, snap in enumerate(other.stream()):
             snaps2.append(snap)
@@ -180,9 +183,12 @@ class TestEarlSession:
 
 class TestSessionManager:
     def _run(self, data, loss_at=None, fraction=0.5, sigma=0.015):
-        # sigma chosen so "mean" needs two rounds while "p90" meets its
-        # bound in round 1 — a loss after round 1 hits only the former.
-        mgr = SessionManager(data, config=EarlConfig(sigma=sigma, seed=1))
+        # The first round is pinned to 2,000 rows: "mean" (error ≈ 0.03
+        # there) needs more rounds while "p90" (≈ 0.04 against 0.06)
+        # meets its bound in round 1 — a loss after round 1 hits only
+        # the former.
+        mgr = SessionManager(data, config=EarlConfig(sigma=sigma, seed=1,
+                                                     n_override=2_000))
         mgr.submit("mean")
         mgr.submit("p90", sigma=0.06)
         seen = 0
@@ -231,9 +237,12 @@ class TestSessionManager:
 class TestGroupedSession:
     def _run(self, table, loss_round=None, fraction=0.5, keys=None):
         group_keys, vals = table
+        # (B, n) pinned: every group samples (B·n is under the smallest
+        # stratum) and is still expanding after round 1.
         session = GroupedEarlSession(
             group_keys, [Measure("m", "mean", vals)],
-            config=EarlConfig(sigma=0.02, seed=1))
+            config=EarlConfig(sigma=0.02, seed=1, B_override=20,
+                              n_override=500))
         final = None
         for snap in session.stream():
             final = snap

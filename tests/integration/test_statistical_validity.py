@@ -29,11 +29,14 @@ class TestBoundCalibration:
                                                           distribution):
         """cv ≤ σ is a ~1-standard-deviation bound: the *average*
         realized error across runs must sit at or below σ, for every
-        data shape the workload generator produces."""
+        data shape the workload generator produces.  32 runs: the
+        average of 8 has a standard deviation of ~0.01 here, which made
+        the verdict depend on which eight streams one happened to get
+        (0.029-0.054 over the three shapes; 0.034-0.039 at 32)."""
         population = numeric_dataset(150_000, distribution, seed=1)
         truth = float(np.mean(population))
         errors = []
-        for seed in range(8):
+        for seed in range(32):
             res = EarlSession(population, "mean",
                               config=EarlConfig(sigma=0.05,
                                                 seed=seed)).run()

@@ -238,3 +238,57 @@ class TestFactorizeEqualsPerRowLoop:
     def test_unhashable_key_rejected(self):
         with pytest.raises(TypeError):
             StratifiedSampler([["list", "key"], ["x"]])
+
+
+class TestFactorization:
+    """What a sampler derives from its key column, as an object the
+    holder of a table can compute once and hand over instead."""
+
+    @staticmethod
+    def _assert_equal(got, want):
+        assert got.keys == want.keys
+        assert [type(k) for k in got.keys] == [type(k) for k in want.keys]
+        np.testing.assert_array_equal(got.codes, want.codes)
+        assert len(got.rows) == len(want.rows)
+        for mine, theirs in zip(got.rows, want.rows):
+            assert mine.dtype == np.int64
+            np.testing.assert_array_equal(mine, theirs)
+
+    def test_sampler_accepts_it_in_place_of_the_keys(self):
+        from repro.sampling import Factorization
+
+        keys = ["b", "a", "b", "c", "b", "a"]
+        strata = Factorization.of(keys)
+        assert len(strata) == 6 and strata.keys == ["b", "a", "c"]
+        given = StratifiedSampler(strata, seed=4)
+        derived = StratifiedSampler(keys, seed=4)
+        assert given.keys == derived.keys
+        assert given.populations == derived.populations
+        for key in derived.keys:
+            np.testing.assert_array_equal(given.rows(key), derived.rows(key))
+            np.testing.assert_array_equal(given.take(key, 1),
+                                          derived.take(key, 1))
+        # shared, not consumed: a second sampler starts from scratch
+        assert StratifiedSampler(strata, seed=4).sampled_count == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(st.sampled_from("abcde"), st.booleans()),
+                         min_size=1, max_size=80))
+    def test_filtered_equals_refactorizing_the_filtered_column(self, rows):
+        from repro.sampling import Factorization
+
+        keys = np.array([key for key, _ in rows], dtype=object)
+        mask = np.array([keep for _, keep in rows], dtype=bool)
+        if not mask.any():
+            mask[0] = True
+        self._assert_equal(Factorization.of(keys).filtered(mask),
+                           Factorization.of(keys[mask]))
+
+    def test_filtered_with_more_strata_than_uint16_codes(self):
+        from repro.sampling import Factorization
+
+        keys = np.array(list(range(70_000)) + [5, 69_999, 5], dtype=object)
+        mask = np.ones(len(keys), dtype=bool)
+        mask[:69_990] = False
+        self._assert_equal(Factorization.of(keys).filtered(mask),
+                           Factorization.of(keys[mask]))

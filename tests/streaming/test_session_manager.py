@@ -93,8 +93,10 @@ class TestOneQueryIsTheSoloSession:
                                                   ("p90", 0.03)])
     def test_snapshot_for_snapshot(self, population, statistic, sigma,
                                    executor):
-        cfg = EarlConfig(sigma=sigma, seed=19, executor=executor,
-                         max_workers=2)
+        # SSABE still picks B; the first sample is pinned small enough
+        # that both statistics take several rounds to reach sigma.
+        cfg = EarlConfig(sigma=sigma, seed=19, n_override=1_000,
+                         executor=executor, max_workers=2)
         solo = list(EarlSession(population, statistic, config=cfg).stream())
         manager = SessionManager(population, config=cfg)
         query = manager.submit(statistic)
