@@ -26,12 +26,16 @@ The O(|Δs|)-per-resample accounting only pays off if the constant per
 item is small, so the maintainers run a *vectorized* kernel by default:
 index draws are taken as whole arrays (``rng.integers(..., size=m)``,
 batched sketch serves) and estimator states are updated through
-``add_many``/``remove_many`` instead of one Python call per item.  The
-kernel consumes the random stream in exactly the same order as the
-scalar reference (``vectorized=False``), so drawn items, resample
-contents and :class:`MaintenanceCounters` are byte-identical for any
-seed; only the estimator-state arithmetic is reassociated (batch moment
-merges), which can move finalized estimates by floating-point rounding.
+``add_many``/``remove_many`` instead of one Python call per item.  Over
+(simulated) storage and in the naive maintainer the kernel consumes the
+random stream in exactly the same order as the scalar reference
+(``vectorized=False``), so drawn items, resample contents and
+:class:`MaintenanceCounters` are byte-identical for any seed; only the
+estimator-state arithmetic is reassociated (batch moment merges), which
+can move finalized estimates by floating-point rounding.  A
+memory-resident optimized set goes further (:class:`_DenseRows`): all
+``B`` resamples are one array, updated and evaluated together — same
+law as its scalar reference, not the same bytes.
 See DESIGN.md "Vectorized kernel & data plane".
 """
 
@@ -50,6 +54,7 @@ from repro.core.estimators import (
     FunctionalState,
     Statistic,
     StatisticLike,
+    _RowwiseBatch,
     get_statistic,
 )
 from repro.core.sketch import ITEM_BYTES, Sketch
@@ -590,6 +595,86 @@ class SketchMaintainer(_GaussianK, _BaseMaintainer):
         resample.add_many(items, segment)
 
 
+class _DenseRows:
+    """All ``B`` resamples of a memory-resident sample as one array.
+
+    ``rows`` is ``(B, cap)`` — ``(B, cap, d)`` for row items — and its
+    first ``n`` columns are live; capacity doubles, only the live prefix
+    pickles.  The §4.1 update runs for every row at once in a constant
+    number of NumPy calls, and nothing else is maintained: in memory,
+    re-reading ``f`` from the rows (``Statistic.batch``) is one
+    reduction.  Same law as :class:`ResidentMaintainer`, other bytes.
+    """
+
+    def __init__(self, sample: np.ndarray, B: int,
+                 rng: np.random.Generator) -> None:
+        self.n = len(sample)
+        self.rows = sample[rng.integers(0, self.n, size=(B, self.n))]
+
+    def __getstate__(self):
+        return {"n": self.n, "rows": self.live()}
+
+    def live(self) -> np.ndarray:
+        return self.rows[:, :self.n]
+
+    def expand(self, old: np.ndarray, delta: np.ndarray,
+               rng: np.random.Generator) -> int:
+        """Update every row from the sample ``old`` to ``old + delta``;
+        returns the number of items moved in or out (state ops)."""
+        B, n = len(self.rows), self.n
+        n_new = n + len(delta)
+        spread = math.sqrt(max(n * (1.0 - n / n_new), 1e-12))
+        k = np.clip(np.rint(rng.normal(n, spread, size=B)),
+                    0, n_new).astype(np.int64)          # Eq. 3, per row
+        dtype = np.result_type(self.rows.dtype, delta.dtype)
+        if n_new > self.rows.shape[1] or dtype != self.rows.dtype:
+            grown = np.empty((B, max(2 * self.rows.shape[1], n_new))
+                             + self.rows.shape[2:], dtype=dtype)
+            grown[:, :n] = self.live()
+            self.rows = grown
+        rows = self.rows
+        # Step 2, k_b < n: a uniform set of n - k_b distinct slots per
+        # shrinking row — i.i.d. draws, within-row duplicates redrawn
+        # until none remain (symmetric in the slots, hence uniform).
+        shed = np.maximum(n - k, 0)
+        total = int(shed.sum())
+        if total:
+            owner = np.repeat(np.arange(B), shed)
+            keys = owner * n + rng.integers(0, n, size=total)
+            keys.sort()   # by row, then slot: ``owner`` stays aligned
+            dup = np.flatnonzero(keys[1:] == keys[:-1]) + 1
+            while len(dup):
+                keys[dup] = owner[dup] * n + rng.integers(0, n, size=len(dup))
+                keys.sort()
+                dup = np.flatnonzero(keys[1:] == keys[:-1]) + 1
+            slot = keys - owner * n
+            # Fill the holes below k_b with the survivors of the row's
+            # last n - k_b slots (both run in row-then-slot order).
+            hole = slot < k[owner]
+            shift = (np.cumsum(shed) - shed - k)[owner]   # tail <-> flat
+            alive = np.ones(total, dtype=bool)
+            alive[(slot + shift)[~hole]] = False
+            rows[owner[hole], slot[hole]] = \
+                rows[owner[alive], (np.arange(total) - shift)[alive]]
+        # Step 2, k_b > n, and step 3: slot j of row b takes an old-sample
+        # draw when n <= j < k_b and a Δs draw when j >= k_b.  Rows only
+        # differ inside the band [min(n, k), max k); beyond is one block.
+        lo, k_max = min(n, int(k.min())), int(k.max())
+        cols = np.arange(lo, k_max)
+        band = rows[:, lo:k_max]
+        from_delta = cols >= k[:, None]
+        from_old = (cols >= n) & ~from_delta
+        added = int(from_old.sum())
+        if added:
+            band[from_old] = old[rng.integers(0, n, size=added)]
+        topped = int(from_delta.sum())
+        idx = rng.integers(0, len(delta), size=topped + B * (n_new - k_max))
+        band[from_delta] = delta[idx[:topped]]
+        rows[:, k_max:n_new] = delta[idx[topped:].reshape(B, n_new - k_max)]
+        self.n = n_new
+        return total + added + len(idx)
+
+
 class ResampleSet:
     """``B`` delta-maintained bootstrap resamples over a growing sample.
 
@@ -606,15 +691,18 @@ class ResampleSet:
     exactly when a ledger is bound at :meth:`initialize` (the cluster's
     reducers bind one before their first offer); with none the sample
     is memory-resident and indexed directly — same ``k`` law, no sketch,
-    nothing charged.  Decided once: a later :meth:`set_ledger`
-    redirects charges, it never changes the access path.
+    nothing charged, and the resamples are one :class:`_DenseRows`
+    array.  Decided once: a later :meth:`set_ledger` redirects charges,
+    it never changes the access path.
 
     ``vectorized`` (default) runs the NumPy batch kernel; ``False``
-    selects the item-at-a-time scalar reference.  Both consume the
-    random stream identically — same drawn items, same
-    :class:`MaintenanceCounters` for any seed — and differ only in
-    floating-point reassociation of the estimator-state arithmetic
-    (``benchmarks/bench_kernel.py`` measures the gap in throughput).
+    selects the item-at-a-time scalar reference.  Over storage, and for
+    ``"naive"`` and ``"none"``, both consume the random stream
+    identically — same drawn items, same :class:`MaintenanceCounters`
+    for any seed — and differ only in floating-point reassociation of
+    the estimator-state arithmetic; a memory-resident optimized set and
+    its reference (:class:`ResidentMaintainer`) agree in law, not in
+    bytes (``benchmarks/bench_kernel.py`` measures the throughput gap).
 
     The sample and every stored Δs are the arrays handed to
     :meth:`initialize` / :meth:`expand` (``np.asarray`` of them — no
@@ -647,7 +735,10 @@ class ResampleSet:
         self._n = 0
         self._resamples: List[Resample] = []
         self.counters = MaintenanceCounters()
-        self._maintainer: Optional[_BaseMaintainer] = None  # initialize()
+        # Decided by initialize(): dense rows, or a maintainer (None for
+        # "none") over per-resample objects.
+        self._dense: Optional[_DenseRows] = None
+        self._maintainer: Optional[_BaseMaintainer] = None
 
     def _make_maintainer(self) -> Optional[_BaseMaintainer]:
         if self._mode == MAINTENANCE_NONE:
@@ -727,6 +818,12 @@ class ResampleSet:
         items = np.asarray(sample)
         self._chunks.append(items)
         self._n = len(items)
+        if self._mode == MAINTENANCE_OPTIMIZED and self._ledger is None \
+                and self._vectorized:
+            self._dense = _DenseRows(items, self.B, self._rng)
+            self.counters.state_ops += self.B * self._n
+            self.counters.publish()
+            return
         self._maintainer = self._make_maintainer()
         if self._maintainer is not None:
             self._maintainer.on_delta(items)
@@ -745,6 +842,13 @@ class ResampleSet:
         if len(delta) == 0:
             return
         delta_items = np.asarray(delta)
+        if self._dense is not None:
+            self.counters.state_ops += self._dense.expand(
+                self.sample_array(), delta_items, self._rng)
+            self._chunks.append(delta_items)
+            self._n += len(delta_items)
+            self.counters.publish()
+            return
         n_old = self._n
         n_new = self._n = n_old + len(delta_items)
         self._chunks.append(delta_items)
@@ -776,28 +880,37 @@ class ResampleSet:
     def estimates(self, executor: Optional[Executor] = None) -> np.ndarray:
         """Per-resample statistic values (the result distribution).
 
+        Dense rows are evaluated by the statistic's row-wise ``batch``
+        form in one call; per-resample states are read one by one.
         ``executor`` optionally fans the ``B`` evaluations out over a
-        parallel backend — but only when evaluation is actually work:
-        registered statistics keep O(1)-readable states (running mean,
-        sorted multiset, …) for which pool dispatch (and, on process
-        pools, pickling each resample) can only lose, so those stay on
-        the plain loop.  :class:`~repro.core.estimators.FunctionalState`
-        — the arbitrary-user-function fallback, whose ``result()``
-        re-evaluates the whole resample — is the case that fans out.
-        Either way the result is identical on every backend (evaluation
-        is a pure read; order is preserved by
-        :meth:`~repro.exec.Executor.map`); the *maintenance* of the
-        resamples stays sequential regardless — §4.1's delta updates
-        share one RNG stream by design.
+        parallel backend — but only when evaluation is actually work,
+        i.e. for an arbitrary user function (no ``batch`` form,
+        :class:`~repro.core.estimators.FunctionalState`), which
+        re-evaluates each whole resample; for registered statistics
+        pool dispatch and pickling can only lose.  Either way the
+        result is identical on every backend (evaluation is a pure
+        read; order is preserved by :meth:`~repro.exec.Executor.map`);
+        the *maintenance* of the resamples stays sequential regardless
+        — §4.1's delta updates share one RNG stream by design.
         """
-        if not self._resamples:
+        if not self._n:
             raise RuntimeError("no resamples yet; call initialize()")
-        if executor is not None and executor.is_parallel \
-                and isinstance(self._resamples[0].state, FunctionalState):
-            return np.array(executor.map(_resample_estimate, self._resamples))
+        fan_out = executor.map if executor is not None \
+            and executor.is_parallel else None
+        if self._dense is not None:
+            rows, batch = self._dense.live(), self._stat.batch
+            if isinstance(batch, _RowwiseBatch):
+                values = list((fan_out or map)(batch.pointwise, rows))
+            else:
+                values = batch(rows)
+            return np.array(values, dtype=float)
+        if fan_out and isinstance(self._resamples[0].state, FunctionalState):
+            return np.array(fan_out(_resample_estimate, self._resamples))
         return np.array([r.estimate() for r in self._resamples])
 
     def resample_sizes(self) -> List[int]:
+        if self._dense is not None:
+            return [self._n] * self.B
         return [r.size for r in self._resamples]
 
 

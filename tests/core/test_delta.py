@@ -10,10 +10,12 @@ from repro.core.delta import (
     MAINTENANCE_NAIVE,
     MAINTENANCE_NONE,
     MAINTENANCE_OPTIMIZED,
+    NaiveMaintainer,
     Resample,
     ResampleSet,
     ResidentMaintainer,
     SketchMaintainer,
+    _DenseRows,
 )
 from repro.core.estimators import get_statistic
 
@@ -176,14 +178,18 @@ class TestStatisticalValidity:
 
     @pytest.mark.parametrize("statistic", ["mean", "median", "p90", "std",
                                            "correlation"])
-    def test_ks_resident_naive_and_fresh_agree(self, population, statistic):
+    def test_ks_dense_scalar_naive_and_fresh_agree(self, population,
+                                                   statistic,
+                                                   resample_items):
         """The contract for a kernel that draws differently (DESIGN.md
-        §5): the memory-resident optimized path (direct index draws, no
-        sketch), the naive path and a fresh bootstrap of the enlarged
-        sample give the same estimate *distribution* — over three
-        expansions in which resamples both shed items and regain
-        old-sample ones.  Seeded; a two-sample KS p-value under 1e-3 is
-        a divergence, not noise."""
+        §5): the dense memory-resident rows, their item-at-a-time scalar
+        reference (``vectorized=False``), the naive path and a fresh
+        bootstrap of the enlarged sample give the same estimate
+        *distribution* — over three expansions in which resamples both
+        shed items and regain old-sample ones (the data is
+        distinct-valued, so an item's value tells which Δs it came
+        from).  Seeded; a two-sample KS p-value under 1e-3 is a
+        divergence, not noise."""
         B, bounds = 200, [400, 800, 1600, 2400]
         if statistic == "correlation":
             rng = np.random.default_rng(7)
@@ -192,31 +198,38 @@ class TestStatisticalValidity:
                 [x, 0.6 * x + rng.normal(size=bounds[-1])])
         else:
             data = population[:bounds[-1]]
+        keys = data[:, 0] if data.ndim == 2 else data
+        assert len(np.unique(keys)) == len(keys)
+        kinds = {"dense": (dict(seed=204), type(None)),
+                 "scalar": (dict(seed=207, vectorized=False),
+                            ResidentMaintainer),
+                 "naive": (dict(seed=205, maintenance=MAINTENANCE_NAIVE),
+                           NaiveMaintainer)}
         estimates = {}
-        for mode, seed in [(MAINTENANCE_OPTIMIZED, 204),
-                           (MAINTENANCE_NAIVE, 205)]:
-            rs = ResampleSet(statistic, B, maintenance=mode, seed=seed)
+        for kind, (kwargs, maintainer) in kinds.items():
+            rs = ResampleSet(statistic, B, **kwargs)
             deleted = added_old = lo = 0
             for hi in bounds:
                 (rs.expand if lo else rs.initialize)(data[lo:hi])
                 if lo:
-                    shares = [sum(len(seg) for seg in r.segments[:-1])
-                              for r in rs._resamples]
+                    shares = [int(np.isin(row[..., 0] if data.ndim == 2
+                                          else row, keys[:lo]).sum())
+                              for row in resample_items(rs)]
                     deleted += sum(share < lo for share in shares)
                     added_old += sum(share > lo for share in shares)
                 lo = hi
-            assert deleted >= B and added_old >= B
-            estimates[mode] = np.asarray(rs.estimates())
-            if mode == MAINTENANCE_OPTIMIZED:
-                assert type(rs._maintainer) is ResidentMaintainer
+            assert deleted >= B and added_old >= B, kind
+            assert type(rs._maintainer) is maintainer
+            assert (rs._dense is not None) == (kind == "dense")
+            estimates[kind] = np.asarray(rs.estimates())
         stat = get_statistic(statistic)
         rng = np.random.default_rng(206)
         n = len(data)
         estimates["fresh"] = np.array(
             [stat(data[rng.integers(0, n, size=n)]) for _ in range(B)])
-        for a, b in [(MAINTENANCE_OPTIMIZED, "fresh"),
-                     (MAINTENANCE_NAIVE, "fresh"),
-                     (MAINTENANCE_OPTIMIZED, MAINTENANCE_NAIVE)]:
+        for a, b in [("dense", "fresh"), ("scalar", "fresh"),
+                     ("naive", "fresh"), ("dense", "scalar"),
+                     ("dense", "naive")]:
             _, p_value = sp_stats.ks_2samp(estimates[a], estimates[b])
             assert p_value > 1e-3, f"{statistic}: {a} vs {b} p={p_value}"
 
@@ -238,15 +251,16 @@ class TestVectorizedKernelEquivalence:
     """The vectorized kernel must be a pure speed-up: same random
     stream, same drawn items, same counters as the scalar reference."""
 
-    @pytest.mark.parametrize("mode", [MAINTENANCE_NAIVE,
-                                      MAINTENANCE_OPTIMIZED,
-                                      MAINTENANCE_NONE])
+    @pytest.mark.parametrize("mode", [MAINTENANCE_NAIVE, MAINTENANCE_NONE])
     @pytest.mark.parametrize("statistic", ["mean", "median"])
     def test_scalar_and_vectorized_draw_identical_items(
             self, population, mode, statistic):
         """Byte-identical stream: resample contents and counters match
         exactly; estimates agree up to floating-point reassociation of
-        the state arithmetic."""
+        the state arithmetic.  (Ledger-less ``"optimized"`` is dense
+        rows, law-equal to its scalar reference — the KS gate above;
+        over a ledger it is covered, sketches and all, by
+        ``TestBatchedDeletionsAndOldSampleAdditions``.)"""
         sets = {}
         for vectorized in (False, True):
             rs = ResampleSet(statistic, 12, maintenance=mode, seed=33,
@@ -266,24 +280,6 @@ class TestVectorizedKernelEquivalence:
                     np.asarray(seg_vector, dtype=float))
         np.testing.assert_allclose(scalar.estimates(), vector.estimates(),
                                    rtol=1e-9)
-
-    def test_row_item_statistic_vectorized(self):
-        """2-D row items (correlation pairs) go through the same batch
-        kernel: identical drawn pairs, equivalent estimates."""
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=3000)
-        pairs = np.column_stack([x, 0.6 * x + rng.normal(size=3000)])
-        sets = {}
-        for vectorized in (False, True):
-            rs = ResampleSet("correlation", 10, maintenance="optimized",
-                             seed=21, vectorized=vectorized)
-            rs.initialize(pairs[:500])
-            rs.expand(pairs[500:1200])
-            rs.expand(pairs[1200:2600])
-            sets[vectorized] = rs
-        assert sets[False].counters == sets[True].counters
-        np.testing.assert_allclose(sets[False].estimates(),
-                                   sets[True].estimates(), rtol=1e-9)
 
     def test_fig10_scenario_counters_pinned(self):
         """The seeded Fig. 10 benchmark scenario must keep reporting
@@ -325,8 +321,9 @@ class TestVectorizedKernelEquivalence:
 class TestResidency:
     """Sketches exist to save disk round trips, so a set with no cost
     ledger bound at ``initialize()`` — a memory-resident sample —
-    builds none and indexes the sample directly; a ledger-bound set is
-    §4.1 as written (pinned by the Fig. 10 counters above)."""
+    builds none and indexes the sample directly (as one dense array of
+    rows, or item by item in the scalar reference); a ledger-bound set
+    is §4.1 as written (pinned by the Fig. 10 counters above)."""
 
     @staticmethod
     def _grown(population, **kwargs):
@@ -340,8 +337,13 @@ class TestResidency:
     def test_resident_set_has_no_sketch_and_no_disk(self, population,
                                                     vectorized):
         rs = self._grown(population, vectorized=vectorized)
-        assert type(rs._maintainer) is ResidentMaintainer
-        assert not hasattr(rs._maintainer, "_delta_sketches")
+        if vectorized:
+            assert rs._maintainer is None and not rs._resamples
+            assert rs._dense.live().shape == (20, 4000)
+        else:
+            assert type(rs._maintainer) is ResidentMaintainer
+            assert rs._dense is None
+        assert not rs._sketches()
         assert rs.counters.disk_accesses == 0
         assert rs.counters.sketch_draws == 0
         assert rs.counters.state_ops > 20 * 4000
@@ -365,8 +367,9 @@ class TestResidency:
         rs.initialize(population[:500])
         rs.set_ledger(late)
         rs.expand(population[500:1500])
-        assert type(rs._maintainer) is ResidentMaintainer
+        assert rs._dense is not None and rs._maintainer is None
         assert late.total_seconds == 0.0
+        assert rs.counters.disk_accesses == rs.counters.sketch_draws == 0
         # Bound before the first offer (how a reducer does it): sketched,
         # and un-binding later keeps the sketches.
         rs = ResampleSet("mean", 20, seed=5)
@@ -374,7 +377,7 @@ class TestResidency:
         rs.initialize(population[:500])
         rs.set_ledger(None)
         rs.expand(population[500:1500])
-        assert type(rs._maintainer) is SketchMaintainer
+        assert type(rs._maintainer) is SketchMaintainer and rs._dense is None
         assert rs.counters.sketch_draws > 0
 
     def test_naive_counts_accesses_with_or_without_a_ledger(self,
@@ -457,10 +460,13 @@ def _segment_contents(rs):
             for r in rs._resamples]
 
 
-#: Where the stored sample lives: in memory (no ledger — the optimized
-#: algorithm indexes it directly) or on simulated storage (a bound
-#: ledger — it goes through sketches).
-STORAGE = ["resident", "ledger"]
+#: (maintenance, where the stored sample lives): on simulated storage
+#: (a bound ledger — the optimized algorithm goes through sketches) or,
+#: for the naive one, also in memory (no ledger).  Memory-resident
+#: optimized sets are dense rows: law-equal to their scalar reference
+#: (the KS gate, ``TestDenseRows``), not byte-equal.
+MODE_STORAGE = [(MAINTENANCE_NAIVE, "resident"), (MAINTENANCE_NAIVE, "ledger"),
+                (MAINTENANCE_OPTIMIZED, "ledger")]
 
 
 def _run_both_kernels(statistic, mode, data, bounds, *, B=10, seed=77,
@@ -521,9 +527,7 @@ class TestBatchedDeletionsAndOldSampleAdditions:
     #: Five deltas, so the last expansions choose among >= 3 stored ones.
     BOUNDS = [300, 700, 1500, 2600, 4200]
 
-    @pytest.mark.parametrize("storage", STORAGE)
-    @pytest.mark.parametrize("mode", [MAINTENANCE_NAIVE,
-                                      MAINTENANCE_OPTIMIZED])
+    @pytest.mark.parametrize("mode,storage", MODE_STORAGE)
     @pytest.mark.parametrize("statistic", ["mean", "median", "p90", "std"])
     def test_deletions_and_multi_delta_additions(self, population, mode,
                                                  statistic, storage):
@@ -533,18 +537,15 @@ class TestBatchedDeletionsAndOldSampleAdditions:
         assert deleted >= 10 and added_old >= 10
         _assert_kernels_identical(scalar, vector)
 
-    @pytest.mark.parametrize("storage", STORAGE)
     @pytest.mark.parametrize("seed", range(8))
-    def test_many_seeds_optimized(self, population, seed, storage):
+    def test_many_seeds_optimized(self, population, seed):
         scalar, vector, deleted, added_old = _run_both_kernels(
             "mean", MAINTENANCE_OPTIMIZED, population, self.BOUNDS,
-            B=6, seed=seed, storage=storage)
+            B=6, seed=seed, storage="ledger")
         assert deleted and added_old
         _assert_kernels_identical(scalar, vector)
 
-    @pytest.mark.parametrize("storage", STORAGE)
-    @pytest.mark.parametrize("mode", [MAINTENANCE_NAIVE,
-                                      MAINTENANCE_OPTIMIZED])
+    @pytest.mark.parametrize("mode,storage", MODE_STORAGE)
     def test_row_items_contents_identical(self, mode, storage):
         rng = np.random.default_rng(5)
         x = rng.normal(size=4200)
@@ -592,7 +593,7 @@ class TestBatchedDeletionsAndOldSampleAdditions:
 class TestStagePickling:
     """The process fan-out ships every stage to a worker and back each
     round (``_offer_owned``): the pickle must carry the items held, not
-    the buffers' spare capacity."""
+    the spare capacity of dense rows or segment buffers."""
 
     @staticmethod
     def _stage(population, bounds, storage):
@@ -606,10 +607,10 @@ class TestStagePickling:
             lo = hi
         return stage
 
-    @pytest.mark.parametrize("storage", STORAGE)
-    @pytest.mark.parametrize("bounds", [[400], [50, 100, 200, 400]])
-    def test_round_trip_equal_compact_and_still_growing(self, population,
-                                                        bounds, storage):
+    @pytest.mark.parametrize("storage", ["resident", "ledger"])
+    @pytest.mark.parametrize("bounds", [[400], [50, 120, 250, 400]])
+    def test_round_trip_equal_compact_and_still_growing(
+            self, population, bounds, storage, resample_items):
         import pickle
 
         stage = self._stage(population, bounds, storage)
@@ -617,29 +618,34 @@ class TestStagePickling:
         clone = pickle.loads(blob)
 
         original, copy = stage.resample_set, clone.resample_set
-        for segs, segs_copy in zip(_segment_contents(original),
-                                   _segment_contents(copy)):
-            assert len(segs) == len(segs_copy)
-            for seg, seg_copy in zip(segs, segs_copy):
-                np.testing.assert_array_equal(seg, seg_copy)
+        assert (original._dense is not None) == (storage == "resident")
+        assert bool(original._sketches()) == (storage == "ledger")
+        for row, row_copy in zip(resample_items(original),
+                                 resample_items(copy)):
+            np.testing.assert_array_equal(row, row_copy)
         np.testing.assert_array_equal(original.estimates(), copy.estimates())
 
         items_held = (sum(original.resample_sizes()) + original.sample_size
                       + sum(len(s._items) for s in original._sketches()))
-        assert bool(original._sketches()) == (storage == "ledger")
         assert items_held >= 20 * 400
         assert len(blob) <= 1.25 * 8 * items_held + 8192
+        if storage == "resident":
+            # 20 rows x 400 live items + the 400-item sample, 8 bytes
+            # each: no spare capacity on the pipe.
+            if len(bounds) > 1:
+                assert original._dense.rows.shape[1] > 400
+            assert copy._dense.rows.shape == (20, 400)
+            assert len(blob) <= 72 * 1024
 
-        # The clone's buffers are exactly full: growing them must work
-        # and must track the original draw for draw.
+        # The clone holds exactly its items: growing must work and must
+        # track the original draw for draw.
         for lo, hi in [(400, 1000), (1000, 2200)]:
             assert stage.offer(population[lo:hi]) == \
                 clone.offer(population[lo:hi])
         assert set(copy.resample_sizes()) == {2200}
-        for segs, segs_copy in zip(_segment_contents(original),
-                                   _segment_contents(copy)):
-            for seg, seg_copy in zip(segs, segs_copy):
-                np.testing.assert_array_equal(seg, seg_copy)
+        for row, row_copy in zip(resample_items(original),
+                                 resample_items(copy)):
+            np.testing.assert_array_equal(row, row_copy)
 
     def test_empty_and_row_buffers_round_trip(self):
         import pickle
@@ -659,3 +665,66 @@ class TestStagePickling:
         clone.extend_array(np.ones((40, 2)))
         assert len(clone) == 44 and clone.as_array()[:4].tolist() == \
             rows.as_array().tolist()
+
+
+class TestDenseRows:
+    """The dense kernel's deletion step, observed slot by slot: every
+    live item is its own slot number, the old sample is all -1 and Δs
+    all -2, so after one ``expand`` the numbers missing from a row are
+    exactly the slots it lost."""
+
+    @staticmethod
+    def _lost_slots(n, delta, B, seed):
+        rng = np.random.default_rng(seed)
+        dense = _DenseRows(np.arange(n), B, rng)
+        dense.rows[:, :n] = np.arange(n)
+        ops = dense.expand(np.full(n, -1), np.full(delta, -2), rng)
+        lost, moved = [], 0
+        for row in dense.live():
+            assert len(row) == n + delta
+            k = int((row != -2).sum())
+            assert (row[:k] != -2).all() and (row[k:] == -2).all()
+            kept = row[row >= 0]
+            # Never the same slot twice: exactly n - k distinct losses.
+            assert len(kept) == len(set(kept.tolist())) == min(k, n)
+            assert int((row == -1).sum()) == max(k - n, 0)
+            lost.append(np.setdiff1d(np.arange(n), kept))
+            moved += abs(n - k) + n + delta - k
+        assert ops == moved
+        return lost
+
+    @pytest.mark.parametrize("n,delta,B,seeds", [(16, 8000, 40, 60),
+                                                 (400, 400, 200, 8)])
+    def test_deleted_positions_are_uniform(self, n, delta, B, seeds):
+        """Seeded chi-square over which slots were lost — over all rows
+        and, separately, over the rows that shed more than half their
+        items (a 16-row sample growing to 8k does that)."""
+        lost = [slots for seed in range(seeds)
+                for slots in self._lost_slots(n, delta, B, 300 + seed)]
+        groups = {"all": lost}
+        if n == 16:
+            groups["heavy"] = [slots for slots in lost if len(slots) > n // 2]
+            assert len(groups["heavy"]) >= 20
+        for name, rows in groups.items():
+            counts = np.bincount(np.concatenate(rows), minlength=n)
+            assert counts.sum() >= 10 * n, name
+            assert sp_stats.chisquare(counts).pvalue > 1e-3, name
+
+    def test_deleted_sets_are_uniform(self):
+        """Beyond slot marginals: a 4-item row that sheds two loses each
+        of the six possible pairs equally often."""
+        pairs = [tuple(slots) for seed in range(40)
+                 for slots in self._lost_slots(4, 4, 200, 700 + seed)
+                 if len(slots) == 2]
+        counts = np.array([pairs.count(pair) for pair in sorted(set(pairs))])
+        assert len(counts) == 6 and counts.sum() >= 300
+        assert sp_stats.chisquare(counts).pvalue > 1e-3
+
+    def test_a_wider_delta_dtype_widens_the_rows(self):
+        rs = ResampleSet("mean", 6, seed=3)
+        rs.initialize(np.arange(1, 41))
+        assert rs._dense.rows.dtype == np.arange(1).dtype
+        rs.expand(np.full(40, 0.5))
+        rows = rs._dense.live()
+        assert rows.dtype == np.float64 and (rows == 0.5).any()
+        assert set(np.unique(rows)) <= set(range(1, 41)) | {0.5}

@@ -5,6 +5,8 @@ invariants that must hold regardless of data, keys, split geometry or
 seeds — the contracts the unit tests can only spot-check.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -98,22 +100,86 @@ class TestSamplingProperties:
 class TestDeltaMaintenanceProperties:
     @given(n0=st.integers(min_value=20, max_value=150),
            delta=st.integers(min_value=1, max_value=150),
-           mode=st.sampled_from(["naive", "optimized"]))
+           mode=st.sampled_from(["naive", "optimized"]),
+           vectorized=st.booleans())
     @settings(max_examples=25, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_sizes_and_membership(self, n0, delta, mode):
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    def test_sizes_and_membership(self, n0, delta, mode, vectorized,
+                                  resample_items):
         """After any expansion: every resample has exactly n' items, all
         drawn from the accumulated sample."""
         rng = np.random.default_rng(7)
         data = rng.lognormal(1.0, 0.5, n0 + delta)
-        rs = ResampleSet("mean", 10, maintenance=mode, seed=8)
+        rs = ResampleSet("mean", 10, maintenance=mode, seed=8,
+                         vectorized=vectorized)
         rs.initialize(data[:n0])
         rs.expand(data[n0:])
         assert set(rs.resample_sizes()) == {n0 + delta}
-        sample_set = set(float(v) for v in data)
-        for resample in rs._resamples:
-            for segment in resample.segments:
-                assert all(float(item) in sample_set for item in segment)
+        rows = resample_items(rs)
+        assert len(rows) == 10
+        for row in rows:
+            assert len(row) == n0 + delta and np.isin(row, data).all()
+
+    @given(B=st.integers(min_value=1, max_value=12),
+           n0=st.integers(min_value=1, max_value=60),
+           deltas=st.lists(st.integers(min_value=1, max_value=150),
+                           min_size=1, max_size=4),
+           items=st.sampled_from(["float", "int", "pairs"]),
+           seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_dense_rows_invariants(self, B, n0, deltas, items, seed):
+        """A memory-resident set over distinct-valued data, so that an
+        item's value names the Δs it came from: every row has exactly n
+        items of the sample's dtype, all drawn from the sample, (x, y)
+        pairs intact; the part of a row older than the current Δs is
+        what the row was before, minus ``n - k`` items or plus ``k - n``
+        old-sample draws; and ``state_ops`` counts exactly the items
+        moved."""
+        rng = np.random.default_rng(seed)
+        total = n0 + sum(deltas)
+        keys = rng.permutation(10 * total)[:total]      # distinct
+        if items == "int":
+            data = keys
+        elif items == "float":
+            data = keys + 0.25
+        else:
+            data = np.column_stack([keys + 0.25, rng.normal(size=total)])
+        partner = dict(zip(data[:, 0], data[:, 1])) if items == "pairs" \
+            else None
+
+        def key_of(rows):
+            return rows[..., 0] if items == "pairs" else rows
+
+        rs = ResampleSet("correlation" if items == "pairs" else "mean", B,
+                         seed=seed + 1)
+        rs.initialize(data[:n0])
+        expected_ops, n = B * n0, n0
+        for size in deltas:
+            before = [Counter(key_of(row).tolist())
+                      for row in rs._dense.live()]
+            rs.expand(data[n:n + size])
+            rows = rs._dense.live()
+            assert rows.shape == (B, n + size) + data.shape[1:]
+            assert rows.dtype == data.dtype
+            assert np.isin(key_of(rows), key_of(data[:n + size])).all()
+            if partner is not None:
+                assert all(partner[x] == y for x, y in rows.reshape(-1, 2))
+            for row, was in zip(key_of(rows), before):
+                old_part = Counter(
+                    row[np.isin(row, key_of(data[:n]))].tolist())
+                k = sum(old_part.values())
+                if k <= n:
+                    assert not old_part - was
+                if k >= n:
+                    assert not was - old_part
+                expected_ops += abs(n - k) + n + size - k
+            n += size
+        assert rs.resample_sizes() == [n] * B
+        assert rs.counters.state_ops == expected_ops
+        assert rs.counters.disk_accesses == rs.counters.sketch_draws == 0
+        assert np.isfinite(rs.estimates()).all() or n < 2
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=15, deadline=None,

@@ -182,8 +182,14 @@ class TestBudgetedRuns:
         laggards across queries) they reach every per-group target with
         fewer total rows than two independent runs."""
         table = skewed_table()
-        cfgs = [EarlConfig(sigma=0.05, seed=17),
-                EarlConfig(sigma=0.08, seed=23)]
+        # First draws pinned well under what either bound needs (the
+        # heavy group takes ~700 / ~270 rows), so both queries are live
+        # for several rounds and the budget has something to split: a
+        # query whose SSABE-sized draw is already enough finishes in
+        # round one, leaves a lone engine behind — which is never
+        # budgeted — and the two totals come out equal by construction.
+        cfgs = [EarlConfig(sigma=0.05, seed=17, n_override=100),
+                EarlConfig(sigma=0.08, seed=23, n_override=100)]
 
         independent = [grouped_query(table, cfg).run() for cfg in cfgs]
         rows_independent = sum(r.rows_processed for r in independent)
@@ -196,6 +202,7 @@ class TestBudgetedRuns:
         results = sched.run()
         assert all(res is not None and res.achieved
                    for res in results.values())
+        assert all(len(query.snapshots) >= 3 for query in sched.queries)
         assert sched.rows_processed < rows_independent
 
     def test_explicit_round_budget_engages_for_single_engine(self,
