@@ -14,6 +14,7 @@ the quantity reducers publish to mappers through the feedback channel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence
 
@@ -88,27 +89,48 @@ def get_error_metric(name: str) -> ErrorMetric:
                        f"known: {sorted(ERROR_METRICS)}") from None
 
 
+def _linear_quantile(ordered: np.ndarray, q: float) -> float:
+    """``np.quantile(ordered, q)`` (default ``"linear"`` method) of an
+    already sorted array — NumPy's own interpolation rule, without its
+    per-call argument handling (~50 µs, more than the work at B ≈ 20)."""
+    position = q * (ordered.size - 1)
+    below = int(position)
+    a, b = ordered[below], ordered[min(below + 1, ordered.size - 1)]
+    t = position - below
+    return float(b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t)
+
+
 def summarize_distribution(estimates: np.ndarray, point_estimate: float,
                            n: int, *, metric: str = "cv",
                            confidence: float = 0.95) -> AccuracyEstimate:
-    """Turn a result distribution into an :class:`AccuracyEstimate`."""
+    """Turn a result distribution into an :class:`AccuracyEstimate` —
+    one pass: mean and std are computed once (the default ``cv`` error
+    reuses them) and both CI bounds read off one sort."""
     estimates = np.asarray(estimates, dtype=float)
     if estimates.size == 0:
         raise ValueError("empty result distribution")
     mean = float(np.mean(estimates))
     std = float(np.std(estimates, ddof=1)) if estimates.size > 1 else 0.0
+    cv = coefficient_of_variation(mean, std)
+    error_metric = get_error_metric(metric)
     alpha = (1.0 - confidence) / 2.0
-    lo, hi = np.quantile(estimates, [alpha, 1.0 - alpha])
+    if math.isnan(mean):    # a NaN estimate: no order to read bounds off
+        lo = hi = math.nan
+    else:
+        ordered = np.sort(estimates)
+        lo = _linear_quantile(ordered, alpha)
+        hi = _linear_quantile(ordered, 1.0 - alpha)
     return AccuracyEstimate(
         estimate=mean,
         point_estimate=point_estimate,
-        error=get_error_metric(metric)(estimates, point_estimate),
-        cv=coefficient_of_variation(mean, std),
+        error=(cv if error_metric is _cv_metric
+               else error_metric(estimates, point_estimate)),
+        cv=cv,
         std=std,
         variance=std * std,
         bias=mean - point_estimate,
-        ci_low=float(lo),
-        ci_high=float(hi),
+        ci_low=lo,
+        ci_high=hi,
         n=n,
         B=int(estimates.size),
     )

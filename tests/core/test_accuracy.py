@@ -54,6 +54,50 @@ class TestSummarizeDistribution:
         assert ci.error == pytest.approx(1.96 / 10.0)
 
 
+class TestOnePassSummary:
+    """``summarize_distribution`` computes mean/std once and reads both
+    CI bounds off one sort; every field must still be what the separate
+    NumPy calls give."""
+
+    @pytest.mark.parametrize("confidence", [0.90, 0.95, 0.99])
+    @pytest.mark.parametrize("B", [1, 2, 15, 40])
+    def test_ci_bounds_equal_np_quantile(self, B, confidence):
+        rng = np.random.default_rng(100 * B)
+        alpha = (1.0 - confidence) / 2.0
+        for scale in (1.0, -3.0, 1e6, 1e-6):
+            estimates = scale * rng.lognormal(0.0, 1.0, B)
+            est = summarize_distribution(estimates, 1.0, n=50,
+                                         confidence=confidence)
+            lo, hi = np.quantile(estimates, [alpha, 1.0 - alpha])
+            assert est.ci_low == pytest.approx(float(lo), rel=1e-12)
+            assert est.ci_high == pytest.approx(float(hi), rel=1e-12)
+
+    @pytest.mark.parametrize("metric", sorted(ERROR_METRICS))
+    @pytest.mark.parametrize("B", [1, 2, 15, 40])
+    def test_other_fields_equal_the_separate_calls(self, B, metric):
+        from repro.util.stats import coefficient_of_variation
+
+        estimates = np.random.default_rng(7 + B).lognormal(1.0, 0.5, B)
+        point = 2.5
+        est = summarize_distribution(estimates, point, n=80, metric=metric)
+        mean = float(np.mean(estimates))
+        std = float(np.std(estimates, ddof=1)) if B > 1 else 0.0
+        assert (est.estimate, est.std, est.variance) == (mean, std, std * std)
+        assert est.cv == coefficient_of_variation(mean, std)
+        assert est.bias == mean - point
+        assert est.error == ERROR_METRICS[metric](estimates, point)
+        assert (est.point_estimate, est.n, est.B) == (point, 80, B)
+
+    def test_a_replaced_cv_metric_is_honoured(self, monkeypatch):
+        monkeypatch.setitem(ERROR_METRICS, "cv", lambda est, point: 42.0)
+        est = summarize_distribution(np.array([1.0, 2.0, 3.0]), 2.0, n=3)
+        assert est.error == 42.0 and est.cv == pytest.approx(0.5)
+
+    def test_nan_estimates_give_nan_bounds(self):
+        est = summarize_distribution(np.array([1.0, np.nan, 3.0]), 2.0, n=3)
+        assert np.isnan(est.ci_low) and np.isnan(est.ci_high)
+
+
 class TestErrorMetricRegistry:
     def test_all_metrics_callable(self):
         estimates = np.array([1.0, 2.0, 3.0])
