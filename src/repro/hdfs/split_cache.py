@@ -37,7 +37,7 @@ scalar path's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -382,6 +382,9 @@ class SplitIndexCache:
         #: — the grouped-query ingest counterpart of ``_columns``.
         self._keyed: Dict[Tuple[str, str],
                           Tuple[np.ndarray, np.ndarray]] = {}
+        #: Whole-file content digest per path (a hashlib object; only
+        #: copies go in and out) — a durable service's job fingerprint.
+        self._digests: Dict[str, Any] = {}
         self.stats = CacheStats()
 
     # ------------------------------------------------------------ split view
@@ -488,6 +491,21 @@ class SplitIndexCache:
         values.setflags(write=False)
         self._keyed[(path, delimiter)] = (keys, values)
 
+    # ----------------------------------------------------------- digest view
+    def content_digest(self, fs, path: str) -> Optional[Any]:
+        """A copy of the stored content digest of ``path``: ``None``
+        when there is none, or while some block of the path is
+        unreadable (a full read would raise; callers hash that instead)."""
+        digest = self._digests.get(path)
+        if digest is None or not all(
+                fs.block_available(block)
+                for block in fs.namenode.get(path).blocks):
+            return None
+        return digest.copy()
+
+    def store_content_digest(self, path: str, digest: Any) -> None:
+        self._digests[path] = digest.copy()
+
     # ---------------------------------------------------------- invalidation
     def invalidate(self, path: str) -> None:
         """Drop every cached view of ``path`` (called on write/delete)."""
@@ -501,7 +519,8 @@ class SplitIndexCache:
         for k in stale_keyed:
             del self._keyed[k]
         had_column = self._columns.pop(path, None) is not None
-        if stale or stale_blocks or stale_keyed or had_column:
+        had_digest = self._digests.pop(path, None) is not None
+        if stale or stale_blocks or stale_keyed or had_column or had_digest:
             self.stats.invalidations += 1
 
     def clear(self) -> None:
@@ -509,6 +528,7 @@ class SplitIndexCache:
         self._block_lines.clear()
         self._columns.clear()
         self._keyed.clear()
+        self._digests.clear()
 
     def __len__(self) -> int:
         return len(self._indexes)

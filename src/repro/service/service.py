@@ -107,6 +107,26 @@ def _digest_array(digest: Any, values: Any) -> None:
         digest.update(arr.tobytes())
 
 
+def _file_digest(fs: Any, path: str) -> Any:
+    """A sha256 over the lines of an HDFS file (``<missing>`` when it
+    cannot be read in full), derived once per file version: the hashed
+    state is kept on the filesystem's split cache — dropped when the
+    path is written or deleted, served only while every block is
+    readable — and every caller continues from a copy of it."""
+    digest = fs.split_cache.content_digest(fs, path)
+    if digest is not None:
+        return digest
+    digest = hashlib.sha256()
+    try:
+        lines = fs.read_lines(path)
+    except Exception:
+        digest.update(b"<missing>")
+        return digest
+    digest.update("".join(f"{line}\n" for line in lines).encode())
+    fs.split_cache.store_content_digest(path, digest)
+    return digest
+
+
 class _Registered:
     """One registration: the data as the engines take it and, hashed on
     first use, its content digest.  Registering the name again replaces
@@ -631,18 +651,8 @@ class ApproxQueryService:
                 return self._datasets[spec.dataset].digest()
             if isinstance(spec, QuerySpec):
                 return self._tables[spec.table].digest()
-            digest = hashlib.sha256()
             cluster = self._clusters[spec.cluster]
-            try:
-                lines = cluster.hdfs.read_lines(spec.path)
-            except Exception:
-                lines = None
-            if lines is None:
-                digest.update(b"<missing>")
-            else:
-                for line in lines:
-                    digest.update(str(line).encode())
-                    digest.update(b"\n")
+            digest = _file_digest(cluster.hdfs, spec.path)
             alive = sorted(node.node_id for node in cluster.nodes
                            if node.alive)
             digest.update(repr(alive).encode())

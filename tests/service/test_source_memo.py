@@ -104,3 +104,182 @@ def test_registering_the_name_again_drops_what_was_derived(
         assert service._tables["orders"].data.factorization("region") \
             is not strata
     _run(tmp_path, monkeypatch, scenario)
+
+
+# ------------------------------------------------------------ job sources
+
+JOB = {"kind": "job", "cluster": "sim", "path": "/data/values",
+       "statistic": "mean"}
+#: Never-met bound: a job that iterates (and can be crashed mid-run).
+JOB_CFG = dict(sigma=0.001, B_override=15, n_override=200,
+               expansion_factor=1.6, max_iterations=6)
+
+
+def _cluster():
+    from repro.cluster import Cluster
+    from repro.workloads import load_stand_in
+
+    cluster = Cluster(n_nodes=4, block_size=16 * 1024, replication=2, seed=9)
+    load_stand_in(cluster, JOB["path"], logical_gb=2.0, records=6_000,
+                  seed=10)
+    return cluster
+
+
+def _job_digest_of(cluster, lines):
+    """A job's fingerprint exactly as every submit used to compute it
+    (``lines=None``: the file cannot be read in full)."""
+    digest = hashlib.sha256()
+    if lines is None:
+        digest.update(b"<missing>")
+    else:
+        for line in lines:
+            digest.update(str(line).encode())
+            digest.update(b"\n")
+    digest.update(repr(sorted(node.node_id for node in cluster.nodes
+                              if node.alive)).encode())
+    return digest.hexdigest()
+
+
+def _job_service(tmp_path, cluster, **kwargs):
+    service = ApproxQueryService(
+        config=EarlConfig(**JOB_CFG), seed=7,
+        store=DurableSessionStore(str(tmp_path / "wal"), fsync=False),
+        **kwargs)
+    service.register_cluster("sim", cluster)
+    return service
+
+
+def _count_reads(cluster, monkeypatch):
+    reads = []
+    real = cluster.hdfs.read_lines
+    monkeypatch.setattr(
+        cluster.hdfs, "read_lines",
+        lambda path, **kw: reads.append(path) or real(path, **kw))
+    return reads
+
+
+def test_job_source_is_read_once_per_file_version_same_bytes(
+        tmp_path, monkeypatch):
+    cluster = _cluster()
+    lines = cluster.hdfs.read_lines(JOB["path"])
+    reads = _count_reads(cluster, monkeypatch)
+    spec = service_module.parse_spec(JOB)
+
+    async def scenario():
+        service = _job_service(tmp_path, cluster)
+        await service.start()
+        try:
+            client = LocalClient(service)
+            sids = [await client.submit(JOB) for _ in range(5)]
+            for sid in sids:
+                await client.cancel(sid)
+            return service, _fingerprints(service, sids)
+        finally:
+            await service.stop()
+
+    service, prints = asyncio.run(asyncio.wait_for(scenario(), 60.0))
+    assert reads == [JOB["path"]]
+    assert set(prints) == {_job_digest_of(cluster, lines)}
+
+    # A rewrite is a new file version: read again, once, new bytes.
+    other = [f"{i}.5" for i in range(300)]
+    cluster.hdfs.write_lines(JOB["path"], other, overwrite=True)
+    assert service._fingerprint(spec) == service._fingerprint(spec) \
+        == _job_digest_of(cluster, other) != prints[0]
+    assert len(reads) == 2
+    # An empty file hashes no line at all.
+    cluster.hdfs.write_lines(JOB["path"], [], overwrite=True)
+    assert service._fingerprint(spec) == _job_digest_of(cluster, [])
+    # Deleted: nothing to read, and nothing stale served.
+    cluster.hdfs.delete(JOB["path"])
+    assert service._fingerprint(spec) == _job_digest_of(cluster, None)
+
+
+def test_job_fingerprint_follows_node_failures(tmp_path, monkeypatch):
+    cluster = _cluster()
+    lines = cluster.hdfs.read_lines(JOB["path"])
+    service = _job_service(tmp_path, cluster)
+    spec = service_module.parse_spec(JOB)
+    healthy = service._fingerprint(spec)
+    assert healthy == _job_digest_of(cluster, lines)
+    reads = _count_reads(cluster, monkeypatch)
+
+    # One node down, every block still has a replica: same content
+    # (served from the memo), another live set.
+    cluster.fail_node("node-0")
+    assert cluster.hdfs.available_fraction(JOB["path"]) == 1.0
+    one_down = service._fingerprint(spec)
+    assert one_down == _job_digest_of(cluster, lines) != healthy
+    assert reads == []
+    # Blocks lost: the file cannot be read in full, whatever is cached.
+    cluster.fail_node("node-1")
+    cluster.fail_node("node-2")
+    assert cluster.hdfs.available_fraction(JOB["path"]) < 1.0
+    assert service._fingerprint(spec) == _job_digest_of(cluster, None)
+    # Back up: the same file version, the same digest as before.
+    for node_id in ("node-0", "node-1", "node-2"):
+        cluster.recover_node(node_id)
+    assert service._fingerprint(spec) == healthy
+    service.store.close()
+
+
+def test_restarted_service_replays_a_job_against_the_memoized_source(
+        tmp_path):
+    async def drain(client, sid, after, collected):
+        while True:
+            page = await client.poll(sid, after=after, wait=True,
+                                     timeout=5.0)
+            for event in page.events:
+                collected.append(event.raw)
+                after = event.seq
+            if not page.events and page.terminal:
+                return
+
+    async def reference():
+        service = _job_service(tmp_path / "ref", _cluster(),
+                               event_capacity=4)
+        await service.start()
+        try:
+            client = LocalClient(service)
+            sid = await client.submit(JOB)
+            collected = []
+            await drain(client, sid, 0, collected)
+            return sid, collected
+        finally:
+            await service.stop()
+
+    async def crashed_and_resumed():
+        cluster = _cluster()            # outlives both generations
+        service = _job_service(tmp_path / "live", cluster,
+                               event_capacity=4)
+        await service.start()
+        client = LocalClient(service)
+        sid = await client.submit(JOB)
+        collected, after = [], 0
+        while len(collected) < 3:
+            page = await client.poll(sid, after=after, wait=True,
+                                     timeout=5.0)
+            for event in page.events:
+                collected.append(event.raw)
+                after = event.seq
+        await service.crash()
+
+        assert cluster.hdfs.split_cache.content_digest(
+            cluster.hdfs, JOB["path"]) is not None
+        restarted = _job_service(tmp_path / "live", cluster,
+                                 event_capacity=4)
+        await restarted.start()
+        try:
+            await drain(LocalClient(restarted), sid, after, collected)
+        finally:
+            await restarted.stop()
+        return sid, collected
+
+    async def both():
+        return await reference(), await crashed_and_resumed()
+
+    (ref_sid, expected), (sid, collected) = asyncio.run(
+        asyncio.wait_for(both(), 120.0))
+    assert sid == ref_sid and collected == expected
+    assert len(collected) > 4 and not any(
+        '"degraded":true' in raw for raw in collected)
