@@ -24,10 +24,12 @@
 #   make bench-e2e   - the end-to-end latency benchmark of BENCHMARK.json:
 #                      every workload untraced + traced ->
 #                      benchmarks/results/BENCH_e2e_report.json
-#   make bench-pairs PARENT=<rev> WORKLOAD=<name> [N=10] - alternating
-#                      parent/change pairs of one BENCHMARK.json workload
-#                      (tools/bench_pairs.py): medians, quartiles, pairs
-#                      won and a verdict per end-to-end metric
+#   make bench-pairs PARENT=<rev> WORKLOAD=<name>[,<name>...]|all [N=10]
+#                      - alternating parent/change pairs of BENCHMARK.json
+#                      workloads (tools/bench_pairs.py; the parent is
+#                      exported once): medians, quartiles, pairs won and a
+#                      verdict per end-to-end metric, one table per
+#                      workload plus a Markdown block over all of them
 #   make docs-check  - every .md referenced from code/docs actually exists
 #   make examples    - run every example script end to end
 #   make clean       - purge bytecode caches, tool state and stray

@@ -109,3 +109,69 @@ def test_export_parent_is_the_committed_tree(tmp_path):
     assert target.parent == tmp_path / "benchmarks" / "results" / "pairs"
     assert (target / "f.txt").read_text() == "committed\n"
     assert pairs_tool.export_parent("HEAD", root=tmp_path) == target
+
+
+MANIFEST = {"command": ["bench"], "end_to_end": [LATENCY, RATE],
+            "workloads": [{"name": "scan"}, {"name": "grouped"},
+                          {"name": "churn"}]}
+
+
+class TestManyWorkloads:
+    def test_workload_is_a_name_a_comma_list_or_all(self):
+        resolve = pairs_tool.resolve_workloads
+        assert resolve("grouped", MANIFEST) == ["grouped"]
+        assert resolve("churn, scan", MANIFEST) == ["churn", "scan"]
+        assert resolve("all", MANIFEST) == ["scan", "grouped", "churn"]
+        for bad in ("", ",", "scan,nope"):
+            with pytest.raises(ValueError):
+                resolve(bad, MANIFEST)
+
+    def test_pairs_alternate_share_seeds_and_count_bad_runs(self,
+                                                            monkeypatch,
+                                                            capsys):
+        calls = []
+
+        def fake_run(checkout, command, workload, seed, seconds):
+            side = checkout.name
+            calls.append((side, workload, seed, seconds))
+            fast = side == "change"
+            return {"correct": not (fast and seed == 43), "failed": 0,
+                    "metrics": {"time_s": {"value": 0.5 if fast else 1.0},
+                                "per_s": {"value": 8.0 if fast else 4.0}}}
+
+        monkeypatch.setattr(pairs_tool, "run_once", fake_run)
+        sides = {"parent": Path("/x/parent"), "change": Path("/x/change")}
+        runs, rows, bad = pairs_tool.run_pairs(sides, MANIFEST, "grouped",
+                                               4, 40, 15)
+        assert calls == [
+            ("parent", "grouped", 40, 15), ("change", "grouped", 40, 15),
+            ("change", "grouped", 41, 15), ("parent", "grouped", 41, 15),
+            ("parent", "grouped", 42, 15), ("change", "grouped", 42, 15),
+            ("change", "grouped", 43, 15), ("parent", "grouped", 43, 15)]
+        assert [run["first"] for run in runs] == ["parent", "change"] * 2
+        assert bad == 1
+        assert [(row["metric"], row["won"], row["verdict"])
+                for row in rows] == [("time_s", 4, "gain"),
+                                     ("per_s", 4, "gain")]
+        assert "1 run(s) incorrect" in capsys.readouterr().out
+
+    def test_markdown_has_a_row_per_workload_and_metric(self):
+        gain = pairs_tool.summarize(
+            [({"time_s": 1.0, "per_s": 5.0}, {"time_s": 0.4, "per_s": 9.0})
+             for _ in range(10)], [LATENCY, RATE])
+        same = pairs_tool.summarize(
+            [({"time_s": 1.0, "per_s": 5.0}, {"time_s": 1.0, "per_s": 5.0})
+             for _ in range(4)], [LATENCY, RATE])
+        lines = pairs_tool.markdown({"grouped": gain,
+                                     "churn": same}).splitlines()
+        assert lines[0].startswith("| workload | metric |")
+        assert set(lines[1]) == {"|", "-"}
+        body = [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in lines[2:]]
+        assert [(row[0], row[1], row[5], row[6]) for row in body] == [
+            ("grouped", "time_s", "10/10", "gain"),
+            ("grouped", "per_s", "10/10", "gain"),
+            ("churn", "time_s", "0/4", "same"),
+            ("churn", "per_s", "0/4", "same")]
+        assert body[0][2] == "1 (1–1)" and body[0][3] == "0.4 (0.4–0.4)"
+        assert body[0][4] == "0.400"
