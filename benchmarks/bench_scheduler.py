@@ -12,10 +12,17 @@ instead of the sum of everyone's:
   total rows drawn by k solo ``EarlSession`` runs vs one scheduled
   run.  The speedup is roughly ``sum(need_i) / max(need_i)`` and must
   stay >= 2x.
-* ``grouped`` (informational) — two grouped queries over one skewed
-  table: the scheduler's global per-round budget lets finished groups
-  donate rows to laggards *across* queries, so every per-group target
-  is met with fewer total rows than two independent runs.
+* ``grouped`` — two grouped queries over one skewed 240k-row table:
+  the scheduler's global per-round budget caps every arm at the rows
+  it still needs and lets finished groups donate to laggards *across*
+  queries, so every per-group target is met with fewer total rows
+  than two independent runs, whose arms double past their need.  The
+  scenario is the regime where that is structural (20–50 % over eight
+  session-seed pairs): no group small enough for an exact scan, and
+  bounds tight enough — from a small pinned first draw — that every
+  arm samples for 6–9 rounds.  (On a 24k-row table most rows are
+  exact scans of the small groups and the two totals differ by ±3 %
+  either way.)
 
 Rows processed is **simulated sampling work, not wall-clock**, so the
 reported speedup is machine-independent and deterministic for the
@@ -51,9 +58,9 @@ from repro.workloads import skewed_keyed_values  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-#: The gated shared-table workload and the informational grouped one.
+#: The shared-table workload (>= 2x asserted) and the grouped one.
 SHARED_N = 120_000
-GROUPED_N = 24_000
+GROUPED_N = 240_000
 SEED = 29
 SIGMA = 0.03
 #: The concurrent statistic queries dashboards actually issue together.
@@ -101,9 +108,9 @@ def grouped_rows(n: int) -> Dict[str, object]:
     keys, values = skewed_keyed_values(n, 6, skew=1.4, value_sigma=0.6,
                                        seed=SEED)
     table = {"key": keys, "value": values}
-    cfgs = [EarlConfig(sigma=0.04, seed=SEED + 2,
+    cfgs = [EarlConfig(sigma=0.02, seed=SEED + 2,
                        B_override=30, n_override=75),
-            EarlConfig(sigma=0.06, seed=SEED + 3,
+            EarlConfig(sigma=0.03, seed=SEED + 3,
                        B_override=30, n_override=75)]
 
     def query(cfg):
