@@ -97,6 +97,13 @@ async def run_with_restarts(
                             kills.popleft()
                             crash_now = True
                         report.snapshots += 1
+                    if crash_now:
+                        # The kill lands after *this* event: the rest
+                        # of the page stays unconsumed (the cursor has
+                        # not passed it) and is re-served after the
+                        # restart — so a page that batches two
+                        # snapshots cannot merge two scheduled kills.
+                        break
                 if page.events:
                     progressed = True
                 elif page.terminal:
