@@ -103,8 +103,11 @@ def _best_of(mode: str, vectorized: bool, data: np.ndarray, n: int, B: int,
 
 
 def run_kernel_bench(sizes: Sequence[int], *,
-                     repeats: int = 2) -> List[Dict[str, object]]:
-    """Measure every (n, maintainer) combination; returns result rows."""
+                     repeats: int = 3) -> List[Dict[str, object]]:
+    """Measure every (n, maintainer) combination; returns result rows.
+
+    Best of three by default: the reports feed the CI regression gate,
+    and a process's first 10-100 MB arrays are timed on cold pages."""
     rows: List[Dict[str, object]] = []
     for n in sizes:
         B = B_FOR_SIZE.get(n, max(3, 1_000_000 // max(n, 1)))
@@ -205,9 +208,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     sizes = tuple(args.sizes) if args.sizes \
         else (SMOKE_SIZES if args.smoke else FULL_SIZES)
-    # Best of three: the reports feed the CI regression gate, and a
-    # process's first 10-100 MB arrays are timed on cold pages.
-    rows = run_kernel_bench(sizes, repeats=3)
+    rows = run_kernel_bench(sizes)
     write_json(rows, args.out, smoke=sizes != FULL_SIZES)
     for row in rows:
         print(f"n={row['n']:>9,}  B={row['B']:>3}  {row['mode']:<9} "

@@ -200,13 +200,13 @@ class TestStatisticalValidity:
             data = population[:bounds[-1]]
         keys = data[:, 0] if data.ndim == 2 else data
         assert len(np.unique(keys)) == len(keys)
-        kinds = {"dense": (dict(seed=204), type(None)),
+        kinds = {"dense": (dict(seed=204), _DenseRows),
                  "scalar": (dict(seed=207, vectorized=False),
                             ResidentMaintainer),
                  "naive": (dict(seed=205, maintenance=MAINTENANCE_NAIVE),
                            NaiveMaintainer)}
         estimates = {}
-        for kind, (kwargs, maintainer) in kinds.items():
+        for kind, (kwargs, layout) in kinds.items():
             rs = ResampleSet(statistic, B, **kwargs)
             deleted = added_old = lo = 0
             for hi in bounds:
@@ -219,8 +219,7 @@ class TestStatisticalValidity:
                     added_old += sum(share > lo for share in shares)
                 lo = hi
             assert deleted >= B and added_old >= B, kind
-            assert type(rs._maintainer) is maintainer
-            assert (rs._dense is not None) == (kind == "dense")
+            assert type(rs._dense or rs._maintainer) is layout
             estimates[kind] = np.asarray(rs.estimates())
         stat = get_statistic(statistic)
         rng = np.random.default_rng(206)
