@@ -8,7 +8,7 @@
 #   make bench-smoke - quick benchmark subset (~30 s)
 #   make bench-json  - every benchmark of benchmarks/bench_gates.json
 #                      (kernel, ingest, query, scheduler, faults,
-#                      durability, telemetry) at smoke size ->
+#                      durability, telemetry, exec) at smoke size ->
 #                      benchmarks/results/BENCH_<name>.json, each gated
 #                      against its committed baseline
 #                      benchmarks/BENCH_<name>.json (a >20% speedup
@@ -71,7 +71,8 @@ bench-smoke:
 	$(PYTHON) -m pytest -q \
 		benchmarks/bench_fig2_bootstrap_convergence.py \
 		benchmarks/bench_fig10_delta_maintenance.py \
-		benchmarks/bench_exec_backends.py
+		benchmarks/bench_exec_backends.py \
+		benchmarks/bench_exec.py
 
 # Smoke sizes only; the machine-independent gates (speedup ratio vs the
 # committed baselines) live in tools/check_bench_regression.py — the

@@ -1,0 +1,361 @@
+"""Process backend: what crosses the worker pipes, and what it costs.
+
+EARL keeps its reducers alive between iterations so that only Δs
+travels and the resamples are updated where they sit (§3.3, §4.1).  The
+``processes`` executor does the same since its workers became
+placement-stable: a pipeline's estimation stage is pickled to its
+worker once, lives there, and a round moves a slice bound out and an
+estimate back.  Two rows, the shapes of ``BENCHMARK.json``'s
+``grouped_procs`` and ``stats_shared_scan`` workloads:
+
+* ``grouped`` — 500k rows, 50 Zipf groups, mean(amount) and sum(qty),
+  ``B=20, n=100``: 66 small stages, the many-tiny-tasks case;
+* ``shared_scan`` — 1M lognormal rows, mean/median/p90/std over one
+  growing sample, ``B=40``, 500 -> 4k -> 32k rows: 4 large stages.
+
+and two stages per row:
+
+* ``residency`` (gated; **a count** — it repeats to the byte, but for
+  the digits of the driver's pid inside broadcast ids): the bytes a
+  by-value design would move — every live stage pickled to a worker
+  before its round and back after it, unless the estimate met σ; counted
+  here from a serial run of the same query — over the bytes that did
+  cross the pipes (``repro_executor_pipe_bytes_total``, both
+  directions).  ``speedup`` is that ratio.
+* ``wall`` (reported; asserted only in the full run): seconds on
+  ``serial`` and on ``processes`` with the process pinned to **one**
+  CPU, best of ``REPEATS`` — the pool can overlap nothing there, so
+  ``processes / serial`` is what the executor itself costs (fork, one
+  message per worker per round, join).  The full run asserts
+  ``processes <= 2.5 x serial`` on the grouped row — a coarse bound (on
+  the 2-CPU host that wrote the baseline this design reads 1.4x, the
+  by-value one it replaced 2.3x); the count above is the sharp one.
+  The same seconds with every CPU are printed next to it.
+
+Finals are asserted equal across the two backends on every run.
+
+Outputs ``BENCH_exec.json``; the committed baseline at
+``benchmarks/BENCH_exec.json`` is what the CI regression gate
+(``tools/check_bench_regression.py --stages residency``) compares fresh
+runs against.  ``--smoke`` keeps the rows (the gate only reads rows of
+n >= 100,000, and the gated stage is a count) and cuts the wall repeats.
+
+Run standalone::
+
+    python benchmarks/bench_exec.py --out benchmarks/results/BENCH_exec.json
+
+or through pytest (``make bench`` / ``make bench-json``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import json
+import os
+import pickle
+import sys
+import time
+from pathlib import Path
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from repro.core import EarlConfig  # noqa: E402 (path bootstrap above)
+from repro.core.engine import RoundEngine  # noqa: E402
+from repro.obs import (  # noqa: E402
+    REGISTRY,
+    disable_telemetry,
+    enable_telemetry,
+    reset_telemetry,
+)
+from repro.query import Query, agg  # noqa: E402
+from repro.streaming import SessionManager  # noqa: E402
+
+GROUPED_N = 500_000
+SCAN_N = 1_000_000
+SEED = 41
+WORKERS = 2
+#: Wall repeats (best-of): full run / ``--smoke``.
+REPEATS = 5
+SMOKE_REPEATS = 1
+#: The full run's wall assertion, grouped row, one CPU.
+MAX_PROCESSES_OVER_SERIAL = 2.5
+
+#: (statistic, σ) of the shared scan: 8^¼ x the statistic's bootstrap
+#: error at 32k rows, so every query needs the third round.
+SCAN_SIGMAS = (("mean", 0.00489), ("median", 0.00592), ("p90", 0.00752),
+               ("std", 0.01297))
+
+#: ``plan(executor)`` sets one query up (untimed: key factorization,
+#: strata) and returns the thunk that runs it — pilot, broadcast, rounds,
+#: executor teardown — to its finals.
+Plan = Callable[[str], Callable[[], Any]]
+
+
+def _config(executor: str, **pinned: Any) -> EarlConfig:
+    return EarlConfig(seed=SEED + 1, executor=executor,
+                      max_workers=WORKERS, **pinned)
+
+
+def grouped_plan(n: int) -> Plan:
+    """One GROUP BY query over ``n`` rows."""
+    rng = np.random.default_rng(SEED)
+    weights = 1.0 / np.arange(1, 51) ** 1.3
+    codes = rng.choice(50, size=n, p=weights / weights.sum())
+    table = {"region": np.array([f"r{i:02d}" for i in range(50)])[codes],
+             "amount": rng.lognormal(3.0, 0.7, n),
+             "qty": rng.integers(1, 20, n).astype(float)}
+    query = Query([agg("mean", "amount", sigma=0.0476),
+                   agg("sum", "qty", sigma=0.0326)], group_by="region")
+
+    def plan(executor: str) -> Callable[[], Any]:
+        session = query.on(table, config=_config(
+            executor, B_override=20, n_override=100)).plan()
+        return lambda: session.run().groups
+    return plan
+
+
+def shared_scan_plan(n: int) -> Plan:
+    """Four statistics over one growing sample of ``n`` rows."""
+    population = np.random.default_rng(SEED).lognormal(1.0, 0.5, n)
+
+    def plan(executor: str) -> Callable[[], Any]:
+        manager = SessionManager(population, config=_config(
+            executor, B_override=40, n_override=500, expansion_factor=8.0,
+            max_iterations=5))
+        for statistic, sigma in SCAN_SIGMAS:
+            manager.submit(statistic, sigma=sigma)
+        return manager.run
+    return plan
+
+
+#: mode -> (rows, builder of its ``plan(executor)``).
+ROWS = {"grouped": (GROUPED_N, grouped_plan),
+        "shared_scan": (SCAN_N, shared_scan_plan)}
+
+
+# ------------------------------------------------------------- residency
+
+@contextlib.contextmanager
+def by_value_ledger() -> Iterator[Dict[str, int]]:
+    """Count, while a *serial* run is inside, what the by-value fan-out
+    would have pickled: each stage of a fanned-out round (two or more
+    offers) on its way out, and on its way back unless its estimate met
+    σ — a stage that is done stayed behind — plus the estimate."""
+    moved = {"offers": 0, "out": 0, "back": 0}
+    offer_round = RoundEngine._offer_round
+
+    def counting(self, work):
+        fans = len(work) > 1
+        if fans:
+            moved["offers"] += len(work)
+            moved["out"] += sum(len(pickle.dumps(p.stage))
+                                for _, p, _, _ in work)
+        estimates = offer_round(self, work)
+        if fans:
+            for (_, p, _, _), estimate in zip(work, estimates):
+                moved["back"] += len(pickle.dumps(estimate))
+                if not estimate.meets(p.sigma):
+                    moved["back"] += len(pickle.dumps(p.stage))
+        return estimates
+
+    RoundEngine._offer_round = counting
+    try:
+        yield moved
+    finally:
+        RoundEngine._offer_round = offer_round
+
+
+def residency(plan: Plan) -> Dict[str, Any]:
+    """By-value bytes of one query over the bytes its pool moved."""
+    with by_value_ledger() as moved:
+        serial = plan("serial")()
+    enable_telemetry()
+    reset_telemetry()
+    try:
+        pooled = plan("processes")()
+        crossed = {
+            what: {direction: int(REGISTRY.value(
+                f"repro_executor_pipe_{what}_total",
+                {"direction": direction})) for direction in ("out", "back")}
+            for what in ("bytes", "messages")}
+    finally:
+        disable_telemetry()
+        reset_telemetry()
+    assert pooled == serial, "processes finals differ from the serial run's"
+    by_value = moved["out"] + moved["back"]
+    pipe = sum(crossed["bytes"].values())
+    return {"offers": moved["offers"],
+            "by_value_out_bytes": moved["out"],
+            "by_value_back_bytes": moved["back"],
+            "pipe_out_bytes": crossed["bytes"]["out"],
+            "pipe_back_bytes": crossed["bytes"]["back"],
+            "pipe_messages": sum(crossed["messages"].values()),
+            "speedup": round(by_value / pipe, 2)}
+
+
+# ------------------------------------------------------------------ wall
+
+@contextlib.contextmanager
+def one_cpu() -> Iterator[bool]:
+    """Pin this process (and the workers it forks) to one CPU; yields
+    whether the platform could."""
+    if not hasattr(os, "sched_setaffinity"):
+        yield False
+        return
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(allowed)})
+    try:
+        yield True
+    finally:
+        os.sched_setaffinity(0, allowed)
+
+
+def _best_seconds(plan: Plan, executor: str, repeats: int) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        run = plan(executor)
+        t0 = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def wall(plan: Plan, repeats: int) -> Dict[str, Any]:
+    """Best-of-``repeats`` seconds per backend, pinned to one CPU, and
+    the pool's again with every CPU."""
+    plan("processes")()      # warm: imports, allocator, page cache
+    with one_cpu() as pinned:
+        serial = _best_seconds(plan, "serial", repeats)
+        processes = _best_seconds(plan, "processes", repeats)
+    return {"pinned_to_one_cpu": pinned,
+            "serial_seconds": round(serial, 4),
+            "processes_seconds": round(processes, 4),
+            "processes_seconds_all_cpus": round(
+                _best_seconds(plan, "processes", repeats), 4),
+            "cpus": len(os.sched_getaffinity(0)) if pinned
+            else os.cpu_count(),
+            "processes_over_serial": round(processes / serial, 2),
+            "speedup": round(serial / processes, 3)}
+
+
+# ---------------------------------------------------------------- report
+
+def run_exec_bench(repeats: int) -> List[Dict[str, object]]:
+    rows: List[Dict[str, object]] = []
+    for mode, (n, build) in ROWS.items():
+        plan = build(n)
+        rows.append({"n": n, "mode": mode, "residency": residency(plan),
+                     "wall": wall(plan, repeats)})
+    return rows
+
+
+def check_wall(rows: List[Dict[str, object]], *,
+               limit: float = MAX_PROCESSES_OVER_SERIAL) -> None:
+    """The full run's claim: on one CPU, where the pool can overlap
+    nothing, the grouped query costs at most ``limit`` x serial."""
+    gated = [row for row in rows if row["mode"] == "grouped"]
+    assert gated, "no grouped measurement"
+    for row in gated:
+        ratio = row["wall"]["processes_over_serial"]
+        assert ratio <= limit, (
+            f"processes took {ratio:.2f}x serial on the grouped query "
+            f"(need <= {limit}x)")
+
+
+def write_json(rows: List[Dict[str, object]], out: Path,
+               repeats: int) -> None:
+    payload = {
+        "benchmark": "exec_residency",
+        "seed": SEED,
+        "workers": WORKERS,
+        "wall_repeats": repeats,
+        "protocol": ("residency: bytes a by-value fan-out would pickle "
+                     "(each live stage out and back per round, counted "
+                     "from a serial run) / bytes that crossed the worker "
+                     "pipes — a count, machine-independent; wall: "
+                     "best-of seconds per backend pinned to one CPU, "
+                     "speedup = serial/processes (reported, not gated)"),
+        "units": "bytes; seconds",
+        "results": rows,
+    }
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def _megabytes(residency: Dict[str, Any], what: str) -> float:
+    """Both directions of ``what`` (``"by_value"`` | ``"pipe"``), in MB."""
+    return (residency[f"{what}_out_bytes"]
+            + residency[f"{what}_back_bytes"]) / 1e6
+
+
+def _print(rows: List[Dict[str, object]]) -> None:
+    for row in rows:
+        r, w = row["residency"], row["wall"]
+        print(f"n={row['n']:>9,}  {row['mode']:<11} "
+              f"{r['offers']:>4} offers  by value "
+              f"{_megabytes(r, 'by_value'):6.2f} MB  pipes "
+              f"{_megabytes(r, 'pipe'):5.2f} MB in "
+              f"{r['pipe_messages']:>3} messages  {r['speedup']:>6.1f}x")
+        print(f"{'':>13}{'':<13}one CPU: serial {w['serial_seconds']:.3f}s  "
+              f"processes {w['processes_seconds']:.3f}s  "
+              f"({w['processes_over_serial']:.2f}x); "
+              f"{w['cpus']} CPUs: processes "
+              f"{w['processes_seconds_all_cpus']:.3f}s")
+
+
+class TestExecResidency:
+    """Pytest entry point (``make bench``): the full protocol."""
+
+    def test_stages_stay_in_their_workers(self, benchmark, series_report):
+        rows = benchmark.pedantic(lambda: run_exec_bench(REPEATS),
+                                  rounds=1, iterations=1)
+        series_report(
+            "exec_residency",
+            "Process backend: by-value bytes vs bytes over the pipes",
+            ["n", "mode", "offers", "by_value_MB", "pipes_MB", "messages",
+             "ratio", "procs/serial_1cpu"],
+            [(r["n"], r["mode"], r["residency"]["offers"],
+              _megabytes(r["residency"], "by_value"),
+              _megabytes(r["residency"], "pipe"),
+              r["residency"]["pipe_messages"], r["residency"]["speedup"],
+              r["wall"]["processes_over_serial"]) for r in rows],
+            notes="bytes and messages are counts (they repeat); "
+                  "the last column is wall-clock, best of "
+                  f"{REPEATS} on one CPU (see BENCH_exec.json)")
+        write_json(rows, Path(__file__).parent / "results"
+                   / "BENCH_exec.json", REPEATS)
+        check_wall(rows)
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--smoke", action="store_true",
+                        help=f"best of {SMOKE_REPEATS} instead of "
+                             f"{REPEATS} for the wall stage (same rows: "
+                             "the gated stage is a count)")
+    parser.add_argument("--out", type=Path,
+                        default=Path("benchmarks/results/BENCH_exec.json"),
+                        help="where to write the JSON report")
+    parser.add_argument("--no-assert", action="store_true",
+                        help="measure and report only; skip the "
+                             f"<= {MAX_PROCESSES_OVER_SERIAL}x wall check")
+    args = parser.parse_args(argv)
+
+    repeats = SMOKE_REPEATS if args.smoke else REPEATS
+    rows = run_exec_bench(repeats)
+    write_json(rows, args.out, repeats)
+    _print(rows)
+    print(f"wrote {args.out}")
+    if not (args.smoke or args.no_assert):
+        check_wall(rows)
+        print(f"wall check OK (processes <= {MAX_PROCESSES_OVER_SERIAL}x "
+              "serial on the grouped row, one CPU)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

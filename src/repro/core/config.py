@@ -81,7 +81,7 @@ class EarlConfig:
         resample evaluation, sweeps): ``"serial"`` (default; in-order,
         bit-for-bit the reference), ``"threads"``
         (``ThreadPoolExecutor``; wins when the work releases the GIL),
-        or ``"processes"`` (``ProcessPoolExecutor``; true CPU
+        or ``"processes"`` (forked, placement-stable workers; true CPU
         parallelism, work must be picklable).  All three produce
         byte-identical results for a fixed ``seed`` — see
         :mod:`repro.exec`.  The ``REPRO_EXECUTOR`` environment variable

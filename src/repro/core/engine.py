@@ -176,6 +176,7 @@ class Pipeline:
         self.n_override = n_override
         self.index = index      # position among the unit's pipelines
         self.column = column    # which engine column its rows come from
+        self.slot = 0           # ordinal in the engine: its pool worker
         self.B: Optional[int] = None
         self.n: Optional[int] = None
         self.ssabe: Optional[SSABEResult] = None
@@ -216,8 +217,7 @@ class LocalColumn:
     Exposes the same ``.value`` the fan-out units read.  Used when the
     engine can never fan out (a lone pipeline), and for the compacted
     survivors of a unit after a §3.4 sample loss (on process pools
-    those ship by value per round — the pre-broadcast cost, paid only
-    after a fault).
+    those ride the next offer by value, once, with the rebuilt stage).
     """
 
     __slots__ = ("value",)
@@ -287,18 +287,31 @@ def _offer_shared(args: Tuple[AccuracyEstimationStage, Any, int, int]
     return stage.offer(shared.value[lo:hi])
 
 
-def _offer_owned(args: Tuple[AccuracyEstimationStage, Any, int, int, float]
-                 ) -> Tuple[Optional[AccuracyEstimationStage],
-                            AccuracyEstimate]:
-    """Fan-out unit for process backends: the worker's mutated stage is
-    shipped back and rebound by the caller — unless the estimate meets
-    the pipeline's σ: a finished pipeline is never offered to again, so
-    its last (and largest) stage stays behind.  The sample itself never
-    rides the per-round task — workers hold it from the engine's one
-    broadcast and slice the delta locally."""
-    stage, shared, lo, hi, sigma = args
-    estimate = stage.offer(shared.value[lo:hi])
-    return (None if estimate.meets(sigma) else stage), estimate
+#: In a pool worker: slot -> (stage, column holder) of the stages
+#: :func:`_offer_resident` keeps there.  Always empty in the driver.
+_RESIDENT: Dict[int, Tuple[AccuracyEstimationStage, Any]] = {}
+#: What the driver holds as ``pipeline.stage`` while the stage lives in
+#: a worker (``None`` would read as "finished").
+_IN_WORKER: Any = object()
+
+
+def _offer_resident(args: Tuple[int, Optional[AccuracyEstimationStage],
+                                Any, int, int, float]) -> AccuracyEstimate:
+    """Fan-out unit for process backends, placed by slot: the stage
+    arrives once — with its column holder, on the first offer after it
+    was (re)built — stays in this worker, and only the estimate goes
+    back; one that meets the pipeline's σ frees the slot (a finished
+    pipeline is never offered to again).  Nor does the sample ride the
+    task: workers hold the engine's one broadcast and slice locally."""
+    slot, stage, source, lo, hi, sigma = args
+    if stage is None:
+        stage, source = _RESIDENT[slot]
+    else:
+        _RESIDENT[slot] = stage, source
+    estimate = stage.offer(source.value[lo:hi])
+    if estimate.meets(sigma):
+        del _RESIDENT[slot]
+    return estimate
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +588,10 @@ class RoundEngine(LossRecovery):
         the caller), then materialise and broadcast the sample.
         Returns the pipelines resolved exactly at the pilot."""
         self._units = units
-        submitted = sum(len(unit.pipelines) for unit in units)
+        pipelines = [p for unit in units for p in unit.pipelines]
+        for slot, pipeline in enumerate(pipelines):
+            pipeline.slot = slot
+        submitted = len(pipelines)
         self._lone = submitted == 1
         span = _TRACER.span(f"{self._label}.prepare",
                             attrs={"pipelines": submitted})
@@ -650,7 +666,7 @@ class RoundEngine(LossRecovery):
         """Permuted sample prefix of every active unit, shipped ONCE
         per column for the whole run: every later delta is a
         ``[lo, hi)`` slice of it — zero-copy on shared-memory backends,
-        sent a single time (at worker spawn) on process pools."""
+        inherited a single time (at worker fork) on process pools."""
         units = [unit for unit in self._units if unit.active]
         for unit in units:
             unit.bound = self._reach(unit)
@@ -830,24 +846,26 @@ class RoundEngine(LossRecovery):
         Fans out over the configured backend when it can pay off; the
         per-pipeline RNG streams and ordered gather keep results
         byte-identical across serial / threads / processes.  Tasks carry
-        only the column holder plus slice bounds — the sample itself
-        was shipped once for the whole run.
+        only slice bounds — the sample was shipped once for the whole
+        run, and on a process pool so is each stage: it then lives in
+        its slot's worker, where even a lone laggard is offered to.
         """
         executor = self._executor
         assert executor is not None
-        if executor.is_parallel and len(work) > 1:
-            if executor.shares_memory:
+        if executor.shares_memory:
+            if executor.is_parallel and len(work) > 1:
                 return executor.map(
                     _offer_shared,
                     [(p.stage, p.source, lo, hi) for _, p, lo, hi in work])
-            owned = executor.map(
-                _offer_owned,
-                [(p.stage, p.source, lo, hi, p.sigma)
-                 for _, p, lo, hi in work])
-            for (_, pipeline, _, _), (stage, _) in zip(work, owned):
-                # Rebind the worker's mutated copy (None: it met σ).
-                pipeline.stage = stage
-            return [estimate for _, estimate in owned]
+        elif len(work) > 1 or work[0][1].stage is _IN_WORKER:
+            items = []
+            for _, p, lo, hi in work:
+                stage, source = ((None, None) if p.stage is _IN_WORKER
+                                 else (p.stage, p.source))
+                items.append((p.slot, stage, source, lo, hi, p.sigma))
+                p.stage = _IN_WORKER
+            return executor.map(_offer_resident, items,
+                                place=[p.slot for _, p, _, _ in work])
         return [p.stage.offer(p.source.value[lo:hi])
                 for _, p, lo, hi in work]
 

@@ -15,19 +15,19 @@ Three backends are provided:
 * :class:`ThreadExecutor` — a ``concurrent.futures.ThreadPoolExecutor``
   pool.  Shares memory with the caller; best when the work releases the
   GIL (numpy batch kernels) or waits on simulated I/O.
-* :class:`ProcessExecutor` — a ``concurrent.futures.ProcessPoolExecutor``
-  pool.  True CPU parallelism; work units and their results must be
-  picklable, and worker-side mutations of shared objects are *lost*
-  (see ``shares_memory``).
+* :class:`ProcessExecutor` — W forked workers the executor owns, one
+  duplex pipe each.  True CPU parallelism; work units and their results
+  must be picklable, and worker-side mutations of shared objects are
+  *lost* to the caller (see ``shares_memory``; ``place`` finds them).
 
 Broadcast-once data plane
 -------------------------
 Fan-out callers that ship one large read-only value (the sample) to
 many work units wrap it in a :class:`BroadcastHandle` via
 :meth:`Executor.broadcast`.  Serial and thread backends hand out a
-zero-copy reference; the process backend installs the payload in each
-worker once, at pool construction, so every subsequent task pickles a
-short id instead of the value.  Work functions unwrap with
+zero-copy reference; on the process backend each worker inherits the
+payload when it is forked, so every subsequent task pickles a short id
+instead of the value.  Work functions unwrap with
 :func:`broadcast_value`.  Handles are only ids plus local references —
 they never change *what* is computed, so the determinism contract below
 is unaffected.
@@ -40,7 +40,9 @@ Backends may only change *where* a unit runs, never *what* it computes:
    never "number of workers" chunks);
 2. every unit carries its own RNG stream, pre-spawned by the caller via
    :func:`repro.util.rng.spawn_child`;
-3. :meth:`Executor.map` returns results in submission order.
+3. :meth:`Executor.map` returns results in submission order;
+4. which process worker runs a unit is a function of ``place`` and the
+   worker count, never of timing — and results never depend on it.
 
 Under these rules ``serial``, ``threads`` and ``processes`` produce
 byte-identical results for any seeded run, which is what the
@@ -63,10 +65,14 @@ outer sweep already runs on ``"processes"``.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import multiprocessing
 import os
+import pickle
+import threading
+import traceback
 import weakref
-from concurrent.futures import ProcessPoolExecutor as _ProcessPool
 from concurrent.futures import ThreadPoolExecutor as _ThreadPool
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -109,9 +115,9 @@ class BroadcastHandle:
 
     A handle stands in for a large immutable value (typically the sample
     array) inside work-unit arguments.  On shared-memory backends
-    (serial, threads) it is a zero-copy reference; on a process pool the
-    value is shipped to each worker **once**, when the pool spins up,
-    instead of being pickled into every task.  Work functions read the
+    (serial, threads) it is a zero-copy reference; on a process pool
+    each worker inherits the value **once**, when it is forked, instead
+    of it being pickled into every task.  Work functions read the
     payload back through :attr:`value` (or :func:`broadcast_value`,
     which also accepts raw values).
 
@@ -143,10 +149,9 @@ def broadcast_value(obj: Any) -> Any:
     return obj.value if isinstance(obj, BroadcastHandle) else obj
 
 
-#: Per-process broadcast registry.  In the driver it mirrors what each
+#: Per-process broadcast registry.  In the driver it holds what each
 #: live :class:`ProcessExecutor` has broadcast (so in-process fallback
-#: paths resolve); in a pool worker it is populated once by the worker
-#: initializer from the payloads shipped at pool construction.
+#: paths resolve); a pool worker has the copy it was forked with.
 _BROADCASTS: Dict[str, Any] = {}
 
 _BROADCAST_IDS = itertools.count()
@@ -158,7 +163,7 @@ def _next_broadcast_id() -> str:
 
 def _resolve_broadcast_handle(bid: str) -> "BroadcastHandle":
     """Unpickle hook of a process-pool broadcast handle: rebind to the
-    payload installed in this process (see ``_process_worker_init``)."""
+    payload this process was forked with."""
     try:
         return BroadcastHandle(bid, _BROADCASTS[bid])
     except KeyError:
@@ -174,12 +179,12 @@ def _rebuild_broadcast_handle(bid: str, value: Any) -> "BroadcastHandle":
 
 
 class _ProcessBroadcastHandle(BroadcastHandle):
-    """Handle whose payload ships to workers once, at pool construction.
+    """Handle whose payload workers inherit once, when they are forked.
 
-    Pickles as a bare id when the executor's pool either does not exist
-    yet (the payload will ride the worker initializer) or was built with
-    this broadcast installed.  A broadcast made *after* the pool started
-    falls back to by-value pickling — per-task cost, exactly the
+    Pickles as a bare id when the executor's workers either do not
+    exist yet (the fork will carry the payload) or were forked with
+    this broadcast installed.  A broadcast made *after* the fork falls
+    back to by-value pickling — per-task cost, exactly the
     pre-broadcast behavior, but no pool teardown.
     """
 
@@ -191,7 +196,8 @@ class _ProcessBroadcastHandle(BroadcastHandle):
         self._owner = owner
 
     def __reduce__(self):
-        if self._owner.ships_by_initializer(self.bid):
+        owner = self._owner
+        if owner._pool is None or self.bid in owner._installed:
             return (_resolve_broadcast_handle, (self.bid,))
         return (_rebuild_broadcast_handle, (self.bid, self.value))
 
@@ -218,11 +224,15 @@ class Executor:
     is_parallel: bool = False
     shares_memory: bool = True
 
-    def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> List[Any]:
+    def map(self, fn: Callable[[Any], Any], items: Iterable[Any],
+            place: Optional[Sequence[int]] = None) -> List[Any]:
         """Apply ``fn`` to every item; return results in item order.
 
         Exceptions raised by a unit propagate to the caller (the first
         failing unit in submission order, matching serial semantics).
+        Items with equal ``place`` (one integer each) run in the same
+        worker process for the executor's whole life, where the next
+        finds what ``fn`` left; shared-memory backends ignore it.
         """
         raise NotImplementedError
 
@@ -232,10 +242,10 @@ class Executor:
 
         Returns a :class:`BroadcastHandle` to embed in work-unit
         arguments instead of the value itself.  Shared-memory backends
-        return a zero-copy reference; :class:`ProcessExecutor` ships the
-        payload to each worker once, at pool construction (a broadcast
-        made after the pool already started falls back to by-value
-        pickling per task).  Call :meth:`release` when the handle is no
+        return a zero-copy reference; :class:`ProcessExecutor` workers
+        inherit the payload once, when they are forked (a broadcast
+        made after that falls back to by-value pickling per task).
+        Call :meth:`release` when the handle is no
         longer needed — at the latest, :meth:`close` drops every
         payload.
         """
@@ -281,7 +291,8 @@ class SerialExecutor(Executor):
     def __init__(self, max_workers: Optional[int] = None) -> None:
         _check_workers(max_workers)
 
-    def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> List[Any]:
+    def map(self, fn: Callable[[Any], Any], items: Iterable[Any],
+            place: Optional[Sequence[int]] = None) -> List[Any]:
         """Plain ordered loop: ``[fn(item) for item in items]``."""
         items = list(items)
         with _wave_span(self.name, len(items)):
@@ -331,13 +342,19 @@ class _PoolExecutor(Executor):
             _LIVE_POOL_EXECUTORS.add(self)
         return self._pool
 
-    def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> List[Any]:
+    def _fan_out(self, fn, items, place, span) -> List[Any]:
+        return list(self._ensure_pool().map(fn, items))
+
+    def map(self, fn: Callable[[Any], Any], items: Iterable[Any],
+            place: Optional[Sequence[int]] = None) -> List[Any]:
         """Fan items out over the pool; gather in submission order."""
         items = list(items)
-        with _wave_span(self.name, len(items)):
-            if len(items) <= 1:  # nothing to overlap; skip pool dispatch
+        with _wave_span(self.name, len(items)) as span:
+            # Nothing to overlap: skip pool dispatch — unless the unit
+            # is placed, for then its state lives in a worker, not here.
+            if len(items) <= 1 and place is None:
                 return [fn(item) for item in items]
-            return list(self._ensure_pool().map(fn, items))
+            return self._fan_out(fn, items, place, span)
 
     def close(self) -> None:
         """Shut the pool down (waits for in-flight units)."""
@@ -364,45 +381,90 @@ class ThreadExecutor(_PoolExecutor):
         return _ThreadPool(max_workers=self._max_workers)
 
 
-def _process_worker_init(broadcasts: Optional[Dict[str, Any]] = None) -> None:
-    """Initializer for process-pool workers.
+#: Workers are forked, not spawned: a child starts with the driver's
+#: memory, which is how broadcast payloads get there unpickled.  (Safe
+#: in a threaded driver: work functions take no driver locks.)
+_FORK = multiprocessing.get_context("fork")
 
-    A pool worker is daemonic and cannot fork its own pool, so any
-    inherited ``REPRO_EXECUTOR``/``REPRO_MAX_WORKERS`` override must not
-    apply inside the worker: nested :func:`resolve_executor` calls fall
-    back to the configured (normally ``"serial"``) backend instead of
-    trying to build a pool-inside-a-pool.
 
-    ``broadcasts`` carries the executor's broadcast payloads — they are
-    pickled once per worker here, at pool construction, which is what
-    lets task arguments reference them by id alone.
-    """
+def _outcome(fn: Callable[[Any], Any], unit: Any) -> bytes:
+    """Run one unit in a worker: its pickled ``(ok, result-or-exception)``
+    — or, if that would not survive the trip back, an error saying so."""
+    try:
+        outcome = True, fn(unit)
+    except Exception as exc:
+        exc.add_note("in a process worker:\n" + traceback.format_exc())
+        outcome = False, exc
+    try:
+        blob = pickle.dumps(outcome)
+        if not outcome[0]:
+            pickle.loads(blob)   # exceptions that dump may still not load
+        return blob
+    except Exception as exc:
+        return pickle.dumps((False, RuntimeError(
+            f"a work unit's outcome does not pickle: {outcome[1]!r} "
+            f"({exc!r})")))
+
+
+def _worker_main(conn: Any, inherited: List[Any]) -> None:
+    """Loop of one forked worker: a message is a pickled ``(fn, units)``,
+    the reply one :func:`_outcome` per unit; an empty message (or the
+    driver going away) ends it.  A worker is daemonic and cannot fork a
+    pool of its own, so the ``REPRO_*`` overrides are dropped (nested
+    :func:`resolve_executor` calls fall back to the configured
+    backend); so are ``inherited``, the driver's pipe ends the fork
+    copied here — held open they would hide its death from siblings."""
+    for end in inherited:
+        end.close()
     os.environ.pop(EXECUTOR_ENV, None)
     os.environ.pop(MAX_WORKERS_ENV, None)
-    if broadcasts:
-        _BROADCASTS.update(broadcasts)
+    with contextlib.suppress(EOFError, OSError):
+        while message := conn.recv_bytes():
+            fn, units = pickle.loads(message)
+            conn.send_bytes(pickle.dumps([_outcome(fn, u) for u in units]))
+
+
+class _Workers(list):
+    """The ``(process, pipe)`` pairs of one :class:`ProcessExecutor`."""
+
+    def shutdown(self, wait: bool = True) -> None:
+        """Stop every worker and reap it (``terminate`` if it is stuck)."""
+        for _, conn in self:
+            with contextlib.suppress(OSError):
+                conn.send_bytes(b"")
+            conn.close()
+        for process, _ in self:
+            process.join(5.0)
+            if process.is_alive():
+                process.terminate()
+                process.join()
 
 
 class ProcessExecutor(_PoolExecutor):
-    """Process-pool backend: true CPU parallelism.
+    """Process backend: W forked workers, true CPU parallelism.
 
     Work functions must be module-level (picklable by reference) and
     arguments/results picklable by value.  Mutations of shared objects
-    happen in the worker's copy and are discarded — units communicate
-    through return values only, which is why the engine requires
-    ``parallel_safe`` declarations before routing tasks here.
+    happen in the worker's copy and never reach the caller — units
+    communicate through return values only, which is why the engine
+    requires ``parallel_safe`` declarations before routing tasks here.
 
-    :meth:`broadcast` payloads made before the (lazy) pool starts are
-    installed in each worker by the pool initializer, so handles inside
-    task arguments pickle as short ids.  A live broadcast made after
-    the pool exists never tears it down — that handle simply pickles by
-    value per task (the pre-broadcast cost).  :meth:`release` of an
-    initializer-shipped payload marks the pool *stale*: the next
-    :meth:`map` rebuilds it without the retired payload, which both
-    frees the workers' copies and lets the next broadcast ride the
-    fresh pool's initializer — so a loop of broadcast/fan-out/release
-    rounds (repeated bootstraps) ships each payload once per worker and
-    never accumulates old ones.
+    Placement-stable workers: forked once, at the first fan-out, they
+    live until :meth:`close`, each on its own duplex pipe.  A
+    :meth:`map` deals item ``i`` to worker ``place[i] % W`` (``i % W``
+    unplaced) — static, so what a placed unit leaves in its process is
+    there for its successor — sends each worker at most one message and
+    reads one reply; :attr:`pipe_bytes` / :attr:`pipe_messages` count
+    what crossed.  A worker that died fails the map, by name.
+
+    :meth:`broadcast` payloads made before the fork are inherited by
+    each worker, so handles inside task arguments pickle as short ids.
+    A broadcast made after it never tears the pool down — that handle
+    simply pickles by value per task.  :meth:`release` of an inherited
+    payload retires the workers (and what was placed in them: the
+    engine, the one caller that places, never releases) and the next
+    :meth:`map` forks fresh ones, so repeated broadcast/fan-out/release
+    rounds ship each payload once per worker and accumulate none.
     """
 
     name = EXECUTOR_PROCESSES
@@ -412,53 +474,93 @@ class ProcessExecutor(_PoolExecutor):
     def __init__(self, max_workers: Optional[int] = None) -> None:
         super().__init__(max_workers)
         self._broadcasts: Dict[str, Any] = {}
-        self._installed: frozenset = frozenset()
-        self._stale_pool = False
+        self._installed: frozenset = frozenset()   # inherited at the fork
+        self._lock = threading.Lock()   # one map at a time on the pipes
+        #: Worker-pipe traffic so far: ``"out"``, and ``"back"`` (replies).
+        self.pipe_bytes: Dict[str, int] = {"out": 0, "back": 0}
+        self.pipe_messages: Dict[str, int] = {"out": 0, "back": 0}
 
     def broadcast(self, value: Any) -> BroadcastHandle:
         handle = _ProcessBroadcastHandle(_next_broadcast_id(), value, self)
         self._broadcasts[handle.bid] = value
-        # Driver-side registry entry: lets the <= 1-item in-process
-        # fast path of ``map`` (and any local unpickling) resolve too.
+        # The registry the workers are forked with; it also lets the
+        # <= 1-item in-process fast path of ``map`` resolve the handle.
         _BROADCASTS[handle.bid] = value
         return handle
 
     def release(self, handle: BroadcastHandle) -> None:
         self._broadcasts.pop(handle.bid, None)
         _BROADCASTS.pop(handle.bid, None)
-        if handle.bid in self._installed:
-            # Workers hold a now-dead copy; retire it (and re-enable
-            # initializer shipping) by rebuilding the pool lazily.
-            self._stale_pool = True
+        if self._pool is not None and handle.bid in self._installed:
+            # The workers hold a now-dead copy: retire them, so the
+            # next fork frees it and carries the next broadcast.
+            _PoolExecutor.close(self)
 
-    def ships_by_initializer(self, bid: str) -> bool:
-        """Whether ``bid`` reaches workers via the pool initializer —
-        true while the pool is yet to be built or is marked stale (the
-        broadcast will ride the next pool's initargs), or when the live
-        pool was built with this payload installed."""
-        return self._pool is None or self._stale_pool \
-            or bid in self._installed
-
-    def _make_pool(self) -> _ProcessPool:
+    def _make_pool(self) -> _Workers:
         self._installed = frozenset(self._broadcasts)
-        self._stale_pool = False
-        return _ProcessPool(max_workers=self._max_workers,
-                            initializer=_process_worker_init,
-                            initargs=(dict(self._broadcasts),))
+        pool = _Workers()
+        for _ in range(self._max_workers):
+            ours, theirs = _FORK.Pipe()
+            process = _FORK.Process(target=_worker_main, daemon=True, args=(
+                theirs, [ours] + [conn for _, conn in pool]))
+            process.start()   # (should it raise, the dropped pipes end
+            theirs.close()    # the workers forked so far)
+            pool.append((process, ours))
+        return pool
 
-    def _ensure_pool(self) -> Any:
-        if self._pool is not None and self._stale_pool:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        return super()._ensure_pool()
+    def _fan_out(self, fn, items, place, span) -> List[Any]:
+        with self._lock:
+            pool = self._ensure_pool()
+            deal: Dict[int, List[int]] = {}
+            for i, key in enumerate(
+                    range(len(items)) if place is None else place):
+                deal.setdefault(key % len(pool), []).append(i)
+            # Pickled before anything is sent: an item that does not
+            # pickle fails the map while no worker owes a reply yet.
+            messages = [pickle.dumps((fn, [items[i] for i in units]))
+                        for units in deal.values()]
+            for k, message in zip(deal, messages):
+                # A dead worker is reported when its reply is read.
+                with contextlib.suppress(OSError):
+                    pool[k][1].send_bytes(message)
+            replies: Dict[int, bytes] = {}
+            for k in deal:
+                with contextlib.suppress(EOFError, OSError):
+                    replies[k] = pool[k][1].recv_bytes()
+            self._count(span, out=messages, back=list(replies.values()))
+        # Every reply is off the pipes; only now may anything raise.
+        if dead := [k for k in deal if k not in replies]:
+            raise RuntimeError(
+                f"process worker {dead[0]} (pid {pool[dead[0]][0].pid}) "
+                f"died during a map of {fn!r}")
+        outcomes: List[Any] = [None] * len(items)
+        for k, units in deal.items():
+            for i, blob in zip(units, pickle.loads(replies[k])):
+                outcomes[i] = pickle.loads(blob)
+        for ok, value in outcomes:
+            if not ok:
+                raise value
+        return [value for _, value in outcomes]
+
+    def _count(self, span: Any, **crossed: List[bytes]) -> None:
+        for direction, blobs in crossed.items():
+            size = sum(map(len, blobs))
+            self.pipe_messages[direction] += len(blobs)
+            self.pipe_bytes[direction] += size
+            if _METRICS.enabled:
+                for name, n in (("repro_executor_pipe_messages_total",
+                                 len(blobs)),
+                                ("repro_executor_pipe_bytes_total", size)):
+                    _METRICS.counter(name, {"direction": direction},
+                                     help="worker-pipe traffic").inc(n)
+                span.set(**{f"pipe_messages_{direction}": len(blobs),
+                            f"pipe_bytes_{direction}": size})
 
     def close(self) -> None:
         super().close()
         for bid in self._broadcasts:
             _BROADCASTS.pop(bid, None)
         self._broadcasts.clear()
-        self._installed = frozenset()
-        self._stale_pool = False
 
 
 #: Registry of selectable backends.

@@ -590,9 +590,11 @@ class TestBatchedDeletionsAndOldSampleAdditions:
 
 
 class TestStagePickling:
-    """The process fan-out ships every stage to a worker and back each
-    round (``_offer_owned``): the pickle must carry the items held, not
-    the spare capacity of dense rows or segment buffers."""
+    """The process fan-out ships a stage to its worker when it was
+    (re)built — after a §3.4 loss that is a stage already holding the
+    surviving prefix (``_offer_resident``): the pickle must carry the
+    items held, not the spare capacity of dense rows or segment
+    buffers."""
 
     @staticmethod
     def _stage(population, bounds, storage):

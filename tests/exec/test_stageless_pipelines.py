@@ -1,11 +1,10 @@
 """A finished pipeline holds no estimation stage — on any backend.
 
 Once a pipeline's estimate meets its σ it is never offered to again, so
-its ``B × n`` resample state is dead weight: the process backend leaves
-it in the worker (``_offer_owned`` ships ``None`` back instead of the
-pipeline's last and largest stage) and the shared-memory backends drop
-their reference.  Dropping it must not change a number: finals stay
-byte-identical to the serial run.
+its ``B × n`` resample state is dead weight: the process backend frees
+the worker's slot (``_offer_resident`` only ever ships the estimate
+back) and the shared-memory backends drop their reference.  Dropping it
+must not change a number: finals stay byte-identical to the serial run.
 """
 
 from __future__ import annotations
@@ -15,7 +14,8 @@ import pytest
 
 from repro.core import EarlConfig
 from repro.core.accuracy import AccuracyEstimationStage
-from repro.core.engine import LocalColumn, _offer_owned
+from repro.core import engine
+from repro.core.engine import LocalColumn, _offer_resident
 from repro.core.grouped import GroupedEarlSession, Measure
 from repro.streaming import SessionManager
 
@@ -104,22 +104,58 @@ class TestFinishedPipelinesHoldNoStage:
                    for q in manager.queries)
 
 
-class TestOfferOwned:
-    """The process fan-out unit decides in the worker, from the σ that
-    rides the task, whether its stage makes the trip back."""
+class TestOfferResident:
+    """The process fan-out unit keeps its stage where it runs, decides
+    from the σ that rides the task whether to keep it any longer, and
+    sends only the estimate back."""
+
+    SLOT = 7
+
+    @pytest.fixture(autouse=True)
+    def _clean_slots(self):
+        # These tests call the unit in *this* process, standing in for
+        # a worker; nothing may leak into the next test's fork.
+        yield
+        engine._RESIDENT.clear()
 
     @staticmethod
-    def _task(population, sigma):
-        stage = AccuracyEstimationStage("mean", 20, seed=1)
-        return stage, (stage, LocalColumn(population), 0, 2_000, sigma)
+    def _stage():
+        return AccuracyEstimationStage("mean", 20, seed=1)
 
-    def test_met_sigma_returns_no_stage(self, population):
-        _, task = self._task(population, sigma=0.5)
-        stage, estimate = _offer_owned(task)
-        assert stage is None and estimate.meets(0.5)
+    def test_met_sigma_drops_the_slot(self, population):
+        estimate = _offer_resident(
+            (self.SLOT, self._stage(), LocalColumn(population), 0, 2_000, 0.5))
+        assert estimate.meets(0.5)
+        assert self.SLOT not in engine._RESIDENT
 
-    def test_unmet_sigma_returns_the_mutated_stage(self, population):
-        mine, task = self._task(population, sigma=1e-6)
-        stage, estimate = _offer_owned(task)
-        assert stage is mine and not estimate.meets(1e-6)
-        assert stage.sample_size == 2_000
+    def test_unmet_sigma_keeps_it_for_the_next_offer(self, population):
+        stage, column = self._stage(), LocalColumn(population)
+        first = _offer_resident((self.SLOT, stage, column, 0, 2_000, 1e-6))
+        assert not first.meets(1e-6)
+        assert engine._RESIDENT[self.SLOT] == (stage, column)
+        # the next round carries no stage: the resident one grows
+        second = _offer_resident((self.SLOT, None, None, 2_000, 4_000, 1e-6))
+        assert stage.sample_size == 4_000
+        twin = self._stage()
+        twin.offer(population[:2_000])
+        assert second == twin.offer(population[2_000:4_000])
+
+    def test_a_reshipped_stage_replaces_the_resident_one(self, population):
+        column = LocalColumn(population)
+        _offer_resident((self.SLOT, self._stage(), column, 0, 2_000, 1e-6))
+        rebuilt, survivors = self._stage(), LocalColumn(population[::2])
+        _offer_resident((self.SLOT, rebuilt, survivors, 0, 500, 1e-6))
+        assert engine._RESIDENT[self.SLOT] == (rebuilt, survivors)
+        assert rebuilt.sample_size == 500
+
+    def test_an_offer_without_a_resident_stage_is_an_error(self):
+        with pytest.raises(KeyError):
+            _offer_resident((self.SLOT, None, None, 0, 10, 0.5))
+
+    @pytest.mark.parametrize("run", [_run_manager, _run_grouped])
+    def test_nothing_is_stored_in_the_driver(self, population, run):
+        # _run_* assert stage-iff-running after every event, so the
+        # driver held its placeholder throughout; the stages themselves
+        # were only ever in the workers.
+        run(population, "processes")
+        assert engine._RESIDENT == {}

@@ -342,6 +342,52 @@ class TestTtlSweeper:
         assert leaked == []
         assert all(s["state"] == STATE_EXPIRED for s in statuses)
 
+    def test_expired_mid_round_reaps_process_workers(self):
+        """The same expiry on the process backend: the stages live in
+        forked workers, and the runner's unwinding must reap them."""
+        import multiprocessing
+
+        from repro.exec import live_pool_executors
+
+        clock = {"now": 0.0}
+        children = set(multiprocessing.active_children())
+
+        async def body(service, client):
+            sids = [await client.submit({"kind": "statistic",
+                                         "dataset": "pop",
+                                         "statistic": stat})
+                    for stat in ("mean", "median")]
+            await service.flush()
+            for sid in sids:     # each mid-run: the stages are out there
+                after, saw_snapshot = 0, False
+                while not saw_snapshot:
+                    page = await client.poll(sid, after=after, wait=True,
+                                             timeout=5)
+                    if page.events:
+                        after = page.events[-1].seq
+                        saw_snapshot = any(e.type == EVENT_SNAPSHOT
+                                           for e in page.events)
+            forked = set(multiprocessing.active_children()) - children
+            clock["now"] += 100.0            # ttl=10 exceeded
+            await service.sweep()
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + 30.0
+            while any(t.is_alive() for t in service._threads
+                      if t.name.startswith("svc-batch-")):
+                assert loop.time() < deadline, "runner thread stuck"
+                await asyncio.sleep(0.02)
+            return forked, [await client.status(sid) for sid in sids]
+
+        forked, statuses = run(with_service(
+            body,
+            EarlConfig(executor="processes", max_workers=2, **ENDLESS_CFG),
+            event_capacity=2, ttl_seconds=10.0, linger_seconds=3600.0,
+            sweep_interval=3600.0, clock=lambda: clock["now"]))
+        assert len(forked) == 2
+        assert all(s["state"] == STATE_EXPIRED for s in statuses)
+        assert live_pool_executors() == []
+        assert set(multiprocessing.active_children()) <= children
+
     def test_polling_keeps_a_session_alive(self):
         clock = {"now": 0.0}
 
@@ -362,6 +408,51 @@ class TestTtlSweeper:
             ttl_seconds=10.0, sweep_interval=3600.0,
             clock=lambda: clock["now"]))
         assert status["state"] not in (STATE_EXPIRED,)
+
+
+def _exit_in_the_worker(args):
+    import os
+    os._exit(3)
+
+
+class TestDeadPoolWorker:
+    def test_session_fails_with_exactly_one_error_event(self, monkeypatch):
+        """A pool worker that dies mid-round is one clean failure: every
+        session of the window ends FAILED with one ``error`` event
+        naming the worker, and nothing is left running."""
+        import multiprocessing
+
+        from repro.exec import live_pool_executors
+        from repro.service import EVENT_ERROR, STATE_FAILED
+
+        children = set(multiprocessing.active_children())
+        # Workers are forked with this patch: the first fanned-out
+        # round kills both.
+        monkeypatch.setattr("repro.core.engine._offer_resident",
+                            _exit_in_the_worker)
+
+        async def body(service, client):
+            sids = [await client.submit({"kind": "statistic",
+                                         "dataset": "pop",
+                                         "statistic": stat})
+                    for stat in ("mean", "median")]
+            await service.flush()
+            return ([await client.drain(sid) for sid in sids],
+                    [await client.status(sid) for sid in sids])
+
+        streams, statuses = run(asyncio.wait_for(with_service(
+            body,
+            EarlConfig(executor="processes", max_workers=2, **ENDLESS_CFG),
+            engine_retries=0), 60.0))
+        for events, status in zip(streams, statuses):
+            assert status["state"] == STATE_FAILED
+            errors = [e for e in events if e.type == EVENT_ERROR]
+            assert len(errors) == 1
+            assert "process worker" in errors[0].payload["message"]
+            assert "died" in status["error_detail"]
+            assert events[-1].payload["state"] == STATE_FAILED
+        assert live_pool_executors() == []
+        assert set(multiprocessing.active_children()) <= children
 
 
 class TestBackpressure:

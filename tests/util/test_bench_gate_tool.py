@@ -67,9 +67,25 @@ def test_all_green_exits_zero_and_gates_only_the_named_stage(tmp_path):
     assert gate.run_manifest(manifest, 0.2, 100_000, root=tmp_path) == 0
 
 
+def test_an_eight_entry_manifest_is_iterated_to_the_end(tmp_path, capsys):
+    # The committed manifest's size, with a red gate in the middle: the
+    # eighth is still run, gated and reported.
+    speedups = {f"g{i}": 11.0 for i in range(1, 9)}
+    speedups["g4"] = 2.0
+    manifest = _fake_repo(tmp_path, speedups)
+    assert gate.run_manifest(manifest, 0.2, 100_000, root=tmp_path) == 1
+    summary = capsys.readouterr().out.split("\n\n")[-1].split("\n")
+    assert [line.split(None, 1) for line in summary if line] == [
+        [name, "gate failed" if name == "g4" else "ok"] for name in speedups]
+    assert (tmp_path / "benchmarks" / "results" / "BENCH_g8.json").exists()
+
+
 def test_committed_manifest_points_at_real_scripts_and_baselines():
     entries = json.loads((ROOT / "benchmarks" / "bench_gates.json").read_text())
-    assert len({entry["name"] for entry in entries}) == len(entries) == 7
+    assert len({entry["name"] for entry in entries}) == len(entries) == 8
+    assert entries[-1] == {"name": "exec",
+                           "script": "benchmarks/bench_exec.py",
+                           "stages": "residency"}
     for entry in entries:
         assert (ROOT / entry["script"]).is_file(), entry
         assert (ROOT / "benchmarks" / f"BENCH_{entry['name']}.json").is_file()
