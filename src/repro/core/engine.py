@@ -7,9 +7,10 @@ the §3.4 loss recovery.  This module writes it once, from two pieces:
 * a :class:`Pipeline` — one statistic driven towards its bound σ: its
   correction, ``(B, n)``, SSABE trail, delta-maintained estimation
   stage, iteration records and, once it stops, its result;
-* a :class:`SampleUnit` — one permutation of one population and the
-  schedule walking it (``target / consumed / bound / iteration``), its
-  loss accounting, and the pipelines that read its rows.
+* a :class:`SampleUnit` — one lazily drawn permutation prefix of one
+  population and the schedule walking it (``target / consumed / drawn /
+  bound / iteration``), its loss accounting, and the pipelines that read
+  its rows.
 
 :class:`RoundEngine` steps any number of units through the protocol
 ``prepare / pending / live_demands / run_round(grant) / finalize /
@@ -24,9 +25,10 @@ points are the same engine in different shapes:
   pipeline per measure.
 
 What differs between a solo and a shared run is derived from the number
-of *submitted* pipelines, never configured.  One pipeline continues its
-unit's own generator (permutation, SSABE, stage — the solo order) and
-its stage receives the executor for parallel resample evaluation;
+of *submitted* pipelines, never configured.  A unit's permutation draws
+from a child stream spawned off the unit's generator first; one pipeline
+then continues that generator (SSABE, stage — the solo order) and its
+stage receives the executor for parallel resample evaluation;
 k ≥ 2 pipelines get ``2k`` pre-spawned streams (so withdrawing one
 before the run leaves its siblings' randomness untouched) and the round
 fans out *across* pipelines instead.  An engine that can never fan out
@@ -63,6 +65,7 @@ from repro.core.ssabe import SSABEResult, estimate_parameters
 from repro.exec.executor import Executor, resolve_executor
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.obs.trace import TRACER as _TRACER
+from repro.sampling.permutation import PermutationPrefix
 from repro.util.rng import ensure_rng, spawn_child
 
 
@@ -227,9 +230,9 @@ class LocalColumn:
 
 
 class SampleUnit:
-    """One permutation of one population, the expansion schedule
-    walking it, its §3.4 loss accounting, and the pipelines reading
-    its rows."""
+    """One lazily drawn permutation prefix of one population, the
+    expansion schedule walking it, its §3.4 loss accounting, and the
+    pipelines reading its rows."""
 
     def __init__(self, key: Hashable, size: int,
                  pipelines: List[Pipeline], *,
@@ -240,17 +243,19 @@ class SampleUnit:
         self.rows = rows    # the unit's rows of the engine columns
         #                     (appearance order); None = every row
         self.rng: Optional[np.random.Generator] = None
-        self.order: Optional[np.ndarray] = None   # until materialised
+        #: The unit's sample order, until every reachable row is drawn.
+        self.order: Optional[PermutationPrefix] = None
         self.consumed = 0
         self.target = 0
         self.iteration = 0
-        self.bound = 0      # materialised rows (the most it can reach)
+        self.bound = 0      # the most rows it can reach: its segment
+        self.drawn = 0      # rows gathered into its segment so far
         self.lost = 0       # sample rows lost to failures so far
         self.degraded = False
 
     @property
     def lost_fraction(self) -> float:
-        """Fraction of the unit's materialised sample lost so far."""
+        """Fraction of the unit's reachable sample lost so far."""
         total = self.lost + self.bound
         return self.lost / total if total else 0.0
 
@@ -506,7 +511,7 @@ class RoundEngine(LossRecovery):
 
     # --------------------------------------------------- stepping protocol
     def prepare(self) -> List[Tuple[Any, Any]]:
-        """Pilot phase: permutations, pilots, SSABE, §3.1 exact
+        """Pilot phase: permutation prefixes, pilots, SSABE, §3.1 exact
         fallbacks, and the engine's one broadcast.  Returns the events
         of whatever resolved exactly."""
         raise NotImplementedError
@@ -584,8 +589,8 @@ class RoundEngine(LossRecovery):
             seed=seed, executor=self._executor if self._lone else None)
 
     def _prepare(self, units: List[SampleUnit]) -> List[Touched]:
-        """Pilot every unit (each with ``rng`` and ``order`` drawn by
-        the caller), then materialise and broadcast the sample.
+        """Pilot every unit (each with ``rng`` and ``order`` set by the
+        caller), then allocate and broadcast the sample columns.
         Returns the pipelines resolved exactly at the pilot."""
         self._units = units
         pipelines = [p for unit in units for p in unit.pipelines]
@@ -620,7 +625,7 @@ class RoundEngine(LossRecovery):
         # *submitted* pipelines so a withdrawn one leaves the others'
         # randomness untouched.
         streams = [rng, rng] if k == 1 else spawn_child(rng, 2 * k)
-        picks = order[:pilot_size_for(cfg, unit.size)]
+        pilot = pilot_size_for(cfg, unit.size)
         for i, pipeline in enumerate(unit.pipelines):
             if pipeline.cancelled:
                 # Withdrawn before streaming: no pilot, nothing towards
@@ -629,7 +634,8 @@ class RoundEngine(LossRecovery):
             B, n = pipeline.B_override, pipeline.n_override
             if B is None or n is None:
                 pipeline.ssabe = estimate_parameters(
-                    self._take(unit, pipeline.column, picks), unit.size,
+                    self._take(unit, pipeline.column, order.head(pilot)),
+                    unit.size,
                     pipeline.statistic, sigma=pipeline.sigma, tau=cfg.tau,
                     levels=cfg.subsample_levels, B_min=cfg.B_min,
                     stability_window=cfg.stability_window,
@@ -651,9 +657,8 @@ class RoundEngine(LossRecovery):
     def _reach(self, unit: SampleUnit) -> int:
         """The most rows the unit's own schedule can ever consume: its
         first target grown by ``expansion_factor`` for
-        ``max_iterations - 1`` rounds.  Bounding the materialised sample
-        by it means an early-stopping run over a huge population
-        neither copies nor ships rows no round could read."""
+        ``max_iterations - 1`` rounds — the size of its column
+        segments."""
         cfg = self._config
         bound = unit.target
         for _ in range(cfg.max_iterations - 1):
@@ -663,16 +668,18 @@ class RoundEngine(LossRecovery):
         return bound
 
     def _materialise(self) -> None:
-        """Permuted sample prefix of every active unit, shipped ONCE
-        per column for the whole run: every later delta is a
-        ``[lo, hi)`` slice of it — zero-copy on shared-memory backends,
-        inherited a single time (at worker fork) on process pools."""
+        """One column buffer per engine column, a reach-sized segment
+        per active unit, shipped ONCE for the whole run and filled as
+        it is read (:meth:`_fill`): every delta is a ``[lo, hi)`` slice
+        of it — zero-copy on shared-memory backends, a shared mapping
+        the workers inherit at their fork on process pools.  Nothing is
+        gathered here, and a buffer's pages stay untouched until rows
+        land in them."""
         units = [unit for unit in self._units if unit.active]
         for unit in units:
             unit.bound = self._reach(unit)
         assert self._executor is not None
-        for column in range(len(self._columns)):
-            segments: List[np.ndarray] = []
+        for column, data in enumerate(self._columns):
             readers: List[Pipeline] = []
             offset = 0
             for unit in units:
@@ -680,31 +687,50 @@ class RoundEngine(LossRecovery):
                         if p.column == column]
                 if not mine:
                     continue
-                assert unit.order is not None
-                segments.append(
-                    self._take(unit, column, unit.order[:unit.bound]))
                 for pipeline in mine:
                     pipeline.base = offset
                 readers.extend(mine)
                 offset += unit.bound
-            if not segments:
+            if not readers:
                 continue
-            sample = (segments[0] if len(segments) == 1
-                      else np.concatenate(segments))
-            source = (LocalColumn(sample) if self._lone
-                      else self._executor.broadcast(sample))
+            shape = (offset,) + data.shape[1:]
+            source = (LocalColumn(np.empty(shape, data.dtype)) if self._lone
+                      else self._executor.broadcast_column(shape, data.dtype))
             for pipeline in readers:
                 pipeline.source = source
         for unit in self._units:
-            unit.order = None
+            if not unit.active:
+                unit.order = None
+
+    def _fill(self, unit: SampleUnit, upto: int) -> None:
+        """Gather the unit's sample rows ``[drawn, upto)`` into its
+        segment of every column a live pipeline of it reads — just
+        before anything is handed them."""
+        lo = unit.drawn
+        if upto <= lo:
+            return
+        assert unit.order is not None
+        picks = unit.order.head(upto)[lo:]
+        filled = set()
+        for pipeline in unit.active_pipelines:
+            where = (id(pipeline.source), pipeline.base)
+            if where not in filled:
+                filled.add(where)
+                pipeline.source.value[pipeline.base + lo:
+                                      pipeline.base + upto] = \
+                    self._take(unit, pipeline.column, picks)
+        unit.drawn = upto
+        if upto == unit.bound:
+            unit.order = None   # every reachable row is in place
 
     def _apply_losses(self) -> List[Touched]:
         """Apply the queued loss reports (§3.4): mask the lost rows out
-        of every hit unit's materialised sample, rebuild the survivors'
+        of every hit unit's reachable sample, rebuild the survivors'
         estimation stages, finalize dead units.
 
-        Each hit active unit keeps every materialised row independently
-        with probability ``1 - fraction``; its columns become compacted
+        Each hit active unit keeps every reachable row independently
+        with probability ``1 - fraction`` (its segments are filled up to
+        ``bound`` first); its columns become compacted
         driver-local survivors, its stages are rebuilt (seeded from a
         lazily-spawned loss stream, so clean runs draw nothing extra)
         and the surviving consumed prefix is re-offered so the next
@@ -749,6 +775,7 @@ class RoundEngine(LossRecovery):
                 unit.bound = 0
                 touched.extend(self._finalize_unit(unit))
                 continue
+            self._fill(unit, unit.bound)
             consumed = int(np.count_nonzero(keep[:unit.consumed]))
             streams = spawn_child(self._loss_rng, len(unit.pipelines))
             compacted: Dict[Tuple[int, int], LocalColumn] = {}
@@ -767,7 +794,7 @@ class RoundEngine(LossRecovery):
                         local.value[:consumed])
                     touched.append((unit, pipeline))
             unit.consumed = consumed
-            unit.bound = survivors
+            unit.bound = unit.drawn = survivors
         return touched
 
     def _drew(self, unit: SampleUnit, rows: int) -> None:
@@ -801,6 +828,7 @@ class RoundEngine(LossRecovery):
                 continue
             self._drew(unit, quota)
             lo, unit.consumed = unit.consumed, unit.consumed + quota
+            self._fill(unit, unit.consumed)
             unit.iteration += 1
             drawn += quota
             for pipeline in unit.active_pipelines:
@@ -846,9 +874,10 @@ class RoundEngine(LossRecovery):
         Fans out over the configured backend when it can pay off; the
         per-pipeline RNG streams and ordered gather keep results
         byte-identical across serial / threads / processes.  Tasks carry
-        only slice bounds — the sample was shipped once for the whole
-        run, and on a process pool so is each stage: it then lives in
-        its slot's worker, where even a lone laggard is offered to.
+        only slice bounds — the column was shipped once for the whole
+        run (and filled before this round was), and on a process pool so
+        is each stage: it then lives in its slot's worker, where even a
+        lone laggard is offered to.
         """
         executor = self._executor
         assert executor is not None
@@ -930,7 +959,8 @@ class RoundEngine(LossRecovery):
 
 class UniformEngine(RoundEngine):
     """k statistic queries over ONE pilot and ONE growing uniform sample
-    of an in-memory dataset (a random permutation prefix).
+    of an in-memory dataset (a random permutation prefix, drawn as far
+    as it is read).
 
     Each expansion round draws a single delta and feeds it to every
     active query's own delta-maintained resample set (§4.1); queries
@@ -1013,8 +1043,9 @@ class UniformEngine(RoundEngine):
 
     # --------------------------------------------------- stepping protocol
     def prepare(self) -> List[Tuple[Pipeline, ProgressSnapshot]]:
-        """Pilot phase of the run: permutation, shared pilot, per-query
-        SSABE, §3.1 exact fallbacks, and the session's one broadcast.
+        """Pilot phase of the run: permutation prefix, shared pilot,
+        per-query SSABE, §3.1 exact fallbacks, and the session's one
+        broadcast.
 
         Returns the ``(query, snapshot)`` events of queries resolved
         exactly during the pilot.  After this, :meth:`run_round`
@@ -1028,7 +1059,7 @@ class UniformEngine(RoundEngine):
             return []
         unit = self._unit
         unit.rng = self._rng
-        unit.order = self._rng.permutation(unit.size)  # the ONE sample
+        unit.order = PermutationPrefix(unit.size, self._rng)  # the ONE sample
         return self._events(self._prepare([unit]))
 
     def live_demands(self) -> List[Dict[str, Any]]:

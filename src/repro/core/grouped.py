@@ -8,7 +8,7 @@ the *query* terminates only when its worst group does.
 stratified design instead (:class:`~repro.sampling.StratifiedSampler`):
 
 * every group gets its own SSABE pilot (a prefix of the group's own
-  permutation), its own ``(B, n)``, and its own delta-maintained
+  lazily drawn permutation), its own ``(B, n)``, and its own delta-maintained
   :class:`~repro.core.accuracy.AccuracyEstimationStage`;
 * a group stops sampling the moment *its* error bound is met (or its
   rows are exhausted / its §3.1 exact fallback fires), while laggard
@@ -408,14 +408,15 @@ class GroupedEarlSession(RoundEngine):
 
     # --------------------------------------------------- stepping protocol
     def prepare(self) -> List[Tuple["GroupedEarlSession", GroupedSnapshot]]:
-        """Seed, permute and pilot every group; resolve exact
-        fallbacks; broadcast each measure's stratified-ordered column.
+        """Seed and pilot every group; resolve exact fallbacks;
+        broadcast each measure's stratified-ordered column.
 
         Each group draws an integer seed from the session generator and
         then runs exactly as a solo session over its rows would: the
-        group generator draws the permutation first, then (for a single
-        measure) SSABE and the stage continue the same stream.  Returns
-        the one final event when every pair resolved exactly.
+        group's permutation prefix spawns its stream off the group
+        generator first, then (for a single measure) SSABE and the stage
+        continue that generator.  Returns the one final event when every
+        pair resolved exactly.
         """
         if not self._begin():
             return []
@@ -457,7 +458,7 @@ class GroupedEarlSession(RoundEngine):
             unit.rng = ensure_rng(int(seed))
             sampler.attach_rng(key, unit.rng)
             unit.order = sampler.order(key)
-            pilot = self._take(unit, 0, unit.order[:pilot_n])
+            pilot = self._take(unit, 0, unit.order.head(pilot_n))
             self._pilot_std[key] = float(np.std(
                 pilot.reshape(pilot_n, -1)[:, 0], ddof=1)) \
                 if pilot_n > 1 else 0.0
@@ -570,8 +571,10 @@ class GroupedEarlSession(RoundEngine):
         return super()._reach(unit)
 
     def _drew(self, unit: SampleUnit, rows: int) -> None:
+        # The engine gathers the rows itself; the sampler only keeps the
+        # count its quota allocation caps against.
         assert self._sampler is not None
-        self._sampler.take(unit.key, rows)
+        self._sampler.advance(unit.key, rows)
 
     def _max_rounds(self) -> int:
         """Round-count safety bound: schedule mode terminates within

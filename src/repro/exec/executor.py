@@ -28,9 +28,13 @@ many work units wrap it in a :class:`BroadcastHandle` via
 zero-copy reference; on the process backend each worker inherits the
 payload when it is forked, so every subsequent task pickles a short id
 instead of the value.  Work functions unwrap with
-:func:`broadcast_value`.  Handles are only ids plus local references —
-they never change *what* is computed, so the determinism contract below
-is unaffected.
+:func:`broadcast_value`.  A column that is filled as it is read is
+allocated by :meth:`Executor.broadcast_column` instead: an empty array
+on the shared-memory backends, an anonymous shared mapping the workers
+inherit on the process backend, so rows written after the fork reach
+them too.  Handles are only ids plus local references — they never
+change *what* is computed, so the determinism contract below is
+unaffected.
 
 Determinism contract
 --------------------
@@ -67,6 +71,8 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
+import mmap
 import multiprocessing
 import os
 import pickle
@@ -75,6 +81,8 @@ import traceback
 import weakref
 from concurrent.futures import ThreadPoolExecutor as _ThreadPool
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.obs.trace import TRACER as _TRACER
@@ -121,9 +129,12 @@ class BroadcastHandle:
     payload back through :attr:`value` (or :func:`broadcast_value`,
     which also accepts raw values).
 
-    Lifetime: a handle is valid until its executor is closed.  The
-    payload must not be mutated after broadcasting — workers may hold
-    a copy, so mutations would desynchronize backends.
+    Lifetime: a handle is valid until its executor is closed.  What a
+    work unit has been handed must not change afterwards.  A
+    :meth:`~Executor.broadcast` payload is never mutated at all —
+    workers may hold a copy, so mutations would desynchronize backends;
+    a :meth:`~Executor.broadcast_column` is shared, not copied, and its
+    rows that no unit has been handed yet may still be written.
     """
 
     __slots__ = ("bid", "_value")
@@ -250,6 +261,21 @@ class Executor:
         payload.
         """
         return BroadcastHandle(_next_broadcast_id(), value)
+
+    def broadcast_column(self, shape: Tuple[int, ...],
+                         dtype: Any) -> BroadcastHandle:
+        """A writable array of ``shape`` / ``dtype`` shared with every
+        work unit of this executor: a sample column filled as it is
+        read.
+
+        Rows may be written after broadcasting — a unit reads what was
+        written before its :meth:`map` was called — as long as no unit
+        has been handed them yet.  The memory stays untouched until
+        written: ``np.empty`` on shared-memory backends; on
+        :class:`ProcessExecutor` an anonymous shared mapping its workers
+        inherit, which must therefore be made before they are forked.
+        """
+        return BroadcastHandle(_next_broadcast_id(), np.empty(shape, dtype))
 
     def release(self, handle: BroadcastHandle) -> None:
         """Drop a broadcast payload from this executor's registry.
@@ -460,7 +486,9 @@ class ProcessExecutor(_PoolExecutor):
     :meth:`broadcast` payloads made before the fork are inherited by
     each worker, so handles inside task arguments pickle as short ids.
     A broadcast made after it never tears the pool down — that handle
-    simply pickles by value per task.  :meth:`release` of an inherited
+    simply pickles by value per task; a :meth:`broadcast_column` made
+    after it raises instead (by value, its later rows would never
+    arrive).  :meth:`release` of an inherited
     payload retires the workers (and what was placed in them: the
     engine, the one caller that places, never releases) and the next
     :meth:`map` forks fresh ones, so repeated broadcast/fan-out/release
@@ -487,6 +515,22 @@ class ProcessExecutor(_PoolExecutor):
         # <= 1-item in-process fast path of ``map`` resolve the handle.
         _BROADCASTS[handle.bid] = value
         return handle
+
+    def broadcast_column(self, shape: Tuple[int, ...],
+                         dtype: Any) -> BroadcastHandle:
+        if self._pool is not None:
+            # By value, its rows would freeze at the first task that
+            # carried it; only a fork shares the mapping.
+            raise RuntimeError(
+                "broadcast_column() after the workers were forked: rows "
+                "written later could never reach them")
+        dtype = np.dtype(dtype)
+        count = math.prod(shape)
+        # mmap(-1, ...) is MAP_SHARED | MAP_ANONYMOUS: zero pages on
+        # demand, the same physical pages in every forked worker.
+        mapping = mmap.mmap(-1, max(count * dtype.itemsize, 1))
+        column = np.frombuffer(mapping, dtype, count=count).reshape(shape)
+        return self.broadcast(column)
 
     def release(self, handle: BroadcastHandle) -> None:
         self._broadcasts.pop(handle.bid, None)

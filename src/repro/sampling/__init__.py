@@ -10,10 +10,13 @@
 * :class:`StratifiedSampler` — per-stratum uniform sampling over keyed
   records with uniform / proportional / Neyman quota allocation (the
   grouped-query design).
+* :class:`PermutationPrefix` — a uniform random permutation drawn only
+  as far as it is read (the in-memory engines' sample order).
 """
 
 from repro.sampling.base import allocate_per_split, draw_sample
 from repro.sampling.block_sampling import block_sampling_bias, sample_blocks
+from repro.sampling.permutation import PermutationPrefix
 from repro.sampling.postmap import PostMapSampler
 from repro.sampling.premap import PreMapSampler
 from repro.sampling.reservoir import reservoir_sample, reservoir_sample_indices
@@ -37,6 +40,7 @@ __all__ = [
     "block_sampling_bias",
     "TwoFileSampler",
     "StratifiedSampler",
+    "PermutationPrefix",
     "Factorization",
     "ALLOCATIONS",
     "ALLOCATION_UNIFORM",

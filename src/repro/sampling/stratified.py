@@ -17,8 +17,9 @@ per-round budget is divided between groups by an allocation policy:
   known).
 
 The sampler is the keyed-record counterpart of the in-memory helpers in
-:mod:`repro.sampling.base`: it materializes one permutation per stratum
-(prefixes = uniform samples without replacement, exactly the design of
+:mod:`repro.sampling.base`: it walks one lazily drawn permutation per
+stratum (a :class:`~repro.sampling.permutation.PermutationPrefix`:
+prefixes = uniform samples without replacement, exactly the design of
 :class:`~repro.core.EarlSession` within each group), tracks consumption,
 and allocates integer quotas by largest remainder with caps at each
 stratum's remaining rows — deterministic for a fixed seed, so the
@@ -31,6 +32,7 @@ from typing import Dict, Hashable, List, Optional, Sequence
 
 import numpy as np
 
+from repro.sampling.permutation import PermutationPrefix
 from repro.util.rng import SeedLike, ensure_rng
 from repro.util.validation import check_positive_int
 
@@ -211,7 +213,7 @@ class StratifiedSampler:
         self._keys: List[Hashable] = list(strata.keys)
         self._rows: Dict[Hashable, np.ndarray] = dict(
             zip(strata.keys, strata.rows))
-        self._orders: Dict[Hashable, np.ndarray] = {}
+        self._orders: Dict[Hashable, PermutationPrefix] = {}
         self._consumed: Dict[Hashable, int] = {key: 0 for key in self._keys}
         self._scales: Dict[Hashable, float] = {}
 
@@ -246,25 +248,27 @@ class StratifiedSampler:
 
     # ------------------------------------------------------------ randomness
     def attach_rng(self, key: Hashable, rng: np.random.Generator) -> None:
-        """Draw ``key``'s permutation *now* from a caller-owned stream.
+        """Root ``key``'s permutation in a caller-owned stream: its
+        prefix draws from a child spawned off ``rng`` *now*.
 
         Must happen before the stratum's first :meth:`peek`/:meth:`take`
-        (a lazily drawn permutation cannot be replaced — samples already
-        handed out would silently change design).
+        (a permutation cannot be replaced — samples already handed out
+        would silently change design).
         """
         if key in self._orders:
             raise RuntimeError(f"stratum {key!r} is already permuted")
-        self._orders[key] = rng.permutation(len(self._rows[key]))
+        self._orders[key] = PermutationPrefix(len(self._rows[key]), rng)
 
-    def order(self, key: Hashable) -> np.ndarray:
-        """``key``'s within-stratum permutation (drawn on first use).
+    def order(self, key: Hashable) -> PermutationPrefix:
+        """``key``'s within-stratum permutation (rooted in the sampler's
+        own stream on first use), drawn as far as it is read.
 
-        Prefixes of ``rows(key)[order(key)]`` are uniform samples without
-        replacement from the stratum.
+        ``rows(key)[order(key).head(m)]`` is a uniform sample of ``m``
+        rows without replacement from the stratum.
         """
         order = self._orders.get(key)
         if order is None:
-            order = self._rng.permutation(len(self._rows[key]))
+            order = PermutationPrefix(len(self._rows[key]), self._rng)
             self._orders[key] = order
         return order
 
@@ -314,17 +318,22 @@ class StratifiedSampler:
             raise ValueError(
                 f"cannot peek {count} rows of stratum {key!r} "
                 f"holding {self.population(key)}")
-        return self._rows[key][self.order(key)[:count]]
+        return self._rows[key][self.order(key).head(count)]
 
-    def take(self, key: Hashable, count: int) -> np.ndarray:
-        """Consume and return the next ``count`` sampled table rows of
-        ``key`` (uniform without replacement within the stratum)."""
+    def advance(self, key: Hashable, count: int) -> None:
+        """Consume the next ``count`` sampled rows of ``key`` without
+        gathering them (for a caller that reads them by position)."""
         if count < 0:
             raise ValueError("count cannot be negative")
         if count > self.remaining(key):
             raise ValueError(
                 f"cannot draw {count} rows from stratum {key!r} with "
                 f"{self.remaining(key)} remaining")
+        self._consumed[key] += count
+
+    def take(self, key: Hashable, count: int) -> np.ndarray:
+        """Consume and return the next ``count`` sampled table rows of
+        ``key`` (uniform without replacement within the stratum)."""
         lo = self._consumed[key]
-        self._consumed[key] = lo + count
-        return self._rows[key][self.order(key)[lo:lo + count]]
+        self.advance(key, count)
+        return self._rows[key][self.order(key).head(lo + count)[lo:]]

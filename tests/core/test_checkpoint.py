@@ -154,9 +154,10 @@ class TestGroupedSessionCheckpoint(_CheckpointContract):
 
 
 # SSABE runs here (B is its pick), so the replay also has to reproduce
-# the pilot/SSABE draws that precede the first round.  The solo case
-# pins the first sample size only: whatever n the pilot would choose,
-# the stream must have rounds left to lose rows in and to interrupt.
+# the pilot/SSABE draws that precede the first round.  Both cases pin
+# the first sample size only: whatever n the pilot would choose — a
+# group's can land on the §3.1 cliff and answer exactly at set-up — the
+# stream must have rounds left to lose rows in and to interrupt.
 class TestEarlSessionSsabeCheckpoint(TestEarlSessionCheckpoint):
     CONFIG = EarlConfig(sigma=0.015, seed=7, n_override=500)
     LOSS = {"fraction": 0.3, "seed": 99}
@@ -165,6 +166,6 @@ class TestEarlSessionSsabeCheckpoint(TestEarlSessionCheckpoint):
 
 
 class TestGroupedSessionSsabeCheckpoint(TestGroupedSessionCheckpoint):
-    CONFIG = EarlConfig(sigma=0.02, seed=3)
+    CONFIG = EarlConfig(sigma=0.02, seed=3, n_override=500)
     LOSS_AT = 0
     INTERRUPT_AFTER = 1

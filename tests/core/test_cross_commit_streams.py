@@ -76,7 +76,10 @@ ONE = [Measure("mean(v)", "mean", VALS)]
 TWO = ONE + [Measure("p90(w)", "p90", VALS2, sigma=0.02)]
 
 CASES = {
-    "session-mean": _session("mean", DATA, sigma=0.02, seed=7),
+    # n pinned (SSABE still picks B): its own n for this seed lands on
+    # the §3.1 cliff and would record a second exact-fallback case.
+    "session-mean": _session("mean", DATA, sigma=0.02, seed=7,
+                             n_override=1000),
     "session-median": _session("median", DATA, sigma=0.02, seed=8),
     "session-correlation": _session("correlation", PAIRS, sigma=0.015,
                                     seed=9),

@@ -11,7 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.accuracy import AccuracyEstimationStage
 from repro.core.bootstrap import bootstrap
+from repro.core.engine import _offer_resident
 from repro.exec import (
     BroadcastHandle,
     broadcast_value,
@@ -115,6 +117,68 @@ class TestHandleSemantics:
                 probe = ex.broadcast(np.arange(4000.0))
                 assert len(pickle.dumps(probe)) < 200
                 ex.release(probe)
+
+
+def _fork_the_workers(ex):
+    ex.map(_identity_probe, [None, None], place=[0, 1])
+    assert ex._pool is not None
+
+
+class TestGrowingColumns:
+    """``broadcast_column``: a sample column allocated once and filled
+    as it is read.  Rows no unit has been handed yet may be written
+    after the broadcast — and, on processes, after the fork."""
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_a_writable_column_of_the_asked_shape(self, name):
+        with get_executor(name, max_workers=2) as ex:
+            handle = ex.broadcast_column((1_000, 2), np.float64)
+            assert isinstance(handle, BroadcastHandle)
+            column = broadcast_value(handle)
+            assert column.shape == (1_000, 2) and column.dtype == np.float64
+            column[:20] = np.arange(40.0).reshape(20, 2)
+            work = [(handle, 0, 10), (handle, 10, 20)]
+            assert ex.map(_payload_fingerprint, work) == [190.0, 590.0]
+
+    def test_rows_written_after_the_fork_are_what_a_resident_stage_reads(
+            self):
+        """The workers fork while the column is still empty; each round
+        the driver writes the next rows and a resident stage — kept in
+        its worker — reads them: the same estimates as a stage fed the
+        rows directly."""
+        rows = np.random.default_rng(8).lognormal(0.0, 1.0, 3_000)
+        with get_executor("processes", max_workers=2) as ex:
+            handle = ex.broadcast_column(rows.shape, rows.dtype)
+            _fork_the_workers(ex)
+            twins = [AccuracyEstimationStage("mean", 20, seed=slot)
+                     for slot in (0, 1)]
+            stages = [AccuracyEstimationStage("mean", 20, seed=slot)
+                      for slot in (0, 1)]
+            for lo, hi in ((0, 1_000), (1_000, 3_000)):
+                handle.value[lo:hi] = rows[lo:hi]
+                got = ex.map(_offer_resident, [
+                    (slot, stages[slot] if lo == 0 else None,
+                     handle if lo == 0 else None, lo, hi, 1e-9)
+                    for slot in (0, 1)], place=[0, 1])
+                assert got == [twin.offer(rows[lo:hi]) for twin in twins]
+
+    def test_a_column_after_the_fork_raises(self):
+        """By value, its rows would freeze at the first task that carried
+        it; so it is refused rather than silently shipped."""
+        with get_executor("processes", max_workers=2) as ex:
+            early = ex.broadcast_column((10,), np.float64)
+            _fork_the_workers(ex)
+            with pytest.raises(RuntimeError, match="forked"):
+                ex.broadcast_column((10,), np.float64)
+            assert ex.map(_payload_fingerprint,
+                          [(early, 0, 10), (early, 0, 10)]) == [0.0, 0.0]
+
+    def test_a_process_column_travels_as_its_id(self):
+        import pickle
+
+        with get_executor("processes", max_workers=2) as ex:
+            handle = ex.broadcast_column((50_000,), np.float64)
+            assert len(pickle.dumps(handle)) < 200
 
 
 class TestBootstrapOnBroadcastPlane:

@@ -9,6 +9,7 @@ from repro.sampling import (
     ALLOCATION_NEYMAN,
     ALLOCATION_PROPORTIONAL,
     ALLOCATION_UNIFORM,
+    PermutationPrefix,
     StratifiedSampler,
     allocate_with_caps,
 )
@@ -79,12 +80,26 @@ class TestDrawing:
         assert sampler.sampled_count == 10
 
     def test_take_matches_attached_rng_permutation(self):
-        keys = ["a"] * 8
+        # The stratum walks a permutation prefix rooted in the attached
+        # stream: the one PermutationPrefix(size, rng) would draw.
+        keys = ["a"] * 300
         sampler = StratifiedSampler(keys)
         rng = np.random.default_rng(17)
         sampler.attach_rng("a", rng)
-        expected = np.random.default_rng(17).permutation(8)
-        assert list(sampler.take("a", 8)) == list(expected)
+        expected = PermutationPrefix(300, np.random.default_rng(17)).head(300)
+        drawn = np.concatenate([sampler.take("a", 100),
+                                sampler.take("a", 200)])
+        assert list(drawn) == list(expected)
+
+    def test_advance_consumes_without_gathering(self):
+        sampler = StratifiedSampler(["a"] * 10, seed=4)
+        twin = StratifiedSampler(["a"] * 10, seed=4)
+        sampler.advance("a", 4)
+        twin.take("a", 4)
+        assert sampler.consumed("a") == 4 and sampler.remaining("a") == 6
+        assert list(sampler.take("a", 6)) == list(twin.take("a", 6))
+        with pytest.raises(ValueError):
+            sampler.advance("a", 1)
 
     def test_attach_after_draw_rejected(self):
         sampler = StratifiedSampler(["a", "a"], seed=1)
