@@ -243,8 +243,7 @@ class SampleUnit:
         self.rows = rows    # the unit's rows of the engine columns
         #                     (appearance order); None = every row
         self.rng: Optional[np.random.Generator] = None
-        #: The unit's sample order, until every reachable row is drawn.
-        self.order: Optional[PermutationPrefix] = None
+        self.order: Optional[PermutationPrefix] = None   # the sample order
         self.consumed = 0
         self.target = 0
         self.iteration = 0
@@ -698,9 +697,6 @@ class RoundEngine(LossRecovery):
                       else self._executor.broadcast_column(shape, data.dtype))
             for pipeline in readers:
                 pipeline.source = source
-        for unit in self._units:
-            if not unit.active:
-                unit.order = None
 
     def _fill(self, unit: SampleUnit, upto: int) -> None:
         """Gather the unit's sample rows ``[drawn, upto)`` into its
@@ -711,17 +707,11 @@ class RoundEngine(LossRecovery):
             return
         assert unit.order is not None
         picks = unit.order.head(upto)[lo:]
-        filled = set()
-        for pipeline in unit.active_pipelines:
-            where = (id(pipeline.source), pipeline.base)
-            if where not in filled:
-                filled.add(where)
-                pipeline.source.value[pipeline.base + lo:
-                                      pipeline.base + upto] = \
-                    self._take(unit, pipeline.column, picks)
+        # One segment per column: a unit's readers of a column share it.
+        for pipeline in {p.column: p for p in unit.active_pipelines}.values():
+            segment = pipeline.source.value[pipeline.base:]
+            segment[lo:upto] = self._take(unit, pipeline.column, picks)
         unit.drawn = upto
-        if upto == unit.bound:
-            unit.order = None   # every reachable row is in place
 
     def _apply_losses(self) -> List[Touched]:
         """Apply the queued loss reports (§3.4): mask the lost rows out

@@ -275,7 +275,7 @@ class Executor:
         :class:`ProcessExecutor` an anonymous shared mapping its workers
         inherit, which must therefore be made before they are forked.
         """
-        return BroadcastHandle(_next_broadcast_id(), np.empty(shape, dtype))
+        return self.broadcast(np.empty(shape, dtype))
 
     def release(self, handle: BroadcastHandle) -> None:
         """Drop a broadcast payload from this executor's registry.

@@ -51,10 +51,6 @@ class PermutationPrefix:
         self._drawn = np.empty(0, dtype=np.int64)
         self._taken = None
 
-    def __len__(self) -> int:
-        """Positions drawn so far (a rung of the ladder, or ``size``)."""
-        return len(self._drawn)
-
     def head(self, count: int) -> np.ndarray:
         """The first ``count`` positions of the permutation (a read-only
         view: the prefix keeps growing underneath)."""

@@ -119,11 +119,6 @@ class TestHandleSemantics:
                 ex.release(probe)
 
 
-def _fork_the_workers(ex):
-    ex.map(_identity_probe, [None, None], place=[0, 1])
-    assert ex._pool is not None
-
-
 class TestGrowingColumns:
     """``broadcast_column``: a sample column allocated once and filled
     as it is read.  Rows no unit has been handed yet may be written
@@ -142,24 +137,26 @@ class TestGrowingColumns:
 
     def test_rows_written_after_the_fork_are_what_a_resident_stage_reads(
             self):
-        """The workers fork while the column is still empty; each round
-        the driver writes the next rows and a resident stage — kept in
-        its worker — reads them: the same estimates as a stage fed the
-        rows directly."""
-        rows = np.random.default_rng(8).lognormal(0.0, 1.0, 3_000)
-        with get_executor("processes", max_workers=2) as ex:
+        """The workers (more than this container's two cores) fork while
+        the column is still empty; each round the driver writes the next
+        rows and every resident stage — kept in its worker — reads them:
+        the same estimates as stages fed the rows directly."""
+        rows = np.random.default_rng(8).lognormal(0.0, 1.0, 4_000)
+        slots = range(3)
+        with get_executor("processes", max_workers=3) as ex:
             handle = ex.broadcast_column(rows.shape, rows.dtype)
-            _fork_the_workers(ex)
+            ex.map(_identity_probe, [None] * 3, place=list(slots))
             twins = [AccuracyEstimationStage("mean", 20, seed=slot)
-                     for slot in (0, 1)]
+                     for slot in slots]
             stages = [AccuracyEstimationStage("mean", 20, seed=slot)
-                      for slot in (0, 1)]
-            for lo, hi in ((0, 1_000), (1_000, 3_000)):
+                      for slot in slots]
+            for lo, hi in ((0, 500), (500, 1_000), (1_000, 2_500),
+                           (2_500, 4_000)):
                 handle.value[lo:hi] = rows[lo:hi]
                 got = ex.map(_offer_resident, [
                     (slot, stages[slot] if lo == 0 else None,
                      handle if lo == 0 else None, lo, hi, 1e-9)
-                    for slot in (0, 1)], place=[0, 1])
+                    for slot in slots], place=list(slots))
                 assert got == [twin.offer(rows[lo:hi]) for twin in twins]
 
     def test_a_column_after_the_fork_raises(self):
@@ -167,7 +164,8 @@ class TestGrowingColumns:
         it; so it is refused rather than silently shipped."""
         with get_executor("processes", max_workers=2) as ex:
             early = ex.broadcast_column((10,), np.float64)
-            _fork_the_workers(ex)
+            early.value[:] = 0.0
+            ex.map(_identity_probe, [None, None], place=[0, 1])
             with pytest.raises(RuntimeError, match="forked"):
                 ex.broadcast_column((10,), np.float64)
             assert ex.map(_payload_fingerprint,

@@ -92,9 +92,9 @@ class TestShape:
     def test_draws_only_up_to_the_next_rung(self):
         prefix = PermutationPrefix(1_000_000, 1)
         prefix.head(100)
-        assert len(prefix) == 128
+        assert len(prefix._drawn) == 128
         prefix.head(4_000)
-        assert len(prefix) == 4_096
+        assert len(prefix._drawn) == 4_096
 
     def test_heads_are_read_only(self):
         head = PermutationPrefix(500, 1).head(10)
