@@ -6,6 +6,9 @@
 #                      stability tests
 #   make bench       - every figure benchmark (writes benchmarks/results/)
 #   make bench-smoke - quick benchmark subset (~30 s)
+#   make figures-check - regenerate the simulated Fig. 5/6/7/9/10
+#                      records (~10 s) and fail if any differs from its
+#                      committed copy under benchmarks/results/
 #   make bench-json  - every benchmark of benchmarks/bench_gates.json
 #                      (kernel, ingest, query, scheduler, faults,
 #                      durability, telemetry, exec) at smoke size ->
@@ -40,7 +43,8 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-all test-chaos test-durability bench bench-smoke \
-	bench-json bench-service bench-e2e bench-pairs docs-check examples clean
+	figures-check bench-json bench-service bench-e2e bench-pairs \
+	docs-check examples clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -73,6 +77,22 @@ bench-smoke:
 		benchmarks/bench_fig10_delta_maintenance.py \
 		benchmarks/bench_exec_backends.py \
 		benchmarks/bench_exec.py
+
+# The figure records are simulated seconds and counts, byte-identical
+# run to run on any machine; wall-clock records (kernel_throughput.txt,
+# exec_backends.txt, ingest_throughput.txt) are not among them.
+FIGURE_BENCHES = benchmarks/bench_fig5_mean_speedup.py \
+	benchmarks/bench_fig6_median.py benchmarks/bench_fig7_kmeans.py \
+	benchmarks/bench_fig9_sampling_modes.py \
+	benchmarks/bench_fig10_delta_maintenance.py
+FIGURE_RECORDS = $(addprefix benchmarks/results/, fig5_loading.txt \
+	fig5_mean_speedup.txt fig6_median.txt fig7_kmeans.txt \
+	fig9_kv_counts.txt fig9_sampling_modes.txt fig10_resampling.txt \
+	fig10_update_procedure.txt)
+
+figures-check:
+	$(PYTHON) -m pytest -q $(FIGURE_BENCHES)
+	git diff --exit-code -- $(FIGURE_RECORDS)
 
 # Smoke sizes only; the machine-independent gates (speedup ratio vs the
 # committed baselines) live in tools/check_bench_regression.py — the

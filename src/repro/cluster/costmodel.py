@@ -18,10 +18,12 @@ a running mapper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, Iterable, Iterator, Mapping, Optional, TypeVar
 
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.util.validation import check_positive
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -135,6 +137,28 @@ class CostLedger:
         if records < 0:
             raise ValueError("record count cannot be negative")
         self._charge("cpu", records * self.params.cpu_seconds_per_record * cpu_factor)
+
+    def charge_cpu_per_record(self, records: Iterable[_T], scale: float,
+                              cpu_factor: float = 1.0) -> Iterator[_T]:
+        """Hand ``records`` on one by one, charging CPU for ``scale``
+        records just before each is handed on.
+
+        Exactly equivalent to calling :meth:`charge_cpu_records` ahead
+        of every record: the same left-to-right float additions, and a
+        charge the consumer makes on this ledger between two records
+        keeps its place in the sum, so totals are bit-identical.  The
+        cost is priced and checked once, not per record (a map task
+        charges every record it reads).
+        """
+        if scale < 0:
+            raise ValueError("record count cannot be negative")
+        cost = scale * self.params.cpu_seconds_per_record * cpu_factor
+        if cost < 0:
+            raise ValueError("cannot charge negative time")
+        seconds = self._seconds
+        for record in records:
+            seconds["cpu"] += cost
+            yield record
 
     def charge_cpu_seconds(self, seconds: float) -> None:
         self._charge("cpu", seconds)

@@ -222,17 +222,20 @@ class StatisticReducer(IncrementalReducer):
 
     def initialize(self, values: Sequence[Any]) -> Any:
         state = self._stat.make_state()
+        add = state.add
         for v in values:
-            # A map-side GroupStateCombiner pre-aggregates each key's
-            # values into states; fold those in by merging.
-            if is_estimator_state(v):
+            if type(v) is float:  # a plain value: no duck-type probe
+                add(v)
+            elif is_estimator_state(v):
+                # A map-side GroupStateCombiner pre-aggregates each
+                # key's values into states; fold those in by merging.
                 if not hasattr(state, "merge"):
                     raise TypeError(
                         f"state of {self._stat.name!r} does not support "
                         "merging")
                 state.merge(v)
             else:
-                state.add(v)
+                add(v)
         return state
 
     def update(self, state: Any, new_input: Any) -> Any:

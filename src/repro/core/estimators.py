@@ -74,19 +74,41 @@ class _SortedFloats:
     """Minimal sorted multiset of floats.
 
     O(1) order statistics, which quantile states need on every
-    ``result()`` call.  *Representation rule:* ``_data`` is an ndarray
-    while the batch ops (``insert_many``/``remove_many`` — the delta-
-    maintenance kernel) are in use and a Python list while the scalar
-    ops (``insert``/``remove`` — ``bisect`` on a list beats any
-    per-item ndarray op) are; it is converted only when the kind of op
-    switches, never per call.
+    ``result()`` call.
+
+    *Representation rule:* ``_data`` holds the sorted values — an
+    ndarray while the batch ops (``insert_many``/``remove_many`` — the
+    delta-maintenance kernel) are in use, a Python list while the scalar
+    ops (``insert``/``remove``) are; it is converted only when the kind
+    of op switches, never per call.  ``insert`` appends to the unsorted
+    ``_pending`` list; the next read, ``remove`` or batch op merges it
+    into ``_data`` with one stable sort (a single pending value with
+    ``bisect.insort``, so add/read interleavings cost what they did).
+    ``m`` inserts in a row — an exact quantile job adds record by record
+    — thus cost one sort instead of ``m`` O(n) shifting insertions, and
+    leave the order ``m`` calls of ``bisect.insort`` would: equal values
+    (``0.0`` and ``-0.0``) in insertion order, after those already held.
     """
 
-    __slots__ = ("_data",)
+    __slots__ = ("_data", "_pending")
 
     def __init__(self, values: Iterable[float] = ()) -> None:
         self._data: Union[List[float], np.ndarray] = sorted(
             float(v) for v in values)
+        self._pending: List[float] = []
+
+    def _merged(self) -> Union[List[float], np.ndarray]:
+        """``_data`` with the pending inserts merged in."""
+        pending = self._pending
+        if pending:
+            data = self._list()
+            if len(pending) == 1:
+                bisect.insort(data, pending[0])
+            else:
+                data += pending
+                data.sort()
+            self._pending = []
+        return self._data
 
     def _list(self) -> List[float]:
         if type(self._data) is not list:
@@ -94,14 +116,16 @@ class _SortedFloats:
         return self._data
 
     def _array(self) -> np.ndarray:
+        self._merged()
         if type(self._data) is list:
             self._data = np.asarray(self._data, dtype=float)
         return self._data
 
     def insert(self, value: float) -> None:
-        bisect.insort(self._list(), value)
+        self._pending.append(value)
 
     def remove(self, value: float) -> None:
+        self._merged()
         data = self._list()
         idx = bisect.bisect_left(data, value)
         if idx >= len(data) or data[idx] != value:
@@ -144,18 +168,19 @@ class _SortedFloats:
         self._data = np.delete(arr, idx)
 
     def kth(self, index: int) -> float:
-        return float(self._data[index])
+        return float(self._merged()[index])
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self._data) + len(self._pending)
 
     def copy(self) -> "_SortedFloats":
         clone = _SortedFloats.__new__(_SortedFloats)
-        clone._data = self._data.copy()
+        clone._data = self._merged().copy()
+        clone._pending = []
         return clone
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self._data)
+        return np.asarray(self._merged())
 
 
 class MeanState(EstimatorState):

@@ -30,6 +30,7 @@ regardless of backend.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Iterator, List, Optional, Protocol, Tuple
 
@@ -55,7 +56,12 @@ from repro.mapreduce.job import (
     JobResult,
 )
 from repro.mapreduce.partitioner import HashPartitioner
-from repro.mapreduce.types import KeyValue, TaskContext, estimate_pair_bytes
+from repro.mapreduce.types import (
+    PAIR_FRAMING_BYTES,
+    KeyValue,
+    TaskContext,
+    estimate_bytes,
+)
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.obs.trace import TRACER as _TRACER
 from repro.util.rng import ensure_rng, spawn_child
@@ -554,145 +560,183 @@ def _execute_map_task(args: _MapTaskArgs) -> _MapTaskResult:
     backend can pickle it by reference; everything it touches arrives in
     ``args`` and everything it produces leaves in the result — there is
     no hidden driver state, which is what makes the fan-out safe.
+
+    Per record the task pays one call of the user's ``map`` (plus the
+    ledger's one float addition of CPU); counters are added once per
+    task and routing once per key (see :func:`_partition_pairs`).
     """
     fs = broadcast_value(args.fs)
     conf = args.conf
     split = args.split
     ledger = args.ledger
-    record_scale = args.record_scale
+    policy = args.policy
     counters = Counters()
     if not conf.local_mode and not args.warm_start:
         ledger.charge_task_startup()
 
     n_red = conf.n_reducers
-    partitions: List[List[KeyValue]] = [[] for _ in range(n_red)]
     if not fs.split_available(split):
         if conf.on_unavailable == ON_UNAVAILABLE_FAIL:
             raise JobFailedError(
                 f"split {split.index} of {split.path} is unavailable "
                 "(all replicas lost)")
-        counters.increment(C.SKIPPED_SPLITS)
-        counters.increment(C.FAILED_TASKS)
-        return _MapTaskResult(partitions=partitions,
-                              partition_bytes=[0.0] * n_red,
-                              partition_records=[0.0] * n_red,
-                              duration=ledger.total_seconds,
-                              counters=counters, ledger=ledger,
-                              skipped=True)
+        return _skipped_map_task(n_red, ledger, counters)
 
     ctx = TaskContext(ledger=ledger, counters=counters, rng=args.rng,
-                      record_scale=record_scale,
+                      record_scale=args.record_scale,
                       cpu_factor=conf.cpu_factor, config=dict(conf.params),
                       task_id=f"map-{split.index}", attempt=args.attempt)
-    partitioner = HashPartitioner(n_red)
     mapper = conf.mapper
     buffered: List[KeyValue] = []
-
-    # Salvage bookkeeping is only tracked when the policy could use it,
-    # keeping the default hot loop untouched.
-    track_salvage = (args.policy is not None
-                     and args.policy.salvage_partial_splits
-                     and conf.on_unavailable == ON_UNAVAILABLE_SKIP)
-    last_offset: Optional[int] = None
+    may_salvage = (policy is not None and policy.salvage_partial_splits
+                   and conf.on_unavailable == ON_UNAVAILABLE_SKIP)
     salvaged = False
     lost_logical = 0.0
-    try:
-        mapper.setup(ctx)
-        if track_salvage:
-            for key, value in args.source.read(fs, split, ledger, args.rng):
-                if isinstance(key, (int, np.integer)):
-                    last_offset = int(key)
-                counters.increment(C.MAP_INPUT_RECORDS)
-                ledger.charge_cpu_records(record_scale, conf.cpu_factor)
-                for pair in mapper.map(key, value, ctx):
-                    buffered.append(pair)
-        else:
-            for key, value in args.source.read(fs, split, ledger, args.rng):
-                counters.increment(C.MAP_INPUT_RECORDS)
-                ledger.charge_cpu_records(record_scale, conf.cpu_factor)
-                for pair in mapper.map(key, value, ctx):
-                    buffered.append(pair)
-        for pair in mapper.cleanup(ctx):
-            buffered.append(pair)
-    except BlockUnavailableError as exc:
-        # The availability pre-check covers the split's own blocks,
-        # but a record reader legitimately over-reads past the split
-        # end (to finish its last line) and can hit a lost block
-        # mid-task.  With retries left, hand the read back to the
-        # attempt wrapper (which refreshes the split cache and retries
-        # against surviving replicas); otherwise apply the job's
-        # unavailability policy — optionally salvaging the records the
-        # task already produced.
-        if args.policy is not None \
-                and args.attempt < args.policy.max_task_retries:
-            raise
-        if not track_salvage:
-            if conf.on_unavailable == ON_UNAVAILABLE_FAIL:
-                raise JobFailedError(
-                    f"map task {split.index} of {split.path} lost its "
-                    f"input mid-read: {exc}") from exc
-            counters.increment(C.SKIPPED_SPLITS)
-            counters.increment(C.FAILED_TASKS)
-            return _MapTaskResult(partitions=[[] for _ in range(n_red)],
-                                  partition_bytes=[0.0] * n_red,
-                                  partition_records=[0.0] * n_red,
-                                  duration=ledger.total_seconds,
-                                  counters=counters, ledger=ledger,
-                                  skipped=True)
-        # Degrade, don't die: keep the prefix read before the loss and
-        # account the unread tail of the split as lost input.
-        salvaged = True
-        if last_offset is None and counters.get(C.MAP_INPUT_RECORDS) == 0 \
-                and isinstance(args.source, FullScanSource):
+    # ``taken`` counts the records the loop took and ``key`` is the last
+    # one's key (a byte offset for text input); both survive a read that
+    # dies mid-split.
+    taken = 0
+    key: Any = None
+    read = functools.partial(args.source.read, fs, split, ledger, args.rng)
+    mapper.setup(ctx)
+    while True:
+        try:
+            for taken, (key, value) in enumerate(
+                    ledger.charge_cpu_per_record(read(), args.record_scale,
+                                                 conf.cpu_factor),
+                    taken + 1):
+                buffered.extend(mapper.map(key, value, ctx))
+            break
+        except BlockUnavailableError as exc:
+            # The availability pre-check covers the split's own blocks,
+            # but a record reader legitimately over-reads past the split
+            # end (to finish its last line) and can hit a lost block
+            # mid-task.  With retries left, hand the read back to the
+            # attempt wrapper (which refreshes the split cache and
+            # retries against surviving replicas); otherwise apply the
+            # job's unavailability policy — optionally salvaging the
+            # records the task already took.
+            if salvaged:
+                break  # the re-scan lost a block too: keep what we have
+            if policy is not None and args.attempt < policy.max_task_retries:
+                raise
+            if not may_salvage:
+                if conf.on_unavailable == ON_UNAVAILABLE_FAIL:
+                    raise JobFailedError(
+                        f"map task {split.index} of {split.path} lost its "
+                        f"input mid-read: {exc}") from exc
+                if taken:
+                    counters.increment(C.MAP_INPUT_RECORDS, taken)
+                return _skipped_map_task(n_red, ledger, counters)
+            # Degrade, don't die: keep the prefix read before the loss
+            # and account the unread tail of the split as lost input.
+            salvaged = True
+            if taken or not isinstance(args.source, FullScanSource):
+                break
             # The scalar scan reads its whole range up front, so a lost
             # tail block voided the entire read.  Re-scan just the
-            # surviving prefix — served by intact replicas — and push
-            # it through the mapper.
-            reader = LineRecordReader(fs, split, ledger=ledger,
-                                      cached=False)
-            try:
-                for key, value in reader.read_records_salvage():
-                    last_offset = int(key)
-                    counters.increment(C.MAP_INPUT_RECORDS)
-                    ledger.charge_cpu_records(record_scale,
-                                              conf.cpu_factor)
-                    for pair in mapper.map(key, value, ctx):
-                        buffered.append(pair)
-            except BlockUnavailableError:
-                pass  # availability changed underfoot; keep what we have
+            # surviving prefix — served by intact replicas — through
+            # the same loop.
+            read = LineRecordReader(fs, split, ledger=ledger,
+                                    cached=False).read_records_salvage
+    if salvaged:
         consumed = 0.0
-        if last_offset is not None and split.length > 0:
+        if taken and isinstance(key, (int, np.integer)) and split.length > 0:
             consumed = min(1.0, max(
-                0.0, (last_offset - split.start) / split.length))
+                0.0, (int(key) - split.start) / split.length))
         lost_logical = (1.0 - consumed) * split.logical_length
         counters.increment(C.SALVAGED_SPLITS)
-        for pair in mapper.cleanup(ctx):
-            buffered.append(pair)
+    buffered.extend(mapper.cleanup(ctx))
+    if taken:
+        counters.increment(C.MAP_INPUT_RECORDS, taken)
     counters.increment(C.MAP_OUTPUT_RECORDS, len(buffered))
 
     if conf.combiner is not None and buffered:
-        ledger.charge_cpu_records(len(buffered) * record_scale,
+        ledger.charge_cpu_records(len(buffered) * args.record_scale,
                                   conf.cpu_factor)
         buffered = run_combiner(conf.combiner, buffered, ctx)
         # Combined output is O(#keys): it no longer scales with the file.
         pair_scale = 1.0
     else:
-        pair_scale = record_scale
+        pair_scale = args.record_scale
 
-    partition_bytes = [0.0] * n_red
-    partition_records = [0.0] * n_red
-    for key, value in buffered:
-        p = partitioner.partition(key)
-        partitions[p].append((key, value))
-        partition_bytes[p] += estimate_pair_bytes(key, value) * pair_scale
-        partition_records[p] += pair_scale
-
+    partitions, partition_bytes, partition_records = _partition_pairs(
+        buffered, HashPartitioner(n_red), pair_scale)
     return _MapTaskResult(partitions=partitions,
                           partition_bytes=partition_bytes,
                           partition_records=partition_records,
                           duration=ledger.total_seconds,
                           counters=counters, ledger=ledger,
                           lost_logical=lost_logical, salvaged=salvaged)
+
+
+def _skipped_map_task(n_red: int, ledger: CostLedger,
+                      counters: Counters) -> _MapTaskResult:
+    """Result of a map task whose split was skipped as unavailable."""
+    counters.increment(C.SKIPPED_SPLITS)
+    counters.increment(C.FAILED_TASKS)
+    return _MapTaskResult(partitions=[[] for _ in range(n_red)],
+                          partition_bytes=[0.0] * n_red,
+                          partition_records=[0.0] * n_red,
+                          duration=ledger.total_seconds,
+                          counters=counters, ledger=ledger, skipped=True)
+
+
+#: Stands for "no previous key" in the per-key memos (``None`` is a key).
+_NO_KEY = object()
+#: What :func:`estimate_bytes` gives any exact ``float``.
+_FLOAT_BYTES = estimate_bytes(0.0)
+
+
+def _partition_pairs(pairs: List[KeyValue], partitioner: HashPartitioner,
+                     pair_scale: float
+                     ) -> Tuple[List[List[KeyValue]], List[float],
+                                List[float]]:
+    """Route map output to reducers and price each partition.
+
+    Same integers and the same float sums, in pair order, as calling
+    ``partitioner.partition`` and :func:`estimate_pair_bytes` on every
+    pair; but a key is routed and sized once per run of one key object
+    (once per distinct value for ``str`` keys), and per pair only the
+    value is sized, a constant for an exact ``float``.  Keys are never
+    memoized by bare equality: ``0.0`` and ``-0.0``, or ``1``, ``1.0``
+    and ``True``, are equal keys that route by different reprs.  The
+    shuffle carries fresh ``(key, value)`` tuples whatever the mapper
+    yielded.
+    """
+    n_red = partitioner.num_partitions
+    partitions: List[List[KeyValue]] = [[] for _ in range(n_red)]
+    partition_bytes = [0.0] * n_red
+    partition_records = [0.0] * n_red
+    str_routes: Dict[str, Tuple[int, int]] = {}
+    last_key: Any = _NO_KEY
+    p = 0
+    nbytes = nrecords = 0.0
+    for key, value in pairs:
+        if key is not last_key:
+            # A partition's running sums live in locals between key
+            # switches; storing and reloading them keeps every
+            # partition's additions in pair order.
+            partition_bytes[p], partition_records[p] = nbytes, nrecords
+            last_key = key
+            key_route = str_routes.get(key) if type(key) is str else None
+            if key_route is None:
+                key_route = (partitioner.partition(key),
+                             estimate_bytes(key) + PAIR_FRAMING_BYTES)
+                if type(key) is str:
+                    str_routes[key] = key_route
+            p, key_bytes = key_route
+            float_pair_bytes = (key_bytes + _FLOAT_BYTES) * pair_scale
+            bucket = partitions[p]
+            nbytes, nrecords = partition_bytes[p], partition_records[p]
+        bucket.append((key, value))
+        if type(value) is float:
+            nbytes += float_pair_bytes
+        else:
+            nbytes += (key_bytes + estimate_bytes(value)) * pair_scale
+        nrecords += pair_scale
+    partition_bytes[p], partition_records[p] = nbytes, nrecords
+    return partitions, partition_bytes, partition_records
 
 
 def _run_map_task_attempts(args: _MapTaskArgs) -> _MapTaskResult:
@@ -811,10 +855,18 @@ def _execute_reduce_task(args: _ReduceTaskArgs) -> _ReduceTaskResult:
     # Group by key, then process groups in deterministic sorted order
     # (Hadoop sorts intermediate keys before reducing).  The key order
     # is materialized once per reduce task, up front, so the reduce
-    # loop is a plain walk over pre-sorted (key, values) groups.
+    # loop is a plain walk over pre-sorted (key, values) groups.  A run
+    # of one key object looks its group up once (the map side's
+    # last-key memo); grouping itself is by equality, as always.
     groups: Dict[Hashable, List[Any]] = {}
+    last_key: Any = _NO_KEY
     for key, value in args.pairs:
-        groups.setdefault(key, []).append(value)
+        if key is not last_key:
+            last_key = key
+            values = groups.get(key)
+            if values is None:
+                values = groups[key] = []
+        values.append(value)
     counters.increment(C.REDUCE_INPUT_GROUPS, len(groups))
     counters.increment(C.REDUCE_INPUT_RECORDS, len(args.pairs))
     ordered_groups = sorted(groups.items(), key=_group_sort_key)
@@ -823,10 +875,8 @@ def _execute_reduce_task(args: _ReduceTaskArgs) -> _ReduceTaskResult:
     output: List[KeyValue] = []
     reducer.setup(ctx)
     for key, values in ordered_groups:
-        for out in reducer.reduce(key, values, ctx):
-            output.append(out)
-    for out in reducer.cleanup(ctx):
-        output.append(out)
+        output.extend(reducer.reduce(key, values, ctx))
+    output.extend(reducer.cleanup(ctx))
     counters.increment(C.REDUCE_OUTPUT_RECORDS, len(output))
     return _ReduceTaskResult(output=output, duration=ledger.total_seconds,
                              counters=counters, ledger=ledger)

@@ -60,6 +60,10 @@ class TaskContext:
     attempt: int = 0
 
 
+#: Framing overhead :func:`estimate_pair_bytes` adds to a pair.
+PAIR_FRAMING_BYTES = 2
+
+
 def estimate_pair_bytes(key: Any, value: Any) -> int:
     """Rough serialized size of a ``(key, value)`` pair.
 
@@ -67,10 +71,12 @@ def estimate_pair_bytes(key: Any, value: Any) -> int:
     simple (textual length), since only relative magnitudes matter to the
     cost model.
     """
-    return _estimate(key) + _estimate(value) + 2  # +2 for framing
+    return estimate_bytes(key) + estimate_bytes(value) + PAIR_FRAMING_BYTES
 
 
-def _estimate(obj: Any) -> int:
+def estimate_bytes(obj: Any) -> int:
+    """Rough serialized size of one key or value (see
+    :func:`estimate_pair_bytes`)."""
     if obj is None:
         return 1
     if isinstance(obj, bool):
@@ -84,9 +90,10 @@ def _estimate(obj: Any) -> int:
     if isinstance(obj, str):
         return len(obj)
     if isinstance(obj, (list, tuple)):
-        return sum(_estimate(x) for x in obj) + 2
+        return sum(estimate_bytes(x) for x in obj) + 2
     if isinstance(obj, dict):
-        return sum(_estimate(k) + _estimate(v) for k, v in obj.items()) + 2
+        return sum(estimate_bytes(k) + estimate_bytes(v)
+                   for k, v in obj.items()) + 2
     if isinstance(obj, np.ndarray):
         return int(obj.nbytes)
     return 16

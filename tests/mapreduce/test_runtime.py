@@ -8,12 +8,39 @@ from repro.mapreduce import (
     JobClient,
     JobConf,
     JobFailedError,
+    Mapper,
     MeanReducer,
     ProjectionMapper,
     SumReducer,
+    estimate_pair_bytes,
+    stable_hash,
 )
 from repro.mapreduce import counters as C
 from repro.mapreduce.job import ON_UNAVAILABLE_SKIP
+from repro.mapreduce.runtime import (
+    FullScanSource,
+    _execute_map_task,
+    _MapTaskArgs,
+)
+
+#: Keys that are equal but route by different reprs (0.0 / -0.0;
+#: 1 / 1.0 / True / np.int64(1)), and an equal str that is a different
+#: object: a routing memo keyed by bare equality would send some of
+#: them to the wrong reducer.
+JOINED = "".join(["k", "ey"])
+EDGE_KEYS = ["key", JOINED, 1, 1.0, True, np.int64(1), 0.0, -0.0, (0.0,),
+             (-0.0,)]
+
+
+class EdgeKeyMapper(Mapper):
+    """Emits the edge keys interleaved and repeated; odd records yield
+    ``[key, value]`` lists instead of tuples."""
+
+    def map(self, key, value, ctx):
+        i = int(float(value.partition("\t")[2]))
+        for j in (i, i + 3, i + 7, i + 3):
+            pair = (EDGE_KEYS[j % len(EDGE_KEYS)], float(i))
+            yield list(pair) if i % 2 else pair
 
 
 @pytest.fixture
@@ -60,19 +87,50 @@ class TestBasicExecution:
             return JobClient(cluster).run(conf).output
         assert run() == run()
 
-    def test_multiple_reducers_partition_keys(self, cluster):
+    @pytest.mark.parametrize("mapper, n_reducers", [
+        (ProjectionMapper(), 3), (EdgeKeyMapper(), 7)],
+        ids=["keyed-lines", "edge-keys"])
+    def test_multiple_reducers_partition_keys(self, cluster, mapper,
+                                              n_reducers):
+        assert JOINED == EDGE_KEYS[0] and JOINED is not EDGE_KEYS[0]
         lines = [f"k{i % 7}\t{float(i)}" for i in range(700)]
-        cluster.hdfs.write_lines("/keyed", lines)
-        conf = JobConf(name="sum", input_path="/keyed",
-                       mapper=ProjectionMapper(), reducer=SumReducer(),
-                       n_reducers=3, seed=2)
+        cluster.hdfs.write_lines("/keyed", lines, logical_scale=3.7)
+        conf = JobConf(name="sum", input_path="/keyed", mapper=mapper,
+                       reducer=SumReducer(), n_reducers=n_reducers, seed=2)
+        # Map side: every pair is a tuple routed to stable_hash(key) % n,
+        # and each partition's bytes and records are the per-pair
+        # estimates summed in pair order.
+        expected = {}
+        for split in cluster.hdfs.get_splits("/keyed"):
+            task = _execute_map_task(_MapTaskArgs(
+                fs=cluster.hdfs, ledger=cluster.new_ledger(), conf=conf,
+                source=FullScanSource(), split=split,
+                rng=np.random.default_rng(0), record_scale=3.7,
+                warm_start=False))
+            for p, pairs in enumerate(task.partitions):
+                nbytes = nrecords = 0.0
+                for pair in pairs:
+                    key, value = pair
+                    assert type(pair) is tuple
+                    assert stable_hash(key) % n_reducers == p
+                    nbytes += estimate_pair_bytes(key, value) * 3.7
+                    nrecords += 3.7
+                    # A reducer groups its equal keys under the first.
+                    expected[(p, key)] = expected.get((p, key), 0.0) + value
+                assert task.partition_bytes[p] == nbytes
+                assert task.partition_records[p] == nrecords
+        # Reduce side: one sum per group of equal keys in a partition.
         result = JobClient(cluster).run(conf)
-        grouped = result.grouped()
-        assert len(grouped) == 7
-        for key, sums in grouped.items():
-            i0 = int(key[1:])
-            expected = sum(float(i) for i in range(700) if i % 7 == i0)
-            assert sums[0] == pytest.approx(expected)
+        assert sorted((repr(k), v) for k, v in result.output) == sorted(
+            (repr(k), v) for (_, k), v in expected.items())
+        if isinstance(mapper, ProjectionMapper):  # and from the input
+            grouped = result.grouped()
+            assert len(grouped) == 7
+            for key, sums in grouped.items():
+                i0 = int(key[1:])
+                expected_sum = sum(float(i) for i in range(700)
+                                   if i % 7 == i0)
+                assert sums[0] == pytest.approx(expected_sum)
 
     def test_combiner_reduces_shuffle(self, cluster, loaded):
         no_comb = JobConf(name="sum", input_path="/in",
