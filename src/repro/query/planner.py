@@ -27,19 +27,40 @@ import numpy as np
 from repro.core.config import EarlConfig
 from repro.core.grouped import GroupedEarlSession, Measure
 from repro.query.model import WHERE_OPS, Query
-from repro.sampling.stratified import Factorization
+from repro.sampling.stratified import Factorization, factorizes_natively
 
 #: Stratum key used for ungrouped (whole-table) queries.
 ALL_ROWS_KEY = "all"
+
+
+def factorize_column(values: Any, name: str) -> Factorization:
+    """The strata of a ``group_by`` column, keyed by the Python objects
+    ``np.asarray(values, dtype=object)`` holds.
+
+    A NumPy column whose dtype
+    :func:`~repro.sampling.stratified.factorizes_natively` is factorized
+    as it is, with no object per row, and only its distinct keys are
+    boxed (``.item()``: ``str``, ``int``, ``bool``, ``bytes``,
+    ``float``); any other column is boxed whole and takes the dict pass.
+    """
+    column = np.asarray(values) if isinstance(values, np.ndarray) else None
+    if column is None or not factorizes_natively(column):
+        column = np.asarray(values, dtype=object)
+    if column.ndim != 1:
+        raise ValueError(f"column {name!r} must be 1-D")
+    strata = Factorization.of(column)
+    if column.dtype != object:
+        strata.keys = [key.item() for key in strata.keys]
+    return strata
 
 
 class MemoTable(dict):
     """A column mapping that is bound to many queries (the service's
     registered tables) and therefore remembers what every grouped query
     over it would otherwise re-derive from a ``group_by`` column: its
-    :class:`~repro.sampling.stratified.Factorization` — computed on
-    first use, kept until the table is replaced.  The columns must not
-    be written to once handed over.
+    :func:`factorize_column` — computed on first use, kept until the
+    table is replaced.  The columns must not be written to once handed
+    over.
     """
 
     def __init__(self, columns: Mapping[str, Any]) -> None:
@@ -49,25 +70,20 @@ class MemoTable(dict):
     def factorization(self, column: str) -> Factorization:
         strata = self._strata.get(column)
         if strata is None:
-            keys = np.asarray(self[column], dtype=object)
-            if keys.ndim != 1:
-                raise ValueError(f"column {column!r} must be 1-D")
-            strata = self._strata[column] = Factorization.of(keys)
+            strata = self._strata[column] = factorize_column(
+                self[column], column)
         return strata
 
 
-def _memoized_strata(query: Query) -> Optional[Factorization]:
-    """The source's remembered factorization of the ``group_by`` column
-    — when it keeps one and neither ``where`` nor an aggregate can need
-    the raw keys."""
-    source, where = query.source, query.where
-    if (not isinstance(source, MemoTable) or query.group_by not in source
-            or callable(where)
-            or (where is not None and where[0] == query.group_by)
-            or any(query.group_by in aggregate.columns
-                   for aggregate in query.select)):
+def _group_strata(query: Query) -> Optional[Factorization]:
+    """The factorization of the whole ``group_by`` column — remembered
+    by a :class:`MemoTable` source, derived afresh from any other."""
+    source, column = query.source, query.group_by
+    if column is None or column not in source:
         return None
-    return source.factorization(query.group_by)
+    if isinstance(source, MemoTable):
+        return source.factorization(column)
+    return factorize_column(source[column], column)
 
 
 def materialize_columns(query: Query,
@@ -75,20 +91,23 @@ def materialize_columns(query: Query,
                         ) -> Dict[str, np.ndarray]:
     """Pull every referenced column out of the bound source as an array.
 
-    The ``group_by`` column keeps its values verbatim (object dtype —
-    keys may be strings, ints, …) — or is not pulled at all when its
-    ``strata`` are already known; aggregate and ``where`` columns stay
-    in their natural numpy dtype for vectorized filtering.
+    The ``group_by`` column is pulled only when its ``strata`` are not
+    given or something reads its values (``where``, an aggregate), and
+    then verbatim (object dtype — keys may be strings, ints, …);
+    aggregate and ``where`` columns stay in their natural numpy dtype
+    for vectorized filtering.
     """
     source = query.source
     assert source is not None
     referenced = set()
     for aggregate in query.select:
         referenced.update(aggregate.columns)
-    if query.group_by is not None:
-        referenced.add(query.group_by)
     if query.where is not None and not callable(query.where):
         referenced.add(query.where[0])
+    pull_keys = strata is None or callable(query.where) \
+        or query.group_by in referenced
+    if query.group_by is not None:
+        referenced.add(query.group_by)
     columns: Dict[str, np.ndarray] = {}
     length = None
     for name in sorted(referenced):
@@ -96,7 +115,7 @@ def materialize_columns(query: Query,
             raise KeyError(
                 f"column {name!r} is not in the bound source "
                 f"(has: {sorted(source)})")
-        if name == query.group_by and strata is not None:
+        if name == query.group_by and not pull_keys:
             rows = len(strata)      # factorized already (1-D): not pulled
         else:
             column = columns[name] = (
@@ -135,7 +154,7 @@ def where_mask(query: Query,
 
 def plan_query(query: Query) -> GroupedEarlSession:
     """Plan a bound query: columns → filter → measures → grouped session."""
-    strata = _memoized_strata(query)
+    strata = _group_strata(query)
     columns = materialize_columns(query, strata)
     mask = where_mask(query, columns)
     if not mask.any():
@@ -147,8 +166,6 @@ def plan_query(query: Query) -> GroupedEarlSession:
 
     if strata is not None:
         keys: Any = strata
-    elif query.group_by is not None:
-        keys = columns[query.group_by]
     else:
         keys = np.full(len(next(iter(columns.values()))), ALL_ROWS_KEY,
                        dtype=object)

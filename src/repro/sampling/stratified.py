@@ -28,7 +28,7 @@ grouped drivers built on top are reproducible across executor backends.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -121,6 +121,84 @@ def allocate_with_caps(weights: Sequence[float], total: int,
     return [int(c) for c in counts]
 
 
+def factorizes_natively(column: np.ndarray) -> bool:
+    """Whether :meth:`Factorization.of` splits ``column`` into strata
+    without a Python object per row: a 1-D column of booleans, integers,
+    fixed-width bytes or strings, or floats of at most 8 bytes.
+
+    For those kinds two rows hold equal keys exactly when they hold
+    equal bytes — a fixed-width string pads with NULs that reading it
+    strips, so trailing NULs never tell two values apart — once a float
+    column is canonicalized (:func:`_row_words`).  Object columns hold
+    references, not values; ``datetime64``/``timedelta64`` box NaT to
+    ``None`` (one key, though NaT bytes compare unequal to nothing); and
+    a ``longdouble`` has padding bytes no arithmetic defines: all of
+    them take the dict pass.
+    """
+    kind = column.dtype.kind
+    return column.ndim == 1 and (
+        kind in "biuSU" or (kind == "f" and column.dtype.itemsize <= 8))
+
+
+def _row_words(column: np.ndarray) -> np.ndarray:
+    """Every row's bytes as ``uint64`` words, shape ``(N, ⌈size / 8⌉)``
+    (zero-padded), equal exactly for rows of equal keys.
+
+    A float column is canonicalized first: ``-0.0`` becomes ``0.0`` and
+    every NaN the one ``np.nan``, so NaN rows form one stratum (as dict
+    keys, each boxed NaN was a stratum of its own).
+    """
+    if column.dtype.kind == "f":
+        column = column + 0.0               # a copy; -0.0 + 0.0 is 0.0
+        column[np.isnan(column)] = np.nan
+    column = np.ascontiguousarray(column)
+    size = column.dtype.itemsize
+    if size in (1, 2, 4, 8):
+        return column.view(f"u{size}").astype(np.uint64)[:, None]
+    words = np.zeros((len(column), -(-size // 8) * 8), dtype=np.uint8)
+    if size:
+        words[:, :size] = column.view(np.uint8).reshape(-1, size)
+    return words.view(np.uint64)
+
+
+def _row_hash(words: np.ndarray) -> np.ndarray:
+    """A 64-bit hash per row of ``words`` whose *high* bits are the
+    well-mixed ones: Fibonacci hashing (a multiply by ⌊2⁶⁴/φ⌋, odd, so a
+    one-word row maps one to one) folded over the row's words."""
+    hashed = np.zeros(len(words), dtype=np.uint64)
+    for word in words.T:
+        hashed ^= word
+        hashed *= np.uint64(0x9E3779B97F4A7C15)
+    return hashed
+
+
+def _collides(words: np.ndarray, rows: np.ndarray,
+              opens: np.ndarray) -> bool:
+    """Whether some row, listed in ``rows`` order, differs from the row
+    before it although ``opens`` starts no new run there."""
+    inside = ~opens[1:]
+    for word in words.T:
+        listed = word[rows]
+        if np.any((listed[1:] != listed[:-1]) & inside):
+            return True
+    return False
+
+
+def _code_dtype(strata: int) -> type:
+    return np.uint16 if strata <= 0xFFFF else np.int64
+
+
+def _dict_codes(keys: Sequence[Hashable]
+                ) -> Tuple[List[Hashable], np.ndarray]:
+    """The distinct ``keys`` in first-appearance order (dict insertion
+    order) and every key's code, at C speed."""
+    distinct = list(dict.fromkeys(keys))
+    code_of = {key: code for code, key in enumerate(distinct)}
+    return distinct, np.fromiter(map(code_of.__getitem__, keys),
+                                 count=len(keys),
+                                 dtype=_code_dtype(len(distinct)))
+
+
 class Factorization:
     """A key column split into strata: the distinct ``keys`` in order
     of first appearance, one stratum code per table row, and every
@@ -134,27 +212,70 @@ class Factorization:
 
     __slots__ = ("keys", "codes", "rows")
 
-    def __init__(self, keys: List[Hashable], codes: np.ndarray) -> None:
+    def __init__(self, keys: List[Hashable], codes: np.ndarray,
+                 rows: Optional[List[np.ndarray]] = None) -> None:
         self.keys = keys
         self.codes = codes
-        # A stable sort of the stratum codes lists every stratum's
-        # rows in table order.
-        by_stratum = np.argsort(codes, kind="stable").astype(
-            np.int64, copy=False)
-        ends = np.cumsum(np.bincount(codes, minlength=len(keys)))
-        self.rows: List[np.ndarray] = np.split(by_stratum, ends[:-1])
+        if rows is None:
+            # A stable sort of the stratum codes lists every stratum's
+            # rows in table order.
+            by_stratum = np.argsort(codes, kind="stable").astype(
+                np.int64, copy=False)
+            ends = np.cumsum(np.bincount(codes, minlength=len(keys)))
+            rows = np.split(by_stratum, ends[:-1])
+        self.rows: List[np.ndarray] = rows
 
     @classmethod
     def of(cls, keys: Sequence[Hashable]) -> "Factorization":
         """Factorize at C speed: dict insertion order is
-        first-appearance order."""
+        first-appearance order.  A column :func:`factorizes_natively`
+        skips the dict and every per-row object (:meth:`_of_native`),
+        with the same keys, codes and rows."""
+        if isinstance(keys, np.ndarray) and len(keys) \
+                and factorizes_natively(keys):
+            return cls._of_native(keys)
         if not isinstance(keys, (list, tuple)):
             keys = list(keys)  # both passes must see the same objects
-        distinct = list(dict.fromkeys(keys))
-        code_of = {key: code for code, key in enumerate(distinct)}
-        return cls(distinct, np.fromiter(
-            map(code_of.__getitem__, keys), count=len(keys),
-            dtype=np.uint16 if len(code_of) <= 0xFFFF else np.int64))
+        return cls(*_dict_codes(keys))
+
+    @classmethod
+    def _of_native(cls, column: np.ndarray) -> "Factorization":
+        """Strata of a non-empty native column, from its rows' bytes.
+
+        Each row's hash keeps its high bits above the row index in one
+        ``uint64``, so one ``np.sort`` (no argsort) lines equal hashes
+        up in runs that list their rows in ascending order.  Every row
+        of a run must equal the row before it in the run (so all equal
+        its first) — a hash collision otherwise, and then the exact dict
+        pass runs over the rows' bytes instead.  Runs ordered by first
+        row are the strata.
+        """
+        n = len(column)
+        words = _row_words(column)
+        bits = (n - 1).bit_length()                 # for the row index
+        packed = _row_hash(words) >> bits << bits
+        packed |= np.arange(n, dtype=np.uint64)
+        packed.sort()
+        rows = (packed & np.uint64((1 << bits) - 1)).view(np.int64)
+        packed >>= bits
+        opens = np.empty(n, dtype=bool)             # a run starts here
+        opens[0] = True
+        np.not_equal(packed[1:], packed[:-1], out=opens[1:])
+        if _collides(words, rows, opens):
+            _, codes = _dict_codes(
+                words.view(f"S{words.shape[1] * 8}").ravel().tolist())
+            firsts = np.unique(codes, return_index=True)[1]
+            return cls(list(column[firsts]), codes)
+        starts = np.flatnonzero(opens)
+        firsts = rows[starts]
+        order = np.argsort(firsts)                  # stratum → its run
+        code_of_run = np.empty(len(order), dtype=_code_dtype(len(order)))
+        code_of_run[order] = np.arange(len(order))
+        codes = np.empty(n, dtype=code_of_run.dtype)
+        codes[rows] = np.repeat(code_of_run, np.diff(starts, append=n))
+        runs = np.split(rows, starts[1:])
+        return cls(list(column[firsts[order]]), codes,
+                   [runs[run] for run in order])
 
     def __len__(self) -> int:
         return len(self.codes)

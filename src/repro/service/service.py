@@ -104,7 +104,9 @@ def _digest_array(digest: Any, values: Any) -> None:
     else:
         digest.update(str(arr.dtype).encode())
         digest.update(repr(arr.shape).encode())
-        digest.update(arr.tobytes())
+        # The C-order buffer itself: ``tobytes()``'s bytes without its
+        # copy (a strided column is still copied, once, to lay it out).
+        digest.update(np.ascontiguousarray(arr))
 
 
 def _file_digest(fs: Any, path: str) -> Any:

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import EarlConfig
 from repro.query import Query, agg
-from repro.query.planner import MemoTable
+from repro.query.planner import MemoTable, factorize_column
 from repro.sampling import Factorization
 
 
@@ -99,6 +99,61 @@ def test_filter_recodes_instead_of_refactorizing(table):
     for mine, theirs in zip(got.rows, want.rows):
         np.testing.assert_array_equal(mine, theirs)
     assert len(full) == 30_000      # the memoized one is untouched
+
+
+@pytest.mark.parametrize("column", [
+    np.array(["north", "south", "north", "", "east"]),
+    np.array([b"n", b"s", b"n\x00", b""]),
+    np.array([3, -1, 3, 2**40], dtype=np.int64),
+    np.array([3, 1, 3], dtype=np.uint8),
+    np.array([True, False, True]),
+    np.array([2.5, -0.0, 2.5, 0.0], dtype=np.float32),
+    np.array(["2024-01-02", "2024-01-01", "2024-01-02"],
+             dtype="datetime64[D]"),                   # boxed: dict pass
+    ["b", 1, "b", 1.0],                                # not an ndarray
+], ids=["str", "bytes", "int64", "uint8", "bool", "float32", "datetime",
+        "list"])
+def test_factorize_column_keys_are_what_the_boxed_column_holds(column):
+    got = factorize_column(column, "k")
+    want = Factorization.of(np.asarray(column, dtype=object))
+    assert got.keys == want.keys
+    assert [type(k) for k in got.keys] == [type(k) for k in want.keys]
+    np.testing.assert_array_equal(got.codes, want.codes)
+    for mine, theirs in zip(got.rows, want.rows):
+        np.testing.assert_array_equal(mine, theirs)
+
+
+def test_a_plain_mapping_factorizes_the_group_by_column_natively(
+        table, monkeypatch):
+    seen = []
+    real = Factorization.of.__func__
+    monkeypatch.setattr(
+        Factorization, "of",
+        classmethod(lambda cls, keys: seen.append(keys.dtype)
+                    or real(cls, keys)))
+    for where in (None, ("region", "!=", "west")):
+        Query(SELECT, group_by="region", where=where).on(
+            table, config=CONFIG).plan()
+    assert seen == [table["region"].dtype] * 2        # never boxed
+
+
+def test_nan_keys_are_one_group_and_signed_zeros_one():
+    rng = np.random.default_rng(4)
+    key = rng.choice([0.0, 1.5, 3.0], size=6_000)
+    key[rng.permutation(6_000)[:2_000]] = np.nan
+    key[key == 0.0] = -0.0
+    key[np.flatnonzero(key == 0.0)[::2]] = 0.0          # both signs
+    source = {"key": key, "amount": rng.lognormal(3.0, 0.7, 6_000)}
+    first_zero = key[np.flatnonzero(key == 0.0)[0]]
+    for where in (None, ("key", "!=", 1.5)):
+        query = Query([agg("mean", "amount")], group_by="key", where=where)
+        for bound in (source, MemoTable(source)):
+            groups = list(query.on(bound, config=CONFIG).run().groups)
+            assert len(groups) == (4 if where is None else 3)
+            assert sum(np.isnan(k) for k in groups) == 1
+            (zero,) = [k for k in groups if k == 0.0]
+            assert type(zero) is float
+            assert np.signbit(zero) == np.signbit(first_zero)
 
 
 def test_bad_columns_still_fail_the_same_way(table):

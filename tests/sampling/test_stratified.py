@@ -213,6 +213,24 @@ def _assert_strata_equal_reference(keys):
     assert sampler.populations == {k: len(rows[k]) for k in order}
 
 
+def _assert_native_equals_dict_pass(column):
+    from repro.sampling import Factorization
+    from repro.sampling.stratified import factorizes_natively
+
+    assert factorizes_natively(column)
+    got = Factorization.of(column)
+    want = Factorization.of(list(column))       # the dict pass, same scalars
+    order, rows = _reference_strata(column)
+    assert got.keys == want.keys == order
+    assert [type(k) for k in got.keys] == [type(k) for k in order]
+    assert got.codes.dtype == want.codes.dtype
+    np.testing.assert_array_equal(got.codes, want.codes)
+    assert all(mine.dtype == np.int64 for mine in got.rows)
+    assert [len(mine) for mine in got.rows] == [len(rows[k]) for k in order]
+    np.testing.assert_array_equal(np.concatenate(got.rows),
+                                  np.concatenate([rows[k] for k in order]))
+
+
 class TestFactorizeEqualsPerRowLoop:
     _key = st.one_of(
         st.text(max_size=3),
@@ -253,6 +271,101 @@ class TestFactorizeEqualsPerRowLoop:
     def test_unhashable_key_rejected(self):
         with pytest.raises(TypeError):
             StratifiedSampler([["list", "key"], ["x"]])
+
+    # A NumPy column of a native dtype is factorized from its bytes; it
+    # must give what the dict pass gives over the column's own scalars.
+    _CHARS = st.sampled_from(["a", "b", "\x00", "é", "\U0001F600"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.integers(-128, 127), min_size=1,
+                           max_size=300),
+           dtype=st.sampled_from([np.int8, np.uint16, np.int64]))
+    def test_native_int_columns(self, values, dtype):
+        _assert_native_equals_dict_pass(
+            np.asarray(values).astype(dtype))
+
+    @settings(max_examples=30, deadline=None)
+    @given(values=st.lists(st.booleans(), min_size=1, max_size=100))
+    def test_native_bool_columns(self, values):
+        _assert_native_equals_dict_pass(np.asarray(values, dtype=bool))
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.text(_CHARS, max_size=4), min_size=1,
+                           max_size=200))
+    def test_native_str_columns(self, values):
+        # '' and NUL-only strings, and strings that differ only by
+        # trailing NULs ("a" / "a\x00"), which the column stores alike
+        _assert_native_equals_dict_pass(np.asarray(values, dtype=str))
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.binary(max_size=10), min_size=1,
+                           max_size=200))
+    def test_native_bytes_columns(self, values):
+        # up to 10 bytes: rows span two words
+        _assert_native_equals_dict_pass(np.asarray(values, dtype=bytes))
+
+    def test_native_shapes(self):
+        rng = np.random.default_rng(8)
+        _assert_native_equals_dict_pass(np.array(["one"]))
+        _assert_native_equals_dict_pass(np.array([7], dtype=np.int8))
+        _assert_native_equals_dict_pass(np.array(["", "a", "a\x00", ""]))
+        distinct = rng.permutation(5_000)
+        _assert_native_equals_dict_pass(distinct)
+        _assert_native_equals_dict_pass(distinct.astype(str))
+        _assert_native_equals_dict_pass(distinct[::-3])     # strided
+        many = np.concatenate([rng.permutation(70_000), [5, 69_999, 5]])
+        _assert_native_equals_dict_pass(many)
+        _assert_native_equals_dict_pass(many.astype("S"))
+
+    @pytest.mark.parametrize("column", [
+        np.array(["b", "a", "b", "c", "a"]),
+        np.array([b"xy", b"x", b"xy\x00"]),
+        np.array([3, 1, 3, 2, 1, 1], dtype=np.int64),
+        np.array([True, False, True]),
+        np.arange(70_000)[::-1] % 69_000,
+    ], ids=["str", "bytes", "int64", "bool", "over-uint16"])
+    def test_a_hash_collision_falls_back_to_the_exact_pass(
+            self, column, monkeypatch):
+        import repro.sampling.stratified as stratified
+
+        monkeypatch.setattr(stratified, "_row_hash",
+                            lambda words: np.zeros(len(words), np.uint64))
+        _assert_native_equals_dict_pass(column)
+        # and when every row really is one key, one run is no collision
+        _assert_native_equals_dict_pass(column[:1].repeat(9))
+
+    @pytest.mark.parametrize("collide", [False, True],
+                             ids=["hashed", "collided"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
+    def test_float_columns_one_nan_stratum_and_signed_zeros_as_one(
+            self, dtype, collide, monkeypatch):
+        from repro.sampling import Factorization
+        import repro.sampling.stratified as stratified
+
+        if collide:
+            monkeypatch.setattr(
+                stratified, "_row_hash",
+                lambda words: np.zeros(len(words), np.uint64))
+        payload = np.array([np.nan]).view(np.uint64) | np.uint64(1)
+        other_nan = payload.view(np.float64)[0]
+        column = np.array([-0.0, 2.5, np.nan, 0.0, -np.nan, 2.5, other_nan,
+                           -0.0, np.nan], dtype=dtype)
+        strata = Factorization.of(column)
+        assert len(strata.keys) == 3
+        zero, two, nan = strata.keys
+        assert zero == 0.0 and np.signbit(zero)      # the first to appear
+        assert two == 2.5 and np.isnan(nan)
+        assert [type(k) for k in strata.keys] == [dtype] * 3
+        np.testing.assert_array_equal(strata.codes,
+                                      [0, 1, 2, 0, 2, 1, 2, 0, 2])
+        for rows, want in zip(strata.rows, ([0, 3, 7], [1, 5], [2, 4, 6, 8])):
+            np.testing.assert_array_equal(rows, want)
+        positive = Factorization.of(column[1:]).keys[2]   # 0.0 before -0.0
+        assert positive == 0.0 and not np.signbit(positive)
+        # every NaN row one stratum: 2,000 NaNs among 2,000 other keys
+        keys = np.arange(4_000, dtype=dtype)
+        keys[1::2] = np.nan
+        assert len(Factorization.of(keys).keys) == 2_001
 
 
 class TestFactorization:

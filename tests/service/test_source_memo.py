@@ -106,6 +106,18 @@ def test_registering_the_name_again_drops_what_was_derived(
     _run(tmp_path, monkeypatch, scenario)
 
 
+def test_a_strided_column_hashes_as_the_bytes_it_holds():
+    wide = np.random.default_rng(5).exponential(40.0, (6000, 3))
+    table = {"region": np.repeat(["east", "west"], 3000),
+             "amount": wide[:, 1]}          # every third float of `wide`
+    assert not table["amount"].flags.c_contiguous
+    service = ApproxQueryService(seed=7)
+    service.register_table("orders", table)
+    spec = service_module.parse_spec(QUERY)
+    assert service._fingerprint(spec) == _digest_of(
+        ("amount", table["amount"]), ("region", table["region"]))
+
+
 # ------------------------------------------------------------ job sources
 
 JOB = {"kind": "job", "cluster": "sim", "path": "/data/values",
