@@ -129,11 +129,12 @@ def factorizes_natively(column: np.ndarray) -> bool:
     For those kinds two rows hold equal keys exactly when they hold
     equal bytes — a fixed-width string pads with NULs that reading it
     strips, so trailing NULs never tell two values apart — once a float
-    column is canonicalized (:func:`_row_words`).  Object columns hold
-    references, not values; ``datetime64``/``timedelta64`` box NaT to
-    ``None`` (one key, though NaT bytes compare unequal to nothing); and
-    a ``longdouble`` has padding bytes no arithmetic defines: all of
-    them take the dict pass.
+    column is canonicalized (:func:`_row_words`).  The other kinds take
+    the dict pass.  Object columns hold references, not values.  A
+    ``datetime64``/``timedelta64`` NaT is unequal to itself as a NumPy
+    scalar (a stratum per row) but boxes to ``None`` (one stratum), so
+    no byte rule matches both dict passes.  A ``longdouble`` has padding
+    bytes that no arithmetic defines.
     """
     kind = column.dtype.kind
     return column.ndim == 1 and (
