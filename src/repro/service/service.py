@@ -50,6 +50,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import itertools
+import math
 import threading
 import time
 from dataclasses import replace
@@ -127,6 +128,21 @@ def _file_digest(fs: Any, path: str) -> Any:
     digest.update("".join(f"{line}\n" for line in lines).encode())
     fs.split_cache.store_content_digest(path, digest)
     return digest
+
+
+def _best_so_far(snapshot: Mapping[str, Any],
+                 recovery: Optional[str] = None) -> Dict[str, Any]:
+    """A session's last snapshot as its final answer: clipped by the
+    deadline, or — with ``recovery``, the reason — degraded because
+    replay could not resume it after a restart."""
+    payload = dict(snapshot)
+    payload["final"] = True
+    if recovery is None:
+        payload["deadline_exceeded"] = True
+    else:
+        payload["degraded"] = True
+        payload["recovery"] = recovery
+    return payload
 
 
 class _Registered:
@@ -296,26 +312,7 @@ class ApproxQueryService:
         generators (executor teardown, feedback-channel stop) and exit;
         they are joined off-loop.
         """
-        if not self._started or self._stopped:
-            return
-        self._stopped = True
-        for task in self._tasks:
-            task.cancel()
-        await asyncio.gather(*self._tasks, return_exceptions=True)
-        self._tasks.clear()
-        for rec in self._store.records():
-            if not rec.terminal:
-                rec.cancel_flag.set()
-                self._engine_cancel(rec)
-                await self._terminate(rec, STATE_CANCELLED)
-            else:
-                await rec.log.seal()
-        threads, self._threads = self._threads, []
-        if threads:
-            loop = asyncio.get_running_loop()
-            await loop.run_in_executor(
-                None, lambda: [t.join(timeout=30.0) for t in threads])
-        self._store.close()
+        await self._shut_down(crash=False)
 
     async def crash(self) -> None:
         """Simulate abrupt process death (the in-process SIGKILL).
@@ -327,16 +324,23 @@ class ApproxQueryService:
         process would have left it.  A new service opened on the same
         store sees precisely the crash-consistent WAL state.
         """
+        await self._shut_down(crash=True)
+
+    async def _shut_down(self, *, crash: bool) -> None:
         if not self._started or self._stopped:
             return
         self._stopped = True
-        self._crashed = True
+        self._crashed = crash
         for task in self._tasks:
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks.clear()
         for rec in self._store.records():
-            await rec.log.seal()
+            if crash or rec.terminal:
+                await rec.log.seal()
+            else:
+                self._stop_sampling(rec)
+                await self._terminate(rec, STATE_CANCELLED)
         threads, self._threads = self._threads, []
         if threads:
             loop = asyncio.get_running_loop()
@@ -380,22 +384,39 @@ class ApproxQueryService:
     async def _op_submit(self, request: Mapping[str, Any]) -> Dict[str, Any]:
         spec = parse_spec(request.get("spec"))
         now = self._clock()
-        if isinstance(spec, StatisticSpec):
-            if spec.dataset not in self._datasets:
-                raise ServiceError(
-                    ERR_BAD_SPEC, f"unknown dataset {spec.dataset!r}; "
-                    f"registered: {sorted(self._datasets)}")
-            rec = self._new_record(spec, now)
-            await self._enqueue(rec)
-        elif isinstance(spec, QuerySpec):
-            rec = await self._submit_query(spec, now)
-        else:
-            rec = await self._submit_job(spec, now)
+        # Checked before the record draws its seed: a rejected submit
+        # leaves every later session's seed and id as they were.
+        kind, name, registry = self._source(spec)
+        if name not in registry:
+            raise ServiceError(
+                ERR_BAD_SPEC, f"unknown {kind} {name!r}; "
+                f"registered: {sorted(registry)}")
+        if (isinstance(spec, JobSpec)
+                and spec.on_unavailable not in (None, "skip", "fail")):
+            raise ServiceError(
+                ERR_BAD_SPEC,
+                f"on_unavailable must be 'skip' or 'fail', "
+                f"got {spec.on_unavailable!r}")
+        rec = self._new_record(spec, now)
+        try:
+            # Eager validation (columns, where); the planned engine
+            # rides the record into the dispatch window's scheduler.
+            rec.engine = self._plan(spec, rec.seed)
+        except (ValueError, TypeError, KeyError) as exc:
+            self._store.remove(rec.session_id)
+            self._session_spans.pop(rec.session_id, None)
+            raise ServiceError(ERR_BAD_SPEC, str(exc)) from None
+        await rec.log.append(EVENT_STATE, {"state": STATE_PENDING})
+        await self._admit(rec)
         return {"session": rec.session_id, "state": rec.state}
 
-    async def _enqueue(self, rec: SessionRecord) -> None:
-        """PENDING → the dispatch window's scheduler batch."""
-        await rec.log.append(EVENT_STATE, {"state": STATE_PENDING})
+    async def _admit(self, rec: SessionRecord) -> None:
+        """A planned PENDING session: a job starts at once, the other
+        kinds wait for the dispatch window's scheduler batch."""
+        if isinstance(rec.spec, JobSpec):
+            await self._mark_running(rec)
+            self._spawn_job(rec)
+            return
         self._pending.append(rec)
         assert self._pending_wakeup is not None
         self._pending_wakeup.set()
@@ -409,6 +430,13 @@ class ApproxQueryService:
                                "'after' must be an integer event id")
         wait = bool(request.get("wait", False))
         timeout = request.get("timeout", self._default_poll_timeout)
+        if timeout is not None and (
+                isinstance(timeout, bool)
+                or not isinstance(timeout, (int, float))
+                or not 0 <= timeout < math.inf):
+            raise ServiceError(
+                ERR_BAD_REQUEST,
+                "'timeout' must be null or a finite number of seconds >= 0")
         events = await rec.log.read(
             after, wait=wait,
             timeout=None if timeout is None else float(timeout))
@@ -431,8 +459,7 @@ class ApproxQueryService:
             return {"session": rec.session_id, "state": rec.state,
                     "already_terminal": True,
                     "cost_seconds": rec.cost_seconds}
-        rec.cancel_flag.set()
-        self._engine_cancel(rec)
+        self._stop_sampling(rec)
         await self._terminate(rec, STATE_CANCELLED)
         return {"session": rec.session_id, "state": rec.state,
                 "already_terminal": False, "cost_seconds": rec.cost_seconds}
@@ -630,9 +657,6 @@ class ApproxQueryService:
                 "repro_service_deadline_total",
                 help="Sessions finalized by a deadline breach.").inc()
 
-    def _session_config(self, rec: SessionRecord) -> EarlConfig:
-        return self._spec_config(rec.spec, rec.seed)
-
     def _spec_config(self, spec: Any, seed: int) -> EarlConfig:
         cfg = replace(self._config, seed=seed)
         sigma = getattr(spec, "sigma", None)
@@ -649,11 +673,10 @@ class ApproxQueryService:
         For job specs the digest covers the HDFS file *and* the set of
         live nodes, because §3.4 replans depend on both."""
         try:
-            if isinstance(spec, StatisticSpec):
-                return self._datasets[spec.dataset].digest()
-            if isinstance(spec, QuerySpec):
-                return self._tables[spec.table].digest()
-            cluster = self._clusters[spec.cluster]
+            _, name, registry = self._source(spec)
+            if not isinstance(spec, JobSpec):
+                return registry[name].digest()
+            cluster = registry[name]
             digest = _file_digest(cluster.hdfs, spec.path)
             alive = sorted(node.node_id for node in cluster.nodes
                            if node.alive)
@@ -662,66 +685,30 @@ class ApproxQueryService:
             return None
         return digest.hexdigest()
 
-    async def _submit_query(self, spec: QuerySpec,
-                            now: float) -> SessionRecord:
-        if spec.table not in self._tables:
-            raise ServiceError(
-                ERR_BAD_SPEC, f"unknown table {spec.table!r}; "
-                f"registered: {sorted(self._tables)}")
-        rec = self._new_record(spec, now)
-        try:
-            query = Query(list(spec.select), group_by=spec.group_by,
-                          where=spec.where).on(
-                self._tables[spec.table].data,
-                config=self._session_config(rec))
-            session = query.plan()   # eager validation (columns, where)
-        except (ValueError, TypeError, KeyError) as exc:
-            self._store.remove(rec.session_id)
-            self._session_spans.pop(rec.session_id, None)
-            raise ServiceError(ERR_BAD_SPEC, str(exc)) from None
-        # The planned engine rides the record into the dispatch
-        # window's scheduler; until then the session's own flag is the
-        # cancel hook (dispatch skips cancelled records regardless).
-        rec.engine = session
-        rec.engine_cancel = session.cancel
-        await self._enqueue(rec)
-        return rec
+    # ------------------------------------------------- sources and plans
+    def _source(self, spec: Any) -> Tuple[str, str, Mapping[str, Any]]:
+        """``(kind, name, registry)`` of the dataset, table or cluster
+        a spec reads; the name also labels its dispatch windows."""
+        if isinstance(spec, StatisticSpec):
+            return "dataset", spec.dataset, self._datasets
+        if isinstance(spec, QuerySpec):
+            return "table", spec.table, self._tables
+        return "cluster", spec.cluster, self._clusters
 
-    async def _submit_job(self, spec: JobSpec, now: float) -> SessionRecord:
-        if spec.cluster not in self._clusters:
-            raise ServiceError(
-                ERR_BAD_SPEC, f"unknown cluster {spec.cluster!r}; "
-                f"registered: {sorted(self._clusters)}")
-        if spec.on_unavailable not in (None, "skip", "fail"):
-            raise ServiceError(
-                ERR_BAD_SPEC,
-                f"on_unavailable must be 'skip' or 'fail', "
-                f"got {spec.on_unavailable!r}")
-        rec = self._new_record(spec, now)
-        make_stream = self._job_stream_factory(rec)
-        await rec.log.append(EVENT_STATE, {"state": STATE_PENDING})
-        await self._mark_running(rec)
-        self._spawn_runner(f"svc-job-{rec.session_id}",
-                           self._drive_stream, make_stream(), rec,
-                           grouped=False, restart=make_stream)
-        return rec
-
-    def _job_stream_factory(self, rec: SessionRecord) -> Any:
-        """A zero-arg factory of fresh job streams: retries after a
-        transient cluster failure — and recovery replays after a crash
-        — reconstruct the engine with the same seed and config."""
-        spec = rec.spec
-        kwargs: Dict[str, Any] = {}
-        if spec.on_unavailable is not None:
-            kwargs["on_unavailable"] = spec.on_unavailable
-        cluster = self._clusters[spec.cluster]
-        config = self._session_config(rec)
-
-        def make_stream() -> Any:
-            return EarlJob(cluster, spec.path, statistic=spec.statistic,
-                           config=config, **kwargs).stream()
-
-        return make_stream
+    def _plan(self, spec: Any, seed: int) -> Any:
+        """Check that the spec's source is registered and plan a GROUP
+        BY spec's engine from it (statistic and job engines are built
+        by their runners: ``None``).  Submit, re-admission and the
+        window builder all plan here, so a session is planned the same
+        way before and after a restart."""
+        kind, name, registry = self._source(spec)
+        if name not in registry:
+            raise ValueError(f"{kind} {name!r} is not registered")
+        if not isinstance(spec, QuerySpec):
+            return None
+        return Query(list(spec.select), group_by=spec.group_by,
+                     where=spec.where).on(
+            registry[name].data, config=self._spec_config(spec, seed)).plan()
 
     # ---------------------------------------------------- window dispatch
     async def flush(self) -> None:
@@ -756,50 +743,24 @@ class ApproxQueryService:
     async def _launch_window(self, batch: List[SessionRecord]) -> None:
         """One :class:`QueryScheduler` for everything in the window.
 
-        Statistic specs over the same dataset share one scan/pilot/
-        sample engine (the batch seed for a dataset is its first
-        member's, as before); GROUP BY specs bring the engine planned
-        at submit.  One runner thread drives the whole window, named
-        after the datasets it scans.
+        The batch seed of a dataset is its first statistic member's.
+        The window is journaled *before* any member is observably
+        running: recovery rebuilds the exact shared scan from that one
+        document (member order, per-dataset batch seeds) and replays.
         """
-        sched = QueryScheduler()
-        running: Dict[str, SessionRecord] = {}
-        tables: List[str] = []
-        batch_cfg: Dict[str, EarlConfig] = {}
-        batch_seeds: Dict[str, int] = {}
+        seeds: Dict[str, int] = {}
         for rec in batch:
-            spec = rec.spec
-            if isinstance(spec, QuerySpec):
-                handle = sched.submit_grouped(rec.engine,
-                                              name=rec.session_id)
-                label = spec.table
-            else:
-                cfg = batch_cfg.get(spec.dataset)
-                if cfg is None:
-                    cfg = replace(self._config, seed=rec.seed)
-                    batch_cfg[spec.dataset] = cfg
-                    batch_seeds[spec.dataset] = rec.seed
-                try:
-                    handle = sched.submit_statistic(
-                        self._datasets[spec.dataset].data, spec.statistic,
-                        config=cfg, table=spec.dataset,
-                        sigma=spec.sigma, error_metric=spec.error_metric,
-                        B_override=spec.B, n_override=spec.n,
-                        name=rec.session_id)
-                except (ValueError, TypeError) as exc:
-                    await self._fail(rec, f"submit rejected: {exc}")
-                    continue
-                label = spec.dataset
-            if label not in tables:
-                tables.append(label)
-            rec.engine_cancel = handle.cancel
-            running[rec.session_id] = rec
+            if isinstance(rec.spec, StatisticSpec):
+                seeds.setdefault(rec.spec.dataset, rec.seed)
+        running = {rec.session_id: rec for rec in batch}
+        sched, rejected = self._build_window(
+            [(rec.session_id, rec.spec, rec.seed) for rec in batch],
+            seeds, running)
+        for sid, message in rejected.items():
+            await self._fail(running.pop(sid), f"submit rejected: {message}")
         if not running:
             return
         if self._store.durable:
-            # Window composition durable *before* any member is
-            # observably running: recovery rebuilds the exact shared
-            # scan (member order, per-dataset batch seeds) and replays.
             self._store.record_window(
                 f"w{next(self._window_ids):06d}",
                 {"members": [{"session": rec.session_id,
@@ -808,107 +769,120 @@ class ApproxQueryService:
                               "seed": int(rec.seed),
                               "fingerprint": rec.fingerprint}
                              for rec in running.values()],
-                 "seeds": batch_seeds})
+                 "seeds": seeds})
         for rec in running.values():
             await self._mark_running(rec)
-        self._spawn_runner(f"svc-batch-{'+'.join(sorted(tables))}",
-                           self._drive_scheduler, sched, running)
+        self._spawn_window(sched, running)
+
+    def _build_window(self, members: Sequence[Tuple[str, Any, int]],
+                      seeds: Mapping[str, int],
+                      records: Mapping[str, SessionRecord]) \
+            -> Tuple[QueryScheduler, Dict[str, str]]:
+        """The scheduler over ``(session, spec, seed)`` members, in
+        order: statistic specs over one dataset share one scan/pilot/
+        sample engine seeded with ``seeds[dataset]``; a GROUP BY member
+        brings its record's planned engine, or is planned here.
+
+        Members the scheduler rejects are left out and returned as
+        session → reason; each admitted member with a record in
+        ``records`` gets its handle as the engine's cancel hook.
+        """
+        sched = QueryScheduler()
+        rejected: Dict[str, str] = {}
+        for sid, spec, seed in members:
+            rec = records.get(sid)
+            try:
+                if isinstance(spec, QuerySpec):
+                    engine = None if rec is None else rec.engine
+                    if engine is None:
+                        engine = self._plan(spec, seed)
+                    handle = sched.submit_grouped(engine, name=sid)
+                else:
+                    handle = sched.submit_statistic(
+                        self._datasets[spec.dataset].data, spec.statistic,
+                        config=replace(self._config,
+                                       seed=int(seeds[spec.dataset])),
+                        table=spec.dataset,
+                        sigma=spec.sigma, error_metric=spec.error_metric,
+                        B_override=spec.B, n_override=spec.n, name=sid)
+            except (ValueError, TypeError, KeyError) as exc:
+                rejected[sid] = str(exc)
+                continue
+            if rec is not None:
+                rec.engine_cancel = handle.cancel
+        return sched, rejected
 
     # -------------------------------------------------------- runner threads
-    def _spawn_runner(self, name: str, target, *args: Any, **kwargs) -> None:
+    def _spawn_runner(self, name: str, target, *args: Any) -> None:
         self._threads = [t for t in self._threads if t.is_alive()]
-        thread = threading.Thread(target=target, args=args, kwargs=kwargs,
-                                  name=name, daemon=True)
+        thread = threading.Thread(target=target, args=args, name=name,
+                                  daemon=True)
         self._threads.append(thread)
         thread.start()
 
-    def _drive_scheduler(self, sched: QueryScheduler,
-                         records: Dict[str, SessionRecord], *,
-                         skip: Optional[Dict[str, int]] = None,
-                         replay: bool = False) -> None:
-        """Drive one dispatch window's scheduler; runs in a dedicated
-        thread.  Closing the stream in ``finally`` tears down every
-        engine the scheduler built (executor pools included), so an
-        expired or cancelled window never leaks a pool.
+    def _spawn_window(self, sched: QueryScheduler,
+                      records: Dict[str, SessionRecord],
+                      skip: Optional[Dict[str, int]] = None) -> None:
+        """One runner thread drives the window, named after the
+        datasets and tables it scans."""
+        labels = sorted({self._source(rec.spec)[1]
+                         for rec in records.values()})
+        self._spawn_runner(f"svc-batch-{'+'.join(labels)}",
+                           self._drive_window, sched, records, skip)
 
-        In recovery (``replay=True``) ``skip`` holds, per session, the
-        number of snapshots already published before the crash: the
-        rebuilt window re-derives them deterministically and this loop
-        discards them, so clients see the stream continue byte-for-byte
-        where it stopped.  Sessions the window no longer tracks
-        (terminal or swept members, resubmitted only to reproduce the
-        shared scan) miss the ``records`` lookup and are discarded
-        *without* cancelling — a cancel would perturb the shared
-        rounds.  If replay dries up before a session reaches its
-        recovery point, the run diverged (source changed undetected)
-        and the session is finalized honestly instead.
-        """
+    def _spawn_job(self, rec: SessionRecord,
+                   skip: Optional[Dict[str, int]] = None) -> None:
+        """A job runs on its own thread and engine.  Retries after a
+        transient cluster failure — and recovery replays after a crash
+        — rebuild the engine with the same seed and config."""
+        spec = rec.spec
+        kwargs: Dict[str, Any] = {}
+        if spec.on_unavailable is not None:
+            kwargs["on_unavailable"] = spec.on_unavailable
+        cluster = self._clusters[spec.cluster]
+        config = self._spec_config(spec, rec.seed)
+
+        def make_stream() -> Any:
+            return EarlJob(cluster, spec.path, statistic=spec.statistic,
+                           config=config, **kwargs).stream()
+
+        self._spawn_runner(f"svc-job-{rec.session_id}", self._drive_job,
+                           rec, make_stream, skip)
+
+    def _drive_window(self, sched: QueryScheduler,
+                      records: Dict[str, SessionRecord],
+                      skip: Optional[Dict[str, int]]) -> None:
+        """Drive one dispatch window's scheduler (runner thread)."""
         if _TRACER.enabled:
             # The window gets its own trace: scheduler rounds, engine
             # rounds, executor waves and map/reduce waves all nest under
             # it via the ambient context this thread now carries.
             wspan = _TRACER.span(
                 "service.window",
-                attrs={"sessions": sorted(records), "replay": replay})
+                attrs={"sessions": sorted(records),
+                       "replay": skip is not None})
         else:
             wspan = NULL_SPAN
         try:
             with wspan:
-                self._drive_scheduler_core(sched, records, skip=skip,
-                                           replay=replay)
+                self._pump(((handle.name, snap)
+                            for handle, snap in sched.stream()),
+                           records, skip)
         except BaseException as exc:  # noqa: BLE001 - must not die silently
             message = f"{type(exc).__name__}: {exc}"
             for rec in records.values():
                 if not rec.terminal:
                     self._from_thread(self._fail(rec, message))
 
-    def _drive_scheduler_core(self, sched: QueryScheduler,
-                              records: Dict[str, SessionRecord], *,
-                              skip: Optional[Dict[str, int]],
-                              replay: bool) -> None:
-        gen = sched.stream()
-        try:
-            for handle, snap in gen:
-                rec = records.get(handle.name)
-                if rec is None:
-                    continue
-                if rec.cancel_flag.is_set():
-                    handle.cancel()
-                    continue
-                if skip is not None and skip.get(handle.name, 0) > 0:
-                    skip[handle.name] -= 1
-                    continue
-                outcome = self._publish_snapshot(
-                    rec, snap, grouped=isinstance(snap, GroupedSnapshot))
-                if outcome is None:  # sealed (cancelled/expired)
-                    handle.cancel()
-                elif outcome and not snap.final:
-                    handle.cancel()  # deadline finalized mid-run
-        finally:
-            gen.close()
-        if replay:
-            for rec in records.values():
-                if not rec.terminal and not rec.cancel_flag.is_set():
-                    self._from_thread(self._finalize_recovery(
-                        rec, "replay ended before the session's "
-                             "recovery point"))
+    def _drive_job(self, rec: SessionRecord, make_stream,
+                   skip: Optional[Dict[str, int]]) -> None:
+        """Drive one cluster job (runner thread).
 
-    def _drive_stream(self, gen: Any, rec: SessionRecord, *,
-                      grouped: bool, restart=None, skip: int = 0,
-                      replay: bool = False) -> None:
-        """Drive one grouped/cluster engine; runs in a dedicated thread.
-
-        ``restart`` (a zero-arg factory returning a fresh stream) opts
-        the session into transient-failure retries: up to
-        ``engine_retries`` attempts with capped exponential backoff, a
-        ``retry`` event per attempt, then a terminal failure.
-
-        In recovery (``replay=True``) the first ``skip`` snapshots are
-        the ones already published before the crash — re-derived
-        deterministically and discarded, so the resumed stream is
-        byte-identical past the crash point.  A replay that ends while
-        the session is still live diverged from the original run and
-        finalizes honestly.
+        A live job opts into transient-failure retries: up to
+        ``engine_retries`` fresh streams with capped exponential
+        backoff, a ``retry`` event per attempt, then a terminal
+        failure.  A replay is never retried: a retried run is not the
+        run the client saw.
         """
         spans = self._session_spans.get(rec.session_id)
         if spans is not None and spans["child"] is not NULL_SPAN:
@@ -920,30 +894,12 @@ class ApproxQueryService:
         attempts = 0
         while True:
             try:
-                try:
-                    for snap in gen:
-                        if rec.cancel_flag.is_set():
-                            break
-                        if skip > 0:
-                            skip -= 1
-                            continue
-                        outcome = self._publish_snapshot(rec, snap,
-                                                         grouped=grouped)
-                        if outcome is None:
-                            break
-                        if outcome and not snap.final:
-                            break   # deadline finalized; stop sampling
-                finally:
-                    gen.close()   # only the driving thread may close it
-                if (replay and not rec.terminal
-                        and not rec.cancel_flag.is_set()):
-                    self._from_thread(self._finalize_recovery(
-                        rec, "replay ended before the session's "
-                             "recovery point"))
+                self._pump(((rec.session_id, snap) for snap in make_stream()),
+                           {rec.session_id: rec}, skip)
                 return
             except BaseException as exc:  # noqa: BLE001 - surface, don't hang
                 message = f"{type(exc).__name__}: {exc}"
-                if (restart is None or rec.terminal
+                if (skip is not None or rec.terminal
                         or rec.cancel_flag.is_set()
                         or attempts >= self._engine_retries):
                     if not rec.terminal:
@@ -966,13 +922,57 @@ class ApproxQueryService:
                     return   # sealed while we were failing
                 time.sleep(min(self._retry_backoff * (2 ** (attempts - 1)),
                                2.0))
-                try:
-                    gen = restart()
-                except BaseException as exc2:  # noqa: BLE001
-                    if not rec.terminal:
-                        self._from_thread(self._fail(
-                            rec, f"{type(exc2).__name__}: {exc2}"))
-                    return
+
+    def _pump(self, pairs: Any, records: Mapping[str, SessionRecord],
+              skip: Optional[Dict[str, int]]) -> None:
+        """Publish an engine stream's ``(session, snapshot)`` pairs —
+        a window's or a job's — and close it; only the driving thread
+        may.  Closing tears down every engine behind the stream
+        (executor pools included), so a window or job that is expired,
+        cancelled or finalized early never leaks a pool.
+
+        A session that is cancelled, sealed or finalized by its
+        deadline mid-run stops sampling (its cancel hook) and its later
+        snapshots are dropped; once every session has stopped, so does
+        the stream.  Sessions not in ``records`` (terminal or swept
+        window members, resubmitted only to reproduce the shared scan)
+        are dropped *without* cancelling — a cancel would perturb the
+        shared rounds.
+
+        In recovery ``skip`` holds, per session, the snapshots already
+        published before the crash: the rebuilt engines re-derive them
+        deterministically and they are dropped, so clients see the
+        stream continue byte-for-byte where it stopped.  If the stream
+        ends before a live session reaches that point, the run diverged
+        (source changed undetected) and the session is finalized
+        honestly instead.
+        """
+        stopped: set = set()
+        try:
+            for sid, snap in pairs:
+                rec = records.get(sid)
+                if rec is None or sid in stopped:
+                    continue
+                if not rec.cancel_flag.is_set():
+                    if skip and skip.get(sid, 0) > 0:
+                        skip[sid] -= 1
+                        continue
+                    outcome = self._publish_snapshot(
+                        rec, snap, grouped=isinstance(snap, GroupedSnapshot))
+                    if outcome is not None and (snap.final or not outcome):
+                        continue
+                self._stop_sampling(rec)
+                stopped.add(sid)
+                if len(stopped) == len(records):
+                    break
+        finally:
+            pairs.close()
+        if skip is not None:
+            for rec in records.values():
+                if not rec.terminal and not rec.cancel_flag.is_set():
+                    self._from_thread(self._finalize_best_so_far(
+                        rec, "replay ended before the session's "
+                             "recovery point"))
 
     def _publish_snapshot(self, rec: SessionRecord, snap: Any, *,
                           grouped: bool) -> Optional[bool]:
@@ -992,9 +992,7 @@ class ApproxQueryService:
         else:
             payload = snap.to_dict()
         if expired and not snap.final:
-            payload = dict(payload)
-            payload["final"] = True
-            payload["deadline_exceeded"] = True
+            payload = _best_so_far(payload)
         # Book the snapshot before the (backpressure-blocking) append: a
         # client that consumed event k must observe a ledger at least at
         # k's running total, even if it cancels while the producer is
@@ -1053,9 +1051,7 @@ class ApproxQueryService:
     # ------------------------------------------------------- state machine
     async def _mark_running(self, rec: SessionRecord) -> None:
         rec.state = STATE_RUNNING
-        deadline = getattr(rec.spec, "deadline_seconds", None)
-        if deadline is not None:
-            rec.deadline_at = self._clock() + deadline
+        self._arm_deadline(rec)
         self._store.update(rec)
         self._roll_session_span(rec, "service.run")
         await rec.log.append(EVENT_STATE, {"state": STATE_RUNNING})
@@ -1089,7 +1085,37 @@ class ApproxQueryService:
         await rec.log.append(EVENT_ERROR, {"message": message}, force=True)
         await self._terminate(rec, STATE_FAILED, error=message)
 
-    def _engine_cancel(self, rec: SessionRecord) -> None:
+    async def _finalize_best_so_far(self, rec: SessionRecord,
+                                    recovery: Optional[str] = None) -> None:
+        """Seal with the best-so-far answer (§3.4 degrade-don't-die — a
+        late answer with valid bounds beats no answer), or fail
+        honestly if no snapshot ever arrived.  Called on a deadline
+        breach, or with ``recovery`` — why replay cannot resume the
+        session — after a restart, so a session never silently
+        vanishes."""
+        if rec.terminal:
+            return
+        if rec.last_snapshot is not None:
+            await rec.log.append(
+                EVENT_FINAL, _best_so_far(rec.last_snapshot, recovery),
+                force=True)
+            await self._terminate(rec, STATE_DONE)
+        elif recovery is None:
+            await self._fail(
+                rec, "deadline exceeded before the first snapshot")
+        else:
+            await self._fail(
+                rec, f"session is not recoverable: {recovery}")
+
+    def _arm_deadline(self, rec: SessionRecord) -> None:
+        deadline = getattr(rec.spec, "deadline_seconds", None)
+        if deadline is not None:
+            rec.deadline_at = self._clock() + deadline
+
+    def _stop_sampling(self, rec: SessionRecord) -> None:
+        """Raise the flag the runner checks between snapshots and the
+        engine's own cancel hook (checked at round boundaries)."""
+        rec.cancel_flag.set()
         if rec.engine_cancel is not None:
             try:
                 rec.engine_cancel()
@@ -1127,32 +1153,14 @@ class ApproxQueryService:
             elif rec.deadline_at is not None and now >= rec.deadline_at:
                 # The runner also checks per snapshot; the sweeper
                 # catches engines stalled between rounds.
-                rec.cancel_flag.set()
-                self._engine_cancel(rec)
-                await self._finalize_deadline(rec)
+                self._stop_sampling(rec)
+                await self._finalize_best_so_far(rec)
             elif idle >= self._ttl_seconds:
-                rec.cancel_flag.set()
-                self._engine_cancel(rec)
+                self._stop_sampling(rec)
                 await self._terminate(
                     rec, STATE_EXPIRED,
                     error=f"idle for {idle:.1f}s (ttl "
                           f"{self._ttl_seconds:.1f}s)")
-
-    async def _finalize_deadline(self, rec: SessionRecord) -> None:
-        """Deadline breach: seal with the best-so-far answer (§3.4
-        degrade-don't-die — a late answer with valid bounds beats no
-        answer), or fail honestly if no snapshot ever arrived."""
-        if rec.terminal:
-            return
-        if rec.last_snapshot is not None:
-            payload = dict(rec.last_snapshot)
-            payload["final"] = True
-            payload["deadline_exceeded"] = True
-            await rec.log.append(EVENT_FINAL, payload, force=True)
-            await self._terminate(rec, STATE_DONE)
-        else:
-            await self._fail(
-                rec, "deadline exceeded before the first snapshot")
 
     # ------------------------------------------------------------- recovery
     async def _recover(self) -> None:
@@ -1220,32 +1228,15 @@ class ApproxQueryService:
             else:
                 # Running with no journaled window: the crash beat the
                 # window entry; no snapshot was ever published.
-                await self._finalize_recovery(
+                await self._finalize_best_so_far(
                     rec, "no dispatch window was recorded before the "
                          "crash")
 
     async def _readmit(self, rec: SessionRecord) -> None:
         """A pending session lost nothing: re-validate its source,
-        re-plan its engine and put it back in the dispatch queue."""
-        spec = rec.spec
+        re-plan its engine and admit it again, as at submit."""
         try:
-            if isinstance(spec, StatisticSpec):
-                if spec.dataset not in self._datasets:
-                    raise ValueError(
-                        f"dataset {spec.dataset!r} is not registered")
-            elif isinstance(spec, QuerySpec):
-                if spec.table not in self._tables:
-                    raise ValueError(
-                        f"table {spec.table!r} is not registered")
-                query = Query(list(spec.select), group_by=spec.group_by,
-                              where=spec.where).on(
-                    self._tables[spec.table].data,
-                    config=self._session_config(rec))
-                rec.engine = query.plan()
-                rec.engine_cancel = rec.engine.cancel
-            elif spec.cluster not in self._clusters:
-                raise ValueError(
-                    f"cluster {spec.cluster!r} is not registered")
+            rec.engine = self._plan(rec.spec, rec.seed)
         except (ValueError, TypeError, KeyError) as exc:
             await self._fail(rec, f"recovery re-admission failed: {exc}")
             return
@@ -1253,51 +1244,37 @@ class ApproxQueryService:
         # — it simply runs against the data as it now stands.  Refresh
         # the fingerprint so a *later* crash replays against the right
         # baseline.
-        fingerprint = self._fingerprint(spec)
+        fingerprint = self._fingerprint(rec.spec)
         if fingerprint != rec.fingerprint:
             rec.fingerprint = fingerprint
             self._store.update(rec)
         if rec.log.last_seq == 0:
             await rec.log.append(EVENT_STATE, {"state": STATE_PENDING})
-        if isinstance(spec, JobSpec):
-            make_stream = self._job_stream_factory(rec)
-            await self._mark_running(rec)
-            self._spawn_runner(f"svc-job-{rec.session_id}",
-                               self._drive_stream, make_stream(), rec,
-                               grouped=False, restart=make_stream)
-        else:
-            self._pending.append(rec)
-            assert self._pending_wakeup is not None
-            self._pending_wakeup.set()
+        await self._admit(rec)
 
     async def _recover_job(self, rec: SessionRecord) -> None:
         """Resume one running cluster job by replay, or finalize."""
-        spec = rec.spec
+        kind, name, registry = self._source(rec.spec)
         reason: Optional[str] = None
-        if spec.cluster not in self._clusters:
-            reason = f"cluster {spec.cluster!r} is no longer registered"
+        if name not in registry:
+            reason = f"{kind} {name!r} is no longer registered"
         elif rec.retries or self._store.disturbed(rec.session_id):
             reason = ("the original run was perturbed (retried or "
                       "truncated) and cannot be replayed")
-        elif self._fingerprint(spec) != rec.fingerprint:
+        elif self._fingerprint(rec.spec) != rec.fingerprint:
             reason = "the source file or cluster changed since submit"
         if reason is not None:
-            await self._finalize_recovery(rec, reason)
+            await self._finalize_best_so_far(rec, reason)
             return
-        deadline = getattr(spec, "deadline_seconds", None)
-        if deadline is not None:
-            rec.deadline_at = self._clock() + deadline
-        make_stream = self._job_stream_factory(rec)
-        self._spawn_runner(
-            f"svc-job-{rec.session_id}", self._drive_stream,
-            make_stream(), rec, grouped=False, restart=None,
-            skip=self._store.stream_pos(rec.session_id), replay=True)
+        self._arm_deadline(rec)
+        self._spawn_job(
+            rec, {rec.session_id: self._store.stream_pos(rec.session_id)})
 
     async def _recover_window(self, doc: Mapping[str, Any],
                               live: Dict[str, SessionRecord],
                               handled: set) -> None:
-        """Resume one dispatch window by rebuilding the exact shared
-        scheduler run it was launched with.
+        """Resume one dispatch window by rebuilding, from its journaled
+        document, the exact shared scheduler run it was launched with.
 
         *Every* original member is resubmitted in order — including
         terminal and swept ones, whose replayed snapshots are discarded
@@ -1308,101 +1285,37 @@ class ApproxQueryService:
         whole window non-replayable: its live members finalize honestly
         instead.
         """
-        members = list(doc.get("members", ()))
-        for member in members:
-            handled.add(member["session"])
-        resumable = [live[m["session"]] for m in members
-                     if m["session"] in live
-                     and not live[m["session"]].terminal]
-        if not resumable:
+        docs = doc.get("members", ())
+        members = [(m["session"], parse_spec(m["spec"]), int(m["seed"]))
+                   for m in docs]
+        handled.update(sid for sid, _, _ in members)
+        running = {sid: live[sid] for sid, _, _ in members
+                   if sid in live and not live[sid].terminal}
+        if not running:
             return
         reason: Optional[str] = None
-        for member in members:
-            sid = member["session"]
-            spec = parse_spec(member["spec"])
+        for (sid, spec, _), member in zip(members, docs):
+            kind, name, registry = self._source(spec)
             if self._store.disturbed(sid):
                 reason = (f"window member {sid} was cancelled, expired, "
                           "truncated or retried mid-run")
-            elif isinstance(spec, QuerySpec):
-                if spec.table not in self._tables:
-                    reason = (f"table {spec.table!r} is no longer "
-                              "registered")
-                elif self._fingerprint(spec) != member.get("fingerprint"):
-                    reason = (f"table {spec.table!r} changed since the "
-                              "original run")
-            elif spec.dataset not in self._datasets:
-                reason = (f"dataset {spec.dataset!r} is no longer "
-                          "registered")
+            elif name not in registry:
+                reason = f"{kind} {name!r} is no longer registered"
             elif self._fingerprint(spec) != member.get("fingerprint"):
-                reason = (f"dataset {spec.dataset!r} changed since the "
-                          "original run")
+                reason = f"{kind} {name!r} changed since the original run"
             if reason is not None:
                 break
+        else:
+            sched, rejected = self._build_window(
+                members, doc.get("seeds", {}), running)
+            if rejected:
+                reason = ("window rebuild failed: "
+                          f"{next(iter(rejected.values()))}")
         if reason is not None:
-            for rec in resumable:
-                await self._finalize_recovery(rec, reason)
-            return
-        sched = QueryScheduler()
-        running: Dict[str, SessionRecord] = {}
-        skip: Dict[str, int] = {}
-        seeds = doc.get("seeds", {})
-        now = self._clock()
-        try:
-            for member in members:
-                sid = member["session"]
-                spec = parse_spec(member["spec"])
-                seed = int(member["seed"])
-                if isinstance(spec, QuerySpec):
-                    engine = Query(list(spec.select),
-                                   group_by=spec.group_by,
-                                   where=spec.where).on(
-                        self._tables[spec.table].data,
-                        config=self._spec_config(spec, seed)).plan()
-                    handle = sched.submit_grouped(engine, name=sid)
-                else:
-                    engine = None
-                    cfg = replace(self._config,
-                                  seed=int(seeds[spec.dataset]))
-                    handle = sched.submit_statistic(
-                        self._datasets[spec.dataset].data, spec.statistic,
-                        config=cfg, table=spec.dataset,
-                        sigma=spec.sigma, error_metric=spec.error_metric,
-                        B_override=spec.B, n_override=spec.n, name=sid)
-                rec = live.get(sid)
-                if rec is not None and not rec.terminal:
-                    if engine is not None:
-                        rec.engine = engine
-                    rec.engine_cancel = handle.cancel
-                    running[sid] = rec
-                    skip[sid] = self._store.stream_pos(sid)
-        except (ValueError, TypeError, KeyError) as exc:
-            for rec in resumable:
-                await self._finalize_recovery(
-                    rec, f"window rebuild failed: {exc}")
-            return
-        if not running:
+            for rec in running.values():
+                await self._finalize_best_so_far(rec, reason)
             return
         for rec in running.values():
-            deadline = getattr(rec.spec, "deadline_seconds", None)
-            if deadline is not None:
-                rec.deadline_at = now + deadline
-        self._spawn_runner("svc-recover", self._drive_scheduler,
-                           sched, running, skip=skip, replay=True)
-
-    async def _finalize_recovery(self, rec: SessionRecord,
-                                 reason: str) -> None:
-        """Replay is impossible: finalize with the best persisted
-        answer, honestly marked degraded — a session never silently
-        vanishes across a restart."""
-        if rec.terminal:
-            return
-        if rec.last_snapshot is not None:
-            payload = dict(rec.last_snapshot)
-            payload["final"] = True
-            payload["degraded"] = True
-            payload["recovery"] = reason
-            await rec.log.append(EVENT_FINAL, payload, force=True)
-            await self._terminate(rec, STATE_DONE)
-        else:
-            await self._fail(
-                rec, f"session is not recoverable: {reason}")
+            self._arm_deadline(rec)
+        self._spawn_window(sched, running, {
+            sid: self._store.stream_pos(sid) for sid in running})

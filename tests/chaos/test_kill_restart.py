@@ -21,25 +21,44 @@ from repro.chaos import (
     ChaosSchedule,
     run_with_restarts,
 )
+from repro.cluster import Cluster
 from repro.core import EarlConfig, EarlSession
 from repro.service import ApproxQueryService
+from repro.workloads import load_stand_in
 
 #: Forces multi-round streams (see tests/service/test_restart.py).
 CFG = dict(sigma=0.01, B_override=15, n_override=100,
            expansion_factor=1.6, max_iterations=12)
 
+#: One spec of every kind: two statistics sharing a scan and a GROUP BY
+#: query recover through the rebuilt dispatch window, the cluster job
+#: through its own replayed stream.
 SPECS = [
     {"kind": "statistic", "dataset": "pop", "statistic": "mean"},
     {"kind": "statistic", "dataset": "pop", "statistic": "std"},
+    {"kind": "query", "table": "orders", "group_by": "region",
+     "select": [{"statistic": "mean", "column": "amount"}]},
+    {"kind": "job", "cluster": "sim", "path": "/data/values",
+     "statistic": "mean"},
 ]
 
 
 def build(store):
+    """Every generation registers the same data, table and cluster
+    (rebuilt from fixed seeds, so the job's source fingerprint holds)."""
     service = ApproxQueryService(
         config=EarlConfig(**CFG), seed=99, batch_window=5.0,
         event_capacity=8, store=store)
     service.register_dataset(
         "pop", np.random.default_rng(0).lognormal(1.0, 0.5, 20_000))
+    rng = np.random.default_rng(3)
+    service.register_table("orders", {
+        "region": np.repeat(["east", "west"], 3000),
+        "amount": rng.exponential(40.0, 6000)})
+    cluster = Cluster(n_nodes=4, block_size=16 * 1024, replication=2, seed=9)
+    load_stand_in(cluster, "/data/values", logical_gb=2.0, records=6_000,
+                  seed=10)
+    service.register_cluster("sim", cluster)
     return service
 
 

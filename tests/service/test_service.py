@@ -585,6 +585,23 @@ class TestErrorResponses:
         assert codes["poll-ahead"] == ERR_BAD_REQUEST
         assert codes["bool-after"] == ERR_BAD_REQUEST
 
+    @pytest.mark.parametrize("timeout, ok", [
+        (None, True), (0, True), (2.5, True),
+        ("abc", False), (True, False), (float("nan"), False),
+        (float("inf"), False), (-1, False), ([1], False)])
+    def test_poll_timeout_must_be_null_or_finite_non_negative(self, timeout,
+                                                              ok):
+        async def body(service, client):
+            sid = await client.submit({"kind": "statistic", "dataset": "pop",
+                                       "statistic": "mean"})
+            return await service.handle(
+                {"op": "poll", "session": sid, "timeout": timeout})
+
+        response = run(with_service(body))
+        assert response["ok"] is ok
+        if not ok:
+            assert response["error"] == ERR_BAD_REQUEST
+
     def test_resume_gap_error_code(self):
         async def body(service, client):
             sid = await client.submit({"kind": "statistic", "dataset": "pop",
