@@ -3,10 +3,14 @@
 ``tests/fixtures/job_ledgers.json`` holds, for a fixed set of jobs, every
 :class:`~repro.mapreduce.JobResult` the job produced: its
 ``simulated_seconds``, each ``breakdown`` entry (as ``float.hex``), the
-counters and the output.  It was recorded once; this test replays the
+counters and the output.  Every :class:`~repro.core.earl.EarlJob` case
+``X`` has a companion entry ``X/stream`` with the run's corrected
+per-key estimates and each snapshot's ``to_dict()`` (floats as
+``float.hex`` again).  It was recorded once; this test replays the
 jobs on serial / threads / processes and demands equality, so a change
-to the task loops that moves a single simulated charge, counter or
-output byte fails here even when it moves every run the same way.
+to the task loops or the EARL driver that moves a single simulated
+charge, counter, output byte or snapshot field fails here even when it
+moves every run the same way.
 
 Regenerate (only when a ledger is *meant* to change, and say so in the
 commit): ``PYTHONPATH=src python tests/mapreduce/test_cross_commit_ledgers.py``.
@@ -124,6 +128,8 @@ def _encode(obj):
         return [_encode(x) for x in obj.tolist()]
     if isinstance(obj, (list, tuple)):
         return [_encode(x) for x in obj]
+    if isinstance(obj, dict):
+        return {str(k): _encode(v) for k, v in obj.items()}
     if dataclasses.is_dataclass(obj):
         return {f.name: _encode(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}
@@ -171,22 +177,41 @@ def _job(make_conf, *, cluster=_cluster, source=None):
     return build
 
 
-def _earl(statistic, n, *, cluster=_cluster, **cfg):
+#: (case, executor) -> (ledger entry, stream entry) of an EarlJob run.
+_EARL_RUNS = {}
+
+
+def _earl(case, statistic, n, *, cluster=_cluster, path="/vals",
+          n_reducers=1, pipelined=True, **cfg):
+    """The ``case`` and ``case/stream`` entries of one EarlJob run."""
     # (B, n) pinned: SSABE needs a larger pilot than a test-sized file
     # gives; B·n ≥ N takes the §3.1 exact fallback.
-    def build(executor):
+    def run(executor):
+        if (case, executor) in _EARL_RUNS:
+            return _EARL_RUNS[case, executor]
         config = EarlConfig(sigma=0.01, seed=17, B_override=10,
                             n_override=n, executor=executor,
                             max_workers=2, **cfg)
         with _recorded_jobs() as results:
-            final = EarlJob(cluster(), "/vals", statistic=statistic,
-                            config=config).run()
+            snapshots = list(EarlJob(
+                cluster(), path, statistic=statistic, config=config,
+                n_reducers=n_reducers, pipelined=pipelined).stream())
+        final = snapshots[-1].result
         summary = {"estimate": final.estimate.hex(),
                    "error": float(final.error).hex(),
                    "simulated_seconds": final.simulated_seconds.hex(),
                    "n": final.n, "used_fallback": final.used_fallback}
-        return [summary] + [_ledger(r) for r in results]
-    return build
+        keys = sorted((final.key_estimates or {}).items(),
+                      key=lambda item: repr(item[0]))
+        stream = {"key_estimates": [[_encode(k), _encode(v)]
+                                    for k, v in keys],
+                  "snapshots": [_encode(s.to_dict()) for s in snapshots]}
+        _EARL_RUNS[case, executor] = (
+            [summary] + [_ledger(r) for r in results], stream)
+        return _EARL_RUNS[case, executor]
+
+    return {case: lambda executor: run(executor)[0],
+            f"{case}/stream": lambda executor: run(executor)[1]}
 
 
 def _stock(path, statistic, *, combine=False, n_reducers=1):
@@ -227,8 +252,11 @@ CASES = {
     "grouped-mean-combined": _job(_stock("/keyed", "mean", combine=True,
                                          n_reducers=3)),
     "kmeans-iteration": _job(_kmeans),
-    "earl-early": _earl("median", 150),
-    "earl-exact": _earl("mean", 600),
+    **_earl("earl-early", "median", 150),
+    **_earl("earl-exact", "mean", 600),
+    **_earl("earl-keyed", "mean", 150, path="/keyed", n_reducers=3),
+    **_earl("earl-postmap", "median", 150, sampler="postmap"),
+    **_earl("earl-unpipelined", "mean", 150, pipelined=False),
     "retry": _job(_retry),
     "lost-block-skip": _job(_lossy(None), cluster=_lossy_cluster),
     "lost-block-salvage": _job(
@@ -239,9 +267,8 @@ CASES = {
     "mid-split-loss-salvage": _job(
         _lossy(FaultPolicy(salvage_partial_splits=True)),
         cluster=_lossy_cluster, source=PrefixThenLossSource()),
-    "earl-lost-block-salvage": _earl(
-        "mean", 150, cluster=_lossy_cluster,
-        fault_policy=FaultPolicy(salvage_partial_splits=True)),
+    **_earl("earl-lost-block-salvage", "mean", 150, cluster=_lossy_cluster,
+            fault_policy=FaultPolicy(salvage_partial_splits=True)),
 }
 
 
@@ -283,6 +310,13 @@ def test_fixture_exercises_every_path(recorded):
     salvaged = sum(job["counters"].get(C.SALVAGED_SPLITS, 0)
                    for job in recorded["earl-lost-block-salvage"][1:])
     assert salvaged >= 1
+    keyed = recorded["earl-keyed/stream"]
+    assert len(keyed["key_estimates"]) == 9
+    assert len(keyed["snapshots"]) >= 2
+    assert recorded["earl-exact/stream"]["snapshots"][-1]["iteration"] == 0
+    # A restarted job pays set-up on every iteration, a pipelined one once.
+    assert recorded["earl-unpipelined"][0]["simulated_seconds"] \
+        != recorded["earl-early"][0]["simulated_seconds"]
 
 
 if __name__ == "__main__":
