@@ -15,10 +15,9 @@ Run with:  python examples/web_log_analysis.py
 
 import numpy as np
 
-from repro import EarlConfig, EarlJob
+from repro import EarlConfig, EarlJob, run_grouped_stock_job
 from repro.cluster import Cluster
 from repro.core.categorical import proportion_estimate
-from repro.jobs import run_aggregate
 from repro.workloads import GB
 
 ENDPOINTS = ["/home", "/search", "/checkout"]
@@ -51,8 +50,9 @@ def main() -> None:
     # --- 1. per-endpoint mean response size -----------------------------
     earl = EarlJob(cluster, "/logs/access", statistic="mean", n_reducers=3,
                    config=EarlConfig(sigma=0.05, seed=13)).run()
-    exact, stock = run_aggregate(cluster, "/logs/access", "mean",
-                                 n_reducers=3, seed=14)
+    exact, stock = run_grouped_stock_job(cluster, "/logs/access", "mean",
+                                         combine=False, n_reducers=3,
+                                         seed=14)
     print("mean response size per endpoint (EARL vs exact):")
     for endpoint in ENDPOINTS:
         approx = earl.key_estimates[endpoint]

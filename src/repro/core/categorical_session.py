@@ -23,6 +23,7 @@ from repro.core.categorical import (
     required_sample_size_proportion,
 )
 from repro.core.config import EarlConfig
+from repro.core.engine import grow_target
 from repro.core.result import EarlResult, IterationRecord
 from repro.util.rng import ensure_rng
 
@@ -92,7 +93,7 @@ class CategoricalEarlSession:
                 expanded=expand))
             if not expand:
                 break
-            target = min(N, math.ceil(consumed * cfg.expansion_factor))
+            target = grow_target(consumed, N, cfg)
 
         assert estimate is not None
         return EarlResult(

@@ -28,6 +28,7 @@ from repro.core.accuracy import AccuracyEstimate, summarize_distribution
 from repro.core.config import EarlConfig
 from repro.core.correction import CorrectionLike, get_correction
 from repro.core.dependent import auto_block_length, block_bootstrap
+from repro.core.engine import grow_target
 from repro.core.estimators import StatisticLike, get_statistic
 from repro.core.result import EarlResult, IterationRecord
 from repro.util.rng import ensure_rng
@@ -114,7 +115,7 @@ class DependentEarlSession:
                 accuracy=estimate, simulated_seconds=0.0, expanded=expand))
             if not expand:
                 break
-            n_target = min(N, math.ceil(sampled * cfg.expansion_factor))
+            n_target = grow_target(sampled, N, cfg)
 
         assert estimate is not None
         p = min(1.0, sampled / N)

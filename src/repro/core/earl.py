@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
 from typing import (
     Any,
     Dict,
@@ -39,7 +39,7 @@ from typing import (
 import numpy as np
 
 from repro.cluster.cluster import Cluster
-from repro.core.accuracy import AccuracyEstimate, AccuracyEstimationStage
+from repro.core.accuracy import AccuracyEstimate
 from repro.core.config import (
     SAMPLER_POSTMAP,
     SAMPLER_PREMAP,
@@ -50,18 +50,20 @@ from repro.core.engine import (
     LossRecovery,
     RoundLog,
     UniformEngine,
-    _exact_snapshot,
     as_items,
     check_row_compatibility,
+    choose_parameters,
+    first_target,
+    grow_target,
     make_estimation_stage,
     pilot_size_for,
+    result_snapshot,
 )
-from repro.core.estimators import StatisticLike, get_statistic
-from repro.core.jackknife_stage import JackknifeEstimationStage
+from repro.core.estimators import Statistic, StatisticLike, get_statistic
 from repro.core.result import EarlResult, IterationRecord, ProgressSnapshot
-from repro.core.ssabe import SSABEResult, estimate_parameters
+from repro.core.ssabe import SSABEResult
 from repro.exec.executor import Executor, as_executor, resolve_executor
-from repro.mapreduce.combiner import is_estimator_state
+from repro.mapreduce.combiner import GroupStateCombiner, is_estimator_state
 from repro.mapreduce.job import ON_UNAVAILABLE_SKIP, JobConf, JobResult
 from repro.mapreduce.mapper import Mapper, ProjectionMapper
 from repro.mapreduce.pipeline import FeedbackChannel
@@ -176,34 +178,6 @@ class EarlSession(LossRecovery):
             engine.finish()
 
 
-def _final_snapshot(result: EarlResult, iteration: int,
-                    delta_seconds: float) -> ProgressSnapshot:
-    """The stream's last snapshot, restating a just-built result (no
-    re-aggregation of reducer state)."""
-    accuracy = result.accuracy
-    assert accuracy is not None
-    return ProgressSnapshot(
-        iteration=iteration,
-        estimate=result.estimate,
-        uncorrected_estimate=result.uncorrected_estimate,
-        error=result.error,
-        cv=accuracy.cv,
-        ci_low=accuracy.ci_low,
-        ci_high=accuracy.ci_high,
-        sample_size=result.n,
-        population_size=result.population_size,
-        sample_fraction=result.sample_fraction,
-        achieved=result.achieved,
-        final=True,
-        statistic=result.statistic,
-        cost_delta_seconds=delta_seconds,
-        cost_total_seconds=result.simulated_seconds,
-        accuracy=accuracy,
-        result=result,
-        degraded=result.degraded,
-        lost_fraction=result.lost_fraction)
-
-
 # ---------------------------------------------------------------------------
 # MapReduce building blocks
 # ---------------------------------------------------------------------------
@@ -258,7 +232,8 @@ class StatisticReducer(IncrementalReducer):
 class BootstrapReducer(Reducer):
     """EARL's reduce phase: delta-maintained bootstrap per key.
 
-    Keeps one :class:`AccuracyEstimationStage` per intermediate key; each
+    Keeps one estimation stage (:func:`make_estimation_stage` over
+    ``config``) per intermediate key; each
     ``reduce`` call feeds the key's *new* values (the delta sample routed
     to it this iteration), refreshes the bootstrap estimate and emits
     ``(key, AccuracyEstimate)``.  On task cleanup the average error over
@@ -268,22 +243,14 @@ class BootstrapReducer(Reducer):
     """
 
     def __init__(self, statistic: StatisticLike, B: int, *,
-                 metric: str = "cv",
-                 maintenance: str = "optimized",
-                 sketch_c: float = 4.0,
-                 estimation: str = "bootstrap",
-                 confidence: float = 0.95,
+                 config: Optional[EarlConfig] = None,
                  seed=None,
                  channel: Optional[FeedbackChannel] = None,
                  executor: Optional[Executor] = None) -> None:
         check_positive_int("B", B)
         self._stat = get_statistic(statistic)
         self._B = B
-        self._metric = metric
-        self._maintenance = maintenance
-        self._sketch_c = sketch_c
-        self._estimation = estimation
-        self._confidence = confidence
+        self._config = config or EarlConfig()
         self._rng = ensure_rng(seed)
         self._channel = channel
         self._executor = executor  # borrowed; the driver owns it
@@ -298,15 +265,9 @@ class BootstrapReducer(Reducer):
                ctx: TaskContext) -> Iterable[KeyValue]:
         stage = self._stages.get(key)
         if stage is None:
-            if self._estimation == "jackknife":
-                stage = JackknifeEstimationStage(
-                    self._stat, confidence=self._confidence)
-            else:
-                stage = AccuracyEstimationStage(
-                    self._stat, self._B, metric=self._metric,
-                    maintenance=self._maintenance, sketch_c=self._sketch_c,
-                    seed=self._rng, executor=self._executor)
-            self._stages[key] = stage
+            stage = self._stages[key] = make_estimation_stage(
+                self._stat, self._B, self._config, seed=self._rng,
+                executor=self._executor)
         stage.set_ledger(ctx.ledger)
         if ctx.record_scale != 1.0:
             stage.set_io_scale(ctx.record_scale)
@@ -386,14 +347,6 @@ def estimate_record_count(cluster: Cluster, path: str, *,
     return max(1, int(round(meta.size / avg_len))), ledger.total_seconds
 
 
-@dataclass
-class _EarlJobState:
-    """Bookkeeping carried across the driver loop's iterations."""
-
-    simulated_seconds: float = 0.0
-    input_fraction: float = 1.0
-
-
 class EarlJob:
     """MapReduce-backed EARL run on a simulated cluster.
 
@@ -447,7 +400,6 @@ class EarlJob:
         self._split_logical_bytes = split_logical_bytes
         self._on_unavailable = on_unavailable
         self._pipelined = pipelined
-        self.last_reducer: Optional[BootstrapReducer] = None
         self.last_channel: Optional[FeedbackChannel] = None
         self.last_sampler = None
 
@@ -494,31 +446,21 @@ class EarlJob:
         rng = ensure_rng(cfg.seed)
         pilot_rng, job_rng, reducer_rng = spawn_child(rng, 3)
         client = JobClient(self._cluster, executor=executor)
-        state = _EarlJobState()
 
-        N, probe_seconds = estimate_record_count(self._cluster, self._path)
-        state.simulated_seconds += probe_seconds
+        N, seconds = estimate_record_count(self._cluster, self._path)
         if N == 0:
             raise ValueError(f"input {self._path} is empty")
 
         # ---------------------------------------------------- SSABE pilot
         pilot_values, pilot_seconds = self._run_pilot(client, N, pilot_rng)
-        state.simulated_seconds += pilot_seconds
-        ssabe: Optional[SSABEResult] = None
-        if cfg.B_override is not None and cfg.n_override is not None:
-            B, n = cfg.B_override, cfg.n_override
-        else:
-            ssabe = estimate_parameters(
-                pilot_values, N, self._stat, sigma=cfg.sigma, tau=cfg.tau,
-                levels=cfg.subsample_levels, B_min=cfg.B_min,
-                stability_window=cfg.stability_window,
-                maintenance=cfg.maintenance, seed=pilot_rng)
-            B = cfg.B_override or ssabe.B
-            n = cfg.n_override or ssabe.n
+        seconds += pilot_seconds
+        B, n, ssabe = choose_parameters(
+            self._stat, N, cfg, lambda: pilot_values, sigma=cfg.sigma,
+            B=cfg.B_override, n=cfg.n_override, seed=pilot_rng)
 
         if B * n >= N:
-            result = self._run_exact(client, job_rng, state, N, ssabe)
-            yield _exact_snapshot(result)
+            yield result_snapshot(
+                self._run_exact(client, job_rng, seconds, N, ssabe))
             return
 
         # ------------------------------------------------- expansion loop
@@ -527,12 +469,9 @@ class EarlJob:
         # an earlier job on the same cluster must not drive termination.
         channel = FeedbackChannel(self._cluster.hdfs,
                                   f"earl-run-{next(_earl_run_ids)}")
-        reducer = BootstrapReducer(
-            self._stat, B, metric=cfg.error_metric,
-            maintenance=cfg.maintenance, sketch_c=cfg.sketch_c,
-            estimation=cfg.estimation, confidence=cfg.confidence,
-            seed=reducer_rng, channel=channel, executor=executor)
-        self.last_reducer = reducer
+        reducer = BootstrapReducer(self._stat, B, config=cfg,
+                                   seed=reducer_rng, channel=channel,
+                                   executor=executor)
         self.last_channel = channel
         self.last_sampler = sampler
         conf = JobConf(
@@ -545,9 +484,8 @@ class EarlJob:
             fault_policy=cfg.fault_policy)
 
         iterations: List[IterationRecord] = []
-        target = min(max(n, 2), N)
-        last_result: Optional[JobResult] = None
-        avg_error: Optional[float] = None
+        input_fraction = 1.0
+        target = first_target(n, N)
         try:
             for iteration in range(1, cfg.max_iterations + 1):
                 sampler.set_total_target(target)
@@ -555,36 +493,36 @@ class EarlJob:
                 with _TRACER.span("earl_job.iteration",
                                   attrs={"iteration": iteration,
                                          "target": target}):
-                    last_result = client.run(
-                        conf, record_source=sampler,
-                        splits=sampler.splits,
-                        warm_start=self._pipelined and iteration > 1)
+                    job = client.run(conf, record_source=sampler,
+                                     splits=sampler.splits,
+                                     warm_start=self._pipelined
+                                     and iteration > 1)
                 if _METRICS.enabled:
                     _METRICS.counter("repro_engine_rounds_total",
                                      labels={"engine": "earl_job"},
                                      help="engine expansion rounds").inc()
-                state.simulated_seconds += last_result.simulated_seconds
-                state.input_fraction = min(state.input_fraction,
-                                           last_result.input_fraction)
+                seconds += job.simulated_seconds
+                input_fraction = min(input_fraction, job.input_fraction)
+                summary = self._summarize(reducer, N, input_fraction)
                 avg_error = channel.average_error()
                 sampled = sampler.sampled_count
-                accuracy = self._combined_accuracy(reducer)
-                met = avg_error is not None and avg_error <= cfg.sigma
-                exhausted = sampled >= N or sampler_exhausted(sampler, target)
-                expand = not met and not exhausted \
-                    and iteration < cfg.max_iterations
+                # Stop at σ (§3.3: the reducers' published average
+                # error), or when the sampler fell short of its target
+                # or read everything: the data is exhausted.
+                expand = (not (avg_error is not None
+                               and avg_error <= cfg.sigma)
+                          and target <= sampled < N
+                          and iteration < cfg.max_iterations)
                 iterations.append(IterationRecord(
                     iteration=iteration, sample_size=sampled,
-                    accuracy=accuracy,
-                    simulated_seconds=last_result.simulated_seconds,
+                    accuracy=summary[1] if summary else None,
+                    simulated_seconds=job.simulated_seconds,
                     expanded=expand))
                 if not expand:
                     break
-                yield self._snapshot(reducer, state, N, iteration,
-                                     last_result.simulated_seconds)
-                target = min(N,
-                             math.ceil(max(sampled, 1)
-                                       * cfg.expansion_factor))
+                yield self._snapshot(summary, N, iteration,
+                                     job.simulated_seconds, seconds)
+                target = grow_target(max(sampled, 1), N, cfg)
         finally:
             # Reached on normal termination AND on consumer-driven
             # cancellation (GeneratorExit): the persistent mappers poll
@@ -592,10 +530,18 @@ class EarlJob:
             # the consumer walks away (§3.3's termination protocol).
             channel.signal_stop()
 
-        assert last_result is not None
-        result = self._finalize(reducer, iterations, state, N, B, ssabe)
-        yield _final_snapshot(result, len(iterations),
-                              last_result.simulated_seconds)
+        if summary is None:
+            raise RuntimeError("EARL produced no estimates; empty sample?")
+        estimate, accuracy, corrected, p, sampled = summary
+        result = EarlResult(
+            estimate=estimate, uncorrected_estimate=accuracy.estimate,
+            error=accuracy.error, achieved=accuracy.meets(cfg.sigma),
+            sigma=cfg.sigma, statistic=self._stat.name, n=sampled, B=B,
+            population_size=N, sample_fraction=p, used_fallback=False,
+            simulated_seconds=seconds, iterations=iterations, ssabe=ssabe,
+            accuracy=accuracy, input_fraction=input_fraction,
+            key_estimates=corrected)
+        yield result_snapshot(result, len(iterations), job.simulated_seconds)
 
     # ------------------------------------------------------------- helpers
     def _make_sampler(self):
@@ -633,71 +579,52 @@ class EarlJob:
             raise ValueError("pilot sample is empty; cannot run SSABE")
         return values, result.simulated_seconds
 
-    def _run_exact(self, client: JobClient, rng, state: _EarlJobState,
-                   N: int, ssabe: Optional[SSABEResult]) -> EarlResult:
+    def _run_exact(self, client: JobClient, rng, seconds: float, N: int,
+                   ssabe: Optional[SSABEResult]) -> EarlResult:
         """§3.1 fallback: run the user's job over the full input."""
-        reducer = StatisticReducer(self._stat, correction=self._correction)
-        conf = JobConf(
-            name=f"stock-{self._stat.name}", input_path=self._path,
-            mapper=self._mapper, reducer=reducer,
-            n_reducers=self._n_reducers, cpu_factor=self._cpu_factor,
+        values, job = _full_scan(
+            client, self._stat, self._path, mapper=self._mapper,
+            correction=self._correction, n_reducers=self._n_reducers,
+            cpu_factor=self._cpu_factor,
             split_logical_bytes=self._split_logical_bytes,
             on_unavailable=self._on_unavailable, seed=rng,
             fault_policy=self._config.fault_policy)
-        result = client.run(conf)
-        state.simulated_seconds += result.simulated_seconds
-        grouped = result.grouped()
-        values = {key: vals[0] for key, vals in grouped.items()}
-        estimate = (next(iter(values.values())) if len(values) == 1
-                    else float(np.mean(list(values.values()))))
+        estimate = _one_value(values)
         return EarlResult(
             estimate=estimate, uncorrected_estimate=estimate, error=0.0,
             achieved=True, sigma=self._config.sigma,
             statistic=self._stat.name, n=N, B=1, population_size=N,
             sample_fraction=1.0, used_fallback=True,
-            simulated_seconds=state.simulated_seconds, iterations=[],
-            ssabe=ssabe, accuracy=None,
-            input_fraction=result.input_fraction)
+            simulated_seconds=seconds + job.simulated_seconds,
+            iterations=[], ssabe=ssabe, accuracy=None,
+            input_fraction=job.input_fraction)
 
-    def _combined_accuracy(self, reducer: BootstrapReducer
-                           ) -> Optional[AccuracyEstimate]:
-        estimates = reducer.key_estimates()
-        if not estimates:
-            return None
-        if len(estimates) == 1:
-            return next(iter(estimates.values()))
-        # Multi-key job: report the worst key (conservative).
-        return max(estimates.values(), key=lambda e: e.error)
-
-    def _summarize(self, reducer: BootstrapReducer, state: _EarlJobState,
-                   N: int) -> Optional[Tuple[float, AccuracyEstimate,
-                                             Dict[Any, float], float, int]]:
+    def _summarize(self, reducer: BootstrapReducer, N: int,
+                   input_fraction: float
+                   ) -> Optional[Tuple[float, AccuracyEstimate,
+                                       Dict[Any, float], float, int]]:
         """Corrected summary of the reducer's current per-key estimates:
         ``(estimate, accuracy, corrected_by_key, p, sampled)``, or
-        ``None`` before any estimate exists."""
+        ``None`` before any estimate exists.  A multi-key job reports
+        its worst key's accuracy (conservative)."""
         key_estimates = reducer.key_estimates()
         if not key_estimates:
             return None
         sampled = sum(reducer.sample_sizes().values())
         # Under node failures only a fraction of the input was reachable;
         # the effective population shrinks accordingly (§3.4).
-        effective_N = max(1, int(round(N * state.input_fraction)))
+        effective_N = max(1, int(round(N * input_fraction)))
         p = min(1.0, max(sampled / effective_N, 1e-12))
         corrected = {key: self._correction(est.estimate, p)
                      for key, est in key_estimates.items()}
-        accuracy = self._combined_accuracy(reducer)
-        assert accuracy is not None
-        estimate = (next(iter(corrected.values())) if len(corrected) == 1
-                    else float(np.mean(list(corrected.values()))))
-        return estimate, accuracy, corrected, p, sampled
+        accuracy = max(key_estimates.values(), key=lambda e: e.error)
+        return _one_value(corrected), accuracy, corrected, p, sampled
 
-    def _snapshot(self, reducer: BootstrapReducer, state: _EarlJobState,
-                  N: int, iteration: int,
-                  delta_seconds: float) -> ProgressSnapshot:
-        """Intermediate snapshot of the driver loop after one iteration
-        (the final one is restated from the result, see
-        :func:`_final_snapshot`)."""
-        summary = self._summarize(reducer, state, N)
+    def _snapshot(self, summary, N: int, iteration: int,
+                  delta_seconds: float,
+                  total_seconds: float) -> ProgressSnapshot:
+        """Intermediate snapshot after one iteration (the final one
+        restates the result, see :func:`result_snapshot`)."""
         if summary is None:  # no estimate yet (e.g. empty iteration)
             nan = float("nan")
             return ProgressSnapshot(
@@ -707,61 +634,59 @@ class EarlJob:
                 population_size=N, sample_fraction=0.0, achieved=False,
                 final=False, statistic=self._stat.name,
                 cost_delta_seconds=delta_seconds,
-                cost_total_seconds=state.simulated_seconds,
+                cost_total_seconds=total_seconds,
                 accuracy=None, result=None)
         estimate, accuracy, _, p, sampled = summary
         return ProgressSnapshot(
-            iteration=iteration,
-            estimate=estimate,
-            uncorrected_estimate=accuracy.estimate,
-            error=accuracy.error,
-            cv=accuracy.cv,
-            ci_low=accuracy.ci_low,
-            ci_high=accuracy.ci_high,
-            sample_size=sampled,
-            population_size=N,
-            sample_fraction=p,
-            achieved=accuracy.meets(self._config.sigma),
-            final=False,
-            statistic=self._stat.name,
-            cost_delta_seconds=delta_seconds,
-            cost_total_seconds=state.simulated_seconds,
-            accuracy=accuracy,
+            iteration=iteration, estimate=estimate,
+            uncorrected_estimate=accuracy.estimate, error=accuracy.error,
+            cv=accuracy.cv, ci_low=accuracy.ci_low, ci_high=accuracy.ci_high,
+            sample_size=sampled, population_size=N, sample_fraction=p,
+            achieved=accuracy.meets(self._config.sigma), final=False,
+            statistic=self._stat.name, cost_delta_seconds=delta_seconds,
+            cost_total_seconds=total_seconds, accuracy=accuracy,
             result=None)
 
-    def _finalize(self, reducer: BootstrapReducer,
-                  iterations: List[IterationRecord], state: _EarlJobState,
-                  N: int, B: int, ssabe: Optional[SSABEResult]) -> EarlResult:
-        cfg = self._config
-        summary = self._summarize(reducer, state, N)
-        if summary is None:
-            raise RuntimeError("EARL produced no estimates; empty sample?")
-        estimate, accuracy, corrected, p, sampled = summary
-        result = EarlResult(
-            estimate=estimate,
-            uncorrected_estimate=accuracy.estimate,
-            error=accuracy.error,
-            achieved=accuracy.meets(cfg.sigma),
-            sigma=cfg.sigma,
-            statistic=self._stat.name,
-            n=sampled,
-            B=B,
-            population_size=N,
-            sample_fraction=p,
-            used_fallback=False,
-            simulated_seconds=state.simulated_seconds,
-            iterations=iterations,
-            ssabe=ssabe,
-            accuracy=accuracy,
-            input_fraction=state.input_fraction,
-            key_estimates=corrected,
-        )
-        return result
+
+# ---------------------------------------------------------------------------
+# Stock (full-scan) jobs
+# ---------------------------------------------------------------------------
 
 
-def sampler_exhausted(sampler, target: int) -> bool:
-    """Whether the sampler failed to reach its target (data exhausted)."""
-    return sampler.sampled_count < target
+def _full_scan(client: JobClient, stat: Statistic, input_path: str, *,
+               name: str = "stock", mapper: Optional[Mapper] = None,
+               correction: CorrectionLike = "auto", combine: bool = False,
+               **job: Any) -> Tuple[Dict[Hashable, float], JobResult]:
+    """Run the user's job over every split — projection map (unless
+    ``mapper``), the statistic's reducer, ``combine`` adding its
+    map-side state combiner — and return ``({key: value}, JobResult)``.
+    ``job`` holds the remaining :class:`JobConf` fields."""
+    conf = JobConf(
+        name=f"{name}-{stat.name}", input_path=input_path,
+        mapper=mapper or ProjectionMapper(),
+        reducer=StatisticReducer(stat, correction=correction),
+        combiner=GroupStateCombiner(stat) if combine else None, **job)
+    result = client.run(conf)
+    return ({key: float(vals[0]) for key, vals in result.grouped().items()},
+            result)
+
+
+def _one_value(values: Dict[Hashable, float]) -> float:
+    """A whole-job answer: the single key's value, else the keys' mean."""
+    if len(values) == 1:
+        return next(iter(values.values()))
+    return float(np.mean(list(values.values())))
+
+
+@contextmanager
+def _client(cluster: Cluster, executor: Any) -> Iterator[JobClient]:
+    """A job client on ``executor`` (closed after if it was built here)."""
+    ex, owned = as_executor(executor)
+    try:
+        yield JobClient(cluster, executor=ex)
+    finally:
+        if owned:
+            ex.close()
 
 
 def run_stock_job(cluster: Cluster, input_path: str,
@@ -784,25 +709,13 @@ def run_stock_job(cluster: Cluster, input_path: str,
     ``parallel_safe``, so this is the engine's genuinely parallel path.
     Results are identical on every backend.
     """
-    stat = get_statistic(statistic)
-    conf = JobConf(
-        name=f"stock-{stat.name}", input_path=input_path,
-        mapper=mapper or ProjectionMapper(),
-        reducer=StatisticReducer(stat, correction=correction),
-        n_reducers=n_reducers, cpu_factor=cpu_factor,
-        split_logical_bytes=split_logical_bytes, seed=seed)
-    ex, owned = as_executor(executor)
-    try:
-        result = JobClient(cluster, executor=ex).run(conf)
-    finally:
-        if owned:
-            ex.close()
-    grouped = result.grouped()
-    if len(grouped) == 1:
-        value = next(iter(grouped.values()))[0]
-    else:
-        value = float(np.mean([vals[0] for vals in grouped.values()]))
-    return float(value), result
+    with _client(cluster, executor) as client:
+        values, result = _full_scan(
+            client, get_statistic(statistic), input_path, mapper=mapper,
+            correction=correction, n_reducers=n_reducers,
+            cpu_factor=cpu_factor, split_logical_bytes=split_logical_bytes,
+            seed=seed)
+    return _one_value(values), result
 
 
 def run_grouped_stock_job(cluster: Cluster, input_path: str,
@@ -829,21 +742,9 @@ def run_grouped_stock_job(cluster: Cluster, input_path: str,
     summation order; the tests pin this), only the shuffled volume
     differs.  Returns ``({key: value}, JobResult)``.
     """
-    from repro.mapreduce.combiner import GroupStateCombiner
-
-    stat = get_statistic(statistic)
-    conf = JobConf(
-        name=f"grouped-{stat.name}", input_path=input_path,
-        mapper=mapper or ProjectionMapper(),
-        reducer=StatisticReducer(stat, correction=correction),
-        combiner=GroupStateCombiner(stat) if combine else None,
-        n_reducers=n_reducers, cpu_factor=cpu_factor,
-        split_logical_bytes=split_logical_bytes, seed=seed)
-    ex, owned = as_executor(executor)
-    try:
-        result = JobClient(cluster, executor=ex).run(conf)
-    finally:
-        if owned:
-            ex.close()
-    values = {key: float(vals[0]) for key, vals in result.grouped().items()}
-    return values, result
+    with _client(cluster, executor) as client:
+        return _full_scan(
+            client, get_statistic(statistic), input_path, name="grouped",
+            mapper=mapper, correction=correction, combine=combine,
+            n_reducers=n_reducers, cpu_factor=cpu_factor,
+            split_logical_bytes=split_logical_bytes, seed=seed)

@@ -42,6 +42,7 @@ import math
 from dataclasses import replace
 from typing import (
     Any,
+    Callable,
     Dict,
     Hashable,
     Iterator,
@@ -119,6 +120,39 @@ def pilot_size_for(cfg: EarlConfig, N: int) -> int:
                       2 ** cfg.subsample_levels))
 
 
+def choose_parameters(statistic: Statistic, size: int, cfg: EarlConfig,
+                      pilot: Callable[[], np.ndarray], *, sigma: float,
+                      B: Optional[int], n: Optional[int], seed: Any
+                      ) -> Tuple[int, int, Optional[SSABEResult]]:
+    """§3.2's ``(B, n)`` for one statistic over a population of
+    ``size``: SSABE on the pilot fills whichever of ``B`` and ``n`` is
+    not pinned.  With both pinned SSABE does not run and ``pilot`` is
+    never called (so a lazily drawn pilot costs nothing)."""
+    ssabe: Optional[SSABEResult] = None
+    if B is None or n is None:
+        ssabe = estimate_parameters(
+            pilot(), size, statistic, sigma=sigma, tau=cfg.tau,
+            levels=cfg.subsample_levels, B_min=cfg.B_min,
+            stability_window=cfg.stability_window,
+            maintenance=cfg.maintenance, seed=seed)
+        B = B or ssabe.B
+        n = n or ssabe.n
+    return B, n, ssabe
+
+
+def first_target(n: int, size: int) -> int:
+    """The first round's sample size: SSABE's ``n``, at least two rows
+    (a bootstrap needs them), at most the population."""
+    return min(max(n, 2), size)
+
+
+def grow_target(consumed: int, size: int, cfg: EarlConfig) -> int:
+    """The expansion schedule, the one growth rule of every driver: the
+    next round's sample size after ``consumed`` rows, capped at the
+    population."""
+    return min(size, math.ceil(consumed * cfg.expansion_factor))
+
+
 def exact_fallback_result(statistic: Statistic, data, *, sigma: float,
                           ssabe: Optional[SSABEResult]) -> EarlResult:
     """§3.1 fallback: ``B x n >= N``, so the exact computation over all
@@ -132,19 +166,31 @@ def exact_fallback_result(statistic: Statistic, data, *, sigma: float,
         simulated_seconds=0.0, iterations=[], ssabe=ssabe, accuracy=None)
 
 
-def _exact_snapshot(result: EarlResult) -> ProgressSnapshot:
-    """The single final snapshot of a §3.1 exact-fallback stream."""
+def result_snapshot(result: EarlResult, iteration: int = 0,
+                    delta_seconds: Optional[float] = None
+                    ) -> ProgressSnapshot:
+    """A stream's final snapshot, restating a finished result.
+
+    A §3.1 exact answer (no accuracy estimate) is the single snapshot of
+    its stream: iteration 0, a zero-width interval, the whole run's cost
+    as its delta.  A sampled result is restated as of ``iteration``,
+    whose own cost was ``delta_seconds``."""
+    accuracy = result.accuracy
+    low, high = ((result.estimate, result.estimate) if accuracy is None
+                 else (accuracy.ci_low, accuracy.ci_high))
     return ProgressSnapshot(
-        iteration=0, estimate=result.estimate,
+        iteration=iteration, estimate=result.estimate,
         uncorrected_estimate=result.uncorrected_estimate,
-        error=0.0, cv=0.0,
-        ci_low=result.estimate, ci_high=result.estimate,
+        error=result.error, cv=0.0 if accuracy is None else accuracy.cv,
+        ci_low=low, ci_high=high,
         sample_size=result.n, population_size=result.population_size,
         sample_fraction=result.sample_fraction,
-        achieved=True, final=True, statistic=result.statistic,
-        cost_delta_seconds=result.simulated_seconds,
+        achieved=result.achieved, final=True, statistic=result.statistic,
+        cost_delta_seconds=(result.simulated_seconds
+                            if delta_seconds is None else delta_seconds),
         cost_total_seconds=result.simulated_seconds,
-        accuracy=None, result=result)
+        accuracy=accuracy, result=result,
+        degraded=result.degraded, lost_fraction=result.lost_fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -630,17 +676,11 @@ class RoundEngine(LossRecovery):
                 # Withdrawn before streaming: no pilot, nothing towards
                 # the broadcast bound or any round's target.
                 continue
-            B, n = pipeline.B_override, pipeline.n_override
-            if B is None or n is None:
-                pipeline.ssabe = estimate_parameters(
-                    self._take(unit, pipeline.column, order.head(pilot)),
-                    unit.size,
-                    pipeline.statistic, sigma=pipeline.sigma, tau=cfg.tau,
-                    levels=cfg.subsample_levels, B_min=cfg.B_min,
-                    stability_window=cfg.stability_window,
-                    maintenance=cfg.maintenance, seed=streams[2 * i])
-                B = B or pipeline.ssabe.B
-                n = n or pipeline.ssabe.n
+            B, n, pipeline.ssabe = choose_parameters(
+                pipeline.statistic, unit.size, cfg,
+                lambda: self._take(unit, pipeline.column, order.head(pilot)),
+                sigma=pipeline.sigma, B=pipeline.B_override,
+                n=pipeline.n_override, seed=streams[2 * i])
             pipeline.B, pipeline.n = B, n
             if B * n >= unit.size:
                 pipeline.used_fallback = True
@@ -650,12 +690,12 @@ class RoundEngine(LossRecovery):
             else:
                 pipeline.stage = self._stage(pipeline, streams[2 * i + 1])
         if unit.active:
-            unit.target = min(
-                max(max(p.n for p in unit.active_pipelines), 2), unit.size)
+            unit.target = first_target(
+                max(p.n for p in unit.active_pipelines), unit.size)
 
     def _reach(self, unit: SampleUnit) -> int:
         """The most rows the unit's own schedule can ever consume: its
-        first target grown by ``expansion_factor`` for
+        first target grown by :func:`grow_target` for
         ``max_iterations - 1`` rounds — the size of its column
         segments."""
         cfg = self._config
@@ -663,7 +703,7 @@ class RoundEngine(LossRecovery):
         for _ in range(cfg.max_iterations - 1):
             if bound >= unit.size:
                 break
-            bound = min(unit.size, math.ceil(bound * cfg.expansion_factor))
+            bound = grow_target(bound, unit.size, cfg)
         return bound
 
     def _materialise(self) -> None:
@@ -802,7 +842,6 @@ class RoundEngine(LossRecovery):
         Returns the touched pipelines and the number of stage offers
         made (0: no unit drew anything this round).
         """
-        cfg = self._config
         touched: List[Touched] = []
         work: List[Tuple[SampleUnit, Pipeline, int, int]] = []
         drawn = 0
@@ -852,9 +891,8 @@ class RoundEngine(LossRecovery):
             touched.append((unit, pipeline))
         for unit in self._units:
             if unit.active and unit.consumed >= unit.target:
-                unit.target = min(
-                    unit.size,
-                    math.ceil(unit.consumed * cfg.expansion_factor))
+                unit.target = grow_target(unit.consumed, unit.size,
+                                          self._config)
         return touched, len(work)
 
     def _offer_round(self, work: List[Tuple[SampleUnit, Pipeline, int, int]]
@@ -1129,7 +1167,7 @@ class UniformEngine(RoundEngine):
                 ) -> List[Tuple[Pipeline, ProgressSnapshot]]:
         events = []
         for unit, query in touched:
-            snapshot = (_exact_snapshot(query.result) if query.used_fallback
+            snapshot = (result_snapshot(query.result) if query.used_fallback
                         else self._snapshot(unit, query))
             query.snapshots.append(snapshot)
             events.append((query, snapshot))

@@ -1,13 +1,7 @@
 """Evaluation jobs: aggregates, correlation analysis, and K-Means."""
 
-from repro.jobs.aggregates import (
-    CountingMapper,
-    aggregate_conf,
-    run_aggregate,
-    run_count,
-)
+from repro.jobs.aggregates import CountingMapper, run_count
 from repro.jobs.correlation import (
-    CorrelationReducer,
     PairMapper,
     bootstrap_correlation,
     run_correlation,
@@ -25,12 +19,9 @@ from repro.jobs.kmeans import (
 )
 
 __all__ = [
-    "aggregate_conf",
-    "run_aggregate",
     "run_count",
     "CountingMapper",
     "PairMapper",
-    "CorrelationReducer",
     "run_correlation",
     "bootstrap_correlation",
     "kmeans_inmemory",

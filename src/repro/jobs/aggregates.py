@@ -1,25 +1,21 @@
 """Aggregate MR jobs used throughout the evaluation.
 
-Thin, well-typed wrappers that assemble ``JobConf`` objects for the
-paper's workhorse queries: single-group aggregates (mean, median, sum —
-Figs. 5, 6, 9, 10) and per-key grouped statistics.  The heavy lifting is
-:class:`repro.core.earl.StatisticReducer`, which adapts any registered
-statistic to the incremental-reduce API.
+Single-group aggregates (mean, median, sum — Figs. 5, 6, 9, 10) and
+per-key grouped statistics are the stock full-scan jobs of
+:mod:`repro.core.earl` (:func:`~repro.core.earl.run_stock_job`,
+:func:`~repro.core.earl.run_grouped_stock_job`); this module adds
+COUNT, which is SUM over a mapper emitting ones.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterable, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, Tuple
 
 from repro.cluster.cluster import Cluster
-from repro.core.correction import CorrectionLike
-from repro.core.earl import StatisticReducer
-from repro.core.estimators import StatisticLike, get_statistic
-from repro.mapreduce.job import JobConf, JobResult
-from repro.mapreduce.mapper import Mapper, ProjectionMapper
-from repro.mapreduce.runtime import JobClient
+from repro.core.earl import run_grouped_stock_job
+from repro.mapreduce.job import JobResult
+from repro.mapreduce.mapper import Mapper
 from repro.mapreduce.types import KeyValue, TaskContext
-from repro.util.rng import SeedLike
 
 
 class CountingMapper(Mapper):
@@ -42,45 +38,10 @@ class CountingMapper(Mapper):
             yield self.constant_key, 1.0
 
 
-def aggregate_conf(input_path: str, statistic: StatisticLike, *,
-                   correction: CorrectionLike = "auto",
-                   mapper: Optional[Mapper] = None,
-                   n_reducers: int = 1,
-                   cpu_factor: float = 1.0,
-                   split_logical_bytes: Optional[int] = None,
-                   params: Optional[Dict[str, Any]] = None,
-                   seed: SeedLike = None) -> JobConf:
-    """Build the standard aggregate job: projection map + statistic reduce."""
-    stat = get_statistic(statistic)
-    return JobConf(
-        name=f"aggregate-{stat.name}",
-        input_path=input_path,
-        mapper=mapper or ProjectionMapper(),
-        reducer=StatisticReducer(stat, correction=correction),
-        n_reducers=n_reducers,
-        cpu_factor=cpu_factor,
-        split_logical_bytes=split_logical_bytes,
-        params=params or {},
-        seed=seed,
-    )
-
-
-def run_aggregate(cluster: Cluster, input_path: str,
-                  statistic: StatisticLike, **conf_kwargs
-                  ) -> Tuple[Dict[Hashable, float], JobResult]:
-    """Run an aggregate over the full input; returns per-key values.
-
-    This is the exact (stock) answer the approximate runs are validated
-    against in tests and benchmarks.
-    """
-    conf = aggregate_conf(input_path, statistic, **conf_kwargs)
-    result = JobClient(cluster).run(conf)
-    values = {key: vals[0] for key, vals in result.grouped().items()}
-    return values, result
-
-
-def run_count(cluster: Cluster, input_path: str, **conf_kwargs
+def run_count(cluster: Cluster, input_path: str, **job_kwargs
               ) -> Tuple[Dict[Hashable, float], JobResult]:
-    """COUNT per key (via the counting mapper and SUM reduction)."""
-    conf_kwargs.setdefault("mapper", CountingMapper())
-    return run_aggregate(cluster, input_path, "sum", **conf_kwargs)
+    """COUNT per key (via the counting mapper and SUM reduction);
+    ``job_kwargs`` go to :func:`~repro.core.earl.run_grouped_stock_job`."""
+    job_kwargs.setdefault("mapper", CountingMapper())
+    job_kwargs.setdefault("combine", False)
+    return run_grouped_stock_job(cluster, input_path, "sum", **job_kwargs)

@@ -2,9 +2,10 @@
 
 §3.3 notes that the independence assumption "makes sampling applicable
 to algorithms relying on capturing data-structure such as correlation
-analysis".  This module provides the MR job (pairs → Pearson r) and the
-bootstrap error estimate for it — a statistic far outside what closed-
-form error analysis (or online aggregation of simple AVG/SUM) covers.
+analysis".  This module provides the MR job (pairs → Pearson r, the
+stock job over the ``"correlation"`` statistic) and the bootstrap error
+estimate for it — a statistic far outside what closed-form error
+analysis (or online aggregation of simple AVG/SUM) covers.
 """
 
 from __future__ import annotations
@@ -15,11 +16,9 @@ import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.core.bootstrap import BootstrapResult
-from repro.core.estimators import CorrelationState
-from repro.mapreduce.job import JobConf, JobResult
+from repro.core.earl import run_stock_job
+from repro.mapreduce.job import JobResult
 from repro.mapreduce.mapper import Mapper
-from repro.mapreduce.reducer import IncrementalReducer
-from repro.mapreduce.runtime import JobClient
 from repro.mapreduce.types import KeyValue, TaskContext
 from repro.util.rng import SeedLike, ensure_rng
 from repro.util.validation import check_positive_int
@@ -40,35 +39,11 @@ class PairMapper(Mapper):
         yield self.constant_key, (float(x_str), float(y_str))
 
 
-class CorrelationReducer(IncrementalReducer):
-    """Pearson correlation as an incremental state (add/merge/finalize)."""
-
-    def initialize(self, values: Sequence[Any]) -> CorrelationState:
-        state = CorrelationState()
-        for pair in values:
-            state.add(pair)
-        return state
-
-    def update(self, state: CorrelationState, new_input: Any
-               ) -> CorrelationState:
-        if isinstance(new_input, CorrelationState):
-            state.merge(new_input)
-        else:
-            state.add(new_input)
-        return state
-
-    def finalize(self, state: CorrelationState) -> float:
-        return state.result()
-
-
 def run_correlation(cluster: Cluster, input_path: str, *,
                     seed: SeedLike = None) -> Tuple[float, JobResult]:
     """Exact Pearson correlation of an ``x,y`` file via MapReduce."""
-    conf = JobConf(name="correlation", input_path=input_path,
-                   mapper=PairMapper(), reducer=CorrelationReducer(),
-                   seed=seed)
-    result = JobClient(cluster).run(conf)
-    return float(result.single_value()), result
+    return run_stock_job(cluster, input_path, "correlation",
+                         mapper=PairMapper(), seed=seed)
 
 
 def bootstrap_correlation(pairs: Sequence[Tuple[float, float]], *,

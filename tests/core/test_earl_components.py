@@ -10,7 +10,6 @@ from repro.core.earl import (
     BootstrapReducer,
     StatisticReducer,
     make_estimation_stage,
-    sampler_exhausted,
 )
 from repro.core.accuracy import AccuracyEstimate, AccuracyEstimationStage
 from repro.core.estimators import get_statistic
@@ -138,8 +137,9 @@ class TestBootstrapReducer:
         assert list(reducer.cleanup(ctx)) == []
 
     def test_jackknife_estimation_variant(self, values):
-        reducer = BootstrapReducer("mean", B=10, seed=10,
-                                   estimation="jackknife")
+        reducer = BootstrapReducer(
+            "mean", B=10, seed=10,
+            config=EarlConfig(estimation="jackknife"))
         ctx = make_ctx()
         reducer.setup(ctx)
         (key, est), = reducer.reduce("k", values, ctx)
@@ -160,15 +160,3 @@ class TestStageFactory:
         cfg = EarlConfig(seed=1, estimation="jackknife")
         stage = make_estimation_stage(get_statistic("mean"), 10, cfg)
         assert isinstance(stage, JackknifeEstimationStage)
-
-
-class TestSamplerExhausted:
-    class _FakeSampler:
-        def __init__(self, count):
-            self.sampled_count = count
-
-    def test_behind_target(self):
-        assert sampler_exhausted(self._FakeSampler(5), 10)
-
-    def test_at_target(self):
-        assert not sampler_exhausted(self._FakeSampler(10), 10)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster
-from repro.jobs.aggregates import run_aggregate, run_count
+from repro.core import StatisticReducer, run_grouped_stock_job
+from repro.jobs.aggregates import run_count
+from repro.mapreduce import JobClient, JobConf, ProjectionMapper
 from repro.workloads import keyed_lines, numeric_dataset
 
 
@@ -21,19 +23,23 @@ def values():
 class TestRunAggregate:
     def test_global_mean(self, cluster, values):
         cluster.hdfs.write_lines("/v", [f"{v:.6f}" for v in values])
-        result, _ = run_aggregate(cluster, "/v", "mean", seed=1)
+        result, _ = run_grouped_stock_job(cluster, "/v", "mean",
+                                          combine=False, seed=1)
         assert result["all"] == pytest.approx(np.mean(values))
 
     def test_per_key_statistics(self, cluster, values):
         cluster.hdfs.write_lines("/kv", keyed_lines(values, 3, seed=42))
-        result, _ = run_aggregate(cluster, "/kv", "max", n_reducers=2, seed=2)
+        result, _ = run_grouped_stock_job(cluster, "/kv", "max",
+                                          combine=False, n_reducers=2,
+                                          seed=2)
         assert len(result) == 3
         assert max(result.values()) == pytest.approx(np.max(values),
                                                      rel=1e-6)
 
     def test_median(self, cluster, values):
         cluster.hdfs.write_lines("/v", [f"{v:.6f}" for v in values])
-        result, _ = run_aggregate(cluster, "/v", "median", seed=3)
+        result, _ = run_grouped_stock_job(cluster, "/v", "median",
+                                          combine=False, seed=3)
         assert result["all"] == pytest.approx(np.median(values), rel=1e-6)
 
     def test_count(self, cluster, values):
@@ -43,6 +49,9 @@ class TestRunAggregate:
 
     def test_sum_correction_param(self, cluster, values):
         cluster.hdfs.write_lines("/v", [f"{v:.6f}" for v in values])
-        result, _ = run_aggregate(cluster, "/v", "sum",
-                                  params={"sample_fraction": 0.5}, seed=5)
-        assert result["all"] == pytest.approx(2 * np.sum(values), rel=1e-9)
+        conf = JobConf(name="sum", input_path="/v",
+                       mapper=ProjectionMapper(),
+                       reducer=StatisticReducer("sum"),
+                       params={"sample_fraction": 0.5}, seed=5)
+        (key, total), = JobClient(cluster).run(conf).output
+        assert total == pytest.approx(2 * np.sum(values), rel=1e-9)
