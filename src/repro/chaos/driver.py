@@ -86,7 +86,7 @@ class ChaosDriver:
                 raise ValueError(
                     "schedule contains a loss event but the driven "
                     "stream has no loss target (pass loss_target= or "
-                    "use run_session/run_manager/run_grouped)")
+                    "use run/run_manager)")
             if event.keys is not None:
                 loss_target.report_loss(event.fraction, keys=event.keys,
                                         seed=event.seed)
@@ -122,11 +122,16 @@ class ChaosDriver:
                 f"driver was built without a cluster")
 
     # -------------------------------------------------------- wrappers
-    def run_session(self, session: Any) -> ChaosReport:
-        """Drive an :class:`EarlSession` (or anything yielding
-        ``ProgressSnapshot``-shaped items with ``report_loss``)."""
-        snapshots = list(self.drive(session.stream(),
-                                    loss_target=session))
+    def run(self, engine: Any) -> ChaosReport:
+        """Drive one engine's snapshot stream: an :class:`EarlSession`,
+        a :class:`GroupedEarlSession` (loss events honour their ``keys``
+        strata filter) or an :class:`EarlJob` over the driver's
+        cluster.  Loss events go to the engine's ``report_loss``; an
+        engine without one (a job, which loses nodes, not rows) raises
+        on them."""
+        loss_target = engine if hasattr(engine, "report_loss") else None
+        snapshots = list(self.drive(engine.stream(),
+                                    loss_target=loss_target))
         final = snapshots[-1] if snapshots else None
         return ChaosReport(
             snapshots=snapshots, fired=list(self.fired), final=final,
@@ -150,27 +155,3 @@ class ChaosDriver:
             degraded=bool(getattr(manager, "degraded", False)),
             lost_fraction=float(getattr(manager, "lost_fraction", 0.0)),
             results=results)
-
-    def run_grouped(self, session: Any) -> ChaosReport:
-        """Drive a :class:`GroupedEarlSession` (loss events honour
-        their ``keys`` strata filter)."""
-        snapshots = list(self.drive(session.stream(),
-                                    loss_target=session))
-        final = snapshots[-1] if snapshots else None
-        return ChaosReport(
-            snapshots=snapshots, fired=list(self.fired), final=final,
-            degraded=bool(getattr(final, "degraded", False)),
-            lost_fraction=float(getattr(final, "lost_fraction", 0.0)))
-
-    def run_job(self, job: Any) -> ChaosReport:
-        """Drive an :class:`EarlJob` over the driver's cluster.  Jobs
-        take node-level faults; loss events require the job to expose
-        ``report_loss`` (it does not today) and raise otherwise."""
-        loss_target = job if hasattr(job, "report_loss") else None
-        snapshots = list(self.drive(job.stream(),
-                                    loss_target=loss_target))
-        final = snapshots[-1] if snapshots else None
-        return ChaosReport(
-            snapshots=snapshots, fired=list(self.fired), final=final,
-            degraded=bool(getattr(final, "degraded", False)),
-            lost_fraction=float(getattr(final, "lost_fraction", 0.0)))

@@ -58,7 +58,7 @@ class TestZeroFaultByteIdentity:
     @pytest.mark.parametrize("backend", sorted(available_executors()))
     def test_empty_schedule_is_transparent(self, data, backend):
         cfg = EarlConfig(sigma=0.05, seed=3, executor=backend)
-        report = ChaosDriver(ChaosSchedule.none()).run_session(
+        report = ChaosDriver(ChaosSchedule.none()).run(
             EarlSession(data, "mean", config=cfg))
         reference = EarlSession(data, "mean", config=cfg).run()
         assert report.fired == [] and not report.degraded
@@ -73,7 +73,7 @@ class TestZeroFaultByteIdentity:
         estimates = set()
         for backend in sorted(available_executors()):
             cfg = EarlConfig(sigma=0.05, seed=3, executor=backend)
-            report = ChaosDriver().run_session(
+            report = ChaosDriver().run(
                 EarlSession(data, "mean", config=cfg))
             estimates.add(report.final.result.estimate)
         assert len(estimates) == 1
@@ -90,7 +90,7 @@ class TestLossInvariants:
                                                 loss_at, seed):
         sched = ChaosSchedule((ChaosEvent(
             at=loss_at, kind=KIND_LOSS, fraction=fraction, seed=seed),))
-        report = ChaosDriver(sched).run_session(EarlSession(
+        report = ChaosDriver(sched).run(EarlSession(
             data, "mean", config=EarlConfig(sigma=0.02, seed=1)))
         final = report.final
         assert final.final
@@ -112,7 +112,7 @@ class TestLossInvariants:
             # takes ~4,300 rows; the second snapshot has 500, cv ~0.06 —
             # three times the bound, out of reach of bootstrap noise):
             # the loss after it always meets a query still expanding
-            return ChaosDriver(sched).run_session(EarlSession(
+            return ChaosDriver(sched).run(EarlSession(
                 data, "mean", config=EarlConfig(sigma=0.02, seed=1,
                                                 n_override=250)))
 
@@ -171,7 +171,7 @@ class TestGroupedChaos:
         session = GroupedEarlSession(keys, [Measure("m", "mean", vals)],
                                      config=EarlConfig(sigma=0.02,
                                                        seed=1))
-        return ChaosDriver(sched).run_grouped(session)
+        return ChaosDriver(sched).run(session)
 
     def test_keyed_loss_terminates_with_a_full_board(self, grouped_table):
         sched = ChaosSchedule((ChaosEvent(
@@ -205,7 +205,7 @@ class TestClusterChaos:
             at=0, kind=KIND_KILL_NODES, fraction=0.25, seed=3),))
         job = EarlJob(cluster, ds.path, statistic="mean",
                       config=EarlConfig(sigma=0.05, seed=2))
-        report = ChaosDriver(sched, cluster=cluster).run_job(job)
+        report = ChaosDriver(sched, cluster=cluster).run(job)
         assert report.fired and report.fired[0].kind == KIND_KILL_NODES
         assert len(cluster.healthy_nodes) == 6
         assert report.final is not None and report.final.final
@@ -220,7 +220,7 @@ class TestClusterChaos:
         ))
         job = EarlJob(cluster, ds.path, statistic="mean",
                       config=EarlConfig(sigma=0.05, seed=2))
-        report = ChaosDriver(sched, cluster=cluster).run_job(job)
+        report = ChaosDriver(sched, cluster=cluster).run(job)
         assert report.final is not None and report.final.final
         if len(report.fired) == 2:   # the job ran past round 1
             assert len(cluster.healthy_nodes) == 8
@@ -294,7 +294,7 @@ class TestChaosSweep:
             sched = ChaosSchedule.generate(seed, rounds=8,
                                            loss_rate=0.5,
                                            max_fraction=0.8)
-            report = ChaosDriver(sched).run_session(EarlSession(
+            report = ChaosDriver(sched).run(EarlSession(
                 data, "mean", config=EarlConfig(sigma=0.02, seed=seed)))
             final = report.final
             assert final.final and np.isfinite(final.result.estimate)
@@ -315,7 +315,7 @@ class TestChaosSweep:
             session = GroupedEarlSession(
                 keys, [Measure("m", "mean", vals)],
                 config=EarlConfig(sigma=0.02, seed=seed))
-            report = ChaosDriver(sched).run_grouped(session)
+            report = ChaosDriver(sched).run(session)
             assert report.final.final
             board = report.final.result
             assert board is not None

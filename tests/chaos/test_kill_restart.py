@@ -86,7 +86,7 @@ class TestHarnessWiring:
         session = EarlSession(data, "mean",
                               config=EarlConfig(sigma=0.05, seed=2))
         with pytest.raises(ValueError, match="run_with_restarts"):
-            ChaosDriver(sched).run_session(session)
+            ChaosDriver(sched).run(session)
 
     def test_empty_schedule_means_zero_restarts(self, tmp_path):
         report = run(run_with_restarts(
