@@ -1,9 +1,8 @@
 """Simulated HDFS substrate (NameNode, DataNodes, blocks, splits).
 
 Reproduces the features of HDFS the paper's sampling layer relies on
-(§2.1, §3.3): block partitioning, replication, logical input splits, a
-line-oriented record reader with byte-offset backtracking, and a data
-rebalancer.
+(§2.1, §3.3): block partitioning, replication, logical input splits
+and a line-oriented record reader with byte-offset backtracking.
 """
 
 from repro.hdfs.blocks import DEFAULT_BLOCK_SIZE, Block
@@ -18,7 +17,6 @@ from repro.hdfs.errors import (
 from repro.hdfs.filesystem import HDFS
 from repro.hdfs.namenode import FileMeta, NameNode
 from repro.hdfs.record_reader import LineRecordReader
-from repro.hdfs.rebalancer import imbalance, rebalance, replica_counts
 from repro.hdfs.split_cache import (
     BARE_LINE_KEY,
     CacheStats,
@@ -47,9 +45,6 @@ __all__ = [
     "LineRecordReader",
     "DEFAULT_BLOCK_SIZE",
     "compute_splits",
-    "rebalance",
-    "imbalance",
-    "replica_counts",
     "HdfsError",
     "FileNotFoundInHdfs",
     "FileAlreadyExists",

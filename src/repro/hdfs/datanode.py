@@ -49,7 +49,7 @@ class DataNode:
         return self._blocks[block_id]
 
     def drop(self, block_id: int) -> None:
-        """Remove a replica (used by the rebalancer)."""
+        """Remove a replica (idempotent)."""
         self._blocks.pop(block_id, None)
 
     def block_ids(self) -> Iterable[int]:
@@ -57,7 +57,7 @@ class DataNode:
 
     @property
     def used_bytes(self) -> int:
-        """Total bytes stored on this node (for rebalancing decisions)."""
+        """Total bytes stored on this node."""
         return sum(len(b) for b in self._blocks.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -6,7 +6,6 @@
   hashmap, then release of a uniform without-replacement prefix.
 * :func:`reservoir_sample` — exact-uniform one-pass baseline.
 * :func:`sample_blocks` — biased block-level baseline (§7).
-* :class:`TwoFileSampler` — Olken & Rotem's 2-file/ARHASH method (§7).
 * :class:`StratifiedSampler` — per-stratum uniform sampling over keyed
   records with uniform / proportional / Neyman quota allocation (the
   grouped-query design).
@@ -29,7 +28,6 @@ from repro.sampling.stratified import (
     StratifiedSampler,
     allocate_with_caps,
 )
-from repro.sampling.twofile import TwoFileSampler
 
 __all__ = [
     "PreMapSampler",
@@ -38,7 +36,6 @@ __all__ = [
     "reservoir_sample_indices",
     "sample_blocks",
     "block_sampling_bias",
-    "TwoFileSampler",
     "StratifiedSampler",
     "PermutationPrefix",
     "Factorization",

@@ -17,7 +17,6 @@ from repro.sampling.block_sampling import sample_blocks
 from repro.sampling.postmap import PostMapSampler
 from repro.sampling.premap import PreMapSampler
 from repro.sampling.reservoir import reservoir_sample
-from repro.sampling.twofile import TwoFileSampler
 
 
 def make_cluster(lines, block_size=512, seed=8):
@@ -175,20 +174,3 @@ class TestReservoirEquivalence:
         ref = reservoir_sample(items, k, seed=seed, batched=False)
         fast = reservoir_sample(items, k, seed=seed, batched=True)
         assert ref == fast
-
-
-class TestTwoFileEquivalence:
-    @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.8, 1.0])
-    def test_batched_equals_scalar(self, seed, fraction):
-        values = list(range(500))
-        ref_s = TwoFileSampler(values, fraction, seed=seed)
-        l1 = CostLedger()
-        ref = ref_s.sample(700, ledger=l1, batched=False)
-        fast_s = TwoFileSampler(values, fraction, seed=seed)
-        l2 = CostLedger()
-        fast = fast_s.sample(700, ledger=l2, batched=True)
-        assert ref == fast
-        assert (ref_s.memory_draws, ref_s.disk_draws) \
-            == (fast_s.memory_draws, fast_s.disk_draws)
-        assert l1.breakdown() == l2.breakdown()
