@@ -34,6 +34,7 @@
 #                      verdict per end-to-end metric, one table per
 #                      workload plus a Markdown block over all of them
 #   make docs-check  - every .md referenced from code/docs actually exists
+#   make doctest     - run the docstring examples under src/repro
 #   make examples    - run every example script end to end
 #   make clean       - purge bytecode caches, tool state and stray
 #                      durable-store directories (__pycache__/,
@@ -44,7 +45,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-all test-chaos test-durability bench bench-smoke \
 	figures-check bench-json bench-service bench-e2e bench-pairs \
-	docs-check examples clean
+	docs-check doctest examples clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -119,6 +120,12 @@ bench-pairs:
 
 docs-check:
 	$(PYTHON) tools/check_docs.py
+
+# The examples in docstrings (EarlSession, QueryScheduler, Figure4Sampler,
+# ...).  `addopts=` drops pytest.ini's marker filter, which is about
+# tests/, not docstrings.
+doctest:
+	$(PYTHON) -m pytest -q --doctest-modules src/repro -o addopts=
 
 examples:
 	@set -e; for f in examples/*.py; do \

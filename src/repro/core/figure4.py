@@ -13,14 +13,22 @@ is not possible) — all inside ``while (error > sigma)``.
 substrate, for users who want the paper's explicit loop rather than the
 packaged :class:`~repro.core.earl.EarlJob` driver:
 
->>> s = Figure4Sampler(cluster, statistic="mean", seed=7)   # doctest: +SKIP
+>>> import numpy as np
+>>> from repro.cluster import Cluster
+>>> cluster = Cluster(n_nodes=4, seed=0)
+>>> values = np.random.default_rng(0).lognormal(0.0, 1.0, 20_000)
+>>> meta = cluster.hdfs.write_lines("/data/values",
+...                                 [f"{v:.6f}" for v in values])
+>>> sigma = 0.05
+>>> s = Figure4Sampler(cluster, statistic="mean", seed=7)
 >>> s.init("/data/values")
 >>> while s.error is None or s.error > sigma:
 ...     s.generate_samples(s.sample_size, s.num_resamples)
 ...     estimates = s.run_user_job()
-...     s.run_aes_job(estimates)
+...     accuracy = s.run_aes_job(estimates)
 ...     s.update_sample_size_and_num_resamples(sigma)
->>> s.result()
+>>> s.result().error <= sigma
+True
 """
 
 from __future__ import annotations
