@@ -654,7 +654,7 @@ class EarlJob:
 
 
 def _full_scan(client: JobClient, stat: Statistic, input_path: str, *,
-               name: str = "stock", mapper: Optional[Mapper] = None,
+               mapper: Optional[Mapper] = None,
                correction: CorrectionLike = "auto", combine: bool = False,
                **job: Any) -> Tuple[Dict[Hashable, float], JobResult]:
     """Run the user's job over every split — projection map (unless
@@ -662,7 +662,7 @@ def _full_scan(client: JobClient, stat: Statistic, input_path: str, *,
     map-side state combiner — and return ``({key: value}, JobResult)``.
     ``job`` holds the remaining :class:`JobConf` fields."""
     conf = JobConf(
-        name=f"{name}-{stat.name}", input_path=input_path,
+        name=f"stock-{stat.name}", input_path=input_path,
         mapper=mapper or ProjectionMapper(),
         reducer=StatisticReducer(stat, correction=correction),
         combiner=GroupStateCombiner(stat) if combine else None, **job)
@@ -744,7 +744,7 @@ def run_grouped_stock_job(cluster: Cluster, input_path: str,
     """
     with _client(cluster, executor) as client:
         return _full_scan(
-            client, get_statistic(statistic), input_path, name="grouped",
-            mapper=mapper, correction=correction, combine=combine,
-            n_reducers=n_reducers, cpu_factor=cpu_factor,
-            split_logical_bytes=split_logical_bytes, seed=seed)
+            client, get_statistic(statistic), input_path, mapper=mapper,
+            correction=correction, combine=combine, n_reducers=n_reducers,
+            cpu_factor=cpu_factor, split_logical_bytes=split_logical_bytes,
+            seed=seed)
