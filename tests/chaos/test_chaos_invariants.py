@@ -233,6 +233,34 @@ class TestClusterChaos:
         with pytest.raises(ValueError, match="loss target"):
             list(ChaosDriver(sched).drive(stream))
 
+    def test_run_sends_loss_to_the_engine(self):
+        class Engine:
+            def __init__(self):
+                self.losses = []
+
+            def stream(self):
+                yield from (object(), object())
+
+            def report_loss(self, fraction, seed=None):
+                self.losses.append((fraction, seed))
+
+        sched = ChaosSchedule((ChaosEvent(
+            at=0, kind=KIND_LOSS, fraction=0.25, seed=5),))
+        engine = Engine()
+        report = ChaosDriver(sched).run(engine)
+        assert engine.losses == [(0.25, 5)]
+        assert len(report.snapshots) == 2 and len(report.fired) == 1
+
+    def test_run_without_report_loss_raises_on_loss(self):
+        class Engine:
+            def stream(self):
+                yield from (object(), object())
+
+        sched = ChaosSchedule((ChaosEvent(
+            at=0, kind=KIND_LOSS, fraction=0.5),))
+        with pytest.raises(ValueError, match="loss target"):
+            ChaosDriver(sched).run(Engine())
+
     def test_cluster_event_without_a_cluster_raises(self, data):
         sched = ChaosSchedule((ChaosEvent(
             at=0, kind=KIND_KILL_NODES, fraction=0.5),))

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster
-from repro.core import StatisticReducer, run_grouped_stock_job
+from repro.core import (
+    StatisticReducer,
+    run_grouped_stock_job,
+    run_stock_job,
+)
 from repro.jobs.aggregates import run_count
 from repro.mapreduce import JobClient, JobConf, ProjectionMapper
 from repro.workloads import keyed_lines, numeric_dataset
@@ -55,3 +59,22 @@ class TestRunAggregate:
                        params={"sample_fraction": 0.5}, seed=5)
         (key, total), = JobClient(cluster).run(conf).output
         assert total == pytest.approx(2 * np.sum(values), rel=1e-9)
+
+
+class TestStockJob:
+    def test_single_key_is_its_value(self, cluster, values):
+        cluster.hdfs.write_lines("/v", [f"{v:.6f}" for v in values])
+        value, _ = run_stock_job(cluster, "/v", "mean", seed=6)
+        grouped, _ = run_grouped_stock_job(cluster, "/v", "mean",
+                                           combine=False, seed=6)
+        assert value == grouped["all"]
+
+    def test_many_keys_collapse_to_their_mean(self, cluster, values):
+        cluster.hdfs.write_lines("/kv", keyed_lines(values, 3, seed=44))
+        value, _ = run_stock_job(cluster, "/kv", "max", n_reducers=2,
+                                 seed=7)
+        grouped, _ = run_grouped_stock_job(cluster, "/kv", "max",
+                                           combine=False, n_reducers=2,
+                                           seed=7)
+        assert len(grouped) == 3
+        assert value == pytest.approx(np.mean(list(grouped.values())))
