@@ -72,12 +72,15 @@ test-durability:
 bench:
 	$(PYTHON) -m pytest benchmarks/bench_*.py -q
 
+# The sampling-bias ablation is the only caller of sample_blocks and
+# reservoir_sample, so it runs here to keep both baselines exercised.
 bench-smoke:
 	$(PYTHON) -m pytest -q \
 		benchmarks/bench_fig2_bootstrap_convergence.py \
 		benchmarks/bench_fig10_delta_maintenance.py \
 		benchmarks/bench_exec_backends.py \
-		benchmarks/bench_exec.py
+		benchmarks/bench_exec.py \
+		benchmarks/bench_ablation_sampling_bias.py
 
 # The figure records are simulated seconds and counts, byte-identical
 # run to run on any machine; wall-clock records (kernel_throughput.txt,

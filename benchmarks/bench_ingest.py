@@ -9,12 +9,17 @@ resulting hot paths against their scalar references at n ∈ {2·10⁴,
 10⁵, 10⁶} lines:
 
 * ``premap`` — lines/sec drawing a sample through
-  :class:`~repro.sampling.premap.PreMapSampler` (``batched=True`` incl.
-  the cold index build, vs ``batched=False``).  Both consume the
-  identical RNG stream and charge identical simulated costs — the
-  ratio is a pure constant-factor comparison, like ``bench_kernel``'s.
+  :class:`~repro.sampling.premap.PreMapSampler` (batched probes against
+  the index, incl. the cold index build, vs probe-at-a-time
+  backtracking).  Both consume the identical RNG stream and charge
+  identical simulated costs — the ratio is a pure constant-factor
+  comparison, like ``bench_kernel``'s.
 * ``reread`` — lines/sec re-scanning every split (three warm passes,
   the M3R regime an iterative driver lives in), cached vs scalar.
+
+The scalar side runs the same code over a filesystem whose split cache
+never serves (:class:`_NoSplitCache`), so every read takes the fallback
+path the cache's availability check would choose after a failure.
 
 Outputs machine-readable ``BENCH_ingest.json``; the committed copy at
 ``benchmarks/BENCH_ingest.json`` is the baseline the CI regression gate
@@ -43,6 +48,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.cluster import Cluster  # noqa: E402 (path bootstrap above)
+from repro.hdfs import SplitIndexCache  # noqa: E402
 from repro.hdfs.record_reader import LineRecordReader  # noqa: E402
 from repro.sampling.premap import PreMapSampler  # noqa: E402
 
@@ -59,9 +65,18 @@ N_SPLITS = 8
 REREAD_PASSES = 3
 
 
-def _build_cluster(n: int) -> Cluster:
+class _NoSplitCache(SplitIndexCache):
+    """A split cache that never serves: the scalar reference."""
+
+    def acquire(self, fs, split):
+        return None
+
+
+def _build_cluster(n: int, cached: bool) -> Cluster:
     cluster = Cluster(n_nodes=5, block_size=1 << 20, seed=3)
     cluster.hdfs.write_lines("/bench", [f"{i:012d}" for i in range(n)])
+    if not cached:
+        cluster.hdfs.split_cache = _NoSplitCache()
     return cluster
 
 
@@ -74,15 +89,15 @@ def _premap_target(n: int) -> int:
     return min(n // 2, 50_000)
 
 
-def _time_premap(n: int, batched: bool) -> float:
+def _time_premap(n: int, cached: bool) -> float:
     """Seconds to draw the target sample on a fresh cluster.
 
-    The batched timing includes the cold newline-index build — the
+    The cached timing includes the cold newline-index build — the
     cache pays for itself within a single iteration's probes.
     """
-    cluster = _build_cluster(n)
+    cluster = _build_cluster(n, cached)
     size = cluster.hdfs.file_size("/bench")
-    sampler = PreMapSampler(cluster.hdfs, "/bench", batched=batched,
+    sampler = PreMapSampler(cluster.hdfs, "/bench",
                             split_logical_bytes=max(1, size // N_SPLITS))
     sampler.set_total_target(_premap_target(n))
     rng = np.random.default_rng(SEED)
@@ -98,19 +113,17 @@ def _time_premap(n: int, batched: bool) -> float:
 
 def _time_reread(n: int, cached: bool) -> float:
     """Seconds for ``REREAD_PASSES`` warm re-scans of every split."""
-    cluster = _build_cluster(n)
+    cluster = _build_cluster(n, cached)
     splits = _splits(cluster)
     # one untimed warm-up pass: the cached path materializes its index
     # here, the scalar path gets the same OS/alloc warm-up
     for split in splits:
-        for _ in LineRecordReader(cluster.hdfs, split,
-                                  cached=cached).read_records():
+        for _ in LineRecordReader(cluster.hdfs, split).read_records():
             pass
     t0 = time.perf_counter()
     for _ in range(REREAD_PASSES):
         for split in splits:
-            for _ in LineRecordReader(cluster.hdfs, split,
-                                      cached=cached).read_records():
+            for _ in LineRecordReader(cluster.hdfs, split).read_records():
                 pass
     return time.perf_counter() - t0
 
@@ -121,12 +134,12 @@ def run_ingest_bench(sizes: Sequence[int], *,
     rows: List[Dict[str, object]] = []
     for n in sizes:
         reps = 1 if n >= 1_000_000 else repeats
-        for mode, timer, fast_flag, items in (
-                ("premap", _time_premap, True, _premap_target(n)),
-                ("reread", _time_reread, True, n * REREAD_PASSES)):
+        for mode, timer, items in (
+                ("premap", _time_premap, _premap_target(n)),
+                ("reread", _time_reread, n * REREAD_PASSES)):
             # identical best-of protocol for both implementations
             scalar = min(timer(n, False) for _ in range(reps))
-            cached = min(timer(n, fast_flag) for _ in range(reps))
+            cached = min(timer(n, True) for _ in range(reps))
             s_tp = items / scalar
             c_tp = items / cached
             rows.append({

@@ -199,8 +199,8 @@ def bootstrap_file(fs, path: str, statistic: StatisticLike = "mean", *,
                    executor: Union[None, str, Executor] = None,
                    chunk_b: int = DEFAULT_CHUNK_B,
                    ledger=None,
-                   split_logical_bytes: Optional[int] = None,
-                   cached: bool = True) -> BootstrapResult:
+                   split_logical_bytes: Optional[int] = None
+                   ) -> BootstrapResult:
     """Monte-Carlo bootstrap of ``statistic`` over a simulated-HDFS file.
 
     The columnar ingest entry point: the file's numeric column is
@@ -210,8 +210,7 @@ def bootstrap_file(fs, path: str, statistic: StatisticLike = "mean", *,
     caching deserialized inputs across the jobs of one session — pays
     the newline scan and float parse once and replays the cached column
     afterwards.  The *simulated* cost charged to ``ledger`` remains a
-    full scan per call either way, and ``cached=False`` pins the
-    scalar ingest reference.
+    full scan per call either way.
 
     Resampling semantics are exactly :func:`bootstrap`'s, including the
     broadcast-once executor data plane for the sample itself.
@@ -219,8 +218,7 @@ def bootstrap_file(fs, path: str, statistic: StatisticLike = "mean", *,
     from repro.hdfs.split_cache import read_numeric_column
 
     sample = read_numeric_column(fs, path, ledger=ledger,
-                                 split_logical_bytes=split_logical_bytes,
-                                 cached=cached)
+                                 split_logical_bytes=split_logical_bytes)
     return bootstrap(sample, statistic, B=B, seed=seed,
                      executor=executor, chunk_b=chunk_b)
 

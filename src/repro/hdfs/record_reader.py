@@ -11,17 +11,19 @@ paper's sampling algorithms rely on (§3.3, Algorithm 2):
   draws positions uniformly at random), back up to the beginning of the
   enclosing line before reading it.
 
-Two physical implementations share those semantics.  The scalar path
-scans for newlines on every call — the reference behaviour.  With
-``cached=True`` (the default) the reader serves both the full scan and
-the random probe from the filesystem's columnar
-:class:`~repro.hdfs.split_cache.SplitIndexCache`: the split's bytes are
-newline-indexed **once** and subsequent calls are array lookups.  The
-simulated :class:`~repro.cluster.costmodel.CostLedger` charges are
-byte-identical either way (the cache optimizes the simulator's wall
-clock, never the simulated cluster), and the cached path silently falls
-back to the scalar one whenever the split's region is not fully
-readable, so failure behaviour is unchanged.
+The full scan has two physical implementations with one semantics.
+Whenever the filesystem's columnar
+:class:`~repro.hdfs.split_cache.SplitIndexCache` can serve the split
+(it is present and :meth:`~repro.hdfs.split_cache.SplitIndexCache.acquire`
+returns an index) the split's bytes are newline-indexed **once** and
+every later scan is a list replay.  Otherwise — no cache, or some block
+of the region unreadable — the reader scans for newlines itself, which
+is the failure-semantics reference.  The simulated
+:class:`~repro.cluster.costmodel.CostLedger` charges are byte-identical
+either way (the cache optimizes the simulator's wall clock, never the
+simulated cluster).  The random probe :meth:`LineRecordReader.line_at`
+always backtracks the scalar way: it is the pre-map sampler's fallback
+for regions the cache cannot serve.
 """
 
 from __future__ import annotations
@@ -33,39 +35,24 @@ from repro.hdfs.filesystem import HDFS
 from repro.hdfs.split_cache import (
     _find_backward_line_start,
     _find_forward_newline,
+    acquire_index,
 )
 from repro.hdfs.splits import InputSplit
 
 
 class LineRecordReader:
-    """Reads newline-delimited records from one input split.
-
-    ``cached=False`` pins the scalar newline-scanning reference
-    implementation (the equivalence tests run both and compare).
-    """
+    """Reads newline-delimited records from one input split."""
 
     def __init__(self, fs: HDFS, split: InputSplit, *,
-                 ledger: Optional[CostLedger] = None,
-                 cached: bool = True) -> None:
+                 ledger: Optional[CostLedger] = None) -> None:
         self._fs = fs
         self._split = split
         self._ledger = ledger
-        self._cached = cached
         self._file_size = fs.file_size(split.path)
 
     @property
     def split(self) -> InputSplit:
         return self._split
-
-    def _acquire_index(self):
-        """The split's columnar index, or ``None`` when the cache is
-        off, absent, or the region is not fully readable."""
-        if not self._cached:
-            return None
-        cache = getattr(self._fs, "split_cache", None)
-        if cache is None:
-            return None
-        return cache.acquire(self._fs, self._split)
 
     # ------------------------------------------------------------- full scan
     def read_records(self) -> Iterator[Tuple[int, str]]:
@@ -78,7 +65,7 @@ class LineRecordReader:
         split = self._split
         if split.length == 0 or split.start >= self._file_size:
             return iter(())
-        index = self._acquire_index()
+        index = acquire_index(self._fs, split)
         if index is not None:
             # Same simulated price as the scalar path's single
             # read_range over [split.start, data_end).
@@ -89,7 +76,8 @@ class LineRecordReader:
         return self._read_records_scalar()
 
     def _read_records_scalar(self) -> Iterator[Tuple[int, str]]:
-        """Reference implementation: scan the region for newlines."""
+        """Scan the region for newlines (the fallback whenever the
+        split cache cannot serve it)."""
         split = self._split
         # Hadoop reads the next line while the current position is <= the
         # split end (inclusive), so a line starting exactly at the
@@ -179,7 +167,7 @@ class LineRecordReader:
 
         Shared with the index builder (one implementation of the
         chunked boundary scan — see :mod:`repro.hdfs.split_cache`), so
-        the cached and scalar paths can never drift apart here.
+        the indexed and scanning paths can never drift apart here.
         """
         return _find_forward_newline(self._fs, self._split.path, position,
                                      self._file_size)
@@ -195,28 +183,11 @@ class LineRecordReader:
         if not 0 <= position < self._file_size:
             raise ValueError(f"position {position} outside file of size "
                              f"{self._file_size}")
-        index = None
-        if self._split.start <= position < self._split.end:
-            index = self._acquire_index()
-        if index is not None and position < index.data_end:
-            entry = index.entry_of(position)
-            line = index.lines[entry]
-            if line is not None:
-                index.charge_probe(self._ledger, entry)
-                return int(index.starts[entry]), line
-            # Partial entry 0: the line begins before the region and its
-            # text was never decoded — read it the scalar way (rare, and
-            # always an ownership miss for the pre-map sampler).
-        return self._line_at_scalar(position)
-
-    def _line_at_scalar(self, position: int) -> Tuple[int, str]:
-        """Reference implementation: backtrack, then read the line."""
         start = self._find_line_start(position)
         end = self._find_line_end(start)
         raw = self._fs.read_range(self._split.path, start, end,
                                   ledger=self._ledger, sequential=False)
-        line = raw.decode("utf-8").rstrip("\n")
-        return start, line
+        return start, raw.decode("utf-8").rstrip("\n")
 
     def _find_line_start(self, position: int) -> int:
         """Scan backwards from ``position`` to the start of its line

@@ -18,9 +18,9 @@ buffer — into columnar arrays:
 
 The cache changes **where the wall-clock goes, never what is simulated**:
 ledger charges, sampled record sets and estimates are byte-identical
-with the cache on or off (the ``cached=False`` toggle on the record
-reader and samplers preserves the scalar reference, mirroring PR 3's
-``vectorized=`` toggle).  A :class:`SplitIndexCache` hangs off every
+whether a read is served from the cache or scanned.  There is no switch
+between the two: the cache's own availability check picks the path.  A
+:class:`SplitIndexCache` hangs off every
 :class:`~repro.hdfs.filesystem.HDFS` instance, is invalidated when a
 path is rewritten or deleted, survives across the expansion iterations
 of the iterative drivers (zero re-parse of already-cached splits), and
@@ -29,9 +29,10 @@ once per worker — not once per task — via the broadcast-once fs.
 
 Availability contract: an index is only served while every block of its
 region is still readable; after a DataNode failure :meth:`acquire`
-returns ``None`` and callers fall back to the scalar path, so failure
-behaviour (including mid-read ``BlockUnavailableError``) is exactly the
-scalar path's.
+returns ``None`` and callers fall back to the scalar scan (or, for
+pre-map sampling, the probe-at-a-time backtrack), so failure behaviour
+(including mid-read ``BlockUnavailableError``) is exactly the scalar
+path's.  A filesystem without a cache takes that same scalar path.
 """
 
 from __future__ import annotations
@@ -65,8 +66,6 @@ class CacheStats:
     hits: int = 0
     fallbacks: int = 0
     invalidations: int = 0
-    block_materializations: int = 0
-    block_hits: int = 0
 
 
 class LineColumn:
@@ -238,21 +237,10 @@ class SplitIndex:
         return self._owned_pairs
 
     # ---------------------------------------------------------- random probe
-    def entry_of(self, position: int) -> int:
-        """Entry index of the line containing ``position`` (which must
-        lie inside ``[split_start, data_end)``)."""
-        return int(np.searchsorted(self.starts, position, side="right")) - 1
-
     def entries_of(self, positions: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`entry_of` for a batch of probe offsets."""
+        """Entry index of the line containing each probe offset (each
+        must lie inside ``[split_start, data_end)``)."""
         return np.searchsorted(self.starts, positions, side="right") - 1
-
-    def charge_probe(self, ledger: Optional[CostLedger], entry: int) -> None:
-        """Charge one random probe of ``entry`` exactly as the scalar
-        ``line_at`` does: seeks first, then the scaled line volume."""
-        if ledger is not None:
-            ledger.charge_seeks(int(self.seek_counts[entry]))
-            ledger.charge_disk_read(float(self.scaled_bytes[entry]))
 
 
 def _find_forward_newline(fs, path: str, position: int, size: int) -> int:
@@ -374,7 +362,6 @@ class SplitIndexCache:
 
     def __init__(self) -> None:
         self._indexes: Dict[Tuple[str, int, int], SplitIndex] = {}
-        self._block_lines: Dict[Tuple[str, int], List[str]] = {}
         #: Default-parser numeric columns per path (read-only arrays),
         #: so repeated whole-file ingests also skip the float parse.
         self._columns: Dict[str, np.ndarray] = {}
@@ -440,33 +427,6 @@ class SplitIndexCache:
         blocks = fs.namenode.blocks_for_range(meta, lo, hi)
         return all(fs.block_available(b) for b in blocks)
 
-    # ------------------------------------------------------------ block view
-    def block_lines(self, fs, path: str, block) -> Optional[List[str]]:
-        """Decoded whole lines of one block, with the block sampler's
-        edge rule (partial first/last lines dropped, empties dropped).
-
-        Returns ``None`` when the block is unreadable — callers fall
-        back to the scalar read, which raises where the reference does.
-        """
-        key = (path, block.block_id)
-        cached = self._block_lines.get(key)
-        if cached is not None:
-            if fs.block_available(block):
-                self.stats.block_hits += 1
-                return cached
-            self.stats.fallbacks += 1
-            return None
-        meta = fs.namenode.get(path)
-        try:
-            data = fs.read_range(path, block.offset, block.end, ledger=None)
-        except BlockUnavailableError:
-            self.stats.fallbacks += 1
-            return None
-        lines = trim_block_lines(data, block.offset, block.end, meta.size)
-        self._block_lines[key] = lines
-        self.stats.block_materializations += 1
-        return lines
-
     # ----------------------------------------------------------- column view
     def column_lookup(self, path: str) -> Optional[np.ndarray]:
         """The cached default-parser numeric column of ``path``, if any."""
@@ -510,22 +470,18 @@ class SplitIndexCache:
     def invalidate(self, path: str) -> None:
         """Drop every cached view of ``path`` (called on write/delete)."""
         stale = [k for k in self._indexes if k[0] == path]
-        stale_blocks = [k for k in self._block_lines if k[0] == path]
         stale_keyed = [k for k in self._keyed if k[0] == path]
         for k in stale:
             del self._indexes[k]
-        for k in stale_blocks:
-            del self._block_lines[k]
         for k in stale_keyed:
             del self._keyed[k]
         had_column = self._columns.pop(path, None) is not None
         had_digest = self._digests.pop(path, None) is not None
-        if stale or stale_blocks or stale_keyed or had_column or had_digest:
+        if stale or stale_keyed or had_column or had_digest:
             self.stats.invalidations += 1
 
     def clear(self) -> None:
         self._indexes.clear()
-        self._block_lines.clear()
         self._columns.clear()
         self._keyed.clear()
         self._digests.clear()
@@ -534,30 +490,19 @@ class SplitIndexCache:
         return len(self._indexes)
 
 
-def trim_block_lines(data: bytes, offset: int, end: int,
-                     file_size: int) -> List[str]:
-    """Decode one block's bytes into its whole lines.
-
-    The block sampler's edge rule, shared by the cached and the scalar
-    path so the two can never drift apart: partial lines at block
-    boundaries are dropped (a block sampler does not coordinate with
-    its neighbours), as are empty lines.  Strict UTF-8, like the scalar
-    whole-block read: a boundary that cuts a multi-byte character
-    raises on both paths.
-    """
-    lines = data.decode("utf-8").split("\n")
-    if offset != 0:
-        lines = lines[1:]
-    if end != file_size:
-        lines = lines[:-1]
-    return [line for line in lines if line]
+def acquire_index(fs, split: InputSplit) -> Optional[SplitIndex]:
+    """The split's index when ``fs`` has a split cache that can serve
+    it, else ``None`` — the one rule that sends a read to the scalar
+    fallback."""
+    cache = getattr(fs, "split_cache", None)
+    return cache.acquire(fs, split) if cache is not None else None
 
 
 def read_numeric_column(fs, path: str, *,
                         ledger: Optional[CostLedger] = None,
                         split_logical_bytes: Optional[int] = None,
-                        parser: Optional[Callable[[str], float]] = None,
-                        cached: bool = True) -> np.ndarray:
+                        parser: Optional[Callable[[str], float]] = None
+                        ) -> np.ndarray:
     """Materialize a newline-delimited file as one numeric column.
 
     The columnar ingest entry point for the in-memory engines
@@ -571,12 +516,15 @@ def read_numeric_column(fs, path: str, *,
     comes from the cache.  Simulated cost is a full scan on *every*
     call either way, charged to ``ledger``.
 
-    ``parser`` converts one line to a float (default: ``float`` itself,
-    vectorized through numpy; custom parsers bypass the column cache).
+    Empty lines are skipped before ``parser`` sees them, as
+    :class:`~repro.mapreduce.ProjectionMapper` skips them in the exact
+    job.  ``parser`` converts one line to a float (default: ``float``
+    itself, vectorized through numpy; custom parsers bypass the column
+    cache).
     """
     from repro.hdfs.record_reader import LineRecordReader
 
-    cache = getattr(fs, "split_cache", None) if cached else None
+    cache = getattr(fs, "split_cache", None)
     splits = fs.get_splits(path, split_logical_bytes)
     hit = cache.column_lookup(path) \
         if cache is not None and parser is None else None
@@ -585,15 +533,14 @@ def read_numeric_column(fs, path: str, *,
         # behaviour — an unreadable region raises here exactly as the
         # uncached walk would) without rebuilding the column.
         for split in splits:
-            reader = LineRecordReader(fs, split, ledger=ledger, cached=True)
-            for _ in reader.read_records():
+            for _ in LineRecordReader(fs, split, ledger=ledger).read_records():
                 pass
         return hit
 
     columns: List[np.ndarray] = []
     for split in splits:
-        reader = LineRecordReader(fs, split, ledger=ledger, cached=cached)
-        lines = [line for _, line in reader.read_records()]
+        reader = LineRecordReader(fs, split, ledger=ledger)
+        lines = [line for _, line in reader.read_records() if line]
         if not lines:
             continue
         if parser is None:
@@ -616,8 +563,7 @@ BARE_LINE_KEY = "all"
 def read_keyed_column(fs, path: str, *,
                       delimiter: str = "\t",
                       ledger: Optional[CostLedger] = None,
-                      split_logical_bytes: Optional[int] = None,
-                      cached: bool = True
+                      split_logical_bytes: Optional[int] = None
                       ) -> Tuple[np.ndarray, np.ndarray]:
     """Materialize a ``key<TAB>value`` file as two aligned columns.
 
@@ -625,8 +571,8 @@ def read_keyed_column(fs, path: str, *,
     (:meth:`repro.query.Query.from_hdfs`): every split is read through
     the cached record reader, each line is split on ``delimiter`` into
     ``(key, float(value))`` — a line with no delimiter parses as a bare
-    value under :data:`BARE_LINE_KEY`, matching
-    :class:`~repro.mapreduce.ProjectionMapper` — and the finished
+    value under :data:`BARE_LINE_KEY` and an empty line is skipped, both
+    matching :class:`~repro.mapreduce.ProjectionMapper` — and the finished
     column pair is cached per ``(path, delimiter)``, so a second query
     over the same file replays the cached columns without decoding or
     parsing anything.  Returned arrays are read-only when they come
@@ -635,23 +581,24 @@ def read_keyed_column(fs, path: str, *,
     """
     from repro.hdfs.record_reader import LineRecordReader
 
-    cache = getattr(fs, "split_cache", None) if cached else None
+    cache = getattr(fs, "split_cache", None)
     splits = fs.get_splits(path, split_logical_bytes)
     hit = cache.keyed_lookup(path, delimiter) if cache is not None else None
     if hit is not None:
         # Replay the scan's simulated charges (and its failure
         # behaviour) without rebuilding the columns.
         for split in splits:
-            reader = LineRecordReader(fs, split, ledger=ledger, cached=True)
-            for _ in reader.read_records():
+            for _ in LineRecordReader(fs, split, ledger=ledger).read_records():
                 pass
         return hit
 
     keys: List[str] = []
     values: List[str] = []
     for split in splits:
-        reader = LineRecordReader(fs, split, ledger=ledger, cached=cached)
+        reader = LineRecordReader(fs, split, ledger=ledger)
         for _, line in reader.read_records():
+            if not line:
+                continue
             key, sep, payload = line.partition(delimiter)
             if sep:
                 keys.append(key)

@@ -99,26 +99,21 @@ class RecordSource(Protocol):
 class FullScanSource:
     """Default record source: read every line of the split.
 
-    ``cached=True`` (the default) scans through the filesystem's
-    columnar split cache: a split's bytes are newline-indexed and
-    decoded once, and every later scan of the same split — another job
-    of an iterative driver, another wave on the same pool worker — is a
-    list replay.  Simulated charges and records are byte-identical to
-    the scalar scan (``cached=False``).
+    Scans through the filesystem's columnar split cache whenever it can
+    serve the split: a split's bytes are newline-indexed and decoded
+    once, and every later scan of the same split — another job of an
+    iterative driver, another wave on the same pool worker — is a list
+    replay.  Simulated charges and records are byte-identical to the
+    scalar scan the reader falls back to.
     """
 
     scales_with_file = True
     #: Pure function of (fs, split): safe on every backend.
     parallel_safe = True
 
-    def __init__(self, cached: bool = True) -> None:
-        self.cached = cached
-
     def read(self, fs: HDFS, split: InputSplit, ledger: CostLedger,
              rng: np.random.Generator) -> Iterator[KeyValue]:
-        reader = LineRecordReader(fs, split, ledger=ledger,
-                                  cached=self.cached)
-        return iter(reader.read_records())
+        return iter(LineRecordReader(fs, split, ledger=ledger).read_records())
 
 
 def wave_parallelizable(conf: JobConf, source: RecordSource,
@@ -637,8 +632,8 @@ def _execute_map_task(args: _MapTaskArgs) -> _MapTaskResult:
             # tail block voided the entire read.  Re-scan just the
             # surviving prefix — served by intact replicas — through
             # the same loop.
-            read = LineRecordReader(fs, split, ledger=ledger,
-                                    cached=False).read_records_salvage
+            read = LineRecordReader(fs, split,
+                                    ledger=ledger).read_records_salvage
     if salvaged:
         consumed = 0.0
         if taken and isinstance(key, (int, np.integer)) and split.length > 0:

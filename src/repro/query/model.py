@@ -203,8 +203,7 @@ class Query:
                   delimiter: str = "\t",
                   config: Optional[EarlConfig] = None,
                   ledger=None,
-                  split_logical_bytes: Optional[int] = None,
-                  cached: bool = True) -> "Query":
+                  split_logical_bytes: Optional[int] = None) -> "Query":
         """Bind to a ``key<TAB>value`` file in the simulated HDFS.
 
         The file is ingested once through the columnar split cache
@@ -222,7 +221,7 @@ class Query:
                 "binds to the group_by column")
         keys, values = read_keyed_column(
             fs, path, delimiter=delimiter, ledger=ledger,
-            split_logical_bytes=split_logical_bytes, cached=cached)
+            split_logical_bytes=split_logical_bytes)
         return self.on({self.group_by: keys, value_column: values},
                        config=config)
 

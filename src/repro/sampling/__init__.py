@@ -14,11 +14,11 @@
 """
 
 from repro.sampling.base import allocate_per_split, draw_sample
-from repro.sampling.block_sampling import block_sampling_bias, sample_blocks
+from repro.sampling.block_sampling import sample_blocks
 from repro.sampling.permutation import PermutationPrefix
 from repro.sampling.postmap import PostMapSampler
 from repro.sampling.premap import PreMapSampler
-from repro.sampling.reservoir import reservoir_sample, reservoir_sample_indices
+from repro.sampling.reservoir import reservoir_sample
 from repro.sampling.stratified import (
     ALLOCATION_NEYMAN,
     ALLOCATION_PROPORTIONAL,
@@ -33,9 +33,7 @@ __all__ = [
     "PreMapSampler",
     "PostMapSampler",
     "reservoir_sample",
-    "reservoir_sample_indices",
     "sample_blocks",
-    "block_sampling_bias",
     "StratifiedSampler",
     "PermutationPrefix",
     "Factorization",

@@ -5,27 +5,42 @@ cheap (sequential reads) but **not uniform** when the data layout is
 clustered — "if the data is clustered on some attribute, the resulting
 statistic will be inaccurate when compared to that constructed from a
 uniform-random sample" (§7, citing Chaudhuri et al.).  This module
-implements the baseline so benchmarks can demonstrate the bias that
-motivates EARL's line-level samplers.
+implements the baseline so the bias ablation
+(``benchmarks/bench_ablation_sampling_bias.py``) can demonstrate the
+bias that motivates EARL's line-level samplers.  Every block is read
+whole from the filesystem; there is no cached variant.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import List, Optional
 
 from repro.cluster.costmodel import CostLedger
 from repro.hdfs.filesystem import HDFS
-from repro.hdfs.split_cache import trim_block_lines
 from repro.util.rng import SeedLike, ensure_rng
 from repro.util.validation import check_positive_int
 
 
+def trim_block_lines(data: bytes, offset: int, end: int,
+                     file_size: int) -> List[str]:
+    """Decode one block's bytes into its whole lines.
+
+    The block sampler's edge rule: partial lines at block boundaries
+    are dropped (a block sampler does not coordinate with its
+    neighbours), as are empty lines.  Strict UTF-8: a boundary that
+    cuts a multi-byte character raises.
+    """
+    lines = data.decode("utf-8").split("\n")
+    if offset != 0:
+        lines = lines[1:]
+    if end != file_size:
+        lines = lines[:-1]
+    return [line for line in lines if line]
+
+
 def sample_blocks(fs: HDFS, path: str, n_lines: int, *,
                   seed: SeedLike = None,
-                  ledger: Optional[CostLedger] = None,
-                  cached: bool = True) -> List[str]:
+                  ledger: Optional[CostLedger] = None) -> List[str]:
     """Collect ≈ ``n_lines`` lines by reading whole random blocks.
 
     Blocks are drawn without replacement in random order — the block
@@ -33,65 +48,19 @@ def sample_blocks(fs: HDFS, path: str, n_lines: int, *,
     quota is met; the final block is consumed entirely (block sampling
     cannot stop mid-block without paying the read anyway — that is its
     selling point and its curse).
-
-    ``cached=True`` serves each block's decoded line list from the
-    filesystem's :class:`~repro.hdfs.split_cache.SplitIndexCache`, so
-    repeated samples over the same file (e.g. the bias ablation's
-    trials) split and decode every block once.  Simulated charges and
-    returned lines are byte-identical to the scalar read
-    (``cached=False``), and unreadable blocks fall back to it.
     """
     check_positive_int("n_lines", n_lines)
     rng = ensure_rng(seed)
     meta = fs.namenode.get(path)
     if not meta.blocks:
         return []
-    cache = getattr(fs, "split_cache", None) if cached else None
     order = rng.permutation(len(meta.blocks))
     collected: List[str] = []
     for block_pos in order:
         block = meta.blocks[int(block_pos)]
-        lines = cache.block_lines(fs, path, block) \
-            if cache is not None else None
-        if lines is not None:
-            # Same simulated price as the scalar whole-block read.
-            if ledger is not None:
-                ledger.charge_seeks(1)
-                ledger.charge_disk_read(block.length * meta.logical_scale)
-            collected.extend(lines)
-        else:
-            data = fs.read_range(path, block.offset, block.end, ledger=ledger)
-            # One shared edge rule with the cached path (partial
-            # boundary lines dropped, empties dropped) — see
-            # :func:`repro.hdfs.split_cache.trim_block_lines`.
-            collected.extend(trim_block_lines(data, block.offset,
-                                              block.end, meta.size))
+        data = fs.read_range(path, block.offset, block.end, ledger=ledger)
+        collected.extend(trim_block_lines(data, block.offset, block.end,
+                                          meta.size))
         if len(collected) >= n_lines:
             break
     return collected
-
-
-def block_sampling_bias(fs: HDFS, path: str, n_lines: int, *,
-                        true_mean: float, trials: int = 20,
-                        seed: SeedLike = None) -> Tuple[float, float]:
-    """Estimate the bias and variance of block-sampled means.
-
-    Returns ``(mean_abs_relative_error, std_of_estimates)`` over
-    ``trials`` independent block samples, each reduced to the mean of its
-    numeric lines.  On clustered layouts this error dwarfs the uniform
-    sampler's — the ablation benchmark plots both.
-    """
-    check_positive_int("trials", trials)
-    rng = ensure_rng(seed)
-    estimates = []
-    for _ in range(trials):
-        lines = sample_blocks(fs, path, n_lines, seed=rng)
-        values = [float(line.rsplit("\t", 1)[-1]) for line in lines]
-        if values:
-            estimates.append(float(np.mean(values)))
-    if not estimates:
-        raise ValueError("no estimates produced; is the file empty?")
-    arr = np.asarray(estimates)
-    rel_err = float(np.mean(np.abs(arr - true_mean) / abs(true_mean))) \
-        if true_mean != 0 else float("nan")
-    return rel_err, float(np.std(arr))

@@ -38,11 +38,9 @@ class PostMapSampler:
     parallel_safe = False
 
     def __init__(self, fs: HDFS, path: str, *,
-                 split_logical_bytes: Optional[int] = None,
-                 cached: bool = True) -> None:
+                 split_logical_bytes: Optional[int] = None) -> None:
         self._fs = fs
         self._path = path
-        self._cached = cached
         self._splits: List[InputSplit] = fs.get_splits(path, split_logical_bytes)
         #: split index -> all (offset, line) records, loaded lazily once.
         self._cache: Dict[int, List[Tuple[int, str]]] = {}
@@ -98,13 +96,11 @@ class PostMapSampler:
                     rng: np.random.Generator) -> List[Tuple[int, str]]:
         if split.index in self._cache:
             return self._cache[split.index]
-        # ``cached=True`` loads through the filesystem's columnar split
-        # cache (one newline scan + decode per split, shared with every
-        # other reader over the same fs); ``cached=False`` is the scalar
-        # newline-scanning reference.  Records, their order and the
-        # simulated charges are byte-identical either way.
-        reader = LineRecordReader(self._fs, split, ledger=ledger,
-                                  cached=self._cached)
+        # The reader loads through the filesystem's columnar split cache
+        # when it can (one newline scan + decode per split, shared with
+        # every other reader over the same fs) and scans otherwise;
+        # records, their order and the simulated charges are identical.
+        reader = LineRecordReader(self._fs, split, ledger=ledger)
         records = list(reader.read_records())
         # Parsing every stored record costs CPU proportional to the
         # *logical* record count, exactly like a full scan.

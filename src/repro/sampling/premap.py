@@ -8,13 +8,16 @@ not already included (a per-split set of line-start offsets — the paper's
 *sample*, not the file, which is what makes EARL's response times beat a
 full scan (Fig. 5, Fig. 9).
 
-Two physical implementations share Algorithm 2's semantics.  The scalar
-reference (``batched=False``) probes one offset at a time through the
-record reader's backtracking.  The batched default draws whole blocks of
-offsets per split from the same RNG stream, maps them to line ids
-through the split's columnar newline index
-(:mod:`repro.hdfs.split_cache`) with ``np.searchsorted``, and dedups
-against a boolean inclusion mask instead of per-offset set probes.
+Two physical implementations share Algorithm 2's semantics, and the
+split cache's availability check picks between them per split read.
+When :meth:`~repro.hdfs.split_cache.SplitIndexCache.acquire` returns the
+split's columnar newline index (:mod:`repro.hdfs.split_cache`), the
+sampler draws whole blocks of offsets from the RNG stream, maps them to
+line ids with ``np.searchsorted``, and dedups against a boolean
+inclusion mask instead of per-offset set probes.  When it cannot — no
+cache, or some block of the region unreadable — the sampler probes one
+offset at a time through the record reader's backtracking, which is
+the failure-semantics reference.
 
 RNG-order contract: NumPy's bounded-integer generation consumes the
 PCG64 stream identically for ``rng.integers(lo, hi, size=k)`` and ``k``
@@ -24,15 +27,15 @@ exhaustion can only land exactly on a batch boundary.  The batched
 sampler therefore consumes *exactly* the variates the scalar loop
 would: included-line sets, exhaustion behaviour, per-probe
 :class:`~repro.cluster.costmodel.CostLedger` charges and even the
-generator's end state are byte-identical for any seed (pinned by
+generator's end state are byte-identical for any seed (pinned against
+a filesystem without a cache by
 ``tests/sampling/test_batched_equivalence.py``).  The equivalence
 assumes :meth:`PreMapSampler.read`'s iterator is drained, as the map
 engine always does: batched draws and their charges are committed a
 batch at a time, so a consumer that abandons the iterator mid-batch
 has already paid (and consumed RNG for) the rest of that batch, where
-the scalar loop would have stopped at the last consumed probe.  When a
-split's region is not fully readable the batched path falls back to
-the scalar loop, so failure behaviour is unchanged too.
+the scalar loop would have stopped at the last consumed probe.  A
+read that falls back asks the cache once, not once per probe.
 
 Trade-off faithfully reproduced from the paper: because whole lines are
 sampled, the number of ``(key, value)`` pairs obtained is only
@@ -55,6 +58,7 @@ import numpy as np
 from repro.cluster.costmodel import CostLedger
 from repro.hdfs.filesystem import HDFS
 from repro.hdfs.record_reader import LineRecordReader
+from repro.hdfs.split_cache import acquire_index
 from repro.hdfs.splits import InputSplit
 from repro.mapreduce.types import KeyValue
 from repro.sampling.base import allocate_per_split
@@ -73,8 +77,6 @@ class PreMapSampler:
     per split and receives only the *newly* sampled lines (already-
     delivered lines live in the persistent mappers, so re-sending them
     would double-count).
-
-    ``batched=False`` pins the probe-at-a-time scalar reference.
     """
 
     #: A sampled stand-in record is a proxy for ``logical_scale``
@@ -85,14 +87,12 @@ class PreMapSampler:
     parallel_safe = False
 
     def __init__(self, fs: HDFS, path: str, *,
-                 split_logical_bytes: Optional[int] = None,
-                 batched: bool = True) -> None:
+                 split_logical_bytes: Optional[int] = None) -> None:
         self._fs = fs
         self._path = path
         self._splits: List[InputSplit] = fs.get_splits(path, split_logical_bytes)
-        self._batched = batched
         self._included: Dict[int, Set[int]] = {s.index: set() for s in self._splits}
-        #: Batched-mode accelerator: per-split boolean inclusion mask
+        #: Indexed-path accelerator: per-split boolean inclusion mask
         #: over the columnar index's line entries (always consistent
         #: with ``_included``; rebuilt after any scalar fallback).
         self._masks: Dict[int, np.ndarray] = {}
@@ -135,51 +135,10 @@ class PreMapSampler:
         quota = self._targets.get(split.index, 0) - len(self._included[split.index])
         if quota <= 0 or split.index in self._exhausted:
             return
-        probe = self._probe_split_batched if self._batched \
-            else self._probe_split
-        for offset, line in probe(split, quota, ledger, rng):
-            yield offset, line
-
-    # ------------------------------------------------------- scalar reference
-    def _probe_split(self, split: InputSplit, quota: int, ledger: CostLedger,
-                     rng: np.random.Generator
-                     ) -> Iterator[Tuple[int, str]]:
-        reader = LineRecordReader(self._fs, split, ledger=ledger,
-                                  cached=False)
-        included = self._included[split.index]
-        misses = 0
-        produced = 0
-        while produced < quota and misses < _MAX_CONSECUTIVE_MISSES:
-            position = int(rng.integers(split.start, split.end))
-            start, line = reader.line_at(position)
-            # Ownership rule: the line must start inside this split so a
-            # line probed near a boundary is not sampled by two splits.
-            if not (split.start <= start < split.end) and start != 0:
-                misses += 1
-                continue
-            if start == 0 and split.start != 0:
-                misses += 1
-                continue
-            if start in included or not line:
-                misses += 1
-                continue
-            included.add(start)
-            self._sampled += 1
-            misses = 0
-            produced += 1
-            yield start, line
-        if misses >= _MAX_CONSECUTIVE_MISSES:
-            self._exhausted.add(split.index)
-
-    # ------------------------------------------------------------ batched path
-    def _probe_split_batched(self, split: InputSplit, quota: int,
-                             ledger: CostLedger, rng: np.random.Generator
-                             ) -> Iterator[Tuple[int, str]]:
-        cache = getattr(self._fs, "split_cache", None)
-        index = cache.acquire(self._fs, split) if cache is not None else None
+        index = acquire_index(self._fs, split)
         if index is None:
-            # Region not fully readable (or no cache): the scalar loop
-            # is the failure-semantics reference — and it keeps the
+            # No cache, or the region is not fully readable: the scalar
+            # loop is the failure-semantics reference — and it keeps the
             # per-split sets authoritative, so drop the derived mask.
             self._masks.pop(split.index, None)
             yield from self._probe_split(split, quota, ledger, rng)
@@ -240,5 +199,35 @@ class PreMapSampler:
                 included.add(start)
                 self._sampled += 1
                 yield start, line
+        if misses >= _MAX_CONSECUTIVE_MISSES:
+            self._exhausted.add(split.index)
+
+    # -------------------------------------------------------- scalar fallback
+    def _probe_split(self, split: InputSplit, quota: int, ledger: CostLedger,
+                     rng: np.random.Generator
+                     ) -> Iterator[Tuple[int, str]]:
+        reader = LineRecordReader(self._fs, split, ledger=ledger)
+        included = self._included[split.index]
+        misses = 0
+        produced = 0
+        while produced < quota and misses < _MAX_CONSECUTIVE_MISSES:
+            position = int(rng.integers(split.start, split.end))
+            start, line = reader.line_at(position)
+            # Ownership rule: the line must start inside this split so a
+            # line probed near a boundary is not sampled by two splits.
+            if not (split.start <= start < split.end) and start != 0:
+                misses += 1
+                continue
+            if start == 0 and split.start != 0:
+                misses += 1
+                continue
+            if start in included or not line:
+                misses += 1
+                continue
+            included.add(start)
+            self._sampled += 1
+            misses = 0
+            produced += 1
+            yield start, line
         if misses >= _MAX_CONSECUTIVE_MISSES:
             self._exhausted.add(split.index)

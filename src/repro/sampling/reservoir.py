@@ -4,14 +4,14 @@ The paper's §3.3 dismisses reservoir sampling over HDFS because "the
 entire dataset needs to be read, and possibly re-read when further
 samples are required" — it is nevertheless the textbook way to produce
 an exactly-uniform fixed-size sample in one pass, so it serves as the
-correctness baseline the clever samplers are validated against.
+uniform baseline of the block-sampling bias ablation.
 
-The default implementation draws its replacement indices in batches:
-NumPy's bounded-integer generation consumes the PCG64 stream
-identically for an array draw with per-element bounds and for the
-equivalent sequence of scalar draws, so the batched sampler selects
-*exactly* the items the scalar loop (``batched=False``) selects for any
-seed — only the per-item Python overhead of the draw goes away.
+Replacement indices are drawn in batches: NumPy's bounded-integer
+generation consumes the PCG64 stream identically for an array draw with
+per-element bounds and for the equivalent sequence of scalar draws, so
+the sampler selects *exactly* the items Algorithm R's draw-per-item
+loop selects for any seed (its equivalence test keeps that loop as the
+oracle) — only the per-item Python overhead of the draw goes away.
 """
 
 from __future__ import annotations
@@ -33,26 +33,17 @@ _CHUNK = 1024
 
 
 def reservoir_sample(items: Iterable[T], k: int, *,
-                     seed: SeedLike = None,
-                     batched: bool = True) -> List[T]:
+                     seed: SeedLike = None) -> List[T]:
     """One-pass uniform sample of ``k`` items from an iterable.
 
     Every length-``k`` subset of the stream is equally likely.  If the
     stream has fewer than ``k`` items, all of them are returned.
-    ``batched=False`` pins the draw-per-item scalar reference; results
-    are byte-identical either way.
     """
     check_positive_int("k", k)
     rng = ensure_rng(seed)
     it = iter(items)
     reservoir: List[T] = list(itertools.islice(it, k))
     if len(reservoir) < k:
-        return reservoir
-    if not batched:
-        for i, item in enumerate(it, start=k):
-            j = int(rng.integers(0, i + 1))
-            if j < k:
-                reservoir[j] = item
         return reservoir
     i = k
     while True:
@@ -66,9 +57,3 @@ def reservoir_sample(items: Iterable[T], k: int, *,
         hits = np.flatnonzero(draws < k)
         for pos in hits.tolist():
             reservoir[int(draws[pos])] = chunk[pos]
-
-
-def reservoir_sample_indices(n: int, k: int, *, seed: SeedLike = None,
-                             batched: bool = True) -> List[int]:
-    """Indices a reservoir pass over ``range(n)`` would select."""
-    return reservoir_sample(range(n), k, seed=seed, batched=batched)

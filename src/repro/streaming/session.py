@@ -79,8 +79,7 @@ class SessionManager(UniformEngine):
                   config: Optional[EarlConfig] = None,
                   ledger=None,
                   split_logical_bytes: Optional[int] = None,
-                  parser=None,
-                  cached: bool = True) -> "SessionManager":
+                  parser=None) -> "SessionManager":
         """Build a session over a newline-delimited simulated-HDFS file.
 
         The file is ingested as one numeric column through the
@@ -92,12 +91,11 @@ class SessionManager(UniformEngine):
         without re-parsing (the M3R-style reuse this module's shared
         sample already applies *within* a session, extended across
         sessions).  The simulated cost of the scan is charged to
-        ``ledger`` on every call regardless; ``cached=False`` pins the
-        scalar ingest path.
+        ``ledger`` on every call regardless.
         """
         from repro.hdfs.split_cache import read_numeric_column
 
         data = read_numeric_column(fs, path, ledger=ledger,
                                    split_logical_bytes=split_logical_bytes,
-                                   parser=parser, cached=cached)
+                                   parser=parser)
         return cls(data, config=config)

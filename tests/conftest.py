@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster
+from repro.hdfs import SplitIndexCache
 
 
 @pytest.fixture
@@ -24,6 +25,33 @@ def small_cluster() -> Cluster:
 def tiny_cluster() -> Cluster:
     """Single-node cluster for degenerate-topology tests."""
     return Cluster(n_nodes=1, block_size=1024, replication=1, seed=11)
+
+
+class NoSplitCache(SplitIndexCache):
+    """A split cache that never serves: every read of a filesystem
+    carrying it takes the scalar path (newline scans, backtracking
+    probes, a fresh parse per ingest).  Writes still invalidate through
+    it, so a driver that writes to HDFS runs unchanged."""
+
+    def acquire(self, fs, split):
+        return None
+
+    def column_lookup(self, path):
+        return None
+
+    def keyed_lookup(self, path, delimiter):
+        return None
+
+
+@pytest.fixture(scope="session")
+def cacheless():
+    """``cacheless(fs)``: swap ``fs``'s split cache for one that never
+    serves, and return ``fs`` — the scalar reference the cache-served
+    reads are checked against."""
+    def strip(fs):
+        fs.split_cache = NoSplitCache()
+        return fs
+    return strip
 
 
 @pytest.fixture

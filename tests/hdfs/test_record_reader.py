@@ -1,6 +1,8 @@
 """Tests for LineRecordReader — the exactly-once and backtracking
 behaviours that EARL's pre-map sampling builds on."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,29 +156,30 @@ class TestLineAt:
         assert ledger.seconds("disk_seek") > 0
 
 
-def both_readers(fs, split):
-    """(records, ledger breakdown) for the scalar and the cached path."""
+def both_readers(fs, split, cacheless):
+    """(records, ledger breakdown) for the scalar path — a cacheless
+    copy of ``fs`` — and for the cache-served path over ``fs``."""
     out = []
-    for cached in (False, True):
+    for target in (cacheless(pickle.loads(pickle.dumps(fs))), fs):
         ledger = CostLedger()
-        reader = LineRecordReader(fs, split, ledger=ledger, cached=cached)
+        reader = LineRecordReader(target, split, ledger=ledger)
         out.append((list(reader.read_records()), ledger.breakdown()))
     return out
 
 
 class TestCachedEdgeCases:
-    """The satellite edge cases, each asserted identical between the
-    cached and the scalar (uncached) implementation."""
+    """The edge cases, each asserted identical between the cache-served
+    and the scalar (cacheless) scan."""
 
-    def test_no_trailing_newline(self):
+    def test_no_trailing_newline(self, cacheless):
         fs = HDFS(n_datanodes=2, block_size=64, replication=1, seed=11)
         fs.write_text("/f", "one\ntwo\nthree")
         (split,) = fs.get_splits("/f", 10_000)
-        (scalar, l1), (cached, l2) = both_readers(fs, split)
+        (scalar, l1), (cached, l2) = both_readers(fs, split, cacheless)
         assert scalar == cached == [(0, "one"), (4, "two"), (8, "three")]
         assert l1 == l2
 
-    def test_line_starting_exactly_at_split_boundary(self):
+    def test_line_starting_exactly_at_split_boundary(self, cacheless):
         # File "ab\ncd\n" cut at byte 3 (the start of "cd"): the first
         # split over-reads "cd", the second skips it — on both paths.
         fs = HDFS(n_datanodes=2, block_size=64, replication=1, seed=12)
@@ -186,44 +189,42 @@ class TestCachedEdgeCases:
                            logical_length=3)
         second = InputSplit(path="/f", index=1, start=3, length=3,
                             logical_length=3)
-        (s1, a1), (c1, b1) = both_readers(fs, first)
-        (s2, a2), (c2, b2) = both_readers(fs, second)
+        (s1, a1), (c1, b1) = both_readers(fs, first, cacheless)
+        (s2, a2), (c2, b2) = both_readers(fs, second, cacheless)
         assert s1 == c1 == [(0, "ab"), (3, "cd")]
         assert s2 == c2 == []
         assert a1 == b1
         assert a2 == b2
-        # probing the boundary line still resolves identically
+        # probing the boundary line resolves to the line itself
         for pos in (3, 4, 5):
-            assert LineRecordReader(fs, second, cached=True).line_at(pos) \
-                == LineRecordReader(fs, second, cached=False).line_at(pos) \
-                == (3, "cd")
+            assert LineRecordReader(fs, second).line_at(pos) == (3, "cd")
 
-    def test_empty_split(self):
+    def test_empty_split(self, cacheless):
         fs = HDFS(n_datanodes=2, block_size=64, replication=1, seed=13)
         fs.write_text("/f", "a\nb\n")
         from repro.hdfs.splits import InputSplit
         empty = InputSplit(path="/f", index=0, start=2, length=0,
                            logical_length=0)
-        (scalar, l1), (cached, l2) = both_readers(fs, empty)
+        (scalar, l1), (cached, l2) = both_readers(fs, empty, cacheless)
         assert scalar == cached == []
         assert l1 == l2
         assert sum(l1.values()) == 0.0  # nothing read, nothing charged
 
-    def test_split_past_eof(self):
+    def test_split_past_eof(self, cacheless):
         fs = HDFS(n_datanodes=2, block_size=64, replication=1, seed=14)
         fs.write_text("/f", "a\nb\n")
         from repro.hdfs.splits import InputSplit
         past = InputSplit(path="/f", index=3, start=100, length=50,
                           logical_length=50)
-        (scalar, l1), (cached, l2) = both_readers(fs, past)
+        (scalar, l1), (cached, l2) = both_readers(fs, past, cacheless)
         assert scalar == cached == []
         assert l1 == l2
         assert sum(l1.values()) == 0.0
 
-    def test_empty_lines_preserved(self):
+    def test_empty_lines_preserved(self, cacheless):
         fs = HDFS(n_datanodes=2, block_size=64, replication=1, seed=15)
         fs.write_text("/f", "a\n\n\nb\n")
         (split,) = fs.get_splits("/f", 10_000)
-        (scalar, l1), (cached, l2) = both_readers(fs, split)
+        (scalar, l1), (cached, l2) = both_readers(fs, split, cacheless)
         assert scalar == cached == [(0, "a"), (2, ""), (3, ""), (4, "b")]
         assert l1 == l2

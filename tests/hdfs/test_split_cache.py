@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import Cluster
 from repro.cluster.costmodel import CostLedger
+from repro.core import get_statistic, run_stock_job
 from repro.hdfs import (
     HDFS,
     LineRecordReader,
@@ -57,10 +59,11 @@ class TestSplitIndex:
         # every entry's charge equals what the scalar line_at charges
         for entry in range(len(index.starts)):
             scalar = CostLedger()
-            LineRecordReader(fs, split, ledger=scalar, cached=False) \
+            LineRecordReader(fs, split, ledger=scalar) \
                 .line_at(int(index.starts[entry]))
             cached = CostLedger()
-            index.charge_probe(cached, entry)
+            cached.charge_probe_sequence([int(index.seek_counts[entry])],
+                                         [float(index.scaled_bytes[entry])])
             assert cached.breakdown() == scalar.breakdown()
 
 
@@ -123,13 +126,14 @@ class TestReadNumericColumn:
         col = read_numeric_column(fs, "/f", split_logical_bytes=512)
         assert np.array_equal(col, np.asarray(values))
 
-    def test_cached_and_scalar_identical(self):
+    def test_cached_and_scalar_identical(self, cacheless):
         values = [f"{i * 3}" for i in range(300)]
         fs = make_fs(values, block_size=128)
+        ref = cacheless(make_fs(values, block_size=128))
         l1, l2 = CostLedger(), CostLedger()
-        a = read_numeric_column(fs, "/f", ledger=l1, cached=True,
+        a = read_numeric_column(fs, "/f", ledger=l1,
                                 split_logical_bytes=256)
-        b = read_numeric_column(fs, "/f", ledger=l2, cached=False,
+        b = read_numeric_column(ref, "/f", ledger=l2,
                                 split_logical_bytes=256)
         assert np.array_equal(a, b)
         assert l1.breakdown() == l2.breakdown()
@@ -175,10 +179,42 @@ class TestReadNumericColumn:
         fs.write_text("/e", "")
         assert read_numeric_column(fs, "/e").size == 0
 
+    @pytest.mark.parametrize("body", [
+        "1.0\n2.0\n\n3.0\n",
+        "\n\n5.0\n\n",
+        "4.0\n\n\n6.5\n\n0.5",
+        "".join(f"{i}.25\n\n" for i in range(40)),
+    ], ids=["middle", "edges", "no-final-newline", "many-splits"])
+    @pytest.mark.parametrize("scalar", [False, True])
+    def test_blank_lines_skipped_like_stock_job(self, body, scalar,
+                                                cacheless):
+        """Empty lines are skipped as the exact job's mapper skips
+        them, on the cache-served and on the scalar path."""
+        cluster = Cluster(n_nodes=3, block_size=64, seed=2)
+        cluster.hdfs.write_text("/b", body)
+        if scalar:
+            cacheless(cluster.hdfs)
+        col = read_numeric_column(cluster.hdfs, "/b",
+                                  split_logical_bytes=48)
+        assert col.tolist() == [float(t) for t in body.split("\n") if t]
+        for statistic in ("mean", "median", "max"):
+            exact, _ = run_stock_job(cluster, "/b", statistic,
+                                     split_logical_bytes=48)
+            assert get_statistic(statistic)(col) \
+                == pytest.approx(exact, rel=1e-12)
+
+    def test_blank_lines_in_custom_parser_input_skipped(self):
+        fs = make_fs(["k\t1", "", "k\t2"])
+        col = read_numeric_column(
+            fs, "/f", parser=lambda line: float(line.rsplit("\t", 1)[-1]))
+        assert col.tolist() == [1.0, 2.0]
+
 
 class TestCachedReaderEquivalence:
-    """The cached reader is byte-identical to the scalar reference —
-    records, probe results, and every ledger category."""
+    """The cache-served scan is byte-identical to the scalar scan of a
+    cacheless filesystem, and the index's per-entry probe columns
+    reproduce the scalar ``line_at`` — records, probe results, and
+    every ledger category."""
 
     @given(
         lengths=st.lists(st.integers(min_value=0, max_value=12),
@@ -188,31 +224,39 @@ class TestCachedReaderEquivalence:
     )
     @settings(max_examples=60, deadline=None)
     def test_property_scan_and_probe_equivalence(self, lengths, split_size,
-                                                 trailing):
+                                                 trailing, cacheless):
         lines = ["x" * ln for ln in lengths]
         fs = HDFS(n_datanodes=2, block_size=32, replication=1, seed=4)
         body = "\n".join(lines) + ("\n" if trailing else "")
         if not body:
             return
         fs.write_text("/f", body)
+        ref = cacheless(pickle.loads(pickle.dumps(fs)))
         meta = fs.namenode.get("/f")
         splits = compute_splits("/f", meta.size, meta.size, split_size)
         for split in splits:
             l1, l2 = CostLedger(), CostLedger()
-            scalar = list(LineRecordReader(fs, split, ledger=l1,
-                                           cached=False).read_records())
-            cached = list(LineRecordReader(fs, split, ledger=l2,
-                                           cached=True).read_records())
+            scalar = list(LineRecordReader(ref, split, ledger=l1)
+                          .read_records())
+            cached = list(LineRecordReader(fs, split, ledger=l2)
+                          .read_records())
             assert scalar == cached
             assert l1.breakdown() == l2.breakdown()
-            for pos in range(split.start, min(split.end, meta.size)):
+            index = fs.split_cache.acquire(fs, split)
+            positions = np.arange(split.start, min(split.end, meta.size))
+            for pos, entry in zip(positions.tolist(),
+                                  index.entries_of(positions).tolist()):
                 p1, p2 = CostLedger(), CostLedger()
-                r1 = LineRecordReader(fs, split, ledger=p1,
-                                      cached=False).line_at(pos)
-                r2 = LineRecordReader(fs, split, ledger=p2,
-                                      cached=True).line_at(pos)
-                assert r1 == r2
+                start, line = LineRecordReader(ref, split, ledger=p1) \
+                    .line_at(pos)
+                p2.charge_probe_sequence([int(index.seek_counts[entry])],
+                                         [float(index.scaled_bytes[entry])])
                 assert p1.breakdown() == p2.breakdown()
+                if index.lines[entry] is None:  # partial entry 0
+                    assert start == index.prefix_start
+                else:
+                    assert (start, line) \
+                        == (int(index.starts[entry]), index.lines[entry])
 
     def test_multibyte_utf8_lines(self):
         lines = ["héllo", "wörld", "日本語テキスト", "plain"]

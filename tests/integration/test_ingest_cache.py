@@ -1,10 +1,11 @@
 """Integration tests for the columnar ingest plane on the full driver.
 
-Pins the PR's two system-level claims:
+Pins two system-level claims:
 
 * an :class:`EarlJob` run is byte-identical — estimates, iteration
   records, simulated seconds — whether ingest goes through the
-  columnar cache (the default) or the scalar reference; and
+  columnar cache or, on a filesystem whose cache never serves, the
+  scalar path; and
 * expansion iteration >= 2 performs **zero re-parse** of already-cached
   splits (M3R-style reuse across the jobs of an iterative driver),
   asserted through the cache counters and the per-iteration ledger.
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster
-from repro.core import EarlConfig, EarlJob, bootstrap_file
+from repro.core import EarlConfig, EarlJob, bootstrap_file, run_stock_job
 from repro.sampling.postmap import PostMapSampler
 from repro.sampling.premap import PreMapSampler
 from repro.streaming import SessionManager
@@ -35,27 +36,16 @@ def make_env(seed=90):
     return cluster, ds
 
 
-class _ScalarSamplerJob(EarlJob):
-    """EarlJob pinned to the scalar (uncached, unbatched) ingest path."""
-
-    def _make_sampler(self):
-        if self._config.sampler == "premap":
-            return PreMapSampler(self._cluster.hdfs, self._path,
-                                 split_logical_bytes=self._split_logical_bytes,
-                                 batched=False)
-        return PostMapSampler(self._cluster.hdfs, self._path,
-                              split_logical_bytes=self._split_logical_bytes,
-                              cached=False)
-
-
 class TestCachedJobEquivalence:
     @pytest.mark.parametrize("sampler", ["premap", "postmap"])
-    def test_earl_job_byte_identical_cache_on_or_off(self, sampler):
+    def test_earl_job_byte_identical_cache_on_or_off(self, sampler,
+                                                     cacheless):
         results = []
-        for job_cls in (EarlJob, _ScalarSamplerJob):
+        for strip in (lambda fs: fs, cacheless):
             cluster, ds = make_env()
+            strip(cluster.hdfs)
             cfg = multi_iteration_config(3, sampler=sampler)
-            results.append(job_cls(cluster, ds.path, statistic="mean",
+            results.append(EarlJob(cluster, ds.path, statistic="mean",
                                    config=cfg).run())
         cached, scalar = results
         assert cached.estimate == scalar.estimate
@@ -150,6 +140,19 @@ class TestColumnarIngestEntryPoints:
         res_file = bootstrap_file(cluster.hdfs, "/b", "mean", B=25, seed=9)
         res_mem = bootstrap(values, "mean", B=25, seed=9)
         assert np.array_equal(res_file.estimates, res_mem.estimates)
+
+    def test_blank_lines_accepted_like_stock_job(self):
+        cluster = Cluster(n_nodes=3, block_size=4096, seed=10)
+        cluster.hdfs.write_text("/b", "".join(
+            f"{i}.5\n" + ("\n" if i % 7 == 0 else "") for i in range(2000)))
+        exact, _ = run_stock_job(cluster, "/b", "mean")
+        res = bootstrap_file(cluster.hdfs, "/b", "mean", B=10, seed=1)
+        assert res.n == 2000
+        assert res.point_estimate == pytest.approx(exact, rel=1e-12)
+        mgr = SessionManager.from_hdfs(
+            cluster.hdfs, "/b", config=EarlConfig(sigma=0.05, seed=1))
+        mgr.submit("mean")
+        assert mgr.run()["mean"].estimate == pytest.approx(exact, rel=0.1)
 
     def test_repeated_bootstraps_parse_once(self):
         cluster = Cluster(n_nodes=3, block_size=4096, seed=10)

@@ -110,7 +110,7 @@ class PrefixThenLossSource:
     parallel_safe = True
 
     def read(self, fs, split, ledger, rng):
-        reader = LineRecordReader(fs, split, ledger=ledger, cached=False)
+        reader = LineRecordReader(fs, split, ledger=ledger)
         yield from reader.read_records_salvage()
         if reader.available_prefix_end() < fs.file_size(split.path):
             raise BlockUnavailableError(f"split {split.index} lost its tail")

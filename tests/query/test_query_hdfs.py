@@ -34,19 +34,22 @@ class TestReadKeyedColumn:
         assert not first[0].flags.writeable
         assert not first[1].flags.writeable
 
-    def test_cached_charges_match_scalar(self):
+    def test_cached_charges_match_scalar(self, cacheless):
         cluster, _, _ = keyed_cluster()
         cached_ledger = cluster.new_ledger()
-        read_keyed_column(cluster.hdfs, "/keyed", ledger=cached_ledger)
-        scalar_ledger = cluster.new_ledger()
-        scalar = read_keyed_column(cluster.hdfs, "/keyed",
-                                   ledger=scalar_ledger, cached=False)
+        cached = read_keyed_column(cluster.hdfs, "/keyed",
+                                   ledger=cached_ledger)
+        ref, _, _ = keyed_cluster()
+        scalar_ledger = ref.new_ledger()
+        scalar = read_keyed_column(cacheless(ref.hdfs), "/keyed",
+                                   ledger=scalar_ledger)
+        assert list(cached[0]) == list(scalar[0])
+        assert np.array_equal(cached[1], scalar[1])
         assert cached_ledger.total_seconds == scalar_ledger.total_seconds
         # replayed (hit) scan charges identically as well
         replay_ledger = cluster.new_ledger()
         read_keyed_column(cluster.hdfs, "/keyed", ledger=replay_ledger)
         assert replay_ledger.total_seconds == scalar_ledger.total_seconds
-        assert scalar[1].flags.writeable  # uncached result is a fresh array
 
     def test_rewrite_invalidates(self):
         cluster, _, _ = keyed_cluster()
@@ -64,6 +67,36 @@ class TestReadKeyedColumn:
         keys, values = read_keyed_column(cluster.hdfs, "/bare")
         assert list(keys) == [BARE_LINE_KEY, BARE_LINE_KEY, "k"]
         assert list(values) == [1.5, 2.5, 3.5]
+
+    @pytest.mark.parametrize("body", [
+        "a\t1.0\n\nb\t2.0\na\t3.0\n\n",
+        "\n1.5\n\nk\t3.5\n2.5\n",
+        "".join(f"g{i % 3}\t{i}.5\n\n" for i in range(30)),
+    ], ids=["keyed", "bare-and-keyed", "many-splits"])
+    @pytest.mark.parametrize("scalar", [False, True])
+    def test_blank_lines_skipped_like_grouped_stock_job(self, body, scalar,
+                                                        cacheless):
+        """Empty lines are skipped as the exact grouped job's mapper
+        skips them, on the cache-served and on the scalar path."""
+        cluster = Cluster(n_nodes=3, block_size=64, seed=4)
+        cluster.hdfs.write_text("/blank", body)
+        if scalar:
+            cacheless(cluster.hdfs)
+        keys, values = read_keyed_column(cluster.hdfs, "/blank",
+                                         split_logical_bytes=48)
+        exact, _ = run_grouped_stock_job(cluster, "/blank", "mean",
+                                         split_logical_bytes=48)
+        assert sorted(set(keys)) == sorted(exact)
+        for key, value in exact.items():
+            assert float(np.mean(values[keys == key])) \
+                == pytest.approx(value, rel=1e-12)
+
+    def test_query_from_hdfs_accepts_blank_lines(self):
+        cluster = Cluster(n_nodes=3, seed=4)
+        cluster.hdfs.write_text("/blank", "a\t1.0\n\nb\t2.0\n\na\t3.0\n")
+        q = Query([agg("mean", "value")], group_by="key").from_hdfs(
+            cluster.hdfs, "/blank", config=EarlConfig(seed=1))
+        assert sorted(q.run().groups) == ["a", "b"]
 
 
 class TestQueryFromHdfs:

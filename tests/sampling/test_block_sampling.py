@@ -1,11 +1,10 @@
-"""Tests for block sampling and its clustered-layout bias (§7)."""
+"""Tests for block sampling (its clustered-layout bias, §7, is measured
+by ``benchmarks/bench_ablation_sampling_bias.py``)."""
 
-import numpy as np
 import pytest
 
 from repro.cluster import Cluster
-from repro.sampling.block_sampling import block_sampling_bias, sample_blocks
-from repro.workloads import clustered_lines, numeric_dataset, numeric_lines
+from repro.sampling.block_sampling import sample_blocks
 
 
 @pytest.fixture
@@ -38,27 +37,3 @@ class TestSampleBlocks:
         # at least the first block's values are consecutive
         first_run = values[:10]
         assert all(b - a == 1 for a, b in zip(first_run, first_run[1:]))
-
-
-class TestClusteredBias:
-    def test_block_sampling_biased_on_clustered_layout(self, cluster):
-        """The §7 story: clustered layout → block samples mislead; the
-        same volume drawn uniformly does not."""
-        values = numeric_dataset(4000, "lognormal", seed=5)
-        cluster.hdfs.write_lines("/clustered", clustered_lines(values))
-        cluster.hdfs.write_lines("/shuffled", numeric_lines(
-            values[np.random.default_rng(6).permutation(4000)]))
-        true_mean = float(np.mean(values))
-        biased_err, _ = block_sampling_bias(
-            cluster.hdfs, "/clustered", 200, true_mean=true_mean,
-            trials=15, seed=7)
-        uniform_err, _ = block_sampling_bias(
-            cluster.hdfs, "/shuffled", 200, true_mean=true_mean,
-            trials=15, seed=7)
-        assert biased_err > 2 * uniform_err
-
-    def test_bias_requires_data(self, cluster):
-        cluster.hdfs.write_lines("/none", [])
-        with pytest.raises(ValueError):
-            block_sampling_bias(cluster.hdfs, "/none", 10, true_mean=1.0,
-                                trials=2, seed=8)

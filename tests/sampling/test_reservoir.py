@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sampling.reservoir import reservoir_sample, reservoir_sample_indices
+from repro.sampling.reservoir import reservoir_sample
 
 
 class TestReservoirSample:
@@ -48,7 +48,7 @@ class TestReservoirSample:
            k=st.integers(min_value=1, max_value=50))
     @settings(max_examples=60, deadline=None)
     def test_property_size_and_membership(self, n, k):
-        sample = reservoir_sample_indices(n, k, seed=7)
+        sample = reservoir_sample(range(n), k, seed=7)
         assert len(sample) == min(n, k)
         assert all(0 <= x < n for x in sample)
         assert len(set(sample)) == len(sample)
