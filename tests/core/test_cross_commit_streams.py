@@ -20,6 +20,7 @@ import pytest
 
 from repro.core import EarlConfig, EarlSession
 from repro.core.grouped import GroupedEarlSession, Measure
+from repro.scheduler import QueryScheduler
 from repro.streaming import SessionManager
 
 FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" / "engine_streams.json"
@@ -59,16 +60,32 @@ def _manager(cancel=None):
     return build
 
 
-def _grouped(measures, **kwargs):
+def _grouped_session(measures, executor, **kwargs):
     # n_override keeps SSABE (it still picks B) but starts every group
     # small, so the strata expand for several rounds instead of
     # resolving through the §3.1 fallback at set-up.
+    return GroupedEarlSession(
+        KEYS, measures,
+        config=EarlConfig(sigma=0.04, seed=13, n_override=150,
+                          executor=executor, max_workers=2), **kwargs)
+
+
+def _grouped(measures, **kwargs):
     def build(executor):
-        session = GroupedEarlSession(
-            KEYS, measures,
-            config=EarlConfig(sigma=0.04, seed=13, n_override=150,
-                              executor=executor, max_workers=2), **kwargs)
-        return [snap.to_dict() for snap in session.stream()]
+        return [snap.to_dict() for snap
+                in _grouped_session(measures, executor, **kwargs).stream()]
+    return build
+
+
+def _scheduled(measures, round_budget):
+    # A lone grouped query under a fixed round budget: the scheduler's
+    # live allocator splits every round across the still-active groups.
+    def build(executor):
+        scheduler = QueryScheduler(round_budget=round_budget)
+        query = scheduler.submit_grouped(_grouped_session(measures,
+                                                          executor))
+        scheduler.run()
+        return [snap.to_dict() for snap in query.snapshots]
     return build
 
 
@@ -90,6 +107,7 @@ CASES = {
     "grouped-two-measures": _grouped(TWO),
     "grouped-neyman": _grouped(ONE, allocation="neyman",
                                round_budget=900),
+    "grouped-scheduled": _scheduled(ONE, round_budget=900),
 }
 
 
@@ -114,7 +132,7 @@ def test_fixture_exercises_every_path(recorded):
     names = {name for name, _ in recorded["manager-cancelled-sibling"]}
     assert names == {"mean", "median", "p90"}
     for case in ("grouped-one-measure", "grouped-two-measures",
-                 "grouped-neyman"):
+                 "grouped-neyman", "grouped-scheduled"):
         final = recorded[case][-1]
         assert final["final"] and len(recorded[case]) >= 3
         assert all(entry["used_fallback"]
