@@ -8,10 +8,11 @@ Two demos of the grouped query engine (``repro.query``):
    estimate, CI and error; groups whose bound is met stop sampling
    (marked DONE) while the laggards keep expanding — the per-group
    counterpart of EARL's early termination.
-2. **Budgeted Neyman allocation** — the same query with a fixed
-   per-round row budget split ``N_h x S_h`` across the still-active
-   groups: finished groups automatically donate their budget to the
-   laggards.
+2. **A shared row budget** — the same query submitted to
+   ``QueryScheduler(round_budget=3_000)``: each round's budget is split
+   across the still-active groups by live ``N_h x S_h`` and capped at
+   the rows a group still needs, so finished groups donate their budget
+   to the laggards instead of doubling past their bounds.
 
 Run with ``PYTHONPATH=src python examples/group_by_dashboard.py``.
 """
@@ -22,6 +23,7 @@ import numpy as np
 
 from repro.core import EarlConfig
 from repro.query import Query, agg
+from repro.scheduler import QueryScheduler
 from repro.workloads import skewed_keyed_values
 
 ROWS = 150_000
@@ -52,10 +54,10 @@ def main() -> None:
     keys, values = skewed_keyed_values(ROWS, KEYS, skew=1.4, seed=11)
     table = {"key": keys, "value": values}
 
-    banner("1. per-group bounds streaming (schedule allocation)")
+    banner("1. per-group bounds streaming (each group on its schedule)")
+    config = EarlConfig(sigma=0.03, seed=5, B_override=25, n_override=150)
     query = Query([agg("mean", "value")], group_by="key").on(
-        table, config=EarlConfig(sigma=0.03, seed=5,
-                                 B_override=25, n_override=150))
+        table, config=config)
     final = None
     for snap in query.stream():
         print_round(snap)
@@ -70,21 +72,18 @@ def main() -> None:
                 for res in by.values())
     print(f"  -> worst true relative deviation across groups: {worst:.3%}")
 
-    banner("2. budgeted Neyman allocation (laggards inherit the budget)")
-    budgeted = Query([agg("mean", "value")], group_by="key",
-                     allocation="neyman", round_budget=3_000).on(
-        table, config=EarlConfig(sigma=0.03, seed=5,
-                                 B_override=25, n_override=150))
-    rounds = 0
-    for snap in budgeted.stream():
-        rounds += 1
-        if snap.final:
-            print(f"  {len(snap.groups)} group(s) finished in {rounds} "
-                  f"budgeted round(s); rows processed: "
-                  f"{snap.rows_processed:,} "
-                  f"(vs {result.rows_processed:,} under schedule "
-                  f"allocation)")
-            print(f"  bounds met: {snap.result.achieved}")
+    banner("2. a shared row budget (laggards inherit the budget)")
+    scheduler = QueryScheduler(round_budget=3_000)
+    budgeted = scheduler.submit_grouped(
+        Query([agg("mean", "value")], group_by="key").on(
+            table, config=config).plan(), name="by-key")
+    scheduler.run()
+    snap = budgeted.snapshots[-1]
+    print(f"  {len(snap.groups)} group(s) finished in {snap.round} "
+          f"budgeted round(s); rows processed: "
+          f"{snap.rows_processed:,} (vs {result.rows_processed:,} on "
+          f"each group's own schedule)")
+    print(f"  bounds met: {snap.result.achieved}")
 
 
 if __name__ == "__main__":

@@ -64,7 +64,6 @@ from repro.core.earl import (
     run_stock_job,
 )
 from repro.core.grouped import (
-    ALLOCATION_SCHEDULE,
     GroupEstimate,
     GroupedEarlSession,
     GroupedResult,
@@ -111,7 +110,7 @@ __all__ = [
     "run_grouped_stock_job", "estimate_record_count",
     # grouped sessions
     "GroupedEarlSession", "Measure", "GroupEstimate", "GroupedSnapshot",
-    "GroupedResult", "ALLOCATION_SCHEDULE",
+    "GroupedResult",
     # bootstrap / jackknife
     "bootstrap", "BootstrapResult", "bootstrap_cv_curve", "bootstrap_cv_vs_n",
     "bootstrap_file",

@@ -827,11 +827,7 @@ class RoundEngine(LossRecovery):
             unit.bound = unit.drawn = survivors
         return touched
 
-    def _drew(self, unit: SampleUnit, rows: int) -> None:
-        """Hook: ``unit`` is about to consume ``rows`` more rows."""
-
-    def _advance(self, quotas: Mapping[Hashable, int]
-                 ) -> Tuple[List[Touched], int]:
+    def _advance(self, quotas: Mapping[Hashable, int]) -> List[Touched]:
         """One expansion round: draw ``quotas[unit.key]`` more rows for
         every active unit (capped at what it can still reach), offer
         the deltas to its live pipelines through the executor, then
@@ -839,8 +835,7 @@ class RoundEngine(LossRecovery):
 
         A unit whose reachable rows are all consumed cannot improve and
         finalizes best-so-far instead of spinning (degrade, don't die).
-        Returns the touched pipelines and the number of stage offers
-        made (0: no unit drew anything this round).
+        Returns the touched pipelines.
         """
         touched: List[Touched] = []
         work: List[Tuple[SampleUnit, Pipeline, int, int]] = []
@@ -855,7 +850,6 @@ class RoundEngine(LossRecovery):
             quota = min(int(quotas.get(unit.key, 0)), room)
             if quota <= 0:
                 continue
-            self._drew(unit, quota)
             lo, unit.consumed = unit.consumed, unit.consumed + quota
             self._fill(unit, unit.consumed)
             unit.iteration += 1
@@ -864,7 +858,7 @@ class RoundEngine(LossRecovery):
                 work.append((unit, pipeline, pipeline.base + lo,
                              pipeline.base + unit.consumed))
         if not work:
-            return touched, 0
+            return touched
         with _TRACER.span(f"{self._label}.round",
                           attrs={"rows": drawn, "offers": len(work)}):
             estimates = self._offer_round(work)
@@ -893,7 +887,7 @@ class RoundEngine(LossRecovery):
             if unit.active and unit.consumed >= unit.target:
                 unit.target = grow_target(unit.consumed, unit.size,
                                           self._config)
-        return touched, len(work)
+        return touched
 
     def _offer_round(self, work: List[Tuple[SampleUnit, Pipeline, int, int]]
                      ) -> List[AccuracyEstimate]:
@@ -1132,7 +1126,7 @@ class UniformEngine(RoundEngine):
         round's *new* rows — the scheduler's global-allocation hook —
         except on the first round, whose SSABE-sized draw is mandatory.
         Budgeted stepping can trickle rows, so it raises the allowed
-        round count the way grouped budgeted allocation does; a round
+        round count the way a granted grouped session does; a round
         starved to zero new rows is a no-op (no iteration consumed).
         """
         if not self._started:
@@ -1147,7 +1141,7 @@ class UniformEngine(RoundEngine):
         quota = unit.target - unit.consumed
         if budget is not None and unit.consumed > 0:
             quota = min(quota, max(int(budget), 0))
-        return self._events(touched + self._advance({unit.key: quota})[0])
+        return self._events(touched + self._advance({unit.key: quota}))
 
     def finalize(self) -> List[Tuple[Pipeline, ProgressSnapshot]]:
         """Force-terminate every still-active query with its latest

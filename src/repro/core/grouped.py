@@ -23,7 +23,7 @@ stratified design instead (:class:`~repro.sampling.StratifiedSampler`):
 The loop itself is the shared round core (:mod:`repro.core.engine`):
 a group is a :class:`~repro.core.engine.SampleUnit`, a ``(group,
 measure)`` pair is a :class:`~repro.core.engine.Pipeline`; this module
-adds the stratified design, the per-round quota policy and the
+adds the stratified design, the external grants hook and the
 cumulative grouped snapshots.
 
 Determinism contract: each group draws an integer seed from the session
@@ -37,13 +37,13 @@ byte-identical to an independent solo session on that group's rows
 sessions share each group's sample and give every measure its own
 spawned streams, SessionManager-style.
 
-Budgeted allocation: by default (``allocation="schedule"``) every group
-follows its own expansion schedule.  With one of the
-:data:`~repro.sampling.stratified.ALLOCATIONS` policies the round's
-total budget (``round_budget`` or the sum of scheduled deltas) is
-instead split across the still-active groups — uniform ("senate"),
-proportional, or Neyman ``N_h * S_h`` using each group's pilot std — so
-finished groups automatically donate their budget to the laggards.
+Budgeted allocation: run alone, every group follows its own expansion
+schedule.  A shared per-round row budget is the cross-query scheduler's
+job (:class:`~repro.scheduler.QueryScheduler`): it reads
+:meth:`GroupedEarlSession.live_demands` and hands each round a
+``grants`` split — live ``N_h·S_h`` weights, each group capped at the
+rows it still needs — so finished groups donate their budget to the
+laggards.
 """
 
 from __future__ import annotations
@@ -76,16 +76,8 @@ from repro.core.engine import (
 )
 from repro.core.estimators import StatisticLike, get_statistic
 from repro.core.result import EarlResult
-from repro.sampling.stratified import (
-    ALLOCATIONS,
-    Factorization,
-    StratifiedSampler,
-)
+from repro.sampling.stratified import Factorization, StratifiedSampler
 from repro.util.rng import ensure_rng
-
-#: Default allocation mode: every group follows its own expansion
-#: schedule (the mode with the solo-session equivalence guarantee).
-ALLOCATION_SCHEDULE = "schedule"
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,28 +324,13 @@ class GroupedEarlSession(RoundEngine):
 
     def __init__(self, keys: Sequence[Hashable],
                  measures: Sequence[Measure], *,
-                 config: Optional[EarlConfig] = None,
-                 allocation: str = ALLOCATION_SCHEDULE,
-                 round_budget: Optional[int] = None) -> None:
+                 config: Optional[EarlConfig] = None) -> None:
         if len(keys) == 0:
             raise ValueError("keys must be non-empty")
         if not measures:
             raise ValueError("at least one measure is required")
-        if allocation != ALLOCATION_SCHEDULE \
-                and allocation not in ALLOCATIONS:
-            raise ValueError(
-                f"unknown allocation {allocation!r}; known: "
-                f"{[ALLOCATION_SCHEDULE, *ALLOCATIONS]}")
-        if round_budget is not None and round_budget < 1:
-            raise ValueError("round_budget must be positive")
-        if round_budget is not None and allocation == ALLOCATION_SCHEDULE:
-            raise ValueError(
-                "round_budget needs a quota allocation policy; "
-                f"pick one of {list(ALLOCATIONS)}")
         self._keys = keys if isinstance(keys, (np.ndarray, Factorization)) \
             else np.asarray(keys, dtype=object)
-        self._allocation = allocation
-        self._round_budget = round_budget
         N = len(self._keys)
         seen = set()
         self._measures: List[Measure] = []
@@ -372,7 +349,6 @@ class GroupedEarlSession(RoundEngine):
             columns.append(column)
         super().__init__(columns, config or EarlConfig(), "grouped")
         self._group_seeds: Dict[Hashable, int] = {}
-        self._sampler: Optional[StratifiedSampler] = None
         self._pilot_std: Dict[Hashable, float] = {}
         #: Cumulative latest entry per (group, aggregate) pair.
         self._board: Dict[Hashable, Dict[str, GroupEstimate]] = {}
@@ -421,11 +397,7 @@ class GroupedEarlSession(RoundEngine):
         if not self._begin():
             return []
         cfg = self._config
-        self._sampler = sampler = StratifiedSampler(
-            self._keys,
-            allocation=(self._allocation
-                        if self._allocation != ALLOCATION_SCHEDULE
-                        else "proportional"))
+        sampler = StratifiedSampler(self._keys)
         statistics = [get_statistic(m.statistic) for m in self._measures]
         group_keys = sampler.keys
         seeds = self._rng.integers(0, 2**63 - 1, size=len(group_keys),
@@ -462,8 +434,6 @@ class GroupedEarlSession(RoundEngine):
             self._pilot_std[key] = float(np.std(
                 pilot.reshape(pilot_n, -1)[:, 0], ddof=1)) \
                 if pilot_n > 1 else 0.0
-            if self._allocation == "neyman":
-                sampler.set_scale(key, self._pilot_std[key])
             units.append(unit)
         exact = self._prepare(units)
         self._board = {unit.key: {} for unit in units}
@@ -516,17 +486,18 @@ class GroupedEarlSession(RoundEngine):
         """Advance every still-active group by one expansion round;
         returns the round's event (none when nothing changed).
 
-        ``grants`` is the cross-query scheduler's injection point: the
-        round samples ``grants[key]`` rows from each listed group
-        (capped at the group's broadcast segment; groups not listed
-        draw nothing) instead of the session's own allocation — except
-        a group's first draw, which always follows its schedule.  Granted
+        Without ``grants`` every active group draws what its own
+        expansion schedule asks for.  ``grants`` is the cross-query
+        scheduler's injection point: the round samples ``grants[key]``
+        rows from each listed group (capped at the group's broadcast
+        segment; groups not listed draw nothing) instead — except a
+        group's first draw, which always follows its schedule.  Granted
         rounds can trickle rows, so the round-count safety bound rises
-        the way budgeted allocation's does; per-group iteration counts
-        still cap at ``max_iterations``, so a scheduler that slices a
-        group too thin forfeits rounds the schedule would have used.  A
-        round the scheduler starved entirely is a non-terminal no-op.
-        Once the round-count safety bound is used up the call finalizes
+        (:meth:`_max_rounds`); per-group iteration counts still cap at
+        ``max_iterations``, so a scheduler that slices a group too thin
+        forfeits rounds the schedule would have used.  A round the
+        scheduler starved entirely is a non-terminal no-op.  Once the
+        round-count safety bound is used up the call finalizes
         best-effort instead, so whoever steps the session gets its
         final event.
         """
@@ -544,57 +515,27 @@ class GroupedEarlSession(RoundEngine):
             quotas.update((unit.key, unit.target) for unit in self._units
                           if unit.active and unit.consumed == 0)
         else:
-            quotas = self._round_quotas(
-                [unit for unit in self._units if unit.active])
-        stepped, offers = self._advance(quotas)
-        touched += stepped
-        if not offers and grants is None:
-            # The session's own allocation gave nothing (budget smaller
-            # than the active group count after caps): finalize what is
-            # left as best-effort rather than spin.
-            touched += self._finalize_all()
+            quotas = {unit.key: unit.target - unit.consumed
+                      for unit in self._units if unit.active}
+        touched += self._advance(quotas)
         return self._render(touched)
 
     def finalize(self) -> List[Tuple["GroupedEarlSession", GroupedSnapshot]]:
         """Best-effort results for every pair a budgeted run starved
-        (the max-round safety net, only reachable when quotas
+        (the max-round safety net, only reachable when grants
         trickle); the event carries the final :class:`GroupedResult`."""
         self._round += 1
         return self._render(self._finalize_all())
 
     # ---------------------------------------------------------------- rounds
-    def _reach(self, unit: SampleUnit) -> int:
-        # Budgeted allocations can out-run a group's own schedule, so
-        # they keep the whole group.
-        if self._allocation != ALLOCATION_SCHEDULE:
-            return unit.size
-        return super()._reach(unit)
-
-    def _drew(self, unit: SampleUnit, rows: int) -> None:
-        # The engine gathers the rows itself; the sampler only keeps the
-        # count its quota allocation caps against.
-        assert self._sampler is not None
-        self._sampler.advance(unit.key, rows)
-
     def _max_rounds(self) -> int:
-        """Round-count safety bound: schedule mode terminates within
-        ``max_iterations`` rounds; budgeted modes — including external
-        grants — may trickle quotas, so allow proportionally more
-        before best-effort finalize."""
-        if self._allocation == ALLOCATION_SCHEDULE \
-                and not self._externally_budgeted:
+        """Round-count safety bound: a session on its own schedule
+        terminates within ``max_iterations`` rounds; external grants
+        may trickle rows, so allow proportionally more before
+        best-effort finalize."""
+        if not self._externally_budgeted:
             return self._config.max_iterations
         return self._config.max_iterations * 8
-
-    def _round_quotas(self, active: List[SampleUnit]) -> Dict[Hashable, int]:
-        scheduled = {u.key: u.target - u.consumed for u in active}
-        if self._allocation == ALLOCATION_SCHEDULE:
-            return scheduled
-        total = self._round_budget or sum(scheduled.values())
-        if total <= 0:
-            return {}
-        assert self._sampler is not None
-        return self._sampler.allocate(total, active=[u.key for u in active])
 
     # ------------------------------------------------------------- snapshots
     def _entry(self, unit: SampleUnit, pipeline: Pipeline) -> GroupEstimate:

@@ -315,7 +315,6 @@ def stream_trace(gb: float = 10.0, *, statistic: str = "mean",
 def query_trace(records: int = 200_000, *, n_keys: int = 8,
                 skew: float = 1.5, statistic: str = "mean",
                 sigma: float = 0.05, seed: int = 1700,
-                allocation: str = "schedule",
                 executor: Optional[str] = None,
                 max_workers: Optional[int] = None,
                 on_snapshot: Optional[Callable[[Dict[str, object]], None]]
@@ -335,8 +334,7 @@ def query_trace(records: int = 200_000, *, n_keys: int = 8,
 
     keys, values = skewed_keyed_values(records, n_keys, skew=skew,
                                        seed=seed)
-    query = Query([agg(statistic, "value")], group_by="key",
-                  allocation=allocation).on(
+    query = Query([agg(statistic, "value")], group_by="key").on(
         {"key": keys, "value": values},
         config=EarlConfig(sigma=sigma, seed=seed + 1,
                           executor=executor or "serial",

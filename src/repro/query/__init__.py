@@ -26,7 +26,6 @@ sampler → per-group sessions → snapshots pipeline.
 """
 
 from repro.core.grouped import (
-    ALLOCATION_SCHEDULE,
     GroupEstimate,
     GroupedEarlSession,
     GroupedResult,
@@ -48,5 +47,4 @@ __all__ = [
     "GroupEstimate",
     "GroupedSnapshot",
     "GroupedResult",
-    "ALLOCATION_SCHEDULE",
 ]

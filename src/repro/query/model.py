@@ -44,11 +44,7 @@ import numpy as np
 from repro.core.config import EarlConfig
 from repro.core.correction import CorrectionLike
 from repro.core.estimators import StatisticLike, get_statistic
-from repro.core.grouped import (
-    ALLOCATION_SCHEDULE,
-    GroupedResult,
-    GroupedSnapshot,
-)
+from repro.core.grouped import GroupedResult, GroupedSnapshot
 
 #: A ``where`` clause: ``(column, op, literal)`` or a mask callable.
 WhereLike = Union[Tuple[str, str, Any],
@@ -142,18 +138,18 @@ class Query:
     >>> sorted(result.groups) == ["a", "b"] and result.achieved
     True
 
-    ``allocation`` / ``round_budget`` select the stratified budget
-    policy (default: every group follows its own expansion schedule);
-    see :class:`~repro.core.GroupedEarlSession`.
+    Every group follows its own expansion schedule until its bound is
+    met.  To split a fixed per-round row budget across the groups
+    instead, submit :meth:`plan`'s session to a
+    :class:`~repro.scheduler.QueryScheduler` built with that budget
+    (:meth:`~repro.scheduler.QueryScheduler.submit_grouped`).
     """
 
     def __init__(self, select: Sequence[Aggregate], *,
                  group_by: Optional[str] = None,
                  where: Optional[WhereLike] = None,
                  source: Optional[Mapping[str, Any]] = None,
-                 config: Optional[EarlConfig] = None,
-                 allocation: str = ALLOCATION_SCHEDULE,
-                 round_budget: Optional[int] = None) -> None:
+                 config: Optional[EarlConfig] = None) -> None:
         if not select:
             raise ValueError("select must name at least one aggregate")
         aggregates = []
@@ -181,8 +177,6 @@ class Query:
         self.where = where
         self.source = source
         self.config = config
-        self.allocation = allocation
-        self.round_budget = round_budget
         #: The most recently planned session (set by :meth:`stream` /
         #: :meth:`run`) — the handle a concurrent caller needs for
         #: :meth:`~repro.core.GroupedEarlSession.cancel`.
@@ -194,9 +188,7 @@ class Query:
         """A copy of this query bound to ``source`` (columnar mapping:
         column name → array-like, all the same length)."""
         return Query(self.select, group_by=self.group_by, where=self.where,
-                     source=source, config=config or self.config,
-                     allocation=self.allocation,
-                     round_budget=self.round_budget)
+                     source=source, config=config or self.config)
 
     def from_hdfs(self, fs, path: str, *,
                   value_column: str = "value",

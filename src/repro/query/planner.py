@@ -14,8 +14,9 @@ SQL-ish surface meets the stack:
    aggregate (a column pair becomes stacked 2-D row items for row-wise
    statistics such as ``"correlation"``).
 4. **Build the grouped session** over the ``group_by`` column (or a
-   single whole-table stratum when the query is ungrouped) with the
-   query's allocation policy.
+   single whole-table stratum when the query is ungrouped); every group
+   follows its own expansion schedule, and a shared row budget is the
+   cross-query scheduler's (:class:`~repro.scheduler.QueryScheduler`).
 """
 
 from __future__ import annotations
@@ -184,6 +185,4 @@ def plan_query(query: Query) -> GroupedEarlSession:
 
     return GroupedEarlSession(
         keys, measures,
-        config=query.config or EarlConfig(),
-        allocation=query.allocation,
-        round_budget=query.round_budget)
+        config=query.config or EarlConfig())

@@ -7,8 +7,8 @@
 * :func:`reservoir_sample` — exact-uniform one-pass baseline.
 * :func:`sample_blocks` — biased block-level baseline (§7).
 * :class:`StratifiedSampler` — per-stratum uniform sampling over keyed
-  records with uniform / proportional / Neyman quota allocation (the
-  grouped-query design).
+  records (the grouped-query design); :func:`allocate_with_caps` is the
+  capped largest-remainder split the cross-query budget allocator uses.
 * :class:`PermutationPrefix` — a uniform random permutation drawn only
   as far as it is read (the in-memory engines' sample order).
 """
@@ -20,10 +20,6 @@ from repro.sampling.postmap import PostMapSampler
 from repro.sampling.premap import PreMapSampler
 from repro.sampling.reservoir import reservoir_sample
 from repro.sampling.stratified import (
-    ALLOCATION_NEYMAN,
-    ALLOCATION_PROPORTIONAL,
-    ALLOCATION_UNIFORM,
-    ALLOCATIONS,
     Factorization,
     StratifiedSampler,
     allocate_with_caps,
@@ -37,10 +33,6 @@ __all__ = [
     "StratifiedSampler",
     "PermutationPrefix",
     "Factorization",
-    "ALLOCATIONS",
-    "ALLOCATION_UNIFORM",
-    "ALLOCATION_PROPORTIONAL",
-    "ALLOCATION_NEYMAN",
     "allocate_with_caps",
     "draw_sample",
     "allocate_per_split",

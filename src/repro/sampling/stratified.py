@@ -4,26 +4,20 @@ Uniform sampling starves rare groups: a key holding 1 % of a table gets
 1 % of every sample, so its estimate converges ~100x slower than the
 head key's and the whole query is held hostage by its laggard.  A
 stratified design samples **within** each group instead — every group's
-sample is uniform-without-replacement over *that group's* rows, and the
-per-round budget is divided between groups by an allocation policy:
-
-* ``"uniform"`` — equal quota per stratum ("senate" allocation: every
-  group gets the same representation regardless of population);
-* ``"proportional"`` — quota ∝ stratum population ("house" allocation;
-  reproduces plain uniform table sampling in expectation);
-* ``"neyman"`` — quota ∝ N_h·S_h (population × dispersion): the
-  classical variance-minimizing allocation, using per-stratum scale
-  estimates from a pilot (falls back to proportional until scales are
-  known).
+sample is uniform-without-replacement over *that group's* rows, and
+each group grows until its own error bound is met.
 
 The sampler is the keyed-record counterpart of the in-memory helpers in
 :mod:`repro.sampling.base`: it walks one lazily drawn permutation per
 stratum (a :class:`~repro.sampling.permutation.PermutationPrefix`:
 prefixes = uniform samples without replacement, exactly the design of
-:class:`~repro.core.EarlSession` within each group), tracks consumption,
-and allocates integer quotas by largest remainder with caps at each
-stratum's remaining rows — deterministic for a fixed seed, so the
-grouped drivers built on top are reproducible across executor backends.
+:class:`~repro.core.EarlSession` within each group) and tracks
+consumption — deterministic for a fixed seed, so the grouped drivers
+built on top are reproducible across executor backends.  How many rows
+each group draws per round is not the sampler's business: its own
+expansion schedule decides, or, under a shared row budget, the
+cross-query scheduler's live ``N_h·S_h`` split
+(:mod:`repro.scheduler.budget`, built on :func:`allocate_with_caps`).
 """
 
 from __future__ import annotations
@@ -34,15 +28,6 @@ import numpy as np
 
 from repro.sampling.permutation import PermutationPrefix
 from repro.util.rng import SeedLike, ensure_rng
-from repro.util.validation import check_positive_int
-
-#: Allocation policy names (see module docstring).
-ALLOCATION_UNIFORM = "uniform"
-ALLOCATION_PROPORTIONAL = "proportional"
-ALLOCATION_NEYMAN = "neyman"
-
-ALLOCATIONS = (ALLOCATION_UNIFORM, ALLOCATION_PROPORTIONAL,
-               ALLOCATION_NEYMAN)
 
 
 def allocate_with_caps(weights: Sequence[float], total: int,
@@ -72,10 +57,10 @@ def allocate_with_caps(weights: Sequence[float], total: int,
     if np.any(weights < 0):
         raise ValueError("weights cannot be negative")
     if floors is not None:
-        floors_arr = np.minimum(np.asarray(floors, dtype=np.int64),
-                                caps_arr)
+        floors_arr = np.asarray(floors, dtype=np.int64)
         if floors_arr.shape != caps_arr.shape:
             raise ValueError("floors and caps must have matching lengths")
+        floors_arr = np.minimum(floors_arr, caps_arr)
         if np.any(floors_arr < 0):
             raise ValueError("floors cannot be negative")
         need = int(floors_arr.sum())
@@ -294,7 +279,7 @@ class Factorization:
 
 
 class StratifiedSampler:
-    """Per-stratum uniform sampling with policy-driven quota allocation.
+    """Per-stratum uniform sampling without replacement.
 
     Parameters
     ----------
@@ -302,8 +287,6 @@ class StratifiedSampler:
         One group key per table row; strata are formed in order of first
         appearance (a stable order every consumer shares).  A ready
         :class:`Factorization` of that column is taken as is.
-    allocation:
-        Quota policy for :meth:`allocate` — one of :data:`ALLOCATIONS`.
     seed:
         Seeds the per-stratum permutations drawn lazily on first use.
         A caller that owns per-stratum RNG streams (the grouped EARL
@@ -315,20 +298,14 @@ class StratifiedSampler:
     >>> sampler = StratifiedSampler(["a", "b", "a", "b", "b"], seed=0)
     >>> sampler.populations == {"a": 2, "b": 3}
     True
-    >>> quotas = sampler.allocate(3)          # proportional by default
-    >>> sum(quotas.values())
-    3
+    >>> len(sampler.take("b", 2)), sampler.remaining("b")
+    (2, 1)
     """
 
     def __init__(self, keys: Sequence[Hashable], *,
-                 allocation: str = ALLOCATION_PROPORTIONAL,
                  seed: SeedLike = None) -> None:
-        if allocation not in ALLOCATIONS:
-            raise ValueError(f"unknown allocation {allocation!r}; "
-                             f"known: {list(ALLOCATIONS)}")
         if len(keys) == 0:
             raise ValueError("keys must be non-empty")
-        self.allocation = allocation
         self._rng = ensure_rng(seed)
         strata = (keys if isinstance(keys, Factorization)
                   else Factorization.of(keys))
@@ -337,7 +314,6 @@ class StratifiedSampler:
             zip(strata.keys, strata.rows))
         self._orders: Dict[Hashable, PermutationPrefix] = {}
         self._consumed: Dict[Hashable, int] = {key: 0 for key in self._keys}
-        self._scales: Dict[Hashable, float] = {}
 
     # ------------------------------------------------------------- inventory
     @property
@@ -393,43 +369,6 @@ class StratifiedSampler:
             order = PermutationPrefix(len(self._rows[key]), self._rng)
             self._orders[key] = order
         return order
-
-    # ------------------------------------------------------------ allocation
-    def set_scale(self, key: Hashable, scale: float) -> None:
-        """Install a dispersion estimate (e.g. a pilot's std) for Neyman
-        allocation; non-finite or negative scales are rejected."""
-        if not np.isfinite(scale) or scale < 0:
-            raise ValueError(f"scale must be finite and >= 0, got {scale}")
-        self._scales[key] = float(scale)
-
-    def weights(self, active: Sequence[Hashable]) -> np.ndarray:
-        """Allocation weights for ``active`` strata under the policy."""
-        if self.allocation == ALLOCATION_UNIFORM:
-            return np.ones(len(active))
-        pops = np.array([self.population(k) for k in active], dtype=float)
-        if self.allocation == ALLOCATION_PROPORTIONAL:
-            return pops
-        # Neyman: N_h * S_h; fall back to proportional until every
-        # active stratum has a scale (a partial scale map would bias
-        # the split toward whichever groups happened to report first).
-        if not all(k in self._scales for k in active):
-            return pops
-        return pops * np.array([self._scales[k] for k in active])
-
-    def allocate(self, total: int,
-                 active: Optional[Sequence[Hashable]] = None
-                 ) -> Dict[Hashable, int]:
-        """Split a round budget of ``total`` rows across strata.
-
-        ``active`` restricts the split (default: every stratum); quotas
-        are capped at each stratum's remaining rows, with the excess
-        redistributed, so the returned quotas are always drawable.
-        """
-        check_positive_int("total", total)
-        strata = list(active) if active is not None else self.keys
-        caps = [self.remaining(k) for k in strata]
-        counts = allocate_with_caps(self.weights(strata), total, caps)
-        return dict(zip(strata, counts))
 
     # ------------------------------------------------------------- drawing
     def peek(self, key: Hashable, count: int) -> np.ndarray:

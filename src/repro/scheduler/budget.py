@@ -64,7 +64,7 @@ def allocate_budget(demands: Sequence[Dict[str, Any]],
     would collectively consume unscheduled, so global throughput is
     preserved and only the *split* changes.  Weights are live
     ``N_h · S_h`` (falling back to population when no arm has a live
-    scale yet, mirroring the stratified sampler's Neyman fallback);
+    scale yet);
     caps are each arm's needed-rows estimate; a one-row floor keeps
     every arm live.
     """

@@ -27,16 +27,19 @@ things no single engine can do alone:
   takes a per-round row cap (:meth:`SessionManager.run_round`) or
   per-group quotas (:meth:`GroupedEarlSession.run_round`) — so finished or
   near-finished arms donate their rows to the laggards *across
-  queries*, subsuming PR 5's per-session stratum reallocation.
+  queries*.  With an explicit ``round_budget`` the same split runs over
+  the groups of a lone grouped query: it is the only way to put a
+  grouped query on a row budget.
 
 Determinism contract: engines are built in canonical order (scan key,
 then query name) regardless of submission interleaving, every engine
 keeps its own seeded RNG streams, and rounds are driven in that same
 canonical order — so a fixed set of (named, seeded) submissions yields
 byte-identical snapshots across serial / thread / process backends and
-across submission orders.  With a single admitted engine no budgeting
-is applied at all: the engine runs its own schedule, preserving the
-solo-session byte-identity the repo pins.
+across submission orders.  With a single admitted engine and no
+explicit ``round_budget`` no budgeting is applied at all: the engine
+runs its own schedule, preserving the solo-session byte-identity the
+repo pins.
 """
 
 from __future__ import annotations

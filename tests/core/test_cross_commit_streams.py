@@ -60,20 +60,20 @@ def _manager(cancel=None):
     return build
 
 
-def _grouped_session(measures, executor, **kwargs):
+def _grouped_session(measures, executor):
     # n_override keeps SSABE (it still picks B) but starts every group
     # small, so the strata expand for several rounds instead of
     # resolving through the §3.1 fallback at set-up.
     return GroupedEarlSession(
         KEYS, measures,
         config=EarlConfig(sigma=0.04, seed=13, n_override=150,
-                          executor=executor, max_workers=2), **kwargs)
+                          executor=executor, max_workers=2))
 
 
-def _grouped(measures, **kwargs):
+def _grouped(measures):
     def build(executor):
         return [snap.to_dict() for snap
-                in _grouped_session(measures, executor, **kwargs).stream()]
+                in _grouped_session(measures, executor).stream()]
     return build
 
 
@@ -105,8 +105,6 @@ CASES = {
     "manager-cancelled-sibling": _manager(cancel="withdrawn"),
     "grouped-one-measure": _grouped(ONE),
     "grouped-two-measures": _grouped(TWO),
-    "grouped-neyman": _grouped(ONE, allocation="neyman",
-                               round_budget=900),
     "grouped-scheduled": _scheduled(ONE, round_budget=900),
 }
 
@@ -132,7 +130,7 @@ def test_fixture_exercises_every_path(recorded):
     names = {name for name, _ in recorded["manager-cancelled-sibling"]}
     assert names == {"mean", "median", "p90"}
     for case in ("grouped-one-measure", "grouped-two-measures",
-                 "grouped-neyman", "grouped-scheduled"):
+                 "grouped-scheduled"):
         final = recorded[case][-1]
         assert final["final"] and len(recorded[case]) >= 3
         assert all(entry["used_fallback"]

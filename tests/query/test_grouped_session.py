@@ -1,5 +1,5 @@
 """GroupedEarlSession: per-group early stopping, snapshots, streaming
-integration, budgeted allocation, executor backends."""
+integration, executor backends."""
 
 import numpy as np
 import pytest
@@ -183,32 +183,6 @@ class TestMultiAggregate:
         keys, values = skewed_table(n=1_000)
         with pytest.raises(ValueError):
             GroupedEarlSession(keys, [Measure("m", "mean", values[:-1])])
-
-
-class TestBudgetedAllocation:
-    @pytest.mark.parametrize("allocation",
-                             ["uniform", "proportional", "neyman"])
-    def test_policies_reach_the_bounds(self, allocation):
-        # milder dispersion than the laggard scenario: every group's
-        # bound is comfortably reachable from its own rows
-        keys, values = skewed_table(n=30_000, sigmas=(0.3, 0.8, 1.1))
-        session = GroupedEarlSession(
-            keys, [Measure("m", "mean", values)],
-            config=EarlConfig(sigma=0.08, seed=11, **SAMPLING_CFG),
-            allocation=allocation, round_budget=4_000)
-        result = session.run()
-        assert result.achieved
-        assert result.rows_processed <= 30_000
-
-    def test_budget_trickle_finalizes_best_effort(self):
-        keys, values = skewed_table(n=30_000)
-        session = GroupedEarlSession(
-            keys, [Measure("m", "mean", values)],
-            config=EarlConfig(sigma=0.001, seed=11, B_override=10,
-                              n_override=100),
-            allocation="uniform", round_budget=200)
-        result = session.run()   # must terminate, not spin
-        assert set(result.groups) == {"calm", "mid", "wild"}
 
 
 def _fingerprint(result):

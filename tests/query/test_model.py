@@ -75,18 +75,6 @@ class TestQueryValidation:
         with pytest.raises(RuntimeError):
             q.run()
 
-    def test_bad_allocation_rejected_at_plan(self):
-        q = Query([agg("mean", "value")], group_by="key",
-                  allocation="nope").on(small_table())
-        with pytest.raises(ValueError):
-            q.plan()
-
-    def test_round_budget_requires_policy(self):
-        q = Query([agg("mean", "value")], group_by="key",
-                  round_budget=100).on(small_table())
-        with pytest.raises(ValueError):
-            q.plan()
-
 
 class TestBindingAndPlanning:
     def test_on_returns_bound_copy(self):

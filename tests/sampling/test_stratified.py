@@ -1,4 +1,5 @@
-"""StratifiedSampler: strata, quota allocation policies, drawing."""
+"""StratifiedSampler: strata and drawing; the capped largest-remainder
+split the budget allocator uses."""
 
 import numpy as np
 import pytest
@@ -6,9 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sampling import (
-    ALLOCATION_NEYMAN,
-    ALLOCATION_PROPORTIONAL,
-    ALLOCATION_UNIFORM,
     PermutationPrefix,
     StratifiedSampler,
     allocate_with_caps,
@@ -50,6 +48,18 @@ class TestAllocateWithCaps:
         with pytest.raises(ValueError):
             allocate_with_caps([-1.0], 5, [5])
 
+    @pytest.mark.parametrize("floors", [[1], [1, 1], [1, 1, 1, 1]])
+    def test_rejects_floors_of_another_length(self, floors):
+        # Checked before clipping to the caps: NumPy would broadcast a
+        # one-element list into a floor for every slot.
+        with pytest.raises(ValueError, match="matching lengths"):
+            allocate_with_caps([1.0, 1.0, 1.0], 10, [5, 5, 5],
+                               floors=floors)
+
+    def test_floors_clip_to_caps(self):
+        counts = allocate_with_caps([0.0, 1.0], 4, [1, 10], floors=[3, 1])
+        assert counts == [1, 3]
+
 
 class TestStrata:
     def test_appearance_order_and_populations(self):
@@ -61,10 +71,6 @@ class TestStrata:
     def test_empty_keys_rejected(self):
         with pytest.raises(ValueError):
             StratifiedSampler([])
-
-    def test_unknown_allocation_rejected(self):
-        with pytest.raises(ValueError):
-            StratifiedSampler(["a"], allocation="nope")
 
 
 class TestDrawing:
@@ -128,61 +134,6 @@ class TestDrawing:
         for key in a.keys:
             assert list(a.take(key, a.population(key))) \
                 == list(b.take(key, b.population(key)))
-
-
-class TestAllocationPolicies:
-    KEYS = ["big"] * 80 + ["mid"] * 15 + ["rare"] * 5
-
-    def test_uniform_is_senate(self):
-        sampler = StratifiedSampler(self.KEYS,
-                                    allocation=ALLOCATION_UNIFORM, seed=0)
-        quotas = sampler.allocate(9)
-        assert quotas == {"big": 3, "mid": 3, "rare": 3}
-
-    def test_proportional_follows_populations(self):
-        sampler = StratifiedSampler(
-            self.KEYS, allocation=ALLOCATION_PROPORTIONAL, seed=0)
-        quotas = sampler.allocate(20)
-        assert quotas == {"big": 16, "mid": 3, "rare": 1}
-
-    def test_neyman_weights_population_times_scale(self):
-        sampler = StratifiedSampler(self.KEYS,
-                                    allocation=ALLOCATION_NEYMAN, seed=0)
-        # Without scales: proportional fallback.
-        assert sampler.allocate(20) == {"big": 16, "mid": 3, "rare": 1}
-        sampler.set_scale("big", 1.0)
-        sampler.set_scale("mid", 1.0)
-        sampler.set_scale("rare", 40.0)   # wildly dispersed rare group
-        quotas = sampler.allocate(20)
-        # N_h * S_h: 80, 15, 200 -> the rare-but-noisy group dominates;
-        # its quota caps at the stratum's 5 rows and the rest spills
-        # back to the other strata by weight.
-        assert quotas["rare"] == 5
-        assert quotas["big"] > quotas["mid"]
-        assert sum(quotas.values()) == 20
-
-    def test_allocation_caps_at_remaining(self):
-        sampler = StratifiedSampler(
-            self.KEYS, allocation=ALLOCATION_PROPORTIONAL, seed=0)
-        sampler.take("rare", 5)           # exhaust the rare stratum
-        quotas = sampler.allocate(30)
-        assert quotas["rare"] == 0
-        assert sum(quotas.values()) == 30
-
-    def test_active_restriction(self):
-        sampler = StratifiedSampler(
-            self.KEYS, allocation=ALLOCATION_PROPORTIONAL, seed=0)
-        quotas = sampler.allocate(10, active=["mid", "rare"])
-        assert set(quotas) == {"mid", "rare"}
-        assert sum(quotas.values()) == 10
-
-    def test_bad_scale_rejected(self):
-        sampler = StratifiedSampler(self.KEYS,
-                                    allocation=ALLOCATION_NEYMAN, seed=0)
-        with pytest.raises(ValueError):
-            sampler.set_scale("big", float("nan"))
-        with pytest.raises(ValueError):
-            sampler.set_scale("big", -1.0)
 
 
 # ---------------------------------------------------------------- factorize

@@ -222,6 +222,29 @@ class TestBudgetedRuns:
         results = sched.run()
         assert results["mean"].achieved and results["std"].achieved
 
+    def test_round_budget_splits_a_lone_grouped_query(self):
+        """One grouped query under a fixed per-round budget: the live
+        allocator grows each group to its need instead of doubling it
+        past the bound, so every bound is met with fewer rows than the
+        query's own schedule draws.  Summed over four session seeds,
+        since on a single seed the schedule can land just past a bound
+        by luck (28 of 30 seeds favour the budget here)."""
+        keys, values = skewed_keyed_values(40_000, 4, skew=1.4, seed=11)
+        table = {"key": keys, "value": values}
+        rows = {"schedule": 0, "budget": 0}
+        for seed in range(4):
+            cfg = EarlConfig(sigma=0.04, seed=seed, B_override=20,
+                             n_override=150)
+            solo = grouped_query(table, cfg).run()
+            sched = QueryScheduler(round_budget=1_000)
+            sched.submit_grouped(grouped_query(table, cfg).plan(),
+                                 name="g")
+            budgeted = sched.run()["g"]
+            assert solo.achieved and budgeted.achieved
+            rows["schedule"] += solo.rows_processed
+            rows["budget"] += budgeted.rows_processed
+        assert rows["budget"] < 0.8 * rows["schedule"]
+
     def test_starved_grouped_query_still_gets_its_final_event(self):
         # A round budget below the group count: the one-row floor
         # cannot cover every arm, so the session uses up its
