@@ -1,5 +1,6 @@
 """GroupedEarlSession: per-group early stopping, snapshots, streaming
-integration, executor backends."""
+integration, the stepping protocol under a scheduler's row budget,
+executor backends."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from repro.core import EarlConfig
 from repro.core.grouped import GroupedEarlSession, Measure
 from repro.query import Query, agg
+from repro.scheduler import QueryScheduler
 from repro.streaming import StreamConsumer
 
 
@@ -183,6 +185,92 @@ class TestMultiAggregate:
         keys, values = skewed_table(n=1_000)
         with pytest.raises(ValueError):
             GroupedEarlSession(keys, [Measure("m", "mean", values[:-1])])
+
+
+class TestSchedulerBudget:
+    """A grouped session's one way onto a row budget: the scheduler
+    reads its ``live_demands`` and steps it with ``run_round(grants)``."""
+
+    @staticmethod
+    def _session(sigma=0.05, **table):
+        keys, values = skewed_table(n=30_000, **table)
+        return GroupedEarlSession(
+            keys, [Measure("m", "mean", values)],
+            config=EarlConfig(sigma=sigma, seed=11, **SAMPLING_CFG))
+
+    @staticmethod
+    def _consumed(session):
+        return {unit.key: unit.consumed for unit in session._units}
+
+    def test_demands_before_the_first_round_use_the_pilot_spread(self):
+        session = self._session()
+        assert session.live_demands() == []        # not prepared yet
+        session.prepare()
+        demands = {d["key"]: d for d in session.live_demands()}
+        assert set(demands) == {"calm", "mid", "wild"}
+        for d in demands.values():
+            assert d["error"] == float("inf") and d["consumed"] == 0
+            assert d["scheduled"] == SAMPLING_CFG["n_override"]
+            assert d["remaining"] == d["size"]
+        # No estimate yet: the pilot's std ranks the groups' spread.
+        assert demands["calm"]["scale"] < demands["mid"]["scale"]
+        assert demands["calm"]["scale"] < demands["wild"]["scale"]
+
+    def test_demands_after_a_round_rescale_from_the_live_error(self):
+        session = self._session()
+        session.prepare()
+        session.run_round()
+        demands = session.live_demands()
+        assert demands, "scenario needs a group still sampling"
+        for d in demands:
+            assert d["scale"] == d["error"] * np.sqrt(d["consumed"])
+            assert d["scheduled"] > 0
+
+    def test_first_draw_follows_the_schedule_whatever_the_grant(self):
+        session = self._session()
+        session.prepare()
+        session.run_round({"calm": 1, "mid": 1, "wild": 1})
+        n = SAMPLING_CFG["n_override"]
+        assert self._consumed(session) == {"calm": n, "mid": n, "wild": n}
+
+    def test_grants_draw_exactly_what_is_granted(self):
+        session = self._session()
+        session.prepare()
+        session.run_round()
+        active = [d["key"] for d in session.live_demands()]
+        assert "wild" in active and len(active) >= 2
+        before = self._consumed(session)
+        session.run_round({"wild": 500})
+        after = self._consumed(session)
+        assert after["wild"] == before["wild"] + 500
+        # a group the grants leave out draws nothing this round
+        assert {k: v for k, v in after.items() if k != "wild"} \
+            == {k: v for k, v in before.items() if k != "wild"}
+
+    def test_unbudgeted_round_draws_each_groups_schedule(self):
+        session = self._session()
+        session.prepare()
+        session.run_round()
+        targets = {unit.key: unit.target for unit in session._units
+                   if unit.active}
+        assert targets
+        session.run_round()
+        consumed = self._consumed(session)
+        assert {key: consumed[key] for key in targets} == targets
+
+    @pytest.mark.parametrize("budget", [1_000, 4_000])
+    def test_budgeted_run_reaches_the_bounds(self, budget):
+        # milder dispersion than the laggard scenario: every group's
+        # bound is comfortably reachable from its own rows
+        session = self._session(sigma=0.03, sigmas=(0.3, 0.8, 1.1))
+        scheduler = QueryScheduler(round_budget=budget)
+        query = scheduler.submit_grouped(session, name="g")
+        result = scheduler.run()["g"]
+        assert result.achieved
+        assert result.rows_processed <= result.population_size
+        rows = [0] + [snap.rows_processed for snap in query.snapshots]
+        assert len(rows) >= 4                      # several rounds
+        assert all(b - a <= budget for a, b in zip(rows, rows[1:]))
 
 
 def _fingerprint(result):

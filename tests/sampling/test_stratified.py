@@ -60,6 +60,42 @@ class TestAllocateWithCaps:
         counts = allocate_with_caps([0.0, 1.0], 4, [1, 10], floors=[3, 1])
         assert counts == [1, 3]
 
+    def test_rejects_negative_floors(self):
+        with pytest.raises(ValueError, match="floors cannot be negative"):
+            allocate_with_caps([1.0, 1.0], 10, [5, 5], floors=[-1, 1])
+
+    def test_rejects_weights_of_another_length(self):
+        with pytest.raises(ValueError, match="matching lengths"):
+            allocate_with_caps([1.0, 1.0], 10, [5, 5, 5])
+
+    def test_population_weights_split_proportionally(self):
+        # Populations 80 / 15 / 5 as weights: a proportional split.
+        assert allocate_with_caps([80, 15, 5], 20, [80, 15, 5]) \
+            == [16, 3, 1]
+
+    def test_heavy_capped_slot_spills_by_weight(self):
+        # N_h * S_h = 80, 15, 200: the rare-but-noisy slot dominates,
+        # caps at its 5 rows, and the rest spills back by weight.
+        counts = allocate_with_caps([80.0, 15.0, 200.0], 20, [80, 15, 5])
+        assert counts == [13, 2, 5]
+
+    def test_exhausted_slot_gets_nothing_even_with_a_floor(self):
+        counts = allocate_with_caps([5.0, 1.0, 1.0], 10, [50, 0, 50],
+                                    floors=[1, 1, 1])
+        assert counts == [8, 0, 2]
+
+    def test_floors_come_before_the_weighted_split(self):
+        counts = allocate_with_caps([100.0, 0.0, 0.0], 10, [50, 50, 50],
+                                    floors=[1, 1, 1])
+        assert counts == [8, 1, 1]
+
+    def test_total_below_floors_splits_the_floors(self):
+        # Two units for three one-row floors: largest remainder over the
+        # floors alone, ties to the earlier slots; weights play no part.
+        counts = allocate_with_caps([1.0, 1.0, 5.0], 2, [50, 50, 50],
+                                    floors=[1, 1, 1])
+        assert counts == [1, 1, 0]
+
 
 class TestStrata:
     def test_appearance_order_and_populations(self):
