@@ -2,9 +2,10 @@
 
 EARL's §4.1 argument is that maintaining resamples across sample
 expansions costs O(|Δs|) per resample — but the constant matters.  This
-benchmark measures ``ResampleSet.initialize`` and ``expand`` throughput
-(items/sec) for the item-at-a-time scalar reference
-(``vectorized=False``) against the NumPy batch kernel (the default) at
+benchmark measures ``initialize`` and ``expand`` throughput (items/sec)
+of the NumPy batch kernel (``ResampleSet``) against the item-at-a-time
+scalar reference (``ReferenceResampleSet`` from
+``tests/delta_reference.py``, the test suite's oracle) at
 n ∈ {10⁴, 10⁵, 10⁶}, for the naive and the optimized maintainer over
 simulated storage (a bound ``CostLedger`` — the optimized one goes
 through §4.1's sketches, what these two rows have always measured) and
@@ -16,12 +17,12 @@ service actually runs hold 16–32k rows.  On the ``naive`` and
 (same drawn items, same counters — see ``tests/core/test_delta.py``),
 so the ratio is a pure constant-factor comparison.  The ``resident`` row
 does not share a stream with its reference: the batch kernel there is
-the dense ``(B × n)`` array, the reference the item-at-a-time
-``ResidentMaintainer`` — two draws from one law (the KS gate of
-``tests/core/test_delta.py``), compared in throughput.  ``expand`` is
-timed through the read of the ``B`` estimates that ends every round:
-the dense rows keep no estimator state, so their statistic is evaluated
-there, and a stage is not done before it is.
+the dense ``(B × n)`` array, the reference an item-at-a-time resident
+access (Gaussian ``k``, direct indexing) — two draws from one law (the
+KS gate of ``tests/core/test_delta.py``), compared in throughput.
+``expand`` is timed through the read of the ``B`` estimates that ends
+every round: the dense rows keep no estimator state, so their statistic
+is evaluated there, and a stage is not done before it is.
 
 Outputs machine-readable ``BENCH_kernel.json``; the committed copy at
 ``benchmarks/BENCH_kernel.json`` is the baseline the CI regression gate
@@ -47,7 +48,9 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from repro.cluster.costmodel import CostLedger  # noqa: E402
 from repro.core.delta import (  # noqa: E402 (path bootstrap above)
@@ -55,6 +58,7 @@ from repro.core.delta import (  # noqa: E402 (path bootstrap above)
     MAINTENANCE_OPTIMIZED,
     ResampleSet,
 )
+from delta_reference import ReferenceResampleSet  # noqa: E402
 
 #: Full sweep (the committed baseline) and the CI smoke subset.
 FULL_SIZES = (100, 1_000, 10_000, 100_000, 1_000_000)
@@ -80,9 +84,9 @@ def _time_once(mode: str, vectorized: bool, data: np.ndarray, n: int,
     """One initialize(n) + expand(Δ = n) run (the latter through the
     read of its estimates); returns stage seconds."""
     maintenance, ledger_bound = MODES[mode]
-    rs = ResampleSet("mean", B, maintenance=maintenance, seed=SEED,
-                     vectorized=vectorized,
-                     ledger=CostLedger() if ledger_bound else None)
+    make = ResampleSet if vectorized else ReferenceResampleSet
+    rs = make("mean", B, maintenance=maintenance, seed=SEED,
+              ledger=CostLedger() if ledger_bound else None)
     t0 = time.perf_counter()
     rs.initialize(data[:n])
     t1 = time.perf_counter()

@@ -44,7 +44,6 @@ from repro.core.delta import (
     NaiveMaintainer,
     Resample,
     ResampleSet,
-    ResidentMaintainer,
     SketchMaintainer,
 )
 from repro.core.dependent import (
@@ -124,8 +123,8 @@ __all__ = [
     "SSABEResult", "estimate_parameters", "estimate_num_bootstraps",
     "estimate_sample_size", "theoretical_sample_size_mean",
     # delta maintenance
-    "ResampleSet", "Resample", "NaiveMaintainer", "ResidentMaintainer",
-    "SketchMaintainer", "MaintenanceCounters", "Sketch", "ITEM_BYTES",
+    "ResampleSet", "Resample", "NaiveMaintainer", "SketchMaintainer",
+    "MaintenanceCounters", "Sketch", "ITEM_BYTES",
     "MAINTENANCE_NAIVE", "MAINTENANCE_OPTIMIZED", "MAINTENANCE_NONE",
     # intra-iteration
     "prob_identical_fraction", "work_saved", "work_saved_curve",

@@ -20,22 +20,24 @@ for every random access; the **optimized** maintainer goes through the
 or, when the sample is memory-resident (no cost ledger bound), indexes
 it directly: there is no disk round trip for a sketch to save.
 
-Vectorized kernel
------------------
+Batched kernel
+--------------
 The O(|Δs|)-per-resample accounting only pays off if the constant per
-item is small, so the maintainers run a *vectorized* kernel by default:
-index draws are taken as whole arrays (``rng.integers(..., size=m)``,
-batched sketch serves) and estimator states are updated through
-``add_many``/``remove_many`` instead of one Python call per item.  Over
-(simulated) storage and in the naive maintainer the kernel consumes the
-random stream in exactly the same order as the scalar reference
-(``vectorized=False``), so drawn items, resample contents and
-:class:`MaintenanceCounters` are byte-identical for any seed; only the
-estimator-state arithmetic is reassociated (batch moment merges), which
-can move finalized estimates by floating-point rounding.  A
-memory-resident optimized set goes further (:class:`_DenseRows`): all
-``B`` resamples are one array, updated and evaluated together — same
-law as its scalar reference, not the same bytes.
+item is small, so the maintainers take index draws as whole arrays
+(``rng.integers(..., size=m)``, batched sketch serves) and update
+estimator states through ``add_many``/``remove_many`` instead of one
+Python call per item.  Over (simulated) storage, in the naive
+maintainer and in the ``"none"`` rebuild the kernel consumes the random
+stream in exactly the order of the item-at-a-time reading of §4.1, so
+drawn items, resample contents and :class:`MaintenanceCounters` are
+those of that reading for any seed; only the estimator-state arithmetic
+is reassociated (batch moment merges), which can move finalized
+estimates by floating-point rounding.  The scalar reading itself lives
+in the test suite as the oracle (``tests/delta_reference.py``, pinned
+by ``tests/fixtures/delta_streams.json``).  A memory-resident optimized
+set goes further (:class:`_DenseRows`): all ``B`` resamples are one
+array, updated and evaluated together — same law as the oracle's
+resident access, not the same bytes.
 See DESIGN.md "Vectorized kernel & data plane".
 """
 
@@ -105,17 +107,13 @@ class MaintenanceCounters:
 
 
 class _ItemBuffer:
-    """Growable ndarray-backed segment for vectorized resamples.
+    """Growable ndarray-backed segment of a :class:`Resample`.
 
-    Presents the slice of the list API the maintainers need — ``len``,
-    indexing (for the swap-pop delete), ``append``, ``pop`` — while a
-    whole batch lands as one array copy (:meth:`extend_array`) instead
-    of per-item list appends.  Scalar resamples keep plain Python lists,
-    so the ``vectorized=False`` reference stays the original code path.
-
-    ``pop``/indexing return scalars for 1-D buffers and row *copies*
-    for 2-D ones — never views, so a swap-pop overwriting a slot can't
-    retroactively change an item already handed out.
+    A whole batch lands as one array copy (:meth:`extend_array`); the
+    maintainers' delete is :meth:`swap_pop`, which returns a scalar for
+    a 1-D buffer and a row *copy* for a 2-D one — never a view, so a
+    later swap-pop overwriting the slot can't retroactively change an
+    item already handed out.
     """
 
     __slots__ = ("_buf", "_len")
@@ -158,16 +156,6 @@ class _ItemBuffer:
         self._buf[self._len:self._len + count] = items
         self._len += count
 
-    def append(self, item: Any) -> None:
-        self.extend_array(np.asarray(item).reshape((1,) + np.shape(item)))
-
-    def pop(self) -> Any:
-        if self._len == 0:
-            raise IndexError("pop from empty segment")
-        self._len -= 1
-        item = self._buf[self._len]
-        return item.copy() if isinstance(item, np.ndarray) else item
-
     def swap_pop(self, idx: int) -> Any:
         """Remove and return item ``idx`` (``0 <= idx < len``), moving
         the last item into its slot — the maintainers' O(1) delete."""
@@ -177,20 +165,6 @@ class _ItemBuffer:
         self._len -= 1
         self._buf[idx] = self._buf[self._len]
         return item
-
-    def _index(self, idx: int) -> int:
-        if idx < 0:
-            idx += self._len
-        if not 0 <= idx < self._len:
-            raise IndexError("segment index out of range")
-        return idx
-
-    def __getitem__(self, idx: int) -> Any:
-        item = self._buf[self._index(idx)]
-        return item.copy() if isinstance(item, np.ndarray) else item
-
-    def __setitem__(self, idx: int, value: Any) -> None:
-        self._buf[self._index(idx)] = value
 
     def __iter__(self):
         return iter(self.as_array())
@@ -212,73 +186,30 @@ class Resample:
     ``{b_Δs_k, k <= i}`` (§4.1) — the items drawn from each delta sample.
     Keeping the partition explicit lets the maintainer delete uniformly
     (segment chosen proportionally to its size) and lets the optimized
-    algorithm keep one sketch per segment.
-
-    ``vectorized`` resamples store segments in ndarray-backed
-    :class:`_ItemBuffer` chunks (batch appends are array copies); the
-    default keeps plain Python lists — the scalar reference layout.
+    algorithm keep one sketch per segment.  Each segment is an
+    :class:`_ItemBuffer`.
     """
 
-    __slots__ = ("state", "segments", "_vectorized")
+    __slots__ = ("state", "segments")
 
-    def __init__(self, state: EstimatorState,
-                 vectorized: bool = False) -> None:
+    def __init__(self, state: EstimatorState) -> None:
         self.state = state
-        self.segments: List[Any] = []
-        self._vectorized = vectorized
+        self.segments: List[_ItemBuffer] = []
 
     @property
     def size(self) -> int:
         return sum(len(seg) for seg in self.segments)
 
     def new_segment(self) -> None:
-        self.segments.append(_ItemBuffer() if self._vectorized else [])
-
-    def add(self, item: Any, segment: int) -> None:
-        self.segments[segment].append(item)
-        self.state.add(item)
+        self.segments.append(_ItemBuffer())
 
     def add_many(self, items: np.ndarray, segment: int) -> None:
-        """Append a whole batch to one segment with a single state call.
-
-        Equivalent to ``for item in items: self.add(item, segment)`` —
-        same items in the same order — but the segment grows by one
-        array copy and the estimator state is updated once via
-        ``add_many``.
-        """
+        """Append a batch to one segment (one array copy) and fold it
+        into the estimator state with one ``add_many``."""
         if len(items) == 0:
             return
-        target = self.segments[segment]
-        if isinstance(target, _ItemBuffer):
-            target.extend_array(items)
-        elif items.ndim == 1:
-            target.extend(items.tolist())
-        else:  # row items into a list segment: keep ndarray rows
-            target.extend(list(items))
+        self.segments[segment].extend_array(items)
         self.state.add_many(items)
-
-    def _pop_random(self, rng: np.random.Generator) -> Any:
-        """Swap-pop a uniformly random item, *without* updating the
-        state (callers batch the state update)."""
-        total = self.size
-        if total == 0:
-            raise ValueError("cannot remove from an empty resample")
-        flat = int(rng.integers(0, total))
-        for segment in self.segments:
-            if flat < len(segment):
-                idx = flat
-                item = segment[idx]
-                segment[idx] = segment[-1]
-                segment.pop()
-                return item
-            flat -= len(segment)
-        raise AssertionError("unreachable: index inside total size")
-
-    def remove_random(self, rng: np.random.Generator) -> Any:
-        """Delete a uniformly random item (swap-pop within its segment)."""
-        item = self._pop_random(rng)
-        self.state.remove(item)
-        return item
 
     def remove_random_many(self, rng: np.random.Generator,
                            count: int) -> np.ndarray:
@@ -286,15 +217,19 @@ class Resample:
         and one state call.
 
         ``rng.integers(0, bounds)`` over the descending bounds
-        ``size, size-1, …`` consumes the generator exactly like the
-        ``count`` scalar ``rng.integers(0, size)`` calls of
-        :meth:`remove_random` with their shrinking bound, so the random
-        stream — and the deleted items — are byte-identical; the
-        swap-pops then replay on plain ints.
+        ``size, size-1, …`` consumes the generator exactly like
+        ``count`` scalar ``rng.integers(0, size)`` calls with their
+        shrinking bound (``tests/core/test_rng_identities.py``), so the
+        deleted items are those of ``count`` one-at-a-time swap-pops,
+        which then replay on plain ints.
         """
         total = self.size
+        if count < 0:
+            raise ValueError(f"cannot remove a negative number of items "
+                             f"({count})")
         if count > total:
-            raise ValueError("cannot remove from an empty resample")
+            raise ValueError(f"cannot remove {count} items from a "
+                             f"resample of {total}")
         flats = rng.integers(0, np.arange(total, total - count, -1)).tolist()
         sizes = [len(segment) for segment in self.segments]
         removed = []
@@ -315,43 +250,41 @@ class Resample:
 
 
 class _BaseMaintainer:
-    """The §4.1 update over a sample this process can index directly.
+    """The three-step §4.1 update, shared by both algorithms.
 
-    The maintainers differ along two axes — the law ``k`` is drawn from
-    (:meth:`_draw_k`) and how a random stored item is reached.  This
-    base is *direct access*: one fixed-bound ``rng.integers`` per item
-    into the stored Δs arrays, with a :meth:`_charge_access` hook for
-    what an access costs (nothing, when the sample is memory-resident).
-
-    ``vectorized`` selects between the batched kernel (default) and the
-    item-at-a-time scalar reference.  Both consume the random stream in
-    the same order, so they draw the same items and report the same
-    counters; the kernels differ only in how the estimator state folds
-    a batch in (see the module docstring).
+    They differ in the law ``k`` is drawn from (:meth:`_draw_k`) and in
+    how random stored items are reached (:meth:`_add_from_old`,
+    :meth:`_add_from_delta`).  Both reach them a batch at a time: the
+    draws consume the random stream in the order of one draw per item,
+    and the items land with one state call.
     """
 
     def __init__(self, statistic: Statistic, *,
                  rng: np.random.Generator,
                  ledger: Optional[CostLedger],
-                 io_scale: float = 1.0,
-                 vectorized: bool = True) -> None:
+                 io_scale: float = 1.0) -> None:
         self._stat = statistic
         self._rng = rng
         self._ledger = ledger
         self.io_scale = io_scale
-        self._vectorized = vectorized
         self.counters = MaintenanceCounters()
         #: Every Δs so far, oldest first; during an iteration the last
         #: one is the delta being added and the rest the old sample.
         self._deltas: List[np.ndarray] = []
-        self._old: Optional[tuple] = None   # see _old_layout
 
     def _draw_k(self, n_old: int, n_new: int) -> int:
         """Draw ``|b'_s|`` — the old-sample share of the updated resample."""
         raise NotImplementedError
 
-    def _charge_access(self, count: int) -> None:
-        """Account for ``count`` random accesses to the stored sample."""
+    def _add_from_old(self, resample: Resample, count: int) -> None:
+        """Add ``count`` uniform draws from the old sample, each to the
+        segment of the Δs it came from."""
+        raise NotImplementedError
+
+    def _add_from_delta(self, resample: Resample, segment: int,
+                        count: int) -> None:
+        """Add ``count`` uniform draws from the current Δs to ``segment``."""
+        raise NotImplementedError
 
     def on_delta(self, delta: np.ndarray) -> None:
         """Called once per iteration before resamples are updated."""
@@ -359,6 +292,57 @@ class _BaseMaintainer:
 
     def end_iteration(self) -> None:
         """Called once per iteration after all resamples were updated."""
+
+    @staticmethod
+    def _land_old_items(resample: Resample, items: np.ndarray,
+                        seg_ids: np.ndarray) -> None:
+        """Append old-sample draws to the segments they came from
+        (clamped to the resample's own segment count), one state call."""
+        np.minimum(seg_ids, len(resample.segments) - 1, out=seg_ids)
+        for seg in np.unique(seg_ids):
+            resample.segments[int(seg)].extend_array(items[seg_ids == seg])
+        resample.state.add_many(items)
+
+    def update(self, resample: Resample, n_old: int, n_new: int) -> None:
+        """Apply the three-step §4.1 update to one resample."""
+        if n_new <= n_old:
+            raise ValueError("the sample must grow between iterations")
+        k = int(min(max(self._draw_k(n_old, n_new), 0), n_new))
+        # Step 2: reconcile the old-sample part of the resample to size k.
+        if k < n_old:
+            resample.remove_random_many(self._rng, n_old - k)
+        elif k > n_old:
+            self._add_from_old(resample, k - n_old)
+        self.counters.state_ops += abs(n_old - k)
+        # Step 3: top up to n_new with draws from the delta sample.
+        resample.new_segment()
+        self._add_from_delta(resample, len(resample.segments) - 1, n_new - k)
+        self.counters.state_ops += n_new - k
+
+
+class NaiveMaintainer(_BaseMaintainer):
+    """The paper's first algorithm: exact binomial, direct HDFS access.
+
+    Every random draw from the stored sample is a disk access ("the disk
+    I/O cost can be a major performance bottleneck", §4.1); the cost
+    model charges one seek plus one item read per access.  Draws are
+    one fixed-bound ``rng.integers`` array call into the stored Δs
+    arrays — the stream of the same number of scalar calls.
+    """
+
+    def _draw_k(self, n_old: int, n_new: int) -> int:
+        return int(self._rng.binomial(n_new, n_old / n_new))
+
+    def _charge_access(self, count: int) -> None:
+        self.counters.disk_accesses += count
+        if self._ledger is not None:
+            self._ledger.charge_seeks(count)
+            self._ledger.charge_disk_read(count * ITEM_BYTES * self.io_scale)
+
+    #: Flattened old sample + segment starts, for one iteration.
+    _old: Optional[tuple] = None
+
+    def end_iteration(self) -> None:
         self._old = None  # old-sample layout changed; rebuild lazily
 
     def _old_layout(self):
@@ -371,27 +355,7 @@ class _BaseMaintainer:
                                    dtype=np.int64))
         return self._old
 
-    # One draw at a time (the scalar reference) ...
-    def _draw_from_old_with_segment(self, resample: Resample):
-        """Uniform item of the stored old sample, with its segment index."""
-        flat, starts = self._old_layout()
-        self._charge_access(1)
-        idx = int(self._rng.integers(0, len(flat)))
-        seg_idx = int(np.searchsorted(starts, idx, side="right")) - 1
-        return flat[idx], min(seg_idx, len(resample.segments) - 1)
-
-    def _draw_from_delta(self) -> Any:
-        """Uniform item of the current delta sample."""
-        delta = self._deltas[-1]
-        self._charge_access(1)
-        return delta[int(self._rng.integers(0, len(delta)))]
-
-    # ... and batched: one fixed-bound ``integers`` array call replaces
-    # the same number of scalar calls — the random stream is unchanged —
-    # and the items land with one state call (the vectorized kernel).
-    def _add_from_old_batch(self, resample: Resample, count: int) -> None:
-        if count == 0:
-            return
+    def _add_from_old(self, resample: Resample, count: int) -> None:
         flat, starts = self._old_layout()
         self._charge_access(count)
         idx = self._rng.integers(0, len(flat), size=count)
@@ -399,8 +363,8 @@ class _BaseMaintainer:
             resample, flat[idx],
             np.searchsorted(starts, idx, side="right") - 1)
 
-    def _add_from_delta_batch(self, resample: Resample, segment: int,
-                              count: int) -> None:
+    def _add_from_delta(self, resample: Resample, segment: int,
+                        count: int) -> None:
         if count == 0:
             return
         delta = self._deltas[-1]
@@ -408,94 +372,13 @@ class _BaseMaintainer:
         idx = self._rng.integers(0, len(delta), size=count)
         resample.add_many(delta[idx], segment)
 
-    @staticmethod
-    def _land_old_items(resample: Resample, items: np.ndarray,
-                        seg_ids: np.ndarray) -> None:
-        """Append old-sample draws to the segments they came from
-        (clamped to the resample's own segment count), one state call."""
-        np.minimum(seg_ids, len(resample.segments) - 1, out=seg_ids)
-        for seg in np.unique(seg_ids):
-            resample.segments[int(seg)].extend_array(items[seg_ids == seg])
-        resample.state.add_many(items)
 
-    # Common update -------------------------------------------------------
-    def update(self, resample: Resample, n_old: int, n_new: int,
-               delta_size: int) -> None:
-        """Apply the three-step §4.1 update to one resample."""
-        if n_new <= n_old:
-            raise ValueError("the sample must grow between iterations")
-        k = int(min(max(self._draw_k(n_old, n_new), 0), n_new))
-        # Step 2: reconcile the old-sample part of the resample to size k.
-        if k < n_old:
-            count = n_old - k
-            if self._vectorized:
-                resample.remove_random_many(self._rng, count)
-            else:
-                for _ in range(count):
-                    resample.remove_random(self._rng)
-            self.counters.state_ops += count
-        elif k > n_old:
-            count = k - n_old
-            if self._vectorized:
-                self._add_from_old_batch(resample, count)
-            else:
-                for _ in range(count):
-                    item, segment = self._draw_from_old_with_segment(resample)
-                    resample.segments[segment].append(item)
-                    resample.state.add(item)
-            self.counters.state_ops += count
-        # Step 3: top up to n_new with draws from the delta sample.
-        resample.new_segment()
-        new_segment = len(resample.segments) - 1
-        count = n_new - k
-        if self._vectorized:
-            self._add_from_delta_batch(resample, new_segment, count)
-        else:
-            for _ in range(count):
-                item = self._draw_from_delta()
-                resample.add(item, new_segment)
-        self.counters.state_ops += count
+class SketchMaintainer(_BaseMaintainer):
+    """The optimized algorithm over (simulated) storage.
 
-
-class NaiveMaintainer(_BaseMaintainer):
-    """The paper's first algorithm: exact binomial, direct HDFS access.
-
-    Every random draw from the stored sample is a disk access ("the disk
-    I/O cost can be a major performance bottleneck", §4.1); the cost
-    model charges one seek plus one item read per access.
-    """
-
-    def _draw_k(self, n_old: int, n_new: int) -> int:
-        return int(self._rng.binomial(n_new, n_old / n_new))
-
-    def _charge_access(self, count: int) -> None:
-        self.counters.disk_accesses += count
-        if self._ledger is not None:
-            self._ledger.charge_seeks(count)
-            self._ledger.charge_disk_read(count * ITEM_BYTES * self.io_scale)
-
-
-class _GaussianK:
-    """The optimized algorithm's law for ``k``: ``N(n, n(1-n/n'))``
-    (Eq. 3) — by the 3-sigma rule nearly all updates stay within ``±3√n``
-    of the mean, so the per-iteration work is tightly concentrated."""
-
-    def _draw_k(self, n_old: int, n_new: int) -> int:
-        var = n_old * (1.0 - n_old / n_new)
-        k = self._rng.normal(n_old, math.sqrt(max(var, 1e-12)))
-        return int(round(k))
-
-
-class ResidentMaintainer(_GaussianK, _BaseMaintainer):
-    """The optimized algorithm over a memory-resident sample: Gaussian
-    ``k``, plain indexing.  §4.1's sketches save disk round trips; with
-    no disk there is nothing to save, so none is built and nothing is
-    charged."""
-
-
-class SketchMaintainer(_GaussianK, _BaseMaintainer):
-    """The optimized algorithm over (simulated) storage: sketched access.
-
+    * ``k`` is drawn from ``N(n, n(1-n/n'))`` (Eq. 3) — by the 3-sigma
+      rule nearly all updates stay within ``±3√n`` of the mean, so the
+      per-iteration work is tightly concentrated;
     * random items come from in-memory sketches (one per delta sample,
       ``c·√n`` items each); disk is touched only on sketch exhaustion;
     * at iteration end, sketches are refreshed by reservoir substitution.
@@ -503,21 +386,25 @@ class SketchMaintainer(_GaussianK, _BaseMaintainer):
 
     def __init__(self, statistic: Statistic, *, rng: np.random.Generator,
                  ledger: Optional[CostLedger], c: float = 4.0,
-                 io_scale: float = 1.0, vectorized: bool = True) -> None:
+                 io_scale: float = 1.0) -> None:
         super().__init__(statistic, rng=rng, ledger=ledger,
-                         io_scale=io_scale, vectorized=vectorized)
+                         io_scale=io_scale)
         check_positive("c", c)
         self._c = c
         self._delta_sketches: List[Sketch] = []
-        self._old_probs_cache: Optional[np.ndarray] = None
         self._old_cdf_cache: Optional[np.ndarray] = None
+
+    def _draw_k(self, n_old: int, n_new: int) -> int:
+        var = n_old * (1.0 - n_old / n_new)
+        k = self._rng.normal(n_old, math.sqrt(max(var, 1e-12)))
+        return int(round(k))
 
     def on_delta(self, delta: np.ndarray) -> None:
         super().on_delta(delta)
         self._delta_sketches.append(
             Sketch(delta, self._c, rng=self._rng, ledger=self._ledger,
                    io_scale=self.io_scale))
-        self._old_probs_cache = self._old_cdf_cache = None
+        self._old_cdf_cache = None
 
     def end_iteration(self) -> None:
         for sketch in self._delta_sketches:
@@ -532,50 +419,29 @@ class SketchMaintainer(_GaussianK, _BaseMaintainer):
             self.counters.sketch_draws += 1
         return item
 
-    def _old_probs(self) -> np.ndarray:
-        """Old-segment selection weights (cached: the stores are fixed
-        while one iteration's resamples are updated)."""
-        if self._old_probs_cache is None:
+    def _old_cdf(self) -> np.ndarray:
+        """Cumulative old-segment selection weights (each segment's
+        share of the old sample), normalised exactly the way
+        ``Generator.choice(k, p=)`` does it.  Cached: the stores are
+        fixed while one iteration's resamples are updated."""
+        if self._old_cdf_cache is None:
             sizes = np.array([len(store) for store in self._deltas[:-1]],
                              dtype=float)
-            self._old_probs_cache = sizes / sizes.sum()
-        return self._old_probs_cache
-
-    def _old_cdf(self) -> np.ndarray:
-        """Cumulative :meth:`_old_probs`, normalised exactly the way
-        ``Generator.choice`` does it (cached alongside)."""
-        if self._old_cdf_cache is None:
-            cdf = self._old_probs().cumsum()
+            cdf = (sizes / sizes.sum()).cumsum()
             cdf /= cdf[-1]
             self._old_cdf_cache = cdf
         return self._old_cdf_cache
 
-    def _draw_from_old_with_segment(self, resample: Resample):
-        """Uniform item of the old sample via the per-delta sketches.
-
-        Segment chosen proportionally to its share of the old sample,
-        then a sketch draw within the segment — the composition is a
-        uniform draw over the whole old sample.
-        """
-        probs = self._old_probs()
-        seg_idx = int(self._rng.choice(len(probs), p=probs))
-        item = self._sketch_draw(self._delta_sketches[seg_idx])
-        return item, min(seg_idx, len(resample.segments) - 1)
-
-    def _draw_from_delta(self) -> Any:
-        return self._sketch_draw(self._delta_sketches[-1])
-
-    # Vectorized paths.  The delta top-up is served as one sketch slice
-    # sequence (:meth:`Sketch.draw_many` is byte-identical to the scalar
-    # loop, reloads included).  Old-sample additions stay one draw at a
-    # time — the segment choice interleaves with sketch reloads on the
-    # shared stream — but pick the segment the way ``rng.choice(k, p=)``
-    # does internally (one uniform, searched in the normalised cdf)
-    # without its per-call argument validation: same stream, same
-    # segment, and O(√n) items per resample land in one state call.
-    def _add_from_old_batch(self, resample: Resample, count: int) -> None:
-        if count == 0:
-            return
+    # Old-sample additions go one draw at a time — the segment choice
+    # interleaves with sketch reloads on the shared stream — picking the
+    # segment the way ``rng.choice(k, p=)`` does internally (one
+    # uniform, searched in the normalised cdf) without its per-call
+    # argument validation: segment chosen proportionally to its share
+    # of the old sample, then a sketch draw within it, which composes
+    # to a uniform draw over the whole old sample; the O(√n) items per
+    # resample land in one state call.  The delta top-up is one sketch
+    # slice sequence (:meth:`Sketch.draw_many`, reloads included).
+    def _add_from_old(self, resample: Resample, count: int) -> None:
         cdf = self._old_cdf()
         seg_ids, items = [], []
         for _ in range(count):
@@ -585,8 +451,8 @@ class SketchMaintainer(_GaussianK, _BaseMaintainer):
         self._land_old_items(resample, np.asarray(items),
                              np.asarray(seg_ids))
 
-    def _add_from_delta_batch(self, resample: Resample, segment: int,
-                              count: int) -> None:
+    def _add_from_delta(self, resample: Resample, segment: int,
+                        count: int) -> None:
         if count == 0:
             return
         items, reloads = self._delta_sketches[-1].draw_many(count)
@@ -603,7 +469,9 @@ class _DenseRows:
     pickles.  The §4.1 update runs for every row at once in a constant
     number of NumPy calls, and nothing else is maintained: in memory,
     re-reading ``f`` from the rows (``Statistic.batch``) is one
-    reduction.  Same law as :class:`ResidentMaintainer`, other bytes.
+    reduction.  Same law as the item-at-a-time §4.1 update with a
+    Gaussian ``k`` over a directly indexed sample (the resident access
+    of ``tests/delta_reference.py``), other bytes.
     """
 
     def __init__(self, sample: np.ndarray, B: int,
@@ -695,14 +563,12 @@ class ResampleSet:
     array.  Decided once: a later :meth:`set_ledger` redirects charges,
     it never changes the access path.
 
-    ``vectorized`` (default) runs the NumPy batch kernel; ``False``
-    selects the item-at-a-time scalar reference.  Over storage, and for
-    ``"naive"`` and ``"none"``, both consume the random stream
-    identically — same drawn items, same :class:`MaintenanceCounters`
-    for any seed — and differ only in floating-point reassociation of
-    the estimator-state arithmetic; a memory-resident optimized set and
-    its reference (:class:`ResidentMaintainer`) agree in law, not in
-    bytes (``benchmarks/bench_kernel.py`` measures the throughput gap).
+    Every path is the batched kernel (see the module docstring): over
+    storage, and for ``"naive"`` and ``"none"``, it draws the items and
+    counts the :class:`MaintenanceCounters` of the item-at-a-time
+    reading of §4.1 for any seed; dense rows agree with that reading in
+    law, not in bytes (``benchmarks/bench_kernel.py`` measures the
+    throughput gap).
 
     The sample and every stored Δs are the arrays handed to
     :meth:`initialize` / :meth:`expand` (``np.asarray`` of them — no
@@ -715,14 +581,13 @@ class ResampleSet:
                  sketch_c: float = 4.0,
                  seed: SeedLike = None,
                  ledger: Optional[CostLedger] = None,
-                 io_scale: float = 1.0,
-                 vectorized: bool = True) -> None:
+                 io_scale: float = 1.0) -> None:
         check_positive_int("B", B)
         if maintenance not in (MAINTENANCE_NAIVE, MAINTENANCE_OPTIMIZED,
                                MAINTENANCE_NONE):
             raise ValueError(f"unknown maintenance mode {maintenance!r}")
         check_positive("io_scale", io_scale)
-        check_positive("c", sketch_c)
+        check_positive("sketch_c", sketch_c)
         self._stat = get_statistic(statistic)
         self.B = B
         self._mode = maintenance
@@ -730,7 +595,6 @@ class ResampleSet:
         self._rng = ensure_rng(seed)
         self._ledger = ledger
         self._io_scale = io_scale
-        self._vectorized = vectorized
         self._chunks: List[np.ndarray] = []   # the sample, one array per Δs
         self._n = 0
         self._resamples: List[Resample] = []
@@ -741,14 +605,14 @@ class ResampleSet:
         self._maintainer: Optional[_BaseMaintainer] = None
 
     def _make_maintainer(self) -> Optional[_BaseMaintainer]:
+        """The per-resample maintainer; ledger-less ``"optimized"`` sets
+        are dense rows and never get here."""
         if self._mode == MAINTENANCE_NONE:
             return None
         common = dict(rng=self._rng, ledger=self._ledger,
-                      io_scale=self._io_scale, vectorized=self._vectorized)
+                      io_scale=self._io_scale)
         if self._mode == MAINTENANCE_NAIVE:
             return NaiveMaintainer(self._stat, **common)
-        if self._ledger is None:
-            return ResidentMaintainer(self._stat, **common)
         return SketchMaintainer(self._stat, c=self._sketch_c, **common)
 
     # ------------------------------------------------------------ lifecycle
@@ -794,16 +658,10 @@ class ResampleSet:
         from the ``n`` ``items``, consuming this set's stream.  The
         single construction path shared by :meth:`initialize` and the
         no-maintainer rebuild, so the two can never drift apart."""
-        resample = Resample(self._stat.make_state(),
-                            vectorized=self._vectorized)
+        resample = Resample(self._stat.make_state())
         resample.new_segment()
         n = len(items)
-        idx = self._rng.integers(0, n, size=n)
-        if self._vectorized:
-            resample.add_many(items[idx], 0)
-        else:
-            for i in idx:
-                resample.add(items[int(i)], 0)
+        resample.add_many(items[self._rng.integers(0, n, size=n)], 0)
         self.counters.state_ops += n
         return resample
 
@@ -818,8 +676,7 @@ class ResampleSet:
         items = np.asarray(sample)
         self._chunks.append(items)
         self._n = len(items)
-        if self._mode == MAINTENANCE_OPTIMIZED and self._ledger is None \
-                and self._vectorized:
+        if self._mode == MAINTENANCE_OPTIMIZED and self._ledger is None:
             self._dense = _DenseRows(items, self.B, self._rng)
             self.counters.state_ops += self.B * self._n
             self.counters.publish()
@@ -870,7 +727,7 @@ class ResampleSet:
 
         self._maintainer.on_delta(delta_items)
         for resample in self._resamples:
-            self._maintainer.update(resample, n_old, n_new, len(delta_items))
+            self._maintainer.update(resample, n_old, n_new)
         self._maintainer.end_iteration()
         self.counters.merge(self._maintainer.counters)
         self._maintainer.counters = MaintenanceCounters()

@@ -586,21 +586,32 @@ class FunctionalState(EstimatorState):
 
     This is the "EARL works for arbitrary functions" escape hatch — no
     algebraic structure is assumed, so ``result()`` costs a full
-    evaluation.  ``remove`` drops one occurrence of the value.
+    evaluation.  ``remove`` drops one occurrence of the value.  A row
+    item (``Statistic(..., row_items=True)``, e.g. an (x, y) pair) is
+    kept whole as a list of floats, so ``fn`` sees the ``(n, d)`` rows.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], float]) -> None:
         self._fn = fn
-        self._values: List[float] = []
+        self._values: List[Any] = []
+
+    @staticmethod
+    def _item(value: Any) -> Any:
+        if np.ndim(value):
+            return np.asarray(value, dtype=float).tolist()
+        return float(value)
 
     def add(self, value: Any) -> None:
-        self._values.append(float(value))
+        self._values.append(self._item(value))
 
     def remove(self, value: Any) -> None:
-        self._values.remove(float(value))
+        self._values.remove(self._item(value))
 
     def add_many(self, values: Any) -> None:
-        self._values.extend(np.asarray(values, dtype=float).ravel().tolist())
+        values = np.asarray(values, dtype=float)
+        if values.ndim < 2:
+            values = values.ravel()
+        self._values.extend(values.tolist())
 
     def result(self) -> float:
         if not self._values:

@@ -70,11 +70,12 @@ def numeric_file(small_cluster, lognormal_values):
 
 @pytest.fixture
 def resample_items():
-    """``resample_items(rs)``: each resample of a ``ResampleSet`` as one
-    array of its items, whichever layout holds them (dense rows, or
-    per-resample objects with one segment per delta)."""
+    """``resample_items(rs)``: each resample of a ``ResampleSet`` (or of
+    the ``ReferenceResampleSet`` oracle) as one array of its items,
+    whichever layout holds them (dense rows, or per-resample objects
+    with one segment per delta)."""
     def items(rs):
-        if rs._dense is not None:
+        if getattr(rs, "_dense", None) is not None:
             return list(rs._dense.live())
         return [np.concatenate([np.asarray(seg) for seg in r.segments
                                 if len(seg)])

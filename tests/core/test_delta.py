@@ -13,11 +13,12 @@ from repro.core.delta import (
     NaiveMaintainer,
     Resample,
     ResampleSet,
-    ResidentMaintainer,
     SketchMaintainer,
     _DenseRows,
 )
-from repro.core.estimators import get_statistic
+from repro.core.estimators import Statistic, get_statistic
+
+from delta_reference import ReferenceResampleSet
 
 
 @pytest.fixture
@@ -29,8 +30,7 @@ class TestResample:
     def test_add_and_size(self):
         r = Resample(get_statistic("mean").make_state())
         r.new_segment()
-        for v in [1.0, 2.0, 3.0]:
-            r.add(v, 0)
+        r.add_many(np.array([1.0, 2.0, 3.0]), 0)
         assert r.size == 3
         assert r.estimate() == pytest.approx(2.0)
 
@@ -39,9 +39,8 @@ class TestResample:
         r = Resample(get_statistic("mean").make_state())
         r.new_segment()
         values = [float(i) for i in range(20)]
-        for v in values:
-            r.add(v, 0)
-        removed = r.remove_random(rng)
+        r.add_many(np.array(values), 0)
+        (removed,) = r.remove_random_many(rng, 1)
         assert removed in values
         remaining = sum(values) - removed
         assert r.estimate() == pytest.approx(remaining / 19)
@@ -50,23 +49,24 @@ class TestResample:
         r = Resample(get_statistic("mean").make_state())
         r.new_segment()
         with pytest.raises(ValueError):
-            r.remove_random(np.random.default_rng(3))
+            r.remove_random_many(np.random.default_rng(3), 1)
 
     def test_multi_segment_removal_spans_segments(self):
         rng = np.random.default_rng(4)
         r = Resample(get_statistic("sum").make_state())
         r.new_segment()
-        r.add(1.0, 0)
+        r.add_many(np.array([1.0]), 0)
         r.new_segment()
-        r.add(2.0, 1)
+        r.add_many(np.array([2.0]), 1)
         seen = set()
         for _ in range(50):
             clone = Resample(get_statistic("sum").make_state())
             clone.new_segment()
-            clone.add(1.0, 0)
+            clone.add_many(np.array([1.0]), 0)
             clone.new_segment()
-            clone.add(2.0, 1)
-            seen.add(clone.remove_random(rng))
+            clone.add_many(np.array([2.0]), 1)
+            (removed,) = clone.remove_random_many(rng, 1)
+            seen.add(float(removed))
         assert seen == {1.0, 2.0}
 
 
@@ -183,7 +183,7 @@ class TestStatisticalValidity:
                                                    resample_items):
         """The contract for a kernel that draws differently (DESIGN.md
         §5): the dense memory-resident rows, their item-at-a-time scalar
-        reference (``vectorized=False``), the naive path and a fresh
+        reference (``tests/delta_reference.py``), the naive path and a fresh
         bootstrap of the enlarged sample give the same estimate
         *distribution* — over three expansions in which resamples both
         shed items and regain old-sample ones (the data is
@@ -200,14 +200,15 @@ class TestStatisticalValidity:
             data = population[:bounds[-1]]
         keys = data[:, 0] if data.ndim == 2 else data
         assert len(np.unique(keys)) == len(keys)
-        kinds = {"dense": (dict(seed=204), _DenseRows),
-                 "scalar": (dict(seed=207, vectorized=False),
-                            ResidentMaintainer),
-                 "naive": (dict(seed=205, maintenance=MAINTENANCE_NAIVE),
-                           NaiveMaintainer)}
+        kinds = {"dense": (ResampleSet, dict(seed=204), "dense"),
+                 "scalar": (ReferenceResampleSet, dict(seed=207),
+                            "resident"),
+                 "naive": (ResampleSet,
+                           dict(seed=205, maintenance=MAINTENANCE_NAIVE),
+                           "naive")}
         estimates = {}
-        for kind, (kwargs, layout) in kinds.items():
-            rs = ResampleSet(statistic, B, **kwargs)
+        for kind, (make, kwargs, layout) in kinds.items():
+            rs = make(statistic, B, **kwargs)
             deleted = added_old = lo = 0
             for hi in bounds:
                 (rs.expand if lo else rs.initialize)(data[lo:hi])
@@ -219,7 +220,7 @@ class TestStatisticalValidity:
                     added_old += sum(share > lo for share in shares)
                 lo = hi
             assert deleted >= B and added_old >= B, kind
-            assert type(rs._dense or rs._maintainer) is layout
+            assert _layout(rs) == layout
             estimates[kind] = np.asarray(rs.estimates())
         stat = get_statistic(statistic)
         rng = np.random.default_rng(206)
@@ -247,8 +248,8 @@ class TestStatisticalValidity:
 
 
 class TestVectorizedKernelEquivalence:
-    """The vectorized kernel must be a pure speed-up: same random
-    stream, same drawn items, same counters as the scalar reference."""
+    """The batched kernel must be a pure speed-up: same random stream,
+    same drawn items, same counters as the item-at-a-time reference."""
 
     @pytest.mark.parametrize("mode", [MAINTENANCE_NAIVE, MAINTENANCE_NONE])
     @pytest.mark.parametrize("statistic", ["mean", "median"])
@@ -261,14 +262,13 @@ class TestVectorizedKernelEquivalence:
         over a ledger it is covered, sketches and all, by
         ``TestBatchedDeletionsAndOldSampleAdditions``.)"""
         sets = {}
-        for vectorized in (False, True):
-            rs = ResampleSet(statistic, 12, maintenance=mode, seed=33,
-                             vectorized=vectorized)
+        for make in (ReferenceResampleSet, ResampleSet):
+            rs = make(statistic, 12, maintenance=mode, seed=33)
             rs.initialize(population[:600])
             rs.expand(population[600:1400])
             rs.expand(population[1400:2600])
-            sets[vectorized] = rs
-        scalar, vector = sets[False], sets[True]
+            sets[make] = rs
+        scalar, vector = sets[ReferenceResampleSet], sets[ResampleSet]
         assert scalar.counters == vector.counters
         for r_scalar, r_vector in zip(scalar._resamples, vector._resamples):
             assert len(r_scalar.segments) == len(r_vector.segments)
@@ -283,7 +283,7 @@ class TestVectorizedKernelEquivalence:
     def test_fig10_scenario_counters_pinned(self):
         """The seeded Fig. 10 benchmark scenario must keep reporting
         exactly these counters — they were captured from the scalar
-        item-at-a-time implementation, and the vectorized kernel's
+        item-at-a-time implementation, and the batched kernel's
         stream-preserving design reproduces them bit for bit.  A change
         here means the maintenance accounting (and therefore the
         Fig. 6/Fig. 10 work comparisons) silently shifted."""
@@ -325,23 +325,23 @@ class TestResidency:
     is §4.1 as written (pinned by the Fig. 10 counters above)."""
 
     @staticmethod
-    def _grown(population, **kwargs):
-        rs = ResampleSet("mean", 20, seed=5, **kwargs)
+    def _grown(population, make=ResampleSet, **kwargs):
+        rs = make("mean", 20, seed=5, **kwargs)
         rs.initialize(population[:500])
         rs.expand(population[500:1500])
         rs.expand(population[1500:4000])
         return rs
 
-    @pytest.mark.parametrize("vectorized", [False, True])
+    @pytest.mark.parametrize("batched", [False, True])
     def test_resident_set_has_no_sketch_and_no_disk(self, population,
-                                                    vectorized):
-        rs = self._grown(population, vectorized=vectorized)
-        if vectorized:
+                                                    batched):
+        if batched:
+            rs = self._grown(population)
             assert rs._maintainer is None and not rs._resamples
             assert rs._dense.live().shape == (20, 4000)
         else:
-            assert type(rs._maintainer) is ResidentMaintainer
-            assert rs._dense is None
+            rs = self._grown(population, make=ReferenceResampleSet)
+            assert rs.access == "resident" and len(rs._resamples) == 20
         assert not rs._sketches()
         assert rs.counters.disk_accesses == 0
         assert rs.counters.sketch_draws == 0
@@ -454,6 +454,17 @@ class TestWorkAccounting:
         assert fresh_ledger.seconds("disk_seek") > 0
 
 
+def _layout(rs):
+    """The access path a production or reference set took: "dense",
+    "naive", "sketched", "resident" (reference only) or None ("none")."""
+    if isinstance(rs, ReferenceResampleSet):
+        return rs.access
+    if rs._dense is not None:
+        return "dense"
+    return {NaiveMaintainer: "naive", SketchMaintainer: "sketched",
+            type(None): None}[type(rs._maintainer)]
+
+
 def _segment_contents(rs):
     return [[np.asarray(seg, dtype=float) for seg in r.segments]
             for r in rs._resamples]
@@ -463,22 +474,24 @@ def _segment_contents(rs):
 #: (a bound ledger — the optimized algorithm goes through sketches) or,
 #: for the naive one, also in memory (no ledger).  Memory-resident
 #: optimized sets are dense rows: law-equal to their scalar reference
-#: (the KS gate, ``TestDenseRows``), not byte-equal.
+#: (the KS gate, ``TestDenseRows``), not byte-equal.  The same schedules
+#: are pinned across commits in ``tests/fixtures/delta_streams.json``.
 MODE_STORAGE = [(MAINTENANCE_NAIVE, "resident"), (MAINTENANCE_NAIVE, "ledger"),
                 (MAINTENANCE_OPTIMIZED, "ledger")]
 
 
 def _run_both_kernels(statistic, mode, data, bounds, *, B=10, seed=77,
                       storage="resident", **kwargs):
-    """The same seeded schedule on the scalar reference and on the
-    vectorized kernel; also returns, per expansion, how many resamples
-    shed items and how many gained old-sample items (measured on the
-    scalar reference, so the test knows which paths really ran)."""
-    sets = {v: ResampleSet(statistic, B, maintenance=mode, seed=seed,
-                           vectorized=v,
-                           ledger=(CostLedger() if storage == "ledger"
-                                   else None), **kwargs)
-            for v in (False, True)}
+    """The same seeded schedule on the item-at-a-time reference
+    (``tests/delta_reference.py``) and on the batched kernel; also
+    returns, per expansion, how many resamples shed items and how many
+    gained old-sample items (measured on the reference, so the test
+    knows which paths really ran)."""
+    sets = {batched: make(statistic, B, maintenance=mode, seed=seed,
+                          ledger=(CostLedger() if storage == "ledger"
+                                  else None), **kwargs)
+            for batched, make in ((False, ReferenceResampleSet),
+                                  (True, ResampleSet))}
     deleted = added_old = 0
     lo = 0
     for hi in bounds:
@@ -498,9 +511,9 @@ def _run_both_kernels(statistic, mode, data, bounds, *, B=10, seed=77,
 
 def _assert_kernels_identical(scalar, vector):
     assert scalar.counters == vector.counters
-    assert type(scalar._maintainer) is type(vector._maintainer)
+    assert _layout(scalar) == _layout(vector)
     if scalar._ledger is not None:
-        # Same charges; the naive scalar loop adds them one access at
+        # Same charges; the naive reference adds them one access at
         # a time, so only the float summation order differs.
         assert scalar._ledger.total_seconds == pytest.approx(
             vector._ledger.total_seconds, rel=1e-9)
@@ -521,7 +534,7 @@ class TestBatchedDeletionsAndOldSampleAdditions:
     """The two runs batched in PR 13 — random deletions (one
     descending-bounds ``integers`` call) and the optimized maintainer's
     old-sample additions (cdf search instead of ``choice(p=)``) — stay
-    scalar ≡ vectorized: contents, counters, generator end state."""
+    reference ≡ batched: contents, counters, generator end state."""
 
     #: Five deltas, so the last expansions choose among >= 3 stored ones.
     BOUNDS = [300, 700, 1500, 2600, 4200]
@@ -565,12 +578,21 @@ class TestBatchedDeletionsAndOldSampleAdditions:
         assert scalar.counters.disk_accesses > 1000
         _assert_kernels_identical(scalar, vector)
 
-    def test_remove_more_than_held_rejected(self):
-        r = Resample(get_statistic("mean").make_state(), vectorized=True)
+    @pytest.mark.parametrize("reject,message", [
+        (lambda r: r.remove_random_many(np.random.default_rng(0), 6),
+         "cannot remove 6 items from a resample of 5"),
+        (lambda r: r.remove_random_many(np.random.default_rng(0), -2),
+         "negative"),
+        (lambda r: ResampleSet("mean", 5, sketch_c=0), "sketch_c"),
+    ], ids=["more-than-held", "negative-count", "zero-sketch_c"])
+    def test_remove_more_than_held_rejected(self, reject, message):
+        """Bad inputs are refused with the real reason, and nothing is
+        removed."""
+        r = Resample(get_statistic("mean").make_state())
         r.new_segment()
         r.add_many(np.arange(5.0), 0)
-        with pytest.raises(ValueError):
-            r.remove_random_many(np.random.default_rng(0), 6)
+        with pytest.raises(ValueError, match=message):
+            reject(r)
         assert r.size == 5
 
     def test_list_input_equals_array_input(self, population):
@@ -587,6 +609,49 @@ class TestBatchedDeletionsAndOldSampleAdditions:
         np.testing.assert_array_equal(as_array.sample_array(),
                                       as_list.sample_array())
         assert as_list.sample == list(population[:900])
+
+
+def _pearson(rows):
+    return float(np.corrcoef(rows[:, 0], rows[:, 1])[0, 1])
+
+
+class TestRowItemUserStatistic:
+    """A user statistic over (x, y) rows with no state of its own falls
+    back to the recompute state, which must keep every row whole — in
+    the dense rows and in the naive and rebuild modes alike."""
+
+    STAT = Statistic("pearson", pointwise=_pearson, row_items=True)
+
+    @staticmethod
+    def _pairs(n, seed=3):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=n)
+        return np.column_stack([x, 0.6 * x + rng.normal(size=n)])
+
+    @pytest.mark.parametrize("mode", [MAINTENANCE_OPTIMIZED,
+                                      MAINTENANCE_NAIVE, MAINTENANCE_NONE])
+    def test_resample_estimates_read_whole_rows(self, mode, resample_items):
+        pairs = self._pairs(1200)
+        rs = ResampleSet(self.STAT, 10, maintenance=mode, seed=2)
+        rs.initialize(pairs[:500])
+        rs.expand(pairs[500:700])
+        rs.expand(pairs[700:])
+        rows = resample_items(rs)
+        assert all(row.shape == (1200, 2) for row in rows)
+        np.testing.assert_allclose(rs.estimates(),
+                                   [_pearson(row) for row in rows],
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("mode", [MAINTENANCE_OPTIMIZED,
+                                      MAINTENANCE_NAIVE, MAINTENANCE_NONE])
+    def test_session_answers_in_every_mode(self, mode):
+        from repro.core import EarlConfig, EarlSession
+
+        pairs = self._pairs(60_000)
+        result = EarlSession(pairs, self.STAT, config=EarlConfig(
+            maintenance=mode, B_override=20, n_override=2000,
+            seed=1)).run()
+        assert result.estimate == pytest.approx(_pearson(pairs), abs=0.05)
 
 
 class TestStagePickling:
@@ -660,7 +725,7 @@ class TestStagePickling:
 
         rows = _ItemBuffer()
         rows.extend_array(np.arange(10.0).reshape(5, 2))
-        rows.pop()
+        rows.swap_pop(len(rows) - 1)
         clone = pickle.loads(pickle.dumps(rows))
         np.testing.assert_array_equal(clone.as_array(), rows.as_array())
         clone.extend_array(np.ones((40, 2)))

@@ -1,19 +1,19 @@
 """Cross-commit safety net for §4.1 delta maintenance.
 
-``tests/fixtures/delta_streams.json`` pins, for fixed seeded
-schedules, what the item-at-a-time maintenance draws: per resample set
-the :class:`MaintenanceCounters`, the simulated seconds charged to the
-cost ledger, the generator's end state and a sha256 of every
-resample's segments (float64 bytes, one length prefix per segment).
-The schedules cover every maintainer that keeps per-resample segments
-— naive in memory and over storage, sketched optimized over storage,
-and the stock-bootstrap rebuild — for scalar statistics and for
-(x, y) row items.  The batched kernel must reproduce every byte of
-it; only the ledger's float summation order may differ (the scalar
-loop charges one access at a time).
+``tests/fixtures/delta_streams.json`` pins, for fixed seeded schedules,
+what the item-at-a-time reference (``tests/delta_reference.py``)
+draws: per resample set the :class:`MaintenanceCounters`, the simulated
+seconds charged to the cost ledger, the generator's end state and a
+sha256 of every resample's segments (float64 bytes, one length prefix
+per segment).  The schedules cover every maintainer that keeps
+per-resample segments — naive in memory and over storage, sketched
+optimized over storage, and the stock-bootstrap rebuild — for scalar
+statistics and for (x, y) row items.  The reference must reproduce
+every byte of it, and so must the batched kernel, except the ledger's
+float summation order (the reference charges one access at a time).
 
 Regenerate (only when the draw order is *meant* to change, and say so
-in the commit): ``PYTHONPATH=src python tests/core/test_delta_streams.py``.
+in the commit): ``PYTHONPATH=src:tests python tests/core/test_delta_streams.py``.
 """
 
 import hashlib
@@ -25,6 +25,8 @@ import pytest
 
 from repro.cluster.costmodel import CostLedger
 from repro.core.delta import ResampleSet
+
+from delta_reference import ReferenceResampleSet
 
 FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" / "delta_streams.json"
 
@@ -109,6 +111,12 @@ def test_fixture_covers_every_case(pinned):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
+def test_reference_reproduces_the_pinned_stream(pinned, name):
+    assert record(*run_case(CASES[name], ReferenceResampleSet)) \
+        == pinned[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_batched_kernel_reproduces_the_pinned_stream(pinned, name):
     got = record(*run_case(CASES[name], ResampleSet))
     want = pinned[name]
@@ -120,11 +128,8 @@ def test_batched_kernel_reproduces_the_pinned_stream(pinned, name):
 
 
 if __name__ == "__main__":
-    def scalar_set(statistic, B, **kwargs):
-        return ResampleSet(statistic, B, vectorized=False, **kwargs)
-
     FIXTURE.write_text(json.dumps(
-        {name: record(*run_case(case, scalar_set))
+        {name: record(*run_case(case, ReferenceResampleSet))
          for name, case in sorted(CASES.items())},
         indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(CASES)} delta streams -> {FIXTURE}")

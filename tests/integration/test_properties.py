@@ -24,6 +24,8 @@ from repro.mapreduce import (
 )
 from repro.sampling import PreMapSampler
 
+from delta_reference import ReferenceResampleSet
+
 values_strategy = st.lists(
     st.floats(min_value=0.1, max_value=1e4, allow_nan=False),
     min_size=5, max_size=120)
@@ -101,18 +103,19 @@ class TestDeltaMaintenanceProperties:
     @given(n0=st.integers(min_value=20, max_value=150),
            delta=st.integers(min_value=1, max_value=150),
            mode=st.sampled_from(["naive", "optimized"]),
-           vectorized=st.booleans())
+           reference=st.booleans())
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.function_scoped_fixture])
-    def test_sizes_and_membership(self, n0, delta, mode, vectorized,
+    def test_sizes_and_membership(self, n0, delta, mode, reference,
                                   resample_items):
         """After any expansion: every resample has exactly n' items, all
-        drawn from the accumulated sample."""
+        drawn from the accumulated sample — for the batched kernel and
+        for the item-at-a-time reference."""
         rng = np.random.default_rng(7)
         data = rng.lognormal(1.0, 0.5, n0 + delta)
-        rs = ResampleSet("mean", 10, maintenance=mode, seed=8,
-                         vectorized=vectorized)
+        make = ReferenceResampleSet if reference else ResampleSet
+        rs = make("mean", 10, maintenance=mode, seed=8)
         rs.initialize(data[:n0])
         rs.expand(data[n0:])
         assert set(rs.resample_sizes()) == {n0 + delta}
