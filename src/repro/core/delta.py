@@ -54,7 +54,6 @@ from repro.obs.metrics import REGISTRY as _METRICS
 from repro.core.estimators import (
     EstimatorState,
     FunctionalState,
-    Statistic,
     StatisticLike,
     _RowwiseBatch,
     get_statistic,
@@ -259,11 +258,9 @@ class _BaseMaintainer:
     and the items land with one state call.
     """
 
-    def __init__(self, statistic: Statistic, *,
-                 rng: np.random.Generator,
+    def __init__(self, *, rng: np.random.Generator,
                  ledger: Optional[CostLedger],
                  io_scale: float = 1.0) -> None:
-        self._stat = statistic
         self._rng = rng
         self._ledger = ledger
         self.io_scale = io_scale
@@ -384,11 +381,10 @@ class SketchMaintainer(_BaseMaintainer):
     * at iteration end, sketches are refreshed by reservoir substitution.
     """
 
-    def __init__(self, statistic: Statistic, *, rng: np.random.Generator,
+    def __init__(self, *, rng: np.random.Generator,
                  ledger: Optional[CostLedger], c: float = 4.0,
                  io_scale: float = 1.0) -> None:
-        super().__init__(statistic, rng=rng, ledger=ledger,
-                         io_scale=io_scale)
+        super().__init__(rng=rng, ledger=ledger, io_scale=io_scale)
         check_positive("c", c)
         self._c = c
         self._delta_sketches: List[Sketch] = []
@@ -612,8 +608,8 @@ class ResampleSet:
         common = dict(rng=self._rng, ledger=self._ledger,
                       io_scale=self._io_scale)
         if self._mode == MAINTENANCE_NAIVE:
-            return NaiveMaintainer(self._stat, **common)
-        return SketchMaintainer(self._stat, c=self._sketch_c, **common)
+            return NaiveMaintainer(**common)
+        return SketchMaintainer(c=self._sketch_c, **common)
 
     # ------------------------------------------------------------ lifecycle
     def _sketches(self) -> Sequence[Sketch]:
