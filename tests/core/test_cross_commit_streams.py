@@ -60,6 +60,24 @@ def _manager(cancel=None):
     return build
 
 
+def _manager_mixed_B(executor):
+    # Three readers of one column at three widths: the widest (mean)
+    # stops rounds before median, and p90 is cancelled after its first
+    # snapshot, so the rounds after each retirement run narrower.
+    manager = SessionManager(DATA, config=EarlConfig(
+        sigma=0.03, seed=11, n_override=500, executor=executor,
+        max_workers=2))
+    manager.submit("mean", B_override=60)
+    withdrawn = manager.submit("p90", B_override=45, name="withdrawn")
+    manager.submit("median", B_override=30, sigma=0.014)
+    events = []
+    for query, snap in manager.stream():
+        events.append([query.name, snap.to_dict()])
+        if query is withdrawn:
+            withdrawn.cancel()
+    return events
+
+
 def _grouped_session(measures, executor):
     # n_override keeps SSABE (it still picks B) but starts every group
     # small, so the strata expand for several rounds instead of
@@ -103,6 +121,7 @@ CASES = {
     "session-fallback": _session("mean", DATA[:3_000], sigma=0.001, seed=7),
     "manager-three": _manager(),
     "manager-cancelled-sibling": _manager(cancel="withdrawn"),
+    "manager-mixed-B": _manager_mixed_B,
     "grouped-one-measure": _grouped(ONE),
     "grouped-two-measures": _grouped(TWO),
     "grouped-scheduled": _scheduled(ONE, round_budget=900),
@@ -129,6 +148,12 @@ def test_fixture_exercises_every_path(recorded):
         assert len(recorded[case]) >= 2 and recorded[case][-1]["achieved"]
     names = {name for name, _ in recorded["manager-cancelled-sibling"]}
     assert names == {"mean", "median", "p90"}
+    mixed = recorded["manager-mixed-B"]
+    assert [name for name, _ in mixed].count("withdrawn") == 1
+    rounds = {name: snap["iteration"] for name, snap in mixed
+              if snap["final"]}
+    assert set(rounds) == {"mean", "median"}
+    assert rounds["median"] >= rounds["mean"] + 2
     for case in ("grouped-one-measure", "grouped-two-measures",
                  "grouped-scheduled"):
         final = recorded[case][-1]
