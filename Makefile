@@ -33,12 +33,13 @@
 #                      exported once): medians, quartiles, pairs won and a
 #                      verdict per end-to-end metric, one table per
 #                      workload plus a Markdown block over all of them
-#   make docs-check  - every .md referenced from code/docs actually exists
+#   make docs-check  - every .md referenced from tracked code/docs exists
 #   make doctest     - run the docstring examples under src/repro
 #   make examples    - run every example script end to end
-#   make clean       - purge bytecode caches, tool state and stray
-#                      durable-store directories (__pycache__/,
-#                      .pytest_cache/, .hypothesis/, var/)
+#   make clean       - purge bytecode caches, tool state, stray
+#                      durable-store directories and bench-pairs exports
+#                      (__pycache__/, .pytest_cache/, .hypothesis/, var/,
+#                      benchmarks/results/pairs/)
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -139,5 +140,6 @@ clean:
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +
 	rm -rf .pytest_cache .hypothesis .benchmarks
 	rm -rf var
+	rm -rf benchmarks/results/pairs
 	find . -name "sessions.wal*" -not -path "./.git/*" -delete
-	@echo "bytecode, tool caches and durable-store state purged"
+	@echo "bytecode, tool caches, durable-store state and bench-pairs exports purged"

@@ -1,9 +1,11 @@
 #!/usr/bin/env python
 """docs-check: every ``*.md`` file referenced anywhere must exist.
 
-Scans Python sources, docs, tests, benchmarks and examples for
-references to Markdown files (``DESIGN.md``, ``[text](FILE.md)``, …)
-and fails if a referenced file is missing from the repository —
+Scans the tracked Python sources, docs, tests, benchmarks and examples
+(``git ls-files``: an ignored export such as ``make bench-pairs``'s
+copy of a parent tree under ``benchmarks/results/pairs/`` is not the
+repository) for references to Markdown files (``DESIGN.md``,
+``[text](FILE.md)``, …) and fails if a referenced file is missing —
 the guard against the dangling-doc-reference class of rot (this repo
 once shipped ``runners.py`` citing a DESIGN.md that did not exist).
 
@@ -13,6 +15,7 @@ Usage: python tools/check_docs.py   (exit 0 = clean, 1 = dangling refs)
 from __future__ import annotations
 
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -38,12 +41,12 @@ IGNORED = {
 def references() -> dict[str, set[str]]:
     """Map of referenced .md path -> set of files referencing it."""
     refs: dict[str, set[str]] = {}
-    files: list[Path] = []
-    for d in SCAN_DIRS:
-        files.extend((REPO / d).rglob("*.py"))
-    for pattern in SCAN_GLOBS:
-        files.extend(REPO.glob(pattern))
-    for path in files:
+    tracked = subprocess.run(
+        ["git", "ls-files", "-z", "--",
+         *(f":(glob){d}/**/*.py" for d in SCAN_DIRS),
+         *(f":(glob){pattern}" for pattern in SCAN_GLOBS)],
+        cwd=REPO, capture_output=True, check=True, text=True).stdout
+    for path in (REPO / name for name in tracked.split("\0") if name):
         try:
             text = path.read_text(encoding="utf-8")
         except (UnicodeDecodeError, OSError):  # pragma: no cover
