@@ -7,9 +7,10 @@ of the error measure", so alternative metrics (relative CI half-width,
 variance, bias) are pluggable.
 
 :class:`AccuracyEstimationStage` is the stateful form used by the EARL
-driver: it owns a delta-maintained :class:`~repro.core.delta.ResampleSet`
-and reports an :class:`AccuracyEstimate` after every sample expansion —
-the quantity reducers publish to mappers through the feedback channel.
+driver: it reads a delta-maintained :class:`~repro.core.delta.ResampleSet`
+(its own or a shared one) and reports an :class:`AccuracyEstimate` after
+every sample expansion — the quantity reducers publish to mappers
+through the feedback channel.
 """
 
 from __future__ import annotations
@@ -144,6 +145,10 @@ class AccuracyEstimationStage:
     :meth:`~repro.core.delta.ResampleSet.estimates`); results are
     identical with or without it.  The stage borrows the executor — the
     caller owns its lifecycle.
+
+    ``resamples`` is a set shared with sibling stages of the same
+    sample (built with its own ``maintenance`` / ``seed`` / ...): each
+    stage reads its statistic over the set's first ``B`` resamples.
     """
 
     def __init__(self, statistic: StatisticLike, B: int, *,
@@ -152,15 +157,21 @@ class AccuracyEstimationStage:
                  sketch_c: float = 4.0,
                  seed: SeedLike = None,
                  ledger: Optional[CostLedger] = None,
-                 executor: Optional[Executor] = None) -> None:
+                 executor: Optional[Executor] = None,
+                 resamples: Optional[ResampleSet] = None) -> None:
         self._stat = get_statistic(statistic)
         self._metric = metric
         get_error_metric(metric)  # validate eagerly
         self._executor = executor
-        self._resamples = ResampleSet(self._stat, B,
-                                      maintenance=maintenance,
-                                      sketch_c=sketch_c, seed=seed,
-                                      ledger=ledger)
+        if resamples is None:
+            resamples = ResampleSet(self._stat, B, seed=seed, ledger=ledger,
+                                    maintenance=maintenance, sketch_c=sketch_c)
+        elif not 0 < B <= resamples.B:
+            raise ValueError(f"B={B} is not in 1..{resamples.B}")
+        self._resamples = resamples
+        self._reader = resamples.add_reader(self._stat)
+        self._B = B
+        self._n = 0     # rows offered to this stage
         self._history: list[AccuracyEstimate] = []
 
     @property
@@ -188,14 +199,14 @@ class AccuracyEstimationStage:
 
     @property
     def sample_size(self) -> int:
-        return self._resamples.sample_size
+        return self._n
 
-    def offer(self, delta: Sequence[float]) -> AccuracyEstimate:
-        """Feed a (delta) sample and return the refreshed estimate."""
-        if self._resamples.sample_size == 0:
-            self._resamples.initialize(delta)
-        else:
-            self._resamples.expand(delta)
+    def offer(self, delta: Sequence[float],
+              keep: Optional[int] = None) -> AccuracyEstimate:
+        """Feed a (delta) sample and return the refreshed estimate
+        (``keep``: see :meth:`~repro.core.delta.ResampleSet.grow`)."""
+        self._resamples.grow(self._n, delta, keep)
+        self._n += len(delta)
         estimate = self._current_estimate()
         self._history.append(estimate)
         return estimate
@@ -208,9 +219,9 @@ class AccuracyEstimationStage:
         return abs(self._history[-1].cv - self._history[-2].cv)
 
     def _current_estimate(self) -> AccuracyEstimate:
-        estimates = self._resamples.estimates(executor=self._executor)
+        estimates = self._resamples.estimates(
+            executor=self._executor, reader=self._reader, B=self._B)
         point = self._stat(
             np.asarray(self._resamples.sample_array(), dtype=float))
-        return summarize_distribution(estimates, point,
-                                      self._resamples.sample_size,
+        return summarize_distribution(estimates, point, self._n,
                                       metric=self._metric)

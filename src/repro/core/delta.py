@@ -44,8 +44,9 @@ See DESIGN.md "Vectorized kernel & data plane".
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -186,13 +187,14 @@ class Resample:
     Keeping the partition explicit lets the maintainer delete uniformly
     (segment chosen proportionally to its size) and lets the optimized
     algorithm keep one sketch per segment.  Each segment is an
-    :class:`_ItemBuffer`.
+    :class:`_ItemBuffer`; ``states`` has one estimator state per
+    statistic read off the resample.
     """
 
-    __slots__ = ("state", "segments")
+    __slots__ = ("states", "segments")
 
-    def __init__(self, state: EstimatorState) -> None:
-        self.state = state
+    def __init__(self, *states: EstimatorState) -> None:
+        self.states = states
         self.segments: List[_ItemBuffer] = []
 
     @property
@@ -208,7 +210,8 @@ class Resample:
         if len(items) == 0:
             return
         self.segments[segment].extend_array(items)
-        self.state.add_many(items)
+        for state in self.states:
+            state.add_many(items)
 
     def remove_random_many(self, rng: np.random.Generator,
                            count: int) -> np.ndarray:
@@ -241,11 +244,12 @@ class Resample:
             sizes[seg_idx] -= 1
         removed = np.asarray(removed)
         if count:
-            self.state.remove_many(removed)
+            for state in self.states:
+                state.remove_many(removed)
         return removed
 
-    def estimate(self) -> float:
-        return self.state.result()
+    def estimate(self, reader: int = 0) -> float:
+        return self.states[reader].result()
 
 
 class _BaseMaintainer:
@@ -298,7 +302,8 @@ class _BaseMaintainer:
         np.minimum(seg_ids, len(resample.segments) - 1, out=seg_ids)
         for seg in np.unique(seg_ids):
             resample.segments[int(seg)].extend_array(items[seg_ids == seg])
-        resample.state.add_many(items)
+        for state in resample.states:
+            state.add_many(items)
 
     def update(self, resample: Resample, n_old: int, n_new: int) -> None:
         """Apply the three-step §4.1 update to one resample."""
@@ -566,6 +571,12 @@ class ResampleSet:
     law, not in bytes (``benchmarks/bench_kernel.py`` measures the
     throughput gap).
 
+    **Readers.**  Resamples depend on the sample, not the statistic,
+    so several statistics may read one set (:meth:`add_reader`), each
+    over any leading ``B`` of its resamples (:meth:`estimates`) — still
+    ``B`` i.i.d. resamples of the sample.  They offer deltas through
+    :meth:`grow`, where the first offer of a round grows the set.
+
     The sample and every stored Δs are the arrays handed to
     :meth:`initialize` / :meth:`expand` (``np.asarray`` of them — no
     copy of an ndarray or of a slice of one), so the caller must not
@@ -585,6 +596,7 @@ class ResampleSet:
         check_positive("io_scale", io_scale)
         check_positive("sketch_c", sketch_c)
         self._stat = get_statistic(statistic)
+        self._readers = [self._stat]
         self.B = B
         self._mode = maintenance
         self._sketch_c = sketch_c
@@ -599,6 +611,14 @@ class ResampleSet:
         # "none") over per-resample objects.
         self._dense: Optional[_DenseRows] = None
         self._maintainer: Optional[_BaseMaintainer] = None
+        self._lock = threading.Lock()   # readers on threads: see grow()
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_lock"}
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
 
     def _make_maintainer(self) -> Optional[_BaseMaintainer]:
         """The per-resample maintainer; ledger-less ``"optimized"`` sets
@@ -612,6 +632,39 @@ class ResampleSet:
         return SketchMaintainer(c=self._sketch_c, **common)
 
     # ------------------------------------------------------------ lifecycle
+    def add_reader(self, statistic: StatisticLike) -> int:
+        """Register a statistic read off these resamples (before
+        :meth:`initialize`); returns its reader index."""
+        stat = get_statistic(statistic)
+        if stat not in self._readers:
+            if self._n:
+                raise RuntimeError("readers join before initialize()")
+            self._readers.append(stat)
+        return self._readers.index(stat)
+
+    def grow(self, at: int, delta: Sequence[Any],
+             keep: Optional[int] = None) -> None:
+        """A reader's offer of sample rows ``[at, at + len(delta))``: the
+        set grows by them (from its own generator, whoever offers)
+        unless a sibling reader already did this round, first dropping
+        the resamples beyond ``keep``.  Threads take turns here."""
+        with self._lock:
+            if self._n != at:
+                if self._n != at + len(delta):
+                    raise RuntimeError(f"a reader at {at} rows offered "
+                                       f"{len(delta)} to {self._n}")
+                return
+            if keep is not None and keep < self.B:
+                self.B = keep
+                del self._resamples[keep:]
+                if self._dense is not None:
+                    self._dense.rows = self._dense.rows[:keep]
+            if self._n:
+                self.expand(delta)
+            else:
+                self.initialize(delta)
+            self.sample_array()     # merged here: readers only read
+
     def _sketches(self) -> Sequence[Sketch]:
         return getattr(self._maintainer, "_delta_sketches", ())
 
@@ -654,7 +707,7 @@ class ResampleSet:
         from the ``n`` ``items``, consuming this set's stream.  The
         single construction path shared by :meth:`initialize` and the
         no-maintainer rebuild, so the two can never drift apart."""
-        resample = Resample(self._stat.make_state())
+        resample = Resample(*(stat.make_state() for stat in self._readers))
         resample.new_segment()
         n = len(items)
         resample.add_many(items[self._rng.integers(0, n, size=n)], 0)
@@ -730,14 +783,15 @@ class ResampleSet:
         self.counters.publish()
 
     # ------------------------------------------------------------- results
-    def estimates(self, executor: Optional[Executor] = None) -> np.ndarray:
-        """Per-resample statistic values (the result distribution).
-
-        Dense rows are evaluated by the statistic's row-wise ``batch``
-        form in one call; per-resample states are read one by one.
-        ``executor`` optionally fans the ``B`` evaluations out over a
-        parallel backend — but only when evaluation is actually work,
-        i.e. for an arbitrary user function (no ``batch`` form,
+    def estimates(self, executor: Optional[Executor] = None, *,
+                  reader: int = 0, B: Optional[int] = None) -> np.ndarray:
+        """One reader's statistic over the first ``B`` (default: all)
+        resamples — the result distribution.  Dense rows are evaluated
+        by the statistic's row-wise ``batch`` form in one call;
+        per-resample states are read one by one.  ``executor``
+        optionally fans the ``B`` evaluations out over a parallel
+        backend — but only when evaluation is actually work, i.e. for an
+        arbitrary user function (no ``batch`` form,
         :class:`~repro.core.estimators.FunctionalState`), which
         re-evaluates each whole resample; for registered statistics
         pool dispatch and pickling can only lose.  Either way the
@@ -750,16 +804,20 @@ class ResampleSet:
             raise RuntimeError("no resamples yet; call initialize()")
         fan_out = executor.map if executor is not None \
             and executor.is_parallel else None
+        B = self.B if B is None else B
         if self._dense is not None:
-            rows, batch = self._dense.live(), self._stat.batch
+            rows, batch = self._dense.live()[:B], self._readers[reader].batch
             if isinstance(batch, _RowwiseBatch):
                 values = list((fan_out or map)(batch.pointwise, rows))
             else:
                 values = batch(rows)
             return np.array(values, dtype=float)
-        if fan_out and isinstance(self._resamples[0].state, FunctionalState):
-            return np.array(fan_out(_resample_estimate, self._resamples))
-        return np.array([r.estimate() for r in self._resamples])
+        resamples = self._resamples[:B]
+        if fan_out and isinstance(resamples[0].states[reader],
+                                  FunctionalState):
+            return np.array(fan_out(_resample_estimate,
+                                    [(r, reader) for r in resamples]))
+        return np.array([r.estimate(reader) for r in resamples])
 
     def resample_sizes(self) -> List[int]:
         if self._dense is not None:
@@ -767,6 +825,7 @@ class ResampleSet:
         return [r.size for r in self._resamples]
 
 
-def _resample_estimate(resample: Resample) -> float:
+def _resample_estimate(args: Tuple[Resample, int]) -> float:
     """Module-level accessor so process pools can pickle it by reference."""
-    return resample.estimate()
+    resample, reader = args
+    return resample.estimate(reader)

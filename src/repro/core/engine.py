@@ -59,6 +59,7 @@ from repro.core.accuracy import AccuracyEstimate, AccuracyEstimationStage
 from repro.core.checkpoint import checkpoint_doc, loss_event, replay_stream
 from repro.core.config import EarlConfig
 from repro.core.correction import CorrectionLike, get_correction
+from repro.core.delta import ResampleSet
 from repro.core.estimators import Statistic, StatisticLike, get_statistic
 from repro.core.jackknife_stage import JackknifeEstimationStage
 from repro.core.result import EarlResult, IterationRecord, ProgressSnapshot
@@ -71,18 +72,19 @@ from repro.util.rng import ensure_rng, spawn_child
 
 
 def make_estimation_stage(statistic: "Statistic", B: int, cfg: EarlConfig,
-                          *, seed=None, executor: Optional[Executor] = None):
+                          *, seed=None, executor: Optional[Executor] = None,
+                          resamples: Optional[ResampleSet] = None):
     """Build the configured error-estimation stage (bootstrap default,
     jackknife as the §8 future-work alternative).  ``executor``
     parallelizes the bootstrap stage's resample evaluation; results are
-    identical with or without it."""
+    identical with or without it; ``resamples`` shares a bootstrap set."""
     if cfg.estimation == "jackknife":
         return JackknifeEstimationStage(statistic,
                                         confidence=cfg.confidence)
     return AccuracyEstimationStage(
         statistic, B, metric=cfg.error_metric,
         maintenance=cfg.maintenance, sketch_c=cfg.sketch_c, seed=seed,
-        executor=executor)
+        executor=executor, resamples=resamples)
 
 
 def as_items(data: Sequence[float]) -> np.ndarray:
@@ -135,8 +137,8 @@ def choose_parameters(statistic: Statistic, size: int, cfg: EarlConfig,
             levels=cfg.subsample_levels, B_min=cfg.B_min,
             stability_window=cfg.stability_window,
             maintenance=cfg.maintenance, seed=seed)
-        B = B or ssabe.B
-        n = n or ssabe.n
+        B = ssabe.B if B is None else B
+        n = ssabe.n if n is None else n
     return B, n, ssabe
 
 
@@ -206,9 +208,9 @@ class Pipeline:
     ``QueryHandle`` returned by ``submit``: it carries the query's
     parameters, the snapshots observed so far, and — once the query
     terminated — its :class:`~repro.core.EarlResult`.  :meth:`cancel`
-    withdraws it from subsequent expansion rounds (its resample set is
-    simply no longer updated; the other pipelines keep running on the
-    shared sample).
+    withdraws it from subsequent expansion rounds: the other pipelines
+    keep running on the shared sample, and the resample set it shared
+    with the readers of its column drops the resamples only it read.
     """
 
     def __init__(self, name: str, statistic: Statistic, *, sigma: float,
@@ -225,7 +227,7 @@ class Pipeline:
         self.n_override = n_override
         self.index = index      # position among the unit's pipelines
         self.column = column    # which engine column its rows come from
-        self.slot = 0           # ordinal in the engine: its pool worker
+        self.slot = 0           # ordinal in the engine
         self.B: Optional[int] = None
         self.n: Optional[int] = None
         self.ssabe: Optional[SSABEResult] = None
@@ -328,13 +330,13 @@ class SampleUnit:
 # ---------------------------------------------------------------------------
 
 
-def _offer_shared(args: Tuple[AccuracyEstimationStage, Any, int, int]
+def _offer_shared(args: Tuple[AccuracyEstimationStage, Any, int, int, int]
                   ) -> AccuracyEstimate:
     """Fan-out unit for shared-memory backends: mutate the stage in
     place; the delta is a ``[lo, hi)`` slice of the engine's one
-    broadcast column."""
-    stage, shared, lo, hi = args
-    return stage.offer(shared.value[lo:hi])
+    broadcast column, and ``keep`` the round's width of its set."""
+    stage, shared, lo, hi, keep = args
+    return stage.offer(shared.value[lo:hi], keep)
 
 
 #: In a pool worker: slot -> (stage, column holder) of the stages
@@ -345,20 +347,21 @@ _RESIDENT: Dict[int, Tuple[AccuracyEstimationStage, Any]] = {}
 _IN_WORKER: Any = object()
 
 
-def _offer_resident(args: Tuple[int, Optional[AccuracyEstimationStage],
-                                Any, int, int, float]) -> AccuracyEstimate:
-    """Fan-out unit for process backends, placed by slot: the stage
-    arrives once — with its column holder, on the first offer after it
+def _offer_resident(args: Tuple[int, Optional[AccuracyEstimationStage], Any,
+                                int, int, float, int]) -> AccuracyEstimate:
+    """Fan-out unit for process backends, placed by resample set: the
+    stage arrives once — with its column holder and its siblings (one
+    message: they unpickle around one set), on the first offer after it
     was (re)built — stays in this worker, and only the estimate goes
-    back; one that meets the pipeline's σ frees the slot (a finished
+    back; one that meets the pipeline's σ frees its slot (a finished
     pipeline is never offered to again).  Nor does the sample ride the
     task: workers hold the engine's one broadcast and slice locally."""
-    slot, stage, source, lo, hi, sigma = args
+    slot, stage, source, lo, hi, sigma, keep = args
     if stage is None:
         stage, source = _RESIDENT[slot]
     else:
         _RESIDENT[slot] = stage, source
-    estimate = stage.offer(source.value[lo:hi])
+    estimate = stage.offer(source.value[lo:hi], keep)
     if estimate.meets(sigma):
         del _RESIDENT[slot]
     return estimate
@@ -627,11 +630,27 @@ class RoundEngine(LossRecovery):
             return data if unit.rows is None else data[unit.rows]
         return data[picks if unit.rows is None else unit.rows[picks]]
 
-    def _stage(self, pipeline: Pipeline, seed: Any):
+    def _stages(self, readers: List[Pipeline],
+                seed: Callable[[Pipeline], Any]) -> None:
+        """Stages for a unit's live pipelines: a column's readers share
+        ONE resample set of their largest ``B``, drawn from the stream
+        ``seed`` gives the first of them (a lone reader's: its own)."""
+        cfg = self._config
+        for column in dict.fromkeys(p.column for p in readers):
+            mine = [p for p in readers if p.column == column]
+            shared = None if cfg.estimation == "jackknife" else ResampleSet(
+                mine[0].statistic, max(p.B for p in mine),
+                maintenance=cfg.maintenance, sketch_c=cfg.sketch_c,
+                seed=seed(mine[0]))
+            for pipeline in mine:
+                pipeline.stage = self._stage(pipeline, shared)
+
+    def _stage(self, pipeline: Pipeline, resamples: Optional[ResampleSet]):
         return make_estimation_stage(
             pipeline.statistic, pipeline.B,
             replace(self._config, error_metric=pipeline.error_metric),
-            seed=seed, executor=self._executor if self._lone else None)
+            executor=self._executor if self._lone else None,
+            resamples=resamples)
 
     def _prepare(self, units: List[SampleUnit]) -> List[Touched]:
         """Pilot every unit (each with ``rng`` and ``order`` set by the
@@ -687,8 +706,8 @@ class RoundEngine(LossRecovery):
                 pipeline.result = exact_fallback_result(
                     pipeline.statistic, self._take(unit, pipeline.column),
                     sigma=pipeline.sigma, ssabe=pipeline.ssabe)
-            else:
-                pipeline.stage = self._stage(pipeline, streams[2 * i + 1])
+        self._stages(unit.active_pipelines,
+                     lambda first: streams[2 * first.index + 1])
         if unit.active:
             unit.target = first_target(
                 max(p.n for p in unit.active_pipelines), unit.size)
@@ -817,12 +836,12 @@ class RoundEngine(LossRecovery):
                         pipeline.base:pipeline.base + unit.bound]
                     local = compacted[where] = LocalColumn(segment[keep])
                 pipeline.source, pipeline.base = local, 0
-                pipeline.stage = self._stage(pipeline,
-                                             streams[pipeline.index])
-                if consumed:
-                    pipeline.estimate = pipeline.stage.offer(
-                        local.value[:consumed])
-                    touched.append((unit, pipeline))
+            self._stages(unit.active_pipelines,
+                         lambda first: streams[first.index])
+            for pipeline in unit.active_pipelines if consumed else ():
+                pipeline.estimate = pipeline.stage.offer(
+                    pipeline.source.value[:consumed])
+                touched.append((unit, pipeline))
             unit.consumed = consumed
             unit.bound = unit.drawn = survivors
         return touched
@@ -893,32 +912,41 @@ class RoundEngine(LossRecovery):
                      ) -> List[AccuracyEstimate]:
         """Feed every live pipeline its delta.
 
-        Fans out over the configured backend when it can pay off; the
-        per-pipeline RNG streams and ordered gather keep results
-        byte-identical across serial / threads / processes.  Tasks carry
-        only slice bounds — the column was shipped once for the whole
-        run (and filled before this round was), and on a process pool so
-        is each stage: it then lives in its slot's worker, where even a
-        lone laggard is offered to.
+        A resample set (a unit's readers of one column) grows once,
+        whoever comes first, and keeps its widest reader's ``B``.  Fans
+        out over the configured backend when it can pay off; the per-set
+        RNG streams and ordered gather keep results byte-identical
+        across serial / threads / processes.  Tasks carry only slice
+        bounds — the column was shipped once for the whole run (and
+        filled before this round was), and on a process pool so is each
+        stage: it then lives, by its siblings, in the worker of its
+        column's first pipeline, where even a lone laggard is offered to.
         """
         executor = self._executor
         assert executor is not None
+        width: Dict[Tuple[int, int], int] = {}
+        for unit, p, _, _ in work:
+            key = id(unit), p.column
+            width[key] = max(p.B, width.get(key, 0))
+        keeps = [width[id(unit), p.column] for unit, p, _, _ in work]
         if executor.shares_memory:
             if executor.is_parallel and len(work) > 1:
                 return executor.map(
                     _offer_shared,
-                    [(p.stage, p.source, lo, hi) for _, p, lo, hi in work])
+                    [(p.stage, p.source, lo, hi, keep)
+                     for (_, p, lo, hi), keep in zip(work, keeps)])
         elif len(work) > 1 or work[0][1].stage is _IN_WORKER:
             items = []
-            for _, p, lo, hi in work:
+            for (_, p, lo, hi), keep in zip(work, keeps):
                 stage, source = ((None, None) if p.stage is _IN_WORKER
                                  else (p.stage, p.source))
-                items.append((p.slot, stage, source, lo, hi, p.sigma))
+                items.append((p.slot, stage, source, lo, hi, p.sigma, keep))
                 p.stage = _IN_WORKER
-            return executor.map(_offer_resident, items,
-                                place=[p.slot for _, p, _, _ in work])
-        return [p.stage.offer(p.source.value[lo:hi])
-                for _, p, lo, hi in work]
+            return executor.map(_offer_resident, items, place=[
+                next(q.slot for q in unit.pipelines if q.column == p.column)
+                for unit, p, _, _ in work])
+        return [p.stage.offer(p.source.value[lo:hi], keep)
+                for (_, p, lo, hi), keep in zip(work, keeps)]
 
     def _sampled_result(self, unit: SampleUnit,
                         pipeline: Pipeline) -> EarlResult:
@@ -984,10 +1012,11 @@ class UniformEngine(RoundEngine):
     of an in-memory dataset (a random permutation prefix, drawn as far
     as it is read).
 
-    Each expansion round draws a single delta and feeds it to every
-    active query's own delta-maintained resample set (§4.1); queries
-    terminate independently, and the sample only keeps growing while
-    some query still needs more data.  Events are
+    Each expansion round draws a single delta and grows ONE
+    delta-maintained resample set (§4.1) of the widest active query's
+    ``B``; each query reads its own statistic over the first ``B`` of
+    those resamples.  Queries terminate independently, and the sample
+    only keeps growing while some query still needs more data.  Events are
     ``(query, ProgressSnapshot)`` pairs.
     :class:`~repro.streaming.SessionManager` is this engine under its
     public name; :class:`~repro.core.EarlSession` runs one with a
@@ -1033,13 +1062,16 @@ class UniformEngine(RoundEngine):
 
         Per-query overrides default to the shared config: ``sigma``
         (the error bound this query must meet), ``error_metric``, and
-        the SSABE ``B_override``/``n_override`` escape hatch.  ``name``
+        the SSABE ``B_override``/``n_override`` escape hatch — checked
+        here, by :class:`~repro.core.EarlConfig`'s rules.  ``name``
         keys the :meth:`run` result dict (default: the statistic's
         name, suffixed on collision).
         """
         if self._started:
             raise RuntimeError("cannot submit after streaming started")
-        cfg = self._config
+        cfg = replace(self._config, **{k: v for k, v in dict(
+            sigma=sigma, error_metric=error_metric, B_override=B_override,
+            n_override=n_override).items() if v is not None})
         stat = get_statistic(statistic)
         check_row_compatibility(stat, self._columns[0])
         taken = {q.name for q in self._queries}
@@ -1052,13 +1084,9 @@ class UniformEngine(RoundEngine):
         elif name in taken:
             raise ValueError(f"duplicate query name {name!r}")
         handle = Pipeline(
-            name, stat,
-            sigma=cfg.sigma if sigma is None else sigma,
-            error_metric=(cfg.error_metric if error_metric is None
-                          else error_metric),
+            name, stat, sigma=cfg.sigma, error_metric=cfg.error_metric,
             correction=get_correction(correction, stat.name),
-            B_override=cfg.B_override if B_override is None else B_override,
-            n_override=cfg.n_override if n_override is None else n_override,
+            B_override=cfg.B_override, n_override=cfg.n_override,
             index=len(self._queries))
         self._queries.append(handle)
         return handle

@@ -9,21 +9,21 @@ and (on a cluster) the scan cost k times for k queries.
 :class:`SessionManager` instead runs all submitted queries over **one**
 pilot and **one** growing uniform sample (a random permutation prefix —
 every query's sampler is the same uniform-without-replacement design,
-which is what makes them *compatible*): each expansion round draws a
-single delta and feeds it to every active query's own delta-maintained
-:class:`~repro.core.delta.ResampleSet` (§4.1).  Queries terminate
-independently — each stops expanding the moment its own error bound σ
-is met — and the shared sample only keeps growing while some query
-still needs more data.  This is the M3R-style in-memory reuse across
-jobs and the Shark-style interactive serving loop from PAPERS.md,
-applied to EARL's early-answer machinery.
+which is what makes them *compatible*), hence over **one**
+delta-maintained :class:`~repro.core.delta.ResampleSet` (§4.1) of the
+widest live query's ``B``, grown once per round by a single delta; each
+query reads its statistic over the first ``B`` of its resamples.
+Queries terminate independently — each stops expanding the moment its
+own error bound σ is met — and the shared sample only keeps growing
+while some query still needs more data.  This is the M3R-style
+in-memory reuse across jobs and the Shark-style interactive serving
+loop from PAPERS.md, applied to EARL's early-answer machinery.
 
-The per-round accuracy-estimation stages of the active queries are
-independent work units, so they fan out through the PR-1 executor seam
-(:class:`~repro.exec.Executor`, selected by ``EarlConfig.executor``):
-every query owns a pre-spawned RNG stream and results are gathered in
-submission order, so serial, thread and process backends produce
-byte-identical results for a fixed seed.
+The queries' per-round stages fan out through the PR-1 executor seam
+(:class:`~repro.exec.Executor`, ``EarlConfig.executor``): the shared
+set draws from its first query's pre-spawned RNG stream, whichever
+query grows it, and results are gathered in submission order, so
+serial, thread and process backends give byte-identical results.
 
 The engine itself is :class:`repro.core.engine.UniformEngine` — one
 sample unit, k pipelines, stepped by the round core every in-memory

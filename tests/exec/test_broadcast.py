@@ -155,7 +155,7 @@ class TestGrowingColumns:
                 handle.value[lo:hi] = rows[lo:hi]
                 got = ex.map(_offer_resident, [
                     (slot, stages[slot] if lo == 0 else None,
-                     handle if lo == 0 else None, lo, hi, 1e-9)
+                     handle if lo == 0 else None, lo, hi, 1e-9, None)
                     for slot in slots], place=list(slots))
                 assert got == [twin.offer(rows[lo:hi]) for twin in twins]
 

@@ -124,17 +124,20 @@ class TestOfferResident:
 
     def test_met_sigma_drops_the_slot(self, population):
         estimate = _offer_resident(
-            (self.SLOT, self._stage(), LocalColumn(population), 0, 2_000, 0.5))
+            (self.SLOT, self._stage(), LocalColumn(population), 0, 2_000, 0.5,
+             None))
         assert estimate.meets(0.5)
         assert self.SLOT not in engine._RESIDENT
 
     def test_unmet_sigma_keeps_it_for_the_next_offer(self, population):
         stage, column = self._stage(), LocalColumn(population)
-        first = _offer_resident((self.SLOT, stage, column, 0, 2_000, 1e-6))
+        first = _offer_resident((self.SLOT, stage, column, 0, 2_000, 1e-6,
+                                 None))
         assert not first.meets(1e-6)
         assert engine._RESIDENT[self.SLOT] == (stage, column)
         # the next round carries no stage: the resident one grows
-        second = _offer_resident((self.SLOT, None, None, 2_000, 4_000, 1e-6))
+        second = _offer_resident((self.SLOT, None, None, 2_000, 4_000, 1e-6,
+                                  None))
         assert stage.sample_size == 4_000
         twin = self._stage()
         twin.offer(population[:2_000])
@@ -142,15 +145,16 @@ class TestOfferResident:
 
     def test_a_reshipped_stage_replaces_the_resident_one(self, population):
         column = LocalColumn(population)
-        _offer_resident((self.SLOT, self._stage(), column, 0, 2_000, 1e-6))
+        _offer_resident((self.SLOT, self._stage(), column, 0, 2_000, 1e-6,
+                         None))
         rebuilt, survivors = self._stage(), LocalColumn(population[::2])
-        _offer_resident((self.SLOT, rebuilt, survivors, 0, 500, 1e-6))
+        _offer_resident((self.SLOT, rebuilt, survivors, 0, 500, 1e-6, None))
         assert engine._RESIDENT[self.SLOT] == (rebuilt, survivors)
         assert rebuilt.sample_size == 500
 
     def test_an_offer_without_a_resident_stage_is_an_error(self):
         with pytest.raises(KeyError):
-            _offer_resident((self.SLOT, None, None, 0, 10, 0.5))
+            _offer_resident((self.SLOT, None, None, 0, 10, 0.5, None))
 
     @pytest.mark.parametrize("run", [_run_manager, _run_grouped])
     def test_nothing_is_stored_in_the_driver(self, population, run):

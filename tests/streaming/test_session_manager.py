@@ -205,3 +205,26 @@ class TestLifecycle:
         assert first.name == "mean" and second.name == "mean#2"
         with pytest.raises(ValueError):
             manager.submit("median", name="mean")
+
+
+class TestSubmitChecksOverrides:
+    """A per-query override is held to ``EarlConfig``'s rule for the
+    same field when it is submitted: a bad one is refused there, never
+    failing the whole run later (nor silently replaced by SSABE's
+    pick), and the sibling already submitted still gets its answer."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("B_override", -3), ("sigma", 0.0), ("error_metric", "bogus"),
+        ("B_override", 2.5), ("B_override", 0), ("n_override", 0),
+        ("n_override", -5),
+    ])
+    def test_rejected_at_submit(self, population, field, value):
+        manager = SessionManager(population,
+                                 config=EarlConfig(sigma=0.05, seed=4))
+        sibling = manager.submit("median")
+        with pytest.raises((ValueError, TypeError)):
+            EarlConfig(**{field: value})
+        with pytest.raises((ValueError, TypeError)):
+            manager.submit("mean", **{field: value})
+        assert [q.name for q in manager.queries] == ["median"]
+        assert manager.run()["median"] is sibling.result is not None
