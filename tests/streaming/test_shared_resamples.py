@@ -164,7 +164,7 @@ def _state_ops_of_four(table, cancel_three):
 
 def test_four_readers_maintain_what_one_does(table, telemetry):
     """Equal ``B``: four readers of one set cost the maintenance of
-    one (each used to keep and grow its own set)."""
+    one reader."""
     four = _state_ops_of_four(table, cancel_three=False)
     one = _state_ops_of_four(table, cancel_three=True)
     assert one > 0
