@@ -3,9 +3,9 @@
 EARL keeps its reducers alive between iterations so that only Δs
 travels and the resamples are updated where they sit (§3.3, §4.1).  The
 ``processes`` executor does the same since its workers became
-placement-stable: a pipeline's estimation stage is pickled to its
-worker once, lives there, and a round moves a slice bound out and an
-estimate back.  Two rows, the shapes of ``BENCHMARK.json``'s
+placement-stable: a resample set, with its readers, is pickled to its
+worker once, lives there, and a round moves a slice bound out and the
+estimates back.  Two rows, the shapes of ``BENCHMARK.json``'s
 ``grouped_procs`` and ``stats_shared_scan`` workloads:
 
 * ``grouped`` — 500k rows, 50 Zipf groups, mean(amount) and sum(qty),
@@ -30,7 +30,9 @@ and two stages per row:
   ``processes <= 2.5 x serial`` on the grouped row — a coarse bound (on
   the 2-CPU host that wrote the baseline this design reads 1.4x, the
   by-value one it replaced 2.3x); the count above is the sharp one.
-  The same seconds with every CPU are printed next to it.
+  The same seconds with every CPU are printed next to it, and the
+  ``threads`` backend's (reported, not gated: the reads of a shared
+  set fan out over its readers there).
 
 Finals are asserted equal across the two backends on every run.
 
@@ -142,21 +144,22 @@ ROWS = {"grouped": (GROUPED_N, grouped_plan),
 @contextlib.contextmanager
 def by_value_ledger() -> Iterator[Dict[str, int]]:
     """Count, while a *serial* run is inside, what the by-value fan-out
-    would have pickled: each stage of a fanned-out round (two or more
-    offers) on its way out, and on its way back unless its estimate met
-    σ — a stage that is done stayed behind — plus the estimate."""
+    would have pickled: each live reader's stage of a fanned-out round
+    (two or more live readers) on its way out, and on its way back
+    unless its estimate met σ — a stage that is done stayed behind —
+    plus the estimate."""
     moved = {"offers": 0, "out": 0, "back": 0}
     offer_round = RoundEngine._offer_round
 
     def counting(self, work):
-        fans = len(work) > 1
+        readers = [p for _, s, _, _ in work for p in s.readers]
+        fans = len(readers) > 1
         if fans:
-            moved["offers"] += len(work)
-            moved["out"] += sum(len(pickle.dumps(p.stage))
-                                for _, p, _, _ in work)
+            moved["offers"] += len(readers)
+            moved["out"] += sum(len(pickle.dumps(p.stage)) for p in readers)
         estimates = offer_round(self, work)
         if fans:
-            for (_, p, _, _), estimate in zip(work, estimates):
+            for p, estimate in zip(readers, estimates):
                 moved["back"] += len(pickle.dumps(estimate))
                 if not estimate.meets(p.sigma):
                     moved["back"] += len(pickle.dumps(p.stage))
@@ -226,7 +229,7 @@ def _best_seconds(plan: Plan, executor: str, repeats: int) -> float:
 
 def wall(plan: Plan, repeats: int) -> Dict[str, Any]:
     """Best-of-``repeats`` seconds per backend, pinned to one CPU, and
-    the pool's again with every CPU."""
+    the pool's and the threads' with every CPU."""
     plan("processes")()      # warm: imports, allocator, page cache
     with one_cpu() as pinned:
         serial = _best_seconds(plan, "serial", repeats)
@@ -236,6 +239,8 @@ def wall(plan: Plan, repeats: int) -> Dict[str, Any]:
             "processes_seconds": round(processes, 4),
             "processes_seconds_all_cpus": round(
                 _best_seconds(plan, "processes", repeats), 4),
+            "threads_seconds_all_cpus": round(
+                _best_seconds(plan, "threads", repeats), 4),
             "cpus": len(os.sched_getaffinity(0)) if pinned
             else os.cpu_count(),
             "processes_over_serial": round(processes / serial, 2),
@@ -304,7 +309,8 @@ def _print(rows: List[Dict[str, object]]) -> None:
               f"processes {w['processes_seconds']:.3f}s  "
               f"({w['processes_over_serial']:.2f}x); "
               f"{w['cpus']} CPUs: processes "
-              f"{w['processes_seconds_all_cpus']:.3f}s")
+              f"{w['processes_seconds_all_cpus']:.3f}s  threads "
+              f"{w['threads_seconds_all_cpus']:.3f}s")
 
 
 class TestExecResidency:

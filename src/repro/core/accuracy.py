@@ -146,9 +146,11 @@ class AccuracyEstimationStage:
     identical with or without it.  The stage borrows the executor — the
     caller owns its lifecycle.
 
-    ``resamples`` is a set shared with sibling stages of the same
-    sample (built with its own ``maintenance`` / ``seed`` / ...): each
-    stage reads its statistic over the set's first ``B`` resamples.
+    A stage grows a set it owns through :meth:`offer`.  ``resamples``
+    is instead a set shared with sibling stages of the same sample
+    (built with its own ``maintenance`` / ``seed`` / ...): its owner
+    grows it once per delta, and each stage reads its statistic over
+    the set's first ``B`` resamples (:meth:`read`).
     """
 
     def __init__(self, statistic: StatisticLike, B: int, *,
@@ -171,8 +173,12 @@ class AccuracyEstimationStage:
         self._resamples = resamples
         self._reader = resamples.add_reader(self._stat)
         self._B = B
-        self._n = 0     # rows offered to this stage
         self._history: list[AccuracyEstimate] = []
+
+    @property
+    def B(self) -> int:
+        """How many of the set's resamples this stage reads."""
+        return self._B
 
     @property
     def resample_set(self) -> ResampleSet:
@@ -199,15 +205,23 @@ class AccuracyEstimationStage:
 
     @property
     def sample_size(self) -> int:
-        return self._n
+        return self._resamples.sample_size
 
-    def offer(self, delta: Sequence[float],
-              keep: Optional[int] = None) -> AccuracyEstimate:
-        """Feed a (delta) sample and return the refreshed estimate
-        (``keep``: see :meth:`~repro.core.delta.ResampleSet.grow`)."""
-        self._resamples.grow(self._n, delta, keep)
-        self._n += len(delta)
-        estimate = self._current_estimate()
+    def offer(self, delta: Sequence[float]) -> AccuracyEstimate:
+        """Grow the stage's own set by a (delta) sample and return the
+        refreshed estimate."""
+        self._resamples.grow(delta)
+        return self.read()
+
+    def read(self) -> AccuracyEstimate:
+        """The estimate off the set as it stands (after its latest
+        growth), recorded in :attr:`history`."""
+        estimates = self._resamples.estimates(
+            executor=self._executor, reader=self._reader, B=self._B)
+        point = self._stat(
+            np.asarray(self._resamples.sample_array(), dtype=float))
+        estimate = summarize_distribution(
+            estimates, point, self.sample_size, metric=self._metric)
         self._history.append(estimate)
         return estimate
 
@@ -217,11 +231,3 @@ class AccuracyEstimationStage:
         if len(self._history) < 2:
             return None
         return abs(self._history[-1].cv - self._history[-2].cv)
-
-    def _current_estimate(self) -> AccuracyEstimate:
-        estimates = self._resamples.estimates(
-            executor=self._executor, reader=self._reader, B=self._B)
-        point = self._stat(
-            np.asarray(self._resamples.sample_array(), dtype=float))
-        return summarize_distribution(estimates, point, self._n,
-                                      metric=self._metric)

@@ -44,7 +44,6 @@ See DESIGN.md "Vectorized kernel & data plane".
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -574,8 +573,9 @@ class ResampleSet:
     **Readers.**  Resamples depend on the sample, not the statistic,
     so several statistics may read one set (:meth:`add_reader`), each
     over any leading ``B`` of its resamples (:meth:`estimates`) — still
-    ``B`` i.i.d. resamples of the sample.  They offer deltas through
-    :meth:`grow`, where the first offer of a round grows the set.
+    ``B`` i.i.d. resamples of the sample.  Their owner grows the set
+    once per delta (:meth:`grow`, to its widest reader's ``B``); the
+    readers then only read.
 
     The sample and every stored Δs are the arrays handed to
     :meth:`initialize` / :meth:`expand` (``np.asarray`` of them — no
@@ -611,14 +611,6 @@ class ResampleSet:
         # "none") over per-resample objects.
         self._dense: Optional[_DenseRows] = None
         self._maintainer: Optional[_BaseMaintainer] = None
-        self._lock = threading.Lock()   # readers on threads: see grow()
-
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_lock"}
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
     def _make_maintainer(self) -> Optional[_BaseMaintainer]:
         """The per-resample maintainer; ledger-less ``"optimized"`` sets
@@ -642,28 +634,20 @@ class ResampleSet:
             self._readers.append(stat)
         return self._readers.index(stat)
 
-    def grow(self, at: int, delta: Sequence[Any],
-             keep: Optional[int] = None) -> None:
-        """A reader's offer of sample rows ``[at, at + len(delta))``: the
-        set grows by them (from its own generator, whoever offers)
-        unless a sibling reader already did this round, first dropping
-        the resamples beyond ``keep``.  Threads take turns here."""
-        with self._lock:
-            if self._n != at:
-                if self._n != at + len(delta):
-                    raise RuntimeError(f"a reader at {at} rows offered "
-                                       f"{len(delta)} to {self._n}")
-                return
-            if keep is not None and keep < self.B:
-                self.B = keep
-                del self._resamples[keep:]
-                if self._dense is not None:
-                    self._dense.rows = self._dense.rows[:keep]
-            if self._n:
-                self.expand(delta)
-            else:
-                self.initialize(delta)
-            self.sample_array()     # merged here: readers only read
+    def grow(self, delta: Sequence[Any], B: Optional[int] = None) -> None:
+        """Grow the sample by ``delta`` (the first delta initializes the
+        set), first dropping the resamples beyond ``B``: the round of a
+        shared set, whose width is its widest live reader's ``B``."""
+        if B is not None and B < self.B:
+            self.B = B
+            del self._resamples[B:]
+            if self._dense is not None:
+                self._dense.rows = self._dense.rows[:B]
+        if self._n:
+            self.expand(delta)
+        else:
+            self.initialize(delta)
+        self.sample_array()     # merged here: readers only read
 
     def _sketches(self) -> Sequence[Sketch]:
         return getattr(self._maintainer, "_delta_sketches", ())

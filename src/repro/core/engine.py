@@ -2,7 +2,7 @@
 
 The paper has one accuracy loop (§3): pilot → SSABE → expand the sample
 by Δs → bootstrap check → stop at σ, with the §3.1 exact fallback and
-the §3.4 loss recovery.  This module writes it once, from two pieces:
+the §3.4 loss recovery.  This module writes it once, from three pieces:
 
 * a :class:`Pipeline` — one statistic driven towards its bound σ: its
   correction, ``(B, n)``, SSABE trail, delta-maintained estimation
@@ -10,7 +10,10 @@ the §3.4 loss recovery.  This module writes it once, from two pieces:
 * a :class:`SampleUnit` — one lazily drawn permutation prefix of one
   population and the schedule walking it (``target / consumed / drawn /
   bound / iteration``), its loss accounting, and the pipelines that read
-  its rows.
+  its rows;
+* a :class:`ColumnSet` — a unit's readers of one sample column and the
+  resample set they share: a round's unit of work, grown once to its
+  widest live reader's ``B`` and then read by each of them.
 
 :class:`RoundEngine` steps any number of units through the protocol
 ``prepare / pending / live_demands / run_round(grant) / finalize /
@@ -31,7 +34,8 @@ then continues that generator (SSABE, stage — the solo order) and its
 stage receives the executor for parallel resample evaluation;
 k ≥ 2 pipelines get ``2k`` pre-spawned streams (so withdrawing one
 before the run leaves its siblings' randomness untouched) and the round
-fans out *across* pipelines instead.  An engine that can never fan out
+fans out *across* sets (process pools) or their readers (threads)
+instead.  An engine that can never fan out
 keeps its sample driver-local (:class:`LocalColumn`) rather than
 broadcasting it.
 """
@@ -39,7 +43,9 @@ broadcasting it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import replace
+from functools import partial
 from typing import (
     Any,
     Callable,
@@ -227,7 +233,6 @@ class Pipeline:
         self.n_override = n_override
         self.index = index      # position among the unit's pipelines
         self.column = column    # which engine column its rows come from
-        self.slot = 0           # ordinal in the engine
         self.B: Optional[int] = None
         self.n: Optional[int] = None
         self.ssabe: Optional[SSABEResult] = None
@@ -240,10 +245,6 @@ class Pipeline:
         #: Withdrawn without a result: cancelled by its client, or its
         #: stratum died (§3.4) before it ever produced an estimate.
         self.cancelled = False
-        #: Holder of the materialised sample column (``.value``) and
-        #: the offset of this unit's segment in it.
-        self.source: Any = None
-        self.base = 0
 
     @property
     def done(self) -> bool:
@@ -268,7 +269,7 @@ class LocalColumn:
     Exposes the same ``.value`` the fan-out units read.  Used when the
     engine can never fan out (a lone pipeline), and for the compacted
     survivors of a unit after a §3.4 sample loss (on process pools
-    those ride the next offer by value, once, with the rebuilt stage).
+    those ride the next offer by value, once, with the rebuilt set).
     """
 
     __slots__ = ("value",)
@@ -277,10 +278,38 @@ class LocalColumn:
         self.value = value
 
 
+class ColumnSet:
+    """One unit's readers of one sample column and the resample set
+    they share: the unit of a round's work.
+
+    A round grows ``resamples`` once — to its widest live reader's
+    ``B``, from the set's own generator — and then every live reader
+    reads its statistic off it (:func:`_reads`); under the jackknife
+    there is no set (``None``) and each reader keeps its own sample.
+    ``source`` holds the sample column (``.value``) and ``base`` is the
+    offset of the unit's segment in it.  On a process pool the set and
+    its readers' stages travel to the worker of ``slot`` with their
+    first round after a (re)build (``shipped``) and live there; the
+    driver keeps the empty copies it sent.
+    """
+
+    __slots__ = ("column", "readers", "resamples", "source", "base",
+                 "slot", "shipped")
+
+    def __init__(self, column: int, readers: List[Pipeline]) -> None:
+        self.column = column
+        self.readers = readers
+        self.resamples: Optional[ResampleSet] = None
+        self.source: Any = None
+        self.base = 0
+        self.slot = 0
+        self.shipped = False
+
+
 class SampleUnit:
     """One lazily drawn permutation prefix of one population, the
-    expansion schedule walking it, its §3.4 loss accounting, and the
-    pipelines reading its rows."""
+    expansion schedule walking it, its §3.4 loss accounting, the
+    pipelines reading its rows and the resample sets they read."""
 
     def __init__(self, key: Hashable, size: int,
                  pipelines: List[Pipeline], *,
@@ -299,6 +328,15 @@ class SampleUnit:
         self.drawn = 0      # rows gathered into its segment so far
         self.lost = 0       # sample rows lost to failures so far
         self.degraded = False
+        self.sets: List[ColumnSet] = []
+
+    def live_sets(self) -> List[ColumnSet]:
+        """Its resample sets, each narrowed to its live readers; a set
+        no live pipeline reads any more is dropped."""
+        for s in self.sets:
+            s.readers = [p for p in s.readers if not p.done]
+        self.sets = [s for s in self.sets if s.readers]
+        return self.sets
 
     @property
     def lost_fraction(self) -> float:
@@ -330,41 +368,43 @@ class SampleUnit:
 # ---------------------------------------------------------------------------
 
 
-def _offer_shared(args: Tuple[AccuracyEstimationStage, Any, int, int, int]
-                  ) -> AccuracyEstimate:
-    """Fan-out unit for shared-memory backends: mutate the stage in
-    place; the delta is a ``[lo, hi)`` slice of the engine's one
-    broadcast column, and ``keep`` the round's width of its set."""
-    stage, shared, lo, hi, keep = args
-    return stage.offer(shared.value[lo:hi], keep)
+def _reads(resamples: Optional[ResampleSet], stages: Sequence[Any],
+           delta: np.ndarray) -> List[Callable[[], AccuracyEstimate]]:
+    """A set's round: grow it by ``delta`` to its widest reader's ``B``,
+    then its readers' reads (under the jackknife, each reader's own
+    offer of ``delta``)."""
+    if resamples is None:
+        return [partial(stage.offer, delta) for stage in stages]
+    resamples.grow(delta, max(stage.B for stage in stages))
+    return [stage.read for stage in stages]
 
 
-#: In a pool worker: slot -> (stage, column holder) of the stages
-#: :func:`_offer_resident` keeps there.  Always empty in the driver.
-_RESIDENT: Dict[int, Tuple[AccuracyEstimationStage, Any]] = {}
-#: What the driver holds as ``pipeline.stage`` while the stage lives in
-#: a worker (``None`` would read as "finished").
-_IN_WORKER: Any = object()
+#: In a pool worker: slot -> (set, stages by reader index, column
+#: holder) of the sets :func:`_resident_round` keeps there.  Always
+#: empty in the driver.
+_RESIDENT: Dict[int, Tuple[Optional[ResampleSet], Dict[int, Any], Any]] = {}
 
 
-def _offer_resident(args: Tuple[int, Optional[AccuracyEstimationStage], Any,
-                                int, int, float, int]) -> AccuracyEstimate:
+def _resident_round(args: Tuple[int, Optional[Tuple[Any, Any, Any]], int,
+                                int, Sequence[Tuple[int, float]]]
+                    ) -> List[AccuracyEstimate]:
     """Fan-out unit for process backends, placed by resample set: the
-    stage arrives once — with its column holder and its siblings (one
-    message: they unpickle around one set), on the first offer after it
-    was (re)built — stays in this worker, and only the estimate goes
-    back; one that meets the pipeline's σ frees its slot (a finished
-    pipeline is never offered to again).  Nor does the sample ride the
-    task: workers hold the engine's one broadcast and slice locally."""
-    slot, stage, source, lo, hi, sigma, keep = args
-    if stage is None:
-        stage, source = _RESIDENT[slot]
-    else:
-        _RESIDENT[slot] = stage, source
-    estimate = stage.offer(source.value[lo:hi], keep)
-    if estimate.meets(sigma):
+    set arrives once — with its readers' stages and its column holder,
+    on its first round after it was (re)built — stays in this worker,
+    grows and is read here, and only the estimates of the round's live
+    readers (``(reader index, σ)`` pairs, in reader order) go back.
+    Once every one of them met its σ none will be offered to again, so
+    the slot is freed.  Nor does the sample ride the task: workers
+    hold the engine's one broadcast and slice locally."""
+    slot, shipped, lo, hi, live = args
+    if shipped is not None:
+        _RESIDENT[slot] = shipped
+    resamples, stages, source = _RESIDENT[slot]
+    estimates = [read() for read in _reads(
+        resamples, [stages[i] for i, _ in live], source.value[lo:hi])]
+    if all(e.meets(sigma) for e, (_, sigma) in zip(estimates, live)):
         del _RESIDENT[slot]
-    return estimate
+    return estimates
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +509,14 @@ class LossRecovery:
 
 #: One touched pipeline of a round: the unit it reads and the pipeline.
 Touched = Tuple[SampleUnit, Pipeline]
+#: One set's share of a round: its unit, the set and its ``[lo, hi)``
+#: slice of the set's column.
+Work = Tuple[SampleUnit, ColumnSet, int, int]
+
+
+def _readers(work: List[Work]) -> List[Touched]:
+    """The live readers of a round's sets, in (set, reader) order."""
+    return [(unit, p) for unit, s, _, _ in work for p in s.readers]
 
 
 class RoundEngine(LossRecovery):
@@ -630,37 +678,33 @@ class RoundEngine(LossRecovery):
             return data if unit.rows is None else data[unit.rows]
         return data[picks if unit.rows is None else unit.rows[picks]]
 
-    def _stages(self, readers: List[Pipeline],
-                seed: Callable[[Pipeline], Any]) -> None:
-        """Stages for a unit's live pipelines: a column's readers share
-        ONE resample set of their largest ``B``, drawn from the stream
-        ``seed`` gives the first of them (a lone reader's: its own)."""
+    def _build(self, unit: SampleUnit,
+               seed: Callable[[Pipeline], Any]) -> None:
+        """(Re)build the unit's sets: a column's live readers share ONE
+        resample set of their largest ``B``, drawn from the stream
+        ``seed`` gives the first of them (a lone reader's: its own),
+        and each reader gets a stage over it."""
         cfg = self._config
-        for column in dict.fromkeys(p.column for p in readers):
-            mine = [p for p in readers if p.column == column]
-            shared = None if cfg.estimation == "jackknife" else ResampleSet(
-                mine[0].statistic, max(p.B for p in mine),
-                maintenance=cfg.maintenance, sketch_c=cfg.sketch_c,
-                seed=seed(mine[0]))
-            for pipeline in mine:
-                pipeline.stage = self._stage(pipeline, shared)
-
-    def _stage(self, pipeline: Pipeline, resamples: Optional[ResampleSet]):
-        return make_estimation_stage(
-            pipeline.statistic, pipeline.B,
-            replace(self._config, error_metric=pipeline.error_metric),
-            executor=self._executor if self._lone else None,
-            resamples=resamples)
+        for s in unit.live_sets():
+            s.resamples = None if cfg.estimation == "jackknife" else \
+                ResampleSet(s.readers[0].statistic,
+                            max(p.B for p in s.readers),
+                            maintenance=cfg.maintenance,
+                            sketch_c=cfg.sketch_c, seed=seed(s.readers[0]))
+            s.shipped = False
+            for p in s.readers:
+                p.stage = make_estimation_stage(
+                    p.statistic, p.B,
+                    replace(cfg, error_metric=p.error_metric),
+                    executor=self._executor if self._lone else None,
+                    resamples=s.resamples)
 
     def _prepare(self, units: List[SampleUnit]) -> List[Touched]:
         """Pilot every unit (each with ``rng`` and ``order`` set by the
         caller), then allocate and broadcast the sample columns.
         Returns the pipelines resolved exactly at the pilot."""
         self._units = units
-        pipelines = [p for unit in units for p in unit.pipelines]
-        for slot, pipeline in enumerate(pipelines):
-            pipeline.slot = slot
-        submitted = len(pipelines)
+        submitted = sum(len(unit.pipelines) for unit in units)
         self._lone = submitted == 1
         span = _TRACER.span(f"{self._label}.prepare",
                             attrs={"pipelines": submitted})
@@ -706,8 +750,10 @@ class RoundEngine(LossRecovery):
                 pipeline.result = exact_fallback_result(
                     pipeline.statistic, self._take(unit, pipeline.column),
                     sigma=pipeline.sigma, ssabe=pipeline.ssabe)
-        self._stages(unit.active_pipelines,
-                     lambda first: streams[2 * first.index + 1])
+        live = unit.active_pipelines
+        unit.sets = [ColumnSet(column, [p for p in live if p.column == column])
+                     for column in dict.fromkeys(p.column for p in live)]
+        self._build(unit, lambda first: streams[2 * first.index + 1])
         if unit.active:
             unit.target = first_target(
                 max(p.n for p in unit.active_pipelines), unit.size)
@@ -736,26 +782,21 @@ class RoundEngine(LossRecovery):
         units = [unit for unit in self._units if unit.active]
         for unit in units:
             unit.bound = self._reach(unit)
+        placed = [(unit, s) for unit in units for s in unit.sets]
+        for slot, (_, s) in enumerate(placed):
+            s.slot = slot
         assert self._executor is not None
         for column, data in enumerate(self._columns):
-            readers: List[Pipeline] = []
-            offset = 0
-            for unit in units:
-                mine = [p for p in unit.active_pipelines
-                        if p.column == column]
-                if not mine:
-                    continue
-                for pipeline in mine:
-                    pipeline.base = offset
-                readers.extend(mine)
-                offset += unit.bound
-            if not readers:
+            mine = [(unit, s) for unit, s in placed if s.column == column]
+            if not mine:
                 continue
-            shape = (offset,) + data.shape[1:]
+            shape = (sum(unit.bound for unit, _ in mine),) + data.shape[1:]
             source = (LocalColumn(np.empty(shape, data.dtype)) if self._lone
                       else self._executor.broadcast_column(shape, data.dtype))
-            for pipeline in readers:
-                pipeline.source = source
+            offset = 0
+            for unit, s in mine:
+                s.source, s.base = source, offset
+                offset += unit.bound
 
     def _fill(self, unit: SampleUnit, upto: int) -> None:
         """Gather the unit's sample rows ``[drawn, upto)`` into its
@@ -766,24 +807,23 @@ class RoundEngine(LossRecovery):
             return
         assert unit.order is not None
         picks = unit.order.head(upto)[lo:]
-        # One segment per column: a unit's readers of a column share it.
-        for pipeline in {p.column: p for p in unit.active_pipelines}.values():
-            segment = pipeline.source.value[pipeline.base:]
-            segment[lo:upto] = self._take(unit, pipeline.column, picks)
+        for s in unit.live_sets():
+            s.source.value[s.base + lo:s.base + upto] = \
+                self._take(unit, s.column, picks)
         unit.drawn = upto
 
     def _apply_losses(self) -> List[Touched]:
         """Apply the queued loss reports (§3.4): mask the lost rows out
         of every hit unit's reachable sample, rebuild the survivors'
-        estimation stages, finalize dead units.
+        resample sets, finalize dead units.
 
         Each hit active unit keeps every reachable row independently
         with probability ``1 - fraction`` (its segments are filled up to
         ``bound`` first); its columns become compacted
-        driver-local survivors, its stages are rebuilt (seeded from a
+        driver-local survivors, its sets are rebuilt (seeded from a
         lazily-spawned loss stream, so clean runs draw nothing extra)
-        and the surviving consumed prefix is re-offered so the next
-        round extends a consistent resample state.  The population the
+        and grown by the surviving consumed prefix, so the next round
+        extends a consistent resample state.  The population the
         estimates speak for stays ``size``.  A unit losing every row
         finalizes best-so-far.  Returns the pipelines whose estimate or
         result changed.
@@ -827,21 +867,16 @@ class RoundEngine(LossRecovery):
             self._fill(unit, unit.bound)
             consumed = int(np.count_nonzero(keep[:unit.consumed]))
             streams = spawn_child(self._loss_rng, len(unit.pipelines))
-            compacted: Dict[Tuple[int, int], LocalColumn] = {}
-            for pipeline in unit.active_pipelines:
-                where = (id(pipeline.source), pipeline.base)
-                local = compacted.get(where)
-                if local is None:
-                    segment = pipeline.source.value[
-                        pipeline.base:pipeline.base + unit.bound]
-                    local = compacted[where] = LocalColumn(segment[keep])
-                pipeline.source, pipeline.base = local, 0
-            self._stages(unit.active_pipelines,
-                         lambda first: streams[first.index])
-            for pipeline in unit.active_pipelines if consumed else ():
-                pipeline.estimate = pipeline.stage.offer(
-                    pipeline.source.value[:consumed])
-                touched.append((unit, pipeline))
+            for s in unit.live_sets():
+                segment = s.source.value[s.base:s.base + unit.bound]
+                s.source, s.base = LocalColumn(segment[keep]), 0
+            self._build(unit, lambda first: streams[first.index])
+            if consumed:
+                work = [(unit, s, 0, consumed) for s in unit.sets]
+                for pair, estimate in zip(_readers(work),
+                                          self._offer_round(work)):
+                    pair[1].estimate = estimate
+                    touched.append(pair)
             unit.consumed = consumed
             unit.bound = unit.drawn = survivors
         return touched
@@ -857,7 +892,7 @@ class RoundEngine(LossRecovery):
         Returns the touched pipelines.
         """
         touched: List[Touched] = []
-        work: List[Tuple[SampleUnit, Pipeline, int, int]] = []
+        work: List[Work] = []
         drawn = 0
         for unit in self._units:
             if not unit.active:
@@ -873,13 +908,13 @@ class RoundEngine(LossRecovery):
             self._fill(unit, unit.consumed)
             unit.iteration += 1
             drawn += quota
-            for pipeline in unit.active_pipelines:
-                work.append((unit, pipeline, pipeline.base + lo,
-                             pipeline.base + unit.consumed))
+            work.extend((unit, s, s.base + lo, s.base + unit.consumed)
+                        for s in unit.live_sets())
         if not work:
             return touched
+        readers = _readers(work)
         with _TRACER.span(f"{self._label}.round",
-                          attrs={"rows": drawn, "offers": len(work)}):
+                          attrs={"rows": drawn, "offers": len(readers)}):
             estimates = self._offer_round(work)
         if _METRICS.enabled:
             _METRICS.counter("repro_engine_rounds_total",
@@ -889,7 +924,7 @@ class RoundEngine(LossRecovery):
                              labels={"engine": self._label},
                              help="sample rows consumed by rounds"
                              ).inc(drawn)
-        for (unit, pipeline, _, _), estimate in zip(work, estimates):
+        for (unit, pipeline), estimate in zip(readers, estimates):
             pipeline.estimate = estimate
             expand = (not estimate.meets(pipeline.sigma)
                       and unit.consumed < unit.bound
@@ -908,45 +943,40 @@ class RoundEngine(LossRecovery):
                                           self._config)
         return touched
 
-    def _offer_round(self, work: List[Tuple[SampleUnit, Pipeline, int, int]]
-                     ) -> List[AccuracyEstimate]:
-        """Feed every live pipeline its delta.
+    def _offer_round(self, work: List[Work]) -> List[AccuracyEstimate]:
+        """Grow every set of the round by its ``[lo, hi)`` slice of its
+        column and read its live readers; returns their estimates in
+        (set, reader) order.
 
-        A resample set (a unit's readers of one column) grows once,
-        whoever comes first, and keeps its widest reader's ``B``.  Fans
-        out over the configured backend when it can pay off; the per-set
-        RNG streams and ordered gather keep results byte-identical
-        across serial / threads / processes.  Tasks carry only slice
-        bounds — the column was shipped once for the whole run (and
-        filled before this round was), and on a process pool so is each
-        stage: it then lives, by its siblings, in the worker of its
-        column's first pipeline, where even a lone laggard is offered to.
+        Tasks carry only slice bounds — the column was shipped once for
+        the whole run (and filled before this round was).  On a process
+        pool (an engine that broadcast its columns) each set is one task
+        placed at its slot, where it lives from its first round: its
+        worker grows it and reads its readers.  Otherwise the driver
+        grows each set and, on a parallel backend, the reads fan out
+        over the round's readers.  Per-set RNG streams and ordered
+        gather keep results byte-identical across serial / threads /
+        processes.
         """
         executor = self._executor
         assert executor is not None
-        width: Dict[Tuple[int, int], int] = {}
-        for unit, p, _, _ in work:
-            key = id(unit), p.column
-            width[key] = max(p.B, width.get(key, 0))
-        keeps = [width[id(unit), p.column] for unit, p, _, _ in work]
-        if executor.shares_memory:
-            if executor.is_parallel and len(work) > 1:
-                return executor.map(
-                    _offer_shared,
-                    [(p.stage, p.source, lo, hi, keep)
-                     for (_, p, lo, hi), keep in zip(work, keeps)])
-        elif len(work) > 1 or work[0][1].stage is _IN_WORKER:
+        if not executor.shares_memory and not self._lone:
             items = []
-            for (_, p, lo, hi), keep in zip(work, keeps):
-                stage, source = ((None, None) if p.stage is _IN_WORKER
-                                 else (p.stage, p.source))
-                items.append((p.slot, stage, source, lo, hi, p.sigma, keep))
-                p.stage = _IN_WORKER
-            return executor.map(_offer_resident, items, place=[
-                next(q.slot for q in unit.pipelines if q.column == p.column)
-                for unit, p, _, _ in work])
-        return [p.stage.offer(p.source.value[lo:hi], keep)
-                for (_, p, lo, hi), keep in zip(work, keeps)]
+            for _, s, lo, hi in work:
+                shipped = None if s.shipped else (
+                    s.resamples, {p.index: p.stage for p in s.readers},
+                    s.source)
+                s.shipped = True
+                items.append((s.slot, shipped, lo, hi,
+                              [(p.index, p.sigma) for p in s.readers]))
+            return [estimate for estimates in executor.map(
+                _resident_round, items, place=[s.slot for _, s, _, _ in work])
+                for estimate in estimates]
+        reads = [read for _, s, lo, hi in work for read in _reads(
+            s.resamples, [p.stage for p in s.readers], s.source.value[lo:hi])]
+        if executor.is_parallel and len(reads) > 1:
+            return executor.map(operator.call, reads)
+        return [read() for read in reads]
 
     def _sampled_result(self, unit: SampleUnit,
                         pipeline: Pipeline) -> EarlResult:

@@ -8,17 +8,18 @@ the *query* terminates only when its worst group does.
 stratified design instead (:class:`~repro.sampling.StratifiedSampler`):
 
 * every group gets its own SSABE pilot (a prefix of the group's own
-  lazily drawn permutation), its own ``(B, n)``, and its own delta-maintained
-  :class:`~repro.core.accuracy.AccuracyEstimationStage`;
+  lazily drawn permutation), its own ``(B, n)``, and one
+  delta-maintained :class:`~repro.core.delta.ResampleSet` per measure
+  (each measure reads its own column, so each set has one reader);
 * a group stops sampling the moment *its* error bound is met (or its
   rows are exhausted / its §3.1 exact fallback fires), while laggard
   groups keep expanding — the per-group counterpart of the paper's
   termination protocol;
-* the per-round stage offers of all still-active ``(group, aggregate)``
-  pairs are independent work units and fan out through the PR-1
-  executor seam with the PR-3 broadcast-once data plane (one
-  stratified-ordered column shipped per measure per session), so
-  serial / thread / process backends yield byte-identical snapshots.
+* each still-active ``(group, aggregate)`` pair's set is one unit of a
+  round's work, run through the executor seam over the broadcast-once
+  data plane (one stratified-ordered column shipped per measure per
+  session), so serial / thread / process backends yield
+  byte-identical snapshots.
 
 The loop itself is the shared round core (:mod:`repro.core.engine`):
 a group is a :class:`~repro.core.engine.SampleUnit`, a ``(group,

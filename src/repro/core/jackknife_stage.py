@@ -78,10 +78,8 @@ class JackknifeEstimationStage:
         return len(self._sample)
 
     # ------------------------------------------------------------ estimate
-    def offer(self, delta: Sequence[float],
-              keep: Optional[int] = None) -> AccuracyEstimate:
-        """Extend the sample and refresh the jackknife error estimate
-        (a jackknife keeps no resamples: ``keep`` is moot)."""
+    def offer(self, delta: Sequence[float]) -> AccuracyEstimate:
+        """Extend the sample and refresh the jackknife error estimate."""
         self._sample.extend(float(v) for v in delta)
         if len(self._sample) < 2:
             raise ValueError("jackknife needs at least 2 observations")

@@ -296,8 +296,8 @@ class StratifiedSampler:
     Example
     -------
     >>> sampler = StratifiedSampler(["a", "b", "a", "b", "b"], seed=0)
-    >>> sampler.populations == {"a": 2, "b": 3}
-    True
+    >>> sampler.remaining("a"), sampler.remaining("b")
+    (2, 3)
     >>> len(sampler.take("b", 2)), sampler.remaining("b")
     (2, 1)
     """
@@ -321,24 +321,11 @@ class StratifiedSampler:
         """Stratum keys in order of first appearance."""
         return list(self._keys)
 
-    @property
-    def populations(self) -> Dict[Hashable, int]:
-        """Rows per stratum."""
-        return {key: len(self._rows[key]) for key in self._keys}
-
     def population(self, key: Hashable) -> int:
         return len(self._rows[key])
 
-    def consumed(self, key: Hashable) -> int:
-        return self._consumed[key]
-
     def remaining(self, key: Hashable) -> int:
         return len(self._rows[key]) - self._consumed[key]
-
-    @property
-    def sampled_count(self) -> int:
-        """Total rows consumed across every stratum."""
-        return sum(self._consumed.values())
 
     def rows(self, key: Hashable) -> np.ndarray:
         """Table-row indices of ``key``'s stratum, in appearance order."""
@@ -349,7 +336,7 @@ class StratifiedSampler:
         """Root ``key``'s permutation in a caller-owned stream: its
         prefix draws from a child spawned off ``rng`` *now*.
 
-        Must happen before the stratum's first :meth:`peek`/:meth:`take`
+        Must happen before the stratum's first :meth:`order`/:meth:`take`
         (a permutation cannot be replaced — samples already handed out
         would silently change design).
         """
@@ -371,30 +358,15 @@ class StratifiedSampler:
         return order
 
     # ------------------------------------------------------------- drawing
-    def peek(self, key: Hashable, count: int) -> np.ndarray:
-        """First ``count`` sampled table rows of ``key`` — *without*
-        consuming them (the pilot is a prefix of the same sample the
-        expansion loop will walk, exactly like the solo drivers)."""
-        if count < 0 or count > self.population(key):
-            raise ValueError(
-                f"cannot peek {count} rows of stratum {key!r} "
-                f"holding {self.population(key)}")
-        return self._rows[key][self.order(key).head(count)]
-
-    def advance(self, key: Hashable, count: int) -> None:
-        """Consume the next ``count`` sampled rows of ``key`` without
-        gathering them (for a caller that reads them by position)."""
+    def take(self, key: Hashable, count: int) -> np.ndarray:
+        """Consume and return the next ``count`` sampled table rows of
+        ``key`` (uniform without replacement within the stratum)."""
         if count < 0:
             raise ValueError("count cannot be negative")
         if count > self.remaining(key):
             raise ValueError(
                 f"cannot draw {count} rows from stratum {key!r} with "
                 f"{self.remaining(key)} remaining")
-        self._consumed[key] += count
-
-    def take(self, key: Hashable, count: int) -> np.ndarray:
-        """Consume and return the next ``count`` sampled table rows of
-        ``key`` (uniform without replacement within the stratum)."""
         lo = self._consumed[key]
-        self.advance(key, count)
+        self._consumed[key] = lo + count
         return self._rows[key][self.order(key).head(lo + count)[lo:]]

@@ -655,11 +655,9 @@ class TestRowItemUserStatistic:
 
 
 class TestStagePickling:
-    """The process fan-out ships a stage to its worker when it was
-    (re)built — after a §3.4 loss that is a stage already holding the
-    surviving prefix (``_offer_resident``): the pickle must carry the
-    items held, not the spare capacity of dense rows or segment
-    buffers."""
+    """A grown stage pickles to the items it holds, not to the spare
+    capacity of dense rows or segment buffers — what a by-value fan-out
+    would move each round (``benchmarks/bench_exec.py`` counts it)."""
 
     @staticmethod
     def _stage(population, bounds, storage):

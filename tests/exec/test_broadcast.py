@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.accuracy import AccuracyEstimationStage
 from repro.core.bootstrap import bootstrap
-from repro.core.engine import _offer_resident
+from repro.core.engine import _resident_round
 from repro.exec import (
     BroadcastHandle,
     broadcast_value,
@@ -153,11 +153,12 @@ class TestGrowingColumns:
             for lo, hi in ((0, 500), (500, 1_000), (1_000, 2_500),
                            (2_500, 4_000)):
                 handle.value[lo:hi] = rows[lo:hi]
-                got = ex.map(_offer_resident, [
-                    (slot, stages[slot] if lo == 0 else None,
-                     handle if lo == 0 else None, lo, hi, 1e-9, None)
+                got = ex.map(_resident_round, [
+                    (slot, (stages[slot].resample_set, {0: stages[slot]},
+                            handle) if lo == 0 else None,
+                     lo, hi, [(0, 1e-9)])
                     for slot in slots], place=list(slots))
-                assert got == [twin.offer(rows[lo:hi]) for twin in twins]
+                assert got == [[twin.offer(rows[lo:hi])] for twin in twins]
 
     def test_a_column_after_the_fork_raises(self):
         """By value, its rows would freeze at the first task that carried

@@ -20,7 +20,7 @@ import pytest
 
 from repro.core import EarlConfig
 from repro.core.accuracy import AccuracyEstimationStage
-from repro.core.engine import RoundEngine
+from repro.core import engine
 from repro.core.grouped import GroupedEarlSession, Measure
 from repro.exec import live_pool_executors
 from repro.streaming import SessionManager
@@ -42,10 +42,10 @@ def ledger(monkeypatch):
     """Stages built by the engine, and stage pickles made in this
     process, by stage identity."""
     built, pickled = [], Counter()
-    make_stage = RoundEngine._stage
+    make_stage = engine.make_estimation_stage
 
-    def stage_spy(self, pipeline, seed):
-        stage = make_stage(self, pipeline, seed)
+    def stage_spy(*args, **kwargs):
+        stage = make_stage(*args, **kwargs)
         built.append(stage)      # also keeps id() from being recycled
         return stage
 
@@ -53,7 +53,7 @@ def ledger(monkeypatch):
         pickled[id(self)] += 1
         return object.__getstate__(self)
 
-    monkeypatch.setattr(RoundEngine, "_stage", stage_spy)
+    monkeypatch.setattr(engine, "make_estimation_stage", stage_spy)
     monkeypatch.setattr(AccuracyEstimationStage, "__getstate__",
                         getstate_spy, raising=False)
     return built, pickled
@@ -238,7 +238,7 @@ class TestNoWorkerOutlivesItsEngine:
         manager = self._endless(population)
         stream = manager.stream()
         next(stream)
-        monkeypatch.setattr("repro.core.engine._offer_resident", _boom)
+        monkeypatch.setattr("repro.core.engine._resident_round", _boom)
         with pytest.raises(ZeroDivisionError):
             list(stream)
 

@@ -2,8 +2,9 @@
 
 Once a pipeline's estimate meets its σ it is never offered to again, so
 its ``B × n`` resample state is dead weight: the process backend frees
-the worker's slot (``_offer_resident`` only ever ships the estimate
-back) and the shared-memory backends drop their reference.  Dropping it
+the worker's slot once every reader of its set is done
+(``_resident_round`` only ever ships estimates back) and the
+shared-memory backends drop their reference.  Dropping it
 must not change a number: finals stay byte-identical to the serial run.
 """
 
@@ -15,7 +16,8 @@ import pytest
 from repro.core import EarlConfig
 from repro.core.accuracy import AccuracyEstimationStage
 from repro.core import engine
-from repro.core.engine import LocalColumn, _offer_resident
+from repro.core.delta import ResampleSet
+from repro.core.engine import LocalColumn, _resident_round
 from repro.core.grouped import GroupedEarlSession, Measure
 from repro.streaming import SessionManager
 
@@ -104,10 +106,10 @@ class TestFinishedPipelinesHoldNoStage:
                    for q in manager.queries)
 
 
-class TestOfferResident:
-    """The process fan-out unit keeps its stage where it runs, decides
-    from the σ that rides the task whether to keep it any longer, and
-    sends only the estimate back."""
+class TestResidentRound:
+    """The process fan-out unit keeps a resample set, with its readers'
+    stages, where it runs, decides from the σs that ride the task
+    whether to keep it any longer, and sends only the estimates back."""
 
     SLOT = 7
 
@@ -122,39 +124,68 @@ class TestOfferResident:
     def _stage():
         return AccuracyEstimationStage("mean", 20, seed=1)
 
+    @staticmethod
+    def _shipped(stage, column):
+        return stage.resample_set, {0: stage}, column
+
     def test_met_sigma_drops_the_slot(self, population):
-        estimate = _offer_resident(
-            (self.SLOT, self._stage(), LocalColumn(population), 0, 2_000, 0.5,
-             None))
+        [estimate] = _resident_round(
+            (self.SLOT, self._shipped(self._stage(), LocalColumn(population)),
+             0, 2_000, [(0, 0.5)]))
         assert estimate.meets(0.5)
         assert self.SLOT not in engine._RESIDENT
 
     def test_unmet_sigma_keeps_it_for_the_next_offer(self, population):
-        stage, column = self._stage(), LocalColumn(population)
-        first = _offer_resident((self.SLOT, stage, column, 0, 2_000, 1e-6,
-                                 None))
+        stage = self._stage()
+        shipped = self._shipped(stage, LocalColumn(population))
+        [first] = _resident_round((self.SLOT, shipped, 0, 2_000,
+                                   [(0, 1e-6)]))
         assert not first.meets(1e-6)
-        assert engine._RESIDENT[self.SLOT] == (stage, column)
-        # the next round carries no stage: the resident one grows
-        second = _offer_resident((self.SLOT, None, None, 2_000, 4_000, 1e-6,
-                                  None))
+        assert engine._RESIDENT[self.SLOT] == shipped
+        # the next round carries no set: the resident one grows
+        [second] = _resident_round((self.SLOT, None, 2_000, 4_000,
+                                    [(0, 1e-6)]))
         assert stage.sample_size == 4_000
         twin = self._stage()
         twin.offer(population[:2_000])
         assert second == twin.offer(population[2_000:4_000])
 
-    def test_a_reshipped_stage_replaces_the_resident_one(self, population):
+    def test_the_slot_stays_until_every_reader_met_sigma(self, population):
+        def shared():
+            resamples = ResampleSet("mean", 20, seed=1)
+            return resamples, {
+                0: AccuracyEstimationStage("mean", 20, resamples=resamples),
+                3: AccuracyEstimationStage("median", 10,
+                                           resamples=resamples)}
+        resamples, stages = shared()
         column = LocalColumn(population)
-        _offer_resident((self.SLOT, self._stage(), column, 0, 2_000, 1e-6,
-                         None))
-        rebuilt, survivors = self._stage(), LocalColumn(population[::2])
-        _offer_resident((self.SLOT, rebuilt, survivors, 0, 500, 1e-6, None))
-        assert engine._RESIDENT[self.SLOT] == (rebuilt, survivors)
+        got = _resident_round((self.SLOT, (resamples, stages, column),
+                               0, 2_000, [(0, 0.5), (3, 1e-6)]))
+        assert got[0].meets(0.5) and not got[1].meets(1e-6)
+        assert self.SLOT in engine._RESIDENT
+        # the reader done last round is not offered to again
+        [median] = _resident_round((self.SLOT, None, 2_000, 4_000,
+                                    [(3, 0.5)]))
+        assert median.meets(0.5)
+        assert self.SLOT not in engine._RESIDENT
+        twin, readers = shared()
+        for lo, hi in ((0, 2_000), (2_000, 4_000)):
+            twin.grow(population[lo:hi], 20 if lo == 0 else 10)
+        assert median == readers[3].read() and resamples.B == twin.B == 10
+
+    def test_a_reshipped_set_replaces_the_resident_one(self, population):
+        _resident_round((self.SLOT,
+                         self._shipped(self._stage(), LocalColumn(population)),
+                         0, 2_000, [(0, 1e-6)]))
+        rebuilt = self._stage()
+        shipped = self._shipped(rebuilt, LocalColumn(population[::2]))
+        _resident_round((self.SLOT, shipped, 0, 500, [(0, 1e-6)]))
+        assert engine._RESIDENT[self.SLOT] == shipped
         assert rebuilt.sample_size == 500
 
-    def test_an_offer_without_a_resident_stage_is_an_error(self):
+    def test_an_offer_without_a_resident_set_is_an_error(self):
         with pytest.raises(KeyError):
-            _offer_resident((self.SLOT, None, None, 0, 10, 0.5, None))
+            _resident_round((self.SLOT, None, 0, 10, [(0, 0.5)]))
 
     @pytest.mark.parametrize("run", [_run_manager, _run_grouped])
     def test_nothing_is_stored_in_the_driver(self, population, run):

@@ -101,7 +101,7 @@ class TestStrata:
     def test_appearance_order_and_populations(self):
         sampler = StratifiedSampler(["b", "a", "b", "c", "b"], seed=0)
         assert sampler.keys == ["b", "a", "c"]
-        assert sampler.populations == {"b": 3, "a": 1, "c": 1}
+        assert [sampler.population(k) for k in sampler.keys] == [3, 1, 1]
         assert list(sampler.rows("b")) == [0, 2, 4]
 
     def test_empty_keys_rejected(self):
@@ -119,7 +119,6 @@ class TestDrawing:
         assert sorted(drawn) == list(range(10))      # exactly stratum a
         assert sampler.remaining("a") == 0
         assert sampler.remaining("b") == 5
-        assert sampler.sampled_count == 10
 
     def test_take_matches_attached_rng_permutation(self):
         # The stratum walks a permutation prefix rooted in the attached
@@ -133,35 +132,19 @@ class TestDrawing:
                                 sampler.take("a", 200)])
         assert list(drawn) == list(expected)
 
-    def test_advance_consumes_without_gathering(self):
-        sampler = StratifiedSampler(["a"] * 10, seed=4)
-        twin = StratifiedSampler(["a"] * 10, seed=4)
-        sampler.advance("a", 4)
-        twin.take("a", 4)
-        assert sampler.consumed("a") == 4 and sampler.remaining("a") == 6
-        assert list(sampler.take("a", 6)) == list(twin.take("a", 6))
-        with pytest.raises(ValueError):
-            sampler.advance("a", 1)
-
     def test_attach_after_draw_rejected(self):
         sampler = StratifiedSampler(["a", "a"], seed=1)
         sampler.take("a", 1)
         with pytest.raises(RuntimeError):
             sampler.attach_rng("a", np.random.default_rng(0))
 
-    def test_peek_does_not_consume(self):
-        sampler = StratifiedSampler(["a"] * 6, seed=5)
-        pilot = sampler.peek("a", 3)
-        assert sampler.consumed("a") == 0
-        # the pilot is the prefix of the same sample take() walks
-        assert list(sampler.take("a", 3)) == list(pilot)
-
     def test_overdraw_rejected(self):
         sampler = StratifiedSampler(["a"] * 3, seed=2)
         with pytest.raises(ValueError):
             sampler.take("a", 4)
         with pytest.raises(ValueError):
-            sampler.peek("a", 4)
+            sampler.take("a", -1)
+        assert sampler.remaining("a") == 3
 
     def test_seeded_runs_identical(self):
         keys = list("aabbccab")
@@ -197,7 +180,8 @@ def _assert_strata_equal_reference(keys):
         got = sampler.rows(key)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, rows[key])
-    assert sampler.populations == {k: len(rows[k]) for k in order}
+    assert [sampler.population(k) for k in order] \
+        == [len(rows[k]) for k in order]
 
 
 def _assert_native_equals_dict_pass(column):
@@ -378,13 +362,13 @@ class TestFactorization:
         given = StratifiedSampler(strata, seed=4)
         derived = StratifiedSampler(keys, seed=4)
         assert given.keys == derived.keys
-        assert given.populations == derived.populations
         for key in derived.keys:
             np.testing.assert_array_equal(given.rows(key), derived.rows(key))
             np.testing.assert_array_equal(given.take(key, 1),
                                           derived.take(key, 1))
         # shared, not consumed: a second sampler starts from scratch
-        assert StratifiedSampler(strata, seed=4).sampled_count == 0
+        fresh = StratifiedSampler(strata, seed=4)
+        assert [fresh.remaining(k) for k in fresh.keys] == [3, 2, 1]
 
     @settings(max_examples=100, deadline=None)
     @given(rows=st.lists(st.tuples(st.sampled_from("abcde"), st.booleans()),

@@ -428,7 +428,7 @@ class TestDeadPoolWorker:
         children = set(multiprocessing.active_children())
         # Workers are forked with this patch: the first fanned-out
         # round kills both.
-        monkeypatch.setattr("repro.core.engine._offer_resident",
+        monkeypatch.setattr("repro.core.engine._resident_round",
                             _exit_in_the_worker)
 
         async def body(service, client):

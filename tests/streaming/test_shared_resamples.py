@@ -89,10 +89,9 @@ def test_every_reader_reads_its_own_statistic_off_the_resamples(
     rs = ResampleSet("mean", 12, maintenance=mode, seed=9)
     assert rs.add_reader("median") == 1
     assert rs.add_reader("mean") == 0
-    rs.grow(0, data[:300])
-    rs.grow(300, data[300:700], keep=8)
-    rs.grow(300, data[300:700])          # a sibling's offer: no growth
-    rs.grow(700, data[700:1_500])
+    rs.grow(data[:300])
+    rs.grow(data[300:700], B=8)
+    rs.grow(data[700:1_500])
     assert rs.sample_size == 1_500 and rs.B == 8
     rows = resample_items(rs)
     assert len(rows) == 8 and all(len(row) == 1_500 for row in rows)
@@ -105,8 +104,6 @@ def test_every_reader_reads_its_own_statistic_off_the_resamples(
                                    rtol=1e-9)
     with pytest.raises(RuntimeError, match="join before"):
         rs.add_reader("p90")
-    with pytest.raises(RuntimeError, match="offered"):
-        rs.grow(1_000, data[:10])
 
 
 # ------------------------------------------------------------------- law
@@ -114,8 +111,7 @@ def test_every_reader_reads_its_own_statistic_off_the_resamples(
 def _p90_round_two(table, seed, siblings):
     """The p90 reader's round-2 (error, estimate) over the leading 30
     resamples of its set: alone, or submitted ``"first"`` or ``"last"``
-    beside two wider siblings — so it grows the set for them, or reads
-    one they grew."""
+    beside two wider siblings, with whom it reads one set."""
     manager = SessionManager(table, config=EarlConfig(
         sigma=1e-6, seed=seed, n_override=200))
     if siblings == "first":
@@ -148,10 +144,11 @@ def test_a_reader_beside_siblings_has_the_law_of_a_reader_alone(table,
 
 # ------------------------------------------------------------------- work
 
-def _state_ops_of_four(table, cancel_three):
+def _state_ops_of_four(table, cancel_three, executor):
     reset_telemetry()
     manager = SessionManager(table, config=EarlConfig(
-        sigma=1e-6, seed=17, B_override=25, n_override=250))
+        sigma=1e-6, seed=17, B_override=25, n_override=250,
+        executor=executor, max_workers=2))
     queries = [manager.submit(stat) for stat in
                ("mean", "median", "p90", "std")]
     if cancel_three:
@@ -162,11 +159,12 @@ def _state_ops_of_four(table, cancel_three):
     return REGISTRY.value(*STATE_OPS)
 
 
-def test_four_readers_maintain_what_one_does(table, telemetry):
+@pytest.mark.parametrize("executor", ["serial", "threads"])
+def test_four_readers_maintain_what_one_does(table, telemetry, executor):
     """Equal ``B``: four readers of one set cost the maintenance of
-    one reader."""
-    four = _state_ops_of_four(table, cancel_three=False)
-    one = _state_ops_of_four(table, cancel_three=True)
+    one reader — the set grows once per round, on threads too."""
+    four = _state_ops_of_four(table, cancel_three=False, executor=executor)
+    one = _state_ops_of_four(table, cancel_three=True, executor=executor)
     assert one > 0
     assert four == one
 
@@ -198,14 +196,14 @@ def test_the_set_narrows_to_the_widest_live_reader():
             continue
         assert [q for q, _ in events] == [median]
         delta = shared.sample_array()[n:]
-        twin.grow(n, delta, keep=30)
+        twin.grow(delta, B=30)
         assert shared.B == twin.B == 30
         assert shared.counters.state_ops - ops \
             == twin.counters.state_ops - ops
         assert np.array_equal(shared.estimates(reader=reader),
                               twin.estimates(reader=reader))
         if wide.B == 60:             # the round mean retired before
-            wide.grow(n, delta)
+            wide.grow(delta)
             assert wide.counters.state_ops > twin.counters.state_ops
         narrowed.append(shared.sample_size)
     assert len(narrowed) >= 2 and median.result.achieved
