@@ -84,8 +84,12 @@ bench-smoke:
 		benchmarks/bench_ablation_sampling_bias.py
 
 # The figure records are simulated seconds and counts, byte-identical
-# run to run on any machine; wall-clock records (kernel_throughput.txt,
-# exec_backends.txt, ingest_throughput.txt) are not among them.
+# run to run on any machine, and tracked.  The wall-clock records that
+# bench-smoke and bench-json write (kernel_throughput.txt,
+# exec_backends.txt, ingest_throughput.txt, BENCH_kernel.json,
+# BENCH_ingest.json under benchmarks/results/) are host timings: not
+# tracked, so a green CI run leaves the work tree clean (its last step
+# checks `git status --porcelain`).
 FIGURE_BENCHES = benchmarks/bench_fig5_mean_speedup.py \
 	benchmarks/bench_fig6_median.py benchmarks/bench_fig7_kmeans.py \
 	benchmarks/bench_fig9_sampling_modes.py \

@@ -23,7 +23,11 @@ import numpy as np
 
 from repro.cluster.costmodel import CostLedger
 from repro.core.delta import MAINTENANCE_OPTIMIZED, ResampleSet
-from repro.core.estimators import StatisticLike, get_statistic
+from repro.core.estimators import (
+    StatisticLike,
+    get_statistic,
+    sorted_quantile,
+)
 from repro.exec.executor import Executor
 from repro.util.rng import SeedLike
 from repro.util.stats import coefficient_of_variation, relative_half_width
@@ -90,17 +94,6 @@ def get_error_metric(name: str) -> ErrorMetric:
                        f"known: {sorted(ERROR_METRICS)}") from None
 
 
-def _linear_quantile(ordered: np.ndarray, q: float) -> float:
-    """``np.quantile(ordered, q)`` (default ``"linear"`` method) of an
-    already sorted array — NumPy's own interpolation rule, without its
-    per-call argument handling (~50 µs, more than the work at B ≈ 20)."""
-    position = q * (ordered.size - 1)
-    below = int(position)
-    a, b = ordered[below], ordered[min(below + 1, ordered.size - 1)]
-    t = position - below
-    return float(b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t)
-
-
 def summarize_distribution(estimates: np.ndarray, point_estimate: float,
                            n: int, *, metric: str = "cv",
                            confidence: float = 0.95) -> AccuracyEstimate:
@@ -119,8 +112,8 @@ def summarize_distribution(estimates: np.ndarray, point_estimate: float,
         lo = hi = math.nan
     else:
         ordered = np.sort(estimates)
-        lo = _linear_quantile(ordered, alpha)
-        hi = _linear_quantile(ordered, 1.0 - alpha)
+        lo = float(sorted_quantile(ordered, alpha))
+        hi = float(sorted_quantile(ordered, 1.0 - alpha))
     return AccuracyEstimate(
         estimate=mean,
         point_estimate=point_estimate,
@@ -181,6 +174,11 @@ class AccuracyEstimationStage:
         return self._B
 
     @property
+    def reader(self) -> int:
+        """This stage's reader index in its resample set."""
+        return self._reader
+
+    @property
     def resample_set(self) -> ResampleSet:
         return self._resamples
 
@@ -218,8 +216,7 @@ class AccuracyEstimationStage:
         growth), recorded in :attr:`history`."""
         estimates = self._resamples.estimates(
             executor=self._executor, reader=self._reader, B=self._B)
-        point = self._stat(
-            np.asarray(self._resamples.sample_array(), dtype=float))
+        point = self._resamples.point_estimate(self._reader)
         estimate = summarize_distribution(
             estimates, point, self.sample_size, metric=self._metric)
         self._history.append(estimate)

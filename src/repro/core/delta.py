@@ -575,7 +575,10 @@ class ResampleSet:
     over any leading ``B`` of its resamples (:meth:`estimates`) — still
     ``B`` i.i.d. resamples of the sample.  Their owner grows the set
     once per delta (:meth:`grow`, to its widest reader's ``B``); the
-    readers then only read.
+    readers then only read.  Order statistics (``median``, quantiles)
+    over dense rows are read off one sort of the rows per growth,
+    shared by all of them — NumPy would partition the same rows once
+    per reader — with ``batch``'s bytes.
 
     The sample and every stored Δs are the arrays handed to
     :meth:`initialize` / :meth:`expand` (``np.asarray`` of them — no
@@ -611,6 +614,10 @@ class ResampleSet:
         # "none") over per-resample objects.
         self._dense: Optional[_DenseRows] = None
         self._maintainer: Optional[_BaseMaintainer] = None
+        # Order-statistic reads of the latest growth, off one sort of
+        # the rows (by (reader, B)) and of the sample (by reader).
+        self._sorted_estimates: Dict[Tuple[int, int], np.ndarray] = {}
+        self._sorted_points: Dict[int, float] = {}
 
     def _make_maintainer(self) -> Optional[_BaseMaintainer]:
         """The per-resample maintainer; ledger-less ``"optimized"`` sets
@@ -634,10 +641,16 @@ class ResampleSet:
             self._readers.append(stat)
         return self._readers.index(stat)
 
-    def grow(self, delta: Sequence[Any], B: Optional[int] = None) -> None:
+    def grow(self, delta: Sequence[Any], B: Optional[int] = None,
+             reads: Optional[Sequence[Tuple[int, int]]] = None) -> None:
         """Grow the sample by ``delta`` (the first delta initializes the
         set), first dropping the resamples beyond ``B``: the round of a
-        shared set, whose width is its widest live reader's ``B``."""
+        shared set, whose width is its widest live reader's ``B``.
+
+        ``reads`` are the round's ``(reader index, B)`` pairs (default:
+        every reader over the whole set).  Those of order statistics
+        over dense rows are evaluated here, all off one sort of the
+        rows, so the readers only read (:meth:`estimates`)."""
         if B is not None and B < self.B:
             self.B = B
             del self._resamples[B:]
@@ -648,6 +661,48 @@ class ResampleSet:
         else:
             self.initialize(delta)
         self.sample_array()     # merged here: readers only read
+        if reads is None:
+            reads = [(reader, self.B) for reader in range(len(self._readers))]
+        self._read_sorted(reads)
+
+    def _sortable(self, reader: int) -> bool:
+        """Whether ``reader`` is read off sorted rows: an order
+        statistic over dense rows of float items."""
+        return (self._dense is not None
+                and self._readers[reader].sorted_read is not None
+                and self._dense.rows.ndim == 2
+                and self._dense.rows.dtype == np.float64)
+
+    def _read_sorted(self, reads: Sequence[Tuple[int, int]]) -> None:
+        """Evaluate the order-statistic ``reads`` (and their readers'
+        point estimates) off one sort of the rows and one of the
+        sample.  Only the ``B``-vectors are kept: the sorted copies die
+        here, so they never outlive the growth nor ride a pickle."""
+        reads = [(reader, B) for reader, B in reads if self._sortable(reader)]
+        if not reads:
+            return
+        live = self._dense.live()
+        ordered = _sort_rows(live[:max(B for _, B in reads)])
+        sample = np.asarray(self.sample_array(), dtype=float)
+        ordered_sample = np.sort(sample)
+        for reader, B in reads:
+            stat = self._readers[reader]
+            self._sorted_estimates[reader, B] = self._sorted_values(
+                reader, ordered[:B], live[:B])
+            point = float(stat.sorted_read(ordered_sample))
+            self._sorted_points[reader] = \
+                point if point != 0 else stat(sample)   # the ±0 guard
+
+    def _sorted_values(self, reader: int, ordered: np.ndarray,
+                       rows: np.ndarray) -> np.ndarray:
+        """``reader``'s values off ``ordered`` (``rows`` sorted along
+        their last axis), or its ``batch`` of ``rows`` where a zero
+        comes out: only NumPy's partition knows that zero's sign."""
+        stat = self._readers[reader]
+        values = np.asarray(stat.sorted_read(ordered), dtype=float)
+        if (values == 0).any():
+            values = np.asarray(stat.batch(rows), dtype=float)
+        return values
 
     def _sketches(self) -> Sequence[Sketch]:
         return getattr(self._maintainer, "_delta_sketches", ())
@@ -729,6 +784,7 @@ class ResampleSet:
         """Grow the sample by ``delta`` and update every resample."""
         if not self._n:
             raise RuntimeError("initialize() must be called first")
+        self._sorted_estimates, self._sorted_points = {}, {}
         if len(delta) == 0:
             return
         delta_items = np.asarray(delta)
@@ -771,8 +827,10 @@ class ResampleSet:
                   reader: int = 0, B: Optional[int] = None) -> np.ndarray:
         """One reader's statistic over the first ``B`` (default: all)
         resamples — the result distribution.  Dense rows are evaluated
-        by the statistic's row-wise ``batch`` form in one call;
-        per-resample states are read one by one.  ``executor``
+        by the statistic's row-wise ``batch`` form in one call (an
+        order statistic off the growth's one sort, see :meth:`grow`; a
+        ``B`` it did not read sorts its own rows); per-resample states
+        are read one by one.  ``executor``
         optionally fans the ``B`` evaluations out over a parallel
         backend — but only when evaluation is actually work, i.e. for an
         arbitrary user function (no ``batch`` form,
@@ -791,6 +849,12 @@ class ResampleSet:
         B = self.B if B is None else B
         if self._dense is not None:
             rows, batch = self._dense.live()[:B], self._readers[reader].batch
+            if self._sortable(reader):
+                values = self._sorted_estimates.get((reader, B))
+                if values is None:
+                    values = self._sorted_values(reader, _sort_rows(rows),
+                                                 rows)
+                return values.copy()
             if isinstance(batch, _RowwiseBatch):
                 values = list((fan_out or map)(batch.pointwise, rows))
             else:
@@ -803,10 +867,26 @@ class ResampleSet:
                                     [(r, reader) for r in resamples]))
         return np.array([r.estimate(reader) for r in resamples])
 
+    def point_estimate(self, reader: int = 0) -> float:
+        """One reader's statistic on the sample itself, ``f(s)`` — read
+        off the growth's one sort of the sample for an order statistic
+        (:meth:`grow`)."""
+        point = self._sorted_points.get(reader)
+        if point is None:
+            point = self._readers[reader](
+                np.asarray(self.sample_array(), dtype=float))
+        return point
+
     def resample_sizes(self) -> List[int]:
         if self._dense is not None:
             return [self._n] * self.B
         return [r.size for r in self._resamples]
+
+
+def _sort_rows(rows: np.ndarray) -> np.ndarray:
+    """``rows`` sorted along their last axis: the one sort a growth
+    makes for all of a set's order-statistic reads."""
+    return np.sort(rows, axis=-1)
 
 
 def _resample_estimate(args: Tuple[Resample, int]) -> float:

@@ -370,12 +370,14 @@ class SampleUnit:
 
 def _reads(resamples: Optional[ResampleSet], stages: Sequence[Any],
            delta: np.ndarray) -> List[Callable[[], AccuracyEstimate]]:
-    """A set's round: grow it by ``delta`` to its widest reader's ``B``,
-    then its readers' reads (under the jackknife, each reader's own
-    offer of ``delta``)."""
+    """A set's round: grow it by ``delta`` to its widest reader's ``B``
+    — its order-statistic reads all evaluated off one sort, before the
+    reads can fan out — then its readers' reads (under the jackknife,
+    each reader's own offer of ``delta``)."""
     if resamples is None:
         return [partial(stage.offer, delta) for stage in stages]
-    resamples.grow(delta, max(stage.B for stage in stages))
+    resamples.grow(delta, max(stage.B for stage in stages),
+                   [(stage.reader, stage.B) for stage in stages])
     return [stage.read for stage in stages]
 
 

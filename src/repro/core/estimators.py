@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 import numpy as np
@@ -633,6 +634,49 @@ class FunctionalState(EstimatorState):
 # --------------------------------------------------------------------------
 
 
+def _nan_rows(ordered: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``values``, with NumPy's answer for rows holding a NaN: the NaN
+    itself, which sorts to the end of its row."""
+    last = ordered[..., -1]
+    return np.where(np.isnan(last), last, values)
+
+
+def sorted_quantile(ordered: np.ndarray, q: float) -> np.ndarray:
+    """``np.quantile(ordered, q, axis=-1)`` (the default ``"linear"``
+    method, ``q`` a Python float) of rows already sorted along their
+    last axis, by NumPy's own rule: position ``(n - 1)·q``, its floor
+    and the next index (both the last one once the position reaches
+    ``n - 1``), then ``_lerp``'s two-sided interpolation.  Equal to
+    ``np.quantile`` bit for bit except where a ``±0`` sits at the order
+    position: zeros compare equal, so which sign NumPy returns depends
+    on its partition."""
+    n = ordered.shape[-1]
+    position = (n - 1) * q
+    if position >= n - 1:
+        below = above = -1
+    else:
+        below = math.floor(position)
+        above = below + 1
+    t = position - below
+    a, b = ordered[..., below], ordered[..., above]
+    diff = b - a
+    values = b - diff * (1 - t) if t >= 0.5 else a + diff * t
+    return _nan_rows(ordered, values)
+
+
+def sorted_median(ordered: np.ndarray) -> np.ndarray:
+    """``np.median(ordered, axis=-1)`` of rows already sorted along
+    their last axis: the mean of the middle one or two values (same
+    ``±0`` caveat as :func:`sorted_quantile`)."""
+    n = ordered.shape[-1]
+    half = n // 2
+    if n % 2:
+        values = ordered[..., half]
+    else:
+        values = (ordered[..., half - 1] + ordered[..., half]) / 2
+    return _nan_rows(ordered, values)
+
+
 class _RowwiseBatch:
     """Default ``batch``: apply ``pointwise`` to every resample row.
 
@@ -672,7 +716,15 @@ class Statistic:
     sample is a vector row rather than a scalar (e.g. an (x, y) pair
     for ``"correlation"``) — the drivers only accept 2-D data for such
     statistics, since scalar states cannot ingest rows.
+
+    ``sorted_read`` is set on the order statistics (``median`` and every
+    quantile): their value off rows already sorted along the last axis
+    (:func:`sorted_median`, :func:`sorted_quantile`), equal to ``batch``
+    bit for bit except at ``±0``.  One sort of a resample set's rows
+    then serves all of its order-statistic readers.
     """
+
+    sorted_read: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __init__(self, name: str,
                  pointwise: Callable[[np.ndarray], float],
@@ -719,6 +771,7 @@ def _quantile_statistic(q: float, name: str) -> Statistic:
         batch=lambda m: np.quantile(m, q, axis=1),
         make_state=lambda: QuantileState(q),
     )
+    stat.sorted_read = partial(sorted_quantile, q=q)
     # get_statistic(name) rebuilds exactly this statistic, so pickling
     # by name is sound for these instances (see Statistic.__reduce__).
     stat._reconstruct_by_name = True
@@ -740,9 +793,10 @@ register_statistic(Statistic(
 register_statistic(Statistic(
     "sum", pointwise=lambda a: float(np.sum(a)),
     batch=lambda m: np.sum(m, axis=1), make_state=SumState))
-register_statistic(Statistic(
+_median = register_statistic(Statistic(
     "median", pointwise=lambda a: float(np.median(a)),
     batch=lambda m: np.median(m, axis=1), make_state=MedianState))
+_median.sorted_read = sorted_median
 register_statistic(Statistic(
     "variance", pointwise=lambda a: float(np.var(a, ddof=1)),
     batch=lambda m: np.var(m, axis=1, ddof=1), make_state=VarianceState))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.delta import ResampleSet
 from repro.core.estimators import (
     CorrelationState,
     FunctionalState,
@@ -272,3 +273,75 @@ class TestStateRemovalEquivalence:
         if survivors:
             assert state.result() == pytest.approx(np.median(survivors),
                                                    rel=1e-9, abs=1e-9)
+
+
+ORDER_STATISTICS = ("median", "p25", "p75", "p90", "p95", "p99",
+                    "quantile:0", "quantile:0.5", "quantile:1")
+
+
+def _rows(kind: str, n: int, seed: int) -> np.ndarray:
+    """Five rows of ``n`` values."""
+    rng = np.random.default_rng(seed)
+    if kind == "ties":          # integer-valued, a handful of levels
+        return rng.integers(-3, 4, size=(5, n)).astype(float)
+    rows = rng.normal(0.0, 10.0, size=(5, n))
+    if kind == "nan":
+        rows[rng.random((5, n)) < 0.1] = np.nan
+        rows[0, 0] = np.nan     # at least one row holds a NaN
+    return rows
+
+
+class TestSortedRead:
+    """An order statistic's read off rows sorted along their last axis
+    is NumPy's ``batch`` answer bit for bit — which is what lets one
+    sort of a resample set serve every order-statistic reader."""
+
+    @given(n=st.sampled_from([1, 2, 3, 7, 8, 4_097, 4_352]),
+           kind=st.sampled_from(["continuous", "ties", "nan"]),
+           seed=st.integers(0, 2**32 - 1), B=st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_batch_bit_for_bit(self, n, kind, seed, B):
+        rows = _rows(kind, n, seed)
+        ordered = np.sort(rows, axis=1)[:B]      # a B-prefix of the sort
+        for name in ORDER_STATISTICS:
+            stat = get_statistic(name)
+            assert stat.sorted_read(ordered).tobytes() \
+                == stat.batch(rows[:B]).tobytes(), (name, n, kind)
+
+    def test_only_order_statistics_have_one(self):
+        assert all(get_statistic(name).sorted_read is not None
+                   for name in ORDER_STATISTICS + ("quantile:0.37",))
+        assert all(get_statistic(name).sorted_read is None
+                   for name in ("mean", "std", "min", "correlation"))
+
+    def test_a_set_reads_every_reader_and_prefix_as_batch_does(self):
+        data = np.random.default_rng(2).integers(0, 9, 3_000) / 4.0 + 1.0
+        rs = ResampleSet("median", 9, seed=5)
+        readers = [rs.add_reader(name) for name in ORDER_STATISTICS]
+        rs.grow(data[:500])
+        rs.grow(data[500:3_000], B=7, reads=[(readers[3], 4)])
+        rows = rs._dense.live()
+        for reader, name in zip(readers, ORDER_STATISTICS):
+            stat = get_statistic(name)
+            for B in (1, 4, 7):
+                assert rs.estimates(reader=reader, B=B).tobytes() \
+                    == stat.batch(rows[:B]).tobytes()
+            assert rs.point_estimate(reader) == stat(data)
+
+    def test_a_zero_at_the_order_position_takes_batch(self, monkeypatch):
+        """``±0`` compare equal, so the sign NumPy returns depends on
+        its partition: a read that comes out zero is ``batch``'s."""
+        data = np.array([-0.0, 0.0] * 50 + [-1.0, 1.0] * 5)
+        stat = get_statistic("median")
+        batch, calls = stat.batch, []
+
+        def spy(rows):
+            calls.append(len(rows))
+            return batch(rows)
+
+        monkeypatch.setattr(stat, "batch", spy)
+        rs = ResampleSet(stat, 6, seed=3)
+        rs.grow(data)
+        assert calls == [6]
+        assert rs.estimates().tobytes() \
+            == np.median(rs._dense.live(), axis=1).tobytes()

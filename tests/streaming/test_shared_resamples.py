@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy import stats as sp_stats
 
+import repro.core.delta as delta_module
 from repro.core import EarlConfig
 from repro.core.delta import (
     MAINTENANCE_NAIVE,
@@ -207,3 +208,48 @@ def test_the_set_narrows_to_the_widest_live_reader():
             assert wide.counters.state_ops > twin.counters.state_ops
         narrowed.append(shared.sample_size)
     assert len(narrowed) >= 2 and median.result.achieved
+
+
+def _order_statistic_run(table, executor, sorts):
+    """mean / median / p90 / std over one set; median and p90 meet
+    their looser σ rounds before mean and std do.  Returns every
+    snapshot, and per round whether an order statistic read it and how
+    many calls ``sorts`` (the set's sort helper's log) gained."""
+    manager = SessionManager(table, config=EarlConfig(
+        seed=17, B_override=25, n_override=250, executor=executor,
+        max_workers=2))
+    queries = [manager.submit(stat, sigma=sigma) for stat, sigma in
+               (("mean", 0.004), ("median", 0.02), ("p90", 0.03),
+                ("std", 0.01))]
+    manager.prepare()
+    rounds = []
+    while manager.pending:
+        ordered, before = any(not q.done for q in queries[1:3]), len(sorts)
+        manager.run_round()
+        rounds.append((ordered, len(sorts) - before))
+    return [[(s.estimate, s.error, s.ci_low, s.ci_high, s.sample_size)
+             for s in q.snapshots] for q in queries], rounds
+
+
+@pytest.mark.parametrize("executor", ["serial", "threads"])
+def test_order_statistics_read_one_sort_per_round(table, monkeypatch,
+                                                  executor):
+    """A round sorts the set's rows once for median and p90 together,
+    not at all once both met σ, and never reaches their ``batch``
+    forms — with the results of an unpatched run."""
+    expected, _ = _order_statistic_run(table, executor, [])
+
+    def no_batch(rows):
+        raise AssertionError("an order statistic read its batch form")
+
+    for name in ("median", "p90"):
+        monkeypatch.setattr(get_statistic(name), "batch", no_batch)
+    sorts, sort_rows = [], delta_module._sort_rows
+    monkeypatch.setattr(delta_module, "_sort_rows",
+                        lambda rows: sorts.append(rows.shape)
+                        or sort_rows(rows))
+    snapshots, rounds = _order_statistic_run(table, executor, sorts)
+    assert snapshots == expected
+    assert [n for ordered, n in rounds] \
+        == [1 if ordered else 0 for ordered, _ in rounds]
+    assert rounds[0] == (True, 1) and rounds[-1] == (False, 0)
