@@ -10,14 +10,16 @@ variance, bias) are pluggable.
 driver: it reads a delta-maintained :class:`~repro.core.delta.ResampleSet`
 (its own or a shared one) and reports an :class:`AccuracyEstimate` after
 every sample expansion — the quantity reducers publish to mappers
-through the feedback channel.
+through the feedback channel.  An :class:`OwnSampleStage` shares no set
+and re-estimates off the sample it was offered: the jackknife, the
+closed form of :class:`ClosedFormStage`, the moving-block bootstrap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -130,7 +132,24 @@ def summarize_distribution(estimates: np.ndarray, point_estimate: float,
     )
 
 
-class AccuracyEstimationStage:
+class _Recorded:
+    """A stage's estimates, one per offer or read, oldest first."""
+
+    _history: List[AccuracyEstimate]
+
+    @property
+    def history(self) -> List[AccuracyEstimate]:
+        return list(self._history)
+
+    def error_stability(self) -> Optional[float]:
+        """|cvᵢ − cvᵢ₋₁| between the last two iterations (the paper's τ
+        measure of error stability, §3.1); ``None`` before 2 iterations."""
+        if len(self._history) < 2:
+            return None
+        return abs(self._history[-1].cv - self._history[-2].cv)
+
+
+class AccuracyEstimationStage(_Recorded):
     """Stateful AES over a growing sample (Fig. 1's right-hand stage).
 
     ``executor`` optionally parallelizes the per-resample estimate
@@ -153,9 +172,11 @@ class AccuracyEstimationStage:
                  seed: SeedLike = None,
                  ledger: Optional[CostLedger] = None,
                  executor: Optional[Executor] = None,
-                 resamples: Optional[ResampleSet] = None) -> None:
+                 resamples: Optional[ResampleSet] = None,
+                 confidence: float = 0.95) -> None:
         self._stat = get_statistic(statistic)
         self._metric = metric
+        self._confidence = confidence
         get_error_metric(metric)  # validate eagerly
         self._executor = executor
         if resamples is None:
@@ -166,7 +187,7 @@ class AccuracyEstimationStage:
         self._resamples = resamples
         self._reader = resamples.add_reader(self._stat)
         self._B = B
-        self._history: list[AccuracyEstimate] = []
+        self._history = []
 
     @property
     def B(self) -> int:
@@ -197,11 +218,6 @@ class AccuracyEstimationStage:
         return self._resamples.counters.state_ops
 
     @property
-    def history(self) -> list[AccuracyEstimate]:
-        """Estimates from every iteration so far (oldest first)."""
-        return list(self._history)
-
-    @property
     def sample_size(self) -> int:
         return self._resamples.sample_size
 
@@ -218,13 +234,67 @@ class AccuracyEstimationStage:
             executor=self._executor, reader=self._reader, B=self._B)
         point = self._resamples.point_estimate(self._reader)
         estimate = summarize_distribution(
-            estimates, point, self.sample_size, metric=self._metric)
+            estimates, point, self.sample_size, metric=self._metric,
+            confidence=self._confidence)
         self._history.append(estimate)
         return estimate
 
-    def error_stability(self) -> Optional[float]:
-        """|cvᵢ − cvᵢ₋₁| between the last two iterations (the paper's τ
-        measure of error stability, §3.1); ``None`` before 2 iterations."""
-        if len(self._history) < 2:
-            return None
-        return abs(self._history[-1].cv - self._history[-2].cv)
+
+class OwnSampleStage(_Recorded):
+    """A stage that shares no resample set: it keeps every delta it is
+    offered and re-estimates off the whole sample (:meth:`_estimate`,
+    which also counts its ``_work_ops``).  The jackknife, the closed
+    form and the moving-block bootstrap; same driver hooks as
+    :class:`AccuracyEstimationStage`."""
+
+    def __init__(self, statistic: StatisticLike, *,
+                 confidence: float = 0.95) -> None:
+        self._stat = get_statistic(statistic)
+        self._confidence = confidence
+        self._parts: List[np.ndarray] = []
+        self._history = []
+        self._work_ops = 0
+
+    def set_ledger(self, ledger: Optional[CostLedger]) -> None:
+        """Nothing to re-bind: drivers charge by :attr:`work_ops`."""
+
+    def set_io_scale(self, io_scale: float) -> None:
+        """Nothing to re-bind (see :meth:`set_ledger`)."""
+
+    @property
+    def work_ops(self) -> int:
+        return self._work_ops
+
+    @property
+    def sample_size(self) -> int:
+        return sum(len(part) for part in self._parts)
+
+    def sample(self) -> np.ndarray:
+        """Everything offered so far, in offer order."""
+        if len(self._parts) > 1:
+            self._parts = [np.concatenate(self._parts)]
+        return self._parts[0]
+
+    def offer(self, delta: Sequence[float]) -> AccuracyEstimate:
+        delta = np.array(delta, dtype=float)
+        self._parts.append(delta)
+        estimate = self._estimate(delta)
+        self._history.append(estimate)
+        return estimate
+
+
+class ClosedFormStage(OwnSampleStage):
+    """A statistic's closed-form error (``proportion``, Appendix A: the
+    binomial ``p̂(1-p̂)/n`` and its z-interval) off its success count —
+    nothing is resampled (``B = 1``); the error is the cv of ``p̂``."""
+
+    def _estimate(self, delta: np.ndarray) -> AccuracyEstimate:
+        self._work_ops += len(delta)
+        est = self._stat.closed_form(int(np.count_nonzero(self.sample())),
+                                     self.sample_size,
+                                     confidence=self._confidence)
+        return AccuracyEstimate(
+            estimate=est.proportion, point_estimate=est.proportion,
+            error=est.cv, cv=est.cv, std=est.std, variance=est.variance,
+            bias=0.0, ci_low=est.ci_low, ci_high=est.ci_high,
+            n=est.n, B=1)

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
+import numpy as np
 from scipy import stats as sp_stats
 
 from repro.util.validation import check_fraction, check_positive_int
@@ -88,3 +89,13 @@ def required_sample_size_proportion(p_expected: float, sigma: float) -> int:
     check_fraction("p_expected", p_expected, inclusive_high=False)
     check_fraction("sigma", sigma, inclusive_high=True)
     return math.ceil((1.0 - p_expected) / (p_expected * sigma * sigma))
+
+
+def closed_form_sample_size(pilot: np.ndarray, sigma: float) -> int:
+    """A proportion query's first sample size: the closed form for the
+    pilot's Laplace-smoothed ``p̂ = max(X, 1) / (n + 1)`` (a zero-success
+    pilot gives it no basis), with 25 % head-room — a boundary-sized
+    sample meets ``cv = σ`` only in expectation."""
+    pilot = np.asarray(pilot)
+    p_pilot = max(int(np.count_nonzero(pilot)), 1) / (len(pilot) + 1)
+    return math.ceil(1.25 * required_sample_size_proportion(p_pilot, sigma))

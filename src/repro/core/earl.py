@@ -167,15 +167,19 @@ class EarlSession(LossRecovery):
         executor is torn down and no further iteration is computed, so
         only the completed iterations were ever charged.
         """
-        self._engine = engine = UniformEngine(
-            self._data, config=self._config, label=self._label,
-            log=self._log)
-        engine.submit(self._stat, correction=self._correction)
+        self._engine = engine = self._new_engine()
         try:
             for _, snapshot in engine.stream():
                 yield snapshot
         finally:
             engine.finish()
+
+    def _new_engine(self) -> UniformEngine:
+        """A fresh engine holding the session's one query."""
+        engine = UniformEngine(self._data, config=self._config,
+                               label=self._label, log=self._log)
+        engine.submit(self._stat, correction=self._correction)
+        return engine
 
 
 # ---------------------------------------------------------------------------

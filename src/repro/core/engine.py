@@ -61,7 +61,12 @@ from typing import (
 
 import numpy as np
 
-from repro.core.accuracy import AccuracyEstimate, AccuracyEstimationStage
+from repro.core.accuracy import (
+    AccuracyEstimate,
+    AccuracyEstimationStage,
+    ClosedFormStage,
+)
+from repro.core.categorical import closed_form_sample_size
 from repro.core.checkpoint import checkpoint_doc, loss_event, replay_stream
 from repro.core.config import EarlConfig
 from repro.core.correction import CorrectionLike, get_correction
@@ -80,17 +85,22 @@ from repro.util.rng import ensure_rng, spawn_child
 def make_estimation_stage(statistic: "Statistic", B: int, cfg: EarlConfig,
                           *, seed=None, executor: Optional[Executor] = None,
                           resamples: Optional[ResampleSet] = None):
-    """Build the configured error-estimation stage (bootstrap default,
-    jackknife as the §8 future-work alternative).  ``executor``
-    parallelizes the bootstrap stage's resample evaluation; results are
-    identical with or without it; ``resamples`` shares a bootstrap set."""
+    """Build the error-estimation stage of ``statistic``: its closed form
+    where it has one (``proportion``, Appendix A: ``B = 1``), else the
+    configured one (bootstrap default, jackknife as the §8 future-work
+    alternative).  ``executor`` parallelizes the bootstrap stage's
+    resample evaluation; results are identical with or without it;
+    ``resamples`` shares a bootstrap set."""
+    if statistic.closed_form is not None:
+        return ClosedFormStage(statistic, confidence=cfg.confidence)
     if cfg.estimation == "jackknife":
         return JackknifeEstimationStage(statistic,
                                         confidence=cfg.confidence)
     return AccuracyEstimationStage(
         statistic, B, metric=cfg.error_metric,
         maintenance=cfg.maintenance, sketch_c=cfg.sketch_c, seed=seed,
-        executor=executor, resamples=resamples)
+        executor=executor, resamples=resamples,
+        confidence=cfg.confidence)
 
 
 def as_items(data: Sequence[float]) -> np.ndarray:
@@ -135,7 +145,12 @@ def choose_parameters(statistic: Statistic, size: int, cfg: EarlConfig,
     """§3.2's ``(B, n)`` for one statistic over a population of
     ``size``: SSABE on the pilot fills whichever of ``B`` and ``n`` is
     not pinned.  With both pinned SSABE does not run and ``pilot`` is
-    never called (so a lazily drawn pilot costs nothing)."""
+    never called (so a lazily drawn pilot costs nothing).  A statistic
+    with a closed form never resamples (``B = 1``) and solves for its
+    ``n`` off the pilot instead (Appendix A)."""
+    if statistic.closed_form is not None:
+        return 1, closed_form_sample_size(pilot(), sigma) if n is None \
+            else n, None
     ssabe: Optional[SSABEResult] = None
     if B is None or n is None:
         ssabe = estimate_parameters(
@@ -284,8 +299,10 @@ class ColumnSet:
 
     A round grows ``resamples`` once — to its widest live reader's
     ``B``, from the set's own generator — and then every live reader
-    reads its statistic off it (:func:`_reads`); under the jackknife
-    there is no set (``None``) and each reader keeps its own sample.
+    reads its statistic off it (:func:`_reads`).  Readers whose stages
+    keep a sample of their own (the jackknife, a closed form, the
+    moving-block bootstrap) share a set of their column with no
+    resamples (``None``): each is offered the round's rows.
     ``source`` holds the sample column (``.value``) and ``base`` is the
     offset of the unit's segment in it.  On a process pool the set and
     its readers' stages travel to the worker of ``slot`` with their
@@ -372,8 +389,8 @@ def _reads(resamples: Optional[ResampleSet], stages: Sequence[Any],
            delta: np.ndarray) -> List[Callable[[], AccuracyEstimate]]:
     """A set's round: grow it by ``delta`` to its widest reader's ``B``
     — its order-statistic reads all evaluated off one sort, before the
-    reads can fan out — then its readers' reads (under the jackknife,
-    each reader's own offer of ``delta``)."""
+    reads can fan out — then its readers' reads (with no set, each
+    reader's offer of ``delta`` to its own sample)."""
     if resamples is None:
         return [partial(stage.offer, delta) for stage in stages]
     resamples.grow(delta, max(stage.B for stage in stages),
@@ -680,26 +697,39 @@ class RoundEngine(LossRecovery):
             return data if unit.rows is None else data[unit.rows]
         return data[picks if unit.rows is None else unit.rows[picks]]
 
+    def _shares(self, pipeline: Pipeline) -> bool:
+        """Whether the pipeline's stage (:func:`make_estimation_stage`)
+        reads its column's shared resample set."""
+        return (pipeline.statistic.closed_form is None
+                and self._config.estimation != "jackknife")
+
+    def _stage(self, pipeline: Pipeline, resamples: Optional[ResampleSet],
+               seed: Any) -> Any:
+        """The pipeline's stage: a reader of ``resamples``, or one over
+        its own sample drawing on ``seed``."""
+        return make_estimation_stage(
+            pipeline.statistic, pipeline.B,
+            replace(self._config, error_metric=pipeline.error_metric),
+            seed=seed, executor=self._executor if self._lone else None,
+            resamples=resamples)
+
     def _build(self, unit: SampleUnit,
                seed: Callable[[Pipeline], Any]) -> None:
-        """(Re)build the unit's sets: a column's live readers share ONE
+        """(Re)build the unit's sets: a column's sharing readers get ONE
         resample set of their largest ``B``, drawn from the stream
         ``seed`` gives the first of them (a lone reader's: its own),
-        and each reader gets a stage over it."""
+        and each reader a stage over it; a set of own-sample readers
+        gets none, and each of them a stage seeded from its stream."""
         cfg = self._config
         for s in unit.live_sets():
-            s.resamples = None if cfg.estimation == "jackknife" else \
-                ResampleSet(s.readers[0].statistic,
-                            max(p.B for p in s.readers),
-                            maintenance=cfg.maintenance,
-                            sketch_c=cfg.sketch_c, seed=seed(s.readers[0]))
+            first = s.readers[0]
+            s.resamples = ResampleSet(
+                first.statistic, max(p.B for p in s.readers),
+                maintenance=cfg.maintenance, sketch_c=cfg.sketch_c,
+                seed=seed(first)) if self._shares(first) else None
             s.shipped = False
             for p in s.readers:
-                p.stage = make_estimation_stage(
-                    p.statistic, p.B,
-                    replace(cfg, error_metric=p.error_metric),
-                    executor=self._executor if self._lone else None,
-                    resamples=s.resamples)
+                p.stage = self._stage(p, s.resamples, seed(p))
 
     def _prepare(self, units: List[SampleUnit]) -> List[Touched]:
         """Pilot every unit (each with ``rng`` and ``order`` set by the
@@ -752,9 +782,11 @@ class RoundEngine(LossRecovery):
                 pipeline.result = exact_fallback_result(
                     pipeline.statistic, self._take(unit, pipeline.column),
                     sigma=pipeline.sigma, ssabe=pipeline.ssabe)
-        live = unit.active_pipelines
-        unit.sets = [ColumnSet(column, [p for p in live if p.column == column])
-                     for column in dict.fromkeys(p.column for p in live)]
+        # One set per column and kind of stage, in first-seen order (a
+        # design of one kind keeps one set per column).
+        live = {p: (p.column, self._shares(p)) for p in unit.active_pipelines}
+        unit.sets = [ColumnSet(kind[0], [p for p in live if live[p] == kind])
+                     for kind in dict.fromkeys(live.values())]
         self._build(unit, lambda first: streams[2 * first.index + 1])
         if unit.active:
             unit.target = first_target(
@@ -1141,8 +1173,12 @@ class UniformEngine(RoundEngine):
             return []
         unit = self._unit
         unit.rng = self._rng
-        unit.order = PermutationPrefix(unit.size, self._rng)  # the ONE sample
+        unit.order = self._order(unit.size, self._rng)   # the ONE sample
         return self._events(self._prepare([unit]))
+
+    def _order(self, size: int, rng: np.random.Generator) -> Any:
+        """The sample's order: a uniform random permutation prefix."""
+        return PermutationPrefix(size, rng)
 
     def live_demands(self) -> List[Dict[str, Any]]:
         """Per-active-query demand records for an external budget

@@ -24,6 +24,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
+from repro.core.categorical import proportion_estimate
 from repro.util.stats import RunningStats
 
 # --------------------------------------------------------------------------
@@ -722,9 +723,15 @@ class Statistic:
     (:func:`sorted_median`, :func:`sorted_quantile`), equal to ``batch``
     bit for bit except at ``±0``.  One sort of a resample set's rows
     then serves all of its order-statistic readers.
+
+    ``closed_form`` is set on ``proportion``: its exact error off the
+    success count (Appendix A's binomial
+    :func:`~repro.core.categorical.proportion_estimate`), so the
+    engines solve for its sample size and never resample it.
     """
 
     sorted_read: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    closed_form: Optional[Callable[..., Any]] = None
 
     def __init__(self, name: str,
                  pointwise: Callable[[np.ndarray], float],
@@ -811,9 +818,10 @@ register_statistic(Statistic(
     "max", pointwise=lambda a: float(np.max(a)),
     batch=lambda m: np.max(m, axis=1),
     make_state=lambda: ExtremeState("max")))
-register_statistic(Statistic(
+_proportion = register_statistic(Statistic(
     "proportion", pointwise=lambda a: float(np.mean(a != 0)),
     batch=lambda m: np.mean(m != 0, axis=1), make_state=ProportionState))
+_proportion.closed_form = proportion_estimate
 register_statistic(Statistic(
     "count", pointwise=lambda a: float(len(a)),
     batch=lambda m: np.full(m.shape[0], float(m.shape[1])),

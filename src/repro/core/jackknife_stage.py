@@ -19,13 +19,10 @@ silently returning garbage.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
-
 import numpy as np
 
-from repro.cluster.costmodel import CostLedger
-from repro.core.accuracy import AccuracyEstimate
-from repro.core.estimators import StatisticLike, get_statistic
+from repro.core.accuracy import AccuracyEstimate, OwnSampleStage
+from repro.core.estimators import StatisticLike
 from repro.core.jackknife import jackknife
 from repro.util.stats import coefficient_of_variation
 
@@ -34,57 +31,29 @@ from repro.util.stats import coefficient_of_variation
 JACKKNIFE_SAFE_STATISTICS = frozenset({"mean", "sum", "variance", "std"})
 
 
-class JackknifeEstimationStage:
+class JackknifeEstimationStage(OwnSampleStage):
     """Stateful jackknife error estimation over a growing sample.
 
     API-compatible with :class:`AccuracyEstimationStage` (``offer`` /
-    ``history`` / ``sample_size`` / ``work_ops`` / ledger hooks), so the
-    EARL drivers can switch estimation strategies via configuration.
+    ``history`` / ``sample_size`` / ``work_ops`` / ledger hooks, from
+    :class:`~repro.core.accuracy.OwnSampleStage`), so the EARL drivers
+    can switch estimation strategies via configuration.
     """
 
     def __init__(self, statistic: StatisticLike, *,
                  confidence: float = 0.95) -> None:
-        self._stat = get_statistic(statistic)
+        super().__init__(statistic, confidence=confidence)
         if self._stat.name not in JACKKNIFE_SAFE_STATISTICS:
             raise ValueError(
                 f"jackknife estimation is unreliable for "
                 f"{self._stat.name!r} (§3: 'jackknife does not work for "
                 "many functions such as the median'); use the bootstrap")
-        self._confidence = confidence
-        self._sample: List[float] = []
-        self._history: List[AccuracyEstimate] = []
-        self._work_ops = 0
-        self._ledger: Optional[CostLedger] = None
-        self._io_scale = 1.0
 
-    # ------------------------------------------------------- driver hooks
-    def set_ledger(self, ledger: Optional[CostLedger]) -> None:
-        self._ledger = ledger
-
-    def set_io_scale(self, io_scale: float) -> None:
-        self._io_scale = io_scale
-
-    @property
-    def work_ops(self) -> int:
-        """State operations performed so far (one per replicate)."""
-        return self._work_ops
-
-    @property
-    def history(self) -> List[AccuracyEstimate]:
-        return list(self._history)
-
-    @property
-    def sample_size(self) -> int:
-        return len(self._sample)
-
-    # ------------------------------------------------------------ estimate
-    def offer(self, delta: Sequence[float]) -> AccuracyEstimate:
-        """Extend the sample and refresh the jackknife error estimate."""
-        self._sample.extend(float(v) for v in delta)
-        if len(self._sample) < 2:
+    def _estimate(self, delta: np.ndarray) -> AccuracyEstimate:
+        """Refresh the jackknife error estimate over the whole sample."""
+        if self.sample_size < 2:
             raise ValueError("jackknife needs at least 2 observations")
-        data = np.asarray(self._sample)
-        result = jackknife(data, self._stat)
+        result = jackknife(self.sample(), self._stat)
         # one replicate per observation (the O(n) fast path for
         # mean/sum; variance/std pay the generic loop — still counted
         # as n replicate evaluations)
@@ -96,7 +65,7 @@ class JackknifeEstimationStage:
         z = 1.96 if self._confidence == 0.95 else \
             float(abs(np.round(
                 _normal_ppf(0.5 + self._confidence / 2.0), 6)))
-        estimate = AccuracyEstimate(
+        return AccuracyEstimate(
             estimate=point,
             point_estimate=point,
             error=cv,
@@ -109,13 +78,6 @@ class JackknifeEstimationStage:
             n=result.n,
             B=result.n,   # n leave-one-out replicates
         )
-        self._history.append(estimate)
-        return estimate
-
-    def error_stability(self) -> Optional[float]:
-        if len(self._history) < 2:
-            return None
-        return abs(self._history[-1].cv - self._history[-2].cv)
 
 
 def _normal_ppf(q: float) -> float:

@@ -14,7 +14,12 @@ instantiated per entry point.
 import numpy as np
 import pytest
 
-from repro.core import EarlConfig, EarlSession
+from repro.core import (
+    CategoricalEarlSession,
+    DependentEarlSession,
+    EarlConfig,
+    EarlSession,
+)
 from repro.core.checkpoint import (
     CheckpointReplayError,
     checkpoint_doc,
@@ -23,9 +28,12 @@ from repro.core.checkpoint import (
 )
 from repro.core.grouped import GroupedEarlSession, Measure
 from repro.streaming import SessionManager
+from repro.workloads import ar1_series
 
 DATA = np.random.default_rng(0).lognormal(0, 1, 200_000)
 KEYS = np.array([i % 3 for i in range(200_000)])
+COINS = DATA > 1.5
+SERIES = ar1_series(40_000, phi=0.85, seed=4)
 
 
 class TestCheckpointDoc:
@@ -151,6 +159,21 @@ class TestGroupedSessionCheckpoint(_CheckpointContract):
     def build(self):
         return GroupedEarlSession(KEYS, [Measure("m", "mean", DATA)],
                                   config=self.CONFIG)
+
+
+class TestCategoricalSessionCheckpoint(_CheckpointContract):
+    def build(self):
+        return CategoricalEarlSession(COINS, config=self.CONFIG)
+
+
+class TestDependentSessionCheckpoint(_CheckpointContract):
+    # The mean of an AR(1) around 100 meets σ = 0.01 at once; a tight
+    # bound keeps the blocks growing.
+    CONFIG = EarlConfig(sigma=1e-4, seed=3, B_override=15, n_override=100,
+                        expansion_factor=1.6, max_iterations=12)
+
+    def build(self):
+        return DependentEarlSession(SERIES, "mean", config=self.CONFIG)
 
 
 # SSABE runs here (B is its pick), so the replay also has to reproduce

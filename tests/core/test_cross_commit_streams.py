@@ -18,10 +18,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import EarlConfig, EarlSession
+from repro.core import DependentEarlSession, EarlConfig, EarlSession
 from repro.core.grouped import GroupedEarlSession, Measure
 from repro.scheduler import QueryScheduler
 from repro.streaming import SessionManager
+from repro.workloads import ar1_series
 
 FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" / "engine_streams.json"
 BACKENDS = ["serial", "threads", "processes"]
@@ -35,6 +36,9 @@ KEYS = np.concatenate([_rng.choice(["a", "b", "c"], size=40_000,
                        np.array(["tiny"] * 5)])
 VALS = _rng.lognormal(3.0, 1.0, len(KEYS))
 VALS2 = _rng.normal(50.0, 10.0, len(KEYS))
+# Appendix A: 0/1 successes (the closed form) and a dependent series.
+COINS = (_rng.random(60_000) < 0.2).astype(float)
+SERIES = ar1_series(30_000, phi=0.85, seed=21)
 
 
 def _session(statistic, data, **cfg):
@@ -44,6 +48,13 @@ def _session(statistic, data, **cfg):
                 for snap in EarlSession(data, statistic,
                                         config=config).stream()]
     return build
+
+
+def _dependent(executor):
+    config = EarlConfig(sigma=0.001, seed=19, executor=executor,
+                        max_workers=2)
+    return [snap.to_dict() for snap
+            in DependentEarlSession(SERIES, "mean", config=config).stream()]
 
 
 def _manager(cancel=None):
@@ -119,6 +130,10 @@ CASES = {
     "session-correlation": _session("correlation", PAIRS, sigma=0.015,
                                     seed=9),
     "session-fallback": _session("mean", DATA[:3_000], sigma=0.001, seed=7),
+    # n pinned below the closed form's, so the bound is met rounds later.
+    "session-proportion": _session("proportion", COINS, sigma=0.02,
+                                   seed=17, n_override=500),
+    "dependent-mean": _dependent,
     "manager-three": _manager(),
     "manager-cancelled-sibling": _manager(cancel="withdrawn"),
     "manager-mixed-B": _manager_mixed_B,
@@ -144,7 +159,8 @@ def test_fixture_exercises_every_path(recorded):
     assert set(recorded) == set(CASES)
     fallback = recorded["session-fallback"]
     assert len(fallback) == 1 and fallback[0]["sample_fraction"] == 1.0
-    for case in ("session-mean", "session-median", "session-correlation"):
+    for case in ("session-mean", "session-median", "session-correlation",
+                 "session-proportion", "dependent-mean"):
         assert len(recorded[case]) >= 2 and recorded[case][-1]["achieved"]
     names = {name for name, _ in recorded["manager-cancelled-sibling"]}
     assert names == {"mean", "median", "p90"}

@@ -11,7 +11,12 @@ from repro.core.earl import (
     StatisticReducer,
     make_estimation_stage,
 )
-from repro.core.accuracy import AccuracyEstimate, AccuracyEstimationStage
+from repro.core.accuracy import (
+    AccuracyEstimate,
+    AccuracyEstimationStage,
+    ClosedFormStage,
+)
+from repro.core.categorical import proportion_estimate
 from repro.core.estimators import get_statistic
 from repro.core.jackknife_stage import JackknifeEstimationStage
 from repro.mapreduce import FeedbackChannel
@@ -160,3 +165,15 @@ class TestStageFactory:
         cfg = EarlConfig(seed=1, estimation="jackknife")
         stage = make_estimation_stage(get_statistic("mean"), 10, cfg)
         assert isinstance(stage, JackknifeEstimationStage)
+
+    @pytest.mark.parametrize("estimation", ["bootstrap", "jackknife"])
+    def test_closed_form_wins_for_a_proportion(self, estimation):
+        cfg = EarlConfig(seed=1, estimation=estimation, confidence=0.9)
+        stage = make_estimation_stage(get_statistic("proportion"), 10, cfg)
+        assert isinstance(stage, ClosedFormStage)
+        stage.offer([1.0, 0.0, 0.0, 0.0])
+        est = stage.offer(np.r_[np.ones(26), np.zeros(70)])
+        exact = proportion_estimate(27, 100, confidence=0.9)
+        assert (est.estimate, est.std, est.ci_low, est.ci_high, est.B) \
+            == (0.27, exact.std, exact.ci_low, exact.ci_high, 1)
+        assert stage.sample_size == stage.work_ops == 100

@@ -119,6 +119,22 @@ class TestOverrides:
         assert res.num_iterations <= 3
 
 
+@pytest.mark.parametrize("statistic", ["mean", "proportion"])
+def test_confidence_sets_the_interval(population, statistic):
+    """``EarlConfig.confidence`` reaches the stage: the same run's 80%
+    interval lies strictly inside its 99% one (bootstrap percentiles
+    for the mean, the closed form's z-interval for a proportion)."""
+    data = population if statistic == "mean" else population > 20.0
+
+    def interval(confidence):
+        return EarlSession(data, statistic, config=EarlConfig(
+            sigma=0.02, seed=1, B_override=50, n_override=2000,
+            confidence=confidence)).run().ci
+
+    (lo80, hi80), (lo99, hi99) = interval(0.8), interval(0.99)
+    assert lo99 < lo80 < hi80 < hi99
+
+
 class TestValidation:
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):

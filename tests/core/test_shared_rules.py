@@ -79,6 +79,27 @@ class TestChooseParameters:
         assert B == 7
         assert n == ssabe.n
 
+    def test_closed_form_solves_n_without_ssabe(self):
+        """``proportion`` (Appendix A): B = 1 and the closed form's n
+        off the pilot's Laplace-smoothed p̂, with 25 % head-room; a
+        zero-success pilot still gives a finite n, and a pinned n
+        stands."""
+        pilot = np.r_[np.ones(30), np.zeros(70)]
+        stat = get_statistic("proportion")
+        B, n, ssabe = choose_parameters(stat, 100_000, EarlConfig(),
+                                        lambda: pilot, sigma=0.05, B=40,
+                                        n=None, seed=1)
+        p = 30 / 101
+        assert (B, ssabe) == (1, None)
+        assert n == math.ceil(1.25 * math.ceil((1 - p) / (p * 0.05 ** 2)))
+        _, n0, _ = choose_parameters(stat, 100_000, EarlConfig(),
+                                     lambda: np.zeros(100), sigma=0.05,
+                                     B=None, n=None, seed=1)
+        assert n0 > n
+        assert choose_parameters(stat, 100_000, EarlConfig(), None,
+                                 sigma=0.05, B=None, n=500,
+                                 seed=1) == (1, 500, None)
+
 
 class TestResultSnapshot:
     def test_exact_result_is_a_zero_width_iteration_zero(self):

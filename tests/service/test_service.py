@@ -135,6 +135,35 @@ class TestStatisticLifecycle:
         assert estimates["mean"] == pytest.approx(pop.mean(), rel=0.1)
         assert estimates["sum"] == pytest.approx(pop.sum(), rel=0.1)
 
+    def test_proportion_uses_its_closed_form(self, monkeypatch):
+        """A ``proportion`` spec reaches the engine's closed form
+        (Appendix A) through the service: no resampling, ``B == 1``,
+        whatever B the service config pins."""
+        results = []
+        publish = ApproxQueryService._publish_snapshot
+
+        def spy(self, rec, snap, **kwargs):
+            if snap.final:
+                results.append(snap.result)
+            return publish(self, rec, snap, **kwargs)
+
+        monkeypatch.setattr(ApproxQueryService, "_publish_snapshot", spy)
+
+        async def body(service, client):
+            coins = np.random.default_rng(2).random(20_000) < 0.4
+            service.register_dataset("coins", coins.astype(float))
+            sid = await client.submit({"kind": "statistic",
+                                       "dataset": "coins",
+                                       "statistic": "proportion"})
+            await service.flush()
+            return await client.drain(sid)
+
+        events = run(with_service(body))
+        assert events[-1].payload == {"state": STATE_DONE}
+        (result,) = results
+        assert result.B == 1 and result.statistic == "proportion"
+        assert result.estimate == pytest.approx(0.4, abs=0.05)
+
 
 class TestGroupedQueryLifecycle:
     def test_grouped_session_events(self):

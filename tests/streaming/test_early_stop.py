@@ -10,6 +10,7 @@ import pytest
 
 from repro import EarlConfig, EarlJob, EarlSession
 from repro.cluster import Cluster
+from repro.core import CategoricalEarlSession, DependentEarlSession
 from repro.exec import live_pool_executors
 from repro.query import Query, agg
 from repro.streaming import SessionManager, StreamConsumer, stream
@@ -155,12 +156,19 @@ class TestPoolRelease:
         assert live_pool_executors() == []
 
     @pytest.mark.parametrize("entry", ["earl_session", "session_manager",
-                                       "grouped"])
+                                       "grouped", "categorical",
+                                       "dependent"])
     def test_early_break_closes_pool_for_every_entry_point(
             self, population, entry):
         cfg = EarlConfig(executor="processes", max_workers=2, **LOOP_CFG)
         if entry == "earl_session":
             gen = EarlSession(population, "mean", config=cfg).stream()
+        elif entry == "categorical":
+            gen = CategoricalEarlSession(population > np.e,
+                                         config=cfg).stream()
+        elif entry == "dependent":
+            gen = DependentEarlSession(population, "mean",
+                                       config=cfg).stream()
         elif entry == "session_manager":
             manager = SessionManager(population, config=cfg)
             manager.submit("mean")
