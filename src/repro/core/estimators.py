@@ -308,8 +308,46 @@ class StdState(VarianceState):
         return clone
 
 
-class QuantileState(EstimatorState):
-    """Order-statistic state for quantiles (numpy 'linear' interpolation).
+class _SortedState(EstimatorState):
+    """A state kept as a sorted multiset of its values: order
+    statistics with removal."""
+
+    def __init__(self) -> None:
+        self._sorted = _SortedFloats()
+
+    def add(self, value: Any) -> None:
+        self._sorted.insert(float(value))
+
+    def remove(self, value: Any) -> None:
+        self._sorted.remove(float(value))
+
+    def add_many(self, values: Any) -> None:
+        self._sorted.insert_many(values)
+
+    def remove_many(self, values: Any) -> None:
+        self._sorted.remove_many(values)
+
+    def _nonempty(self) -> int:
+        n = len(self._sorted)
+        if n == 0:
+            raise ValueError(f"{type(self).__name__} is empty: its "
+                             "result is undefined")
+        return n
+
+    def copy(self) -> "_SortedState":
+        clone = type(self).__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        clone._sorted = self._sorted.copy()
+        return clone
+
+    def __len__(self) -> int:
+        return len(self._sorted)
+
+
+class QuantileState(_SortedState):
+    """Order-statistic state for quantiles: NumPy's ``"linear"`` rule
+    (:func:`sorted_quantile`) over the two order statistics around the
+    position, so its result is ``np.quantile``'s bit for bit.
 
     ``remove`` is what the bootstrap's delta maintenance needs and what
     closed-form approaches cannot give for the median (§3: "jackknife
@@ -319,89 +357,44 @@ class QuantileState(EstimatorState):
     def __init__(self, q: float) -> None:
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
+        super().__init__()
         self._q = q
-        self._sorted = _SortedFloats()
-
-    def add(self, value: Any) -> None:
-        self._sorted.insert(float(value))
-
-    def remove(self, value: Any) -> None:
-        self._sorted.remove(float(value))
-
-    def add_many(self, values: Any) -> None:
-        self._sorted.insert_many(values)
-
-    def remove_many(self, values: Any) -> None:
-        self._sorted.remove_many(values)
 
     def result(self) -> float:
-        n = len(self._sorted)
-        if n == 0:
-            raise ValueError("quantile of an empty state is undefined")
-        position = self._q * (n - 1)
-        lower = int(math.floor(position))
-        upper = min(lower + 1, n - 1)
-        frac = position - lower
-        return (1 - frac) * self._sorted.kth(lower) + frac * self._sorted.kth(upper)
-
-    def copy(self) -> "QuantileState":
-        clone = QuantileState.__new__(QuantileState)
-        clone._q = self._q
-        clone._sorted = self._sorted.copy()
-        return clone
-
-    def __len__(self) -> int:
-        return len(self._sorted)
+        n = self._nonempty()
+        position = (n - 1) * self._q
+        lower = math.floor(position)
+        pair = np.array([self._sorted.kth(lower),
+                         self._sorted.kth(min(lower + 1, n - 1))])
+        return float(sorted_quantile(pair, position - lower))
 
 
 class MedianState(QuantileState):
-    """The paper's running example of a non-trivial statistic (Fig. 6)."""
+    """The paper's running example of a non-trivial statistic (Fig. 6):
+    :func:`sorted_median` of the middle one or two order statistics."""
 
     def __init__(self) -> None:
         super().__init__(0.5)
 
-    def copy(self) -> "MedianState":
-        clone = MedianState.__new__(MedianState)
-        clone._q = self._q
-        clone._sorted = self._sorted.copy()
-        return clone
+    def result(self) -> float:
+        n = self._nonempty()
+        middle = range((n - 1) // 2, n // 2 + 1)
+        return float(sorted_median(np.array(
+            [self._sorted.kth(i) for i in middle])))
 
 
-class ExtremeState(EstimatorState):
+class ExtremeState(_SortedState):
     """Min/max with removal (kept as a sorted multiset)."""
 
     def __init__(self, kind: str) -> None:
         if kind not in ("min", "max"):
             raise ValueError("kind must be 'min' or 'max'")
+        super().__init__()
         self._kind = kind
-        self._sorted = _SortedFloats()
-
-    def add(self, value: Any) -> None:
-        self._sorted.insert(float(value))
-
-    def remove(self, value: Any) -> None:
-        self._sorted.remove(float(value))
-
-    def add_many(self, values: Any) -> None:
-        self._sorted.insert_many(values)
-
-    def remove_many(self, values: Any) -> None:
-        self._sorted.remove_many(values)
 
     def result(self) -> float:
-        n = len(self._sorted)
-        if n == 0:
-            raise ValueError(f"{self._kind} of an empty state is undefined")
+        n = self._nonempty()
         return self._sorted.kth(0 if self._kind == "min" else n - 1)
-
-    def copy(self) -> "ExtremeState":
-        clone = ExtremeState.__new__(ExtremeState)
-        clone._kind = self._kind
-        clone._sorted = self._sorted.copy()
-        return clone
-
-    def __len__(self) -> int:
-        return len(self._sorted)
 
 
 class ProportionState(EstimatorState):
