@@ -185,8 +185,9 @@ class _SortedFloats:
         return np.asarray(self._merged())
 
 
-class MeanState(EstimatorState):
-    """Running mean (Welford add/remove)."""
+class _RunningState(EstimatorState):
+    """Running moments (Welford add/remove) behind mean, variance and
+    std."""
 
     def __init__(self) -> None:
         self._stats = RunningStats()
@@ -203,14 +204,11 @@ class MeanState(EstimatorState):
     def remove_many(self, values: Any) -> None:
         self._stats.remove_values(np.asarray(values, dtype=float))
 
-    def merge(self, other: "MeanState") -> None:
+    def merge(self, other: "_RunningState") -> None:
         self._stats.merge(other._stats)
 
-    def result(self) -> float:
-        return self._stats.mean
-
-    def copy(self) -> "MeanState":
-        clone = MeanState.__new__(MeanState)
+    def copy(self) -> "_RunningState":
+        clone = type(self).__new__(type(self))
         clone._stats = self._stats.copy()
         return clone
 
@@ -218,7 +216,27 @@ class MeanState(EstimatorState):
         return self._stats.count
 
 
-class SumState(EstimatorState):
+class MeanState(_RunningState):
+    """Running mean (Welford add/remove)."""
+
+    def result(self) -> float:
+        return self._stats.mean
+
+
+class _FieldState(EstimatorState):
+    """A state of plain numbers — its ``_count`` and running sums — so
+    a copy is a shallow clone."""
+
+    def copy(self) -> "_FieldState":
+        clone = object.__new__(type(self))
+        clone.__dict__ = self.__dict__.copy()
+        return clone
+
+    def __len__(self) -> int:
+        return self._count
+
+
+class SumState(_FieldState):
     """Running sum.  Pair with the ``1/p`` correction when sampled."""
 
     def __init__(self) -> None:
@@ -254,46 +272,12 @@ class SumState(EstimatorState):
     def result(self) -> float:
         return self._sum
 
-    def copy(self) -> "SumState":
-        clone = SumState.__new__(SumState)
-        clone._sum, clone._count = self._sum, self._count
-        return clone
 
-    def __len__(self) -> int:
-        return self._count
-
-
-class VarianceState(EstimatorState):
+class VarianceState(_RunningState):
     """Sample variance (ddof=1)."""
-
-    def __init__(self) -> None:
-        self._stats = RunningStats()
-
-    def add(self, value: Any) -> None:
-        self._stats.add(float(value))
-
-    def remove(self, value: Any) -> None:
-        self._stats.remove(float(value))
-
-    def add_many(self, values: Any) -> None:
-        self._stats.add_values(np.asarray(values, dtype=float))
-
-    def remove_many(self, values: Any) -> None:
-        self._stats.remove_values(np.asarray(values, dtype=float))
-
-    def merge(self, other: "VarianceState") -> None:
-        self._stats.merge(other._stats)
 
     def result(self) -> float:
         return self._stats.variance()
-
-    def copy(self) -> "VarianceState":
-        clone = VarianceState.__new__(VarianceState)
-        clone._stats = self._stats.copy()
-        return clone
-
-    def __len__(self) -> int:
-        return self._stats.count
 
 
 class StdState(VarianceState):
@@ -301,11 +285,6 @@ class StdState(VarianceState):
 
     def result(self) -> float:
         return self._stats.std()
-
-    def copy(self) -> "StdState":
-        clone = StdState.__new__(StdState)
-        clone._stats = self._stats.copy()
-        return clone
 
 
 class _SortedState(EstimatorState):
@@ -335,8 +314,8 @@ class _SortedState(EstimatorState):
         return n
 
     def copy(self) -> "_SortedState":
-        clone = type(self).__new__(type(self))
-        clone.__dict__.update(self.__dict__)
+        clone = object.__new__(type(self))
+        clone.__dict__ = self.__dict__.copy()
         clone._sorted = self._sorted.copy()
         return clone
 
@@ -397,7 +376,7 @@ class ExtremeState(_SortedState):
         return self._sorted.kth(0 if self._kind == "min" else n - 1)
 
 
-class ProportionState(EstimatorState):
+class ProportionState(_FieldState):
     """Share of truthy values — the categorical-data statistic (App. A)."""
 
     def __init__(self) -> None:
@@ -437,16 +416,8 @@ class ProportionState(EstimatorState):
             raise ValueError("proportion of an empty state is undefined")
         return self._successes / self._count
 
-    def copy(self) -> "ProportionState":
-        clone = ProportionState.__new__(ProportionState)
-        clone._successes, clone._count = self._successes, self._count
-        return clone
 
-    def __len__(self) -> int:
-        return self._count
-
-
-class CorrelationState(EstimatorState):
+class CorrelationState(_FieldState):
     """Pearson correlation over ``(x, y)`` pairs.
 
     Sampling "is applicable to algorithms relying on capturing
@@ -528,18 +499,11 @@ class CorrelationState(EstimatorState):
             return 0.0
         return cov / denom
 
-    def copy(self) -> "CorrelationState":
-        clone = CorrelationState.__new__(CorrelationState)
-        clone._n = self._n
-        clone._sx, clone._sy = self._sx, self._sy
-        clone._sxx, clone._syy, clone._sxy = self._sxx, self._syy, self._sxy
-        return clone
-
     def __len__(self) -> int:
         return self._n
 
 
-class CountState(EstimatorState):
+class CountState(_FieldState):
     """Record count — COUNT(*) pairs with the ``1/p`` correction (§2.1)."""
 
     def __init__(self) -> None:
@@ -566,14 +530,6 @@ class CountState(EstimatorState):
 
     def result(self) -> float:
         return float(self._count)
-
-    def copy(self) -> "CountState":
-        clone = CountState.__new__(CountState)
-        clone._count = self._count
-        return clone
-
-    def __len__(self) -> int:
-        return self._count
 
 
 class FunctionalState(EstimatorState):

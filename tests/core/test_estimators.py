@@ -69,6 +69,26 @@ class TestRegistry:
             rowwise = [stat(row) for row in matrix]
             np.testing.assert_allclose(batch, rowwise, rtol=1e-10)
 
+    def test_state_copies_diverge_independently(self):
+        """A copy is a state of the same kind that grows on its own:
+        the original's result does not move."""
+        rng = np.random.default_rng(2)
+        for name in ["mean", "sum", "median", "variance", "std", "min",
+                     "max", "proportion", "count", "p90", "correlation"]:
+            stat = get_statistic(name)
+            shape = (40, 2) if name == "correlation" else (40,)
+            first, more = rng.normal(size=shape), rng.normal(size=shape)
+            state = stat.make_state()
+            state.add_many(first)
+            before = state.result()
+            clone = state.copy()
+            clone.add_many(more)
+            assert type(clone) is type(state), name
+            assert state.result() == before and len(state) == 40, name
+            assert len(clone) == 80, name
+            both = np.concatenate([first, more])
+            assert clone.result() == pytest.approx(stat(both)), name
+
 
 class TestMeanSumStates:
     @given(values_strategy)
