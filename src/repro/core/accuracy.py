@@ -247,10 +247,10 @@ class OwnSampleStage(_Recorded):
     form and the moving-block bootstrap; same driver hooks as
     :class:`AccuracyEstimationStage`."""
 
-    def __init__(self, statistic: StatisticLike, *,
+    def __init__(self, statistic: StatisticLike, *, metric: str = "cv",
                  confidence: float = 0.95) -> None:
         self._stat = get_statistic(statistic)
-        self._confidence = confidence
+        self._metric, self._confidence = metric, confidence
         self._parts: List[np.ndarray] = []
         self._history = []
         self._work_ops = 0
@@ -286,15 +286,17 @@ class OwnSampleStage(_Recorded):
 class ClosedFormStage(OwnSampleStage):
     """A statistic's closed-form error (``proportion``, Appendix A: the
     binomial ``p̂(1-p̂)/n`` and its z-interval) off its success count —
-    nothing is resampled (``B = 1``); the error is the cv of ``p̂``."""
+    nothing is resampled (``B = 1``), and ``p̂`` is unbiased."""
 
     def _estimate(self, delta: np.ndarray) -> AccuracyEstimate:
         self._work_ops += len(delta)
         est = self._stat.closed_form(int(np.count_nonzero(self.sample())),
                                      self.sample_size,
                                      confidence=self._confidence)
+        error = {"cv": est.cv, "variance": est.variance, "bias": 0.0,
+                 "relative_ci": relative_half_width(est.proportion, est.std)}
         return AccuracyEstimate(
             estimate=est.proportion, point_estimate=est.proportion,
-            error=est.cv, cv=est.cv, std=est.std, variance=est.variance,
-            bias=0.0, ci_low=est.ci_low, ci_high=est.ci_high,
-            n=est.n, B=1)
+            error=error[self._metric], cv=est.cv, std=est.std,
+            variance=est.variance, bias=0.0, ci_low=est.ci_low,
+            ci_high=est.ci_high, n=est.n, B=1)

@@ -96,6 +96,5 @@ def closed_form_sample_size(pilot: np.ndarray, sigma: float) -> int:
     pilot's Laplace-smoothed ``p̂ = max(X, 1) / (n + 1)`` (a zero-success
     pilot gives it no basis), with 25 % head-room — a boundary-sized
     sample meets ``cv = σ`` only in expectation."""
-    pilot = np.asarray(pilot)
     p_pilot = max(int(np.count_nonzero(pilot)), 1) / (len(pilot) + 1)
     return math.ceil(1.25 * required_sample_size_proportion(p_pilot, sigma))

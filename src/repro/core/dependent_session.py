@@ -73,8 +73,8 @@ class MovingBlockStage(OwnSampleStage):
     def __init__(self, statistic: StatisticLike, B: int, block_length: int,
                  *, metric: str = "cv", confidence: float = 0.95,
                  seed: SeedLike = None) -> None:
-        super().__init__(statistic, confidence=confidence)
-        self.B, self._b, self._metric = B, block_length, metric
+        super().__init__(statistic, metric=metric, confidence=confidence)
+        self.B, self._b = B, block_length
         self._rng = ensure_rng(seed)
 
     def _estimate(self, delta: np.ndarray) -> AccuracyEstimate:

@@ -92,7 +92,8 @@ def make_estimation_stage(statistic: "Statistic", B: int, cfg: EarlConfig,
     resample evaluation; results are identical with or without it;
     ``resamples`` shares a bootstrap set."""
     if statistic.closed_form is not None:
-        return ClosedFormStage(statistic, confidence=cfg.confidence)
+        return ClosedFormStage(statistic, metric=cfg.error_metric,
+                               confidence=cfg.confidence)
     if cfg.estimation == "jackknife":
         return JackknifeEstimationStage(statistic,
                                         confidence=cfg.confidence)

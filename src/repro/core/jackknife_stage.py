@@ -20,6 +20,7 @@ silently returning garbage.
 from __future__ import annotations
 
 import numpy as np
+from scipy.stats import norm
 
 from repro.core.accuracy import AccuracyEstimate, OwnSampleStage
 from repro.core.estimators import StatisticLike
@@ -63,8 +64,7 @@ class JackknifeEstimationStage(OwnSampleStage):
         std = result.std
         cv = coefficient_of_variation(point, std)
         z = 1.96 if self._confidence == 0.95 else \
-            float(abs(np.round(
-                _normal_ppf(0.5 + self._confidence / 2.0), 6)))
+            float(abs(np.round(norm.ppf(0.5 + self._confidence / 2.0), 6)))
         return AccuracyEstimate(
             estimate=point,
             point_estimate=point,
@@ -78,9 +78,3 @@ class JackknifeEstimationStage(OwnSampleStage):
             n=result.n,
             B=result.n,   # n leave-one-out replicates
         )
-
-
-def _normal_ppf(q: float) -> float:
-    from scipy import stats as sp_stats
-
-    return float(sp_stats.norm.ppf(q))

@@ -177,3 +177,13 @@ class TestStageFactory:
         assert (est.estimate, est.std, est.ci_low, est.ci_high, est.B) \
             == (0.27, exact.std, exact.ci_low, exact.ci_high, 1)
         assert stage.sample_size == stage.work_ops == 100
+
+    def test_closed_form_error_follows_the_metric(self):
+        exact = proportion_estimate(27, 100)
+        expected = {"cv": exact.cv, "variance": exact.variance, "bias": 0.0,
+                    "relative_ci": 1.96 * exact.cv}
+        for metric, error in expected.items():
+            stage = make_estimation_stage(get_statistic("proportion"), 10,
+                                          EarlConfig(error_metric=metric))
+            est = stage.offer(np.r_[np.ones(27), np.zeros(73)])
+            assert est.error == pytest.approx(error), metric
