@@ -8,8 +8,10 @@ seeds, recorded once; this test replays them on serial / threads /
 processes and demands equality, so an engine change that moves a single
 byte of a clean run fails here.
 
-Regenerate (only when a stream is *meant* to change, and say so in the
-commit): ``PYTHONPATH=src python tests/core/test_cross_commit_streams.py``.
+Record named cases (only new ones, or with ``--rerecord`` when a stream
+is *meant* to change, and say so in the commit):
+``PYTHONPATH=src:tests python tests/core/test_cross_commit_streams.py CASE...``
+(see ``tests/fixture_record.py``).
 """
 
 import json
@@ -179,8 +181,8 @@ def test_fixture_exercises_every_path(recorded):
 
 
 if __name__ == "__main__":
-    FIXTURE.parent.mkdir(exist_ok=True)
-    FIXTURE.write_text(json.dumps(
-        {case: build("serial") for case, build in sorted(CASES.items())},
-        indent=1, sort_keys=True) + "\n")
-    print(f"recorded {len(CASES)} streams -> {FIXTURE}")
+    from fixture_record import record_cases
+
+    raise SystemExit(record_cases(
+        FIXTURE, {case: lambda build=build: build("serial")
+                  for case, build in CASES.items()}))

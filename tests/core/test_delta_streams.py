@@ -12,8 +12,10 @@ statistics and for (x, y) row items.  The reference must reproduce
 every byte of it, and so must the batched kernel, except the ledger's
 float summation order (the reference charges one access at a time).
 
-Regenerate (only when the draw order is *meant* to change, and say so
-in the commit): ``PYTHONPATH=src:tests python tests/core/test_delta_streams.py``.
+Record named cases (only new ones, or with ``--rerecord`` when the draw
+order is *meant* to change, and say so in the commit):
+``PYTHONPATH=src:tests python tests/core/test_delta_streams.py CASE...``
+(see ``tests/fixture_record.py``).
 """
 
 import hashlib
@@ -128,8 +130,9 @@ def test_batched_kernel_reproduces_the_pinned_stream(pinned, name):
 
 
 if __name__ == "__main__":
-    FIXTURE.write_text(json.dumps(
-        {name: record(*run_case(case, ReferenceResampleSet))
-         for name, case in sorted(CASES.items())},
-        indent=1, sort_keys=True) + "\n")
-    print(f"recorded {len(CASES)} delta streams -> {FIXTURE}")
+    from fixture_record import record_cases
+
+    raise SystemExit(record_cases(
+        FIXTURE, {name: lambda case=case: record(
+            *run_case(case, ReferenceResampleSet))
+            for name, case in CASES.items()}))

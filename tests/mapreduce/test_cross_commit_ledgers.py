@@ -12,8 +12,10 @@ to the task loops or the EARL driver that moves a single simulated
 charge, counter, output byte or snapshot field fails here even when it
 moves every run the same way.
 
-Regenerate (only when a ledger is *meant* to change, and say so in the
-commit): ``PYTHONPATH=src python tests/mapreduce/test_cross_commit_ledgers.py``.
+Record named cases (only new ones, or with ``--rerecord`` when a ledger
+is *meant* to change, and say so in the commit):
+``PYTHONPATH=src:tests python tests/mapreduce/test_cross_commit_ledgers.py CASE...``
+(see ``tests/fixture_record.py``).
 """
 
 import dataclasses
@@ -61,6 +63,12 @@ CENTERS = np.array([[0.0, 0.0], [6.0, 1.0], [2.0, 7.0]])
 POINTS = np.concatenate([c + _rng.normal(0.0, 1.0, (700, 2))
                          for c in CENTERS])
 _rng.shuffle(POINTS)
+#: Bare values of uneven width, blank lines and whitespace padding
+#: among them, so lines straddle the 4 KiB blocks at every offset.
+RAGGED = [f"{v:.{d}f}".rjust(w) if d >= 0 else ""
+          for v, d, w in zip(_rng.lognormal(2.0, 1.5, 5_000),
+                             _rng.integers(-1, 9, 5_000),
+                             _rng.integers(0, 24, 5_000))]
 
 
 def _cluster(**kwargs):
@@ -74,6 +82,12 @@ def _cluster(**kwargs):
     cluster.hdfs.write_lines("/keyed", KEYED, logical_scale=11.7)
     cluster.hdfs.write_lines("/points", point_lines(POINTS),
                              logical_scale=5.3)
+    return cluster
+
+
+def _ragged_cluster():
+    cluster = Cluster(n_nodes=5, block_size=4096, replication=2, seed=3)
+    cluster.hdfs.write_lines("/ragged", RAGGED, logical_scale=23.9)
     return cluster
 
 
@@ -248,6 +262,8 @@ def _lossy(policy):
 CASES = {
     "stock-mean": _job(_stock("/vals", "mean")),
     "stock-median": _job(_stock("/vals", "median")),
+    "stock-mean-ragged": _job(_stock("/ragged", "mean", n_reducers=3),
+                              cluster=_ragged_cluster),
     "grouped-mean": _job(_stock("/keyed", "mean", n_reducers=3)),
     "grouped-mean-combined": _job(_stock("/keyed", "mean", combine=True,
                                          n_reducers=3)),
@@ -296,6 +312,10 @@ def test_fixture_exercises_every_path(recorded):
     assert float.fromhex(combined) < float.fromhex(
         recorded["grouped-mean"][0]["breakdown"]["network"])
     assert counter("retry", C.TASK_RETRIES) == 3
+    # Blank lines are read as records and map to nothing.
+    assert counter("stock-mean-ragged", C.MAP_INPUT_RECORDS) == len(RAGGED)
+    assert counter("stock-mean-ragged", C.MAP_OUTPUT_RECORDS) \
+        == sum(1 for line in RAGGED if line) < len(RAGGED)
     assert counter("lost-block-skip", C.SKIPPED_SPLITS) >= 1
     assert counter("lost-block-salvage", C.SALVAGED_SPLITS) >= 1
     # Records taken before a mid-split loss count as input when the
@@ -320,8 +340,8 @@ def test_fixture_exercises_every_path(recorded):
 
 
 if __name__ == "__main__":
-    FIXTURE.parent.mkdir(exist_ok=True)
-    FIXTURE.write_text(json.dumps(
-        {case: build("serial") for case, build in sorted(CASES.items())},
-        indent=1, sort_keys=True) + "\n")
-    print(f"recorded {len(CASES)} job ledgers -> {FIXTURE}")
+    from fixture_record import record_cases
+
+    raise SystemExit(record_cases(
+        FIXTURE, {case: lambda build=build: build("serial")
+                  for case, build in CASES.items()}))
