@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, Mapping, Optional, TypeVar
 
 from repro.obs.metrics import REGISTRY as _METRICS
+from repro.util.stats import repeated_sum
 from repro.util.validation import check_positive
 
 _T = TypeVar("_T")
@@ -159,6 +160,19 @@ class CostLedger:
         for record in records:
             seconds["cpu"] += cost
             yield record
+
+    def charge_cpu_record_run(self, count: int, scale: float,
+                              cpu_factor: float = 1.0) -> None:
+        """:meth:`charge_cpu_per_record` over ``count`` records, without
+        the records: the same ``count`` left-to-right additions of one
+        record's cost (see :func:`~repro.util.stats.repeated_sum`), so
+        the total is bit-identical."""
+        if scale < 0:
+            raise ValueError("record count cannot be negative")
+        cost = scale * self.params.cpu_seconds_per_record * cpu_factor
+        if cost < 0:
+            raise ValueError("cannot charge negative time")
+        self._seconds["cpu"] = repeated_sum(self._seconds["cpu"], cost, count)
 
     def charge_cpu_seconds(self, seconds: float) -> None:
         self._charge("cpu", seconds)

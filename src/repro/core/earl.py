@@ -187,6 +187,10 @@ class EarlSession(LossRecovery):
 # ---------------------------------------------------------------------------
 
 
+#: ``set(map(type, values))`` of a list of plain floats (or of none).
+_FLOAT_TYPE = frozenset({float})
+
+
 class StatisticReducer(IncrementalReducer):
     """Adapter: any registered statistic as an incremental reducer."""
 
@@ -200,6 +204,13 @@ class StatisticReducer(IncrementalReducer):
 
     def initialize(self, values: Sequence[Any]) -> Any:
         state = self._stat.make_state()
+        add_floats = getattr(state, "add_floats", None)
+        if add_floats is not None and type(values) is list \
+                and set(map(type, values)) <= _FLOAT_TYPE:
+            # A key's projected values: one in-order fold, the state of
+            # one ``add`` per value.
+            add_floats(values)
+            return state
         add = state.add
         for v in values:
             if type(v) is float:  # a plain value: no duck-type probe

@@ -62,6 +62,14 @@ class EstimatorState:
         for value in values:
             self.remove(value)
 
+    def add_floats(self, values: List[float]) -> None:
+        """Add every ``float`` of ``values`` in order: the state of one
+        ``add`` per value, bit for bit.  A reducer folds a key's values
+        with it; states that can do better than the loop override it
+        (``add_many`` may reassociate, so it is no substitute)."""
+        for value in values:
+            self.add(value)
+
     def result(self) -> float:
         raise NotImplementedError
 
@@ -125,6 +133,10 @@ class _SortedFloats:
 
     def insert(self, value: float) -> None:
         self._pending.append(value)
+
+    def extend(self, values: List[float]) -> None:
+        """``insert`` every float of ``values``, in order."""
+        self._pending += values
 
     def remove(self, value: float) -> None:
         self._merged()
@@ -200,6 +212,12 @@ class _RunningState(EstimatorState):
 
     def add_many(self, values: Any) -> None:
         self._stats.add_values(np.asarray(values, dtype=float))
+
+    def add_floats(self, values: List[float]) -> None:
+        if type(self).add is _RunningState.add:
+            self._stats.add_floats(values)
+        else:  # a subclass's own ``add`` decides
+            super().add_floats(values)
 
     def remove_many(self, values: Any) -> None:
         self._stats.remove_values(np.asarray(values, dtype=float))
@@ -302,6 +320,12 @@ class _SortedState(EstimatorState):
 
     def add_many(self, values: Any) -> None:
         self._sorted.insert_many(values)
+
+    def add_floats(self, values: List[float]) -> None:
+        if type(self).add is _SortedState.add:
+            self._sorted.extend(values)
+        else:  # a subclass's own ``add`` decides
+            super().add_floats(values)
 
     def remove_many(self, values: Any) -> None:
         self._sorted.remove_many(values)

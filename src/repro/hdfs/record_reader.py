@@ -33,6 +33,7 @@ from typing import Iterator, Optional, Tuple
 from repro.cluster.costmodel import CostLedger
 from repro.hdfs.filesystem import HDFS
 from repro.hdfs.split_cache import (
+    SplitIndex,
     _find_backward_line_start,
     _find_forward_newline,
     acquire_index,
@@ -62,9 +63,17 @@ class LineRecordReader:
         the split starts at byte 0; keep reading past the split end until
         the current line completes.
         """
+        return self.read_split()[1]
+
+    def read_split(self) -> Tuple[Optional[SplitIndex],
+                                  Iterator[Tuple[int, str]]]:
+        """:meth:`read_records`, with the split-cache index that serves
+        it (``None`` when the scan is scalar or the split is empty).
+        Same charges and cache lookups: a caller that takes the whole
+        split off the index need not iterate the records."""
         split = self._split
         if split.length == 0 or split.start >= self._file_size:
-            return iter(())
+            return None, iter(())
         index = acquire_index(self._fs, split)
         if index is not None:
             # Same simulated price as the scalar path's single
@@ -72,8 +81,8 @@ class LineRecordReader:
             if self._ledger is not None:
                 self._ledger.charge_seeks(1)
                 self._ledger.charge_disk_read(index.scan_scaled_bytes)
-            return iter(index.owned_records())
-        return self._read_records_scalar()
+            return index, iter(index.owned_records())
+        return None, self._read_records_scalar()
 
     def _read_records_scalar(self) -> Iterator[Tuple[int, str]]:
         """Scan the region for newlines (the fallback whenever the

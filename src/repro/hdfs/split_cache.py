@@ -209,6 +209,12 @@ class SplitIndex:
     #: Lazily built ``(offset, line)`` pairs for cached full scans.
     _owned_pairs: Optional[List[Tuple[int, str]]] = field(
         default=None, repr=False)
+    #: Lazily parsed floats of the owned non-empty lines, and whether
+    #: ``float`` rejected one (see :meth:`owned_floats`).
+    _owned_floats: Optional[List[float]] = field(default=None, repr=False)
+    _unparseable: bool = field(default=False, repr=False)
+    #: Per delimiter: whether some owned line holds it.
+    _delimited: Dict[str, bool] = field(default_factory=dict, repr=False)
 
     # ------------------------------------------------------------- full scan
     @property
@@ -235,6 +241,44 @@ class SplitIndex:
                 keep.append((start, lines[i]))
             self._owned_pairs = keep
         return self._owned_pairs
+
+    def owned_floats(self, delimiter: str) -> Optional[List[float]]:
+        """``float`` of every non-empty owned line, in record order —
+        what a built-in projection mapper emits for them, one value per
+        line — or ``None`` when some owned line holds ``delimiter`` (a
+        keyed line) or ``float`` rejects one; the record-at-a-time map
+        then decides.
+
+        Parsed once, then served as-is beside :meth:`owned_records`
+        (and dropped with the index on write, delete or invalidation).
+        The list is shared: callers must copy before handing it on.
+        """
+        delimited = self._delimited.get(delimiter)
+        lines = None
+        if delimited is None:
+            lines = self._owned_lines()
+            # Lines hold no newline, so a newline-free delimiter is in
+            # the joined text only where it is in some line.
+            delimited = "\n" not in delimiter \
+                and delimiter in "\n".join(lines)
+            self._delimited[delimiter] = delimited
+        if delimited or self._unparseable:
+            return None
+        if self._owned_floats is None:
+            try:
+                self._owned_floats = list(map(
+                    float, filter(None, lines or self._owned_lines())))
+            except ValueError:
+                self._unparseable = True
+                return None
+        return self._owned_floats
+
+    def _owned_lines(self) -> List[str]:
+        """The text of the owned records: a contiguous run of entries
+        from ``first_owned``."""
+        first = self.first_owned
+        return self.lines.materialize()[
+            first:first + len(self.owned_records())]
 
     # ---------------------------------------------------------- random probe
     def entries_of(self, positions: np.ndarray) -> np.ndarray:

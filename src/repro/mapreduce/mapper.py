@@ -106,3 +106,25 @@ class GlobalValueMapper(Mapper):
             yield self.constant_key, float(payload)
         else:
             yield self.constant_key, float(text)
+
+
+#: The ``map`` functions of the built-in projection mappers.  On a line
+#: without the delimiter both emit ``(constant_key, float(line))``, and
+#: nothing for an empty line.
+_PROJECTION_MAPS = (ProjectionMapper.map, GlobalValueMapper.map)
+
+
+def projects_whole_splits(mapper: Mapper) -> bool:
+    """Whether a map task may take ``mapper``'s whole-split form.
+
+    True for :class:`ProjectionMapper` and :class:`GlobalValueMapper`
+    with their own ``setup``, ``map`` and ``cleanup``: over a split
+    whose owned lines hold no delimiter, their output is
+    ``constant_key`` paired with ``float`` of every non-empty line, so a
+    full scan can take those values off the split cache in one run (see
+    :func:`repro.mapreduce.runtime._execute_map_task`).  A subclass
+    that overrides any of the three keeps the record-at-a-time loop.
+    """
+    cls = type(mapper)
+    return (cls.map in _PROJECTION_MAPS and cls.setup is Mapper.setup
+            and cls.cleanup is Mapper.cleanup)

@@ -55,6 +55,7 @@ from repro.mapreduce.job import (
     JobConf,
     JobResult,
 )
+from repro.mapreduce.mapper import projects_whole_splits
 from repro.mapreduce.partitioner import HashPartitioner
 from repro.mapreduce.types import (
     PAIR_FRAMING_BYTES,
@@ -65,6 +66,7 @@ from repro.mapreduce.types import (
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.obs.trace import TRACER as _TRACER
 from repro.util.rng import ensure_rng, spawn_child
+from repro.util.stats import repeated_sum
 
 
 class RecordSource(Protocol):
@@ -139,9 +141,14 @@ def wave_parallelizable(conf: JobConf, source: RecordSource,
                  or bool(getattr(conf.combiner, "parallel_safe", False))))
 
 
+#: One map task's output for one reducer: each key's values in pair
+#: order, equal keys under the first one seen (as a reducer groups them).
+KeyGroups = Dict[Hashable, List[Any]]
+
+
 @dataclass
 class _MapTaskResult:
-    partitions: List[List[KeyValue]]
+    partitions: List[KeyGroups]
     partition_bytes: List[float]
     partition_records: List[float]
     duration: float
@@ -201,7 +208,7 @@ class _ReduceTaskArgs:
     ledger: CostLedger
     conf: JobConf
     partition: int
-    pairs: List[KeyValue]
+    groups: KeyGroups
     in_bytes: float
     in_records: float
     rng: np.random.Generator
@@ -413,20 +420,26 @@ class JobClient:
                                    job_counters)
 
         # -------------------------------------------------------- shuffle
-        # Assembled partition-major: each reducer's input is one run of
-        # ``extend`` calls over the map outputs (same pair order as the
-        # map-major nested loop — map results are visited in task order
-        # within every partition — without re-touching all ``n_red``
-        # partition lists once per map task).
+        # Assembled partition-major, per key: each reducer's groups are
+        # the map outputs' groups merged in task order, each key's
+        # values in task order and then pair order — the order a
+        # reducer grouping the concatenated pairs would give.  Every
+        # group is a fresh list: a map task's list may be the split
+        # cache's own.
         n_red = conf.n_reducers
-        shuffle: List[List[KeyValue]] = []
+        shuffle: List[KeyGroups] = []
         shuffle_bytes: List[float] = []
         shuffle_records: List[float] = []
         for p in range(n_red):
-            bucket: List[KeyValue] = []
+            groups: KeyGroups = {}
             for r in map_results:
-                bucket.extend(r.partitions[p])
-            shuffle.append(bucket)
+                for key, values in r.partitions[p].items():
+                    merged = groups.get(key)
+                    if merged is None:
+                        groups[key] = list(values)
+                    else:
+                        merged.extend(values)
+            shuffle.append(groups)
             shuffle_bytes.append(
                 sum(r.partition_bytes[p] for r in map_results))
             shuffle_records.append(
@@ -440,7 +453,7 @@ class JobClient:
             for p in range(n_red)]
         reduce_args = [
             _ReduceTaskArgs(ledger=self.cluster.new_ledger(), conf=conf,
-                            partition=p, pairs=shuffle[p],
+                            partition=p, groups=shuffle[p],
                             in_bytes=shuffle_bytes[p],
                             in_records=shuffle_records[p],
                             rng=task_rngs[n_tasks + p],
@@ -558,7 +571,9 @@ def _execute_map_task(args: _MapTaskArgs) -> _MapTaskResult:
 
     Per record the task pays one call of the user's ``map`` (plus the
     ledger's one float addition of CPU); counters are added once per
-    task and routing once per key (see :func:`_partition_pairs`).
+    task and routing once per key (see :func:`_partition_pairs`).  A
+    built-in projection mapper over a cached full scan skips even that:
+    the split maps as one run of floats (see :func:`_map_whole_split`).
     """
     fs = broadcast_value(args.fs)
     conf = args.conf
@@ -577,11 +592,24 @@ def _execute_map_task(args: _MapTaskArgs) -> _MapTaskResult:
                 "(all replicas lost)")
         return _skipped_map_task(n_red, ledger, counters)
 
+    mapper = conf.mapper
+    records = None
+    if conf.combiner is None and type(args.source) is FullScanSource \
+            and projects_whole_splits(mapper):
+        # The source's own read, with the index that serves it: the
+        # same charges and cache lookups as the loop's scan below.
+        index, records = LineRecordReader(fs, split,
+                                          ledger=ledger).read_split()
+        values = index.owned_floats(mapper.delimiter) \
+            if index is not None else None
+        if values is not None:
+            return _map_whole_split(args, counters, mapper.constant_key,
+                                    values, len(index.owned_records()))
+
     ctx = TaskContext(ledger=ledger, counters=counters, rng=args.rng,
                       record_scale=args.record_scale,
                       cpu_factor=conf.cpu_factor, config=dict(conf.params),
                       task_id=f"map-{split.index}", attempt=args.attempt)
-    mapper = conf.mapper
     buffered: List[KeyValue] = []
     may_salvage = (policy is not None and policy.salvage_partial_splits
                    and conf.on_unavailable == ON_UNAVAILABLE_SKIP)
@@ -592,7 +620,11 @@ def _execute_map_task(args: _MapTaskArgs) -> _MapTaskResult:
     # dies mid-split.
     taken = 0
     key: Any = None
-    read = functools.partial(args.source.read, fs, split, ledger, args.rng)
+    if records is None:
+        read = functools.partial(args.source.read, fs, split, ledger,
+                                 args.rng)
+    else:  # the scan above is open already
+        read = functools.partial(iter, records)
     mapper.setup(ctx)
     while True:
         try:
@@ -665,12 +697,47 @@ def _execute_map_task(args: _MapTaskArgs) -> _MapTaskResult:
                           lost_logical=lost_logical, salvaged=salvaged)
 
 
+def _map_whole_split(args: _MapTaskArgs, counters: Counters, key: Hashable,
+                     values: List[float], taken: int) -> _MapTaskResult:
+    """The rest of a map task whose split maps as one run: ``taken``
+    records read, ``key`` paired with each of ``values`` (the split
+    cache's list, handed on as the partition's one group).
+
+    Byte-identical to the record loop and :func:`_partition_pairs` over
+    the same pairs: ``taken`` per-record CPU charges, one route, and
+    each partition sum the same run of left-to-right additions.
+    """
+    conf = args.conf
+    ledger = args.ledger
+    scale = args.record_scale
+    ledger.charge_cpu_record_run(taken, scale, conf.cpu_factor)
+    if taken:
+        counters.increment(C.MAP_INPUT_RECORDS, taken)
+    counters.increment(C.MAP_OUTPUT_RECORDS, len(values))
+    n_red = conf.n_reducers
+    partitions: List[KeyGroups] = [{} for _ in range(n_red)]
+    partition_bytes = [0.0] * n_red
+    partition_records = [0.0] * n_red
+    if values:
+        p = HashPartitioner(n_red).partition(key)
+        key_bytes = estimate_bytes(key) + PAIR_FRAMING_BYTES
+        partitions[p][key] = values
+        partition_bytes[p] = repeated_sum(
+            0.0, (key_bytes + _FLOAT_BYTES) * scale, len(values))
+        partition_records[p] = repeated_sum(0.0, scale, len(values))
+    return _MapTaskResult(partitions=partitions,
+                          partition_bytes=partition_bytes,
+                          partition_records=partition_records,
+                          duration=ledger.total_seconds,
+                          counters=counters, ledger=ledger)
+
+
 def _skipped_map_task(n_red: int, ledger: CostLedger,
                       counters: Counters) -> _MapTaskResult:
     """Result of a map task whose split was skipped as unavailable."""
     counters.increment(C.SKIPPED_SPLITS)
     counters.increment(C.FAILED_TASKS)
-    return _MapTaskResult(partitions=[[] for _ in range(n_red)],
+    return _MapTaskResult(partitions=[{} for _ in range(n_red)],
                           partition_bytes=[0.0] * n_red,
                           partition_records=[0.0] * n_red,
                           duration=ledger.total_seconds,
@@ -685,9 +752,9 @@ _FLOAT_BYTES = estimate_bytes(0.0)
 
 def _partition_pairs(pairs: List[KeyValue], partitioner: HashPartitioner,
                      pair_scale: float
-                     ) -> Tuple[List[List[KeyValue]], List[float],
-                                List[float]]:
-    """Route map output to reducers and price each partition.
+                     ) -> Tuple[List[KeyGroups], List[float], List[float]]:
+    """Route map output to reducers, group it by key and price each
+    partition.
 
     Same integers and the same float sums, in pair order, as calling
     ``partitioner.partition`` and :func:`estimate_pair_bytes` on every
@@ -695,12 +762,12 @@ def _partition_pairs(pairs: List[KeyValue], partitioner: HashPartitioner,
     (once per distinct value for ``str`` keys), and per pair only the
     value is sized, a constant for an exact ``float``.  Keys are never
     memoized by bare equality: ``0.0`` and ``-0.0``, or ``1``, ``1.0``
-    and ``True``, are equal keys that route by different reprs.  The
-    shuffle carries fresh ``(key, value)`` tuples whatever the mapper
-    yielded.
+    and ``True``, are equal keys that route by different reprs.  Within
+    a partition, values are grouped by key equality in pair order under
+    the first key object seen — the grouping a reducer makes.
     """
     n_red = partitioner.num_partitions
-    partitions: List[List[KeyValue]] = [[] for _ in range(n_red)]
+    partitions: List[KeyGroups] = [{} for _ in range(n_red)]
     partition_bytes = [0.0] * n_red
     partition_records = [0.0] * n_red
     str_routes: Dict[str, Tuple[int, int]] = {}
@@ -722,9 +789,12 @@ def _partition_pairs(pairs: List[KeyValue], partitioner: HashPartitioner,
                     str_routes[key] = key_route
             p, key_bytes = key_route
             float_pair_bytes = (key_bytes + _FLOAT_BYTES) * pair_scale
-            bucket = partitions[p]
+            groups = partitions[p]
+            bucket = groups.get(key)
+            if bucket is None:
+                bucket = groups[key] = []
             nbytes, nrecords = partition_bytes[p], partition_records[p]
-        bucket.append((key, value))
+        bucket.append(value)
         if type(value) is float:
             nbytes += float_pair_bytes
         else:
@@ -847,23 +917,13 @@ def _execute_reduce_task(args: _ReduceTaskArgs) -> _ReduceTaskResult:
                       task_id=f"reduce-{args.partition}",
                       attempt=args.attempt)
 
-    # Group by key, then process groups in deterministic sorted order
-    # (Hadoop sorts intermediate keys before reducing).  The key order
-    # is materialized once per reduce task, up front, so the reduce
-    # loop is a plain walk over pre-sorted (key, values) groups.  A run
-    # of one key object looks its group up once (the map side's
-    # last-key memo); grouping itself is by equality, as always.
-    groups: Dict[Hashable, List[Any]] = {}
-    last_key: Any = _NO_KEY
-    for key, value in args.pairs:
-        if key is not last_key:
-            last_key = key
-            values = groups.get(key)
-            if values is None:
-                values = groups[key] = []
-        values.append(value)
+    # The shuffle grouped the input by key; process the groups in
+    # deterministic sorted order (Hadoop sorts intermediate keys before
+    # reducing).
+    groups = args.groups
     counters.increment(C.REDUCE_INPUT_GROUPS, len(groups))
-    counters.increment(C.REDUCE_INPUT_RECORDS, len(args.pairs))
+    counters.increment(C.REDUCE_INPUT_RECORDS,
+                       sum(map(len, groups.values())))
     ordered_groups = sorted(groups.items(), key=_group_sort_key)
 
     reducer = conf.reducer
@@ -887,9 +947,14 @@ def _run_reduce_task_attempts(args: _ReduceTaskArgs) -> _ReduceTaskResult:
         result = _execute_reduce_task(args)
     else:
         base_state = args.rng.bit_generator.state
+        base_groups = args.groups
         wasted = args.ledger.spawn()
         failures = 0
         while True:
+            # Every attempt gets its own lists: a failed one may have
+            # changed the values it was handed.
+            args.groups = {key: list(values)
+                           for key, values in base_groups.items()}
             try:
                 result = _execute_reduce_task(args)
                 break

@@ -17,6 +17,19 @@ from typing import Iterable
 import numpy as np
 
 
+def repeated_sum(start: float, step: float, count: int) -> float:
+    """``start + step + step + …`` over ``count`` steps, added strictly
+    left to right — the bits of the loop ``for _ in range(count): start
+    += step``, in one :func:`np.add.accumulate` (a sequential scan, not
+    a pairwise reduction)."""
+    if count <= 0:
+        return start
+    terms = np.full(count + 1, step)
+    terms[0] = start
+    with np.errstate(over="ignore", invalid="ignore"):  # as the loop: silent
+        return float(np.add.accumulate(terms)[-1])
+
+
 def _sum_sq_dev(values: "np.ndarray", mean: float) -> float:
     """``Σ (v - mean)²`` by NumPy's own pairwise reduction — not
     ``np.dot``: BLAS splits a long dot over its threads, so the last
@@ -61,6 +74,19 @@ class RunningStats:
         delta = value - self._mean
         self._mean += delta / self._count
         self._m2 += delta * (value - self._mean)
+
+    def add_floats(self, values: Iterable[float]) -> None:
+        """Fold ``float`` values in, in order: :meth:`add`'s Welford
+        update with the accumulator in locals, so the state is that of
+        one :meth:`add` per value, bit for bit (unlike the Chan merge of
+        :meth:`add_values`)."""
+        count, mean, m2 = self._count, self._mean, self._m2
+        for value in values:
+            count += 1
+            delta = value - mean
+            mean += delta / count
+            m2 += delta * (value - mean)
+        self._count, self._mean, self._m2 = count, mean, m2
 
     def remove(self, value: float) -> None:
         """Remove a previously added ``value`` (inverse Welford update)."""

@@ -1,6 +1,8 @@
 """Tests for the simulated-time cost model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.costmodel import CATEGORIES, CostLedger, CostParameters
 
@@ -103,3 +105,22 @@ class TestCostLedger:
         snapshot = ledger.breakdown()
         snapshot["cpu"] = 0.0
         assert ledger.seconds("cpu") == 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.floats(0.0, 1e4), count=st.integers(0, 3000),
+       scale=st.floats(0.0, 1e3), cpu_factor=st.floats(0.0, 10.0))
+def test_a_record_run_charges_what_the_per_record_walk_does(
+        start, count, scale, cpu_factor):
+    walked, run = CostLedger(), CostLedger()
+    for ledger in (walked, run):
+        ledger.charge_cpu_seconds(start)
+    for _ in walked.charge_cpu_per_record(range(count), scale, cpu_factor):
+        pass
+    run.charge_cpu_record_run(count, scale, cpu_factor)
+    assert run.seconds("cpu").hex() == walked.seconds("cpu").hex()
+
+
+def test_a_record_run_refuses_a_negative_scale():
+    with pytest.raises(ValueError):
+        CostLedger().charge_cpu_record_run(3, -1.0)

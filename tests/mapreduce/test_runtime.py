@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster
+from repro.hdfs.record_reader import LineRecordReader
 from repro.mapreduce import (
     JobClient,
     JobConf,
@@ -97,9 +98,11 @@ class TestBasicExecution:
         cluster.hdfs.write_lines("/keyed", lines, logical_scale=3.7)
         conf = JobConf(name="sum", input_path="/keyed", mapper=mapper,
                        reducer=SumReducer(), n_reducers=n_reducers, seed=2)
-        # Map side: every pair is a tuple routed to stable_hash(key) % n,
-        # and each partition's bytes and records are the per-pair
-        # estimates summed in pair order.
+        # Map side: every pair is routed to stable_hash(key) % n, each
+        # partition holds its values as lists grouped by equal key in
+        # pair order (under the first key seen, as a reducer groups
+        # them), and each partition's bytes and records are the
+        # per-pair estimates summed in pair order.
         expected = {}
         for split in cluster.hdfs.get_splits("/keyed"):
             task = _execute_map_task(_MapTaskArgs(
@@ -107,18 +110,27 @@ class TestBasicExecution:
                 source=FullScanSource(), split=split,
                 rng=np.random.default_rng(0), record_scale=3.7,
                 warm_start=False))
-            for p, pairs in enumerate(task.partitions):
-                nbytes = nrecords = 0.0
-                for pair in pairs:
-                    key, value = pair
-                    assert type(pair) is tuple
-                    assert stable_hash(key) % n_reducers == p
-                    nbytes += estimate_pair_bytes(key, value) * 3.7
-                    nrecords += 3.7
+            groups = [{} for _ in range(n_reducers)]
+            nbytes = [0.0] * n_reducers
+            nrecords = [0.0] * n_reducers
+            for offset, line in LineRecordReader(
+                    cluster.hdfs, split).read_records():
+                for key, value in mapper.map(offset, line, None):
+                    p = stable_hash(key) % n_reducers
+                    groups[p].setdefault(key, []).append(value)
+                    nbytes[p] += estimate_pair_bytes(key, value) * 3.7
+                    nrecords[p] += 3.7
                     # A reducer groups its equal keys under the first.
                     expected[(p, key)] = expected.get((p, key), 0.0) + value
-                assert task.partition_bytes[p] == nbytes
-                assert task.partition_records[p] == nrecords
+            for p, got in enumerate(task.partitions):
+                assert type(got) is dict
+                for key, values in got.items():
+                    assert type(values) is list
+                    assert stable_hash(key) % n_reducers == p
+                assert [(repr(k), v) for k, v in got.items()] \
+                    == [(repr(k), v) for k, v in groups[p].items()]
+                assert task.partition_bytes[p] == nbytes[p]
+                assert task.partition_records[p] == nrecords[p]
         # Reduce side: one sum per group of equal keys in a partition.
         result = JobClient(cluster).run(conf)
         assert sorted((repr(k), v) for k, v in result.output) == sorted(

@@ -11,6 +11,7 @@ from repro.util.stats import (
     RunningStats,
     coefficient_of_variation,
     relative_half_width,
+    repeated_sum,
 )
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
@@ -128,3 +129,31 @@ class TestCoefficientOfVariation:
 
     def test_relative_half_width(self):
         assert relative_half_width(10.0, 2.0, z=2.0) == pytest.approx(0.4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=st.floats(allow_nan=False), step=st.floats(allow_nan=False),
+       count=st.integers(-2, 4000))
+def test_repeated_sum_is_the_left_to_right_loop(start, step, count):
+    total = start
+    for _ in range(count):
+        total += step
+    got = repeated_sum(start, step, count)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(total).tobytes()
+
+
+@given(values=st.lists(st.one_of(finite_floats,
+                                 st.sampled_from([0.0, -0.0])),
+                       max_size=80),
+       head=st.integers(0, 80))
+def test_add_floats_is_add_per_value(values, head):
+    folded, added = RunningStats(), RunningStats()
+    for value in values[:head]:
+        folded.add(value)
+        added.add(value)
+    folded.add_floats(values[head:])
+    for value in values[head:]:
+        added.add(value)
+    state = lambda s: np.array([s.count, s._mean, s._m2]).tobytes()
+    assert state(folded) == state(added)
