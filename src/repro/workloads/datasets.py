@@ -17,7 +17,7 @@ from repro.util.rng import SeedLike
 from repro.util.validation import check_positive
 from repro.workloads.synthetic import (
     numeric_dataset,
-    numeric_lines,
+    numeric_text,
     population_summary,
 )
 
@@ -42,9 +42,9 @@ class LoadedDataset:
 def load_numeric(cluster: Cluster, path: str, values: Sequence[float], *,
                  logical_scale: float = 1.0) -> LoadedDataset:
     """Write a numeric stream as fixed-width lines."""
-    lines = numeric_lines(values)
-    meta = cluster.hdfs.write_lines(path, lines, logical_scale=logical_scale)
-    return LoadedDataset(path=path, records=len(lines),
+    text = numeric_text(values)
+    meta = cluster.hdfs.write_text(path, text, logical_scale=logical_scale)
+    return LoadedDataset(path=path, records=len(values),
                          actual_bytes=meta.size,
                          logical_bytes=meta.logical_size,
                          truth=population_summary(values))
@@ -77,10 +77,9 @@ def load_stand_in(cluster: Cluster, path: str, *,
     """
     check_positive("logical_gb", logical_gb)
     values = numeric_dataset(records, distribution, seed=seed, **dist_params)
-    lines = numeric_lines(values)
-    actual_bytes = sum(len(line) + 1 for line in lines)
-    scale = max(1.0, logical_gb * GB / actual_bytes)
-    meta = cluster.hdfs.write_lines(path, lines, logical_scale=scale)
+    text = numeric_text(values)
+    scale = max(1.0, logical_gb * GB / len(text))
+    meta = cluster.hdfs.write_text(path, text, logical_scale=scale)
     return LoadedDataset(path=path, records=records,
                          actual_bytes=meta.size,
                          logical_bytes=meta.logical_size,

@@ -28,6 +28,9 @@ from repro.util.validation import check_fraction, check_positive_int
 
 #: Fixed-width numeric line format (15 chars + newline = 16 bytes/record).
 NUMERIC_FORMAT = "{:015.6f}"
+#: :data:`NUMERIC_FORMAT` for ``%``-formatting, which renders a whole
+#: file in one pass.
+_NUMERIC_PERCENT_FORMAT = "%015.6f"
 
 
 def numeric_dataset(n: int, distribution: str = "lognormal", *,
@@ -63,6 +66,14 @@ def numeric_dataset(n: int, distribution: str = "lognormal", *,
 def numeric_lines(values: Sequence[float]) -> List[str]:
     """Fixed-width text lines for a numeric stream."""
     return [NUMERIC_FORMAT.format(float(v)) for v in values]
+
+
+def numeric_text(values: Sequence[float]) -> str:
+    """The newline-terminated file of :func:`numeric_lines`, rendered
+    in one pass (``%``-formatting renders ``inf``, ``nan`` and ``-0.0``
+    as ``str.format`` does)."""
+    floats = tuple(np.asarray(values, dtype=float).tolist())
+    return (_NUMERIC_PERCENT_FORMAT + "\n") * len(floats) % floats
 
 
 def keyed_lines(values: Sequence[float], n_keys: int, *,
