@@ -277,21 +277,38 @@ class OwnSampleStage(_Recorded):
 
     def offer(self, delta: Sequence[float]) -> AccuracyEstimate:
         delta = np.array(delta, dtype=float)
-        self._parts.append(delta)
+        self._keep(delta)
         estimate = self._estimate(delta)
         self._history.append(estimate)
         return estimate
+
+    def _keep(self, delta: np.ndarray) -> None:
+        self._parts.append(delta)
 
 
 class ClosedFormStage(OwnSampleStage):
     """A statistic's closed-form error (``proportion``, Appendix A: the
     binomial ``p̂(1-p̂)/n`` and its z-interval) off its success count —
-    nothing is resampled (``B = 1``), and ``p̂`` is unbiased."""
+    nothing is resampled (``B = 1``), and ``p̂`` is unbiased.  It keeps
+    a running success count and size, never the rows."""
+
+    def __init__(self, statistic: StatisticLike, *, metric: str = "cv",
+                 confidence: float = 0.95) -> None:
+        super().__init__(statistic, metric=metric, confidence=confidence)
+        self._successes = 0
+        self._size = 0
+
+    @property
+    def sample_size(self) -> int:
+        return self._size
+
+    def _keep(self, delta: np.ndarray) -> None:
+        self._successes += int(np.count_nonzero(delta))
+        self._size += len(delta)
 
     def _estimate(self, delta: np.ndarray) -> AccuracyEstimate:
         self._work_ops += len(delta)
-        est = self._stat.closed_form(int(np.count_nonzero(self.sample())),
-                                     self.sample_size,
+        est = self._stat.closed_form(self._successes, self._size,
                                      confidence=self._confidence)
         error = {"cv": est.cv, "variance": est.variance, "bias": 0.0,
                  "relative_ci": relative_half_width(est.proportion, est.std)}

@@ -178,6 +178,29 @@ class TestStageFactory:
             == (0.27, exact.std, exact.ci_low, exact.ci_high, 1)
         assert stage.sample_size == stage.work_ops == 100
 
+    def test_closed_form_keeps_counts_not_rows(self):
+        stage = make_estimation_stage(get_statistic("proportion"), 10,
+                                      EarlConfig(seed=1))
+        rng = np.random.default_rng(3)
+        deltas = [(rng.random(m) < 0.3).astype(float)
+                  for m in (40, 160, 640, 2560)]
+        for delta in deltas:
+            est = stage.offer(delta)
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                return [obj]
+            if isinstance(obj, (list, tuple)):
+                return [a for item in obj for a in arrays(item)]
+            if isinstance(obj, dict):
+                return [a for item in obj.values() for a in arrays(item)]
+            return []
+
+        assert arrays(vars(stage)) == []
+        rows = np.concatenate(deltas)
+        assert stage.sample_size == rows.size
+        assert est.estimate == np.count_nonzero(rows) / rows.size
+
     def test_closed_form_error_follows_the_metric(self):
         exact = proportion_estimate(27, 100)
         expected = {"cv": exact.cv, "variance": exact.variance, "bias": 0.0,
