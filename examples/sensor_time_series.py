@@ -58,8 +58,8 @@ def main() -> None:
     from repro.core.dependent_session import DependentEarlSession
 
     result = DependentEarlSession(
-        series, "mean", config=EarlConfig(sigma=0.001, seed=34)).run()
-    print("DependentEarlSession (σ = 0.1%):")
+        series, "mean", config=EarlConfig(sigma=0.003, seed=34)).run()
+    print("DependentEarlSession (σ = 0.3%):")
     print(f"  block length b   : {result.block_length}")
     print(f"  readings sampled : {result.n:,} "
           f"({result.sample_fraction:.1%} of the series)")
