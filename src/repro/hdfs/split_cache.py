@@ -209,12 +209,9 @@ class SplitIndex:
     #: Lazily built ``(offset, line)`` pairs for cached full scans.
     _owned_pairs: Optional[List[Tuple[int, str]]] = field(
         default=None, repr=False)
-    #: Lazily parsed floats of the owned non-empty lines, and whether
-    #: ``float`` rejected one (see :meth:`owned_floats`).
-    _owned_floats: Optional[List[float]] = field(default=None, repr=False)
-    _unparseable: bool = field(default=False, repr=False)
-    #: Per delimiter: whether some owned line holds it.
-    _delimited: Dict[str, bool] = field(default_factory=dict, repr=False)
+    #: Lazily parsed :meth:`owned_floats`, per delimiter.
+    _owned_floats: Dict[str, Optional[List[float]]] = field(
+        default_factory=dict, repr=False)
 
     # ------------------------------------------------------------- full scan
     @property
@@ -253,32 +250,20 @@ class SplitIndex:
         (and dropped with the index on write, delete or invalidation).
         The list is shared: callers must copy before handing it on.
         """
-        delimited = self._delimited.get(delimiter)
-        lines = None
-        if delimited is None:
-            lines = self._owned_lines()
+        if delimiter not in self._owned_floats:
+            first = self.first_owned
+            lines = self.lines.materialize()[
+                first:first + len(self.owned_records())]
+            values = None
             # Lines hold no newline, so a newline-free delimiter is in
             # the joined text only where it is in some line.
-            delimited = "\n" not in delimiter \
-                and delimiter in "\n".join(lines)
-            self._delimited[delimiter] = delimited
-        if delimited or self._unparseable:
-            return None
-        if self._owned_floats is None:
-            try:
-                self._owned_floats = list(map(
-                    float, filter(None, lines or self._owned_lines())))
-            except ValueError:
-                self._unparseable = True
-                return None
-        return self._owned_floats
-
-    def _owned_lines(self) -> List[str]:
-        """The text of the owned records: a contiguous run of entries
-        from ``first_owned``."""
-        first = self.first_owned
-        return self.lines.materialize()[
-            first:first + len(self.owned_records())]
+            if "\n" in delimiter or delimiter not in "\n".join(lines):
+                try:
+                    values = list(map(float, filter(None, lines)))
+                except ValueError:
+                    pass
+            self._owned_floats[delimiter] = values
+        return self._owned_floats[delimiter]
 
     # ---------------------------------------------------------- random probe
     def entries_of(self, positions: np.ndarray) -> np.ndarray:
