@@ -45,6 +45,7 @@ from repro.mapreduce import (
     Mapper,
     MeanReducer,
     ProjectionMapper,
+    Reducer,
     TaskFailedError,
 )
 from repro.mapreduce import counters as C
@@ -91,6 +92,14 @@ def _ragged_cluster():
     return cluster
 
 
+def _slow_cluster():
+    # /keyed has 12 splits on 5 nodes, so node-3 runs map tasks 3 and 8
+    # and reduce task 1 (placed after the map tasks, round-robin).
+    cluster = _cluster()
+    cluster.set_slow_node("node-3", 2.5)
+    return cluster
+
+
 def _lossy_cluster():
     # replication=1: losing one machine loses ~1/4 of the blocks, so
     # some splits lose their over-read tail mid-task.
@@ -113,6 +122,20 @@ class FlakyMapper(Mapper):
         if ctx.attempt < self.fail_attempts.get(index, 0):
             raise TaskFailedError(f"injected: {ctx.task_id}")
         yield None, float(value)
+
+
+class AppendThenFailReducer(Reducer):
+    """Mean reducer that appends a 0.0 to every group it is handed, and
+    fails the first attempt of reduce task 1 after the first append: a
+    retry handed the failed attempt's lists would count the 0.0 twice."""
+
+    parallel_safe = True
+
+    def reduce(self, key, values, ctx):
+        values.append(0.0)
+        if ctx.task_id == "reduce-1" and ctx.attempt == 0:
+            raise TaskFailedError(f"injected: {ctx.task_id}")
+        yield key, sum(values) / len(values)
 
 
 class PrefixThenLossSource:
@@ -252,6 +275,13 @@ def _retry():
                    seed=8, fault_policy=FaultPolicy(max_task_retries=3))
 
 
+def _retry_reduce():
+    return JobConf(name="retry-reduce", input_path="/keyed",
+                   mapper=ProjectionMapper(),
+                   reducer=AppendThenFailReducer(), n_reducers=2, seed=10,
+                   fault_policy=FaultPolicy(max_task_retries=2))
+
+
 def _lossy(policy):
     return lambda: JobConf(name="lossy", input_path="/vals",
                            mapper=ProjectionMapper(), reducer=MeanReducer(),
@@ -274,6 +304,7 @@ CASES = {
     **_earl("earl-postmap", "median", 150, sampler="postmap"),
     **_earl("earl-unpipelined", "mean", 150, pipelined=False),
     "retry": _job(_retry),
+    "retry-reduce": _job(_retry_reduce, cluster=_slow_cluster),
     "lost-block-skip": _job(_lossy(None), cluster=_lossy_cluster),
     "lost-block-salvage": _job(
         _lossy(FaultPolicy(salvage_partial_splits=True)),
@@ -337,6 +368,22 @@ def test_fixture_exercises_every_path(recorded):
     # A restarted job pays set-up on every iteration, a pipelined one once.
     assert recorded["earl-unpipelined"][0]["simulated_seconds"] \
         != recorded["earl-early"][0]["simulated_seconds"]
+
+
+def test_retry_reduce_case_retries_one_reduce_attempt(recorded):
+    """``retry-reduce`` failed reduce task 1 once and kept its output to
+    one appended 0.0 per group."""
+    entry = recorded["retry-reduce"][0]
+    assert entry["counters"][C.TASK_RETRIES] == 1
+    assert entry["counters"][C.FAILED_TASKS] == 1
+    groups = {}
+    for line in KEYED:
+        key, value = line.split("\t")
+        groups.setdefault(key, []).append(float(value))
+    expected = {key: sum(values + [0.0]) / (len(values) + 1)
+                for key, values in groups.items()}
+    assert {key: float.fromhex(value) for key, value in entry["output"]} \
+        == pytest.approx(expected, rel=1e-12)
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from repro.mapreduce import (
     Mapper,
     MeanReducer,
     ProjectionMapper,
+    Reducer,
     SumReducer,
     TaskFailedError,
 )
@@ -34,6 +35,15 @@ class FlakyMapper(Mapper):
             raise TaskFailedError(
                 f"injected failure: {ctx.task_id} attempt {ctx.attempt}")
         yield None, float(value)
+
+
+class FailingReducer(Reducer):
+    """Reducer whose reduce task 0 fails every attempt."""
+
+    def reduce(self, key, values, ctx):
+        if ctx.task_id == "reduce-0":
+            raise TaskFailedError(f"injected failure: {ctx.task_id}")
+        yield key, len(values)
 
 
 @pytest.fixture
@@ -72,6 +82,15 @@ class TestRetries:
         policy = FaultPolicy(max_task_retries=2)
         with pytest.raises(JobFailedError, match="failed after 3 attempts"):
             JobClient(cluster).run(mean_conf(FlakyMapper({1: 99}), policy))
+
+    def test_reduce_retries_exhausted_names_the_reduce_task(self, cluster,
+                                                            loaded):
+        conf = JobConf(name="count", input_path="/in",
+                       mapper=ProjectionMapper(), reducer=FailingReducer(),
+                       seed=1, fault_policy=FaultPolicy(max_task_retries=2))
+        with pytest.raises(JobFailedError,
+                           match="reduce task 0 failed after 3 attempts"):
+            JobClient(cluster).run(conf)
 
     def test_no_policy_propagates_first_failure(self, cluster, loaded):
         with pytest.raises(TaskFailedError):
