@@ -35,6 +35,10 @@
 #                      workload plus a Markdown block over all of them
 #   make docs-check  - every .md referenced from tracked code/docs exists
 #   make doctest     - run the docstring examples under src/repro
+#   make census      - the src/ functions tier-1 never calls, with their
+#                      line spans, and the src/ and tests/ line totals
+#                      (tools/census.py; several times slower than
+#                      `make test`, and not a CI step)
 #   make examples    - run every example script end to end
 #   make clean       - purge bytecode caches, tool state, stray
 #                      durable-store directories and bench-pairs exports
@@ -46,7 +50,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-all test-chaos test-durability bench bench-smoke \
 	figures-check bench-json bench-service bench-e2e bench-pairs \
-	docs-check doctest examples clean
+	docs-check doctest census examples clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -134,6 +138,11 @@ docs-check:
 # tests/, not docstrings.
 doctest:
 	$(PYTHON) -m pytest -q --doctest-modules src/repro -o addopts=
+
+# Forked workers and subprocesses are not profiled: a function only
+# they run is listed as never called.
+census:
+	$(PYTHON) tools/census.py
 
 examples:
 	@set -e; for f in examples/*.py; do \

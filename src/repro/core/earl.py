@@ -215,19 +215,13 @@ class StatisticReducer(IncrementalReducer):
         for v in values:
             if type(v) is float:  # a plain value: no duck-type probe
                 add(v)
-            elif is_estimator_state(v):
-                # A map-side GroupStateCombiner pre-aggregates each
-                # key's values into states; fold those in by merging.
-                if not hasattr(state, "merge"):
-                    raise TypeError(
-                        f"state of {self._stat.name!r} does not support "
-                        "merging")
-                state.merge(v)
             else:
-                add(v)
+                self.update(state, v)
         return state
 
     def update(self, state: Any, new_input: Any) -> Any:
+        # A map-side GroupStateCombiner pre-aggregates each key's values
+        # into states; those fold in by merging, anything else is added.
         if is_estimator_state(new_input):
             if hasattr(state, "merge"):
                 state.merge(new_input)

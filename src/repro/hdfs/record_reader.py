@@ -16,14 +16,19 @@ Whenever the filesystem's columnar
 :class:`~repro.hdfs.split_cache.SplitIndexCache` can serve the split
 (it is present and :meth:`~repro.hdfs.split_cache.SplitIndexCache.acquire`
 returns an index) the split's bytes are newline-indexed **once** and
-every later scan is a list replay.  Otherwise — no cache, or some block
-of the region unreadable — the reader scans for newlines itself, which
-is the failure-semantics reference.  The simulated
+every later scan is a list replay of the entries the index owns
+(``[first_owned, owned_stop)``, fixed when the index is built).
+Otherwise — no cache, or some block of the region unreadable — the
+reader scans for newlines itself, which is the failure-semantics
+reference; the salvage read of a split with lost blocks is that same
+scan over the readable prefix.  The simulated
 :class:`~repro.cluster.costmodel.CostLedger` charges are byte-identical
 either way (the cache optimizes the simulator's wall clock, never the
 simulated cluster).  The random probe :meth:`LineRecordReader.line_at`
 always backtracks the scalar way: it is the pre-map sampler's fallback
-for regions the cache cannot serve.
+for regions the cache cannot serve.  The chunked boundary scans
+forward and backward are :mod:`repro.hdfs.split_cache`'s, shared with
+the index build, so the two paths cannot drift apart there.
 """
 
 from __future__ import annotations
@@ -82,19 +87,28 @@ class LineRecordReader:
                 self._ledger.charge_seeks(1)
                 self._ledger.charge_disk_read(index.scan_scaled_bytes)
             return index, iter(index.owned_records())
-        return None, self._read_records_scalar()
+        return None, self._scan(salvage=False)
 
-    def _read_records_scalar(self) -> Iterator[Tuple[int, str]]:
-        """Scan the region for newlines (the fallback whenever the
-        split cache cannot serve it)."""
+    def _scan(self, *, salvage: bool) -> Iterator[Tuple[int, str]]:
+        """Scan ``[split.start, data_end)`` for newlines and yield the
+        split's records: the full scan whenever the split cache cannot
+        serve it, and with ``salvage`` the surviving prefix of a split
+        with lost blocks.  Lazy: nothing is read, charged or raised
+        before the first record is asked for."""
         split = self._split
         # Hadoop reads the next line while the current position is <= the
         # split end (inclusive), so a line starting exactly at the
         # boundary belongs to this split and the next split skips it.
         end_limit = min(split.end, self._file_size)
-        # Over-read to complete the final line: fetch until the next
-        # newline at or after end_limit (bounded scan in chunks).
-        data_end = self._find_line_end(end_limit)
+        if salvage:
+            data_end = self.available_prefix_end()
+        else:
+            # Over-read to complete the final line: fetch until the next
+            # newline at or after end_limit (bounded scan in chunks).
+            data_end = _find_forward_newline(self._fs, split.path, end_limit,
+                                             self._file_size)
+        if data_end <= split.start:
+            return
         data = self._fs.read_range(split.path, split.start, data_end,
                                    ledger=self._ledger)
         pos = 0
@@ -107,8 +121,10 @@ class LineRecordReader:
         while split.start + pos <= end_limit and split.start + pos < data_end:
             nl = data.find(b"\n", pos)
             if nl < 0:
+                # Unterminated tail: real end-of-file keeps it, a loss
+                # wall drops it (the rest of the line is gone).
                 line = data[pos:]
-                if line:
+                if line and data_end >= self._file_size:
                     yield split.start + pos, line.decode("utf-8")
                 return
             yield split.start + pos, data[pos:nl].decode("utf-8")
@@ -138,48 +154,17 @@ class LineRecordReader:
         """Best-effort :meth:`read_records`: yield the split's records
         whose bytes survive, stopping at the first lost block.
 
-        Follows the same boundary conventions as the full scan, with one
+        The full scan's own loop over the readable prefix, with one
         degradation: a line cut by the loss wall (its newline lies in a
         lost block) is dropped, since its tail is unrecoverable.  Charged
-        like a sequential scan of the bytes actually read.
+        as one sequential read of the whole readable prefix
+        (``[split.start, available_prefix_end())``, which on an intact
+        file runs to EOF, past the line the full scan stops at).
         """
         split = self._split
         if split.length == 0 or split.start >= self._file_size:
-            return
-        prefix_end = self.available_prefix_end()
-        if prefix_end <= split.start:
-            return
-        end_limit = min(split.end, self._file_size)
-        data = self._fs.read_range(split.path, split.start, prefix_end,
-                                   ledger=self._ledger)
-        pos = 0
-        if split.start != 0:
-            nl = data.find(b"\n")
-            if nl < 0:
-                return
-            pos = nl + 1
-        at_eof = prefix_end >= self._file_size
-        while split.start + pos <= end_limit and split.start + pos < prefix_end:
-            nl = data.find(b"\n", pos)
-            if nl < 0:
-                # Unterminated tail: real end-of-file keeps it, a loss
-                # wall drops it (the rest of the line is gone).
-                line = data[pos:]
-                if line and at_eof:
-                    yield split.start + pos, line.decode("utf-8")
-                return
-            yield split.start + pos, data[pos:nl].decode("utf-8")
-            pos = nl + 1
-
-    def _find_line_end(self, position: int) -> int:
-        """First byte offset after the line containing ``position - 1``.
-
-        Shared with the index builder (one implementation of the
-        chunked boundary scan — see :mod:`repro.hdfs.split_cache`), so
-        the indexed and scanning paths can never drift apart here.
-        """
-        return _find_forward_newline(self._fs, self._split.path, position,
-                                     self._file_size)
+            return iter(())
+        return self._scan(salvage=True)
 
     # ------------------------------------------------------------ random probe
     def line_at(self, position: int) -> Tuple[int, str]:
@@ -192,15 +177,9 @@ class LineRecordReader:
         if not 0 <= position < self._file_size:
             raise ValueError(f"position {position} outside file of size "
                              f"{self._file_size}")
-        start = self._find_line_start(position)
-        end = self._find_line_end(start)
-        raw = self._fs.read_range(self._split.path, start, end,
+        path = self._split.path
+        start = _find_backward_line_start(self._fs, path, position)
+        end = _find_forward_newline(self._fs, path, start, self._file_size)
+        raw = self._fs.read_range(path, start, end,
                                   ledger=self._ledger, sequential=False)
         return start, raw.decode("utf-8").rstrip("\n")
-
-    def _find_line_start(self, position: int) -> int:
-        """Scan backwards from ``position`` to the start of its line
-        (the shared chunked boundary scan of
-        :mod:`repro.hdfs.split_cache`)."""
-        return _find_backward_line_start(self._fs, self._split.path,
-                                         position)

@@ -182,7 +182,6 @@ class SplitIndex:
     path: str
     split_start: int
     split_end: int
-    end_limit: int
     data_end: int
     file_size: int
     logical_scale: float
@@ -206,6 +205,11 @@ class SplitIndex:
     #: Index of the first entry ``read_records`` yields (0 when the
     #: split starts at byte 0, else 1 — Hadoop's skip-first-line rule).
     first_owned: int
+    #: One past the last entry it yields: the owned entries
+    #: ``[first_owned, owned_stop)`` are those starting at or before
+    #: the split end, capped at EOF (a line starting on the split end
+    #: is this split's).
+    owned_stop: int
     #: Lazily built ``(offset, line)`` pairs for cached full scans.
     _owned_pairs: Optional[List[Tuple[int, str]]] = field(
         default=None, repr=False)
@@ -228,15 +232,9 @@ class SplitIndex:
         iteration instead of a newline scan plus per-line decode.
         """
         if self._owned_pairs is None:
-            starts = self.starts
-            lines = self.lines.materialize()
-            keep = []
-            for i in range(self.first_owned, len(starts)):
-                start = int(starts[i])
-                if start > self.end_limit:
-                    break
-                keep.append((start, lines[i]))
-            self._owned_pairs = keep
+            owned = slice(self.first_owned, self.owned_stop)
+            self._owned_pairs = list(zip(self.starts[owned].tolist(),
+                                         self.lines[owned]))
         return self._owned_pairs
 
     def owned_floats(self, delimiter: str) -> Optional[List[float]]:
@@ -246,14 +244,13 @@ class SplitIndex:
         keyed line) or ``float`` rejects one; the record-at-a-time map
         then decides.
 
-        Parsed once, then served as-is beside :meth:`owned_records`
-        (and dropped with the index on write, delete or invalidation).
-        The list is shared: callers must copy before handing it on.
+        Parsed once, then served as-is (and dropped with the index on
+        write, delete or invalidation); the ``(offset, line)`` pairs are
+        never built for it.  The list is shared: callers must copy
+        before handing it on.
         """
         if delimiter not in self._owned_floats:
-            first = self.first_owned
-            lines = self.lines.materialize()[
-                first:first + len(self.owned_records())]
+            lines = self.lines[self.first_owned:self.owned_stop]
             values = None
             # Lines hold no newline, so a newline-free delimiter is in
             # the joined text only where it is in some line.
@@ -274,7 +271,8 @@ class SplitIndex:
 
 def _find_forward_newline(fs, path: str, position: int, size: int) -> int:
     """First byte offset after the line containing ``position - 1``
-    (the scalar reader's ``_find_line_end``, uncharged)."""
+    (uncharged; the index build and the scalar reader's over-read and
+    probes share it)."""
     pos = position
     while pos < size:
         chunk_end = min(pos + _SCAN_CHUNK, size)
@@ -287,8 +285,8 @@ def _find_forward_newline(fs, path: str, position: int, size: int) -> int:
 
 
 def _find_backward_line_start(fs, path: str, position: int) -> int:
-    """Start of the line containing ``position`` (the scalar reader's
-    ``_find_line_start``, uncharged)."""
+    """Start of the line containing ``position`` (uncharged; shared by
+    the index build and the scalar reader's probes)."""
     pos = position
     while pos > 0:
         chunk_start = max(0, pos - _SCAN_CHUNK)
@@ -372,11 +370,12 @@ def build_split_index(fs, split: InputSplit) -> SplitIndex:
 
     return SplitIndex(
         path=split.path, split_start=split.start, split_end=split.end,
-        end_limit=end_limit, data_end=data_end, file_size=file_size,
+        data_end=data_end, file_size=file_size,
         logical_scale=meta.logical_scale, prefix_start=prefix_start,
         starts=starts, ends=ends, lines=lines, seek_counts=seek_counts,
         scaled_bytes=scaled_bytes, acceptable=acceptable,
-        first_owned=0 if split.start == 0 else 1)
+        first_owned=0 if split.start == 0 else 1,
+        owned_stop=int(np.searchsorted(starts, end_limit, side="right")))
 
 
 class SplitIndexCache:
@@ -404,10 +403,6 @@ class SplitIndexCache:
         self.stats = CacheStats()
 
     # ------------------------------------------------------------ split view
-    def lookup(self, split: InputSplit) -> Optional[SplitIndex]:
-        """The cached index for ``split``, if any (no build, no checks)."""
-        return self._indexes.get((split.path, split.start, split.length))
-
     def acquire(self, fs, split: InputSplit) -> Optional[SplitIndex]:
         """Index for ``split``, building it on first touch.
 

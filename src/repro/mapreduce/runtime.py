@@ -197,7 +197,7 @@ class _MapTaskArgs:
     policy: Optional[FaultPolicy] = None
     #: Duration multiplier of the node this task was placed on.
     slow_factor: float = 1.0
-    #: 0-based attempt number, bumped by the retry wrapper.
+    #: 0-based attempt number, bumped by :func:`_run_attempts`.
     attempt: int = 0
 
 
@@ -313,6 +313,18 @@ class JobClient:
                 self.blacklisted_nodes.add(node_id)
                 job_counters.increment(C.BLACKLISTED_NODES)
 
+    def _run_wave(self, wave: str, job_id: str, args: list, parallel: bool,
+                  task, retryable, what: str) -> list:
+        """Run one wave's tasks, each through :func:`_run_attempts`, on
+        the executor when ``parallel`` and in task order otherwise."""
+        attempts = functools.partial(_run_attempts, task,
+                                     retryable=retryable, what=what)
+        with _TRACER.span(f"mapreduce.{wave}_wave",
+                          attrs={"job_id": job_id, "tasks": len(args)}):
+            if parallel:
+                return self.executor.map(attempts, args)
+            return [attempts(a) for a in args]
+
     # ------------------------------------------------------------------ run
     def run(self, conf: JobConf, *,
             record_source: Optional[RecordSource] = None,
@@ -362,10 +374,9 @@ class JobClient:
         map_parallel = wave_parallelizable(conf, source, self.executor,
                                            reduce_side=False)
         # Fault mode: an enabled FaultPolicy and/or chaos-injected slow
-        # nodes switch the waves to the attempt wrapper and give every
-        # task a deterministic round-robin node placement.  With neither
-        # active the wrapper is bypassed entirely — the byte-identical
-        # legacy path.
+        # nodes give every task a deterministic round-robin node
+        # placement.  With neither active every task runs once, on no
+        # node, and the attempt loop is one direct call.
         policy = conf.fault_policy
         if policy is not None and not policy.enabled:
             policy = None
@@ -394,18 +405,12 @@ class JobClient:
                          conf=conf, source=source, split=split,
                          rng=task_rngs[i], record_scale=record_scale,
                          warm_start=warm_start, policy=policy,
-                         slow_factor=slow_factors.get(map_nodes[i], 1.0)
-                         if map_nodes[i] is not None else 1.0)
+                         slow_factor=slow_factors.get(map_nodes[i], 1.0))
             for i, split in enumerate(splits)]
-        map_task_fn = _run_map_task_attempts if fault_mode \
-            else _execute_map_task
-        with _TRACER.span("mapreduce.map_wave",
-                          attrs={"job_id": job_id,
-                                 "tasks": len(map_args)}):
-            if map_parallel:
-                map_results = self.executor.map(map_task_fn, map_args)
-            else:
-                map_results = [map_task_fn(args) for args in map_args]
+        map_results = self._run_wave(
+            "map", job_id, map_args, map_parallel, _execute_map_task,
+            (TaskFailedError, BlockUnavailableError),
+            "map task {0.split.index} of {0.split.path}")
         for split, result in zip(splits, map_results):
             if result.skipped:
                 skipped_logical += split.logical_length
@@ -459,20 +464,14 @@ class JobClient:
                             rng=task_rngs[n_tasks + p],
                             record_scale=record_scale,
                             warm_start=warm_start, policy=policy,
-                            slow_factor=slow_factors.get(red_nodes[p], 1.0)
-                            if red_nodes[p] is not None else 1.0)
+                            slow_factor=slow_factors.get(red_nodes[p], 1.0))
             for p in range(n_red)]
-        reduce_task_fn = _run_reduce_task_attempts if fault_mode \
-            else _execute_reduce_task
-        with _TRACER.span("mapreduce.reduce_wave",
-                          attrs={"job_id": job_id, "tasks": n_red}):
-            if wave_parallelizable(conf, source, self.executor,
-                                   reduce_side=True):
-                reduce_results = self.executor.map(reduce_task_fn,
-                                                   reduce_args)
-            else:
-                reduce_results = [reduce_task_fn(args)
-                                  for args in reduce_args]
+        reduce_results = self._run_wave(
+            "reduce", job_id, reduce_args,
+            wave_parallelizable(conf, source, self.executor,
+                                reduce_side=True),
+            _execute_reduce_task, TaskFailedError,
+            "reduce task {0.partition}")
         for out in reduce_results:
             job_counters.merge(out.counters)
         if policy is not None and policy.blacklist_after > 0:
@@ -604,7 +603,8 @@ def _execute_map_task(args: _MapTaskArgs) -> _MapTaskResult:
             if index is not None else None
         if values is not None:
             return _map_whole_split(args, counters, mapper.constant_key,
-                                    values, len(index.owned_records()))
+                                    values,
+                                    index.owned_stop - index.first_owned)
 
     ctx = TaskContext(ledger=ledger, counters=counters, rng=args.rng,
                       record_scale=args.record_scale,
@@ -639,7 +639,7 @@ def _execute_map_task(args: _MapTaskArgs) -> _MapTaskResult:
             # but a record reader legitimately over-reads past the split
             # end (to finish its last line) and can hit a lost block
             # mid-task.  With retries left, hand the read back to the
-            # attempt wrapper (which refreshes the split cache and
+            # attempt loop (which refreshes the split cache and
             # retries against surviving replicas); otherwise apply the
             # job's unavailability policy — optionally salvaging the
             # records the task already took.
@@ -804,65 +804,6 @@ def _partition_pairs(pairs: List[KeyValue], partitioner: HashPartitioner,
     return partitions, partition_bytes, partition_records
 
 
-def _run_map_task_attempts(args: _MapTaskArgs) -> _MapTaskResult:
-    """Fault-mode wrapper of :func:`_execute_map_task`: deterministic
-    retry with capped backoff, replica-refreshing read retries, and
-    slow-node duration scaling.
-
-    Only installed when a :class:`FaultPolicy` is enabled or a chaos
-    schedule slowed a node; with zero faults firing, the attempt-0 pass
-    through :func:`_execute_map_task` is byte-identical to the direct
-    call.
-    """
-    policy = args.policy
-    retries = policy.max_task_retries if policy is not None else 0
-    if retries == 0:
-        result = _execute_map_task(args)
-    else:
-        base_state = args.rng.bit_generator.state
-        wasted = args.ledger.spawn()
-        failures = 0
-        while True:
-            try:
-                result = _execute_map_task(args)
-                break
-            except (TaskFailedError, BlockUnavailableError) as exc:
-                failures += 1
-                wasted.merge(args.ledger)
-                if failures > retries:
-                    raise JobFailedError(
-                        f"map task {args.split.index} of "
-                        f"{args.split.path} failed after {failures} "
-                        f"attempts: {exc}") from exc
-                # Deterministic recovery: charge the capped backoff
-                # wait, replay the task's private RNG stream from its
-                # saved state, and charge the fresh attempt to a clean
-                # ledger (the wasted one is folded in at completion).
-                wasted.charge_backoff(policy.backoff(failures - 1))
-                args.rng.bit_generator.state = base_state
-                args.ledger = args.ledger.spawn()
-                args.attempt = failures
-                if isinstance(exc, BlockUnavailableError):
-                    # Stale cached indexes may reference lost replicas;
-                    # rebuild them from current availability so the
-                    # retry reads from surviving copies.
-                    cache = getattr(broadcast_value(args.fs),
-                                    "split_cache", None)
-                    if cache is not None:
-                        cache.invalidate(args.split.path)
-        if failures:
-            result.ledger.merge(wasted)
-            result.duration = result.ledger.total_seconds
-            result.counters.increment(C.TASK_RETRIES, failures)
-            result.counters.increment(C.FAILED_TASKS, failures)
-            result.failed_attempts = failures
-    if args.slow_factor > 1.0:
-        result.ledger.charge_cpu_seconds(
-            result.ledger.total_seconds * (args.slow_factor - 1.0))
-        result.duration = result.ledger.total_seconds
-    return result
-
-
 def _speculate(durations: List[float], policy: FaultPolicy,
                ledger: CostLedger) -> Tuple[List[float], int]:
     """Speculative execution over one wave's task durations.
@@ -919,8 +860,11 @@ def _execute_reduce_task(args: _ReduceTaskArgs) -> _ReduceTaskResult:
 
     # The shuffle grouped the input by key; process the groups in
     # deterministic sorted order (Hadoop sorts intermediate keys before
-    # reducing).
+    # reducing).  Under retries every attempt gets its own lists: a
+    # failed one may have changed the values it was handed.
     groups = args.groups
+    if args.policy is not None and args.policy.max_task_retries:
+        groups = {key: list(values) for key, values in groups.items()}
     counters.increment(C.REDUCE_INPUT_GROUPS, len(groups))
     counters.increment(C.REDUCE_INPUT_RECORDS,
                        sum(map(len, groups.values())))
@@ -937,44 +881,55 @@ def _execute_reduce_task(args: _ReduceTaskArgs) -> _ReduceTaskResult:
                              counters=counters, ledger=ledger)
 
 
-def _run_reduce_task_attempts(args: _ReduceTaskArgs) -> _ReduceTaskResult:
-    """Fault-mode wrapper of :func:`_execute_reduce_task` (see
-    :func:`_run_map_task_attempts`; reduce tasks have no block reads, so
-    only :class:`TaskFailedError` is retryable)."""
+# ------------------------------------------------------------ task attempts
+def _run_attempts(task, args, retryable, what: str):
+    """Run ``task(args)`` — one map or reduce task — under the job's
+    fault policy: deterministic retry with capped backoff, and
+    slow-node duration scaling.
+
+    A failure of a ``retryable`` type is retried while the policy has
+    retries left: the capped backoff wait is charged, the task's
+    private RNG stream is replayed from its saved state, and the fresh
+    attempt is charged to a clean ledger (the wasted ones are folded in
+    at completion).  A lost block also drops the path's stale split
+    indexes, so the retry reads from surviving replicas.  The last
+    failure fails the job, naming the task by ``what`` (a format string
+    over ``args``).  Without retries the task runs once, as a direct
+    call, and any failure propagates as raised.
+    """
     policy = args.policy
     retries = policy.max_task_retries if policy is not None else 0
-    if retries == 0:
-        result = _execute_reduce_task(args)
-    else:
+    if retries:
         base_state = args.rng.bit_generator.state
-        base_groups = args.groups
         wasted = args.ledger.spawn()
-        failures = 0
-        while True:
-            # Every attempt gets its own lists: a failed one may have
-            # changed the values it was handed.
-            args.groups = {key: list(values)
-                           for key, values in base_groups.items()}
-            try:
-                result = _execute_reduce_task(args)
-                break
-            except TaskFailedError as exc:
-                failures += 1
-                wasted.merge(args.ledger)
-                if failures > retries:
-                    raise JobFailedError(
-                        f"reduce task {args.partition} failed after "
-                        f"{failures} attempts: {exc}") from exc
-                wasted.charge_backoff(policy.backoff(failures - 1))
-                args.rng.bit_generator.state = base_state
-                args.ledger = args.ledger.spawn()
-                args.attempt = failures
-        if failures:
-            result.ledger.merge(wasted)
-            result.duration = result.ledger.total_seconds
-            result.counters.increment(C.TASK_RETRIES, failures)
-            result.counters.increment(C.FAILED_TASKS, failures)
-            result.failed_attempts = failures
+    else:
+        retryable = ()
+    failures = 0
+    while True:
+        try:
+            result = task(args)
+            break
+        except retryable as exc:
+            failures += 1
+            wasted.merge(args.ledger)
+            if failures > retries:
+                raise JobFailedError(
+                    f"{what.format(args)} failed after {failures} "
+                    f"attempts: {exc}") from exc
+            wasted.charge_backoff(policy.backoff(failures - 1))
+            args.rng.bit_generator.state = base_state
+            args.ledger = args.ledger.spawn()
+            args.attempt = failures
+            if isinstance(exc, BlockUnavailableError):
+                cache = getattr(broadcast_value(args.fs), "split_cache", None)
+                if cache is not None:
+                    cache.invalidate(args.split.path)
+    if failures:
+        result.ledger.merge(wasted)
+        result.duration = result.ledger.total_seconds
+        result.counters.increment(C.TASK_RETRIES, failures)
+        result.counters.increment(C.FAILED_TASKS, failures)
+        result.failed_attempts = failures
     if args.slow_factor > 1.0:
         result.ledger.charge_cpu_seconds(
             result.ledger.total_seconds * (args.slow_factor - 1.0))

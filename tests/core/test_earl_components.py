@@ -57,6 +57,17 @@ class TestStatisticReducer:
         with pytest.raises(TypeError):
             reducer.update(a, b)
 
+    def test_initialize_merges_states_among_values(self):
+        reducer = StatisticReducer("mean")
+        state = reducer.initialize([1.0, reducer.initialize([2.0, 3.0]),
+                                    np.float64(6.0)])
+        assert reducer.finalize(state) == pytest.approx(3.0)
+
+    def test_initialize_with_unmergeable_state_raises(self):
+        reducer = StatisticReducer("median")
+        with pytest.raises(TypeError, match="does not support merging"):
+            reducer.initialize([1.0, reducer.initialize([3.0])])
+
     def test_auto_correction_for_sum(self):
         reducer = StatisticReducer("sum")
         assert reducer.correct(10.0, 0.1) == pytest.approx(100.0)

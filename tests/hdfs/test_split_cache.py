@@ -242,6 +242,16 @@ class TestCachedReaderEquivalence:
                           .read_records())
             assert scalar == cached
             assert l1.breakdown() == l2.breakdown()
+            # On an intact file the salvage read yields the full scan's
+            # records, charged as one sequential read of the readable
+            # prefix: the rest of the file.
+            l4 = CostLedger()
+            ref.read_range("/f", split.start, meta.size, ledger=l4)
+            for source in (ref, fs):
+                l3 = CostLedger()
+                assert list(LineRecordReader(source, split, ledger=l3)
+                            .read_records_salvage()) == scalar
+                assert l3.breakdown() == l4.breakdown()
             index = fs.split_cache.acquire(fs, split)
             positions = np.arange(split.start, min(split.end, meta.size))
             for pos, entry in zip(positions.tolist(),
