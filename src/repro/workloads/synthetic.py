@@ -29,8 +29,23 @@ from repro.util.validation import check_fraction, check_positive_int
 #: Fixed-width numeric line format (15 chars + newline = 16 bytes/record).
 NUMERIC_FORMAT = "{:015.6f}"
 #: :data:`NUMERIC_FORMAT` for ``%``-formatting, which renders a whole
-#: file in one pass.
+#: file in one pass: the reference render of :func:`numeric_text`.
 _NUMERIC_PERCENT_FORMAT = "%015.6f"
+
+#: The ASCII words of a 16-byte row ``DDDDDDDD.FFFFFF\n`` as
+#: little-endian ``uint32``: four integer digits; the point and three
+#: fraction digits; three fraction digits and the newline.
+_DIGITS4 = np.array(["%04d" % i for i in range(10_000)], "S4").view("<u4")
+_POINT_DIGITS3 = np.array([".%03d" % i for i in range(1000)],
+                          "S4").view("<u4")
+_DIGITS3_NEWLINE = np.array(["%03d\n" % i for i in range(1000)],
+                            "S4").view("<u4")
+#: Values below this render with 8 integer digits (``99999999.9999995``
+#: and up round to ``100000000.000000``).
+_FIXED_LIMIT = 99_999_999.999_999_5
+#: Rows per pass of the kernel: small enough that its temporaries are
+#: reused from the heap rather than freshly mapped on every call.
+_CHUNK_ROWS = 1 << 14
 
 
 def numeric_dataset(n: int, distribution: str = "lognormal", *,
@@ -65,15 +80,55 @@ def numeric_dataset(n: int, distribution: str = "lognormal", *,
 
 def numeric_lines(values: Sequence[float]) -> List[str]:
     """Fixed-width text lines for a numeric stream."""
-    return [NUMERIC_FORMAT.format(float(v)) for v in values]
+    return numeric_text(values).splitlines()
+
+
+def _percent_render(values: np.ndarray) -> str:
+    floats = tuple(values.tolist())
+    return (_NUMERIC_PERCENT_FORMAT + "\n") * len(floats) % floats
+
+
+def _render_rows(values: np.ndarray, rows: np.ndarray) -> None:
+    """Fill ``rows`` (``n × 4`` ``uint32``) with the 16-byte lines of
+    ``values``, all in ``[0, _FIXED_LIMIT)``."""
+    scaled = values * 1e6
+    units = np.rint(scaled)
+    whole = (units / 1e6).astype(np.uint32)  # floor: units < 2^47
+    frac = (units - whole * 1e6).astype(np.uint32)
+    np.take(_DIGITS4, whole // 10_000, out=rows[:, 0])
+    np.take(_DIGITS4, whole % 10_000, out=rows[:, 1])
+    np.take(_POINT_DIGITS3, frac // 1000, out=rows[:, 2])
+    np.take(_DIGITS3_NEWLINE, frac % 1000, out=rows[:, 3])
+    # Only a product that lands on a half-way point can round apart
+    # from its exact value, whose digits ``%`` reads.
+    ties = np.flatnonzero(np.abs(scaled - units) == 0.5)
+    if ties.size:
+        text = _percent_render(values[ties]).encode()
+        rows[ties] = np.frombuffer(text, dtype="<u4").reshape(-1, 4)
 
 
 def numeric_text(values: Sequence[float]) -> str:
-    """The newline-terminated file of :func:`numeric_lines`, rendered
-    in one pass (``%``-formatting renders ``inf``, ``nan`` and ``-0.0``
-    as ``str.format`` does)."""
-    floats = tuple(np.asarray(values, dtype=float).tolist())
-    return (_NUMERIC_PERCENT_FORMAT + "\n") * len(floats) % floats
+    r"""The file of :data:`NUMERIC_FORMAT` lines, each newline-terminated:
+    ``"%015.6f\n" % v`` per value, byte for byte.
+
+    Values in ``[0, 10⁸)`` are laid out as 16-byte rows from the digits
+    of ``rint(v·10⁶)``; a row whose scaled value is a half-way point is
+    rendered with ``%`` instead.  Any
+    other value (negative, ``-0.0``, ``inf``, ``nan``, or ``10⁸`` and
+    up after rounding) sends the whole file down the one-pass ``%``
+    render (DESIGN.md, "Rendering stand-in files").
+
+    >>> numeric_text([1.5, 0.0000005, 12345678.25])
+    '00000001.500000\n00000000.000000\n12345678.250000\n'
+    """
+    v = np.asarray(values, dtype=float)
+    if np.signbit(v).any() or not np.max(v, initial=0.0) < _FIXED_LIMIT:
+        return _percent_render(v)
+    rows = np.empty((v.size, 4), dtype="<u4")
+    for start in range(0, v.size, _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        _render_rows(v[start:stop], rows[start:stop])
+    return str(rows, "ascii")
 
 
 def keyed_lines(values: Sequence[float], n_keys: int, *,
@@ -82,8 +137,8 @@ def keyed_lines(values: Sequence[float], n_keys: int, *,
     check_positive_int("n_keys", n_keys)
     rng = ensure_rng(seed)
     keys = rng.integers(0, n_keys, size=len(values))
-    return [f"k{int(k):04d}\t" + NUMERIC_FORMAT.format(float(v))
-            for k, v in zip(keys, values)]
+    return [f"k{int(k):04d}\t{line}"
+            for k, line in zip(keys, numeric_lines(values))]
 
 
 def skewed_keyed_values(n: int, n_keys: int, *, skew: float = 1.5,
@@ -140,8 +195,7 @@ def keyed_value_lines(keys: Sequence[object],
     of :func:`repro.hdfs.read_keyed_column`'s parse)."""
     if len(keys) != len(values):
         raise ValueError("keys and values must align")
-    return [f"{k}\t" + NUMERIC_FORMAT.format(float(v))
-            for k, v in zip(keys, values)]
+    return [f"{k}\t{line}" for k, line in zip(keys, numeric_lines(values))]
 
 
 def clustered_lines(values: Sequence[float]) -> List[str]:

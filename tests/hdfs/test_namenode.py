@@ -1,6 +1,8 @@
 """Tests for NameNode metadata management."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.hdfs.errors import FileAlreadyExists, FileNotFoundInHdfs
 from repro.hdfs.namenode import FileMeta, NameNode
@@ -87,6 +89,28 @@ class TestBlockAllocation:
             nn.allocate_block(meta, 10)
         hits = nn.blocks_for_range(meta, 5, 25)
         assert [b.offset for b in hits] == [0, 10, 20]
+
+    @settings(max_examples=200, deadline=None)
+    @given(lengths=st.lists(st.integers(0, 40), max_size=12),
+           a=st.integers(0, 500), b=st.integers(0, 500),
+           whole=st.booleans())
+    @example(lengths=[10, 10, 10], a=10, b=10, whole=False)  # empty, edge
+    @example(lengths=[10, 10, 10], a=15, b=15, whole=False)  # empty, inside
+    @example(lengths=[10, 0, 10], a=10, b=10, whole=False)   # empty block
+    @example(lengths=[], a=0, b=0, whole=True)
+    def test_blocks_for_range_is_the_overlap_filter(self, lengths, a, b,
+                                                    whole):
+        nn = NameNode()
+        meta = nn.create_file("/p")
+        for length in lengths:
+            nn.allocate_block(meta, length)
+        if whole:
+            start, end = 0, meta.size
+        else:
+            start, end = sorted((min(a, meta.size), min(b, meta.size)))
+        assert nn.blocks_for_range(meta, start, end) == [
+            blk for blk in meta.blocks
+            if blk.offset < end and blk.end > start]
 
     def test_blocks_for_range_bounds_checked(self, nn):
         meta = nn.create_file("/rb")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.workloads import (
     ar1_series,
@@ -15,6 +17,7 @@ from repro.workloads import (
     point_lines,
     population_summary,
 )
+from repro.workloads.synthetic import _CHUNK_ROWS, numeric_text
 
 
 class TestNumericDataset:
@@ -61,6 +64,83 @@ class TestLineRendering:
         lines = clustered_lines([3.0, 1.0, 2.0])
         values = [float(l) for l in lines]
         assert values == sorted(values)
+
+
+def _reference_text(values):
+    """The reference render: one ``%`` conversion per value."""
+    return "".join("%015.6f\n" % x for x in values)
+
+
+def _step_ulps(x, steps):
+    """``x`` moved ``steps`` representable floats up (or down)."""
+    toward = np.inf if steps > 0 else -np.inf
+    for _ in range(abs(steps)):
+        x = float(np.nextafter(x, toward))
+    return x
+
+
+#: Exact binary ties at the 6th decimal: ``j/128`` is representable, and
+#: for odd ``j`` its scaled value ends in ``.5``.
+_TIES = st.integers(0, 2**34).map(lambda j: j / 128)
+#: Floats next to a half-way point ``(k + ½)·10⁻⁶``, on both sides.
+_NEAR_HALF = st.builds(
+    _step_ulps,
+    st.integers(0, 10**14 - 1).map(lambda k: (2 * k + 1) / 2e6),
+    st.integers(-3, 3))
+#: Around the 8-digit limit: ``99999999.9999995`` and up take 16 chars.
+_STRADDLE_1E8 = st.builds(
+    _step_ulps,
+    st.sampled_from([99_999_999.999_999, 99_999_999.999_999_5, 1e8]),
+    st.integers(-4, 4))
+_SPECIALS = st.sampled_from([
+    -0.0, 0.0, float("inf"), float("-inf"), float("nan"), 5e-324,
+    2.2250738585072014e-308, -5e-324, -1e-9, -1.5, 1e300])
+_FIXED_DOMAIN = st.floats(min_value=0.0, max_value=99_999_999.999_999)
+
+
+class TestNumericTextKernel:
+    """The fixed-point kernel against the one-``%``-per-value render."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(_FIXED_DOMAIN, _TIES, _NEAR_HALF),
+                    max_size=40))
+    @example([])
+    @example([0.0078125, 0.5, 2.5e-7, 5e-7, 0.0000015])
+    def test_in_domain_matches_reference(self, values):
+        expected = _reference_text(values)
+        assert numeric_text(values) == expected
+        assert numeric_text(np.array(values, dtype=float)) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), _FIXED_DOMAIN, _TIES,
+                              _NEAR_HALF, _STRADDLE_1E8, _SPECIALS),
+                    max_size=30))
+    @example([99_999_999.999_999_5])
+    @example([-0.0])
+    @example([float("nan"), 1.5])
+    @example([5e-324, 1.5])
+    def test_any_float_matches_reference(self, values):
+        assert numeric_text(values) == _reference_text(values)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cauchy_scale_arrays_across_chunks(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 2 * _CHUNK_ROWS + 7
+        values = np.abs(rng.standard_cauchy(n)) * 10.0 ** rng.uniform(
+            -7, 4, n)
+        # Half-way neighbours at random rows, chunk edges included.
+        rows = np.concatenate([rng.integers(0, n, 40),
+                               [0, _CHUNK_ROWS - 1, _CHUNK_ROWS, n - 1]])
+        k = rng.integers(0, 10**10, rows.size)
+        values[rows] = [_step_ulps((2 * int(j) + 1) / 2e6, int(s))
+                        for j, s in zip(k, rng.integers(-2, 3, rows.size))]
+        values = np.minimum(values, 99_999_999.0)  # keep the kernel path
+        assert numeric_text(values) == _reference_text(values.tolist())
+
+    def test_numeric_lines_are_the_text_lines(self):
+        values = [1.5, float("nan"), -0.0, 0.0078125]
+        assert numeric_lines(values) == [
+            "%015.6f" % x for x in values]
 
 
 class TestCategoricalDataset:
