@@ -113,10 +113,10 @@ def numeric_text(values: Sequence[float]) -> str:
 
     Values in ``[0, 10⁸)`` are laid out as 16-byte rows from the digits
     of ``rint(v·10⁶)``; a row whose scaled value is a half-way point is
-    rendered with ``%`` instead.  Any
-    other value (negative, ``-0.0``, ``inf``, ``nan``, or ``10⁸`` and
-    up after rounding) sends the whole file down the one-pass ``%``
-    render (DESIGN.md, "Rendering stand-in files").
+    rendered with ``%`` instead.  Any other value (negative, ``-0.0``,
+    ``inf``, ``nan``, or ``10⁸`` and up after rounding) sends the whole
+    file down the one-pass ``%`` render (DESIGN.md, "Rendering stand-in
+    files").
 
     >>> numeric_text([1.5, 0.0000005, 12345678.25])
     '00000001.500000\n00000000.000000\n12345678.250000\n'
