@@ -1,9 +1,8 @@
 # Developer entry points for the EARL reproduction.
 #
 #   make test        - tier-1 test suite (the gate every PR must keep green;
-#                      excludes tests marked `slow`, see pytest.ini);
-#                      PYTEST_ARGS=... adds pytest options (CI passes
-#                      --durations=15 to log the slowest tests)
+#                      excludes tests marked `slow`, see pytest.ini;
+#                      lists the 15 slowest tests)
 #   make test-all    - the whole suite including the slow statistical-
 #                      stability tests
 #   make bench       - every figure benchmark (writes benchmarks/results/)
@@ -55,7 +54,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 	docs-check doctest census examples clean
 
 test:
-	$(PYTHON) -m pytest -x -q $(PYTEST_ARGS)
+	$(PYTHON) -m pytest -x -q --durations=15
 
 test-all:
 	$(PYTHON) -m pytest -x -q -m "slow or not slow"

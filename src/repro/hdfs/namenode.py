@@ -10,16 +10,11 @@ while the actual stored bytes stay small.  See DESIGN.md.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Dict, Iterator, List
 
 from repro.hdfs.blocks import Block
 from repro.hdfs.errors import FileAlreadyExists, FileNotFoundInHdfs
-
-_END = attrgetter("end")
-_OFFSET = attrgetter("offset")
 
 
 @dataclass
@@ -129,7 +124,4 @@ class NameNode:
         if start < 0 or end > meta.size or start > end:
             raise ValueError(
                 f"range [{start}, {end}) outside file of size {meta.size}")
-        # Offsets and ends both rise in file order: bisect each side.
-        first = bisect_right(meta.blocks, start, key=_END)
-        return meta.blocks[first:bisect_left(meta.blocks, end, lo=first,
-                                             key=_OFFSET)]
+        return [b for b in meta.blocks if b.offset < end and b.end > start]

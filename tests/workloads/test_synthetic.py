@@ -106,6 +106,10 @@ class TestNumericTextKernel:
                     max_size=40))
     @example([])
     @example([0.0078125, 0.5, 2.5e-7, 5e-7, 0.0000015])
+    # The products nearest the first half-way point, ``½``: the only
+    # place where ``floor(p + ½)`` could part from ``rint(p)`` off a
+    # tie is ``p = nextafter(0.5, 0)``, and no ``v·10⁶`` lands on it.
+    @example([_step_ulps(5e-7, steps) for steps in range(-3, 4)])
     def test_in_domain_matches_reference(self, values):
         expected = _reference_text(values)
         assert numeric_text(values) == expected
